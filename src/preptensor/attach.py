@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, triple_similarity
+from .embeddings import (
+    EmbeddingStore,
+    cosine_similarity,
+    similarity_or_zero,
+    triple_similarity,
+)
 from .learn import FeedForwardNet, FnnHyper, accuracy, fnn_forward_batch, train_fnn
 
 logger = logging.getLogger(__name__)
@@ -133,20 +138,6 @@ def build_tagset(instances) -> TagSet:
     return TagSet(tags)
 
 
-def _safe_cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(a @ b / (na * nb))
-
-
-def _safe_triple(a, b, c) -> float:
-    try:
-        return triple_similarity(a, b, c)
-    except ValueError:
-        return 0.0
-
-
 def attachment_features(instance: AttachmentInstance, candidate_index: int,
                         store: EmbeddingStore, tagset: TagSet) -> np.ndarray:
     """Feature vector for one candidate head.
@@ -161,9 +152,9 @@ def attachment_features(instance: AttachmentInstance, candidate_index: int,
     v_c = store.get_or_zero(instance.child)
     feats = [
         v_h, v_p, v_c,
-        [_safe_triple(v_h, v_p, v_c),
-         _safe_cosine(v_h, v_p),
-         _safe_cosine(v_h, v_c)],
+        [similarity_or_zero(triple_similarity, v_h, v_p, v_c),
+         similarity_or_zero(cosine_similarity, v_h, v_p),
+         similarity_or_zero(cosine_similarity, v_h, v_c)],
         tagset.one_hot(cand.pos_tag),
         tagset.one_hot(cand.next_pos_tag),
         [min(cand.distance / MAX_DISTANCE, 1.0)],

@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import attach as attach_ops
@@ -37,7 +36,6 @@ DEFAULTS = {
     "alpha": 0.75,
     "lr": 0.05,
     "seed": 0,
-    "threads": 1,
     "top": 50,
     "centered": True,
     "hidden1": None,
@@ -110,6 +108,13 @@ def _write_manifest(path, command: str, config: dict, inputs: list, outputs: lis
         fh.write("\n")
 
 
+def _require_tokens(store, tokens) -> None:
+    """Reject tokens the embeddings lack as a user error, naming them."""
+    missing = [tok for tok in dict.fromkeys(tokens) if tok not in store]
+    if missing:
+        raise ValueError(f"not in the embeddings: {' '.join(missing)}")
+
+
 def _load_roster(path) -> list[str]:
     if path:
         return corpus_ops.load_roster(path)
@@ -121,21 +126,12 @@ def _load_roster(path) -> list[str]:
 
 
 def cmd_build_tensor(args, produced: list) -> None:
-    cfg = _resolve(args, ["window", "min_count", "threads"])
+    cfg = _resolve(args, ["window", "min_count"])
     roster = _load_roster(args.roster)
     with open(args.corpus, "rb") as fh:
         sentences = corpus_ops.tokenize_sentences(fh.read())
     vocab = corpus_ops.build_vocabulary(sentences, cfg["min_count"], roster)
-    threads = max(int(cfg["threads"]), 1)
-    if threads > 1 and len(sentences) > threads:
-        shards = [sentences[s::threads] for s in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(
-                lambda shard: corpus_ops.count_tensor(shard, vocab, cfg["window"]),
-                shards))
-        tensor = corpus_ops.merge_counts(partials)
-    else:
-        tensor = corpus_ops.count_tensor(sentences, vocab, cfg["window"])
+    tensor = corpus_ops.count_tensor(sentences, vocab, cfg["window"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     vocab_path = out / "vocab.txt"
@@ -188,6 +184,7 @@ def cmd_query_sim(args, produced: list) -> None:
             toks = line.split()
             if len(toks) == 2:
                 pairs.append((toks[0], toks[1]))
+    _require_tokens(store, [tok for pair in pairs for tok in pair])
     for left, right, sim in emb_ops.preposition_similarity_table(
             store, pairs, centered=cfg["centered"]):
         print(f"{left}\t{right}\t{sim:.4f}")
@@ -198,6 +195,7 @@ def cmd_paraphrase(args, produced: list) -> None:
     store = emb_ops.load_embeddings(args.embeddings, roster)
     with open(args.candidates, encoding="utf-8") as fh:
         candidates = [line.strip() for line in fh if line.strip()]
+    _require_tokens(store, [args.head, args.prep, *candidates])
     ranked = emb_ops.paraphrase_phrasal_verb(args.head, args.prep, candidates, store)
     for verb, dist in ranked[:args.top or 5]:
         print(f"{verb}\t{dist:.6g}")
@@ -326,7 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Preposition embeddings from word-triple count tensors",
     )
     parser.add_argument("--config", help="plain-text key = value config file")
-    parser.add_argument("--threads", type=int, help="worker thread bound")
     parser.add_argument("--seed", type=int, help="random seed")
     parser.add_argument("--log-level", default="warning",
                         choices=["debug", "info", "warning", "error"])
@@ -337,7 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roster")
     p.add_argument("--window", type=int)
     p.add_argument("--min-count", dest="min_count", type=int)
-    p.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_tensor)
 
@@ -384,16 +380,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--embeddings", required=True)
         p.add_argument("--roster")
         p.add_argument("--out", required=True)
-        p.add_argument("--window", type=int)
         p.add_argument("--hidden1", type=int)
         p.add_argument("--hidden2", type=int)
         p.add_argument("--epochs", type=int)
         p.add_argument("--batch", type=int)
         p.add_argument("--fnn-lr", dest="fnn_lr", type=float)
         p.add_argument("--momentum", type=float)
-        p.add_argument("--max-depth", dest="max_depth", type=int)
-        p.add_argument("--min-leaf", dest="min_leaf", type=int)
         p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+        if name == "train-select":
+            p.add_argument("--window", type=int)
+            p.add_argument("--max-depth", dest="max_depth", type=int)
+            p.add_argument("--min-leaf", dest="min_leaf", type=int)
         p.set_defaults(func=func)
 
     for name, func in (("eval-select", cmd_eval_select),
@@ -403,8 +400,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--models", required=True)
         p.add_argument("--embeddings", required=True)
         p.add_argument("--roster")
-        p.add_argument("--window", type=int)
         p.add_argument("--out")
+        if name == "eval-select":
+            p.add_argument("--window", type=int)
         p.set_defaults(func=func)
 
     return parser

@@ -22,6 +22,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "EmbeddingStore",
+    "UndefinedSimilarityError",
     "cosine_similarity",
     "preposition_similarity_table",
     "pair_similarity",
@@ -73,12 +74,26 @@ class EmbeddingStore:
         return self.vectors.get(token, np.zeros(self.dim))
 
 
+class UndefinedSimilarityError(ValueError):
+    """A similarity asked of a zero vector, for which it is undefined."""
+
+
+def similarity_or_zero(similarity, *vectors) -> float:
+    """``similarity(*vectors)``, or 0.0 where a zero vector leaves it
+    undefined; the rule feature builders use for out-of-vocabulary tokens
+    and empty contexts."""
+    try:
+        return similarity(*vectors)
+    except UndefinedSimilarityError:
+        return 0.0
+
+
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity undefined for zero-norm vector")
+        raise UndefinedSimilarityError("cosine similarity undefined for zero-norm vector")
     return float(a @ b / (na * nb))
 
 
@@ -107,13 +122,13 @@ def pair_similarity(v_left: np.ndarray, v_right: np.ndarray,
     """Best cosine between the preposition and either context side; a
     zero-vector side is excluded from the max."""
     if np.linalg.norm(v_p) == 0.0:
-        raise ValueError("preposition vector must be nonzero")
+        raise UndefinedSimilarityError("preposition vector must be nonzero")
     sims = []
     for v in (v_left, v_right):
         if np.linalg.norm(v) > 0.0:
             sims.append(cosine_similarity(v, v_p))
     if not sims:
-        raise ValueError("both context vectors are zero")
+        raise UndefinedSimilarityError("both context vectors are zero")
     return max(sims)
 
 
@@ -124,7 +139,8 @@ def triple_similarity(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
     c = np.asarray(c, dtype=np.float64)
     norms = [np.sum(np.abs(v) ** 3) ** (1.0 / 3.0) for v in (a, b, c)]
     if any(n == 0.0 for n in norms):
-        raise ValueError("triple similarity undefined for zero 3-norm vector")
+        raise UndefinedSimilarityError(
+            "triple similarity undefined for zero 3-norm vector")
     return float(np.sum(a * b * c) / (norms[0] * norms[1] * norms[2]))
 
 
@@ -179,7 +195,8 @@ def slice_spectrum(tensor: SparseCountTensor, k: int, top_m: int) -> np.ndarray:
     """Top singular values of log(1+X[:,:,k]) divided by the largest.
 
     Uses iterative sparse SVD for large slices, falling back to a dense
-    SVD when the requested count does not leave room for iteration.
+    SVD when the requested count does not leave room for iteration. The
+    iteration is seeded, so the result is reproducible.
     """
     if top_m < 1:
         raise ValueError(f"top_m must be >= 1, got {top_m}")
@@ -193,8 +210,12 @@ def slice_spectrum(tensor: SparseCountTensor, k: int, top_m: int) -> np.ndarray:
     )
     top_m = min(top_m, n)
     if top_m < min(mat.shape) - 1 and n > 50:
-        svals = scipy.sparse.linalg.svds(mat, k=top_m, return_singular_vectors=False)
-        svals = np.sort(svals)[::-1]
+        # svds' ARPACK route, but seeded: svds does not pass its generator
+        # on to ARPACK's restarts, so repeated runs differed.
+        gram = scipy.sparse.linalg.LinearOperator(
+            (n, n), matvec=lambda v: mat.T @ (mat @ v), dtype=np.float64)
+        _, vecs = scipy.sparse.linalg.eigsh(gram, k=top_m, rng=0)
+        svals = np.linalg.svd(mat @ np.linalg.qr(vecs)[0], compute_uv=False)
     else:
         svals = np.linalg.svd(mat.toarray(), compute_uv=False)[:top_m]
     if svals[0] == 0.0:
@@ -251,6 +272,9 @@ def load_embeddings(path, roster: Sequence[str] | None = None) -> EmbeddingStore
     if declared is not None and total != declared:
         raise ValueError(f"{path}: header declares {declared} rows, found {total}")
     if q_const is None:
+        logger.warning("%s: no %s row; the extra-slice vector is zero, so "
+                       "paraphrase rankings keep candidate order",
+                       path, NOPREP_TOKEN)
         q_const = np.zeros(dim)
     preps = [p for p in roster if p in vectors] if roster else []
     return EmbeddingStore(vectors=vectors, q_const=q_const, dim=dim,

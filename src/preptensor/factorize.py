@@ -17,13 +17,6 @@ from .corpus import SparseCountTensor
 
 logger = logging.getLogger(__name__)
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
 __all__ = [
     "TrainingConfig",
     "EmbeddingSet",
@@ -143,8 +136,8 @@ def weight(x, x_max: float, alpha: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _as_coo(tensor) -> tuple[CooTensor, CooTensor]:
-    """Return (raw, log-domain) views of a count or real tensor."""
+def _as_coo(tensor) -> CooTensor:
+    """Raw-count coordinate view of a count or real tensor."""
     if isinstance(tensor, SparseCountTensor):
         raw = CooTensor.from_counts(tensor)
     elif isinstance(tensor, CooTensor):
@@ -153,11 +146,11 @@ def _as_coo(tensor) -> tuple[CooTensor, CooTensor]:
         raise TypeError(f"unsupported tensor type {type(tensor).__name__}")
     if raw.nnz == 0:
         raise ValueError("empty tensor: nothing to decompose")
-    return raw, CooTensor(raw.i, raw.j, raw.k, np.log1p(raw.values), raw.dims)
+    return raw
 
 
-def _reconstruction_at(emb: EmbeddingSet, coo: CooTensor) -> np.ndarray:
-    return np.sum(emb.U[coo.i] * emb.W[coo.j] * emb.Q[coo.k], axis=1)
+def _reconstruction_at(coo: CooTensor, U, W, Q) -> np.ndarray:
+    return np.sum(U[coo.i] * W[coo.j] * Q[coo.k], axis=1)
 
 
 def als_objective(coo: CooTensor, U: np.ndarray, W: np.ndarray, Q: np.ndarray) -> float:
@@ -168,7 +161,7 @@ def als_objective(coo: CooTensor, U: np.ndarray, W: np.ndarray, Q: np.ndarray) -
     reconstruction's energy on the zero pattern; the split avoids the
     cancellation a norm-expansion formula suffers near exact fits.
     """
-    recon_at = np.sum(U[coo.i] * W[coo.j] * Q[coo.k], axis=1)
+    recon_at = _reconstruction_at(coo, U, W, Q)
     sparse_term = float(np.sum((coo.values - recon_at) ** 2))
     n, _, kp1 = coo.dims
     if coo.nnz == n * n * kp1:
@@ -313,8 +306,11 @@ def weighted_gradient(emb: EmbeddingSet, i: int, j: int, k: int, x: float,
     return g * (w * q), g * (u * q), g * (u * w), g
 
 
-def _wd_epoch_python(order, ii, jj, kk, targets, weights, lr,
-                     U, W, Q, bU, bW, bQ, GU, GW, GQ, GbU, GbW, GbQ):
+def _wd_epoch(order, ii, jj, kk, targets, weights, lr,
+              U, W, Q, bU, bW, bQ, GU, GW, GQ, GbU, GbW, GbQ):
+    """One adaptive-step pass over the entries in ``order``; updates the
+    factors, biases and squared-gradient sums in place and returns the
+    weighted loss seen during the pass."""
     loss = 0.0
     for e in order:
         i, j, k = ii[e], jj[e], kk[e]
@@ -341,46 +337,11 @@ def _wd_epoch_python(order, ii, jj, kk, targets, weights, lr,
     return loss
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _wd_epoch_numba(order, ii, jj, kk, targets, weights, lr,
-                        U, W, Q, bU, bW, bQ, GU, GW, GQ, GbU, GbW, GbQ):
-        d = U.shape[1]
-        loss = 0.0
-        for e in order:
-            i, j, k = ii[e], jj[e], kk[e]
-            r = bU[i] + bW[j] + bQ[k] - targets[e]
-            for c in range(d):
-                r += U[i, c] * W[j, c] * Q[k, c]
-            wt = weights[e]
-            loss += wt * r * r
-            g = 2.0 * wt * r
-            for c in range(d):
-                u, w, q = U[i, c], W[j, c], Q[k, c]
-                gu = g * w * q
-                gw = g * u * q
-                gq = g * u * w
-                U[i, c] = u - lr * gu / np.sqrt(GU[i, c])
-                W[j, c] = w - lr * gw / np.sqrt(GW[j, c])
-                Q[k, c] = q - lr * gq / np.sqrt(GQ[k, c])
-                GU[i, c] += gu * gu
-                GW[j, c] += gw * gw
-                GQ[k, c] += gq * gq
-            bU[i] -= lr * g / np.sqrt(GbU[i])
-            bW[j] -= lr * g / np.sqrt(GbW[j])
-            bQ[k] -= lr * g / np.sqrt(GbQ[k])
-            GbU[i] += g * g
-            GbW[j] += g * g
-            GbQ[k] += g * g
-        return loss
-
-
 def wd_loss(raw: CooTensor, emb: EmbeddingSet, x_max: float, alpha: float) -> float:
     """Weighted squared-residual loss over the nonzero entries."""
     targets = np.log1p(raw.values)
     weights = weight(raw.values, x_max, alpha)
-    resid = (_reconstruction_at(emb, raw)
+    resid = (_reconstruction_at(raw, emb.U, emb.W, emb.Q)
              + emb.b_U[raw.i] + emb.b_W[raw.j] + emb.b_Q[raw.k] - targets)
     return float(np.sum(weights * resid ** 2))
 
@@ -391,38 +352,28 @@ def decompose_weighted(tensor, config: TrainingConfig,
 
     Visits shuffled nonzero entries (zero entries carry zero weight) for
     ``iterations`` epochs, updating each touched row with per-coordinate
-    adaptive step sizes. Deterministic given seed in single-shard mode.
+    adaptive step sizes. Deterministic given the seed.
     """
-    raw, _log = _as_coo(tensor)
+    raw = _as_coo(tensor)
     if np.any(raw.values <= 0):
         raise ValueError("weighted decomposition requires positive nonzero entries")
-    d = config.dim
-    n, _, kp1 = raw.dims
-    rng = np.random.default_rng(config.seed)
     if init is not None:
+        rng = np.random.default_rng(config.seed)
         U, W, Q = init.U.copy(), init.W.copy(), init.Q.copy()
         bU, bW, bQ = init.b_U.copy(), init.b_W.copy(), init.b_Q.copy()
     else:
-        scale = 1.0 / np.sqrt(d)
-        U = rng.standard_normal((n, d)) * scale
-        W = rng.standard_normal((n, d)) * scale
-        Q = rng.standard_normal((kp1, d)) * scale
-        bU = np.zeros(n)
-        bW = np.zeros(n)
-        bQ = np.zeros(kp1)
+        rng, U, W, Q = _init_factors(raw.dims, config.dim, config.seed)
+        n, _, kp1 = raw.dims
+        bU, bW, bQ = np.zeros(n), np.zeros(n), np.zeros(kp1)
     GU, GW, GQ = np.ones_like(U), np.ones_like(W), np.ones_like(Q)
     GbU, GbW, GbQ = np.ones_like(bU), np.ones_like(bW), np.ones_like(bQ)
     targets = np.log1p(raw.values)
     weights = weight(raw.values, config.x_max, config.alpha)
-    ii = raw.i.astype(np.int64)
-    jj = raw.j.astype(np.int64)
-    kk = raw.k.astype(np.int64)
-    epoch_fn = _wd_epoch_numba if _HAVE_NUMBA else _wd_epoch_python
     for epoch in range(config.iterations):
-        order = rng.permutation(raw.nnz).astype(np.int64)
-        loss = epoch_fn(order, ii, jj, kk, targets, weights,
-                        config.learning_rate,
-                        U, W, Q, bU, bW, bQ, GU, GW, GQ, GbU, GbW, GbQ)
+        order = rng.permutation(raw.nnz)
+        loss = _wd_epoch(order, raw.i, raw.j, raw.k, targets, weights,
+                         config.learning_rate,
+                         U, W, Q, bU, bW, bQ, GU, GW, GQ, GbU, GbW, GbQ)
         if not np.isfinite(loss):
             raise RuntimeError(
                 f"weighted decomposition diverged at epoch {epoch + 1}: "

@@ -199,16 +199,23 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _forward(net: FeedForwardNet, X: np.ndarray):
+    """Activations of every layer, the input first, and the
+    pre-activations the backward pass needs."""
+    activations, zs = [X], []
+    last = len(net.weights) - 1
+    for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = activations[-1] @ w + b
+        zs.append(z)
+        activations.append(_softmax(z) if layer == last else np.maximum(z, 0.0))
+    return activations, zs
+
+
 def fnn_forward_batch(net: FeedForwardNet, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if not np.all(np.isfinite(X)):
         raise ValueError("network input must be finite")
-    a = X
-    last = len(net.weights) - 1
-    for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w + b
-        a = _softmax(z) if layer == last else np.maximum(z, 0.0)
-    return a
+    return _forward(net, X)[0][-1]
 
 
 def fnn_forward(net: FeedForwardNet, row) -> np.ndarray:
@@ -224,15 +231,7 @@ def fnn_loss_and_grads(net: FeedForwardNet, X: np.ndarray, y: np.ndarray):
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    activations = [X]
-    zs = []
-    a = X
-    last = len(net.weights) - 1
-    for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w + b
-        zs.append(z)
-        a = _softmax(z) if layer == last else np.maximum(z, 0.0)
-        activations.append(a)
+    activations, zs = _forward(net, X)
     probs = activations[-1]
     n = X.shape[0]
     loss = float(-np.mean(np.log(np.clip(probs[np.arange(n), y], 1e-300, None))))
@@ -241,7 +240,7 @@ def fnn_loss_and_grads(net: FeedForwardNet, X: np.ndarray, y: np.ndarray):
     delta /= n
     w_grads = [None] * len(net.weights)
     b_grads = [None] * len(net.biases)
-    for layer in range(last, -1, -1):
+    for layer in reversed(range(len(net.weights))):
         w_grads[layer] = activations[layer].T @ delta
         b_grads[layer] = delta.sum(axis=0)
         if layer > 0:
@@ -381,15 +380,23 @@ def load_tree(path) -> DecisionTree:
         if len(classes) != n_classes:
             raise ValueError(f"{path}: class list does not match header")
         nodes = []
-        for lineno in range(n_nodes):
+        for idx in range(n_nodes):
             parts = fh.readline().split()
             if not parts:
-                raise ValueError(f"{path}: truncated at node {lineno}")
+                raise ValueError(f"{path}: truncated at node {idx}")
             if parts[0] == "split":
+                # Children follow their parent, so prediction always ends.
+                if (len(parts) != 5 or int(parts[1]) < 0
+                        or not all(idx < int(child) < n_nodes for child in parts[3:])):
+                    raise ValueError(f"{path}: node {idx}: a split needs a feature >= 0 "
+                                     f"and children in ({idx}, {n_nodes})")
                 nodes.append(TreeNode(feature=int(parts[1]),
                                       threshold=float(parts[2]),
                                       left=int(parts[3]), right=int(parts[4])))
             elif parts[0] == "leaf":
+                if len(parts) - 1 != n_classes:
+                    raise ValueError(f"{path}: node {idx}: leaf has "
+                                     f"{len(parts) - 1} counts for {n_classes} classes")
                 nodes.append(TreeNode(counts=np.array([float(x) for x in parts[1:]])))
             else:
                 raise ValueError(f"{path}: unknown node kind {parts[0]!r}")

@@ -217,8 +217,7 @@ def detection_features(instance: SelectionInstance, store: EmbeddingStore,
     mean = np.mean(context_vecs, axis=0)
     if np.linalg.norm(mean) == 0.0:
         return None
-    cos = emb_ops.cosine_similarity(store.vectors[instance.observed], mean)
-    rank, _ = emb_ops.rank_preposition(context_vecs, instance.observed, store)
+    rank, cos = emb_ops.rank_preposition(context_vecs, instance.observed, store)
     return np.array([cos, float(rank), table.keep_prob(instance.observed)])
 
 
@@ -236,15 +235,8 @@ def correction_features(instance: SelectionInstance, candidate: str,
     if np.linalg.norm(v_l) == 0.0 and np.linalg.norm(v_r) == 0.0:
         raise ValueError("both context sides are empty; nothing to correct against")
     v_p = store.get_or_zero(candidate)
-    if np.linalg.norm(v_p) > 0.0:
-        pair = emb_ops.pair_similarity(v_l, v_r, v_p)
-        try:
-            triple = emb_ops.triple_similarity(v_l, v_p, v_r)
-        except ValueError:
-            triple = 0.0
-    else:
-        pair = 0.0
-        triple = 0.0
+    pair = emb_ops.similarity_or_zero(emb_ops.pair_similarity, v_l, v_r, v_p)
+    triple = emb_ops.similarity_or_zero(emb_ops.triple_similarity, v_l, v_p, v_r)
     conf = table.replace_prob(instance.observed, candidate)
     return np.concatenate([v_l, v_p, v_r, [pair, triple, conf]])
 

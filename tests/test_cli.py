@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from preptensor.corpus import (
 from preptensor.embeddings import load_embeddings
 
 ROSTER = ["in", "of", "on"]
+TOY_CORPUS = Path(__file__).parent / "data" / "toy_corpus.txt"
 
 CORPUS = (
     "Cats sat on mats near doors. Dogs slept in boxes under tables.\n"
@@ -62,16 +64,6 @@ class TestBuildTensor:
         expected = count_tensor(sentences, vocab, 3)
         assert load_tensor(tensor_dir / "tensor.txt") == expected
         assert load_vocabulary(tensor_dir / "vocab.txt").words == vocab.words
-
-    def test_threads_flag_equivalent(self, tmp_path, corpus_path, roster_path,
-                                     tensor_dir):
-        out = tmp_path / "tensor4"
-        rc = cli.run(["--threads", "4", "build-tensor",
-                      "--corpus", str(corpus_path), "--roster", str(roster_path),
-                      "--min-count", "1", "--out", str(out)])
-        assert rc == 0
-        assert load_tensor(out / "tensor.txt") == load_tensor(
-            tensor_dir / "tensor.txt")
 
     def test_missing_corpus_fails(self, tmp_path, roster_path):
         rc = cli.run(["build-tensor", "--corpus", str(tmp_path / "nope.txt"),
@@ -205,6 +197,38 @@ class TestQueryCommands:
         first = float(lines[1].split(",")[1])
         assert first == pytest.approx(1.0)
 
+    def test_spectrum_rerun_is_byte_identical(self, tmp_path):
+        # The toy corpus's "of" slice has low rank, so the sparse solver
+        # meets an invariant subspace and restarts from a random vector.
+        tensor = tmp_path / "toy"
+        assert cli.run(["build-tensor", "--corpus", str(TOY_CORPUS),
+                        "--out", str(tensor)]) == 0
+        outs = []
+        for name in ("a.csv", "b.csv"):
+            rc = cli.run(["spectrum", "--tensor", str(tensor), "--slice", "of",
+                          "--out", str(tmp_path / name)])
+            assert rc == 0
+            outs.append((tmp_path / name).read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command", ["paraphrase", "query-sim"])
+    def test_unknown_token_is_user_error(self, tmp_path, embeddings_path,
+                                         roster_path, command, caplog, capsys):
+        words = tmp_path / "words.txt"
+        if command == "paraphrase":
+            words.write_text("slept\nsat\n")
+            argv = ["--head", "zebras", "--prep", "on", "--candidates", str(words)]
+        else:
+            words.write_text("on in\nzebras of\n")
+            argv = ["--pairs", str(words)]
+        rc = cli.run([command, "--embeddings", str(embeddings_path),
+                      "--roster", str(roster_path), *argv])
+        assert rc == 1
+        assert capsys.readouterr().out == ""
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert "zebras" in errors[0] and "\n" not in errors[0]
+
     def test_spectrum_unknown_slice_fails(self, tensor_dir):
         rc = cli.run(["spectrum", "--tensor", str(tensor_dir),
                       "--slice", "around", "--top", "3"])
@@ -294,6 +318,22 @@ class TestArgumentHandling:
         rc = cli.run(["decompose", "--method", "als"])
         capsys.readouterr()
         assert rc != 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--threads", "2", "build-tensor", "--corpus", "c.txt", "--out", "t"],
+        ["build-tensor", "--corpus", "c.txt", "--out", "t", "--threads", "2"],
+        ["train-attach", "--train", "a.tsv", "--embeddings", "e.txt",
+         "--out", "m", "--window", "3"],
+        ["train-attach", "--train", "a.tsv", "--embeddings", "e.txt",
+         "--out", "m", "--max-depth", "3"],
+        ["train-attach", "--train", "a.tsv", "--embeddings", "e.txt",
+         "--out", "m", "--min-leaf", "3"],
+        ["eval-attach", "--test", "a.tsv", "--models", "m",
+         "--embeddings", "e.txt", "--window", "3"],
+    ])
+    def test_options_no_command_reads_are_rejected(self, argv, capsys):
+        assert cli.run(argv) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_bad_config_line_fails(self, tmp_path, tensor_dir):
         config = tmp_path / "conf.txt"

@@ -11,6 +11,7 @@ from preptensor.embeddings import (
     preposition_similarity_table,
     rank_preposition,
     save_embeddings,
+    similarity_or_zero,
     slice_spectrum,
     triple_similarity,
 )
@@ -116,6 +117,23 @@ class TestTripleSimilarity:
     def test_zero_norm_rejected(self):
         with pytest.raises(ValueError, match="3-norm"):
             triple_similarity([0, 0], [1, 1], [1, 1])
+
+
+class TestSimilarityOrZero:
+    @pytest.mark.parametrize("similarity, vectors", [
+        (cosine_similarity, ([0.0, 0.0], [1.0, 2.0])),
+        (triple_similarity, ([1.0, 1.0], [0.0, 0.0], [1.0, 2.0])),
+        (pair_similarity, ([1.0, 0.0], [0.0, 1.0], [0.0, 0.0])),
+    ])
+    def test_zero_vector_gives_zero(self, similarity, vectors):
+        assert similarity_or_zero(similarity, *vectors) == 0.0
+
+    def test_defined_value_passes_through(self):
+        assert similarity_or_zero(cosine_similarity, [1.0, 0.0], [2.0, 0.0]) == 1.0
+
+    def test_other_errors_propagate(self):
+        with pytest.raises(ValueError):
+            similarity_or_zero(cosine_similarity, [1.0, 0.0], [1.0, 0.0, 0.0])
 
 
 class TestParaphrase:
@@ -247,6 +265,22 @@ class TestEmbeddingIO:
         loaded = load_embeddings(path)
         assert np.array_equal(loaded.vectors["bar"], [0.5, -1.0])
         assert len(loaded.vectors) == 3
+
+    def test_missing_constant_vector_warns(self, tmp_path, caplog):
+        path = tmp_path / "emb.txt"
+        path.write_text("2 2\nfoo 1 2\nbar 0.5 -1\n")
+        with caplog.at_level("WARNING"):
+            loaded = load_embeddings(path)
+        assert "__NOPREP__" in caplog.text
+        assert np.array_equal(loaded.q_const, [0.0, 0.0])
+
+    def test_constant_vector_present_no_warning(self, tmp_path, caplog):
+        store = make_store({"foo": [1.0, 2.0]}, q_const=[1.0, 1.0])
+        path = tmp_path / "emb.txt"
+        save_embeddings(store, path)
+        with caplog.at_level("WARNING"):
+            load_embeddings(path)
+        assert caplog.text == ""
 
     def test_row_width_mismatch_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"

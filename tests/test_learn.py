@@ -84,6 +84,19 @@ class TestDecisionTree:
         assert [tree_predict(loaded, row) for row in X] == \
                [tree_predict(tree, row) for row in X]
 
+    # A two-class tree of three nodes whose root is the node under test.
+    @pytest.mark.parametrize("root, match", [
+        ("split 0 0.5 0 2", "children in"),   # points at itself
+        ("split 0 0.5 1 7", "children in"),   # past the last node
+        ("split -1 0.5 1 2", "feature >= 0"),
+        ("leaf 1 2 3", "3 counts for 2 classes"),
+    ])
+    def test_load_rejects_bad_structure(self, tmp_path, root, match):
+        path = tmp_path / "tree.txt"
+        path.write_text(f"TREE v1 3 2 8 5\n0 1\n{root}\nleaf 3 0\nleaf 0 3\n")
+        with pytest.raises(ValueError, match=match):
+            load_tree(path)
+
 
 class TestFnnForward:
     def test_zero_net_uniform(self):
