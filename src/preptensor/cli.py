@@ -58,7 +58,8 @@ def _sha256(path) -> str:
 
 
 def _read_config_file(path) -> dict:
-    """Plain-text `key = value` pairs; `#` starts a comment."""
+    """Plain-text `key = value` pairs; `#` starts a comment. Every key
+    must be a known option; a command reads the ones it uses."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -69,23 +70,26 @@ def _read_config_file(path) -> dict:
                 raise ValueError(f"{path}: line {lineno}: expected key = value")
             key, val = (part.strip() for part in line.split("=", 1))
             values[key.replace("-", "_")] = val
+    unknown = sorted(set(values) - set(DEFAULTS))
+    if unknown:
+        raise ValueError(f"{path}: unknown config key(s): {' '.join(unknown)}")
     return values
 
 
 def _resolve(args: argparse.Namespace, keys: list[str]) -> dict:
     """Merge flag > config file > default for the given option names."""
-    file_values = _read_config_file(args.config) if args.config else {}
     resolved = {}
     for key in keys:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             resolved[key] = flag_val
-        elif key in file_values:
+        elif key in args.config_values:
             default = DEFAULTS.get(key)
-            raw = file_values[key]
+            raw = args.config_values[key]
             if isinstance(default, bool):
                 resolved[key] = raw.lower() in ("1", "true", "yes")
-            elif isinstance(default, int):
+            elif isinstance(default, int) or default is None:
+                # The hidden sizes default per command (None here).
                 resolved[key] = int(raw)
             elif isinstance(default, float):
                 resolved[key] = float(raw)
@@ -96,12 +100,14 @@ def _resolve(args: argparse.Namespace, keys: list[str]) -> dict:
     return resolved
 
 
-def _write_manifest(path, command: str, config: dict, inputs: list, outputs: list):
+def _write_manifest(path, command: str, config: dict, inputs: list, outputs: list,
+                    extra: dict | None = None):
     manifest = {
         "command": command,
         "config": {k: v for k, v in sorted(config.items())},
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
+        **(extra or {}),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -171,7 +177,8 @@ def cmd_decompose(args, produced: list) -> None:
     emb_ops.save_embeddings(store, out)
     cfg["method"] = args.method
     _write_manifest(str(out) + ".manifest.json", "decompose", cfg,
-                    [tensor_dir / "vocab.txt", tensor_dir / "tensor.txt"], [out])
+                    [tensor_dir / "vocab.txt", tensor_dir / "tensor.txt"], [out],
+                    extra={"trajectory": emb.trajectory})
 
 
 def cmd_query_sim(args, produced: list) -> None:
@@ -257,6 +264,9 @@ def cmd_eval_select(args, produced: list) -> None:
     cfg = _resolve(args, ["window"])
     models_dir = Path(args.models)
     table = select_ops.load_confusion_table(models_dir / "confusion.txt")
+    if args.roster and _load_roster(args.roster) != table.roster:
+        raise ValueError(f"roster {args.roster} differs from the trained roster "
+                         f"in {models_dir / 'confusion.txt'}")
     store = emb_ops.load_embeddings(args.embeddings, table.roster)
     models = select_ops.SelectionModels(
         tree=load_tree(models_dir / "tree.txt"),
@@ -418,6 +428,7 @@ def run(argv=None) -> int:
                         format="%(levelname)s %(name)s %(message)s")
     produced: list[Path] = []
     try:
+        args.config_values = _read_config_file(args.config) if args.config else {}
         args.func(args, produced)
         return 0
     except (OSError, ValueError, RuntimeError) as exc:

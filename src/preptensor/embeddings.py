@@ -91,7 +91,18 @@ def similarity_or_zero(similarity, *vectors) -> float:
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    return cosine_with_norms(a, b, np.linalg.norm(a), np.linalg.norm(b))
+
+
+# The *_with_norms cores take norms the caller computed once per vector,
+# so batched feature builders score many candidates against one context
+# with the same arithmetic as the public similarities that wrap them.
+# They run once per element and, like similarity_or_zero, stay out of
+# __all__.
+
+
+def cosine_with_norms(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
+    """``cosine_similarity`` given both Euclidean norms."""
     if na == 0.0 or nb == 0.0:
         raise UndefinedSimilarityError("cosine similarity undefined for zero-norm vector")
     return float(a @ b / (na * nb))
@@ -121,15 +132,27 @@ def pair_similarity(v_left: np.ndarray, v_right: np.ndarray,
                     v_p: np.ndarray) -> float:
     """Best cosine between the preposition and either context side; a
     zero-vector side is excluded from the max."""
-    if np.linalg.norm(v_p) == 0.0:
+    v_left, v_right, v_p = (np.asarray(v, dtype=np.float64)
+                            for v in (v_left, v_right, v_p))
+    return pair_with_norms(v_left, v_right, v_p, np.linalg.norm(v_left),
+                           np.linalg.norm(v_right), np.linalg.norm(v_p))
+
+
+def pair_with_norms(v_left: np.ndarray, v_right: np.ndarray, v_p: np.ndarray,
+                    n_left: float, n_right: float, n_p: float) -> float:
+    """``pair_similarity`` given the three Euclidean norms."""
+    if n_p == 0.0:
         raise UndefinedSimilarityError("preposition vector must be nonzero")
-    sims = []
-    for v in (v_left, v_right):
-        if np.linalg.norm(v) > 0.0:
-            sims.append(cosine_similarity(v, v_p))
+    sims = [cosine_with_norms(v, v_p, n, n_p)
+            for v, n in ((v_left, n_left), (v_right, n_right)) if n > 0.0]
     if not sims:
         raise UndefinedSimilarityError("both context vectors are zero")
     return max(sims)
+
+
+def three_norm(v: np.ndarray) -> float:
+    """(sum |v|^3)^(1/3), the scale ``triple_similarity`` divides by."""
+    return np.sum(np.abs(v) ** 3) ** (1.0 / 3.0)
 
 
 def triple_similarity(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
@@ -137,11 +160,16 @@ def triple_similarity(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    norms = [np.sum(np.abs(v) ** 3) ** (1.0 / 3.0) for v in (a, b, c)]
-    if any(n == 0.0 for n in norms):
+    return triple_with_norms(a, b, c, three_norm(a), three_norm(b), three_norm(c))
+
+
+def triple_with_norms(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                      ta: float, tb: float, tc: float) -> float:
+    """``triple_similarity`` given the three 3-norms."""
+    if ta == 0.0 or tb == 0.0 or tc == 0.0:
         raise UndefinedSimilarityError(
             "triple similarity undefined for zero 3-norm vector")
-    return float(np.sum(a * b * c) / (norms[0] * norms[1] * norms[2]))
+    return float(np.sum(a * b * c) / (ta * tb * tc))
 
 
 def paraphrase_phrasal_verb(
@@ -181,7 +209,11 @@ def rank_preposition(
     if not context:
         raise ValueError("no nonzero context vectors")
     mean = np.mean(context, axis=0)
-    sims = [cosine_similarity(store.get(p), mean) for p in store.prepositions]
+    n_mean = np.linalg.norm(mean)
+    sims = []
+    for p in store.prepositions:
+        v_p = store.get(p)
+        sims.append(cosine_with_norms(v_p, mean, np.linalg.norm(v_p), n_mean))
     observed_idx = store.prepositions.index(observed_prep)
     observed_sim = sims[observed_idx]
     rank = 1
@@ -196,7 +228,8 @@ def slice_spectrum(tensor: SparseCountTensor, k: int, top_m: int) -> np.ndarray:
 
     Uses iterative sparse SVD for large slices, falling back to a dense
     SVD when the requested count does not leave room for iteration. The
-    iteration is seeded, so the result is reproducible.
+    iteration is seeded, so the result is reproducible. Values below the
+    numerical-rank tolerance max(n, n) * eps are reported as 0.0.
     """
     if top_m < 1:
         raise ValueError(f"top_m must be >= 1, got {top_m}")
@@ -220,7 +253,11 @@ def slice_spectrum(tensor: SparseCountTensor, k: int, top_m: int) -> np.ndarray:
         svals = np.linalg.svd(mat.toarray(), compute_uv=False)[:top_m]
     if svals[0] == 0.0:
         raise ValueError(f"slice {k} has zero spectrum")
-    return svals / svals[0]
+    values = svals / svals[0]
+    # Values under the numerical-rank tolerance are round-off past the
+    # slice's rank, not structure.
+    values[values < max(mat.shape) * np.finfo(np.float64).eps] = 0.0
+    return values
 
 
 def save_embeddings(store: EmbeddingStore, path) -> None:

@@ -9,7 +9,8 @@ with per-index bias terms trained only on nonzero entries.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,7 +68,8 @@ class EmbeddingSet:
 
     Rows of U are word vectors, rows of Q are preposition vectors with
     the extra-slice vector last. Bias vectors are present exactly for
-    the weighted method.
+    the weighted method. ``trajectory`` holds the per-epoch weighted loss
+    (WD) or the per-sweep fit (ALS) of the run that made them.
     """
 
     U: np.ndarray
@@ -77,6 +79,7 @@ class EmbeddingSet:
     b_U: np.ndarray | None = None
     b_W: np.ndarray | None = None
     b_Q: np.ndarray | None = None
+    trajectory: list[float] = field(default_factory=list)
 
     @property
     def dim(self) -> int:
@@ -270,6 +273,7 @@ def decompose_orth_als(tensor, config: TrainingConfig) -> EmbeddingSet:
     rng, U, W, Q = _init_factors(coo.dims, config.dim, config.seed)
     norm_t = coo.norm()
     prev_fit = -np.inf
+    trajectory = []
     for sweep in range(config.iterations):
         if sweep < config.ortho_iterations:
             if U.shape[0] >= config.dim:
@@ -284,10 +288,11 @@ def decompose_orth_als(tensor, config: TrainingConfig) -> EmbeddingSet:
         obj = als_objective(coo, U, W, Q)
         fit = 1.0 - np.sqrt(obj) / norm_t
         logger.info("sweep %d objective %.10g fit %.10g", sweep + 1, obj, fit)
+        trajectory.append(float(fit))
         if sweep >= config.ortho_iterations and fit - prev_fit < config.fit_tol:
             break
         prev_fit = fit
-    emb = EmbeddingSet(U=U, W=W, Q=Q, method_tag="ALS")
+    emb = EmbeddingSet(U=U, W=W, Q=Q, method_tag="ALS", trajectory=trajectory)
     emb.validate()
     return emb
 
@@ -310,30 +315,42 @@ def _wd_epoch(order, ii, jj, kk, targets, weights, lr,
               U, W, Q, bU, bW, bQ, GU, GW, GQ, GbU, GbW, GbQ):
     """One adaptive-step pass over the entries in ``order``; updates the
     factors, biases and squared-gradient sums in place and returns the
-    weighted loss seen during the pass."""
+    weighted loss seen during the pass.
+
+    Indices, targets, weights, biases and bias sums are python lists, so
+    the per-entry scalar work stays off numpy; factor rows are updated in
+    place through their views.
+    """
+    sqrt = math.sqrt
     loss = 0.0
     for e in order:
         i, j, k = ii[e], jj[e], kk[e]
         u, w, q = U[i], W[j], Q[k]
-        r = float(u @ (w * q)) + bU[i] + bW[j] + bQ[k] - targets[e]
+        wq = w * q
+        r = float(u @ wq) + bU[i] + bW[j] + bQ[k] - targets[e]
         wt = weights[e]
         loss += wt * r * r
         g = 2.0 * wt * r
-        gu = g * (w * q)
+        gu = g * wq
         gw = g * (u * q)
         gq = g * (u * w)
-        U[i] = u - lr * gu / np.sqrt(GU[i])
-        W[j] = w - lr * gw / np.sqrt(GW[j])
-        Q[k] = q - lr * gq / np.sqrt(GQ[k])
-        GU[i] += gu * gu
-        GW[j] += gw * gw
-        GQ[k] += gq * gq
-        bU[i] -= lr * g / np.sqrt(GbU[i])
-        bW[j] -= lr * g / np.sqrt(GbW[j])
-        bQ[k] -= lr * g / np.sqrt(GbQ[k])
-        GbU[i] += g * g
-        GbW[j] += g * g
-        GbQ[k] += g * g
+        gU, gW, gQ = GU[i], GW[j], GQ[k]
+        u -= lr * gu / np.sqrt(gU)
+        w -= lr * gw / np.sqrt(gW)
+        q -= lr * gq / np.sqrt(gQ)
+        gu *= gu
+        gU += gu
+        gw *= gw
+        gW += gw
+        gq *= gq
+        gQ += gq
+        bU[i] -= lr * g / sqrt(GbU[i])
+        bW[j] -= lr * g / sqrt(GbW[j])
+        bQ[k] -= lr * g / sqrt(GbQ[k])
+        gg = g * g
+        GbU[i] += gg
+        GbW[j] += gg
+        GbQ[k] += gg
     return loss
 
 
@@ -360,18 +377,20 @@ def decompose_weighted(tensor, config: TrainingConfig,
     if init is not None:
         rng = np.random.default_rng(config.seed)
         U, W, Q = init.U.copy(), init.W.copy(), init.Q.copy()
-        bU, bW, bQ = init.b_U.copy(), init.b_W.copy(), init.b_Q.copy()
+        bU, bW, bQ = init.b_U.tolist(), init.b_W.tolist(), init.b_Q.tolist()
     else:
         rng, U, W, Q = _init_factors(raw.dims, config.dim, config.seed)
         n, _, kp1 = raw.dims
-        bU, bW, bQ = np.zeros(n), np.zeros(n), np.zeros(kp1)
+        bU, bW, bQ = [0.0] * n, [0.0] * n, [0.0] * kp1
     GU, GW, GQ = np.ones_like(U), np.ones_like(W), np.ones_like(Q)
-    GbU, GbW, GbQ = np.ones_like(bU), np.ones_like(bW), np.ones_like(bQ)
-    targets = np.log1p(raw.values)
-    weights = weight(raw.values, config.x_max, config.alpha)
+    GbU, GbW, GbQ = [1.0] * len(bU), [1.0] * len(bW), [1.0] * len(bQ)
+    ii, jj, kk = raw.i.tolist(), raw.j.tolist(), raw.k.tolist()
+    targets = np.log1p(raw.values).tolist()
+    weights = weight(raw.values, config.x_max, config.alpha).tolist()
+    trajectory = []
     for epoch in range(config.iterations):
-        order = rng.permutation(raw.nnz)
-        loss = _wd_epoch(order, raw.i, raw.j, raw.k, targets, weights,
+        order = rng.permutation(raw.nnz).tolist()
+        loss = _wd_epoch(order, ii, jj, kk, targets, weights,
                          config.learning_rate,
                          U, W, Q, bU, bW, bQ, GU, GW, GQ, GbU, GbW, GbQ)
         if not np.isfinite(loss):
@@ -380,6 +399,8 @@ def decompose_weighted(tensor, config: TrainingConfig,
                 f"loss is not finite (try a smaller learning rate)"
             )
         logger.info("epoch %d loss %.10g", epoch + 1, loss)
-    emb = EmbeddingSet(U=U, W=W, Q=Q, method_tag="WD", b_U=bU, b_W=bW, b_Q=bQ)
+        trajectory.append(loss)
+    emb = EmbeddingSet(U=U, W=W, Q=Q, method_tag="WD", b_U=np.array(bU),
+                       b_W=np.array(bW), b_Q=np.array(bQ), trajectory=trajectory)
     emb.validate()
     return emb

@@ -221,24 +221,43 @@ def detection_features(instance: SelectionInstance, store: EmbeddingStore,
     return np.array([cos, float(rank), table.keep_prob(instance.observed)])
 
 
-def correction_features(instance: SelectionInstance, candidate: str,
+def correction_features(instance: SelectionInstance, candidates: list[str],
                         store: EmbeddingStore, table: ConfusionTable,
                         window: int = 3,
                         stoplist: frozenset[str] | None = None) -> np.ndarray:
-    """Concatenated [v_left; v_cand; v_right; pair sim; triple sim;
-    replacement probability], dimension 3d + 3."""
-    if candidate not in table.roster:
-        raise ValueError(f"candidate {candidate!r} not in roster")
+    """One row per candidate: [v_left; v_cand; v_right; pair sim; triple
+    sim; replacement probability], shape (len(candidates), 3d + 3).
+
+    The context vectors and their norms are built once per instance and
+    each candidate's norms once per call.
+    """
+    if isinstance(candidates, str):
+        raise TypeError("candidates must be a list of prepositions, not a string")
+    roster = set(table.roster)
+    for cand in candidates:
+        if cand not in roster:
+            raise ValueError(f"candidate {cand!r} not in roster")
     left, right = preprocess_context(instance, window, stoplist)
     v_l = _context_vector(left, store)
     v_r = _context_vector(right, store)
-    if np.linalg.norm(v_l) == 0.0 and np.linalg.norm(v_r) == 0.0:
+    n_l, n_r = np.linalg.norm(v_l), np.linalg.norm(v_r)
+    if n_l == 0.0 and n_r == 0.0:
         raise ValueError("both context sides are empty; nothing to correct against")
-    v_p = store.get_or_zero(candidate)
-    pair = emb_ops.similarity_or_zero(emb_ops.pair_similarity, v_l, v_r, v_p)
-    triple = emb_ops.similarity_or_zero(emb_ops.triple_similarity, v_l, v_p, v_r)
-    conf = table.replace_prob(instance.observed, candidate)
-    return np.concatenate([v_l, v_p, v_r, [pair, triple, conf]])
+    t_l, t_r = emb_ops.three_norm(v_l), emb_ops.three_norm(v_r)
+    d = store.dim
+    rows = np.empty((len(candidates), 3 * d + 3))
+    rows[:, :d] = v_l
+    rows[:, 2 * d:3 * d] = v_r
+    for row, cand in zip(rows, candidates):
+        v_p = store.get_or_zero(cand)
+        row[d:2 * d] = v_p
+        row[3 * d] = emb_ops.similarity_or_zero(
+            emb_ops.pair_with_norms, v_l, v_r, v_p, n_l, n_r, np.linalg.norm(v_p))
+        row[3 * d + 1] = emb_ops.similarity_or_zero(
+            emb_ops.triple_with_norms, v_l, v_p, v_r,
+            t_l, emb_ops.three_norm(v_p), t_r)
+        row[3 * d + 2] = table.replace_prob(instance.observed, cand)
+    return rows
 
 
 @dataclass
@@ -276,27 +295,20 @@ def train_selection_models(
     if not det_rows:
         raise ValueError("no trainable instances: all contexts were empty")
     tree = train_decision_tree(det_rows, det_labels, tree_params)
-    corr_rows, corr_labels = [], []
-    for inst, feats in usable:
-        verdict, _ = tree_predict(tree, feats)
-        if verdict != ERROR:
-            continue
-        for cand in roster:
-            corr_rows.append(correction_features(inst, cand, store, table,
-                                                 window, stoplist))
-            corr_labels.append(1 if cand == inst.gold else 0)
-    if not corr_rows:
+    flagged = [inst for inst, feats in usable
+               if tree_predict(tree, feats)[0] == ERROR]
+    if not flagged:
         # Degenerate detector: fall back to training on the true errors so
         # the corrector still exists.
-        for inst, _ in usable:
-            if inst.observed == inst.gold:
-                continue
-            for cand in roster:
-                corr_rows.append(correction_features(inst, cand, store, table,
-                                                     window, stoplist))
-                corr_labels.append(1 if cand == inst.gold else 0)
-    if not corr_rows:
+        flagged = [inst for inst, _ in usable if inst.observed != inst.gold]
+    if not flagged:
         raise ValueError("no error instances to train the corrector on")
+    corr_rows = np.vstack([
+        correction_features(inst, table.roster, store, table, window, stoplist)
+        for inst in flagged
+    ])
+    corr_labels = [int(cand == inst.gold) for inst in flagged
+                   for cand in table.roster]
     fnn = train_fnn(corr_rows, corr_labels, arch, hyper)
     return SelectionModels(tree=tree, fnn=fnn, table=table)
 
@@ -315,10 +327,8 @@ def select_preposition(instance: SelectionInstance, tree: DecisionTree,
     verdict, _ = tree_predict(tree, feats)
     if verdict != ERROR:
         return instance.observed
-    rows = np.stack([
-        correction_features(instance, cand, store, table, window, stoplist)
-        for cand in table.roster
-    ])
+    rows = correction_features(instance, table.roster, store, table, window,
+                               stoplist)
     scores = fnn_forward_batch(fnn, rows)[:, 1]
     return table.roster[int(np.argmax(scores))]
 

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,22 @@ class TestDecompose:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("method, iters", [("wd", 5), ("als", 4)])
+    def test_manifest_records_trajectory(self, tmp_path, tensor_dir, method,
+                                         iters):
+        out = tmp_path / "emb.txt"
+        rc = cli.run(["decompose", "--tensor", str(tensor_dir), "--method", method,
+                      "--dim", "3", "--iters", str(iters), "--ortho-iters", "1",
+                      "--out", str(out)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "emb.txt.manifest.json").read_text())
+        trajectory = manifest["trajectory"]
+        assert all(math.isfinite(v) for v in trajectory)
+        if method == "wd":
+            assert len(trajectory) == iters
+        else:
+            assert 1 <= len(trajectory) <= iters
 
     def test_corrupt_tensor_fails_cleanly(self, tmp_path, tensor_dir):
         (tensor_dir / "tensor.txt").write_text("garbage\n")
@@ -282,6 +299,42 @@ class TestSelectPipeline:
         assert metrics.strip() == out.strip()
 
 
+    def test_eval_roster_must_match_trained_roster(self, tmp_path, embeddings_path,
+                                                   roster_path, caplog):
+        train = tmp_path / "sel_train.tsv"
+        write_selection_dataset(train)
+        models = tmp_path / "sel_models"
+        assert cli.run(["train-select", "--train", str(train),
+                        "--embeddings", str(embeddings_path),
+                        "--roster", str(roster_path), "--out", str(models),
+                        "--hidden1", "4", "--hidden2", "2", "--epochs", "2",
+                        "--min-leaf", "1"]) == 0
+        reordered = tmp_path / "reordered.txt"
+        reordered.write_text("on\nof\nin\n")
+        errors_csv = tmp_path / "sel_errors.csv"
+        rc = cli.run(["eval-select", "--test", str(train), "--models", str(models),
+                      "--embeddings", str(embeddings_path),
+                      "--roster", str(reordered), "--out", str(errors_csv)])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert "roster" in errors[0] and "\n" not in errors[0]
+        assert not errors_csv.exists()
+
+    def test_hidden_sizes_from_config_file(self, tmp_path, embeddings_path,
+                                           roster_path):
+        train = tmp_path / "sel_train.tsv"
+        write_selection_dataset(train)
+        config = tmp_path / "conf.txt"
+        config.write_text("hidden1 = 6\nhidden2 = 3\nepochs = 2\n")
+        models = tmp_path / "sel_models"
+        rc = cli.run(["--config", str(config), "train-select", "--train", str(train),
+                      "--embeddings", str(embeddings_path),
+                      "--roster", str(roster_path), "--out", str(models)])
+        assert rc == 0
+        manifest = json.loads((models / "manifest.json").read_text())
+        assert manifest["config"]["arch"] == [6, 3]
+
 class TestAttachPipeline:
     def test_train_then_eval(self, tmp_path, embeddings_path, roster_path,
                              capsys):
@@ -342,3 +395,39 @@ class TestArgumentHandling:
                       "--tensor", str(tensor_dir), "--method", "als",
                       "--out", str(tmp_path / "emb.txt")])
         assert rc == 1
+
+    @pytest.mark.parametrize("text, named", [
+        ("dim = 3\nwindw = 9\n", "windw"),
+        ("threads = 4\n", "threads"),
+    ])
+    def test_unknown_config_key_fails(self, tmp_path, tensor_dir, caplog, text,
+                                      named):
+        config = tmp_path / "conf.txt"
+        config.write_text(text)
+        rc = cli.run(["--config", str(config), "spectrum",
+                      "--tensor", str(tensor_dir), "--slice", "on"])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert named in errors[0] and "\n" not in errors[0]
+
+    def test_unknown_config_key_fails_for_commands_without_options(
+            self, tmp_path, embeddings_path, roster_path):
+        config = tmp_path / "conf.txt"
+        config.write_text("windw = 9\n")
+        cands = tmp_path / "cands.txt"
+        cands.write_text("slept\nsat\n")
+        rc = cli.run(["--config", str(config), "paraphrase",
+                      "--embeddings", str(embeddings_path), "--head", "cats",
+                      "--prep", "on", "--candidates", str(cands),
+                      "--roster", str(roster_path)])
+        assert rc == 1
+
+    def test_config_key_of_another_command_accepted(self, tmp_path, tensor_dir,
+                                                    capsys):
+        config = tmp_path / "conf.txt"
+        config.write_text("dim = 3\ntop = 2\n")
+        rc = cli.run(["--config", str(config), "spectrum",
+                      "--tensor", str(tensor_dir), "--slice", "on"])
+        assert rc == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 2

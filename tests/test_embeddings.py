@@ -1,7 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from preptensor.corpus import SparseCountTensor
+from preptensor.corpus import (
+    SparseCountTensor,
+    build_vocabulary,
+    count_tensor,
+    tokenize_sentences,
+)
 from preptensor.embeddings import (
     EmbeddingStore,
     cosine_similarity,
@@ -15,6 +22,9 @@ from preptensor.embeddings import (
     slice_spectrum,
     triple_similarity,
 )
+from preptensor.select import default_roster
+
+TOY_CORPUS = Path(__file__).parent / "data" / "toy_corpus.txt"
 
 
 def make_store(vectors, q_const=None, prepositions=()):
@@ -210,6 +220,21 @@ class TestRankPreposition:
         with pytest.raises(ValueError, match="context"):
             rank_preposition([np.zeros(2)], "on", store)
 
+    @pytest.mark.parametrize("dim", [2, 200])
+    def test_equals_per_preposition_cosines(self, dim):
+        rng = np.random.default_rng(dim)
+        roster = ["on", "in", "to", "at", "by"]
+        store = make_store({p: rng.standard_normal(dim) for p in roster},
+                           prepositions=roster)
+        store.vectors["by"] = store.vectors["on"].copy()
+        context = [rng.standard_normal(dim), np.zeros(dim), rng.standard_normal(dim)]
+        mean = np.mean([context[0], context[2]], axis=0)
+        sims = [cosine_similarity(store.get(p), mean) for p in roster]
+        for idx, observed in enumerate(roster):
+            rank = 1 + sum(s > sims[idx] or (s == sims[idx] and j < idx)
+                           for j, s in enumerate(sims))
+            assert rank_preposition(context, observed, store) == (rank, sims[idx])
+
 
 class TestSliceSpectrum:
     def test_rank1_log_domain_slice(self):
@@ -242,6 +267,27 @@ class TestSliceSpectrum:
         tensor = SparseCountTensor(4, 2, 3, {(0, 1, 0): 2})
         with pytest.raises(ValueError, match="slice 1"):
             slice_spectrum(tensor, 1, 3)
+
+    def test_round_off_past_rank_is_zero(self):
+        # Every preposition slice of the toy corpus has rank 4.
+        sentences = tokenize_sentences(TOY_CORPUS.read_bytes())
+        vocab = build_vocabulary(sentences, 5, default_roster())
+        tensor = count_tensor(sentences, vocab, 3)
+        spec = slice_spectrum(tensor, vocab.prep_ids["of"], 50)
+        assert len(spec) == 50
+        assert spec[0] == 1.0
+        assert np.all(spec[1:4] > tensor.n_words * np.finfo(np.float64).eps)
+        assert np.all(spec[4:] == 0.0)
+
+    def test_full_rank_slice_unchanged(self):
+        rng = np.random.default_rng(7)
+        n = 10
+        dense = rng.integers(1, 30, size=(n, n))
+        entries = {(i, j, 0): int(dense[i, j]) for i in range(n) for j in range(n)}
+        spec = slice_spectrum(SparseCountTensor(n, 1, 3, entries), 0, n)
+        svals = np.linalg.svd(np.log1p(dense.astype(np.float64)), compute_uv=False)
+        assert np.all(spec > 0.0)
+        assert np.array_equal(spec, svals / svals[0])
 
 
 class TestEmbeddingIO:

@@ -176,6 +176,15 @@ class TestDecomposeAls:
         emb2 = decompose_orth_als(scaled, config)
         assert cp_fit(coo, emb1) == pytest.approx(cp_fit(scaled, emb2), abs=1e-6)
 
+    def test_trajectory_records_each_sweep_fit(self):
+        rng = np.random.default_rng(32)
+        coo, _ = planted_tensor(rng, 5, 3, 2)
+        emb = decompose_orth_als(coo, TrainingConfig(dim=2, iterations=6,
+                                                     ortho_iterations=1))
+        assert 1 <= len(emb.trajectory) <= 6
+        assert all(np.isfinite(emb.trajectory))
+        assert emb.trajectory[-1] == pytest.approx(cp_fit(coo, emb), abs=1e-12)
+
 
 class TestCpFit:
     def test_exact_factors(self):
@@ -259,6 +268,62 @@ class TestWeightedGradient:
                     fd = (up - down) / (2 * h)
                     denom = max(abs(fd), abs(grad[c]), 1e-8)
                     assert abs(fd - grad[c]) / denom <= 1e-4
+
+
+def scalar_wd_epoch(order, ii, jj, kk, targets, weights, lr,
+                    U, W, Q, bU, bW, bQ, GU, GW, GQ, GbU, GbW, GbQ):
+    """Reference epoch: every index and scalar a numpy value, every row
+    written back by assignment."""
+    loss = 0.0
+    for e in order:
+        i, j, k = ii[e], jj[e], kk[e]
+        u, w, q = U[i], W[j], Q[k]
+        r = float(u @ (w * q)) + bU[i] + bW[j] + bQ[k] - targets[e]
+        wt = weights[e]
+        loss += wt * r * r
+        g = 2.0 * wt * r
+        gu = g * (w * q)
+        gw = g * (u * q)
+        gq = g * (u * w)
+        U[i] = u - lr * gu / np.sqrt(GU[i])
+        W[j] = w - lr * gw / np.sqrt(GW[j])
+        Q[k] = q - lr * gq / np.sqrt(GQ[k])
+        GU[i] += gu * gu
+        GW[j] += gw * gw
+        GQ[k] += gq * gq
+        bU[i] -= lr * g / np.sqrt(GbU[i])
+        bW[j] -= lr * g / np.sqrt(GbW[j])
+        bQ[k] -= lr * g / np.sqrt(GbQ[k])
+        GbU[i] += g * g
+        GbW[j] += g * g
+        GbQ[k] += g * g
+    return loss
+
+
+def scalar_decompose_weighted(raw, config, init=None):
+    """``decompose_weighted`` driven by ``scalar_wd_epoch``: returns the
+    factors, the biases and the per-epoch losses."""
+    rng = np.random.default_rng(config.seed)
+    if init is not None:
+        U, W, Q = init.U.copy(), init.W.copy(), init.Q.copy()
+        bU, bW, bQ = init.b_U.copy(), init.b_W.copy(), init.b_Q.copy()
+    else:
+        n, _, kp1 = raw.dims
+        scale = 1.0 / np.sqrt(config.dim)
+        U = rng.standard_normal((n, config.dim)) * scale
+        W = rng.standard_normal((n, config.dim)) * scale
+        Q = rng.standard_normal((kp1, config.dim)) * scale
+        bU, bW, bQ = np.zeros(n), np.zeros(n), np.zeros(kp1)
+    G = [np.ones_like(a) for a in (U, W, Q, bU, bW, bQ)]
+    targets = np.log1p(raw.values)
+    weights = weight(raw.values, config.x_max, config.alpha)
+    losses = []
+    for _ in range(config.iterations):
+        order = rng.permutation(raw.nnz)
+        losses.append(scalar_wd_epoch(order, raw.i, raw.j, raw.k, targets, weights,
+                                      config.learning_rate,
+                                      U, W, Q, bU, bW, bQ, *G))
+    return (U, W, Q, bU, bW, bQ), losses
 
 
 class TestDecomposeWeighted:
@@ -353,6 +418,23 @@ class TestDecomposeWeighted:
                                 TrainingConfig(dim=2, iterations=2,
                                                ortho_iterations=0))
         assert wd.has_biases
+
+    @pytest.mark.parametrize("dim", [3, 40])
+    def test_equals_scalar_reference(self, dim):
+        rng = np.random.default_rng(30)
+        dense = rng.integers(0, 25, size=(7, 7, 4)).astype(np.float64)
+        raw = dense_to_coo(dense)
+        config = TrainingConfig(dim=dim, iterations=4, seed=31, ortho_iterations=0)
+        init = None
+        for _ in range(2):
+            out = decompose_weighted(raw, config, init=init)
+            expected, losses = scalar_decompose_weighted(raw, config, init=init)
+            for got, want in zip((out.U, out.W, out.Q, out.b_U, out.b_W, out.b_Q),
+                                 expected):
+                assert np.array_equal(got, want)
+            assert out.trajectory == losses
+            # Then warm-start from this run, as a resumed decomposition would.
+            init = out
 
 
 class TestTrainingConfig:

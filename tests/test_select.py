@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from preptensor.embeddings import EmbeddingStore
+from preptensor.embeddings import (
+    EmbeddingStore,
+    pair_similarity,
+    similarity_or_zero,
+    triple_similarity,
+)
 from preptensor.learn import (
     DecisionTree,
     FeedForwardNet,
@@ -208,14 +213,14 @@ class TestDetectionFeatures:
 class TestCorrectionFeatures:
     def test_arity(self, store):
         instance = inst(["sat", "on", "mat"], 1, "on", "in")
-        feats = correction_features(instance, "in", store, uniform_table(),
-                                    stoplist=STOPLIST)
+        feats = correction_features(instance, ["in"], store, uniform_table(),
+                                    stoplist=STOPLIST)[0]
         assert feats.shape == (3 * store.dim + 3,)
 
     def test_layout(self, store):
         instance = inst(["sat", "on", "mat"], 1, "on", "in")
-        feats = correction_features(instance, "in", store, uniform_table(),
-                                    stoplist=STOPLIST)
+        feats = correction_features(instance, ["in"], store, uniform_table(),
+                                    stoplist=STOPLIST)[0]
         d = store.dim
         assert np.array_equal(feats[:d], store.vectors["sat"])
         assert np.array_equal(feats[d:2 * d], store.vectors["in"])
@@ -225,8 +230,8 @@ class TestCorrectionFeatures:
     def test_oov_candidate_zeroes_similarities(self, store):
         store.vectors["to"] = np.zeros(3)
         instance = inst(["sat", "on", "mat"], 1, "on", "in")
-        feats = correction_features(instance, "to", store, uniform_table(),
-                                    stoplist=STOPLIST)
+        feats = correction_features(instance, ["to"], store, uniform_table(),
+                                    stoplist=STOPLIST)[0]
         d = store.dim
         assert np.array_equal(feats[d:2 * d], np.zeros(3))
         assert feats[-3] == 0.0 and feats[-2] == 0.0
@@ -234,13 +239,65 @@ class TestCorrectionFeatures:
     def test_non_roster_candidate_rejected(self, store):
         instance = inst(["sat", "on", "mat"], 1, "on", "in")
         with pytest.raises(ValueError, match="roster"):
-            correction_features(instance, "beside", store, uniform_table())
+            correction_features(instance, ["beside"], store, uniform_table())
 
     def test_no_context_rejected(self, store):
         instance = inst(["the", "on", "it"], 1, "on", "in")
         with pytest.raises(ValueError, match="context"):
+            correction_features(instance, ["in"], store, uniform_table(),
+                                stoplist=STOPLIST)
+
+    def test_bare_string_rejected(self, store):
+        instance = inst(["sat", "on", "mat"], 1, "on", "in")
+        with pytest.raises(TypeError, match="string"):
             correction_features(instance, "in", store, uniform_table(),
                                 stoplist=STOPLIST)
+
+
+def composed_correction_rows(instance, candidates, store, table, stoplist):
+    """Per-candidate reference built from the public similarities."""
+    left, right = preprocess_context(instance, 3, stoplist)
+
+    def side(tokens):
+        vecs = [store.vectors[t] for t in tokens if t in store.vectors]
+        return np.mean(vecs, axis=0) if vecs else np.zeros(store.dim)
+
+    v_l, v_r = side(left), side(right)
+    rows = []
+    for cand in candidates:
+        v_p = store.get_or_zero(cand)
+        pair = similarity_or_zero(pair_similarity, v_l, v_r, v_p)
+        triple = similarity_or_zero(triple_similarity, v_l, v_p, v_r)
+        conf = table.replace_prob(instance.observed, cand)
+        rows.append(np.concatenate([v_l, v_p, v_r, [pair, triple, conf]]))
+    return np.stack(rows)
+
+
+class TestBatchedCorrectionFeatures:
+    # "upon" has no vector and "at" gets a zero one.
+    ROSTER = ["on", "in", "to", "at", "upon"]
+
+    @pytest.mark.parametrize("dim", [3, 200])
+    @pytest.mark.parametrize("tokens", [
+        ["sat", "ran", "on", "mat", "box"],  # both sides
+        ["the", "on", "mat", "box"],         # right side only
+        ["sat", "ran", "on", "it", "zzz"],   # left side only, right OOV
+    ])
+    def test_rows_equal_per_candidate_composition(self, dim, tokens):
+        rng = np.random.default_rng(dim)
+        words = ["on", "in", "to", "at", "sat", "ran", "mat", "box"]
+        store = make_store({w: rng.standard_normal(dim) for w in words},
+                           prepositions=self.ROSTER)
+        store.vectors["at"] = np.zeros(dim)
+        instance = inst(tokens, tokens.index("on"), "on", "in")
+        table = build_confusion_table(
+            [instance, inst(tokens, tokens.index("on"), "on", "to")], self.ROSTER)
+        got = correction_features(instance, self.ROSTER, store, table,
+                                  stoplist=STOPLIST)
+        want = composed_correction_rows(instance, self.ROSTER, store, table,
+                                        STOPLIST)
+        assert got.shape == (len(self.ROSTER), 3 * dim + 3)
+        assert np.array_equal(got, want)
 
 
 def leaf_tree(label):
