@@ -1,10 +1,12 @@
 """Single entry point wiring the pipeline stages together.
 
 Subcommands: build-tensor, decompose, query-sim, paraphrase, spectrum,
-train-select, eval-select, train-attach, eval-attach. Flag values
-override config-file values, which override defaults; every artifact-
-producing run writes a manifest with the resolved configuration and
-input digests.
+train-select, eval-select, train-attach, eval-attach, each declared once
+in COMMANDS with the OPTIONS it reads. Flag values override config-file
+values, which override defaults; every artifact-producing run writes a
+manifest with the resolved configuration and input digests. Outputs are
+written next to their final paths and moved into place only when the
+command succeeds.
 """
 
 from __future__ import annotations
@@ -26,26 +28,48 @@ from .learn import FnnHyper, TreeParams, load_fnn, load_tree, save_fnn, save_tre
 
 logger = logging.getLogger("preptensor")
 
-DEFAULTS = {
-    "window": 3,
-    "min_count": 5,
-    "dim": 200,
-    "iters": 20,
-    "ortho_iters": 5,
-    "xmax": 10.0,
-    "alpha": 0.75,
-    "lr": 0.05,
-    "seed": 0,
-    "top": 50,
-    "centered": True,
-    "hidden1": None,
-    "hidden2": None,
-    "epochs": 50,
-    "batch": 64,
-    "fnn_lr": 0.01,
-    "momentum": 0.9,
-    "max_depth": 8,
-    "min_leaf": 5,
+_BOOLEANS = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not one of {'/'.join(_BOOLEANS)}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
+
+
+# name -> (type, default). The type converts a flag's text and a config-
+# file value alike. A default of None leaves the value to each command
+# that reads it (the network sizes and `top` differ between commands).
+OPTIONS = {
+    "window": (int, 3),
+    "min_count": (int, 5),
+    "dim": (int, 200),
+    "iters": (int, 20),
+    "ortho_iters": (int, 5),
+    "xmax": (float, 10.0),
+    "alpha": (float, 0.75),
+    "lr": (float, 0.05),
+    "seed": (int, 0),
+    "top": (_positive_int, None),
+    "centered": (_boolean, True),
+    "hidden1": (_positive_int, None),
+    "hidden2": (_positive_int, None),
+    "epochs": (int, 50),
+    "batch": (_positive_int, 64),
+    "fnn_lr": (float, 0.01),
+    "momentum": (float, 0.9),
+    "max_depth": (int, 8),
+    "min_leaf": (int, 5),
 }
 
 
@@ -59,8 +83,9 @@ def _sha256(path) -> str:
 
 def _read_config_file(path) -> dict:
     """Plain-text `key = value` pairs; `#` starts a comment. Every key
-    must be a known option; a command reads the ones it uses."""
-    values = {}
+    must be a known option, and its value is converted by the option's
+    type; a command reads the ones it uses."""
+    raw = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -69,35 +94,23 @@ def _read_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}: line {lineno}: expected key = value")
             key, val = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = val
-    unknown = sorted(set(values) - set(DEFAULTS))
+            raw[key.replace("-", "_")] = val
+    unknown = sorted(set(raw) - set(OPTIONS))
     if unknown:
         raise ValueError(f"{path}: unknown config key(s): {' '.join(unknown)}")
+    values = {}
+    for key, val in raw.items():
+        try:
+            values[key] = OPTIONS[key][0](val)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"{path}: {key} = {val}: {exc}") from None
     return values
 
 
-def _resolve(args: argparse.Namespace, keys: list[str]) -> dict:
+def _resolve(args: argparse.Namespace, options, config: dict) -> dict:
     """Merge flag > config file > default for the given option names."""
-    resolved = {}
-    for key in keys:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            resolved[key] = flag_val
-        elif key in args.config_values:
-            default = DEFAULTS.get(key)
-            raw = args.config_values[key]
-            if isinstance(default, bool):
-                resolved[key] = raw.lower() in ("1", "true", "yes")
-            elif isinstance(default, int) or default is None:
-                # The hidden sizes default per command (None here).
-                resolved[key] = int(raw)
-            elif isinstance(default, float):
-                resolved[key] = float(raw)
-            else:
-                resolved[key] = raw
-        else:
-            resolved[key] = DEFAULTS.get(key)
-    return resolved
+    return {key: getattr(args, key, config.get(key, OPTIONS[key][1]))
+            for key in options}
 
 
 def _write_manifest(path, command: str, config: dict, inputs: list, outputs: list,
@@ -121,6 +134,16 @@ def _require_tokens(store, tokens) -> None:
         raise ValueError(f"not in the embeddings: {' '.join(missing)}")
 
 
+def _staged(produced: list, path) -> Path:
+    """A temporary file next to ``path`` for a command to write. run()
+    moves it onto ``path`` when the command succeeds and removes it when
+    the command fails, so a failed run keeps an earlier run's outputs."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    produced.append((tmp, path))
+    return tmp
+
+
 def _load_roster(path) -> list[str]:
     if path:
         return corpus_ops.load_roster(path)
@@ -131,8 +154,7 @@ def _load_roster(path) -> list[str]:
 # Subcommands
 
 
-def cmd_build_tensor(args, produced: list) -> None:
-    cfg = _resolve(args, ["window", "min_count"])
+def cmd_build_tensor(args, cfg: dict, produced: list) -> None:
     roster = _load_roster(args.roster)
     with open(args.corpus, "rb") as fh:
         sentences = corpus_ops.tokenize_sentences(fh.read())
@@ -142,19 +164,16 @@ def cmd_build_tensor(args, produced: list) -> None:
     out.mkdir(parents=True, exist_ok=True)
     vocab_path = out / "vocab.txt"
     tensor_path = out / "tensor.txt"
-    produced.extend([vocab_path, tensor_path, out / "manifest.json"])
-    corpus_ops.save_vocabulary(vocab, vocab_path)
-    corpus_ops.save_tensor(tensor, tensor_path)
+    corpus_ops.save_vocabulary(vocab, _staged(produced, vocab_path))
+    corpus_ops.save_tensor(tensor, _staged(produced, tensor_path))
     inputs = [args.corpus] + ([args.roster] if args.roster else [])
-    _write_manifest(out / "manifest.json", "build-tensor", cfg, inputs,
-                    [vocab_path, tensor_path])
+    _write_manifest(_staged(produced, out / "manifest.json"), "build-tensor", cfg,
+                    inputs, [vocab_path, tensor_path])
     logger.info("tensor: N=%d K=%d nnz=%d", vocab.n_words,
                 vocab.n_prepositions, tensor.nnz)
 
 
-def cmd_decompose(args, produced: list) -> None:
-    cfg = _resolve(args, ["dim", "iters", "ortho_iters", "xmax", "alpha",
-                          "lr", "seed"])
+def cmd_decompose(args, cfg: dict, produced: list) -> None:
     tensor_dir = Path(args.tensor)
     vocab = corpus_ops.load_vocabulary(tensor_dir / "vocab.txt")
     tensor = corpus_ops.load_tensor(tensor_dir / "tensor.txt")
@@ -173,16 +192,14 @@ def cmd_decompose(args, produced: list) -> None:
     store = emb_ops.EmbeddingStore.from_factors(vocab, emb)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    produced.extend([out, Path(str(out) + ".manifest.json")])
-    emb_ops.save_embeddings(store, out)
+    emb_ops.save_embeddings(store, _staged(produced, out))
     cfg["method"] = args.method
-    _write_manifest(str(out) + ".manifest.json", "decompose", cfg,
+    _write_manifest(_staged(produced, str(out) + ".manifest.json"), "decompose", cfg,
                     [tensor_dir / "vocab.txt", tensor_dir / "tensor.txt"], [out],
                     extra={"trajectory": emb.trajectory})
 
 
-def cmd_query_sim(args, produced: list) -> None:
-    cfg = _resolve(args, ["centered"])
+def cmd_query_sim(args, cfg: dict, produced: list) -> None:
     roster = _load_roster(args.roster)
     store = emb_ops.load_embeddings(args.embeddings, roster)
     pairs = []
@@ -197,19 +214,18 @@ def cmd_query_sim(args, produced: list) -> None:
         print(f"{left}\t{right}\t{sim:.4f}")
 
 
-def cmd_paraphrase(args, produced: list) -> None:
+def cmd_paraphrase(args, cfg: dict, produced: list) -> None:
     roster = _load_roster(args.roster)
     store = emb_ops.load_embeddings(args.embeddings, roster)
     with open(args.candidates, encoding="utf-8") as fh:
         candidates = [line.strip() for line in fh if line.strip()]
     _require_tokens(store, [args.head, args.prep, *candidates])
     ranked = emb_ops.paraphrase_phrasal_verb(args.head, args.prep, candidates, store)
-    for verb, dist in ranked[:args.top or 5]:
+    for verb, dist in ranked[:cfg["top"] or 5]:
         print(f"{verb}\t{dist:.6g}")
 
 
-def cmd_spectrum(args, produced: list) -> None:
-    cfg = _resolve(args, ["top"])
+def cmd_spectrum(args, cfg: dict, produced: list) -> None:
     tensor_dir = Path(args.tensor)
     vocab = corpus_ops.load_vocabulary(tensor_dir / "vocab.txt")
     tensor = corpus_ops.load_tensor(tensor_dir / "tensor.txt")
@@ -219,11 +235,10 @@ def cmd_spectrum(args, produced: list) -> None:
         if args.slice not in vocab.prep_ids:
             raise ValueError(f"unknown slice {args.slice!r}") from None
         k = vocab.prep_ids[args.slice]
-    values = emb_ops.slice_spectrum(tensor, k, cfg["top"])
+    values = emb_ops.slice_spectrum(tensor, k, cfg["top"] or 50)
     lines = [f"{idx},{format(val, '.10g')}" for idx, val in enumerate(values, 1)]
     if args.out:
-        produced.append(Path(args.out))
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open(_staged(produced, args.out), "w", encoding="utf-8") as fh:
             fh.write("rank,normalized_singular_value\n")
             fh.write("\n".join(lines) + "\n")
     else:
@@ -236,9 +251,7 @@ def _fnn_hyper(cfg) -> FnnHyper:
                     seed=cfg["seed"])
 
 
-def cmd_train_select(args, produced: list) -> None:
-    cfg = _resolve(args, ["window", "seed", "hidden1", "hidden2", "epochs",
-                          "batch", "fnn_lr", "momentum", "max_depth", "min_leaf"])
+def cmd_train_select(args, cfg: dict, produced: list) -> None:
     roster = _load_roster(args.roster)
     store = emb_ops.load_embeddings(args.embeddings, roster)
     instances = select_ops.load_selection_dataset(args.train, roster)
@@ -251,17 +264,17 @@ def cmd_train_select(args, produced: list) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = [out / "tree.txt", out / "fnn.txt", out / "confusion.txt"]
-    produced.extend(outputs + [out / "manifest.json"])
-    save_tree(models.tree, out / "tree.txt")
-    save_fnn(models.fnn, out / "fnn.txt")
-    select_ops.save_confusion_table(models.table, out / "confusion.txt")
+    tree_tmp, fnn_tmp, table_tmp = (_staged(produced, path) for path in outputs)
+    save_tree(models.tree, tree_tmp)
+    save_fnn(models.fnn, fnn_tmp)
+    select_ops.save_confusion_table(models.table, table_tmp)
     cfg["arch"] = list(arch)
     inputs = [args.train, args.embeddings] + ([args.roster] if args.roster else [])
-    _write_manifest(out / "manifest.json", "train-select", cfg, inputs, outputs)
+    _write_manifest(_staged(produced, out / "manifest.json"), "train-select", cfg,
+                    inputs, outputs)
 
 
-def cmd_eval_select(args, produced: list) -> None:
-    cfg = _resolve(args, ["window"])
+def cmd_eval_select(args, cfg: dict, produced: list) -> None:
     models_dir = Path(args.models)
     table = select_ops.load_confusion_table(models_dir / "confusion.txt")
     if args.roster and _load_roster(args.roster) != table.roster:
@@ -276,18 +289,15 @@ def cmd_eval_select(args, produced: list) -> None:
     instances = select_ops.load_selection_dataset(args.test, table.roster)
     errors_path = Path(args.out) if args.out else models_dir / "errors.csv"
     metrics_path = errors_path.with_name(errors_path.stem + "_metrics.txt")
-    produced.extend([errors_path, metrics_path])
     (p, r, f1), _errors = select_ops.evaluate_selection(
         instances, models, store, window=cfg["window"],
-        error_log_path=errors_path)
+        error_log_path=_staged(produced, errors_path))
     line = f"P={p:.4f} R={r:.4f} F1={f1:.4f}"
     print(line)
-    metrics_path.write_text(line + "\n", encoding="utf-8")
+    _staged(produced, metrics_path).write_text(line + "\n", encoding="utf-8")
 
 
-def cmd_train_attach(args, produced: list) -> None:
-    cfg = _resolve(args, ["seed", "hidden1", "hidden2", "epochs", "batch",
-                          "fnn_lr", "momentum"])
+def cmd_train_attach(args, cfg: dict, produced: list) -> None:
     roster = _load_roster(args.roster)
     store = emb_ops.load_embeddings(args.embeddings, roster)
     instances = attach_ops.load_attachment_dataset(args.train)
@@ -297,15 +307,16 @@ def cmd_train_attach(args, produced: list) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = [out / "fnn.txt", out / "tags.txt"]
-    produced.extend(outputs + [out / "manifest.json"])
-    save_fnn(fnn, out / "fnn.txt")
-    (out / "tags.txt").write_text("\n".join(tagset.tags) + "\n", encoding="utf-8")
+    fnn_tmp, tags_tmp = (_staged(produced, path) for path in outputs)
+    save_fnn(fnn, fnn_tmp)
+    tags_tmp.write_text("\n".join(tagset.tags) + "\n", encoding="utf-8")
     cfg["arch"] = list(arch)
     inputs = [args.train, args.embeddings] + ([args.roster] if args.roster else [])
-    _write_manifest(out / "manifest.json", "train-attach", cfg, inputs, outputs)
+    _write_manifest(_staged(produced, out / "manifest.json"), "train-attach", cfg,
+                    inputs, outputs)
 
 
-def cmd_eval_attach(args, produced: list) -> None:
+def cmd_eval_attach(args, cfg: dict, produced: list) -> None:
     models_dir = Path(args.models)
     roster = _load_roster(args.roster)
     store = emb_ops.load_embeddings(args.embeddings, roster)
@@ -316,16 +327,45 @@ def cmd_eval_attach(args, produced: list) -> None:
     instances = attach_ops.load_attachment_dataset(args.test)
     errors_path = Path(args.out) if args.out else models_dir / "errors.csv"
     metrics_path = errors_path.with_name(errors_path.stem + "_metrics.txt")
-    produced.extend([errors_path, metrics_path])
     acc, _errors = attach_ops.evaluate_attachment(
-        instances, fnn, store, tagset, error_log_path=errors_path)
+        instances, fnn, store, tagset, error_log_path=_staged(produced, errors_path))
     line = f"accuracy={acc:.4f}"
     print(line)
-    metrics_path.write_text(line + "\n", encoding="utf-8")
+    _staged(produced, metrics_path).write_text(line + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# Command table and argument parsing
+
+_FNN_OPTIONS = ("hidden1", "hidden2", "epochs", "batch", "fnn_lr", "momentum")
+
+# name -> (function, help, options read, other arguments). The options
+# are OPTIONS keys, which the function gets resolved; an argument ending
+# in "?" is optional, the others are required.
+COMMANDS = {
+    "build-tensor": (cmd_build_tensor, "count the co-occurrence tensor",
+                     ("window", "min_count"), ("corpus", "roster?", "out")),
+    "decompose": (cmd_decompose, "factorize the tensor into embeddings",
+                  ("dim", "iters", "ortho_iters", "xmax", "alpha", "lr", "seed"),
+                  ("tensor", "method", "out")),
+    "query-sim": (cmd_query_sim, "cosine similarity for token pairs",
+                  ("centered",), ("embeddings", "pairs", "roster?")),
+    "paraphrase": (cmd_paraphrase, "rank single-verb paraphrases", ("top",),
+                   ("embeddings", "head", "prep", "candidates", "roster?")),
+    "spectrum": (cmd_spectrum, "normalized singular values of a slice", ("top",),
+                 ("tensor", "slice", "out?")),
+    "train-select": (cmd_train_select, "train select models",
+                     ("window", "seed", *_FNN_OPTIONS, "max_depth", "min_leaf"),
+                     ("train", "embeddings", "roster?", "out")),
+    "eval-select": (cmd_eval_select, "eval select on a test set", ("window",),
+                    ("test", "models", "embeddings", "roster?", "out?")),
+    "train-attach": (cmd_train_attach, "train attach models",
+                     ("seed", *_FNN_OPTIONS), ("train", "embeddings", "roster?", "out")),
+    "eval-attach": (cmd_eval_attach, "eval attach on a test set", (),
+                    ("test", "models", "embeddings", "roster?", "out?")),
+}
+
+_CHOICES = {"method": ("als", "wd")}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -334,87 +374,25 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Preposition embeddings from word-triple count tensors",
     )
     parser.add_argument("--config", help="plain-text key = value config file")
-    parser.add_argument("--seed", type=int, help="random seed")
     parser.add_argument("--log-level", default="warning",
                         choices=["debug", "info", "warning", "error"])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build-tensor", help="count the co-occurrence tensor")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--roster")
-    p.add_argument("--window", type=int)
-    p.add_argument("--min-count", dest="min_count", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build_tensor)
-
-    p = sub.add_parser("decompose", help="factorize the tensor into embeddings")
-    p.add_argument("--tensor", required=True)
-    p.add_argument("--method", required=True, choices=["als", "wd"])
-    p.add_argument("--dim", type=int)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--ortho-iters", dest="ortho_iters", type=int)
-    p.add_argument("--xmax", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("query-sim", help="cosine similarity for token pairs")
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--roster")
-    p.add_argument("--centered", action=argparse.BooleanOptionalAction)
-    p.set_defaults(func=cmd_query_sim)
-
-    p = sub.add_parser("paraphrase", help="rank single-verb paraphrases")
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--head", required=True)
-    p.add_argument("--prep", required=True)
-    p.add_argument("--candidates", required=True)
-    p.add_argument("--roster")
-    p.add_argument("--top", type=int)
-    p.set_defaults(func=cmd_paraphrase)
-
-    p = sub.add_parser("spectrum", help="normalized singular values of a slice")
-    p.add_argument("--tensor", required=True)
-    p.add_argument("--slice", required=True)
-    p.add_argument("--top", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_spectrum)
-
-    for name, func in (("train-select", cmd_train_select),
-                       ("train-attach", cmd_train_attach)):
-        p = sub.add_parser(name, help=f"{name.replace('-', ' ')} models")
-        p.add_argument("--train", required=True)
-        p.add_argument("--embeddings", required=True)
-        p.add_argument("--roster")
-        p.add_argument("--out", required=True)
-        p.add_argument("--hidden1", type=int)
-        p.add_argument("--hidden2", type=int)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch", type=int)
-        p.add_argument("--fnn-lr", dest="fnn_lr", type=float)
-        p.add_argument("--momentum", type=float)
-        p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-        if name == "train-select":
-            p.add_argument("--window", type=int)
-            p.add_argument("--max-depth", dest="max_depth", type=int)
-            p.add_argument("--min-leaf", dest="min_leaf", type=int)
-        p.set_defaults(func=func)
-
-    for name, func in (("eval-select", cmd_eval_select),
-                       ("eval-attach", cmd_eval_attach)):
-        p = sub.add_parser(name, help=f"{name.replace('-', ' ')} on a test set")
-        p.add_argument("--test", required=True)
-        p.add_argument("--models", required=True)
-        p.add_argument("--embeddings", required=True)
-        p.add_argument("--roster")
-        p.add_argument("--out")
-        if name == "eval-select":
-            p.add_argument("--window", type=int)
-        p.set_defaults(func=func)
-
+    for command, (_func, help_text, options, arguments) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for spec in arguments:
+            name = spec.rstrip("?")
+            p.add_argument(f"--{name}", required=not spec.endswith("?"),
+                           choices=_CHOICES.get(name))
+        # Unset flags stay off the namespace, so _resolve can tell them
+        # from a config-file value.
+        for key in options:
+            flag = "--" + key.replace("_", "-")
+            kind = OPTIONS[key][0]
+            if kind is _boolean:
+                p.add_argument(flag, action=argparse.BooleanOptionalAction,
+                               default=argparse.SUPPRESS)
+            else:
+                p.add_argument(flag, type=kind, default=argparse.SUPPRESS)
     return parser
 
 
@@ -426,20 +404,21 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     logging.basicConfig(level=getattr(logging, args.log_level.upper()),
                         format="%(levelname)s %(name)s %(message)s")
-    produced: list[Path] = []
+    func, _help, options, _arguments = COMMANDS[args.command]
+    produced: list[tuple[Path, Path]] = []
     try:
-        args.config_values = _read_config_file(args.config) if args.config else {}
-        args.func(args, produced)
+        config = _read_config_file(args.config) if args.config else {}
+        func(args, _resolve(args, options, config), produced)
+        for tmp, path in produced:
+            os.replace(tmp, path)
         return 0
     except (OSError, ValueError, RuntimeError) as exc:
         logger.error("%s", exc)
-        # Remove partial outputs so failed runs leave no artifacts behind.
-        for path in produced:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
         return 1
+    finally:
+        # Whatever was not moved into place is a partial output.
+        for tmp, _path in produced:
+            tmp.unlink(missing_ok=True)
 
 
 def main() -> None:

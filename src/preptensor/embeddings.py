@@ -200,16 +200,20 @@ def rank_preposition(
     observed_prep: str,
     store: EmbeddingStore,
 ) -> tuple[int, float]:
-    """1-based cosine rank of the observed preposition against the
-    averaged context, ties broken by roster order."""
+    """1-based cosine rank of the observed preposition against the mean
+    of the nonzero context vectors, ties broken by roster order. Raises
+    UndefinedSimilarityError when no context vector is nonzero or their
+    mean is zero."""
     if observed_prep not in store.prepositions:
         raise ValueError(f"preposition {observed_prep!r} not in roster")
     context = [np.asarray(v, dtype=np.float64) for v in context_vectors
                if np.linalg.norm(v) > 0.0]
     if not context:
-        raise ValueError("no nonzero context vectors")
+        raise UndefinedSimilarityError("no nonzero context vectors")
     mean = np.mean(context, axis=0)
     n_mean = np.linalg.norm(mean)
+    if n_mean == 0.0:
+        raise UndefinedSimilarityError("the context vectors cancel out")
     sims = []
     for p in store.prepositions:
         v_p = store.get(p)

@@ -208,16 +208,17 @@ def detection_features(instance: SelectionInstance, store: EmbeddingStore,
                        table: ConfusionTable, window: int = 3,
                        stoplist: frozenset[str] | None = None) -> np.ndarray | None:
     """Three detection features, or None when the instance is undecidable
-    (no usable context on either side; treated as correct downstream)."""
+    (no embedding for the observed preposition, or no usable context: no
+    nonzero context vector, or context vectors that cancel out; treated
+    as correct downstream)."""
+    if instance.observed not in store.vectors:
+        return None
     left, right = preprocess_context(instance, window, stoplist)
     context_vecs = [store.vectors[t] for t in left + right if t in store.vectors]
-    context_vecs = [v for v in context_vecs if np.linalg.norm(v) > 0.0]
-    if not context_vecs or instance.observed not in store.vectors:
+    try:
+        rank, cos = emb_ops.rank_preposition(context_vecs, instance.observed, store)
+    except emb_ops.UndefinedSimilarityError:
         return None
-    mean = np.mean(context_vecs, axis=0)
-    if np.linalg.norm(mean) == 0.0:
-        return None
-    rank, cos = emb_ops.rank_preposition(context_vecs, instance.observed, store)
     return np.array([cos, float(rank), table.keep_prob(instance.observed)])
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from pathlib import Path
@@ -150,6 +151,20 @@ class TestDecompose:
                       "--method", "als", "--dim", "4", "--out", str(out)])
         assert rc == 1
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_diverged_run_keeps_earlier_outputs(self, tmp_path, tensor_dir):
+        out = tmp_path / "emb.txt"
+        argv = ["decompose", "--tensor", str(tensor_dir), "--method", "wd",
+                "--dim", "4", "--iters", "3", "--out", str(out)]
+        assert cli.run(argv) == 0
+        manifest = tmp_path / "emb.txt.manifest.json"
+        before = (out.read_bytes(), manifest.read_bytes())
+        assert cli.run(argv + ["--lr", "1e6"]) == 1
+        assert (out.read_bytes(), manifest.read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("emb")) == [
+            "emb.txt", "emb.txt.manifest.json"]
 
     def test_failure_removes_partial_outputs(self, tmp_path, tensor_dir,
                                              monkeypatch):
@@ -360,6 +375,26 @@ class TestAttachPipeline:
         acc = float(out.strip().split("=")[1])
         assert 0.0 <= acc <= 1.0
 
+    def test_failed_eval_keeps_earlier_outputs(self, tmp_path, embeddings_path,
+                                               roster_path):
+        train = tmp_path / "att_train.tsv"
+        write_attachment_dataset(train)
+        models = tmp_path / "att_models"
+        assert cli.run(["train-attach", "--train", str(train),
+                        "--embeddings", str(embeddings_path),
+                        "--roster", str(roster_path), "--out", str(models),
+                        "--hidden1", "4", "--hidden2", "2", "--epochs", "2"]) == 0
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        outputs = [models / "errors.csv", models / "errors_metrics.txt"]
+        argv = ["eval-attach", "--models", str(models),
+                "--embeddings", str(embeddings_path), "--roster", str(roster_path)]
+        assert cli.run(argv + ["--test", str(train)]) == 0
+        before = [path.read_bytes() for path in outputs]
+        assert cli.run(argv + ["--test", str(empty)]) == 1
+        assert [path.read_bytes() for path in outputs] == before
+        assert not list(models.glob("*.tmp"))
+
 
 class TestArgumentHandling:
     def test_unknown_command_exits_nonzero(self, capsys):
@@ -373,6 +408,8 @@ class TestArgumentHandling:
         assert rc != 0
 
     @pytest.mark.parametrize("argv", [
+        ["--seed", "3", "decompose", "--tensor", "t", "--method", "als",
+         "--out", "e.txt"],
         ["--threads", "2", "build-tensor", "--corpus", "c.txt", "--out", "t"],
         ["build-tensor", "--corpus", "c.txt", "--out", "t", "--threads", "2"],
         ["train-attach", "--train", "a.tsv", "--embeddings", "e.txt",
@@ -431,3 +468,119 @@ class TestArgumentHandling:
                       "--tensor", str(tensor_dir), "--slice", "on"])
         assert rc == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
+    @pytest.mark.parametrize("text, named", [
+        ("centered = ture\n", "centered"),
+        ("dim = 3.5\n", "dim"),
+        ("top = 0\n", "top"),
+        ("batch = -2\n", "batch"),
+    ])
+    def test_config_value_the_type_rejects_fails(self, tmp_path, embeddings_path,
+                                                 roster_path, caplog, capsys,
+                                                 text, named):
+        config = tmp_path / "conf.txt"
+        config.write_text(text)
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text("on in\n")
+        rc = cli.run(["--config", str(config), "query-sim",
+                      "--embeddings", str(embeddings_path), "--pairs", str(pairs),
+                      "--roster", str(roster_path)])
+        assert rc == 1
+        assert capsys.readouterr().out == ""
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert named in errors[0] and "\n" not in errors[0]
+
+    @pytest.mark.parametrize("value, centered", [
+        ("yes", True), ("TRUE", True), ("1", True),
+        ("no", False), ("False", False), ("0", False),
+    ])
+    def test_config_booleans(self, tmp_path, value, centered):
+        config = tmp_path / "conf.txt"
+        config.write_text(f"centered = {value}\n")
+        assert cli._read_config_file(config) == {"centered": centered}
+
+    @pytest.mark.parametrize("argv", [
+        ["train-select", "--train", "s.tsv", "--embeddings", "e.txt", "--out", "m",
+         "--hidden1", "0"],
+        ["train-attach", "--train", "a.tsv", "--embeddings", "e.txt", "--out", "m",
+         "--hidden2", "0"],
+        ["train-attach", "--train", "a.tsv", "--embeddings", "e.txt", "--out", "m",
+         "--batch", "0"],
+        ["paraphrase", "--embeddings", "e.txt", "--head", "cats", "--prep", "on",
+         "--candidates", "c.txt", "--top", "0"],
+        ["paraphrase", "--embeddings", "e.txt", "--head", "cats", "--prep", "on",
+         "--candidates", "c.txt", "--top", "-1"],
+        ["spectrum", "--tensor", "t", "--slice", "on", "--top", "0"],
+    ])
+    def test_counts_below_one_are_rejected(self, argv, capsys):
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}" in err and "below 1" in err
+
+
+def _subparsers():
+    (action,) = [a for a in cli._build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_parser_flags_match_table(self, command):
+        _func, _help, options, arguments = cli.COMMANDS[command]
+        actions = [a for a in _subparsers()[command]._actions if a.dest != "help"]
+        assert {a.dest for a in actions if a.default is argparse.SUPPRESS} == set(options)
+        assert ({a.dest for a in actions if a.default is not argparse.SUPPRESS}
+                == {name.rstrip("?") for name in arguments})
+        assert all(a.option_strings[0] == "--" + a.dest.replace("_", "-")
+                   for a in actions)
+
+    def test_every_option_is_read(self):
+        read = {key for _f, _h, options, _a in cli.COMMANDS.values() for key in options}
+        assert read == set(cli.OPTIONS)
+
+    def test_config_setting_every_key(self, tmp_path, corpus_path, roster_path):
+        values = {"window": 2, "min_count": 1, "dim": 3, "iters": 2, "ortho_iters": 1,
+                  "xmax": 5.0, "alpha": 0.5, "lr": 0.04, "seed": 7, "top": 2,
+                  "centered": False, "hidden1": 4, "hidden2": 3, "epochs": 2,
+                  "batch": 8, "fnn_lr": 0.02, "momentum": 0.8, "max_depth": 3,
+                  "min_leaf": 1}
+        assert set(values) == set(cli.OPTIONS)
+        config = tmp_path / "conf.txt"
+        config.write_text("".join(f"{key} = {val}\n" for key, val in values.items()))
+        tensor, emb = tmp_path / "tensor", tmp_path / "emb.txt"
+        sel, att = tmp_path / "sel", tmp_path / "att"
+        sel_data, att_data = tmp_path / "sel.tsv", tmp_path / "att.tsv"
+        write_selection_dataset(sel_data)
+        write_attachment_dataset(att_data)
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text("on in\nof on\n")
+        roster = ["--roster", str(roster_path)]
+        steps = {
+            "build-tensor": (["--corpus", str(corpus_path), *roster, "--out", str(tensor)],
+                             tensor / "manifest.json"),
+            "decompose": (["--tensor", str(tensor), "--method", "wd", "--out", str(emb)],
+                          tmp_path / "emb.txt.manifest.json"),
+            "query-sim": (["--embeddings", str(emb), "--pairs", str(pairs), *roster],
+                          None),
+            "paraphrase": (["--embeddings", str(emb), "--head", "cats", "--prep", "on",
+                            "--candidates", str(roster_path), *roster], None),
+            "spectrum": (["--tensor", str(tensor), "--slice", "on"], None),
+            "train-select": (["--train", str(sel_data), "--embeddings", str(emb),
+                              *roster, "--out", str(sel)], sel / "manifest.json"),
+            "eval-select": (["--test", str(sel_data), "--models", str(sel),
+                             "--embeddings", str(emb), *roster], None),
+            "train-attach": (["--train", str(att_data), "--embeddings", str(emb),
+                              *roster, "--out", str(att)], att / "manifest.json"),
+            "eval-attach": (["--test", str(att_data), "--models", str(att),
+                             "--embeddings", str(emb), *roster], None),
+        }
+        assert list(steps) == list(cli.COMMANDS)
+        for command, (argv, manifest) in steps.items():
+            assert cli.run(["--config", str(config), command, *argv]) == 0, command
+            if manifest is not None:
+                recorded = json.loads(manifest.read_text())["config"]
+                options = cli.COMMANDS[command][2]
+                assert {key: recorded[key] for key in options} == {
+                    key: values[key] for key in options}

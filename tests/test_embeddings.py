@@ -11,6 +11,7 @@ from preptensor.corpus import (
 )
 from preptensor.embeddings import (
     EmbeddingStore,
+    UndefinedSimilarityError,
     cosine_similarity,
     load_embeddings,
     pair_similarity,
@@ -217,8 +218,14 @@ class TestRankPreposition:
 
     def test_all_zero_context_rejected(self):
         store = make_store({"on": [1.0, 0.0]}, prepositions=["on"])
-        with pytest.raises(ValueError, match="context"):
+        with pytest.raises(UndefinedSimilarityError, match="context"):
             rank_preposition([np.zeros(2)], "on", store)
+
+    def test_cancelling_context_rejected(self):
+        store = make_store({"on": [1.0, 0.0]}, prepositions=["on"])
+        v = np.array([0.3, -0.7])
+        with pytest.raises(UndefinedSimilarityError, match="cancel"):
+            rank_preposition([v, -v], "on", store)
 
     @pytest.mark.parametrize("dim", [2, 200])
     def test_equals_per_preposition_cosines(self, dim):

@@ -209,6 +209,13 @@ class TestDetectionFeatures:
         assert detection_features(instance, store, uniform_table(),
                                   stoplist=STOPLIST) is None
 
+    def test_cancelling_context_is_none(self, store):
+        store.vectors["up"] = np.array([0.3, -0.7, 0.2])
+        store.vectors["down"] = -store.vectors["up"]
+        instance = inst(["up", "on", "down"], 1, "on", "on")
+        assert detection_features(instance, store, uniform_table(),
+                                  stoplist=STOPLIST) is None
+
 
 class TestCorrectionFeatures:
     def test_arity(self, store):
