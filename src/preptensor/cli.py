@@ -54,7 +54,7 @@ OPTIONS = {
     "window": (int, 3),
     "min_count": (int, 5),
     "dim": (int, 200),
-    "iters": (int, 20),
+    "iters": (_positive_int, 20),
     "ortho_iters": (int, 5),
     "xmax": (float, 10.0),
     "alpha": (float, 0.75),
@@ -64,7 +64,7 @@ OPTIONS = {
     "centered": (_boolean, True),
     "hidden1": (_positive_int, None),
     "hidden2": (_positive_int, None),
-    "epochs": (int, 50),
+    "epochs": (_positive_int, 50),
     "batch": (_positive_int, 64),
     "fnn_lr": (float, 0.01),
     "momentum": (float, 0.9),
@@ -201,7 +201,7 @@ def cmd_decompose(args, cfg: dict, produced: list) -> None:
 
 def cmd_query_sim(args, cfg: dict, produced: list) -> None:
     roster = _load_roster(args.roster)
-    store = emb_ops.load_embeddings(args.embeddings, roster)
+    store = emb_ops.load_embeddings(args.embeddings)
     pairs = []
     with open(args.pairs, encoding="utf-8") as fh:
         for line in fh:
@@ -210,13 +210,12 @@ def cmd_query_sim(args, cfg: dict, produced: list) -> None:
                 pairs.append((toks[0], toks[1]))
     _require_tokens(store, [tok for pair in pairs for tok in pair])
     for left, right, sim in emb_ops.preposition_similarity_table(
-            store, pairs, centered=cfg["centered"]):
+            store, pairs, roster, centered=cfg["centered"]):
         print(f"{left}\t{right}\t{sim:.4f}")
 
 
 def cmd_paraphrase(args, cfg: dict, produced: list) -> None:
-    roster = _load_roster(args.roster)
-    store = emb_ops.load_embeddings(args.embeddings, roster)
+    store = emb_ops.load_embeddings(args.embeddings)
     with open(args.candidates, encoding="utf-8") as fh:
         candidates = [line.strip() for line in fh if line.strip()]
     _require_tokens(store, [args.head, args.prep, *candidates])
@@ -253,7 +252,7 @@ def _fnn_hyper(cfg) -> FnnHyper:
 
 def cmd_train_select(args, cfg: dict, produced: list) -> None:
     roster = _load_roster(args.roster)
-    store = emb_ops.load_embeddings(args.embeddings, roster)
+    store = emb_ops.load_embeddings(args.embeddings)
     instances = select_ops.load_selection_dataset(args.train, roster)
     arch = (cfg["hidden1"] or 500, cfg["hidden2"] or 10)
     models = select_ops.train_selection_models(
@@ -280,7 +279,7 @@ def cmd_eval_select(args, cfg: dict, produced: list) -> None:
     if args.roster and _load_roster(args.roster) != table.roster:
         raise ValueError(f"roster {args.roster} differs from the trained roster "
                          f"in {models_dir / 'confusion.txt'}")
-    store = emb_ops.load_embeddings(args.embeddings, table.roster)
+    store = emb_ops.load_embeddings(args.embeddings)
     models = select_ops.SelectionModels(
         tree=load_tree(models_dir / "tree.txt"),
         fnn=load_fnn(models_dir / "fnn.txt"),
@@ -298,8 +297,7 @@ def cmd_eval_select(args, cfg: dict, produced: list) -> None:
 
 
 def cmd_train_attach(args, cfg: dict, produced: list) -> None:
-    roster = _load_roster(args.roster)
-    store = emb_ops.load_embeddings(args.embeddings, roster)
+    store = emb_ops.load_embeddings(args.embeddings)
     instances = attach_ops.load_attachment_dataset(args.train)
     arch = (cfg["hidden1"] or 1000, cfg["hidden2"] or 20)
     fnn, tagset = attach_ops.train_attachment_model(
@@ -311,15 +309,13 @@ def cmd_train_attach(args, cfg: dict, produced: list) -> None:
     save_fnn(fnn, fnn_tmp)
     tags_tmp.write_text("\n".join(tagset.tags) + "\n", encoding="utf-8")
     cfg["arch"] = list(arch)
-    inputs = [args.train, args.embeddings] + ([args.roster] if args.roster else [])
     _write_manifest(_staged(produced, out / "manifest.json"), "train-attach", cfg,
-                    inputs, outputs)
+                    [args.train, args.embeddings], outputs)
 
 
 def cmd_eval_attach(args, cfg: dict, produced: list) -> None:
     models_dir = Path(args.models)
-    roster = _load_roster(args.roster)
-    store = emb_ops.load_embeddings(args.embeddings, roster)
+    store = emb_ops.load_embeddings(args.embeddings)
     fnn = load_fnn(models_dir / "fnn.txt")
     tags = [line for line in (models_dir / "tags.txt").read_text(
         encoding="utf-8").splitlines() if line]
@@ -351,7 +347,7 @@ COMMANDS = {
     "query-sim": (cmd_query_sim, "cosine similarity for token pairs",
                   ("centered",), ("embeddings", "pairs", "roster?")),
     "paraphrase": (cmd_paraphrase, "rank single-verb paraphrases", ("top",),
-                   ("embeddings", "head", "prep", "candidates", "roster?")),
+                   ("embeddings", "head", "prep", "candidates")),
     "spectrum": (cmd_spectrum, "normalized singular values of a slice", ("top",),
                  ("tensor", "slice", "out?")),
     "train-select": (cmd_train_select, "train select models",
@@ -360,9 +356,9 @@ COMMANDS = {
     "eval-select": (cmd_eval_select, "eval select on a test set", ("window",),
                     ("test", "models", "embeddings", "roster?", "out?")),
     "train-attach": (cmd_train_attach, "train attach models",
-                     ("seed", *_FNN_OPTIONS), ("train", "embeddings", "roster?", "out")),
+                     ("seed", *_FNN_OPTIONS), ("train", "embeddings", "out")),
     "eval-attach": (cmd_eval_attach, "eval attach on a test set", (),
-                    ("test", "models", "embeddings", "roster?", "out?")),
+                    ("test", "models", "embeddings", "out?")),
 }
 
 _CHOICES = {"method": ("als", "wd")}

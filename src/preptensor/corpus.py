@@ -71,7 +71,6 @@ class Vocabulary:
     prepositions: list[str]
     prep_ids: dict[str, int]
     counts: dict[str, int]
-    min_count: int = 1
 
     @property
     def n_words(self) -> int:
@@ -112,7 +111,6 @@ def build_vocabulary(
         prepositions=roster,
         prep_ids={tok: k for k, tok in enumerate(roster)},
         counts=dict(counts),
-        min_count=min_count,
     )
 
 
@@ -325,14 +323,12 @@ def load_vocabulary(path) -> Vocabulary:
                 raise ValueError(f"{path}: line {lineno}: id {idx} out of order")
             target.append(tok)
             counts[tok] = freq
-    min_count = min((counts[w] for w in words), default=1)
     return Vocabulary(
         words=words,
         word_ids={tok: i for i, tok in enumerate(words)},
         prepositions=preps,
         prep_ids={tok: k for k, tok in enumerate(preps)},
         counts=counts,
-        min_count=max(min_count, 1),
     )
 
 

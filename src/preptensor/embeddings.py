@@ -8,7 +8,7 @@ ranking, and singular-value spectra of tensor slices.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,16 +39,14 @@ NOPREP_TOKEN = "__NOPREP__"
 
 @dataclass
 class EmbeddingStore:
-    """Token -> vector map plus the constant extra-slice vector.
-
-    Words come from the U factor, prepositions from Q; ``prepositions``
-    keeps the roster order used for ranking and tie-breaking.
+    """Token -> vector map plus the constant extra-slice vector, as
+    ``emb.txt`` holds them. Words come from the U factor, prepositions
+    from Q; queries that rank over a roster take it as an argument.
     """
 
     vectors: dict[str, np.ndarray]
     q_const: np.ndarray
     dim: int
-    prepositions: list[str] = field(default_factory=list)
 
     @classmethod
     def from_factors(cls, vocab: Vocabulary, emb: EmbeddingSet) -> "EmbeddingStore":
@@ -58,8 +56,7 @@ class EmbeddingStore:
         for k, tok in enumerate(vocab.prepositions):
             vectors[tok] = np.asarray(emb.Q[k], dtype=np.float64)
         q_const = np.asarray(emb.Q[vocab.n_prepositions], dtype=np.float64)
-        return cls(vectors=vectors, q_const=q_const, dim=emb.dim,
-                   prepositions=list(vocab.prepositions))
+        return cls(vectors=vectors, q_const=q_const, dim=emb.dim)
 
     def __contains__(self, token: str) -> bool:
         return token in self.vectors
@@ -111,14 +108,16 @@ def cosine_with_norms(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> flo
 def preposition_similarity_table(
     store: EmbeddingStore,
     pairs: Sequence[tuple[str, str]],
+    roster: Sequence[str],
     centered: bool = True,
 ) -> list[tuple[str, str, float]]:
     """Cosine for each preposition pair, optionally after subtracting the
-    mean of all roster preposition vectors."""
+    mean of the roster prepositions that have vectors."""
     if centered:
-        if not store.prepositions:
+        members = [store.vectors[p] for p in roster if p in store.vectors]
+        if not members:
             raise ValueError("centered similarity needs a preposition roster")
-        mean = np.mean([store.get(p) for p in store.prepositions], axis=0)
+        mean = np.mean(members, axis=0)
     else:
         mean = np.zeros(store.dim)
     rows = []
@@ -199,12 +198,14 @@ def rank_preposition(
     context_vectors: Sequence[np.ndarray],
     observed_prep: str,
     store: EmbeddingStore,
+    roster: Sequence[str],
 ) -> tuple[int, float]:
     """1-based cosine rank of the observed preposition against the mean
-    of the nonzero context vectors, ties broken by roster order. Raises
-    UndefinedSimilarityError when no context vector is nonzero or their
-    mean is zero."""
-    if observed_prep not in store.prepositions:
+    of the nonzero context vectors, among the roster members that have
+    vectors, ties broken by roster order. Raises UndefinedSimilarityError
+    when no context vector is nonzero or their mean is zero."""
+    roster = [p for p in roster if p in store.vectors]
+    if observed_prep not in roster:
         raise ValueError(f"preposition {observed_prep!r} not in roster")
     context = [np.asarray(v, dtype=np.float64) for v in context_vectors
                if np.linalg.norm(v) > 0.0]
@@ -215,10 +216,10 @@ def rank_preposition(
     if n_mean == 0.0:
         raise UndefinedSimilarityError("the context vectors cancel out")
     sims = []
-    for p in store.prepositions:
+    for p in roster:
         v_p = store.get(p)
         sims.append(cosine_with_norms(v_p, mean, np.linalg.norm(v_p), n_mean))
-    observed_idx = store.prepositions.index(observed_prep)
+    observed_idx = roster.index(observed_prep)
     observed_sim = sims[observed_idx]
     rank = 1
     for idx, sim in enumerate(sims):
@@ -276,7 +277,7 @@ def save_embeddings(store: EmbeddingStore, path) -> None:
                  + " ".join(format(x, ".17g") for x in store.q_const) + "\n")
 
 
-def load_embeddings(path, roster: Sequence[str] | None = None) -> EmbeddingStore:
+def load_embeddings(path) -> EmbeddingStore:
     """Load the text layout; also accepts externally trained word2vec or
     GloVe style files (with or without the count/dim header)."""
     vectors: dict[str, np.ndarray] = {}
@@ -317,9 +318,7 @@ def load_embeddings(path, roster: Sequence[str] | None = None) -> EmbeddingStore
                        "paraphrase rankings keep candidate order",
                        path, NOPREP_TOKEN)
         q_const = np.zeros(dim)
-    preps = [p for p in roster if p in vectors] if roster else []
-    return EmbeddingStore(vectors=vectors, q_const=q_const, dim=dim,
-                          prepositions=preps)
+    return EmbeddingStore(vectors=vectors, q_const=q_const, dim=dim)
 
 
 def _parse_vector(parts, dim, path, lineno) -> np.ndarray:

@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 RIDGE = 1e-8
+# ALS stops once an unorthogonalized sweep gains less fit than this.
+FIT_TOL = 1e-5
 
 
 @dataclass
@@ -47,11 +49,12 @@ class TrainingConfig:
     alpha: float = 0.75
     learning_rate: float = 0.05
     seed: int = 0
-    fit_tol: float = 1e-5
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
+        if self.ortho_iterations < 0:
+            raise ValueError(f"ortho_iterations must be >= 0, got {self.ortho_iterations}")
         if self.ortho_iterations > self.iterations:
             raise ValueError("ortho_iterations must not exceed iterations")
         if not (0.0 < self.alpha <= 1.0):
@@ -289,7 +292,7 @@ def decompose_orth_als(tensor, config: TrainingConfig) -> EmbeddingSet:
         fit = 1.0 - np.sqrt(obj) / norm_t
         logger.info("sweep %d objective %.10g fit %.10g", sweep + 1, obj, fit)
         trajectory.append(float(fit))
-        if sweep >= config.ortho_iterations and fit - prev_fit < config.fit_tol:
+        if sweep >= config.ortho_iterations and fit - prev_fit < FIT_TOL:
             break
         prev_fit = fit
     emb = EmbeddingSet(U=U, W=W, Q=Q, method_tag="ALS", trajectory=trajectory)
@@ -390,9 +393,11 @@ def decompose_weighted(tensor, config: TrainingConfig,
     trajectory = []
     for epoch in range(config.iterations):
         order = rng.permutation(raw.nnz).tolist()
-        loss = _wd_epoch(order, ii, jj, kk, targets, weights,
-                         config.learning_rate,
-                         U, W, Q, bU, bW, bQ, GU, GW, GQ, GbU, GbW, GbQ)
+        # A diverging run is reported once, by the loss check below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = _wd_epoch(order, ii, jj, kk, targets, weights,
+                             config.learning_rate,
+                             U, W, Q, bU, bW, bQ, GU, GW, GQ, GbU, GbW, GbQ)
         if not np.isfinite(loss):
             raise RuntimeError(
                 f"weighted decomposition diverged at epoch {epoch + 1}: "

@@ -34,6 +34,9 @@ __all__ = [
     "load_fnn",
 ]
 
+# Training stops after this many epochs without a better validation loss.
+PATIENCE = 10
+
 
 # ---------------------------------------------------------------------------
 # Decision tree
@@ -173,7 +176,6 @@ class FnnHyper:
     epochs: int = 50
     seed: int = 0
     val_fraction: float = 0.1
-    patience: int = 10
 
 
 @dataclass
@@ -303,7 +305,7 @@ def train_fnn(rows, labels, arch, hyper: FnnHyper | None = None) -> FeedForwardN
                 stall = 0
             else:
                 stall += 1
-                if stall >= hyper.patience:
+                if stall >= PATIENCE:
                     break
         else:
             logger.debug("epoch %d train %.6g", epoch + 1, epoch_loss)
@@ -370,36 +372,45 @@ def save_tree(tree: DecisionTree, path) -> None:
 
 
 def load_tree(path) -> DecisionTree:
+    """Read a ``save_tree`` file; a field that does not parse, like a
+    structure check that fails, is a ValueError naming the file."""
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 6 or header[0] != "TREE" or header[1] != "v1":
-            raise ValueError(f"{path}: bad tree header")
-        n_nodes, n_classes = int(header[2]), int(header[3])
-        params = TreeParams(max_depth=int(header[4]), min_leaf=int(header[5]))
-        classes = [ast.literal_eval(tok) for tok in fh.readline().split()]
-        if len(classes) != n_classes:
-            raise ValueError(f"{path}: class list does not match header")
-        nodes = []
-        for idx in range(n_nodes):
-            parts = fh.readline().split()
-            if not parts:
-                raise ValueError(f"{path}: truncated at node {idx}")
-            if parts[0] == "split":
-                # Children follow their parent, so prediction always ends.
-                if (len(parts) != 5 or int(parts[1]) < 0
-                        or not all(idx < int(child) < n_nodes for child in parts[3:])):
-                    raise ValueError(f"{path}: node {idx}: a split needs a feature >= 0 "
-                                     f"and children in ({idx}, {n_nodes})")
-                nodes.append(TreeNode(feature=int(parts[1]),
-                                      threshold=float(parts[2]),
-                                      left=int(parts[3]), right=int(parts[4])))
-            elif parts[0] == "leaf":
-                if len(parts) - 1 != n_classes:
-                    raise ValueError(f"{path}: node {idx}: leaf has "
-                                     f"{len(parts) - 1} counts for {n_classes} classes")
-                nodes.append(TreeNode(counts=np.array([float(x) for x in parts[1:]])))
-            else:
-                raise ValueError(f"{path}: unknown node kind {parts[0]!r}")
+        try:
+            return _read_tree(fh)
+        except (ValueError, SyntaxError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_tree(fh) -> DecisionTree:
+    header = fh.readline().split()
+    if len(header) != 6 or header[0] != "TREE" or header[1] != "v1":
+        raise ValueError("bad tree header")
+    n_nodes, n_classes = int(header[2]), int(header[3])
+    params = TreeParams(max_depth=int(header[4]), min_leaf=int(header[5]))
+    classes = [ast.literal_eval(tok) for tok in fh.readline().split()]
+    if len(classes) != n_classes:
+        raise ValueError("class list does not match header")
+    nodes = []
+    for idx in range(n_nodes):
+        parts = fh.readline().split()
+        if not parts:
+            raise ValueError(f"truncated at node {idx}")
+        if parts[0] == "split":
+            # Children follow their parent, so prediction always ends.
+            if (len(parts) != 5 or int(parts[1]) < 0
+                    or not all(idx < int(child) < n_nodes for child in parts[3:])):
+                raise ValueError(f"node {idx}: a split needs a feature >= 0 "
+                                 f"and children in ({idx}, {n_nodes})")
+            nodes.append(TreeNode(feature=int(parts[1]),
+                                  threshold=float(parts[2]),
+                                  left=int(parts[3]), right=int(parts[4])))
+        elif parts[0] == "leaf":
+            if len(parts) - 1 != n_classes:
+                raise ValueError(f"node {idx}: leaf has "
+                                 f"{len(parts) - 1} counts for {n_classes} classes")
+            nodes.append(TreeNode(counts=np.array([float(x) for x in parts[1:]])))
+        else:
+            raise ValueError(f"unknown node kind {parts[0]!r}")
     return DecisionTree(nodes=nodes, classes=classes, params=params)
 
 

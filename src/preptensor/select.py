@@ -15,6 +15,7 @@ from importlib import resources
 import numpy as np
 
 from . import embeddings as emb_ops
+from .corpus import load_roster
 from .embeddings import EmbeddingStore
 from .learn import (
     DecisionTree,
@@ -52,18 +53,19 @@ __all__ = [
 CORRECT, ERROR = "correct", "error"
 
 
+def _bundled_list(name: str) -> list[str]:
+    with resources.as_file(resources.files("preptensor.data") / name) as path:
+        return load_roster(path)
+
+
 def default_roster() -> list[str]:
     """The bundled 49-preposition roster."""
-    text = resources.files("preptensor.data").joinpath("prepositions_49.txt").read_text()
-    return [line.strip() for line in text.splitlines()
-            if line.strip() and not line.startswith("#")]
+    return _bundled_list("prepositions_49.txt")
 
 
 def context_stoplist() -> frozenset[str]:
     """Articles, determiners and pronouns removed before context windows."""
-    text = resources.files("preptensor.data").joinpath("context_stoplist.txt").read_text()
-    return frozenset(line.strip() for line in text.splitlines()
-                     if line.strip() and not line.startswith("#"))
+    return frozenset(_bundled_list("context_stoplist.txt"))
 
 
 @dataclass
@@ -216,7 +218,8 @@ def detection_features(instance: SelectionInstance, store: EmbeddingStore,
     left, right = preprocess_context(instance, window, stoplist)
     context_vecs = [store.vectors[t] for t in left + right if t in store.vectors]
     try:
-        rank, cos = emb_ops.rank_preposition(context_vecs, instance.observed, store)
+        rank, cos = emb_ops.rank_preposition(context_vecs, instance.observed, store,
+                                             table.roster)
     except emb_ops.UndefinedSimilarityError:
         return None
     return np.array([cos, float(rank), table.keep_prob(instance.observed)])

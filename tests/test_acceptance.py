@@ -290,8 +290,7 @@ def test_criterion_07_paraphrase_geometry():
     for idx in range(30):
         candidates.append(f"noise{idx}")
         vectors[f"noise{idx}"] = rng.standard_normal(dim)
-    store = EmbeddingStore(vectors=vectors, q_const=q_const, dim=dim,
-                           prepositions=[])
+    store = EmbeddingStore(vectors=vectors, q_const=q_const, dim=dim)
     ok = True
     for head, prep, verb in pairs:
         ranked = paraphrase_phrasal_verb(head, prep, candidates, store)

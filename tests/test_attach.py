@@ -25,7 +25,6 @@ def make_store(vectors):
         vectors={tok: np.asarray(v, dtype=np.float64) for tok, v in vectors.items()},
         q_const=np.zeros(dim),
         dim=dim,
-        prepositions=["with"],
     )
 
 

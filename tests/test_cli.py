@@ -1,6 +1,9 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,7 +84,7 @@ class TestDecompose:
                       "--method", "als", "--dim", "4", "--iters", "3",
                       "--out", str(out)])
         assert rc == 0
-        store = load_embeddings(out, ROSTER)
+        store = load_embeddings(out)
         assert store.dim == 4
         manifest = json.loads((out.parent / "emb.txt.manifest.json").read_text())
         assert manifest["config"]["method"] == "als"
@@ -92,7 +95,7 @@ class TestDecompose:
         rc = cli.run(["decompose", "--tensor", str(tensor_dir),
                       "--method", "als", "--iters", "2", "--out", str(out)])
         assert rc == 0
-        assert load_embeddings(out, ROSTER).dim == 200
+        assert load_embeddings(out).dim == 200
         manifest = json.loads((out.parent / "emb.txt.manifest.json").read_text())
         assert manifest["config"]["dim"] == 200
 
@@ -104,14 +107,14 @@ class TestDecompose:
                       "--tensor", str(tensor_dir), "--method", "als",
                       "--out", str(out_cfg)])
         assert rc == 0
-        assert load_embeddings(out_cfg, ROSTER).dim == 3
+        assert load_embeddings(out_cfg).dim == 3
 
         out_flag = tmp_path / "emb_flag.txt"
         rc = cli.run(["--config", str(config), "decompose",
                       "--tensor", str(tensor_dir), "--method", "als",
                       "--dim", "5", "--out", str(out_flag)])
         assert rc == 0
-        assert load_embeddings(out_flag, ROSTER).dim == 5
+        assert load_embeddings(out_flag).dim == 5
         manifest = json.loads(
             (out_flag.parent / "emb_flag.txt.manifest.json").read_text())
         assert manifest["config"]["dim"] == 5
@@ -152,8 +155,6 @@ class TestDecompose:
         assert rc == 1
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_diverged_run_keeps_earlier_outputs(self, tmp_path, tensor_dir):
         out = tmp_path / "emb.txt"
         argv = ["decompose", "--tensor", str(tensor_dir), "--method", "wd",
@@ -165,6 +166,32 @@ class TestDecompose:
         assert (out.read_bytes(), manifest.read_bytes()) == before
         assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("emb")) == [
             "emb.txt", "emb.txt.manifest.json"]
+
+    def test_diverged_run_prints_one_line(self, tmp_path, tensor_dir):
+        # A separate process, so stderr holds all a user sees: numpy
+        # warnings included, and no pytest log capture.
+        src = Path(cli.__file__).parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", "from preptensor.cli import main; main()",
+             "decompose", "--tensor", str(tensor_dir), "--method", "wd",
+             "--dim", "4", "--iters", "3", "--lr", "1e6",
+             "--out", str(tmp_path / "emb.txt")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1
+        assert "diverged" in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+    def test_negative_ortho_iters_is_user_error(self, tmp_path, tensor_dir,
+                                                 caplog):
+        out = tmp_path / "emb.txt"
+        rc = cli.run(["decompose", "--tensor", str(tensor_dir), "--method", "als",
+                      "--dim", "3", "--ortho-iters", "-1", "--out", str(out)])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert "ortho_iterations" in errors[0] and "\n" not in errors[0]
+        assert not out.exists()
 
     def test_failure_removes_partial_outputs(self, tmp_path, tensor_dir,
                                              monkeypatch):
@@ -205,14 +232,12 @@ class TestQueryCommands:
         assert (tok_l, tok_r) == ("on", "in")
         assert -1.0 <= float(sim) <= 1.0
 
-    def test_paraphrase_ranks_candidates(self, tmp_path, embeddings_path,
-                                         roster_path, capsys):
+    def test_paraphrase_ranks_candidates(self, tmp_path, embeddings_path, capsys):
         cands = tmp_path / "cands.txt"
         cands.write_text("slept\nsat\nfly\n")
         rc = cli.run(["paraphrase", "--embeddings", str(embeddings_path),
                       "--head", "cats", "--prep", "on",
-                      "--candidates", str(cands), "--roster", str(roster_path),
-                      "--top", "2"])
+                      "--candidates", str(cands), "--top", "2"])
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
@@ -252,9 +277,8 @@ class TestQueryCommands:
             argv = ["--head", "zebras", "--prep", "on", "--candidates", str(words)]
         else:
             words.write_text("on in\nzebras of\n")
-            argv = ["--pairs", str(words)]
-        rc = cli.run([command, "--embeddings", str(embeddings_path),
-                      "--roster", str(roster_path), *argv])
+            argv = ["--pairs", str(words), "--roster", str(roster_path)]
+        rc = cli.run([command, "--embeddings", str(embeddings_path), *argv])
         assert rc == 1
         assert capsys.readouterr().out == ""
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
@@ -336,6 +360,35 @@ class TestSelectPipeline:
         assert "roster" in errors[0] and "\n" not in errors[0]
         assert not errors_csv.exists()
 
+    @pytest.mark.parametrize("lineno, text, named", [
+        (1, "'corr 'error'", "unterminated string"),
+        (0, "TREE v1 3 two 8 5", "'two'"),
+        (2, "split 0 half 1 2", "'half'"),
+    ])
+    def test_corrupt_tree_is_user_error(self, tmp_path, embeddings_path,
+                                        roster_path, caplog, lineno, text, named):
+        train = tmp_path / "sel_train.tsv"
+        write_selection_dataset(train)
+        models = tmp_path / "sel_models"
+        assert cli.run(["train-select", "--train", str(train),
+                        "--embeddings", str(embeddings_path),
+                        "--roster", str(roster_path), "--out", str(models),
+                        "--hidden1", "4", "--hidden2", "2", "--epochs", "2",
+                        "--min-leaf", "1"]) == 0
+        # A valid three-node tree with one line garbled.
+        lines = ["TREE v1 3 2 8 5", "'correct' 'error'", "split 0 0.5 1 2",
+                 "leaf 1 0", "leaf 0 1"]
+        lines[lineno] = text
+        tree = models / "tree.txt"
+        tree.write_text("\n".join(lines) + "\n")
+        rc = cli.run(["eval-select", "--test", str(train), "--models", str(models),
+                      "--embeddings", str(embeddings_path)])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert str(tree) in errors[0] and named in errors[0]
+        assert "\n" not in errors[0]
+
     def test_hidden_sizes_from_config_file(self, tmp_path, embeddings_path,
                                            roster_path):
         train = tmp_path / "sel_train.tsv"
@@ -351,14 +404,12 @@ class TestSelectPipeline:
         assert manifest["config"]["arch"] == [6, 3]
 
 class TestAttachPipeline:
-    def test_train_then_eval(self, tmp_path, embeddings_path, roster_path,
-                             capsys):
+    def test_train_then_eval(self, tmp_path, embeddings_path, capsys):
         train = tmp_path / "att_train.tsv"
         write_attachment_dataset(train)
         models = tmp_path / "att_models"
         rc = cli.run(["train-attach", "--train", str(train),
-                      "--embeddings", str(embeddings_path),
-                      "--roster", str(roster_path), "--out", str(models),
+                      "--embeddings", str(embeddings_path), "--out", str(models),
                       "--hidden1", "8", "--hidden2", "4", "--epochs", "60"])
         assert rc == 0
         assert (models / "fnn.txt").exists()
@@ -367,7 +418,6 @@ class TestAttachPipeline:
         rc = cli.run(["eval-attach", "--test", str(train),
                       "--models", str(models),
                       "--embeddings", str(embeddings_path),
-                      "--roster", str(roster_path),
                       "--out", str(tmp_path / "att_errors.csv")])
         assert rc == 0
         out = capsys.readouterr().out
@@ -375,20 +425,18 @@ class TestAttachPipeline:
         acc = float(out.strip().split("=")[1])
         assert 0.0 <= acc <= 1.0
 
-    def test_failed_eval_keeps_earlier_outputs(self, tmp_path, embeddings_path,
-                                               roster_path):
+    def test_failed_eval_keeps_earlier_outputs(self, tmp_path, embeddings_path):
         train = tmp_path / "att_train.tsv"
         write_attachment_dataset(train)
         models = tmp_path / "att_models"
         assert cli.run(["train-attach", "--train", str(train),
-                        "--embeddings", str(embeddings_path),
-                        "--roster", str(roster_path), "--out", str(models),
+                        "--embeddings", str(embeddings_path), "--out", str(models),
                         "--hidden1", "4", "--hidden2", "2", "--epochs", "2"]) == 0
         empty = tmp_path / "empty.tsv"
         empty.write_text("")
         outputs = [models / "errors.csv", models / "errors_metrics.txt"]
         argv = ["eval-attach", "--models", str(models),
-                "--embeddings", str(embeddings_path), "--roster", str(roster_path)]
+                "--embeddings", str(embeddings_path)]
         assert cli.run(argv + ["--test", str(train)]) == 0
         before = [path.read_bytes() for path in outputs]
         assert cli.run(argv + ["--test", str(empty)]) == 1
@@ -420,6 +468,12 @@ class TestArgumentHandling:
          "--out", "m", "--min-leaf", "3"],
         ["eval-attach", "--test", "a.tsv", "--models", "m",
          "--embeddings", "e.txt", "--window", "3"],
+        ["paraphrase", "--embeddings", "e.txt", "--head", "cats", "--prep", "on",
+         "--candidates", "c.txt", "--roster", "r.txt"],
+        ["train-attach", "--train", "a.tsv", "--embeddings", "e.txt",
+         "--out", "m", "--roster", "r.txt"],
+        ["eval-attach", "--test", "a.tsv", "--models", "m",
+         "--embeddings", "e.txt", "--roster", "r.txt"],
     ])
     def test_options_no_command_reads_are_rejected(self, argv, capsys):
         assert cli.run(argv) == 2
@@ -449,15 +503,14 @@ class TestArgumentHandling:
         assert named in errors[0] and "\n" not in errors[0]
 
     def test_unknown_config_key_fails_for_commands_without_options(
-            self, tmp_path, embeddings_path, roster_path):
+            self, tmp_path, embeddings_path):
         config = tmp_path / "conf.txt"
         config.write_text("windw = 9\n")
         cands = tmp_path / "cands.txt"
         cands.write_text("slept\nsat\n")
         rc = cli.run(["--config", str(config), "paraphrase",
                       "--embeddings", str(embeddings_path), "--head", "cats",
-                      "--prep", "on", "--candidates", str(cands),
-                      "--roster", str(roster_path)])
+                      "--prep", "on", "--candidates", str(cands)])
         assert rc == 1
 
     def test_config_key_of_another_command_accepted(self, tmp_path, tensor_dir,
@@ -474,6 +527,8 @@ class TestArgumentHandling:
         ("dim = 3.5\n", "dim"),
         ("top = 0\n", "top"),
         ("batch = -2\n", "batch"),
+        ("iters = 0\n", "iters"),
+        ("epochs = 0\n", "epochs"),
     ])
     def test_config_value_the_type_rejects_fails(self, tmp_path, embeddings_path,
                                                  roster_path, caplog, capsys,
@@ -512,6 +567,10 @@ class TestArgumentHandling:
         ["paraphrase", "--embeddings", "e.txt", "--head", "cats", "--prep", "on",
          "--candidates", "c.txt", "--top", "-1"],
         ["spectrum", "--tensor", "t", "--slice", "on", "--top", "0"],
+        ["decompose", "--tensor", "t", "--method", "wd", "--out", "e.txt",
+         "--iters", "0"],
+        ["train-select", "--train", "s.tsv", "--embeddings", "e.txt", "--out", "m",
+         "--epochs", "0"],
     ])
     def test_counts_below_one_are_rejected(self, argv, capsys):
         assert cli.run(argv) == 2
@@ -565,16 +624,16 @@ class TestCommandTable:
             "query-sim": (["--embeddings", str(emb), "--pairs", str(pairs), *roster],
                           None),
             "paraphrase": (["--embeddings", str(emb), "--head", "cats", "--prep", "on",
-                            "--candidates", str(roster_path), *roster], None),
+                            "--candidates", str(roster_path)], None),
             "spectrum": (["--tensor", str(tensor), "--slice", "on"], None),
             "train-select": (["--train", str(sel_data), "--embeddings", str(emb),
                               *roster, "--out", str(sel)], sel / "manifest.json"),
             "eval-select": (["--test", str(sel_data), "--models", str(sel),
                              "--embeddings", str(emb), *roster], None),
             "train-attach": (["--train", str(att_data), "--embeddings", str(emb),
-                              *roster, "--out", str(att)], att / "manifest.json"),
+                              "--out", str(att)], att / "manifest.json"),
             "eval-attach": (["--test", str(att_data), "--models", str(att),
-                             "--embeddings", str(emb), *roster], None),
+                             "--embeddings", str(emb)], None),
         }
         assert list(steps) == list(cli.COMMANDS)
         for command, (argv, manifest) in steps.items():

@@ -28,14 +28,13 @@ from preptensor.select import default_roster
 TOY_CORPUS = Path(__file__).parent / "data" / "toy_corpus.txt"
 
 
-def make_store(vectors, q_const=None, prepositions=()):
+def make_store(vectors, q_const=None):
     dim = len(next(iter(vectors.values())))
     return EmbeddingStore(
         vectors={tok: np.asarray(v, dtype=np.float64) for tok, v in vectors.items()},
         q_const=np.asarray(q_const if q_const is not None else np.zeros(dim),
                            dtype=np.float64),
         dim=dim,
-        prepositions=list(prepositions),
     )
 
 
@@ -68,20 +67,23 @@ class TestCosine:
 
 class TestSimilarityTable:
     def test_uncentered_identical_vectors(self):
-        store = make_store({"at": [1, 1], "by": [1, 1]}, prepositions=["at", "by"])
-        rows = preposition_similarity_table(store, [("at", "by")], centered=False)
+        store = make_store({"at": [1, 1], "by": [1, 1]})
+        rows = preposition_similarity_table(store, [("at", "by")], ["at", "by"],
+                                            centered=False)
         assert rows[0][2] == pytest.approx(1.0, abs=1e-12)
 
     def test_centered_subtracts_roster_mean(self):
-        store = make_store({"at": [2, 0], "by": [0, 2]}, prepositions=["at", "by"])
-        rows = preposition_similarity_table(store, [("at", "by")], centered=True)
+        store = make_store({"at": [2, 0], "by": [0, 2]})
+        rows = preposition_similarity_table(store, [("at", "by")], ["at", "by"],
+                                            centered=True)
         # Centered vectors are (1,-1) and (-1,1): cosine -1.
         assert rows[0][2] == pytest.approx(-1.0, abs=1e-12)
 
     def test_unknown_token_named(self):
-        store = make_store({"at": [1, 0]}, prepositions=["at"])
+        store = make_store({"at": [1, 0]})
         with pytest.raises(KeyError, match="beneath"):
-            preposition_similarity_table(store, [("at", "beneath")], centered=False)
+            preposition_similarity_table(store, [("at", "beneath")], ["at"],
+                                         centered=False)
 
 
 class TestPairSimilarity:
@@ -193,46 +195,43 @@ class TestParaphrase:
 
 class TestRankPreposition:
     def test_perfect_match_rank_one(self):
-        store = make_store({"on": [1.0, 0.0], "in": [0.0, 1.0]},
-                           prepositions=["on", "in"])
-        rank, cos = rank_preposition([np.array([1.0, 0.0])], "on", store)
+        store = make_store({"on": [1.0, 0.0], "in": [0.0, 1.0]})
+        rank, cos = rank_preposition([np.array([1.0, 0.0])], "on", store, ["on", "in"])
         assert rank == 1
         assert cos == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_observed_rank_two(self):
-        store = make_store({"on": [0.0, 1.0], "in": [1.0, 0.0]},
-                           prepositions=["on", "in"])
-        rank, _ = rank_preposition([np.array([1.0, 0.0])], "on", store)
+        store = make_store({"on": [0.0, 1.0], "in": [1.0, 0.0]})
+        rank, _ = rank_preposition([np.array([1.0, 0.0])], "on", store, ["on", "in"])
         assert rank == 2
 
     def test_tie_uses_roster_order(self):
-        store = make_store({"on": [1.0, 0.0], "in": [1.0, 0.0], "at": [1.0, 0.0]},
-                           prepositions=["on", "in", "at"])
-        rank, _ = rank_preposition([np.array([1.0, 0.0])], "at", store)
+        store = make_store({"on": [1.0, 0.0], "in": [1.0, 0.0], "at": [1.0, 0.0]})
+        rank, _ = rank_preposition([np.array([1.0, 0.0])], "at", store,
+                                   ["on", "in", "at"])
         assert rank == 3
 
     def test_unknown_preposition_rejected(self):
-        store = make_store({"on": [1.0, 0.0]}, prepositions=["on"])
+        store = make_store({"on": [1.0, 0.0]})
         with pytest.raises(ValueError, match="roster"):
-            rank_preposition([np.array([1.0, 0.0])], "upon", store)
+            rank_preposition([np.array([1.0, 0.0])], "upon", store, ["on"])
 
     def test_all_zero_context_rejected(self):
-        store = make_store({"on": [1.0, 0.0]}, prepositions=["on"])
+        store = make_store({"on": [1.0, 0.0]})
         with pytest.raises(UndefinedSimilarityError, match="context"):
-            rank_preposition([np.zeros(2)], "on", store)
+            rank_preposition([np.zeros(2)], "on", store, ["on"])
 
     def test_cancelling_context_rejected(self):
-        store = make_store({"on": [1.0, 0.0]}, prepositions=["on"])
+        store = make_store({"on": [1.0, 0.0]})
         v = np.array([0.3, -0.7])
         with pytest.raises(UndefinedSimilarityError, match="cancel"):
-            rank_preposition([v, -v], "on", store)
+            rank_preposition([v, -v], "on", store, ["on"])
 
     @pytest.mark.parametrize("dim", [2, 200])
     def test_equals_per_preposition_cosines(self, dim):
         rng = np.random.default_rng(dim)
         roster = ["on", "in", "to", "at", "by"]
-        store = make_store({p: rng.standard_normal(dim) for p in roster},
-                           prepositions=roster)
+        store = make_store({p: rng.standard_normal(dim) for p in roster})
         store.vectors["by"] = store.vectors["on"].copy()
         context = [rng.standard_normal(dim), np.zeros(dim), rng.standard_normal(dim)]
         mean = np.mean([context[0], context[2]], axis=0)
@@ -240,7 +239,7 @@ class TestRankPreposition:
         for idx, observed in enumerate(roster):
             rank = 1 + sum(s > sims[idx] or (s == sims[idx] and j < idx)
                            for j, s in enumerate(sims))
-            assert rank_preposition(context, observed, store) == (rank, sims[idx])
+            assert rank_preposition(context, observed, store, roster) == (rank, sims[idx])
 
 
 class TestSliceSpectrum:
@@ -301,13 +300,11 @@ class TestEmbeddingIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         store = make_store({f"t{i}": rng.standard_normal(4) for i in range(6)},
-                           q_const=rng.standard_normal(4),
-                           prepositions=["t0", "t1"])
+                           q_const=rng.standard_normal(4))
         path = tmp_path / "emb.txt"
         save_embeddings(store, path)
-        loaded = load_embeddings(path, roster=["t0", "t1"])
+        loaded = load_embeddings(path)
         assert loaded.dim == 4
-        assert loaded.prepositions == ["t0", "t1"]
         for tok, vec in store.vectors.items():
             assert np.array_equal(loaded.vectors[tok], vec)
         assert np.array_equal(loaded.q_const, store.q_const)

@@ -445,3 +445,10 @@ class TestTrainingConfig:
     def test_rejects_ortho_above_iterations(self):
         with pytest.raises(ValueError):
             TrainingConfig(iterations=3, ortho_iterations=4)
+
+    def test_rejects_negative_ortho_iterations(self):
+        with pytest.raises(ValueError, match="ortho_iterations must be >= 0"):
+            TrainingConfig(ortho_iterations=-1)
+
+    def test_zero_ortho_iterations_valid(self):
+        assert TrainingConfig(ortho_iterations=0).ortho_iterations == 0

@@ -90,12 +90,29 @@ class TestDecisionTree:
         ("split 0 0.5 1 7", "children in"),   # past the last node
         ("split -1 0.5 1 2", "feature >= 0"),
         ("leaf 1 2 3", "3 counts for 2 classes"),
+        ("split 0 half 1 2", r"tree\.txt: .*'half'"),
+        ("split x 0.5 1 2", r"tree\.txt: .*'x'"),
+        ("leaf 1 x", r"tree\.txt: .*'x'"),
     ])
     def test_load_rejects_bad_structure(self, tmp_path, root, match):
         path = tmp_path / "tree.txt"
         path.write_text(f"TREE v1 3 2 8 5\n0 1\n{root}\nleaf 3 0\nleaf 0 3\n")
         with pytest.raises(ValueError, match=match):
             load_tree(path)
+
+    # A header or class list that does not parse is a ValueError naming
+    # the file.
+    @pytest.mark.parametrize("header, classes, match", [
+        ("TREE v1 3 two 8 5", "0 1", "'two'"),
+        ("TREE v1 3 2 8 5", "'corr 'error'", "unterminated string"),
+        ("TREE v1 3 2 8 5", "0 foo", "malformed"),
+    ])
+    def test_load_rejects_unparsable_header(self, tmp_path, header, classes, match):
+        path = tmp_path / "tree.txt"
+        path.write_text(f"{header}\n{classes}\nsplit 0 0.5 1 2\nleaf 3 0\nleaf 0 3\n")
+        with pytest.raises(ValueError, match=match) as info:
+            load_tree(path)
+        assert str(info.value).startswith(str(path))
 
 
 class TestFnnForward:

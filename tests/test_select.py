@@ -37,13 +37,12 @@ ROSTER = ["on", "in", "to"]
 STOPLIST = frozenset({"the", "it", "a"})
 
 
-def make_store(vectors, prepositions=ROSTER):
+def make_store(vectors):
     dim = len(next(iter(vectors.values())))
     return EmbeddingStore(
         vectors={tok: np.asarray(v, dtype=np.float64) for tok, v in vectors.items()},
         q_const=np.zeros(dim),
         dim=dim,
-        prepositions=list(prepositions),
     )
 
 
@@ -293,8 +292,7 @@ class TestBatchedCorrectionFeatures:
     def test_rows_equal_per_candidate_composition(self, dim, tokens):
         rng = np.random.default_rng(dim)
         words = ["on", "in", "to", "at", "sat", "ran", "mat", "box"]
-        store = make_store({w: rng.standard_normal(dim) for w in words},
-                           prepositions=self.ROSTER)
+        store = make_store({w: rng.standard_normal(dim) for w in words})
         store.vectors["at"] = np.zeros(dim)
         instance = inst(tokens, tokens.index("on"), "on", "in")
         table = build_confusion_table(
