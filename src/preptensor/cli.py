@@ -196,7 +196,10 @@ def cmd_decompose(args, cfg: dict, produced: list) -> None:
     cfg["method"] = args.method
     _write_manifest(_staged(produced, str(out) + ".manifest.json"), "decompose", cfg,
                     [tensor_dir / "vocab.txt", tensor_dir / "tensor.txt"], [out],
-                    extra={"trajectory": emb.trajectory})
+                    extra={"trajectory": emb.trajectory,
+                           "counters": {"n_words": tensor.n_words,
+                                        "n_prepositions": tensor.n_prepositions,
+                                        "nnz": tensor.nnz}})
 
 
 def cmd_query_sim(args, cfg: dict, produced: list) -> None:

@@ -8,10 +8,14 @@ every preposition window.
 
 from __future__ import annotations
 
+import itertools
 import re
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "Vocabulary",
@@ -34,6 +38,9 @@ _TOKEN = re.compile(r"[\w']+")
 
 TENSOR_MAGIC = "PREPTENSOR"
 PREP_SENTINEL = "#PREPOSITIONS"
+# Tensor lines parsed per array chunk: bounds the text and arrays held
+# at once while loading.
+_LOAD_CHUNK_LINES = 1 << 16
 
 
 def tokenize_sentences(raw_text: str | bytes) -> list[list[str]]:
@@ -259,15 +266,61 @@ def save_tensor(tensor: SparseCountTensor, path) -> None:
 
 
 def load_tensor(path) -> SparseCountTensor:
+    """Read a ``save_tensor`` file; its body lines may come in any order.
+
+    The body is parsed as integer arrays, a chunk of lines at a time. A
+    file this cannot vouch for (a field the array parser rejects, a
+    warning, a skipped line, a value out of range, an nnz other than the
+    header's) is read again line by line, the one place that words the
+    errors. A repeated coordinate keeps its last count either way.
+    """
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 6 or header[0] != TENSOR_MAGIC or header[1] != "v1":
-            raise ValueError(f"{path}: line 1: bad tensor header")
-        try:
-            n, k_preps, nnz, t = (int(x) for x in header[2:])
-        except ValueError:
-            raise ValueError(f"{path}: line 1: non-integer header field") from None
-        tensor = SparseCountTensor(n, k_preps, t)
+        tensor, nnz = _read_tensor_header(fh, path)
+        entries = _read_tensor_body(fh, tensor)
+    if entries is None or len(entries) != nnz:
+        return _load_tensor_lines(path)
+    tensor.entries = entries
+    return tensor
+
+
+def _read_tensor_header(fh, path) -> tuple[SparseCountTensor, int]:
+    header = fh.readline().split()
+    if len(header) != 6 or header[0] != TENSOR_MAGIC or header[1] != "v1":
+        raise ValueError(f"{path}: line 1: bad tensor header")
+    try:
+        n, k_preps, nnz, t = (int(x) for x in header[2:])
+    except ValueError:
+        raise ValueError(f"{path}: line 1: non-integer header field") from None
+    return SparseCountTensor(n, k_preps, t), nnz
+
+
+def _read_tensor_body(fh, tensor: SparseCountTensor) -> dict | None:
+    """The entries of every remaining line, or None when a line does not
+    hold four in-range integers with a count >= 1."""
+    n, k_preps = tensor.n_words, tensor.n_prepositions
+    entries: dict[tuple[int, int, int], int] = {}
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            while lines := list(itertools.islice(fh, _LOAD_CHUNK_LINES)):
+                rows = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+                if rows.shape != (len(lines), 4):
+                    return None
+                i, j, k, c = rows.T
+                if (c.min() < 1 or min(i.min(), j.min(), k.min()) < 0
+                        or max(i.max(), j.max()) >= n or k.max() > k_preps):
+                    return None
+                entries.update(zip(zip(i.tolist(), j.tolist(), k.tolist()),
+                                   c.tolist()))
+    except (ValueError, OverflowError, Warning):
+        return None
+    return entries
+
+
+def _load_tensor_lines(path) -> SparseCountTensor:
+    with open(path, encoding="utf-8") as fh:
+        tensor, nnz = _read_tensor_header(fh, path)
+        n, k_preps = tensor.n_words, tensor.n_prepositions
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
             if len(parts) != 4:

@@ -8,6 +8,7 @@ with per-index bias terms trained only on nonzero entries.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -36,6 +37,8 @@ __all__ = [
 RIDGE = 1e-8
 # ALS stops once an unorthogonalized sweep gains less fit than this.
 FIT_TOL = 1e-5
+# Entries gathered at once when evaluating the model on the stored pattern.
+_ENTRY_BLOCK = 1 << 16
 
 
 @dataclass
@@ -120,10 +123,14 @@ class CooTensor:
 
     @classmethod
     def from_counts(cls, tensor: SparseCountTensor) -> "CooTensor":
-        keys = sorted(tensor.entries, key=lambda e: (e[2], e[0], e[1]))
-        arr = np.array(keys, dtype=np.int64).reshape(-1, 3)
-        vals = np.array([tensor.entries[key] for key in keys], dtype=np.float64)
-        return cls(arr[:, 0], arr[:, 1], arr[:, 2], vals, tensor.dims)
+        """Entries in ascending (k, i, j) order, the order of ``save_tensor``."""
+        nnz = tensor.nnz
+        keys = np.fromiter(itertools.chain.from_iterable(tensor.entries),
+                           dtype=np.int64, count=3 * nnz).reshape(nnz, 3)
+        vals = np.fromiter(tensor.entries.values(), dtype=np.float64, count=nnz)
+        i, j, k = keys.T
+        order = np.lexsort((j, i, k))
+        return cls(i[order], j[order], k[order], vals[order], tensor.dims)
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.values ** 2)))
@@ -156,7 +163,13 @@ def _as_coo(tensor) -> CooTensor:
 
 
 def _reconstruction_at(coo: CooTensor, U, W, Q) -> np.ndarray:
-    return np.sum(U[coo.i] * W[coo.j] * Q[coo.k], axis=1)
+    """The model's value at each stored entry, gathered a block of entries
+    at a time, so no nnz x d temporaries are built."""
+    out = np.empty(coo.nnz)
+    for start in range(0, coo.nnz, _ENTRY_BLOCK):
+        rows = slice(start, start + _ENTRY_BLOCK)
+        out[rows] = np.sum(U[coo.i[rows]] * W[coo.j[rows]] * Q[coo.k[rows]], axis=1)
+    return out
 
 
 def als_objective(coo: CooTensor, U: np.ndarray, W: np.ndarray, Q: np.ndarray) -> float:
@@ -191,10 +204,15 @@ def cp_fit(coo, embeddings: EmbeddingSet) -> float:
 def _mttkrp(coo: CooTensor, A: np.ndarray, B: np.ndarray,
             idx_out: np.ndarray, idx_a: np.ndarray, idx_b: np.ndarray,
             n_out: int) -> np.ndarray:
-    d = A.shape[1]
-    out = np.zeros((n_out, d))
-    np.add.at(out, idx_out, coo.values[:, None] * (A[idx_a] * B[idx_b]))
-    return out
+    """Matricized tensor times Khatri-Rao product, one component at a
+    time. ``np.bincount`` adds each output row's terms in entry order, so
+    the sums are those of an entry-by-entry scatter-add."""
+    At, Bt = np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
+    out = np.empty((A.shape[1], n_out))
+    for c, (a, b) in enumerate(zip(At, Bt)):
+        out[c] = np.bincount(idx_out, weights=coo.values * (a[idx_a] * b[idx_b]),
+                             minlength=n_out)
+    return out.T
 
 
 def als_update_mode(coo: CooTensor, U: np.ndarray, W: np.ndarray, Q: np.ndarray,

@@ -424,18 +424,27 @@ def save_fnn(net: FeedForwardNet, path) -> None:
 
 
 def load_fnn(path) -> FeedForwardNet:
+    """Read a ``save_fnn`` file; a field that does not parse, like a
+    shape check that fails, is a ValueError naming the file."""
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) < 4 or header[:3] != ["FNN", "v1", "sizes"]:
-            raise ValueError(f"{path}: bad network header")
-        sizes = [int(s) for s in header[3:]]
-        weights, biases = [], []
-        for a, b in zip(sizes[:-1], sizes[1:]):
-            w = np.array([[float(x) for x in fh.readline().split()]
-                          for _ in range(a)])
-            bias = np.array([float(x) for x in fh.readline().split()])
-            if w.shape != (a, b) or bias.shape != (b,):
-                raise ValueError(f"{path}: layer shape mismatch")
-            weights.append(w)
-            biases.append(bias)
+        try:
+            return _read_fnn(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_fnn(fh) -> FeedForwardNet:
+    header = fh.readline().split()
+    if len(header) < 4 or header[:3] != ["FNN", "v1", "sizes"]:
+        raise ValueError("bad network header")
+    sizes = [int(s) for s in header[3:]]
+    weights, biases = [], []
+    for a, b in zip(sizes[:-1], sizes[1:]):
+        w = np.array([[float(x) for x in fh.readline().split()]
+                      for _ in range(a)])
+        bias = np.array([float(x) for x in fh.readline().split()])
+        if w.shape != (a, b) or bias.shape != (b,):
+            raise ValueError("layer shape mismatch")
+        weights.append(w)
+        biases.append(bias)
     return FeedForwardNet(sizes=sizes, weights=weights, biases=biases)

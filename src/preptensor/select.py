@@ -182,20 +182,29 @@ def save_confusion_table(table: ConfusionTable, path) -> None:
 
 
 def load_confusion_table(path) -> ConfusionTable:
+    """Read a ``save_confusion_table`` file; a field that does not parse,
+    like a length check that fails, is a ValueError naming the file."""
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 4 or header[0] != "CONFUSION" or header[1] != "v1":
-            raise ValueError(f"{path}: bad confusion-table header")
-        k, smoothing = int(header[2]), float(header[3])
-        roster = fh.readline().split()
-        if len(roster) != k:
-            raise ValueError(f"{path}: roster length mismatch")
-        probs = {}
-        for q in roster:
-            row = [float(x) for x in fh.readline().split()]
-            if len(row) != k:
-                raise ValueError(f"{path}: row length mismatch for {q!r}")
-            probs[q] = dict(zip(roster, row))
+        try:
+            return _read_confusion_table(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_confusion_table(fh) -> ConfusionTable:
+    header = fh.readline().split()
+    if len(header) != 4 or header[0] != "CONFUSION" or header[1] != "v1":
+        raise ValueError("bad confusion-table header")
+    k, smoothing = int(header[2]), float(header[3])
+    roster = fh.readline().split()
+    if len(roster) != k:
+        raise ValueError("roster length mismatch")
+    probs = {}
+    for q in roster:
+        row = [float(x) for x in fh.readline().split()]
+        if len(row) != k:
+            raise ValueError(f"row length mismatch for {q!r}")
+        probs[q] = dict(zip(roster, row))
     return ConfusionTable(roster=roster, probs=probs, smoothing=smoothing)
 
 

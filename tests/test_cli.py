@@ -147,6 +147,17 @@ class TestDecompose:
         else:
             assert 1 <= len(trajectory) <= iters
 
+    def test_manifest_records_tensor_counters(self, tmp_path, tensor_dir):
+        out = tmp_path / "emb.txt"
+        assert cli.run(["decompose", "--tensor", str(tensor_dir), "--method", "als",
+                        "--dim", "3", "--iters", "2", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "emb.txt.manifest.json").read_text())
+        tensor = load_tensor(tensor_dir / "tensor.txt")
+        assert manifest["counters"] == {"n_words": tensor.n_words,
+                                        "n_prepositions": len(ROSTER),
+                                        "nnz": tensor.nnz}
+        assert tensor.nnz > 0
+
     def test_corrupt_tensor_fails_cleanly(self, tmp_path, tensor_dir):
         (tensor_dir / "tensor.txt").write_text("garbage\n")
         out = tmp_path / "emb.txt"
@@ -389,6 +400,33 @@ class TestSelectPipeline:
         assert str(tree) in errors[0] and named in errors[0]
         assert "\n" not in errors[0]
 
+    @pytest.mark.parametrize("lineno, text, named", [
+        (0, "CONFUSION v1 3 one", "'one'"),
+        (2, "0.5 half 0.25", "'half'"),
+    ])
+    def test_corrupt_confusion_table_is_user_error(self, tmp_path, embeddings_path,
+                                                   roster_path, caplog, lineno,
+                                                   text, named):
+        train = tmp_path / "sel_train.tsv"
+        write_selection_dataset(train)
+        models = tmp_path / "sel_models"
+        assert cli.run(["train-select", "--train", str(train),
+                        "--embeddings", str(embeddings_path),
+                        "--roster", str(roster_path), "--out", str(models),
+                        "--hidden1", "4", "--hidden2", "2", "--epochs", "2",
+                        "--min-leaf", "1"]) == 0
+        table = models / "confusion.txt"
+        lines = table.read_text().splitlines()
+        lines[lineno] = text
+        table.write_text("\n".join(lines) + "\n")
+        rc = cli.run(["eval-select", "--test", str(train), "--models", str(models),
+                      "--embeddings", str(embeddings_path)])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert str(table) in errors[0] and named in errors[0]
+        assert "\n" not in errors[0]
+
     def test_hidden_sizes_from_config_file(self, tmp_path, embeddings_path,
                                            roster_path):
         train = tmp_path / "sel_train.tsv"
@@ -424,6 +462,30 @@ class TestAttachPipeline:
         assert out.startswith("accuracy=")
         acc = float(out.strip().split("=")[1])
         assert 0.0 <= acc <= 1.0
+
+    @pytest.mark.parametrize("lineno, text, named", [
+        (0, "FNN v1 sizes 2 x 2", "'x'"),
+        (1, "0.5 half", "'half'"),
+    ])
+    def test_corrupt_fnn_is_user_error(self, tmp_path, embeddings_path, caplog,
+                                       lineno, text, named):
+        train = tmp_path / "att_train.tsv"
+        write_attachment_dataset(train)
+        models = tmp_path / "att_models"
+        assert cli.run(["train-attach", "--train", str(train),
+                        "--embeddings", str(embeddings_path), "--out", str(models),
+                        "--hidden1", "4", "--hidden2", "2", "--epochs", "2"]) == 0
+        fnn = models / "fnn.txt"
+        lines = fnn.read_text().splitlines()
+        lines[lineno] = text
+        fnn.write_text("\n".join(lines) + "\n")
+        rc = cli.run(["eval-attach", "--test", str(train), "--models", str(models),
+                      "--embeddings", str(embeddings_path)])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert str(fnn) in errors[0] and named in errors[0]
+        assert "\n" not in errors[0]
 
     def test_failed_eval_keeps_earlier_outputs(self, tmp_path, embeddings_path):
         train = tmp_path / "att_train.tsv"

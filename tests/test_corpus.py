@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from preptensor import corpus
 from preptensor.corpus import (
     SparseCountTensor,
     build_vocabulary,
@@ -203,6 +204,97 @@ class TestTensorIO:
         path.write_text("PREPTENSOR v1 5 2 2 3\n0 1 0 1\n")
         with pytest.raises(ValueError, match="nnz"):
             load_tensor(path)
+
+
+def _tensor_text(lines, nnz=None, n=5, eol="\n"):
+    """A tensor file with K=2 and t=3 whose header declares ``nnz``
+    entries (by default one per line)."""
+    nnz = len(lines) if nnz is None else nnz
+    return eol.join([f"PREPTENSOR v1 {n} 2 {nnz} 3", *lines]) + eol
+
+
+_GOOD = ["2 3 1 7", "0 1 0 3", "4 4 2 1", "1 0 2 2"]
+
+
+def _good_with(line):
+    return _tensor_text(_GOOD[:2] + [line] + _GOOD[3:])
+
+
+def _two_chunks(bad_line=None):
+    """Just over one parse chunk of distinct entries; ``bad_line``
+    replaces a line in the second chunk."""
+    size = corpus._LOAD_CHUNK_LINES + 10
+    lines = [f"{e % 300} {e // 300 % 300} {e // 90000} {e % 7 + 1}"
+             for e in range(size)]
+    if bad_line is not None:
+        lines[size - 5] = bad_line
+    return _tensor_text(lines, n=300)
+
+
+# name, file text, outcome: "arrays" files must load without the
+# per-line parser, "lines" files load only through it, "error" files
+# are rejected.
+LOADER_CASES = [
+    ("valid", lambda: _tensor_text(_GOOD), "arrays"),
+    ("bad header", lambda: "PREPTENSOR v1 5 two 0 3\n", "error"),
+    ("no body", lambda: _tensor_text([]), "arrays"),
+    ("crlf", lambda: _tensor_text(_GOOD, eol="\r\n"), "arrays"),
+    ("no final newline", lambda: _tensor_text(_GOOD)[:-1], "arrays"),
+    ("blank line", lambda: _tensor_text(_GOOD[:2] + [""] + _GOOD[2:], nnz=4),
+     "error"),
+    ("trailing blank line", lambda: _tensor_text(_GOOD) + "\n", "error"),
+    ("duplicate line, nnz of keys",
+     lambda: _tensor_text(_GOOD + [_GOOD[0]], nnz=4), "arrays"),
+    ("repeated coordinate, new count",
+     lambda: _tensor_text(_GOOD + ["0 1 0 9"], nnz=4), "arrays"),
+    ("duplicate line, nnz of lines", lambda: _tensor_text(_GOOD + [_GOOD[0]]),
+     "error"),
+    ("3 fields", lambda: _good_with("4 4 2"), "error"),
+    ("5 fields", lambda: _good_with("4 4 2 1 1"), "error"),
+    ("float count", lambda: _good_with("4 4 2 1.0"), "error"),
+    ("underscore count", lambda: _good_with("4 4 2 1_0"), "lines"),
+    ("plus sign", lambda: _good_with("4 4 2 +1"), "arrays"),
+    ("arabic-indic digit", lambda: _good_with("4 4 2 \u0663"), "lines"),
+    ("nbsp separator", lambda: _good_with("4\u00a04 2 1"), "arrays"),
+    ("count 0", lambda: _good_with("4 4 2 0"), "error"),
+    ("i out of range", lambda: _good_with("5 4 2 1"), "error"),
+    ("j negative", lambda: _good_with("4 -1 2 1"), "error"),
+    ("k out of range", lambda: _good_with("4 4 3 1"), "error"),
+    ("count beyond int64", lambda: _good_with(f"4 4 2 {2 ** 63}"), "lines"),
+    ("index beyond int64", lambda: _good_with(f"{2 ** 63} 4 2 1"), "error"),
+    ("two chunks", _two_chunks, "arrays"),
+    ("error in second chunk", lambda: _two_chunks("0 0 0 zero"), "error"),
+]
+
+
+def _load_outcome(load, path):
+    try:
+        return load(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestTensorLoaderEquivalence:
+    """``load_tensor`` against the per-line parser it falls back to."""
+
+    @pytest.mark.parametrize("make_text, outcome",
+                             [pytest.param(make, outcome, id=name)
+                              for name, make, outcome in LOADER_CASES])
+    def test_matches_line_parser(self, tmp_path, monkeypatch, make_text, outcome):
+        path = tmp_path / "tensor.txt"
+        path.write_bytes(make_text().encode("utf-8"))
+        expected = _load_outcome(corpus._load_tensor_lines, path)
+        if outcome == "arrays":
+            def no_fallback(path):
+                raise AssertionError(f"{path} was read line by line")
+            monkeypatch.setattr(corpus, "_load_tensor_lines", no_fallback)
+        got = _load_outcome(load_tensor, path)
+        assert got == expected
+        if outcome == "error":
+            assert isinstance(expected, str)
+        else:
+            assert isinstance(expected, SparseCountTensor)
+            assert list(got.entries.items()) == list(expected.entries.items())
 
 
 class TestVocabularyIO:

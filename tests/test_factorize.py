@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from preptensor import factorize
 from preptensor.corpus import SparseCountTensor
 from preptensor.factorize import (
     CooTensor,
@@ -137,6 +138,112 @@ class TestAlsUpdate:
                 obj = als_objective(coo, U, W, Q)
                 assert obj <= prev + 1e-9
                 prev = obj
+
+
+def add_at_mttkrp(coo, A, B, idx_out, idx_a, idx_b, n_out):
+    """Reference MTTKRP: one scatter-add of every entry's weighted row."""
+    out = np.zeros((n_out, A.shape[1]))
+    np.add.at(out, idx_out, coo.values[:, None] * (A[idx_a] * B[idx_b]))
+    return out
+
+
+def sorted_from_counts(tensor):
+    """Reference ``CooTensor.from_counts``: a python sort of the keys."""
+    keys = sorted(tensor.entries, key=lambda e: (e[2], e[0], e[1]))
+    arr = np.array(keys, dtype=np.int64).reshape(-1, 3)
+    vals = np.array([tensor.entries[key] for key in keys], dtype=np.float64)
+    return arr[:, 0], arr[:, 1], arr[:, 2], vals
+
+
+def gathered_reconstruction(coo, U, W, Q):
+    """Reference model values: every entry's rows gathered at once."""
+    return np.sum(U[coo.i] * W[coo.j] * Q[coo.k], axis=1)
+
+
+def reference_als_objective(coo, U, W, Q):
+    recon_at = gathered_reconstruction(coo, U, W, Q)
+    sparse_term = float(np.sum((coo.values - recon_at) ** 2))
+    n, _, kp1 = coo.dims
+    if coo.nnz == n * n * kp1:
+        return sparse_term
+    recon2 = float(np.sum((U.T @ U) * (W.T @ W) * (Q.T @ Q)))
+    return sparse_term + max(recon2 - float(np.sum(recon_at ** 2)), 0.0)
+
+
+def reference_wd_loss(raw, emb, x_max, alpha):
+    targets = np.log1p(raw.values)
+    weights = weight(raw.values, x_max, alpha)
+    resid = (gathered_reconstruction(raw, emb.U, emb.W, emb.Q)
+             + emb.b_U[raw.i] + emb.b_W[raw.j] + emb.b_Q[raw.k] - targets)
+    return float(np.sum(weights * resid ** 2))
+
+
+def shuffled_counts(rng, n, kp1, draws):
+    """A count tensor of ``draws`` random coordinates (repeats merge),
+    inserted in random order."""
+    entries = {}
+    for _ in range(draws):
+        key = tuple(int(x) for x in rng.integers(0, (n, n, kp1)))
+        entries[key] = entries.get(key, 0) + int(rng.integers(1, 40))
+    keys = list(entries)
+    rng.shuffle(keys)
+    return SparseCountTensor(n, kp1 - 1, 3, {key: entries[key] for key in keys})
+
+
+class TestArrayKernelsEqualReferences:
+    """The array kernels give the bytes of the code they replaced."""
+
+    @pytest.mark.parametrize("d", [1, 3, 25])
+    def test_mttkrp_equals_scatter_add(self, d):
+        rng = np.random.default_rng(40)
+        n, kp1, nnz = 40, 6, 900
+        # Even i rows only, j rows below 30 and slices below 5, so every
+        # mode has absent output rows as well as repeated ones.
+        coo = CooTensor(rng.choice(np.arange(0, n, 2), nnz), rng.integers(0, 30, nnz),
+                        rng.integers(0, kp1 - 1, nnz),
+                        np.log1p(rng.integers(1, 40, nnz).astype(np.float64)),
+                        (n, n, kp1))
+        U, W = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+        Q = rng.standard_normal((kp1, d))
+        modes = {"U": (W, Q, coo.i, coo.j, coo.k, n, (W.T @ W) * (Q.T @ Q)),
+                 "W": (U, Q, coo.j, coo.i, coo.k, n, (U.T @ U) * (Q.T @ Q)),
+                 "Q": (U, W, coo.k, coo.i, coo.j, kp1, (U.T @ U) * (W.T @ W))}
+        for mode, (A, B, idx_out, idx_a, idx_b, n_out, gram) in modes.items():
+            want = add_at_mttkrp(coo, A, B, idx_out, idx_a, idx_b, n_out)
+            assert np.any(np.bincount(idx_out, minlength=n_out) == 0)
+            assert np.any(np.bincount(idx_out) > 1)
+            got = factorize._mttkrp(coo, A, B, idx_out, idx_a, idx_b, n_out)
+            assert np.array_equal(got, want)
+            update = np.linalg.solve(gram + factorize.RIDGE * np.eye(d), want.T).T
+            assert np.array_equal(als_update_mode(coo, U, W, Q, mode), update)
+
+    def test_from_counts_equals_sorted_keys(self):
+        rng = np.random.default_rng(41)
+        counts = shuffled_counts(rng, 30, 5, 2000)
+        coo = CooTensor.from_counts(counts)
+        for got, want in zip((coo.i, coo.j, coo.k, coo.values),
+                             sorted_from_counts(counts)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert coo.dims == counts.dims
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_losses_across_block_boundary(self, offset):
+        rng = np.random.default_rng(42 + offset)
+        nnz = factorize._ENTRY_BLOCK + offset
+        n, kp1, d = 200, 4, 25
+        raw = CooTensor(rng.integers(0, n, nnz), rng.integers(0, n, nnz),
+                        rng.integers(0, kp1, nnz),
+                        rng.integers(1, 30, nnz).astype(np.float64), (n, n, kp1))
+        emb = make_wd_embeddings(rng, n, kp1, d)
+        # The losses sum over entries, so a last-bit change in one
+        # entry's model value may not reach them; compare those too.
+        assert np.array_equal(factorize._reconstruction_at(raw, emb.U, emb.W, emb.Q),
+                              gathered_reconstruction(raw, emb.U, emb.W, emb.Q))
+        assert (als_objective(raw, emb.U, emb.W, emb.Q)
+                == reference_als_objective(raw, emb.U, emb.W, emb.Q))
+        assert (wd_loss(raw, emb, 10.0, 0.75)
+                == reference_wd_loss(raw, emb, 10.0, 0.75))
 
 
 class TestDecomposeAls:
