@@ -144,6 +144,20 @@ def _staged(produced: list, path) -> Path:
     return tmp
 
 
+def _load_tensor_dir(tensor_dir: Path):
+    """The vocabulary and tensor of a ``build-tensor`` output directory,
+    which must agree on the number of words and of prepositions."""
+    vocab_path, tensor_path = tensor_dir / "vocab.txt", tensor_dir / "tensor.txt"
+    vocab = corpus_ops.load_vocabulary(vocab_path)
+    tensor = corpus_ops.load_tensor(tensor_path)
+    if (vocab.n_words, vocab.n_prepositions) != (tensor.n_words, tensor.n_prepositions):
+        raise ValueError(
+            f"{vocab_path} has {vocab.n_words} words and {vocab.n_prepositions} "
+            f"prepositions but {tensor_path} has {tensor.n_words} and "
+            f"{tensor.n_prepositions}")
+    return vocab, tensor
+
+
 def _load_roster(path) -> list[str]:
     if path:
         return corpus_ops.load_roster(path)
@@ -175,8 +189,7 @@ def cmd_build_tensor(args, cfg: dict, produced: list) -> None:
 
 def cmd_decompose(args, cfg: dict, produced: list) -> None:
     tensor_dir = Path(args.tensor)
-    vocab = corpus_ops.load_vocabulary(tensor_dir / "vocab.txt")
-    tensor = corpus_ops.load_tensor(tensor_dir / "tensor.txt")
+    vocab, tensor = _load_tensor_dir(tensor_dir)
     config = TrainingConfig(
         dim=cfg["dim"], iterations=cfg["iters"],
         ortho_iterations=min(cfg["ortho_iters"], cfg["iters"]),
@@ -207,10 +220,12 @@ def cmd_query_sim(args, cfg: dict, produced: list) -> None:
     store = emb_ops.load_embeddings(args.embeddings)
     pairs = []
     with open(args.pairs, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             toks = line.split()
             if len(toks) == 2:
                 pairs.append((toks[0], toks[1]))
+            elif toks:
+                raise ValueError(f"{args.pairs}: line {lineno}: expected 2 tokens")
     _require_tokens(store, [tok for pair in pairs for tok in pair])
     for left, right, sim in emb_ops.preposition_similarity_table(
             store, pairs, roster, centered=cfg["centered"]):
@@ -228,9 +243,7 @@ def cmd_paraphrase(args, cfg: dict, produced: list) -> None:
 
 
 def cmd_spectrum(args, cfg: dict, produced: list) -> None:
-    tensor_dir = Path(args.tensor)
-    vocab = corpus_ops.load_vocabulary(tensor_dir / "vocab.txt")
-    tensor = corpus_ops.load_tensor(tensor_dir / "tensor.txt")
+    vocab, tensor = _load_tensor_dir(Path(args.tensor))
     try:
         k = int(args.slice)
     except ValueError:
@@ -276,6 +289,15 @@ def cmd_train_select(args, cfg: dict, produced: list) -> None:
                     inputs, outputs)
 
 
+def _trained_window(manifest_path: Path) -> int:
+    """The context window ``train-select`` recorded in its manifest."""
+    with open(manifest_path, encoding="utf-8") as fh:
+        try:
+            return int(json.load(fh)["config"]["window"])
+        except (ValueError, KeyError, TypeError):
+            raise ValueError(f"{manifest_path}: no config.window recorded") from None
+
+
 def cmd_eval_select(args, cfg: dict, produced: list) -> None:
     models_dir = Path(args.models)
     table = select_ops.load_confusion_table(models_dir / "confusion.txt")
@@ -289,10 +311,11 @@ def cmd_eval_select(args, cfg: dict, produced: list) -> None:
         table=table,
     )
     instances = select_ops.load_selection_dataset(args.test, table.roster)
+    window = _trained_window(models_dir / "manifest.json")
     errors_path = Path(args.out) if args.out else models_dir / "errors.csv"
     metrics_path = errors_path.with_name(errors_path.stem + "_metrics.txt")
     (p, r, f1), _errors = select_ops.evaluate_selection(
-        instances, models, store, window=cfg["window"],
+        instances, models, store, window=window,
         error_log_path=_staged(produced, errors_path))
     line = f"P={p:.4f} R={r:.4f} F1={f1:.4f}"
     print(line)
@@ -356,7 +379,7 @@ COMMANDS = {
     "train-select": (cmd_train_select, "train select models",
                      ("window", "seed", *_FNN_OPTIONS, "max_depth", "min_leaf"),
                      ("train", "embeddings", "roster?", "out")),
-    "eval-select": (cmd_eval_select, "eval select on a test set", ("window",),
+    "eval-select": (cmd_eval_select, "eval select on a test set", (),
                     ("test", "models", "embeddings", "roster?", "out?")),
     "train-attach": (cmd_train_attach, "train attach models",
                      ("seed", *_FNN_OPTIONS), ("train", "embeddings", "out")),

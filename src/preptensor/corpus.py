@@ -13,7 +13,8 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +42,7 @@ PREP_SENTINEL = "#PREPOSITIONS"
 # Tensor lines parsed per array chunk: bounds the text and arrays held
 # at once while loading.
 _LOAD_CHUNK_LINES = 1 << 16
+_COLUMNS = ("i", "j", "k", "counts")
 
 
 def tokenize_sentences(raw_text: str | bytes) -> list[list[str]]:
@@ -122,20 +124,35 @@ def build_vocabulary(
 
 
 class SparseCountTensor:
-    """COO-style nonnegative integer counts of shape N x N x (K+1).
+    """Nonnegative integer counts of shape N x N x (K+1) in coordinate form.
 
     Slice k < K holds pairs co-occurring with preposition k; slice K is
     the outside-all-preposition-windows slice. Absent entries are zero.
+    The int64 arrays ``i``, ``j``, ``k``, ``counts`` hold each coordinate
+    once, in ascending (k, i, j) order, which only the constructor sets;
+    it sums the counts of a repeated coordinate.
     """
 
     def __init__(self, n_words: int, n_prepositions: int, window_t: int,
-                 entries: dict[tuple[int, int, int], int] | None = None):
+                 i=(), j=(), k=(), counts=()):
         if window_t < 1:
             raise ValueError(f"window_t must be >= 1, got {window_t}")
         self.n_words = n_words
         self.n_prepositions = n_prepositions
         self.window_t = window_t
-        self.entries: dict[tuple[int, int, int], int] = dict(entries or {})
+        i, j, k, counts = (np.asarray(a, dtype=np.int64) for a in (i, j, k, counts))
+        order = np.lexsort((j, i, k))
+        keys = np.take(np.stack([k, i, j]), order, axis=1)
+        starts = np.flatnonzero(np.diff(keys, prepend=keys[:, :1] - 1).any(axis=0))
+        self.k, self.i, self.j = np.take(keys, starts, axis=1)
+        self.counts = np.add.reduceat(counts[order], starts)
+
+    @classmethod
+    def from_entries(cls, n_words, n_prepositions, window_t, mapping) -> "SparseCountTensor":
+        """The tensor holding a ``{(i, j, k): count}`` mapping."""
+        keys = np.fromiter(itertools.chain.from_iterable(mapping), np.int64).reshape(-1, 3)
+        counts = np.fromiter(mapping.values(), np.int64, len(mapping))
+        return cls(n_words, n_prepositions, window_t, *keys.T, counts)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -143,21 +160,21 @@ class SparseCountTensor:
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return len(self.counts)
 
-    def count(self, i: int, j: int, k: int) -> int:
-        return self.entries.get((i, j, k), 0)
-
-    def increment(self, i: int, j: int, k: int, by: int = 1) -> None:
-        key = (i, j, k)
-        self.entries[key] = self.entries.get(key, 0) + by
+    @property
+    def entries(self) -> Mapping[tuple[int, int, int], int]:
+        """A read-only ``{(i, j, k): count}`` view, in (k, i, j) order."""
+        keys = zip(self.i.tolist(), self.j.tolist(), self.k.tolist())
+        return MappingProxyType(dict(zip(keys, self.counts.tolist())))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseCountTensor):
             return NotImplemented
         return (self.dims == other.dims
                 and self.window_t == other.window_t
-                and self.entries == other.entries)
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in _COLUMNS))
 
 
 def count_preposition_slices(
@@ -172,7 +189,7 @@ def count_preposition_slices(
     window are incremented. Out-of-vocabulary and roster tokens in the
     window are skipped.
     """
-    tensor = SparseCountTensor(vocab.n_words, vocab.n_prepositions, t)
+    counts: dict[tuple[int, int, int], int] = {}
     word_ids = vocab.word_ids
     prep_ids = vocab.prep_ids
     for sent in sentences:
@@ -189,8 +206,8 @@ def count_preposition_slices(
             for a, ia in enumerate(window):
                 for b, jb in enumerate(window):
                     if a != b:
-                        tensor.increment(ia, jb, k)
-    return tensor
+                        counts[ia, jb, k] = counts.get((ia, jb, k), 0) + 1
+    return SparseCountTensor.from_entries(vocab.n_words, vocab.n_prepositions, t, counts)
 
 
 def count_extra_slice(
@@ -204,7 +221,7 @@ def count_extra_slice(
     slice K iff at least one of the two positions lies at distance > t
     from every preposition occurrence in the sentence.
     """
-    tensor = SparseCountTensor(vocab.n_words, vocab.n_prepositions, t)
+    counts: dict[tuple[int, int, int], int] = {}
     word_ids = vocab.word_ids
     prep_ids = vocab.prep_ids
     k_extra = vocab.n_prepositions
@@ -221,8 +238,8 @@ def count_extra_slice(
                 if pa == pb or abs(pa - pb) > 2 * t:
                     continue
                 if not covered[pa] or not covered[pb]:
-                    tensor.increment(ia, jb, k_extra)
-    return tensor
+                    counts[ia, jb, k_extra] = counts.get((ia, jb, k_extra), 0) + 1
+    return SparseCountTensor.from_entries(vocab.n_words, vocab.n_prepositions, t, counts)
 
 
 def merge_counts(partials: Sequence[SparseCountTensor]) -> SparseCountTensor:
@@ -230,17 +247,15 @@ def merge_counts(partials: Sequence[SparseCountTensor]) -> SparseCountTensor:
     if not partials:
         raise ValueError("nothing to merge")
     first = partials[0]
-    merged = SparseCountTensor(first.n_words, first.n_prepositions,
-                               first.window_t, first.entries)
     for part in partials[1:]:
         if part.dims != first.dims or part.window_t != first.window_t:
             raise ValueError(
                 f"cannot merge tensors with dims {part.dims} (t={part.window_t}) "
                 f"into dims {first.dims} (t={first.window_t})"
             )
-        for key, val in part.entries.items():
-            merged.entries[key] = merged.entries.get(key, 0) + val
-    return merged
+    return SparseCountTensor(
+        first.n_words, first.n_prepositions, first.window_t,
+        *(np.concatenate([getattr(part, name) for part in partials]) for name in _COLUMNS))
 
 
 def count_tensor(
@@ -261,8 +276,8 @@ def save_tensor(tensor: SparseCountTensor, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{TENSOR_MAGIC} v1 {tensor.n_words} {tensor.n_prepositions} "
                  f"{tensor.nnz} {tensor.window_t}\n")
-        for (i, j, k) in sorted(tensor.entries, key=lambda e: (e[2], e[0], e[1])):
-            fh.write(f"{i} {j} {k} {tensor.entries[(i, j, k)]}\n")
+        for i, j, k, c in zip(*(getattr(tensor, name).tolist() for name in _COLUMNS)):
+            fh.write(f"{i} {j} {k} {c}\n")
 
 
 def load_tensor(path) -> SparseCountTensor:
@@ -270,20 +285,19 @@ def load_tensor(path) -> SparseCountTensor:
 
     The body is parsed as integer arrays, a chunk of lines at a time. A
     file this cannot vouch for (a field the array parser rejects, a
-    warning, a skipped line, a value out of range, an nnz other than the
-    header's) is read again line by line, the one place that words the
-    errors. A repeated coordinate keeps its last count either way.
+    warning, a skipped line, a value out of range, a repeated coordinate,
+    an nnz other than the header's) is read again line by line, the one
+    place that words the errors; a repeated coordinate keeps its last count.
     """
     with open(path, encoding="utf-8") as fh:
-        tensor, nnz = _read_tensor_header(fh, path)
-        entries = _read_tensor_body(fh, tensor)
-    if entries is None or len(entries) != nnz:
+        shape, nnz = _read_tensor_header(fh, path)
+        tensor = _read_tensor_body(fh, shape)
+    if tensor is None or tensor.nnz != nnz:
         return _load_tensor_lines(path)
-    tensor.entries = entries
     return tensor
 
 
-def _read_tensor_header(fh, path) -> tuple[SparseCountTensor, int]:
+def _read_tensor_header(fh, path) -> tuple[tuple[int, int, int], int]:
     header = fh.readline().split()
     if len(header) != 6 or header[0] != TENSOR_MAGIC or header[1] != "v1":
         raise ValueError(f"{path}: line 1: bad tensor header")
@@ -291,14 +305,14 @@ def _read_tensor_header(fh, path) -> tuple[SparseCountTensor, int]:
         n, k_preps, nnz, t = (int(x) for x in header[2:])
     except ValueError:
         raise ValueError(f"{path}: line 1: non-integer header field") from None
-    return SparseCountTensor(n, k_preps, t), nnz
+    return (n, k_preps, t), nnz
 
 
-def _read_tensor_body(fh, tensor: SparseCountTensor) -> dict | None:
-    """The entries of every remaining line, or None when a line does not
-    hold four in-range integers with a count >= 1."""
-    n, k_preps = tensor.n_words, tensor.n_prepositions
-    entries: dict[tuple[int, int, int], int] = {}
+def _read_tensor_body(fh, shape) -> SparseCountTensor | None:
+    """The tensor of the remaining lines, or None when a line does not
+    hold four in-range integers with a count >= 1 or a coordinate repeats."""
+    n, k_preps, _t = shape
+    chunks = [np.empty((0, 4), dtype=np.int64)]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -310,17 +324,18 @@ def _read_tensor_body(fh, tensor: SparseCountTensor) -> dict | None:
                 if (c.min() < 1 or min(i.min(), j.min(), k.min()) < 0
                         or max(i.max(), j.max()) >= n or k.max() > k_preps):
                     return None
-                entries.update(zip(zip(i.tolist(), j.tolist(), k.tolist()),
-                                   c.tolist()))
+                chunks.append(rows)
     except (ValueError, OverflowError, Warning):
         return None
-    return entries
+    tensor = SparseCountTensor(*shape, *np.concatenate(chunks).T)
+    return tensor if tensor.nnz == sum(map(len, chunks)) else None
 
 
 def _load_tensor_lines(path) -> SparseCountTensor:
+    entries: dict[tuple[int, int, int], int] = {}
     with open(path, encoding="utf-8") as fh:
-        tensor, nnz = _read_tensor_header(fh, path)
-        n, k_preps = tensor.n_words, tensor.n_prepositions
+        shape, nnz = _read_tensor_header(fh, path)
+        n, k_preps, _t = shape
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
             if len(parts) != 4:
@@ -331,12 +346,14 @@ def _load_tensor_lines(path) -> SparseCountTensor:
                 raise ValueError(f"{path}: line {lineno}: non-integer field") from None
             if c < 1:
                 raise ValueError(f"{path}: line {lineno}: count must be >= 1")
+            if c > np.iinfo(np.int64).max:
+                raise ValueError(f"{path}: line {lineno}: count out of range")
             if not (0 <= i < n and 0 <= j < n and 0 <= k <= k_preps):
                 raise ValueError(f"{path}: line {lineno}: index out of range")
-            tensor.entries[(i, j, k)] = c
-    if tensor.nnz != nnz:
-        raise ValueError(f"{path}: header declares nnz={nnz} but found {tensor.nnz}")
-    return tensor
+            entries[(i, j, k)] = c
+    if len(entries) != nnz:
+        raise ValueError(f"{path}: header declares nnz={nnz} but found {len(entries)}")
+    return SparseCountTensor.from_entries(*shape, entries)
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:

@@ -238,14 +238,14 @@ def slice_spectrum(tensor: SparseCountTensor, k: int, top_m: int) -> np.ndarray:
     """
     if top_m < 1:
         raise ValueError(f"top_m must be >= 1, got {top_m}")
+    if not 0 <= k <= tensor.n_prepositions:
+        raise ValueError(f"slice {k} out of range 0..{tensor.n_prepositions}")
     n = tensor.n_words
-    items = [(i, j, c) for (i, j, kk), c in tensor.entries.items() if kk == k]
-    if not items:
+    lo, hi = np.searchsorted(tensor.k, [k, k + 1])
+    if lo == hi:
         raise ValueError(f"slice {k} is empty")
-    rows, cols, vals = zip(*items)
-    mat = scipy.sparse.csr_matrix(
-        (np.log1p(np.array(vals, dtype=np.float64)), (rows, cols)), shape=(n, n)
-    )
+    mat = scipy.sparse.csr_matrix((np.log1p(tensor.counts[lo:hi].astype(np.float64)),
+                                   (tensor.i[lo:hi], tensor.j[lo:hi])), shape=(n, n))
     top_m = min(top_m, n)
     if top_m < min(mat.shape) - 1 and n > 50:
         # svds' ARPACK route, but seeded: svds does not pass its generator

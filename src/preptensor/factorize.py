@@ -8,7 +8,6 @@ with per-index bias terms trained only on nonzero entries.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -123,14 +122,10 @@ class CooTensor:
 
     @classmethod
     def from_counts(cls, tensor: SparseCountTensor) -> "CooTensor":
-        """Entries in ascending (k, i, j) order, the order of ``save_tensor``."""
-        nnz = tensor.nnz
-        keys = np.fromiter(itertools.chain.from_iterable(tensor.entries),
-                           dtype=np.int64, count=3 * nnz).reshape(nnz, 3)
-        vals = np.fromiter(tensor.entries.values(), dtype=np.float64, count=nnz)
-        i, j, k = keys.T
-        order = np.lexsort((j, i, k))
-        return cls(i[order], j[order], k[order], vals[order], tensor.dims)
+        """The count tensor's coordinates, in its ascending (k, i, j)
+        order, with float counts."""
+        return cls(tensor.i, tensor.j, tensor.k, tensor.counts.astype(np.float64),
+                   tensor.dims)
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.values ** 2)))

@@ -34,7 +34,7 @@ def brute_force_tensor(sentences, vocab, t):
     Walks every (position, position, preposition-occurrence) combination
     directly instead of enumerating windows.
     """
-    tensor = SparseCountTensor(vocab.n_words, vocab.n_prepositions, t)
+    counts = {}
     k_extra = vocab.n_prepositions
     for sent in sentences:
         n = len(sent)
@@ -50,13 +50,13 @@ def brute_force_tensor(sentences, vocab, t):
                 jb = vocab.word_ids[sent[b]]
                 for pos, k in prep_occurrences:
                     if abs(a - pos) <= t and abs(b - pos) <= t and a != pos and b != pos:
-                        tensor.increment(ia, jb, k)
+                        counts[(ia, jb, k)] = counts.get((ia, jb, k), 0) + 1
                 if abs(a - b) <= 2 * t:
                     a_outside = all(abs(a - pos) > t for pos, _ in prep_occurrences)
                     b_outside = all(abs(b - pos) > t for pos, _ in prep_occurrences)
                     if a_outside or b_outside:
-                        tensor.increment(ia, jb, k_extra)
-    return tensor
+                        counts[(ia, jb, k_extra)] = counts.get((ia, jb, k_extra), 0) + 1
+    return SparseCountTensor.from_entries(vocab.n_words, vocab.n_prepositions, t, counts)
 
 
 def random_corpus(rng, n_sentences, vocab_size, roster, max_len=12,

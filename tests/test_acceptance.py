@@ -95,10 +95,10 @@ def test_criterion_02_extra_slice_hand_cases():
     ok = len(extra) == 6 and all(c == 1 for c in extra.values())
     for a in ("dogs", "chase"):
         for b in in_window_tokens - {"cats"}:
-            ok = ok and tensor.count(wid[a], wid[b], k_extra) == 0
+            ok = ok and tensor.entries.get((wid[a], wid[b], k_extra), 0) == 0
     for a, b in [("dogs", "chase"), ("dogs", "cats"), ("chase", "cats")]:
-        ok = ok and tensor.count(wid[a], wid[b], k_extra) == 1
-        ok = ok and tensor.count(wid[b], wid[a], k_extra) == 1
+        ok = ok and tensor.entries.get((wid[a], wid[b], k_extra), 0) == 1
+        ok = ok and tensor.entries.get((wid[b], wid[a], k_extra), 0) == 1
     report(2, "extra-slice hand cases", ok)
 
 
@@ -319,9 +319,9 @@ def test_criterion_09_spectrum():
     m = [1, 2, 1, 3, 2]
     entries = {(i, j, 0): 2 ** (m[i] * m[j]) - 1
                for i in range(5) for j in range(5)}
-    spec_rank1 = slice_spectrum(SparseCountTensor(5, 1, 3, entries), 0, 5)
+    spec_rank1 = slice_spectrum(SparseCountTensor.from_entries(5, 1, 3, entries), 0, 5)
     identity = {(i, i, 0): 1 for i in range(6)}
-    spec_id = slice_spectrum(SparseCountTensor(6, 1, 3, identity), 0, 6)
+    spec_id = slice_spectrum(SparseCountTensor.from_entries(6, 1, 3, identity), 0, 6)
     ok = (spec_rank1[1] <= 1e-8
           and np.all(np.abs(np.asarray(spec_id) - 1.0) <= 1e-10))
     report(9, "slice spectra (rank-1 and identity patterns)", ok)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -14,9 +15,17 @@ from preptensor.corpus import (
     count_tensor,
     load_tensor,
     load_vocabulary,
+    save_vocabulary,
     tokenize_sentences,
 )
 from preptensor.embeddings import load_embeddings
+from preptensor.learn import load_fnn, load_tree
+from preptensor.select import (
+    SelectionModels,
+    evaluate_selection,
+    load_confusion_table,
+    load_selection_dataset,
+)
 
 ROSTER = ["in", "of", "on"]
 TOY_CORPUS = Path(__file__).parent / "data" / "toy_corpus.txt"
@@ -69,6 +78,22 @@ class TestBuildTensor:
         expected = count_tensor(sentences, vocab, 3)
         assert load_tensor(tensor_dir / "tensor.txt") == expected
         assert load_vocabulary(tensor_dir / "vocab.txt").words == vocab.words
+
+    def test_toy_corpus_digests(self, tmp_path):
+        # Counting, saving and the spectrum must keep these bytes.
+        out = tmp_path / "toy"
+        assert cli.run(["build-tensor", "--corpus", str(TOY_CORPUS),
+                        "--out", str(out)]) == 0
+        spectrum = tmp_path / "spectrum.csv"
+        assert cli.run(["spectrum", "--tensor", str(out), "--slice", "of",
+                        "--out", str(spectrum)]) == 0
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (out / "tensor.txt", out / "vocab.txt", spectrum)]
+        assert digests == [
+            "ebfc2ed138c6c6c52b50682fd24afbc78d6dded2e429badc18467b6eeffaf250",
+            "c542a786eddac6b5e834c718c58b48169a892a6dc2fb80ea098c20de3bac1218",
+            "dc5eee04d544bc47b3e79e6288818cde84f0f6ec0ab5e195a8d5ff07f2be0ac2",
+        ]
 
     def test_missing_corpus_fails(self, tmp_path, roster_path):
         rc = cli.run(["build-tensor", "--corpus", str(tmp_path / "nope.txt"),
@@ -204,6 +229,32 @@ class TestDecompose:
         assert "ortho_iterations" in errors[0] and "\n" not in errors[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["decompose", "spectrum"])
+    @pytest.mark.parametrize("change", ["extra word", "missing word",
+                                        "missing preposition"])
+    def test_vocabulary_must_match_tensor(self, tmp_path, tensor_dir, caplog,
+                                          command, change):
+        vocab_path = tensor_dir / "vocab.txt"
+        vocab = load_vocabulary(vocab_path)
+        words, preps = list(vocab.words), list(vocab.prepositions)
+        if change == "extra word":
+            words.append("zebras")
+        elif change == "missing word":
+            words.pop()
+        else:
+            preps.pop()
+        save_vocabulary(build_vocabulary([words + preps], 1, preps), vocab_path)
+        out = tmp_path / "out.txt"
+        argv = (["--method", "wd", "--dim", "3", "--iters", "2"]
+                if command == "decompose" else ["--slice", "on"])
+        rc = cli.run([command, "--tensor", str(tensor_dir), *argv, "--out", str(out)])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert str(vocab_path) in errors[0] and str(tensor_dir / "tensor.txt") in errors[0]
+        assert "\n" not in errors[0]
+        assert not out.exists()
+
     def test_failure_removes_partial_outputs(self, tmp_path, tensor_dir,
                                              monkeypatch):
         def boom(*_args, **_kwargs):
@@ -301,6 +352,31 @@ class TestQueryCommands:
                       "--slice", "around", "--top", "3"])
         assert rc == 1
 
+    @pytest.mark.parametrize("index", ["4", "-1"])
+    def test_spectrum_slice_out_of_range(self, tensor_dir, caplog, index):
+        rc = cli.run(["spectrum", "--tensor", str(tensor_dir), "--slice", index])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"slice {index} out of range 0..3"]
+
+    def test_query_sim_rejects_malformed_pair_line(self, tmp_path, embeddings_path,
+                                                   roster_path, caplog, capsys):
+        pairs = tmp_path / "pairs.txt"
+        argv = ["query-sim", "--embeddings", str(embeddings_path),
+                "--pairs", str(pairs), "--roster", str(roster_path)]
+        pairs.write_text("on in\n\n  \nof on\n")
+        assert cli.run(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        for text, lineno in [("on in\nof\n", 2), ("on in\non of extra\n", 2),
+                             ("\nof\n", 2)]:
+            caplog.clear()
+            pairs.write_text(text)
+            assert cli.run(argv) == 1
+            assert capsys.readouterr().out == ""
+            errors = [r.getMessage() for r in caplog.records
+                      if r.levelname == "ERROR"]
+            assert errors == [f"{pairs}: line {lineno}: expected 2 tokens"]
+
 
 def write_selection_dataset(path):
     lines = []
@@ -348,6 +424,43 @@ class TestSelectPipeline:
         metrics = (tmp_path / "sel_errors_metrics.txt").read_text()
         assert metrics.strip() == out.strip()
 
+
+    def test_eval_uses_trained_window(self, tmp_path, embeddings_path, roster_path,
+                                      caplog, capsys):
+        train = tmp_path / "sel_train.tsv"
+        train.write_text(("birds near cats sat on mats by doors\t4\ton\ton\n"
+                          "dogs under tables slept on boxes in fields\t4\ton\tin\n"
+                          "birds of prey fly over fields\t1\tof\tof\n"
+                          "dogs sat in boxes near houses\t2\tin\ton\n") * 6)
+        models = tmp_path / "sel_models"
+        assert cli.run(["train-select", "--train", str(train),
+                        "--embeddings", str(embeddings_path),
+                        "--roster", str(roster_path), "--out", str(models),
+                        "--hidden1", "4", "--hidden2", "2", "--epochs", "3",
+                        "--min-leaf", "1", "--window", "1"]) == 0
+        argv = ["eval-select", "--test", str(train), "--models", str(models),
+                "--embeddings", str(embeddings_path)]
+        assert cli.run(argv) == 0
+        printed = capsys.readouterr().out.strip()
+        table = load_confusion_table(models / "confusion.txt")
+        trained = SelectionModels(tree=load_tree(models / "tree.txt"),
+                                  fnn=load_fnn(models / "fnn.txt"), table=table)
+        instances = load_selection_dataset(train, table.roster)
+        store = load_embeddings(embeddings_path)
+        scores = {window: evaluate_selection(instances, trained, store,
+                                             window=window)[0]
+                  for window in (1, 3)}
+        assert scores[1] != scores[3]
+        assert printed == "P={:.4f} R={:.4f} F1={:.4f}".format(*scores[1])
+
+        manifest = models / "manifest.json"
+        recorded = json.loads(manifest.read_text())
+        del recorded["config"]["window"]
+        manifest.write_text(json.dumps(recorded))
+        assert cli.run(argv) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert str(manifest) in errors[0] and "window" in errors[0]
 
     def test_eval_roster_must_match_trained_roster(self, tmp_path, embeddings_path,
                                                    roster_path, caplog):
@@ -536,6 +649,8 @@ class TestArgumentHandling:
          "--out", "m", "--roster", "r.txt"],
         ["eval-attach", "--test", "a.tsv", "--models", "m",
          "--embeddings", "e.txt", "--roster", "r.txt"],
+        ["eval-select", "--test", "s.tsv", "--models", "m",
+         "--embeddings", "e.txt", "--window", "3"],
     ])
     def test_options_no_command_reads_are_rejected(self, argv, capsys):
         assert cli.run(argv) == 2

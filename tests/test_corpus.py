@@ -76,8 +76,8 @@ class TestPrepositionSlices:
         assert tensor.nnz == 12
         assert all(kk == k for (_, _, kk) in tensor.entries)
         wid = tiny_vocab.word_ids
-        assert tensor.count(wid["sat"], wid["mats"], k) == 1
-        assert tensor.count(wid["mats"], wid["sat"], k) == 1
+        assert tensor.entries.get((wid["sat"], wid["mats"], k), 0) == 1
+        assert tensor.entries.get((wid["mats"], wid["sat"], k), 0) == 1
 
     def test_sentence_without_preposition(self, tiny_vocab):
         tensor = count_preposition_slices([["dogs", "chase", "cats"]],
@@ -93,8 +93,9 @@ class TestPrepositionSlices:
         sentences = random_corpus(rng, 50, 8, ["on", "of", "in"])
         vocab = build_vocabulary(sentences, 1, ["on", "of", "in"])
         tensor = count_preposition_slices(sentences, vocab, t=3)
-        for (i, j, k), c in tensor.entries.items():
-            assert tensor.count(j, i, k) == c
+        entries = tensor.entries
+        for (i, j, k), c in entries.items():
+            assert entries.get((j, i, k), 0) == c
 
 
 class TestExtraSlice:
@@ -116,7 +117,7 @@ class TestExtraSlice:
         wid = tiny_vocab.word_ids
         k = tiny_vocab.n_prepositions
         # cats..mats are 7 apart: never counted together.
-        assert tensor.count(wid["cats"], wid["mats"], k) == 0
+        assert tensor.entries.get((wid["cats"], wid["mats"], k), 0) == 0
 
 
 class TestMerge:
@@ -131,10 +132,20 @@ class TestMerge:
         b = count_tensor([["dogs", "chase", "cats"]], tiny_vocab, 3)
         assert merge_counts([a, b]) == merge_counts([b, a])
 
+    def test_constructor_sums_repeated_coordinates(self):
+        tensor = SparseCountTensor(3, 1, 3, [2, 0, 2, 0, 1], [1, 1, 1, 1, 2],
+                                   [0, 1, 0, 1, 1], [4, 1, 5, 2, 7])
+        assert list(tensor.entries.items()) == [((2, 1, 0), 9), ((0, 1, 1), 3),
+                                                ((1, 2, 1), 7)]
+        assert all(a.dtype == np.int64 and a.flags.c_contiguous
+                   for a in (tensor.i, tensor.j, tensor.k, tensor.counts))
+        with pytest.raises(TypeError):
+            tensor.entries[(0, 0, 0)] = 1
+
     def test_counts_add(self):
-        a = SparseCountTensor(3, 1, 3, {(0, 1, 0): 1})
-        b = SparseCountTensor(3, 1, 3, {(0, 1, 0): 1})
-        assert merge_counts([a, b]).count(0, 1, 0) == 2
+        a = SparseCountTensor.from_entries(3, 1, 3, {(0, 1, 0): 1})
+        b = SparseCountTensor.from_entries(3, 1, 3, {(0, 1, 0): 1})
+        assert merge_counts([a, b]).entries.get((0, 1, 0), 0) == 2
 
     def test_dimension_mismatch(self):
         a = SparseCountTensor(3, 1, 3)
@@ -244,9 +255,9 @@ LOADER_CASES = [
      "error"),
     ("trailing blank line", lambda: _tensor_text(_GOOD) + "\n", "error"),
     ("duplicate line, nnz of keys",
-     lambda: _tensor_text(_GOOD + [_GOOD[0]], nnz=4), "arrays"),
+     lambda: _tensor_text(_GOOD + [_GOOD[0]], nnz=4), "lines"),
     ("repeated coordinate, new count",
-     lambda: _tensor_text(_GOOD + ["0 1 0 9"], nnz=4), "arrays"),
+     lambda: _tensor_text(_GOOD + ["0 1 0 9"], nnz=4), "lines"),
     ("duplicate line, nnz of lines", lambda: _tensor_text(_GOOD + [_GOOD[0]]),
      "error"),
     ("3 fields", lambda: _good_with("4 4 2"), "error"),
@@ -260,7 +271,7 @@ LOADER_CASES = [
     ("i out of range", lambda: _good_with("5 4 2 1"), "error"),
     ("j negative", lambda: _good_with("4 -1 2 1"), "error"),
     ("k out of range", lambda: _good_with("4 4 3 1"), "error"),
-    ("count beyond int64", lambda: _good_with(f"4 4 2 {2 ** 63}"), "lines"),
+    ("count beyond int64", lambda: _good_with(f"4 4 2 {2 ** 63}"), "error"),
     ("index beyond int64", lambda: _good_with(f"{2 ** 63} 4 2 1"), "error"),
     ("two chunks", _two_chunks, "arrays"),
     ("error in second chunk", lambda: _two_chunks("0 0 0 zero"), "error"),

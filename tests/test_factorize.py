@@ -48,14 +48,14 @@ def make_wd_embeddings(rng, n, kp1, d, positive=False):
 
 class TestLogTransform:
     def test_values(self):
-        t = SparseCountTensor(3, 1, 3, {(0, 1, 0): 9, (1, 2, 1): 1})
+        t = SparseCountTensor.from_entries(3, 1, 3, {(0, 1, 0): 9, (1, 2, 1): 1})
         coo = log_transform(t)
         vals = dict(zip(zip(coo.i, coo.j, coo.k), coo.values))
         assert vals[(0, 1, 0)] == pytest.approx(np.log(10), abs=1e-12)
         assert vals[(1, 2, 1)] == pytest.approx(np.log(2), abs=1e-12)
 
     def test_pattern_preserved(self):
-        t = SparseCountTensor(3, 1, 3, {(0, 1, 0): 5})
+        t = SparseCountTensor.from_entries(3, 1, 3, {(0, 1, 0): 5})
         assert log_transform(t).nnz == 1
 
 
@@ -147,12 +147,12 @@ def add_at_mttkrp(coo, A, B, idx_out, idx_a, idx_b, n_out):
     return out
 
 
-def sorted_from_counts(tensor):
-    """Reference ``CooTensor.from_counts``: a python sort of the keys."""
-    keys = sorted(tensor.entries, key=lambda e: (e[2], e[0], e[1]))
+def sorted_columns(entries):
+    """Reference (k, i, j) order: a python sort of the mapping's keys."""
+    keys = sorted(entries, key=lambda e: (e[2], e[0], e[1]))
     arr = np.array(keys, dtype=np.int64).reshape(-1, 3)
-    vals = np.array([tensor.entries[key] for key in keys], dtype=np.float64)
-    return arr[:, 0], arr[:, 1], arr[:, 2], vals
+    counts = np.array([entries[key] for key in keys], dtype=np.int64)
+    return arr[:, 0], arr[:, 1], arr[:, 2], counts
 
 
 def gathered_reconstruction(coo, U, W, Q):
@@ -178,16 +178,16 @@ def reference_wd_loss(raw, emb, x_max, alpha):
     return float(np.sum(weights * resid ** 2))
 
 
-def shuffled_counts(rng, n, kp1, draws):
-    """A count tensor of ``draws`` random coordinates (repeats merge),
-    inserted in random order."""
+def shuffled_entries(rng, n, kp1, draws):
+    """Counts of ``draws`` random coordinates (repeats merge), as a
+    mapping whose keys were inserted in random order."""
     entries = {}
     for _ in range(draws):
         key = tuple(int(x) for x in rng.integers(0, (n, n, kp1)))
         entries[key] = entries.get(key, 0) + int(rng.integers(1, 40))
     keys = list(entries)
     rng.shuffle(keys)
-    return SparseCountTensor(n, kp1 - 1, 3, {key: entries[key] for key in keys})
+    return {key: entries[key] for key in keys}
 
 
 class TestArrayKernelsEqualReferences:
@@ -219,10 +219,13 @@ class TestArrayKernelsEqualReferences:
 
     def test_from_counts_equals_sorted_keys(self):
         rng = np.random.default_rng(41)
-        counts = shuffled_counts(rng, 30, 5, 2000)
+        entries = shuffled_entries(rng, 30, 5, 2000)
+        counts = SparseCountTensor.from_entries(30, 4, 3, entries)
+        i, j, k, c = sorted_columns(entries)
         coo = CooTensor.from_counts(counts)
-        for got, want in zip((coo.i, coo.j, coo.k, coo.values),
-                             sorted_from_counts(counts)):
+        for got, want in zip((counts.i, counts.j, counts.k, counts.counts,
+                              coo.i, coo.j, coo.k, coo.values),
+                             (i, j, k, c, i, j, k, c.astype(np.float64))):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
         assert coo.dims == counts.dims
