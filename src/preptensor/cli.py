@@ -182,7 +182,12 @@ def cmd_build_tensor(args, cfg: dict, produced: list) -> None:
     corpus_ops.save_tensor(tensor, _staged(produced, tensor_path))
     inputs = [args.corpus] + ([args.roster] if args.roster else [])
     _write_manifest(_staged(produced, out / "manifest.json"), "build-tensor", cfg,
-                    inputs, [vocab_path, tensor_path])
+                    inputs, [vocab_path, tensor_path],
+                    extra={"counters": {"sentences": len(sentences),
+                                        "tokens": sum(map(len, sentences)),
+                                        "n_words": vocab.n_words,
+                                        "n_prepositions": vocab.n_prepositions,
+                                        "nnz": tensor.nnz}})
     logger.info("tensor: N=%d K=%d nnz=%d", vocab.n_words,
                 vocab.n_prepositions, tensor.nnz)
 
@@ -320,6 +325,13 @@ def cmd_eval_select(args, cfg: dict, produced: list) -> None:
     line = f"P={p:.4f} R={r:.4f} F1={f1:.4f}"
     print(line)
     _staged(produced, metrics_path).write_text(line + "\n", encoding="utf-8")
+    cfg["window"] = window
+    model_files = [models_dir / name for name in
+                   ("tree.txt", "fnn.txt", "confusion.txt", "manifest.json")]
+    inputs = ([args.test, args.embeddings, *model_files]
+              + ([args.roster] if args.roster else []))
+    _write_manifest(_staged(produced, str(errors_path) + ".manifest.json"), "eval-select",
+                    cfg, inputs, [errors_path, metrics_path])
 
 
 def cmd_train_attach(args, cfg: dict, produced: list) -> None:
@@ -354,6 +366,9 @@ def cmd_eval_attach(args, cfg: dict, produced: list) -> None:
     line = f"accuracy={acc:.4f}"
     print(line)
     _staged(produced, metrics_path).write_text(line + "\n", encoding="utf-8")
+    inputs = [args.test, args.embeddings, models_dir / "fnn.txt", models_dir / "tags.txt"]
+    _write_manifest(_staged(produced, str(errors_path) + ".manifest.json"), "eval-attach",
+                    cfg, inputs, [errors_path, metrics_path])
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,8 @@ PREP_SENTINEL = "#PREPOSITIONS"
 # at once while loading.
 _LOAD_CHUNK_LINES = 1 << 16
 _COLUMNS = ("i", "j", "k", "counts")
+# Window positions counted per array block: bounds the keys held at once.
+_COUNT_BLOCK = 1 << 13
 
 
 def tokenize_sentences(raw_text: str | bytes) -> list[list[str]]:
@@ -130,7 +132,9 @@ class SparseCountTensor:
     the outside-all-preposition-windows slice. Absent entries are zero.
     The int64 arrays ``i``, ``j``, ``k``, ``counts`` hold each coordinate
     once, in ascending (k, i, j) order, which only the constructor sets;
-    it sums the counts of a repeated coordinate.
+    it sums the counts of a repeated coordinate. Coordinates given
+    already strictly ascending are kept as they are, without a copy
+    where they are contiguous int64 arrays.
     """
 
     def __init__(self, n_words: int, n_prepositions: int, window_t: int,
@@ -140,7 +144,14 @@ class SparseCountTensor:
         self.n_words = n_words
         self.n_prepositions = n_prepositions
         self.window_t = window_t
-        i, j, k, counts = (np.asarray(a, dtype=np.int64) for a in (i, j, k, counts))
+        i, j, k, counts = (np.ascontiguousarray(a, dtype=np.int64)
+                           for a in (i, j, k, counts))
+        # The first nonzero step of each neighbouring (k, i, j) pair is
+        # positive iff the rows ascend strictly.
+        steps = np.sign(np.diff(np.stack([k, i, j]))).T @ np.array([4, 2, 1])
+        if (steps > 0).all():
+            self.k, self.i, self.j, self.counts = k, i, j, counts
+            return
         order = np.lexsort((j, i, k))
         keys = np.take(np.stack([k, i, j]), order, axis=1)
         starts = np.flatnonzero(np.diff(keys, prepend=keys[:, :1] - 1).any(axis=0))
@@ -177,6 +188,56 @@ class SparseCountTensor:
                         for name in _COLUMNS))
 
 
+def _check_key_range(n_words: int, n_prepositions: int) -> None:
+    """Counting encodes (i, j, k) as the int64 key (k*N + i)*N + j."""
+    if n_words * n_words * (n_prepositions + 1) >= 1 << 63:
+        raise ValueError(
+            f"N={n_words} words and K={n_prepositions} prepositions are too many "
+            "to count: N*N*(K+1) must be below 2**63")
+
+
+def _token_arrays(sentences: Iterable[Sequence[str]], vocab: Vocabulary, pad: int):
+    """Per-token word id, preposition id (-1 where the token is not one)
+    and sentence id of the whole corpus, with ``pad`` entries of -1 at
+    each end so that every position may look ``pad`` tokens away."""
+    tokens: list[str] = []
+    lengths: list[int] = []
+    for sent in sentences:
+        tokens.extend(sent)
+        lengths.append(len(sent))
+    word, prep = (np.pad(np.fromiter(map(ids.get, tokens, itertools.repeat(-1)),
+                                     np.int64, len(tokens)), pad, constant_values=-1)
+                  for ids in (vocab.word_ids, vocab.prep_ids))
+    sent = np.pad(np.repeat(np.arange(len(lengths), dtype=np.int64), lengths),
+                  pad, constant_values=-1)
+    return word, prep, sent
+
+
+def _blocks(positions: np.ndarray):
+    for start in range(0, len(positions), _COUNT_BLOCK):
+        yield positions[start:start + _COUNT_BLOCK]
+
+
+def _near_words(word, sent, pos, idx):
+    """The word ids at ``idx``, -1 where a token there is not a word or
+    lies in another sentence than the token at ``pos``."""
+    return np.where(sent[idx] == sent[pos], word[idx], -1)
+
+
+def _tensor_from_keys(blocks: list, vocab: Vocabulary, t: int) -> SparseCountTensor:
+    """Sum the ``(keys, counts)`` of every block and decode the keys."""
+    n = vocab.n_words
+    keys = np.concatenate([np.empty(0, np.int64), *(b[0] for b in blocks)])
+    counts = np.concatenate([np.empty(0, np.int64), *(b[1] for b in blocks)])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    ki, j = np.divmod(keys[starts], n)
+    k, i = np.divmod(ki, n)
+    return SparseCountTensor(n, vocab.n_prepositions, t, i, j, k,
+                             np.add.reduceat(counts[order], starts))
+
+
 def count_preposition_slices(
     sentences: Iterable[Sequence[str]],
     vocab: Vocabulary,
@@ -189,25 +250,20 @@ def count_preposition_slices(
     window are incremented. Out-of-vocabulary and roster tokens in the
     window are skipped.
     """
-    counts: dict[tuple[int, int, int], int] = {}
-    word_ids = vocab.word_ids
-    prep_ids = vocab.prep_ids
-    for sent in sentences:
-        n = len(sent)
-        for pos, tok in enumerate(sent):
-            k = prep_ids.get(tok)
-            if k is None:
-                continue
-            window = [
-                word_ids[sent[q]]
-                for q in range(max(0, pos - t), min(n, pos + t + 1))
-                if q != pos and sent[q] in word_ids
-            ]
-            for a, ia in enumerate(window):
-                for b, jb in enumerate(window):
-                    if a != b:
-                        counts[ia, jb, k] = counts.get((ia, jb, k), 0) + 1
-    return SparseCountTensor.from_entries(vocab.n_words, vocab.n_prepositions, t, counts)
+    n = vocab.n_words
+    _check_key_range(n, vocab.n_prepositions)
+    word, prep, sent = _token_arrays(sentences, vocab, t)
+    offsets = np.array([d for d in range(-t, t + 1) if d])
+    distinct = ~np.eye(len(offsets), dtype=bool)[:, :, None]
+    blocks = []
+    for pos in _blocks(np.flatnonzero(prep >= 0)):
+        near = _near_words(word, sent, pos, pos + offsets[:, None])
+        valid = near >= 0
+        rows = (prep[pos] * n + near) * n
+        keep = valid[:, None] & valid[None, :] & distinct
+        blocks.append(np.unique((rows[:, None] + near[None, :])[keep],
+                                return_counts=True))
+    return _tensor_from_keys(blocks, vocab, t)
 
 
 def count_extra_slice(
@@ -221,25 +277,25 @@ def count_extra_slice(
     slice K iff at least one of the two positions lies at distance > t
     from every preposition occurrence in the sentence.
     """
-    counts: dict[tuple[int, int, int], int] = {}
-    word_ids = vocab.word_ids
-    prep_ids = vocab.prep_ids
-    k_extra = vocab.n_prepositions
-    for sent in sentences:
-        prep_positions = [p for p, tok in enumerate(sent) if tok in prep_ids]
-        vocab_positions = [(p, word_ids[tok]) for p, tok in enumerate(sent)
-                           if tok in word_ids]
-        covered = {
-            p: any(abs(p - pp) <= t for pp in prep_positions)
-            for p, _ in vocab_positions
-        }
-        for pa, ia in vocab_positions:
-            for pb, jb in vocab_positions:
-                if pa == pb or abs(pa - pb) > 2 * t:
-                    continue
-                if not covered[pa] or not covered[pb]:
-                    counts[ia, jb, k_extra] = counts.get((ia, jb, k_extra), 0) + 1
-    return SparseCountTensor.from_entries(vocab.n_words, vocab.n_prepositions, t, counts)
+    n = vocab.n_words
+    _check_key_range(n, vocab.n_prepositions)
+    pad = 2 * t
+    word, prep, sent = _token_arrays(sentences, vocab, pad)
+    # Within distance t of a preposition in the same sentence.
+    covered = np.zeros(len(word), dtype=bool)
+    core = slice(pad, len(word) - pad)
+    for d in range(-t, t + 1):
+        shifted = slice(pad + d, len(word) - pad + d)
+        covered[core] |= (prep[shifted] >= 0) & (sent[shifted] == sent[core])
+    offsets = np.array([d for d in range(-pad, pad + 1) if d])
+    blocks = []
+    for pos in _blocks(np.flatnonzero(word >= 0)):
+        idx = pos + offsets[:, None]
+        near = _near_words(word, sent, pos, idx)
+        keep = (near >= 0) & ~(covered[pos] & covered[idx])
+        rows = (vocab.n_prepositions * n + word[pos]) * n
+        blocks.append(np.unique((rows + near)[keep], return_counts=True))
+    return _tensor_from_keys(blocks, vocab, t)
 
 
 def merge_counts(partials: Sequence[SparseCountTensor]) -> SparseCountTensor:
@@ -305,6 +361,10 @@ def _read_tensor_header(fh, path) -> tuple[tuple[int, int, int], int]:
         n, k_preps, nnz, t = (int(x) for x in header[2:])
     except ValueError:
         raise ValueError(f"{path}: line 1: non-integer header field") from None
+    if min(n, k_preps, nnz) < 0:
+        raise ValueError(f"{path}: line 1: negative size in header")
+    if t < 1:
+        raise ValueError(f"{path}: line 1: window must be >= 1, got {t}")
     return (n, k_preps, t), nnz
 
 

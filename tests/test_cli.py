@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from preptensor.embeddings import load_embeddings
 from preptensor.learn import load_fnn, load_tree
 from preptensor.select import (
     SelectionModels,
+    default_roster,
     evaluate_selection,
     load_confusion_table,
     load_selection_dataset,
@@ -29,6 +31,7 @@ from preptensor.select import (
 
 ROSTER = ["in", "of", "on"]
 TOY_CORPUS = Path(__file__).parent / "data" / "toy_corpus.txt"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 CORPUS = (
     "Cats sat on mats near doors. Dogs slept in boxes under tables.\n"
@@ -71,6 +74,35 @@ class TestBuildTensor:
         assert manifest["config"]["min_count"] == 1
         assert str(corpus_path) in manifest["inputs"]
         assert len(manifest["inputs"][str(corpus_path)]) == 64
+
+    def test_manifest_records_counters(self, tensor_dir, corpus_path):
+        sentences = tokenize_sentences(corpus_path.read_bytes())
+        tensor = load_tensor(tensor_dir / "tensor.txt")
+        manifest = json.loads((tensor_dir / "manifest.json").read_text())
+        assert manifest["counters"] == {
+            "sentences": 6, "tokens": sum(map(len, sentences)),
+            "n_words": tensor.n_words, "n_prepositions": len(ROSTER),
+            "nnz": tensor.nnz}
+        assert len(sentences) == 6 and tensor.nnz > 0
+
+    def test_zipf_corpus_pin(self, tmp_path):
+        # The benchmark's recorded seed-0 60 kB Zipf tensor.
+        spec = importlib.util.spec_from_file_location("zipf_corpus",
+                                                      PERFBENCH / "zipf_corpus.py")
+        zipf_corpus = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(zipf_corpus)
+        record = json.loads((PERFBENCH / "expected.json").read_text())["zipf-tensor"]
+        expected = record["sizes"]["60000"]
+        text = zipf_corpus.generate(record["seed"], 60_000, default_roster())
+        assert zipf_corpus.sha256_text(text) == expected["corpus_sha256"]
+        corpus_path, out = tmp_path / "corpus.txt", tmp_path / "tensor"
+        corpus_path.write_text(text, encoding="utf-8")
+        assert cli.run(["build-tensor", "--corpus", str(corpus_path),
+                        "--out", str(out)]) == 0
+        tensor = load_tensor(out / "tensor.txt")
+        assert [hashlib.sha256((out / "tensor.txt").read_bytes()).hexdigest(),
+                load_vocabulary(out / "vocab.txt").n_words, tensor.nnz] == [
+            expected["tensor_sha256"], expected["n_words"], expected["nnz"]]
 
     def test_matches_library_pipeline(self, tensor_dir, corpus_path):
         sentences = tokenize_sentences(corpus_path.read_bytes())
@@ -190,6 +222,19 @@ class TestDecompose:
                       "--method", "als", "--dim", "4", "--out", str(out)])
         assert rc == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("header", ["PREPTENSOR v1 5 2 1 0",
+                                        "PREPTENSOR v1 -3 2 0 3"])
+    def test_bad_tensor_header_is_one_line_error(self, tmp_path, tensor_dir, caplog,
+                                                 header):
+        tensor = tensor_dir / "tensor.txt"
+        tensor.write_text(header + "\n0 1 0 1\n")
+        rc = cli.run(["decompose", "--tensor", str(tensor_dir),
+                      "--method", "als", "--dim", "4", "--out", str(tmp_path / "e.txt")])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and "\n" not in errors[0]
+        assert errors[0].startswith(f"{tensor}: line 1: ")
 
     def test_diverged_run_keeps_earlier_outputs(self, tmp_path, tensor_dir):
         out = tmp_path / "emb.txt"
@@ -424,6 +469,29 @@ class TestSelectPipeline:
         metrics = (tmp_path / "sel_errors_metrics.txt").read_text()
         assert metrics.strip() == out.strip()
 
+    def test_eval_writes_manifest(self, tmp_path, embeddings_path, roster_path):
+        train = tmp_path / "sel_train.tsv"
+        write_selection_dataset(train)
+        models = tmp_path / "sel_models"
+        assert cli.run(["train-select", "--train", str(train),
+                        "--embeddings", str(embeddings_path),
+                        "--roster", str(roster_path), "--out", str(models),
+                        "--hidden1", "4", "--hidden2", "2", "--epochs", "2",
+                        "--min-leaf", "1", "--window", "2"]) == 0
+        errors = tmp_path / "sel_errors.csv"
+        assert cli.run(["eval-select", "--test", str(train), "--models", str(models),
+                        "--embeddings", str(embeddings_path),
+                        "--roster", str(roster_path), "--out", str(errors)]) == 0
+        manifest = json.loads((tmp_path / "sel_errors.csv.manifest.json").read_text())
+        assert manifest["command"] == "eval-select"
+        assert manifest["config"] == {"window": 2}
+        inputs = [train, embeddings_path, models / "tree.txt", models / "fnn.txt",
+                  models / "confusion.txt", models / "manifest.json", roster_path]
+        assert manifest["inputs"] == {
+            str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in inputs}
+        assert manifest["outputs"] == [str(errors),
+                                       str(tmp_path / "sel_errors_metrics.txt")]
+
 
     def test_eval_uses_trained_window(self, tmp_path, embeddings_path, roster_path,
                                       caplog, capsys):
@@ -575,6 +643,14 @@ class TestAttachPipeline:
         assert out.startswith("accuracy=")
         acc = float(out.strip().split("=")[1])
         assert 0.0 <= acc <= 1.0
+        manifest = json.loads((tmp_path / "att_errors.csv.manifest.json").read_text())
+        assert manifest["command"] == "eval-attach"
+        assert manifest["config"] == {}
+        inputs = [train, embeddings_path, models / "fnn.txt", models / "tags.txt"]
+        assert manifest["inputs"] == {
+            str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in inputs}
+        assert manifest["outputs"] == [str(tmp_path / "att_errors.csv"),
+                                       str(tmp_path / "att_errors_metrics.txt")]
 
     @pytest.mark.parametrize("lineno, text, named", [
         (0, "FNN v1 sizes 2 x 2", "'x'"),
@@ -609,7 +685,8 @@ class TestAttachPipeline:
                         "--hidden1", "4", "--hidden2", "2", "--epochs", "2"]) == 0
         empty = tmp_path / "empty.tsv"
         empty.write_text("")
-        outputs = [models / "errors.csv", models / "errors_metrics.txt"]
+        outputs = [models / "errors.csv", models / "errors_metrics.txt",
+                   models / "errors.csv.manifest.json"]
         argv = ["eval-attach", "--models", str(models),
                 "--embeddings", str(embeddings_path)]
         assert cli.run(argv + ["--test", str(train)]) == 0
@@ -806,11 +883,12 @@ class TestCommandTable:
             "train-select": (["--train", str(sel_data), "--embeddings", str(emb),
                               *roster, "--out", str(sel)], sel / "manifest.json"),
             "eval-select": (["--test", str(sel_data), "--models", str(sel),
-                             "--embeddings", str(emb), *roster], None),
+                             "--embeddings", str(emb), *roster],
+                            sel / "errors.csv.manifest.json"),
             "train-attach": (["--train", str(att_data), "--embeddings", str(emb),
                               "--out", str(att)], att / "manifest.json"),
             "eval-attach": (["--test", str(att_data), "--models", str(att),
-                             "--embeddings", str(emb)], None),
+                             "--embeddings", str(emb)], att / "errors.csv.manifest.json"),
         }
         assert list(steps) == list(cli.COMMANDS)
         for command, (argv, manifest) in steps.items():

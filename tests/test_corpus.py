@@ -4,6 +4,7 @@ import pytest
 from preptensor import corpus
 from preptensor.corpus import (
     SparseCountTensor,
+    Vocabulary,
     build_vocabulary,
     count_extra_slice,
     count_preposition_slices,
@@ -182,6 +183,110 @@ class TestOracleEquivalence:
         assert tensor.nnz <= bound
 
 
+def _corpus_with_edges(rng, roster):
+    """Random sentences plus the edge cases: a sentence of prepositions
+    only, one of words only, one token, and a word-free gap."""
+    sentences = random_corpus(rng, 40, 9, roster)
+    sentences += [list(roster), ["w1", "w2", "w3", "w4"], ["w5"],
+                  ["w0", "on", "zz", "zz", "zz", "zz", "w2", "of", "w3"]]
+    return sentences
+
+
+class TestArrayCounting:
+    ROSTER = ["on", "of", "in"]
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_matches_oracle(self, t):
+        rng = np.random.default_rng(100 + t)
+        for _ in range(5):
+            sentences = _corpus_with_edges(rng, self.ROSTER)
+            vocab = build_vocabulary(sentences, 2, self.ROSTER)
+            assert count_tensor(sentences, vocab, t) == brute_force_tensor(
+                sentences, vocab, t)
+
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_small_blocks_cross_sentences(self, monkeypatch, t):
+        rng = np.random.default_rng(7)
+        sentences = _corpus_with_edges(rng, self.ROSTER)
+        vocab = build_vocabulary(sentences, 1, self.ROSTER)
+        whole = count_tensor(sentences, vocab, t)
+        monkeypatch.setattr(corpus, "_COUNT_BLOCK", 7)
+        blocked = count_tensor(sentences, vocab, t)
+        assert blocked == whole == brute_force_tensor(sentences, vocab, t)
+
+    def test_generator_input(self):
+        rng = np.random.default_rng(8)
+        sentences = _corpus_with_edges(rng, self.ROSTER)
+        vocab = build_vocabulary(sentences, 1, self.ROSTER)
+        for count in (count_preposition_slices, count_extra_slice):
+            assert count((s for s in sentences), vocab, 2) == count(sentences, vocab, 2)
+
+    @pytest.mark.parametrize("sentences", [[["on", "of", "in", "on"]],
+                                           [["cats", "sat", "mats"]],
+                                           [["on"], ["cats"], []]])
+    def test_sentence_without_words_or_prepositions(self, tiny_vocab, sentences):
+        assert count_tensor(sentences, tiny_vocab, 2) == brute_force_tensor(
+            sentences, tiny_vocab, 2)
+
+    def test_no_words_at_all(self):
+        vocab = build_vocabulary([["on", "in"]], 1, self.ROSTER)
+        tensor = count_tensor([["on", "in"], ["of"]], vocab, 3)
+        assert tensor.dims == (0, 0, 4) and tensor.nnz == 0
+
+    def test_key_range_guard(self):
+        corpus._check_key_range(2 ** 31, 0)
+        corpus._check_key_range(3_000_000_000, 0)
+        with pytest.raises(ValueError, match="N=2147483648 .*K=1 "):
+            corpus._check_key_range(2 ** 31, 1)
+        with pytest.raises(ValueError, match="N=3037000500 .*K=0 "):
+            corpus._check_key_range(3_037_000_500, 0)
+
+    def test_count_functions_check_key_range(self, monkeypatch):
+        vocab = build_vocabulary([["cats", "on"]], 1, self.ROSTER)
+        monkeypatch.setattr(Vocabulary, "n_words", property(lambda self: 2 ** 31))
+        for count in (count_preposition_slices, count_extra_slice):
+            with pytest.raises(ValueError, match="N=2147483648 .*K=3 "):
+                count([["cats", "on"]], vocab, 3)
+
+
+class TestConstructorOrder:
+    @staticmethod
+    def _coordinates(rng, size=200):
+        keys = np.unique(rng.integers(0, 5 * 9 * 9, size))
+        k, rest = np.divmod(keys, 81)
+        i, j = np.divmod(rest, 9)
+        return i, j, k, rng.integers(1, 50, len(keys))
+
+    def test_ascending_fast_path_equals_lexsort_path(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        i, j, k, c = self._coordinates(rng)
+        perm = rng.permutation(len(c))
+        shuffled = SparseCountTensor(9, 4, 2, i[perm], j[perm], k[perm], c[perm])
+
+        def no_sort(keys):
+            raise AssertionError("ascending input was sorted")
+        monkeypatch.setattr(np, "lexsort", no_sort)
+        ascending = SparseCountTensor(9, 4, 2, i, j, k, c)
+        assert ascending == shuffled
+        assert ascending.i is i and ascending.counts is c
+
+    @pytest.mark.parametrize("rows", [
+        [(0, 1, 0), (0, 1, 0)],  # repeated coordinate
+        [(0, 2, 0), (0, 1, 0)],  # j descends
+        [(1, 0, 0), (0, 5, 0)],  # i descends
+        [(0, 0, 1), (5, 5, 0)],  # k descends
+    ])
+    def test_rows_not_strictly_ascending_are_sorted(self, rows):
+        i, j, k = (list(col) for col in zip(*rows))
+        tensor = SparseCountTensor(6, 1, 1, i, j, k, [1] * len(rows))
+        expected = {}
+        for row in rows:
+            expected[row] = expected.get(row, 0) + 1
+        assert tensor == SparseCountTensor.from_entries(6, 1, 1, expected)
+        order = list(zip(tensor.k.tolist(), tensor.i.tolist(), tensor.j.tolist()))
+        assert order == sorted(set(order))
+
+
 class TestTensorIO:
     def test_round_trip(self, tiny_vocab, tmp_path):
         tensor = count_tensor([["cats", "sat", "on", "mats", "quietly"]],
@@ -209,6 +314,20 @@ class TestTensorIO:
         path.write_text("NOTATENSOR v1 5 2 0 3\n")
         with pytest.raises(ValueError, match="line 1"):
             load_tensor(path)
+
+    @pytest.mark.parametrize("header, problem", [
+        ("PREPTENSOR v1 5 2 1 0", "window must be >= 1, got 0"),
+        ("PREPTENSOR v1 -3 2 0 3", "negative size"),
+        ("PREPTENSOR v1 5 -1 0 3", "negative size"),
+        ("PREPTENSOR v1 5 2 -1 3", "negative size"),
+    ])
+    def test_header_fields_checked(self, tmp_path, header, problem):
+        path = tmp_path / "tensor.txt"
+        path.write_text(header + "\n0 1 0 1\n")
+        with pytest.raises(ValueError) as exc:
+            load_tensor(path)
+        assert str(exc.value).startswith(f"{path}: line 1: ")
+        assert problem in str(exc.value)
 
     def test_truncated_body_rejected(self, tmp_path):
         path = tmp_path / "tensor.txt"
