@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import open_input
 from .embeddings import (
     EmbeddingStore,
     cosine_similarity,
@@ -62,7 +63,7 @@ def load_attachment_dataset(path) -> list[AttachmentInstance]:
     records, rejecting malformed ones with a report."""
     instances = []
     rejected = 0
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

@@ -86,24 +86,24 @@ def _read_config_file(path) -> dict:
     must be a known option, and its value is converted by the option's
     type; a command reads the ones it uses."""
     raw = {}
-    with open(path, encoding="utf-8") as fh:
+    with corpus_ops.open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected key = value")
+                raise ValueError(f"line {lineno}: expected key = value")
             key, val = (part.strip() for part in line.split("=", 1))
             raw[key.replace("-", "_")] = val
-    unknown = sorted(set(raw) - set(OPTIONS))
-    if unknown:
-        raise ValueError(f"{path}: unknown config key(s): {' '.join(unknown)}")
-    values = {}
-    for key, val in raw.items():
-        try:
-            values[key] = OPTIONS[key][0](val)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ValueError(f"{path}: {key} = {val}: {exc}") from None
+        unknown = sorted(set(raw) - set(OPTIONS))
+        if unknown:
+            raise ValueError(f"unknown config key(s): {' '.join(unknown)}")
+        values = {}
+        for key, val in raw.items():
+            try:
+                values[key] = OPTIONS[key][0](val)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"{key} = {val}: {exc}") from None
     return values
 
 
@@ -170,7 +170,7 @@ def _load_roster(path) -> list[str]:
 
 def cmd_build_tensor(args, cfg: dict, produced: list) -> None:
     roster = _load_roster(args.roster)
-    with open(args.corpus, "rb") as fh:
+    with corpus_ops.open_input(args.corpus, "rb") as fh:
         sentences = corpus_ops.tokenize_sentences(fh.read())
     vocab = corpus_ops.build_vocabulary(sentences, cfg["min_count"], roster)
     tensor = corpus_ops.count_tensor(sentences, vocab, cfg["window"])
@@ -224,13 +224,13 @@ def cmd_query_sim(args, cfg: dict, produced: list) -> None:
     roster = _load_roster(args.roster)
     store = emb_ops.load_embeddings(args.embeddings)
     pairs = []
-    with open(args.pairs, encoding="utf-8") as fh:
+    with corpus_ops.open_input(args.pairs) as fh:
         for lineno, line in enumerate(fh, start=1):
             toks = line.split()
             if len(toks) == 2:
                 pairs.append((toks[0], toks[1]))
             elif toks:
-                raise ValueError(f"{args.pairs}: line {lineno}: expected 2 tokens")
+                raise ValueError(f"line {lineno}: expected 2 tokens")
     _require_tokens(store, [tok for pair in pairs for tok in pair])
     for left, right, sim in emb_ops.preposition_similarity_table(
             store, pairs, roster, centered=cfg["centered"]):
@@ -239,7 +239,7 @@ def cmd_query_sim(args, cfg: dict, produced: list) -> None:
 
 def cmd_paraphrase(args, cfg: dict, produced: list) -> None:
     store = emb_ops.load_embeddings(args.embeddings)
-    with open(args.candidates, encoding="utf-8") as fh:
+    with corpus_ops.open_input(args.candidates) as fh:
         candidates = [line.strip() for line in fh if line.strip()]
     _require_tokens(store, [args.head, args.prep, *candidates])
     ranked = emb_ops.paraphrase_phrasal_verb(args.head, args.prep, candidates, store)
@@ -296,11 +296,11 @@ def cmd_train_select(args, cfg: dict, produced: list) -> None:
 
 def _trained_window(manifest_path: Path) -> int:
     """The context window ``train-select`` recorded in its manifest."""
-    with open(manifest_path, encoding="utf-8") as fh:
+    with corpus_ops.open_input(manifest_path) as fh:
         try:
             return int(json.load(fh)["config"]["window"])
         except (ValueError, KeyError, TypeError):
-            raise ValueError(f"{manifest_path}: no config.window recorded") from None
+            raise ValueError("no config.window recorded") from None
 
 
 def cmd_eval_select(args, cfg: dict, produced: list) -> None:
@@ -355,8 +355,8 @@ def cmd_eval_attach(args, cfg: dict, produced: list) -> None:
     models_dir = Path(args.models)
     store = emb_ops.load_embeddings(args.embeddings)
     fnn = load_fnn(models_dir / "fnn.txt")
-    tags = [line for line in (models_dir / "tags.txt").read_text(
-        encoding="utf-8").splitlines() if line]
+    with corpus_ops.open_input(models_dir / "tags.txt") as fh:
+        tags = [line for line in fh.read().splitlines() if line]
     tagset = attach_ops.TagSet(tags)
     instances = attach_ops.load_attachment_dataset(args.test)
     errors_path = Path(args.out) if args.out else models_dir / "errors.csv"

@@ -8,6 +8,7 @@ every preposition window.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import re
 import warnings
@@ -36,6 +37,9 @@ __all__ = [
 
 _SENTENCE_SPLIT = re.compile(r"[.!?]+")
 _TOKEN = re.compile(r"[\w']+")
+# The integer fields np.loadtxt reads; int() also takes "1_0" and
+# non-ASCII digits.
+_ASCII_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 TENSOR_MAGIC = "PREPTENSOR"
 PREP_SENTINEL = "#PREPOSITIONS"
@@ -45,6 +49,18 @@ _LOAD_CHUNK_LINES = 1 << 16
 _COLUMNS = ("i", "j", "k", "counts")
 # Window positions counted per array block: bounds the keys held at once.
 _COUNT_BLOCK = 1 << 13
+
+
+@contextlib.contextmanager
+def open_input(path, mode="r"):
+    """Open an input file, as UTF-8 text unless ``mode`` is binary. A
+    ValueError raised in the block, a decoding error included, is raised
+    again as one naming the file."""
+    with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        try:
+            yield fh
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def tokenize_sentences(raw_text: str | bytes) -> list[list[str]]:
@@ -337,83 +353,68 @@ def save_tensor(tensor: SparseCountTensor, path) -> None:
 
 
 def load_tensor(path) -> SparseCountTensor:
-    """Read a ``save_tensor`` file; its body lines may come in any order.
-
-    The body is parsed as integer arrays, a chunk of lines at a time. A
-    file this cannot vouch for (a field the array parser rejects, a
-    warning, a skipped line, a value out of range, a repeated coordinate,
-    an nnz other than the header's) is read again line by line, the one
-    place that words the errors; a repeated coordinate keeps its last count.
-    """
-    with open(path, encoding="utf-8") as fh:
-        shape, nnz = _read_tensor_header(fh, path)
-        tensor = _read_tensor_body(fh, shape)
-    if tensor is None or tensor.nnz != nnz:
-        return _load_tensor_lines(path)
+    """Read a ``save_tensor`` file; its body lines may come in any order,
+    each coordinate once. The body is parsed as integer arrays, a chunk
+    of lines at a time."""
+    with open_input(path) as fh:
+        header = fh.readline().split()
+        if len(header) != 6 or header[0] != TENSOR_MAGIC or header[1] != "v1":
+            raise ValueError("line 1: bad tensor header")
+        try:
+            n, k_preps, nnz, t = (int(x) for x in header[2:])
+        except ValueError:
+            raise ValueError("line 1: non-integer header field") from None
+        if min(n, k_preps, nnz) < 0:
+            raise ValueError("line 1: negative size in header")
+        if t < 1:
+            raise ValueError(f"line 1: window must be >= 1, got {t}")
+        chunks = [np.empty((0, 4), dtype=np.int64)]
+        lineno = 2
+        while lines := list(itertools.islice(fh, _LOAD_CHUNK_LINES)):
+            chunks.append(_tensor_rows(lines, lineno, n, k_preps))
+            lineno += len(lines)
+        rows = np.concatenate(chunks)
+        tensor = SparseCountTensor(n, k_preps, t, *rows.T)
+        if tensor.nnz != len(rows):
+            order = np.lexsort(rows[:, [1, 0, 2]].T)
+            same = (np.diff(rows[order, :3], axis=0) == 0).all(axis=1)
+            repeat = order[1:][same].min()
+            i, j, k, _c = rows[repeat]
+            raise ValueError(f"line {repeat + 2}: repeated coordinate {i} {j} {k}")
+        if tensor.nnz != nnz:
+            raise ValueError(f"header declares nnz={nnz} but found {tensor.nnz}")
     return tensor
 
 
-def _read_tensor_header(fh, path) -> tuple[tuple[int, int, int], int]:
-    header = fh.readline().split()
-    if len(header) != 6 or header[0] != TENSOR_MAGIC or header[1] != "v1":
-        raise ValueError(f"{path}: line 1: bad tensor header")
-    try:
-        n, k_preps, nnz, t = (int(x) for x in header[2:])
-    except ValueError:
-        raise ValueError(f"{path}: line 1: non-integer header field") from None
-    if min(n, k_preps, nnz) < 0:
-        raise ValueError(f"{path}: line 1: negative size in header")
-    if t < 1:
-        raise ValueError(f"{path}: line 1: window must be >= 1, got {t}")
-    return (n, k_preps, t), nnz
-
-
-def _read_tensor_body(fh, shape) -> SparseCountTensor | None:
-    """The tensor of the remaining lines, or None when a line does not
-    hold four in-range integers with a count >= 1 or a coordinate repeats."""
-    n, k_preps, _t = shape
-    chunks = [np.empty((0, 4), dtype=np.int64)]
+def _tensor_rows(lines, start, n, k_preps) -> np.ndarray:
+    """The (i, j, k, count) int64 rows of tensor body ``lines``, the
+    first of which is line ``start``. Only when the array parse rejects
+    them are the lines checked one at a time, to word the error."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            while lines := list(itertools.islice(fh, _LOAD_CHUNK_LINES)):
-                rows = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
-                if rows.shape != (len(lines), 4):
-                    return None
-                i, j, k, c = rows.T
-                if (c.min() < 1 or min(i.min(), j.min(), k.min()) < 0
-                        or max(i.max(), j.max()) >= n or k.max() > k_preps):
-                    return None
-                chunks.append(rows)
+            rows = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+        if rows.shape == (len(lines), 4):
+            i, j, k, c = rows.T
+            if (c.min() >= 1 and min(i.min(), j.min(), k.min()) >= 0
+                    and max(i.max(), j.max()) < n and k.max() <= k_preps):
+                return rows
     except (ValueError, OverflowError, Warning):
-        return None
-    tensor = SparseCountTensor(*shape, *np.concatenate(chunks).T)
-    return tensor if tensor.nnz == sum(map(len, chunks)) else None
-
-
-def _load_tensor_lines(path) -> SparseCountTensor:
-    entries: dict[tuple[int, int, int], int] = {}
-    with open(path, encoding="utf-8") as fh:
-        shape, nnz = _read_tensor_header(fh, path)
-        n, k_preps, _t = shape
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"{path}: line {lineno}: expected 4 fields")
-            try:
-                i, j, k, c = (int(x) for x in parts)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-integer field") from None
-            if c < 1:
-                raise ValueError(f"{path}: line {lineno}: count must be >= 1")
-            if c > np.iinfo(np.int64).max:
-                raise ValueError(f"{path}: line {lineno}: count out of range")
-            if not (0 <= i < n and 0 <= j < n and 0 <= k <= k_preps):
-                raise ValueError(f"{path}: line {lineno}: index out of range")
-            entries[(i, j, k)] = c
-    if len(entries) != nnz:
-        raise ValueError(f"{path}: header declares nnz={nnz} but found {len(entries)}")
-    return SparseCountTensor.from_entries(*shape, entries)
+        pass
+    for lineno, line in enumerate(lines, start):
+        parts = line.split()
+        if len(parts) != 4:
+            raise ValueError(f"line {lineno}: expected 4 fields")
+        if not all(map(_ASCII_INTEGER.fullmatch, parts)):
+            raise ValueError(f"line {lineno}: non-integer field")
+        i, j, k, c = map(int, parts)
+        if c < 1:
+            raise ValueError(f"line {lineno}: count must be >= 1")
+        if c > np.iinfo(np.int64).max:
+            raise ValueError(f"line {lineno}: count out of range")
+        if not (0 <= i < n and 0 <= j < n and 0 <= k <= k_preps):
+            raise ValueError(f"line {lineno}: index out of range")
+    raise ValueError(f"lines {start}-{lineno}: not one entry of 4 integers per line")
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
@@ -432,7 +433,7 @@ def load_vocabulary(path) -> Vocabulary:
     preps: list[str] = []
     counts: dict[str, int] = {}
     in_preps = False
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -442,15 +443,15 @@ def load_vocabulary(path) -> Vocabulary:
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 tab-separated fields")
+                raise ValueError(f"line {lineno}: expected 3 tab-separated fields")
             tok, freq, idx = parts
             try:
                 freq, idx = int(freq), int(idx)
             except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-integer field") from None
+                raise ValueError(f"line {lineno}: non-integer field") from None
             target = preps if in_preps else words
             if idx != len(target):
-                raise ValueError(f"{path}: line {lineno}: id {idx} out of order")
+                raise ValueError(f"line {lineno}: id {idx} out of order")
             target.append(tok)
             counts[tok] = freq
     return Vocabulary(
@@ -465,7 +466,7 @@ def load_vocabulary(path) -> Vocabulary:
 def load_roster(path) -> list[str]:
     """One token per line; blank lines and `#` comments ignored."""
     roster = []
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         for line in fh:
             tok = line.strip()
             if tok and not tok.startswith("#"):

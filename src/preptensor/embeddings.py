@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .corpus import SparseCountTensor, Vocabulary
+from .corpus import SparseCountTensor, Vocabulary, open_input
 from .factorize import EmbeddingSet
 
 logger = logging.getLogger(__name__)
@@ -284,35 +284,34 @@ def load_embeddings(path) -> EmbeddingStore:
     q_const = None
     dim = None
     declared = None
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         first = fh.readline().rstrip("\n")
         parts = first.split()
-        start = 2
         if len(parts) == 2:
             try:
                 declared, dim = int(parts[0]), int(parts[1])
             except ValueError:
-                raise ValueError(f"{path}: line 1: bad header") from None
+                raise ValueError("line 1: bad header") from None
         else:
             # Headerless GloVe-style file: the first line is a vector row.
             dim = len(parts) - 1
-            vectors[parts[0]] = _parse_vector(parts, dim, path, 1)
-        for lineno, line in enumerate(fh, start=start):
+            vectors[parts[0]] = _parse_vector(parts, 1)
+        for lineno, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
                 continue
             if len(parts) - 1 != dim:
                 raise ValueError(
-                    f"{path}: line {lineno}: expected {dim} floats, got {len(parts) - 1}"
+                    f"line {lineno}: expected {dim} floats, got {len(parts) - 1}"
                 )
-            vec = _parse_vector(parts, dim, path, lineno)
+            vec = _parse_vector(parts, lineno)
             if parts[0] == NOPREP_TOKEN:
                 q_const = vec
             else:
                 vectors[parts[0]] = vec
-    total = len(vectors) + (1 if q_const is not None else 0)
-    if declared is not None and total != declared:
-        raise ValueError(f"{path}: header declares {declared} rows, found {total}")
+        total = len(vectors) + (1 if q_const is not None else 0)
+        if declared is not None and total != declared:
+            raise ValueError(f"header declares {declared} rows, found {total}")
     if q_const is None:
         logger.warning("%s: no %s row; the extra-slice vector is zero, so "
                        "paraphrase rankings keep candidate order",
@@ -321,8 +320,8 @@ def load_embeddings(path) -> EmbeddingStore:
     return EmbeddingStore(vectors=vectors, q_const=q_const, dim=dim)
 
 
-def _parse_vector(parts, dim, path, lineno) -> np.ndarray:
+def _parse_vector(parts, lineno) -> np.ndarray:
     try:
         return np.array([float(x) for x in parts[1:]], dtype=np.float64)
     except ValueError:
-        raise ValueError(f"{path}: line {lineno}: non-numeric vector entry") from None
+        raise ValueError(f"line {lineno}: non-numeric vector entry") from None

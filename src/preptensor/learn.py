@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import open_input
+
 logger = logging.getLogger(__name__)
 
 __all__ = [
@@ -374,43 +376,39 @@ def save_tree(tree: DecisionTree, path) -> None:
 def load_tree(path) -> DecisionTree:
     """Read a ``save_tree`` file; a field that does not parse, like a
     structure check that fails, is a ValueError naming the file."""
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
+        header = fh.readline().split()
+        if len(header) != 6 or header[0] != "TREE" or header[1] != "v1":
+            raise ValueError("bad tree header")
+        n_nodes, n_classes = int(header[2]), int(header[3])
+        params = TreeParams(max_depth=int(header[4]), min_leaf=int(header[5]))
         try:
-            return _read_tree(fh)
-        except (ValueError, SyntaxError) as exc:
-            raise ValueError(f"{path}: {exc}") from None
-
-
-def _read_tree(fh) -> DecisionTree:
-    header = fh.readline().split()
-    if len(header) != 6 or header[0] != "TREE" or header[1] != "v1":
-        raise ValueError("bad tree header")
-    n_nodes, n_classes = int(header[2]), int(header[3])
-    params = TreeParams(max_depth=int(header[4]), min_leaf=int(header[5]))
-    classes = [ast.literal_eval(tok) for tok in fh.readline().split()]
-    if len(classes) != n_classes:
-        raise ValueError("class list does not match header")
-    nodes = []
-    for idx in range(n_nodes):
-        parts = fh.readline().split()
-        if not parts:
-            raise ValueError(f"truncated at node {idx}")
-        if parts[0] == "split":
-            # Children follow their parent, so prediction always ends.
-            if (len(parts) != 5 or int(parts[1]) < 0
-                    or not all(idx < int(child) < n_nodes for child in parts[3:])):
-                raise ValueError(f"node {idx}: a split needs a feature >= 0 "
-                                 f"and children in ({idx}, {n_nodes})")
-            nodes.append(TreeNode(feature=int(parts[1]),
-                                  threshold=float(parts[2]),
-                                  left=int(parts[3]), right=int(parts[4])))
-        elif parts[0] == "leaf":
-            if len(parts) - 1 != n_classes:
-                raise ValueError(f"node {idx}: leaf has "
-                                 f"{len(parts) - 1} counts for {n_classes} classes")
-            nodes.append(TreeNode(counts=np.array([float(x) for x in parts[1:]])))
-        else:
-            raise ValueError(f"unknown node kind {parts[0]!r}")
+            classes = [ast.literal_eval(tok) for tok in fh.readline().split()]
+        except SyntaxError as exc:
+            raise ValueError(exc) from None
+        if len(classes) != n_classes:
+            raise ValueError("class list does not match header")
+        nodes = []
+        for idx in range(n_nodes):
+            parts = fh.readline().split()
+            if not parts:
+                raise ValueError(f"truncated at node {idx}")
+            if parts[0] == "split":
+                # Children follow their parent, so prediction always ends.
+                if (len(parts) != 5 or int(parts[1]) < 0
+                        or not all(idx < int(child) < n_nodes for child in parts[3:])):
+                    raise ValueError(f"node {idx}: a split needs a feature >= 0 "
+                                     f"and children in ({idx}, {n_nodes})")
+                nodes.append(TreeNode(feature=int(parts[1]),
+                                      threshold=float(parts[2]),
+                                      left=int(parts[3]), right=int(parts[4])))
+            elif parts[0] == "leaf":
+                if len(parts) - 1 != n_classes:
+                    raise ValueError(f"node {idx}: leaf has "
+                                     f"{len(parts) - 1} counts for {n_classes} classes")
+                nodes.append(TreeNode(counts=np.array([float(x) for x in parts[1:]])))
+            else:
+                raise ValueError(f"unknown node kind {parts[0]!r}")
     return DecisionTree(nodes=nodes, classes=classes, params=params)
 
 
@@ -426,25 +424,18 @@ def save_fnn(net: FeedForwardNet, path) -> None:
 def load_fnn(path) -> FeedForwardNet:
     """Read a ``save_fnn`` file; a field that does not parse, like a
     shape check that fails, is a ValueError naming the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return _read_fnn(fh)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-
-
-def _read_fnn(fh) -> FeedForwardNet:
-    header = fh.readline().split()
-    if len(header) < 4 or header[:3] != ["FNN", "v1", "sizes"]:
-        raise ValueError("bad network header")
-    sizes = [int(s) for s in header[3:]]
-    weights, biases = [], []
-    for a, b in zip(sizes[:-1], sizes[1:]):
-        w = np.array([[float(x) for x in fh.readline().split()]
-                      for _ in range(a)])
-        bias = np.array([float(x) for x in fh.readline().split()])
-        if w.shape != (a, b) or bias.shape != (b,):
-            raise ValueError("layer shape mismatch")
-        weights.append(w)
-        biases.append(bias)
+    with open_input(path) as fh:
+        header = fh.readline().split()
+        if len(header) < 4 or header[:3] != ["FNN", "v1", "sizes"]:
+            raise ValueError("bad network header")
+        sizes = [int(s) for s in header[3:]]
+        weights, biases = [], []
+        for a, b in zip(sizes[:-1], sizes[1:]):
+            w = np.array([[float(x) for x in fh.readline().split()]
+                          for _ in range(a)])
+            bias = np.array([float(x) for x in fh.readline().split()])
+            if w.shape != (a, b) or bias.shape != (b,):
+                raise ValueError("layer shape mismatch")
+            weights.append(w)
+            biases.append(bias)
     return FeedForwardNet(sizes=sizes, weights=weights, biases=biases)

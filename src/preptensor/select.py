@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 
 from . import embeddings as emb_ops
-from .corpus import load_roster
+from .corpus import load_roster, open_input
 from .embeddings import EmbeddingStore
 from .learn import (
     DecisionTree,
@@ -84,7 +84,7 @@ def load_selection_dataset(path, roster) -> list[SelectionInstance]:
     roster = set(roster)
     instances = []
     rejected = 0
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -184,27 +184,20 @@ def save_confusion_table(table: ConfusionTable, path) -> None:
 def load_confusion_table(path) -> ConfusionTable:
     """Read a ``save_confusion_table`` file; a field that does not parse,
     like a length check that fails, is a ValueError naming the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return _read_confusion_table(fh)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-
-
-def _read_confusion_table(fh) -> ConfusionTable:
-    header = fh.readline().split()
-    if len(header) != 4 or header[0] != "CONFUSION" or header[1] != "v1":
-        raise ValueError("bad confusion-table header")
-    k, smoothing = int(header[2]), float(header[3])
-    roster = fh.readline().split()
-    if len(roster) != k:
-        raise ValueError("roster length mismatch")
-    probs = {}
-    for q in roster:
-        row = [float(x) for x in fh.readline().split()]
-        if len(row) != k:
-            raise ValueError(f"row length mismatch for {q!r}")
-        probs[q] = dict(zip(roster, row))
+    with open_input(path) as fh:
+        header = fh.readline().split()
+        if len(header) != 4 or header[0] != "CONFUSION" or header[1] != "v1":
+            raise ValueError("bad confusion-table header")
+        k, smoothing = int(header[2]), float(header[3])
+        roster = fh.readline().split()
+        if len(roster) != k:
+            raise ValueError("roster length mismatch")
+        probs = {}
+        for q in roster:
+            row = [float(x) for x in fh.readline().split()]
+            if len(row) != k:
+                raise ValueError(f"row length mismatch for {q!r}")
+            probs[q] = dict(zip(roster, row))
     return ConfusionTable(roster=roster, probs=probs, smoothing=smoothing)
 
 

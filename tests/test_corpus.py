@@ -361,70 +361,80 @@ def _two_chunks(bad_line=None):
     return _tensor_text(lines, n=300)
 
 
-# name, file text, outcome: "arrays" files must load without the
-# per-line parser, "lines" files load only through it, "error" files
-# are rejected.
+def _two_chunks_arrays():
+    """The (k, i, j, counts) of ``_two_chunks()``, sorted by hand."""
+    entries = sorted((e // 90000, e % 300, e // 300 % 300, e % 7 + 1)
+                     for e in range(corpus._LOAD_CHUNK_LINES + 10))
+    return tuple(list(col) for col in zip(*entries))
+
+
+# (k, i, j, counts) of the _GOOD lines.
+_GOOD_ARRAYS = ([0, 1, 2, 2], [0, 2, 1, 4], [1, 3, 0, 4], [3, 7, 2, 1])
+
+# name, file text, outcome: the (k, i, j, counts) lists of the loaded
+# tensor, or the error message after the "<path>: " prefix.
 LOADER_CASES = [
-    ("valid", lambda: _tensor_text(_GOOD), "arrays"),
-    ("bad header", lambda: "PREPTENSOR v1 5 two 0 3\n", "error"),
-    ("no body", lambda: _tensor_text([]), "arrays"),
-    ("crlf", lambda: _tensor_text(_GOOD, eol="\r\n"), "arrays"),
-    ("no final newline", lambda: _tensor_text(_GOOD)[:-1], "arrays"),
+    ("valid", lambda: _tensor_text(_GOOD), _GOOD_ARRAYS),
+    ("bad header", lambda: "PREPTENSOR v1 5 two 0 3\n",
+     "line 1: non-integer header field"),
+    ("no body", lambda: _tensor_text([]), ([], [], [], [])),
+    ("crlf", lambda: _tensor_text(_GOOD, eol="\r\n"), _GOOD_ARRAYS),
+    ("no final newline", lambda: _tensor_text(_GOOD)[:-1], _GOOD_ARRAYS),
     ("blank line", lambda: _tensor_text(_GOOD[:2] + [""] + _GOOD[2:], nnz=4),
-     "error"),
-    ("trailing blank line", lambda: _tensor_text(_GOOD) + "\n", "error"),
+     "line 4: expected 4 fields"),
+    ("trailing blank line", lambda: _tensor_text(_GOOD) + "\n",
+     "line 6: expected 4 fields"),
     ("duplicate line, nnz of keys",
-     lambda: _tensor_text(_GOOD + [_GOOD[0]], nnz=4), "lines"),
+     lambda: _tensor_text(_GOOD + [_GOOD[0]], nnz=4),
+     "line 6: repeated coordinate 2 3 1"),
     ("repeated coordinate, new count",
-     lambda: _tensor_text(_GOOD + ["0 1 0 9"], nnz=4), "lines"),
+     lambda: _tensor_text(_GOOD + ["0 1 0 9"], nnz=4),
+     "line 6: repeated coordinate 0 1 0"),
     ("duplicate line, nnz of lines", lambda: _tensor_text(_GOOD + [_GOOD[0]]),
-     "error"),
-    ("3 fields", lambda: _good_with("4 4 2"), "error"),
-    ("5 fields", lambda: _good_with("4 4 2 1 1"), "error"),
-    ("float count", lambda: _good_with("4 4 2 1.0"), "error"),
-    ("underscore count", lambda: _good_with("4 4 2 1_0"), "lines"),
-    ("plus sign", lambda: _good_with("4 4 2 +1"), "arrays"),
-    ("arabic-indic digit", lambda: _good_with("4 4 2 \u0663"), "lines"),
-    ("nbsp separator", lambda: _good_with("4\u00a04 2 1"), "arrays"),
-    ("count 0", lambda: _good_with("4 4 2 0"), "error"),
-    ("i out of range", lambda: _good_with("5 4 2 1"), "error"),
-    ("j negative", lambda: _good_with("4 -1 2 1"), "error"),
-    ("k out of range", lambda: _good_with("4 4 3 1"), "error"),
-    ("count beyond int64", lambda: _good_with(f"4 4 2 {2 ** 63}"), "error"),
-    ("index beyond int64", lambda: _good_with(f"{2 ** 63} 4 2 1"), "error"),
-    ("two chunks", _two_chunks, "arrays"),
-    ("error in second chunk", lambda: _two_chunks("0 0 0 zero"), "error"),
+     "line 6: repeated coordinate 2 3 1"),
+    ("3 fields", lambda: _good_with("4 4 2"), "line 4: expected 4 fields"),
+    ("5 fields", lambda: _good_with("4 4 2 1 1"), "line 4: expected 4 fields"),
+    ("float count", lambda: _good_with("4 4 2 1.0"), "line 4: non-integer field"),
+    ("underscore count", lambda: _good_with("4 4 2 1_0"),
+     "line 4: non-integer field"),
+    ("plus sign", lambda: _good_with("4 4 2 +1"), _GOOD_ARRAYS),
+    ("arabic-indic digit", lambda: _good_with("4 4 2 \u0663"),
+     "line 4: non-integer field"),
+    ("nbsp separator", lambda: _good_with("4\u00a04 2 1"), _GOOD_ARRAYS),
+    ("count 0", lambda: _good_with("4 4 2 0"), "line 4: count must be >= 1"),
+    ("i out of range", lambda: _good_with("5 4 2 1"), "line 4: index out of range"),
+    ("j negative", lambda: _good_with("4 -1 2 1"), "line 4: index out of range"),
+    ("k out of range", lambda: _good_with("4 4 3 1"), "line 4: index out of range"),
+    ("count beyond int64", lambda: _good_with(f"4 4 2 {2 ** 63}"),
+     "line 4: count out of range"),
+    ("index beyond int64", lambda: _good_with(f"{2 ** 63} 4 2 1"),
+     "line 4: index out of range"),
+    ("two chunks", _two_chunks, _two_chunks_arrays()),
+    ("error in second chunk", lambda: _two_chunks("0 0 0 zero"),
+     f"line {corpus._LOAD_CHUNK_LINES + 7}: non-integer field"),
 ]
 
 
-def _load_outcome(load, path):
-    try:
-        return load(path)
-    except ValueError as exc:
-        return str(exc)
-
-
 class TestTensorLoaderEquivalence:
-    """``load_tensor`` against the per-line parser it falls back to."""
+    """``load_tensor`` against each file's stated outcome: the arrays it
+    loads to, or the message the per-line check words for a chunk the
+    array parse rejects."""
 
     @pytest.mark.parametrize("make_text, outcome",
                              [pytest.param(make, outcome, id=name)
                               for name, make, outcome in LOADER_CASES])
-    def test_matches_line_parser(self, tmp_path, monkeypatch, make_text, outcome):
+    def test_matches_line_parser(self, tmp_path, make_text, outcome):
         path = tmp_path / "tensor.txt"
         path.write_bytes(make_text().encode("utf-8"))
-        expected = _load_outcome(corpus._load_tensor_lines, path)
-        if outcome == "arrays":
-            def no_fallback(path):
-                raise AssertionError(f"{path} was read line by line")
-            monkeypatch.setattr(corpus, "_load_tensor_lines", no_fallback)
-        got = _load_outcome(load_tensor, path)
-        assert got == expected
-        if outcome == "error":
-            assert isinstance(expected, str)
+        if isinstance(outcome, str):
+            with pytest.raises(ValueError) as exc:
+                load_tensor(path)
+            assert str(exc.value) == f"{path}: {outcome}"
         else:
-            assert isinstance(expected, SparseCountTensor)
-            assert list(got.entries.items()) == list(expected.entries.items())
+            tensor = load_tensor(path)
+            got = tuple(getattr(tensor, name).tolist()
+                        for name in ("k", "i", "j", "counts"))
+            assert got == outcome
 
 
 class TestVocabularyIO:
