@@ -248,21 +248,26 @@ def cmd_paraphrase(args, cfg: dict, produced: list) -> None:
 
 
 def cmd_spectrum(args, cfg: dict, produced: list) -> None:
-    vocab, tensor = _load_tensor_dir(Path(args.tensor))
+    tensor_dir = Path(args.tensor)
+    vocab, tensor = _load_tensor_dir(tensor_dir)
     try:
         k = int(args.slice)
     except ValueError:
         if args.slice not in vocab.prep_ids:
             raise ValueError(f"unknown slice {args.slice!r}") from None
         k = vocab.prep_ids[args.slice]
-    values = emb_ops.slice_spectrum(tensor, k, cfg["top"] or 50)
+    top = cfg["top"] or 50
+    values = emb_ops.slice_spectrum(tensor, k, top)
     lines = [f"{idx},{format(val, '.10g')}" for idx, val in enumerate(values, 1)]
-    if args.out:
-        with open(_staged(produced, args.out), "w", encoding="utf-8") as fh:
-            fh.write("rank,normalized_singular_value\n")
-            fh.write("\n".join(lines) + "\n")
-    else:
+    if not args.out:
         print("\n".join(lines))
+        return
+    with open(_staged(produced, args.out), "w", encoding="utf-8") as fh:
+        fh.write("rank,normalized_singular_value\n")
+        fh.write("\n".join(lines) + "\n")
+    _write_manifest(_staged(produced, str(args.out) + ".manifest.json"), "spectrum",
+                    {"slice": args.slice, "k": k, "top": top},
+                    [tensor_dir / "vocab.txt", tensor_dir / "tensor.txt"], [args.out])
 
 
 def _fnn_hyper(cfg) -> FnnHyper:

@@ -445,6 +445,8 @@ def load_vocabulary(path) -> Vocabulary:
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 3 tab-separated fields")
             tok, freq, idx = parts
+            if tok in counts:
+                raise ValueError(f"line {lineno}: token {tok!r} listed twice")
             try:
                 freq, idx = int(freq), int(idx)
             except ValueError:

@@ -281,8 +281,6 @@ def load_embeddings(path) -> EmbeddingStore:
     """Load the text layout; also accepts externally trained word2vec or
     GloVe style files (with or without the count/dim header)."""
     vectors: dict[str, np.ndarray] = {}
-    q_const = None
-    dim = None
     declared = None
     with open_input(path) as fh:
         first = fh.readline().rstrip("\n")
@@ -292,10 +290,12 @@ def load_embeddings(path) -> EmbeddingStore:
                 declared, dim = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ValueError("line 1: bad header") from None
-        else:
+        elif len(parts) > 2:
             # Headerless GloVe-style file: the first line is a vector row.
             dim = len(parts) - 1
             vectors[parts[0]] = _parse_vector(parts, 1)
+        else:
+            raise ValueError("line 1: bad header")
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
@@ -304,14 +304,12 @@ def load_embeddings(path) -> EmbeddingStore:
                 raise ValueError(
                     f"line {lineno}: expected {dim} floats, got {len(parts) - 1}"
                 )
-            vec = _parse_vector(parts, lineno)
-            if parts[0] == NOPREP_TOKEN:
-                q_const = vec
-            else:
-                vectors[parts[0]] = vec
-        total = len(vectors) + (1 if q_const is not None else 0)
-        if declared is not None and total != declared:
-            raise ValueError(f"header declares {declared} rows, found {total}")
+            if parts[0] in vectors:
+                raise ValueError(f"line {lineno}: token {parts[0]!r} listed twice")
+            vectors[parts[0]] = _parse_vector(parts, lineno)
+        if declared is not None and len(vectors) != declared:
+            raise ValueError(f"header declares {declared} rows, found {len(vectors)}")
+    q_const = vectors.pop(NOPREP_TOKEN, None)
     if q_const is None:
         logger.warning("%s: no %s row; the extra-slice vector is zero, so "
                        "paraphrase rankings keep candidate order",
@@ -322,6 +320,9 @@ def load_embeddings(path) -> EmbeddingStore:
 
 def _parse_vector(parts, lineno) -> np.ndarray:
     try:
-        return np.array([float(x) for x in parts[1:]], dtype=np.float64)
+        vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
     except ValueError:
         raise ValueError(f"line {lineno}: non-numeric vector entry") from None
+    if not np.isfinite(vec).all():
+        raise ValueError(f"line {lineno}: non-finite value")
+    return vec

@@ -217,6 +217,10 @@ def _forward(net: FeedForwardNet, X: np.ndarray):
 
 def fnn_forward_batch(net: FeedForwardNet, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
+    if X.shape[1] != net.sizes[0]:
+        raise ValueError(
+            f"the network takes {net.sizes[0]} input features but got {X.shape[1]}: "
+            "the embeddings' dimension differs from the one it was trained on")
     if not np.all(np.isfinite(X)):
         raise ValueError("network input must be finite")
     return _forward(net, X)[0][-1]
@@ -399,16 +403,20 @@ def load_tree(path) -> DecisionTree:
                         or not all(idx < int(child) < n_nodes for child in parts[3:])):
                     raise ValueError(f"node {idx}: a split needs a feature >= 0 "
                                      f"and children in ({idx}, {n_nodes})")
-                nodes.append(TreeNode(feature=int(parts[1]),
-                                      threshold=float(parts[2]),
-                                      left=int(parts[3]), right=int(parts[4])))
+                node = TreeNode(feature=int(parts[1]), threshold=float(parts[2]),
+                                left=int(parts[3]), right=int(parts[4]))
+                values = [node.threshold]
             elif parts[0] == "leaf":
                 if len(parts) - 1 != n_classes:
                     raise ValueError(f"node {idx}: leaf has "
                                      f"{len(parts) - 1} counts for {n_classes} classes")
-                nodes.append(TreeNode(counts=np.array([float(x) for x in parts[1:]])))
+                node = TreeNode(counts=np.array([float(x) for x in parts[1:]]))
+                values = node.counts
             else:
                 raise ValueError(f"unknown node kind {parts[0]!r}")
+            if not np.isfinite(values).all():
+                raise ValueError(f"line {idx + 3}: non-finite value")
+            nodes.append(node)
     return DecisionTree(nodes=nodes, classes=classes, params=params)
 
 
@@ -430,12 +438,17 @@ def load_fnn(path) -> FeedForwardNet:
             raise ValueError("bad network header")
         sizes = [int(s) for s in header[3:]]
         weights, biases = [], []
+        lineno = 2
         for a, b in zip(sizes[:-1], sizes[1:]):
             w = np.array([[float(x) for x in fh.readline().split()]
                           for _ in range(a)])
             bias = np.array([float(x) for x in fh.readline().split()])
             if w.shape != (a, b) or bias.shape != (b,):
                 raise ValueError("layer shape mismatch")
+            bad = np.flatnonzero(~np.isfinite(np.vstack([w, bias])).all(axis=1))
+            if bad.size:
+                raise ValueError(f"line {lineno + bad[0]}: non-finite value")
+            lineno += a + 1
             weights.append(w)
             biases.append(bias)
     return FeedForwardNet(sizes=sizes, weights=weights, biases=biases)

@@ -193,10 +193,12 @@ def load_confusion_table(path) -> ConfusionTable:
         if len(roster) != k:
             raise ValueError("roster length mismatch")
         probs = {}
-        for q in roster:
+        for lineno, q in enumerate(roster, start=3):
             row = [float(x) for x in fh.readline().split()]
             if len(row) != k:
                 raise ValueError(f"row length mismatch for {q!r}")
+            if not np.isfinite(row).all():
+                raise ValueError(f"line {lineno}: non-finite value")
             probs[q] = dict(zip(roster, row))
     return ConfusionTable(roster=roster, probs=probs, smoothing=smoothing)
 

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -360,6 +361,22 @@ class TestQueryCommands:
         assert lines[0] == "rank,normalized_singular_value"
         first = float(lines[1].split(",")[1])
         assert first == pytest.approx(1.0)
+
+    def test_spectrum_to_file_writes_manifest(self, tmp_path, tensor_dir):
+        out = tmp_path / "spec.csv"
+        assert cli.run(["spectrum", "--tensor", str(tensor_dir),
+                        "--slice", "on", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "spec.csv.manifest.json").read_text())
+        assert manifest["command"] == "spectrum"
+        assert manifest["config"] == {"slice": "on", "k": ROSTER.index("on"), "top": 50}
+        inputs = [tensor_dir / "vocab.txt", tensor_dir / "tensor.txt"]
+        assert manifest["inputs"] == {
+            str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in inputs}
+        assert manifest["outputs"] == [str(out)]
+        # Printing the spectrum writes no file.
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.run(["spectrum", "--tensor", str(tensor_dir), "--slice", "on"]) == 0
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_spectrum_rerun_is_byte_identical(self, tmp_path):
         # The toy corpus's "of" slice has low rank, so the sparse solver
@@ -898,3 +915,135 @@ class TestCommandTable:
                 options = cli.COMMANDS[command][2]
                 assert {key: recorded[key] for key in options} == {
                     key: values[key] for key in options}
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """Every file a command reads: a tensor, embeddings, trained
+    selection and attachment models and their datasets and query files."""
+    d = tmp_path_factory.mktemp("trained")
+    (d / "corpus.txt").write_text(CORPUS)
+    (d / "roster.txt").write_text("\n".join(ROSTER) + "\n")
+    (d / "config.txt").write_text("seed = 0\n")
+    (d / "pairs.txt").write_text("on in\n")
+    (d / "verbs.txt").write_text("slept\nsat\n")
+    write_selection_dataset(d / "sel.tsv")
+    write_attachment_dataset(d / "att.tsv")
+    net = ["--hidden1", "4", "--hidden2", "2", "--epochs", "2"]
+    for argv in (["build-tensor", "--corpus", str(d / "corpus.txt"), "--roster",
+                  str(d / "roster.txt"), "--min-count", "1", "--out", str(d / "tensor")],
+                 ["decompose", "--tensor", str(d / "tensor"), "--method", "wd",
+                  "--dim", "6", "--iters", "10", "--out", str(d / "emb.txt")],
+                 ["train-select", "--train", str(d / "sel.tsv"), "--embeddings",
+                  str(d / "emb.txt"), "--roster", str(d / "roster.txt"),
+                  "--out", str(d / "sel"), *net, "--min-leaf", "1"],
+                 ["train-attach", "--train", str(d / "att.tsv"), "--embeddings",
+                  str(d / "emb.txt"), "--out", str(d / "att"), *net]):
+        assert cli.run(argv) == 0, argv[0]
+    return d
+
+
+def _commands(d):
+    """Command lines that read every input file under ``d``."""
+    roster = ["--roster", str(d / "roster.txt")]
+    return {
+        "build-tensor": ["build-tensor", "--corpus", str(d / "corpus.txt"), *roster,
+                         "--min-count", "1", "--out", str(d / "tensor2")],
+        "decompose": ["--config", str(d / "config.txt"), "decompose", "--tensor",
+                      str(d / "tensor"), "--method", "als", "--dim", "2",
+                      "--out", str(d / "emb2.txt")],
+        "query-sim": ["query-sim", "--embeddings", str(d / "emb.txt"),
+                      "--pairs", str(d / "pairs.txt"), *roster],
+        "paraphrase": ["paraphrase", "--embeddings", str(d / "emb.txt"), "--head",
+                       "cats", "--prep", "on", "--candidates", str(d / "verbs.txt")],
+        "train-select": ["train-select", "--train", str(d / "sel.tsv"), "--embeddings",
+                         str(d / "emb.txt"), *roster, "--out", str(d / "sel2"),
+                         "--epochs", "1"],
+        "eval-select": ["eval-select", "--test", str(d / "sel.tsv"), "--models",
+                        str(d / "sel"), "--embeddings", str(d / "emb.txt")],
+        "train-attach": ["train-attach", "--train", str(d / "att.tsv"), "--embeddings",
+                         str(d / "emb.txt"), "--out", str(d / "att2"), "--epochs", "1"],
+        "eval-attach": ["eval-attach", "--test", str(d / "att.tsv"), "--models",
+                        str(d / "att"), "--embeddings", str(d / "emb.txt")],
+    }
+
+
+def _set_field(lineno, field, value, sep=" "):
+    """Sets one ``sep``-separated field of line ``lineno``."""
+    def spoil(lines):
+        parts = lines[lineno - 1].rstrip("\n").split(sep)
+        parts[field] = value
+        lines[lineno - 1] = sep.join(parts) + "\n"
+        return lines
+    return spoil
+
+
+def _one_error(caplog):
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0], errors
+    return errors[0]
+
+
+class TestInputFileErrors:
+    """Every file a command reads is opened through one helper, so an
+    error in parsing it is one line that starts with the file's path."""
+
+    @pytest.mark.parametrize("command, name", [
+        ("build-tensor", "corpus.txt"),
+        ("build-tensor", "roster.txt"),
+        ("decompose", "config.txt"),
+        ("decompose", "tensor/vocab.txt"),
+        ("decompose", "tensor/tensor.txt"),
+        ("query-sim", "emb.txt"),
+        ("query-sim", "pairs.txt"),
+        ("paraphrase", "verbs.txt"),
+        ("train-select", "sel.tsv"),
+        ("eval-select", "sel/tree.txt"),
+        ("eval-select", "sel/fnn.txt"),
+        ("eval-select", "sel/confusion.txt"),
+        ("eval-select", "sel/manifest.json"),
+        ("train-attach", "att.tsv"),
+        ("eval-attach", "att/tags.txt"),
+    ])
+    def test_bad_utf8_names_the_file(self, tmp_path, trained, caplog, command, name):
+        d = tmp_path / "d"
+        shutil.copytree(trained, d)
+        path = d / name
+        path.write_bytes(path.read_bytes()[:5] + b"\xff" + path.read_bytes()[5:])
+        assert cli.run(_commands(d)[command]) == 1
+        assert _one_error(caplog).startswith(f"{path}: ")
+
+    # Files the program never writes, which it used to read by guessing.
+    @pytest.mark.parametrize("command, name, spoil, lineno, message", [
+        ("eval-attach", "att/fnn.txt", _set_field(2, 0, "nan"), 2, "non-finite value"),
+        ("eval-select", "sel/fnn.txt", _set_field(3, -1, "inf"), 3, "non-finite value"),
+        ("eval-select", "sel/tree.txt", _set_field(3, 2, "nan"), 3, "non-finite value"),
+        ("eval-select", "sel/tree.txt", _set_field(4, 1, "inf"), 4, "non-finite value"),
+        ("eval-select", "sel/confusion.txt", _set_field(4, 0, "-inf"), 4,
+         "non-finite value"),
+        ("paraphrase", "emb.txt", _set_field(3, 1, "nan"), 3, "non-finite value"),
+        ("decompose", "tensor/vocab.txt", _set_field(3, 0, "cats", sep="\t"), 3,
+         "token 'cats' listed twice"),
+        ("query-sim", "emb.txt", _set_field(3, 0, "cats"), 3, "token 'cats' listed twice"),
+    ])
+    def test_guessed_input_rejected(self, tmp_path, trained, caplog, command, name,
+                                    spoil, lineno, message):
+        d = tmp_path / "d"
+        shutil.copytree(trained, d)
+        path = d / name
+        path.write_text("".join(spoil(path.read_text().splitlines(keepends=True))))
+        assert cli.run(_commands(d)[command]) == 1
+        error = _one_error(caplog)
+        assert error.startswith(f"{path}: line {lineno}: ") and error.endswith(message)
+
+    @pytest.mark.parametrize("command", ["eval-select", "eval-attach"])
+    def test_embeddings_of_another_dimension_rejected(self, tmp_path, trained, caplog,
+                                                      command):
+        d = tmp_path / "d"
+        shutil.copytree(trained, d)
+        assert cli.run(["decompose", "--tensor", str(d / "tensor"), "--method", "wd",
+                        "--dim", "4", "--iters", "2", "--out", str(d / "emb.txt")]) == 0
+        assert cli.run(_commands(d)[command]) == 1
+        error = _one_error(caplog)
+        assert error.endswith("the embeddings' dimension differs from the one it "
+                              "was trained on")

@@ -451,3 +451,16 @@ class TestVocabularyIO:
         path.write_text("cat\t3\n")
         with pytest.raises(ValueError, match="line 1"):
             load_vocabulary(path)
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("cat\t3\t0\ndog\t2\t1\ncat\t1\t2\n#PREPOSITIONS\non\t4\t0\n", 3),
+        ("cat\t3\t0\n#PREPOSITIONS\non\t4\t0\non\t4\t1\n", 4),
+        ("on\t3\t0\n#PREPOSITIONS\non\t4\t0\n", 3),
+    ])
+    def test_repeated_token_rejected(self, tmp_path, text, lineno):
+        path = tmp_path / "vocab.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_vocabulary(path)
+        token = "cat" if "dog" in text else "on"
+        assert str(exc.value) == f"{path}: line {lineno}: token {token!r} listed twice"

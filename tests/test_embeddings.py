@@ -338,6 +338,23 @@ class TestEmbeddingIO:
         with pytest.raises(ValueError, match="line 3"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("3 2\nfoo 1 2\nbar nan 0\n__NOPREP__ 1 1\n", "line 3: non-finite value"),
+        ("2 2\nfoo 1 2\n__NOPREP__ 1 -inf\n", "line 3: non-finite value"),
+        ("foo inf 2\nbar 1 2\n", "line 1: non-finite value"),
+        ("3 2\nfoo 1 2\nbar 0 1\nfoo 3 4\n", "line 4: token 'foo' listed twice"),
+        ("3 2\n__NOPREP__ 1 2\nfoo 0 1\n__NOPREP__ 1 2\n",
+         "line 4: token '__NOPREP__' listed twice"),
+        ("", "line 1: bad header"),
+        ("foo\n", "line 1: bad header"),
+    ])
+    def test_rejects_what_it_would_guess_at(self, tmp_path, text, message):
+        path = tmp_path / "emb.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_embeddings(path)
+        assert str(exc.value) == f"{path}: {message}"
+
 
 class TestHadamardGeometry:
     def test_hadamard_commutes(self):

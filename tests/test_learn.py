@@ -93,6 +93,8 @@ class TestDecisionTree:
         ("split 0 half 1 2", r"tree\.txt: .*'half'"),
         ("split x 0.5 1 2", r"tree\.txt: .*'x'"),
         ("leaf 1 x", r"tree\.txt: .*'x'"),
+        ("split 0 nan 1 2", r"tree\.txt: line 3: non-finite value$"),
+        ("leaf 1 inf", r"tree\.txt: line 3: non-finite value$"),
     ])
     def test_load_rejects_bad_structure(self, tmp_path, root, match):
         path = tmp_path / "tree.txt"
@@ -148,6 +150,15 @@ class TestFnnForward:
         net = FeedForwardNet.init([2, 3, 2, 2], seed=0)
         with pytest.raises(ValueError, match="finite"):
             fnn_forward(net, [np.inf, 0.0])
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_input_width_mismatch_rejected(self, width):
+        net = FeedForwardNet.init([3, 4, 2], seed=0)
+        with pytest.raises(ValueError) as exc:
+            fnn_forward_batch(net, np.zeros((5, width)))
+        assert str(exc.value) == (
+            f"the network takes 3 input features but got {width}: the "
+            "embeddings' dimension differs from the one it was trained on")
 
 
 class TestFnnGradients:
@@ -224,6 +235,20 @@ class TestFnnTraining:
         X = rng.standard_normal((10, 3))
         assert np.array_equal(fnn_forward_batch(net, X),
                               fnn_forward_batch(loaded, X))
+
+    # sizes 3-4-2: weights on lines 2-4, bias line 5, then weights on
+    # lines 6-9 and bias line 10.
+    @pytest.mark.parametrize("lineno, value", [(3, "nan"), (5, "inf"), (9, "-inf"),
+                                               (10, "nan")])
+    def test_load_rejects_non_finite_value(self, tmp_path, lineno, value):
+        path = tmp_path / "fnn.txt"
+        save_fnn(FeedForwardNet.init([3, 4, 2], seed=8), path)
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = " ".join([value] + lines[lineno - 1].split()[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_fnn(path)
+        assert str(exc.value) == f"{path}: line {lineno}: non-finite value"
 
 
 class TestMetrics:

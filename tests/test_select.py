@@ -174,6 +174,18 @@ class TestConfusionTable:
         with pytest.raises(ValueError, match="header"):
             load_confusion_table(path)
 
+    @pytest.mark.parametrize("lineno, value", [(3, "nan"), (5, "inf")])
+    def test_non_finite_value_rejected(self, tmp_path, lineno, value):
+        table = build_confusion_table([inst(["x", "on", "y"], 1, "on", "in")], ROSTER)
+        path = tmp_path / "conf.txt"
+        save_confusion_table(table, path)
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = " ".join(lines[lineno - 1].split()[:-1] + [value])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_confusion_table(path)
+        assert str(exc.value) == f"{path}: line {lineno}: non-finite value"
+
 
 def uniform_table():
     probs = {q: {p: 1 / len(ROSTER) for p in ROSTER} for q in ROSTER}
