@@ -259,15 +259,15 @@ def cmd_spectrum(args, cfg: dict, produced: list) -> None:
     top = cfg["top"] or 50
     values = emb_ops.slice_spectrum(tensor, k, top)
     lines = [f"{idx},{format(val, '.10g')}" for idx, val in enumerate(values, 1)]
-    if not args.out:
+    if args.out:
+        with open(_staged(produced, args.out), "w", encoding="utf-8") as fh:
+            fh.write("rank,normalized_singular_value\n")
+            fh.write("\n".join(lines) + "\n")
+        _write_manifest(_staged(produced, str(args.out) + ".manifest.json"), "spectrum",
+                        {"slice": args.slice, "k": k, "top": top},
+                        [tensor_dir / "vocab.txt", tensor_dir / "tensor.txt"], [args.out])
+    else:
         print("\n".join(lines))
-        return
-    with open(_staged(produced, args.out), "w", encoding="utf-8") as fh:
-        fh.write("rank,normalized_singular_value\n")
-        fh.write("\n".join(lines) + "\n")
-    _write_manifest(_staged(produced, str(args.out) + ".manifest.json"), "spectrum",
-                    {"slice": args.slice, "k": k, "top": top},
-                    [tensor_dir / "vocab.txt", tensor_dir / "tensor.txt"], [args.out])
 
 
 def _fnn_hyper(cfg) -> FnnHyper:

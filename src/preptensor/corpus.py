@@ -360,10 +360,9 @@ def load_tensor(path) -> SparseCountTensor:
         header = fh.readline().split()
         if len(header) != 6 or header[0] != TENSOR_MAGIC or header[1] != "v1":
             raise ValueError("line 1: bad tensor header")
-        try:
-            n, k_preps, nnz, t = (int(x) for x in header[2:])
-        except ValueError:
-            raise ValueError("line 1: non-integer header field") from None
+        if not all(map(_ASCII_INTEGER.fullmatch, header[2:])):
+            raise ValueError("line 1: non-integer header field")
+        n, k_preps, nnz, t = map(int, header[2:])
         if min(n, k_preps, nnz) < 0:
             raise ValueError("line 1: negative size in header")
         if t < 1:

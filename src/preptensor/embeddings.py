@@ -281,6 +281,7 @@ def load_embeddings(path) -> EmbeddingStore:
     """Load the text layout; also accepts externally trained word2vec or
     GloVe style files (with or without the count/dim header)."""
     vectors: dict[str, np.ndarray] = {}
+    linenos: list[int] = []
     declared = None
     with open_input(path) as fh:
         first = fh.readline().rstrip("\n")
@@ -294,6 +295,7 @@ def load_embeddings(path) -> EmbeddingStore:
             # Headerless GloVe-style file: the first line is a vector row.
             dim = len(parts) - 1
             vectors[parts[0]] = _parse_vector(parts, 1)
+            linenos.append(1)
         else:
             raise ValueError("line 1: bad header")
         for lineno, line in enumerate(fh, start=2):
@@ -307,8 +309,15 @@ def load_embeddings(path) -> EmbeddingStore:
             if parts[0] in vectors:
                 raise ValueError(f"line {lineno}: token {parts[0]!r} listed twice")
             vectors[parts[0]] = _parse_vector(parts, lineno)
+            linenos.append(lineno)
         if declared is not None and len(vectors) != declared:
             raise ValueError(f"header declares {declared} rows, found {len(vectors)}")
+        # Checked once for the whole file: a check per row costs about
+        # as much as parsing the row.
+        finite = np.isfinite(np.array(list(vectors.values())).reshape(len(vectors), dim))
+        if not finite.all():
+            raise ValueError(f"line {linenos[finite.all(axis=1).argmin()]}: "
+                             "non-finite value")
     q_const = vectors.pop(NOPREP_TOKEN, None)
     if q_const is None:
         logger.warning("%s: no %s row; the extra-slice vector is zero, so "
@@ -320,9 +329,6 @@ def load_embeddings(path) -> EmbeddingStore:
 
 def _parse_vector(parts, lineno) -> np.ndarray:
     try:
-        vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+        return np.array([float(x) for x in parts[1:]], dtype=np.float64)
     except ValueError:
         raise ValueError(f"line {lineno}: non-numeric vector entry") from None
-    if not np.isfinite(vec).all():
-        raise ValueError(f"line {lineno}: non-finite value")
-    return vec

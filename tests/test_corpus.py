@@ -317,6 +317,8 @@ class TestTensorIO:
 
     @pytest.mark.parametrize("header, problem", [
         ("PREPTENSOR v1 5 2 1 0", "window must be >= 1, got 0"),
+        ("PREPTENSOR v1 1_0 2 1 3", "non-integer header field"),
+        ("PREPTENSOR v1 5 2 1 \u0663", "non-integer header field"),
         ("PREPTENSOR v1 -3 2 0 3", "negative size"),
         ("PREPTENSOR v1 5 -1 0 3", "negative size"),
         ("PREPTENSOR v1 5 2 -1 3", "negative size"),
