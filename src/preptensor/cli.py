@@ -302,10 +302,14 @@ def cmd_train_select(args, cfg: dict, produced: list) -> None:
 def _trained_window(manifest_path: Path) -> int:
     """The context window ``train-select`` recorded in its manifest."""
     with corpus_ops.open_input(manifest_path) as fh:
+        manifest = json.load(fh)
         try:
-            return int(json.load(fh)["config"]["window"])
-        except (ValueError, KeyError, TypeError):
-            raise ValueError("no config.window recorded") from None
+            window = manifest["config"]["window"]
+        except (KeyError, TypeError):
+            window = None
+        if type(window) is not int:
+            raise ValueError("no config.window recorded")
+    return window
 
 
 def cmd_eval_select(args, cfg: dict, produced: list) -> None:

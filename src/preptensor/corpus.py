@@ -63,6 +63,15 @@ def open_input(path, mode="r"):
             raise ValueError(f"{path}: {exc}") from None
 
 
+def parse_integers(fields, lineno: int) -> list[int]:
+    """The ints ``fields`` hold, each ASCII digits with an optional sign;
+    any other field is a ValueError naming line ``lineno``."""
+    for text in fields:
+        if not _ASCII_INTEGER.fullmatch(text):
+            raise ValueError(f"line {lineno}: non-integer field {text!r}")
+    return [int(text) for text in fields]
+
+
 def tokenize_sentences(raw_text: str | bytes) -> list[list[str]]:
     """Split text into sentences of lowercased tokens.
 
@@ -446,10 +455,7 @@ def load_vocabulary(path) -> Vocabulary:
             tok, freq, idx = parts
             if tok in counts:
                 raise ValueError(f"line {lineno}: token {tok!r} listed twice")
-            try:
-                freq, idx = int(freq), int(idx)
-            except ValueError:
-                raise ValueError(f"line {lineno}: non-integer field") from None
+            freq, idx = parse_integers((freq, idx), lineno)
             target = preps if in_preps else words
             if idx != len(target):
                 raise ValueError(f"line {lineno}: id {idx} out of order")

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .corpus import SparseCountTensor, Vocabulary, open_input
+from .corpus import SparseCountTensor, Vocabulary, open_input, parse_integers
 from .factorize import EmbeddingSet
 
 logger = logging.getLogger(__name__)
@@ -269,12 +269,11 @@ def save_embeddings(store: EmbeddingStore, path) -> None:
     """Common word-vector text layout: a `count dim` header, then one
     `token f1 ... fd` line per token; the constant vector is stored
     under the reserved token."""
+    row = " ".join(["%.17g"] * store.dim)
+    rows = [*store.vectors.items(), (NOPREP_TOKEN, store.q_const)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(store.vectors) + 1} {store.dim}\n")
-        for tok, vec in store.vectors.items():
-            fh.write(tok + " " + " ".join(format(x, ".17g") for x in vec) + "\n")
-        fh.write(NOPREP_TOKEN + " "
-                 + " ".join(format(x, ".17g") for x in store.q_const) + "\n")
+        fh.write(f"{len(rows)} {store.dim}\n")
+        fh.writelines(f"{tok} {row % tuple(vec.tolist())}\n" for tok, vec in rows)
 
 
 def load_embeddings(path) -> EmbeddingStore:
@@ -287,10 +286,7 @@ def load_embeddings(path) -> EmbeddingStore:
         first = fh.readline().rstrip("\n")
         parts = first.split()
         if len(parts) == 2:
-            try:
-                declared, dim = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError("line 1: bad header") from None
+            declared, dim = parse_integers(parts, 1)
         elif len(parts) > 2:
             # Headerless GloVe-style file: the first line is a vector row.
             dim = len(parts) - 1

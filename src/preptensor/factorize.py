@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .corpus import SparseCountTensor
 
@@ -36,8 +37,9 @@ __all__ = [
 RIDGE = 1e-8
 # ALS stops once an unorthogonalized sweep gains less fit than this.
 FIT_TOL = 1e-5
-# Entries gathered at once when evaluating the model on the stored pattern.
-_ENTRY_BLOCK = 1 << 16
+# Factor values gathered at once, per factor, when evaluating the model
+# on the stored pattern; a block holds this many divided by d entries.
+_BLOCK_VALUES = 1 << 20
 
 
 @dataclass
@@ -108,13 +110,19 @@ class EmbeddingSet:
 
 @dataclass
 class CooTensor:
-    """Real-valued sparse tensor in coordinate form."""
+    """Real-valued sparse tensor in coordinate form.
+
+    The CSR unfoldings the ALS updates multiply by are built on first use
+    and kept with the tensor, so its arrays must not change after that.
+    """
 
     i: np.ndarray
     j: np.ndarray
     k: np.ndarray
     values: np.ndarray
     dims: tuple[int, int, int]
+    _unfoldings: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     @property
     def nnz(self) -> int:
@@ -160,9 +168,10 @@ def _as_coo(tensor) -> CooTensor:
 def _reconstruction_at(coo: CooTensor, U, W, Q) -> np.ndarray:
     """The model's value at each stored entry, gathered a block of entries
     at a time, so no nnz x d temporaries are built."""
+    block = max(1, _BLOCK_VALUES // U.shape[1])
     out = np.empty(coo.nnz)
-    for start in range(0, coo.nnz, _ENTRY_BLOCK):
-        rows = slice(start, start + _ENTRY_BLOCK)
+    for start in range(0, coo.nnz, block):
+        rows = slice(start, start + block)
         out[rows] = np.sum(U[coo.i[rows]] * W[coo.j[rows]] * Q[coo.k[rows]], axis=1)
     return out
 
@@ -196,17 +205,53 @@ def cp_fit(coo, embeddings: EmbeddingSet) -> float:
     return 1.0 - np.sqrt(obj) / norm_t
 
 
-def _mttkrp(coo: CooTensor, A: np.ndarray, B: np.ndarray,
-            idx_out: np.ndarray, idx_a: np.ndarray, idx_b: np.ndarray,
-            n_out: int) -> np.ndarray:
-    """Matricized tensor times Khatri-Rao product, one component at a
-    time. ``np.bincount`` adds each output row's terms in entry order, so
-    the sums are those of an entry-by-entry scatter-add."""
+def _unfolding(coo: CooTensor, mode: str) -> scipy.sparse.csr_matrix:
+    """The mode-``mode`` unfolding of ``coo`` as a CSR matrix, built once
+    and kept on the tensor.
+
+    Its rows are the output index of ``mode``'s MTTKRP. The U and W
+    unfoldings have a column per (k, other index) pair, k * N + j and
+    k * N + i; the Q unfolding has a column per entry, since an N x N
+    vector would not fit in memory. Each row keeps its entries in entry
+    order (a stable sort on the row index), and the matrix is never put
+    in canonical form, so a row's product sums in the order an
+    entry-by-entry scatter-add does.
+    """
+    csr = coo._unfoldings.get(mode)
+    if csr is None:
+        csr = coo._unfoldings[mode] = _build_unfolding(coo, mode)
+    return csr
+
+
+def _build_unfolding(coo: CooTensor, mode: str) -> scipy.sparse.csr_matrix:
+    n, _, kp1 = coo.dims
+    rows = {"U": coo.i, "W": coo.j, "Q": coo.k}[mode]
+    n_rows = kp1 if mode == "Q" else n
+    order = np.argsort(rows, kind="stable")
+    if mode == "Q":
+        columns, n_columns = order, coo.nnz
+    else:
+        other = coo.j if mode == "U" else coo.i
+        columns, n_columns = coo.k[order] * n + other[order], kp1 * n
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return scipy.sparse.csr_matrix((coo.values[order], columns, indptr),
+                                  shape=(n_rows, n_columns))
+
+
+def _mttkrp(coo: CooTensor, mode: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Matricized tensor times Khatri-Rao product for ``mode``, where A
+    and B are the other two factors in (U, W, Q) order: one CSR
+    matrix-vector product per component. The vector is B's column times
+    A's column as an outer product, or, for Q, each entry's U[i] * W[j].
+    A row's sum starts at 0 and adds value * (a * b) in entry order, so it
+    is, bit for bit, the sum of an entry-by-entry scatter-add."""
+    csr = _unfolding(coo, mode)
     At, Bt = np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
-    out = np.empty((A.shape[1], n_out))
+    out = np.empty((A.shape[1], csr.shape[0]))
     for c, (a, b) in enumerate(zip(At, Bt)):
-        out[c] = np.bincount(idx_out, weights=coo.values * (a[idx_a] * b[idx_b]),
-                             minlength=n_out)
+        x = a[coo.i] * b[coo.j] if mode == "Q" else np.multiply.outer(b, a).ravel()
+        out[c] = csr @ x
     return out.T
 
 
@@ -214,18 +259,12 @@ def als_update_mode(coo: CooTensor, U: np.ndarray, W: np.ndarray, Q: np.ndarray,
                     mode: str) -> np.ndarray:
     """Exact ridge-regularized least-squares update of one factor matrix,
     holding the other two fixed."""
-    n, _, kp1 = coo.dims
-    if mode == "U":
-        m = _mttkrp(coo, W, Q, coo.i, coo.j, coo.k, n)
-        gram = (W.T @ W) * (Q.T @ Q)
-    elif mode == "W":
-        m = _mttkrp(coo, U, Q, coo.j, coo.i, coo.k, n)
-        gram = (U.T @ U) * (Q.T @ Q)
-    elif mode == "Q":
-        m = _mttkrp(coo, U, W, coo.k, coo.i, coo.j, kp1)
-        gram = (U.T @ U) * (W.T @ W)
-    else:
+    fixed = {"U": (W, Q), "W": (U, Q), "Q": (U, W)}
+    if mode not in fixed:
         raise ValueError(f"unknown mode {mode!r}")
+    A, B = fixed[mode]
+    m = _mttkrp(coo, mode, A, B)
+    gram = (A.T @ A) * (B.T @ B)
     gram = gram + RIDGE * np.eye(gram.shape[0])
     return np.linalg.solve(gram, m.T).T
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import open_input
+from .corpus import open_input, parse_integers
 
 logger = logging.getLogger(__name__)
 
@@ -384,8 +384,8 @@ def load_tree(path) -> DecisionTree:
         header = fh.readline().split()
         if len(header) != 6 or header[0] != "TREE" or header[1] != "v1":
             raise ValueError("bad tree header")
-        n_nodes, n_classes = int(header[2]), int(header[3])
-        params = TreeParams(max_depth=int(header[4]), min_leaf=int(header[5]))
+        n_nodes, n_classes, max_depth, min_leaf = parse_integers(header[2:], 1)
+        params = TreeParams(max_depth=max_depth, min_leaf=min_leaf)
         try:
             classes = [ast.literal_eval(tok) for tok in fh.readline().split()]
         except SyntaxError as exc:
@@ -398,13 +398,15 @@ def load_tree(path) -> DecisionTree:
             if not parts:
                 raise ValueError(f"truncated at node {idx}")
             if parts[0] == "split":
+                if len(parts) != 5:
+                    raise ValueError(f"node {idx}: a split has 4 fields")
+                feature, left, right = parse_integers(parts[1:2] + parts[3:], idx + 3)
                 # Children follow their parent, so prediction always ends.
-                if (len(parts) != 5 or int(parts[1]) < 0
-                        or not all(idx < int(child) < n_nodes for child in parts[3:])):
+                if feature < 0 or not idx < left < n_nodes or not idx < right < n_nodes:
                     raise ValueError(f"node {idx}: a split needs a feature >= 0 "
                                      f"and children in ({idx}, {n_nodes})")
-                node = TreeNode(feature=int(parts[1]), threshold=float(parts[2]),
-                                left=int(parts[3]), right=int(parts[4]))
+                node = TreeNode(feature=feature, threshold=float(parts[2]),
+                                left=left, right=right)
                 values = [node.threshold]
             elif parts[0] == "leaf":
                 if len(parts) - 1 != n_classes:
@@ -436,7 +438,7 @@ def load_fnn(path) -> FeedForwardNet:
         header = fh.readline().split()
         if len(header) < 4 or header[:3] != ["FNN", "v1", "sizes"]:
             raise ValueError("bad network header")
-        sizes = [int(s) for s in header[3:]]
+        sizes = parse_integers(header[3:], 1)
         weights, biases = [], []
         lineno = 2
         for a, b in zip(sizes[:-1], sizes[1:]):

@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 
 from . import embeddings as emb_ops
-from .corpus import load_roster, open_input
+from .corpus import load_roster, open_input, parse_integers
 from .embeddings import EmbeddingStore
 from .learn import (
     DecisionTree,
@@ -188,7 +188,8 @@ def load_confusion_table(path) -> ConfusionTable:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != "CONFUSION" or header[1] != "v1":
             raise ValueError("bad confusion-table header")
-        k, smoothing = int(header[2]), float(header[3])
+        k = parse_integers([header[2]], 1)[0]
+        smoothing = float(header[3])
         roster = fh.readline().split()
         if len(roster) != k:
             raise ValueError("roster length mismatch")

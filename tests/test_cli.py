@@ -1011,7 +1011,27 @@ class TestInputFileErrors:
         path = d / name
         path.write_bytes(path.read_bytes()[:5] + b"\xff" + path.read_bytes()[5:])
         assert cli.run(_commands(d)[command]) == 1
-        assert _one_error(caplog).startswith(f"{path}: ")
+        error = _one_error(caplog)
+        assert error.startswith(f"{path}: ")
+        assert "codec can't decode byte 0xff in position 5" in error or (
+            error == f"{path}: input is not valid UTF-8 at byte offset 5"), error
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"config": {}}', "no config.window recorded"),
+        ('{"config": {"window": "3"}}', "no config.window recorded"),
+        ('{"config": {"window": 2.5}}', "no config.window recorded"),
+        ('{"config": {"window": true}}', "no config.window recorded"),
+        ('["config"]', "no config.window recorded"),
+        ('{"config": {"window": 3', "Expecting ',' delimiter: line 1 column 24 (char 23)"),
+    ])
+    def test_trained_window_read_from_manifest(self, tmp_path, trained, caplog, text,
+                                               message):
+        d = tmp_path / "d"
+        shutil.copytree(trained, d)
+        path = d / "sel" / "manifest.json"
+        path.write_text(text)
+        assert cli.run(_commands(d)["eval-select"]) == 1
+        assert _one_error(caplog) == f"{path}: {message}"
 
     # Files the program never writes, which it used to read by guessing.
     @pytest.mark.parametrize("command, name, spoil, lineno, message", [

@@ -454,6 +454,18 @@ class TestVocabularyIO:
         with pytest.raises(ValueError, match="line 1"):
             load_vocabulary(path)
 
+    @pytest.mark.parametrize("text, lineno, field", [
+        ("cat\t1_0\t0\n", 1, "1_0"),
+        ("cat\t3\t0\n#PREPOSITIONS\non\t\u0663\t0\n", 3, "\u0663"),
+        ("cat\t3\t0\ndog\t2\t\uff11\n", 2, "\uff11"),
+    ])
+    def test_non_ascii_integer_rejected(self, tmp_path, text, lineno, field):
+        path = tmp_path / "vocab.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_vocabulary(path)
+        assert str(exc.value) == f"{path}: line {lineno}: non-integer field {field!r}"
+
     @pytest.mark.parametrize("text, lineno", [
         ("cat\t3\t0\ndog\t2\t1\ncat\t1\t2\n#PREPOSITIONS\non\t4\t0\n", 3),
         ("cat\t3\t0\n#PREPOSITIONS\non\t4\t0\non\t4\t1\n", 4),

@@ -309,6 +309,22 @@ class TestEmbeddingIO:
             assert np.array_equal(loaded.vectors[tok], vec)
         assert np.array_equal(loaded.q_const, store.q_const)
 
+    def test_bytes_equal_per_value_writer(self, tmp_path):
+        rng = np.random.default_rng(6)
+        rows = [[-0.0, 0.0, 5e-324, -2.2250738585072009e-308],
+                [1e16, -1e16, 1e16 + 2, 123456789012345680.0],
+                [0.1, 2.0 / 3.0, -np.pi, 1.0000000000000002],
+                *rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-300, 300, (3, 4))]
+        store = make_store({f"t{i}": row for i, row in enumerate(rows[1:])},
+                           q_const=rows[0])
+        path = tmp_path / "emb.txt"
+        save_embeddings(store, path)
+        want = [f"{len(rows)} 4\n"]
+        for tok, vec in [*store.vectors.items(), ("__NOPREP__", store.q_const)]:
+            want.append(tok + " " + " ".join(format(x, ".17g") for x in vec) + "\n")
+        assert "-0 0 4.9406564584124654e-324" in want[-1]
+        assert path.read_bytes() == "".join(want).encode("utf-8")
+
     def test_handwritten_file(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("3 2\nfoo 1 2\nbar 0.5 -1\nbaz 3.25 0\n")
@@ -347,6 +363,8 @@ class TestEmbeddingIO:
          "line 4: token '__NOPREP__' listed twice"),
         ("", "line 1: bad header"),
         ("foo\n", "line 1: bad header"),
+        ("1_0 2\nfoo 1 2\n", "line 1: non-integer field '1_0'"),
+        ("1 \u0662\nfoo 1 2\n", "line 1: non-integer field '\u0662'"),
     ])
     def test_rejects_what_it_would_guess_at(self, tmp_path, text, message):
         path = tmp_path / "emb.txt"

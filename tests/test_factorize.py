@@ -147,6 +147,15 @@ def add_at_mttkrp(coo, A, B, idx_out, idx_a, idx_b, n_out):
     return out
 
 
+def add_at_mode_mttkrp(coo, mode, A, B):
+    """Reference ``factorize._mttkrp``: the scatter-add for ``mode``'s
+    output and gathered indices."""
+    idx_out, idx_a, idx_b = {"U": (coo.i, coo.j, coo.k), "W": (coo.j, coo.i, coo.k),
+                             "Q": (coo.k, coo.i, coo.j)}[mode]
+    n_out = coo.dims[2] if mode == "Q" else coo.dims[0]
+    return add_at_mttkrp(coo, A, B, idx_out, idx_a, idx_b, n_out)
+
+
 def sorted_columns(entries):
     """Reference (k, i, j) order: a python sort of the mapping's keys."""
     keys = sorted(entries, key=lambda e: (e[2], e[0], e[1]))
@@ -198,24 +207,52 @@ class TestArrayKernelsEqualReferences:
         rng = np.random.default_rng(40)
         n, kp1, nnz = 40, 6, 900
         # Even i rows only, j rows below 30 and slices below 5, so every
-        # mode has absent output rows as well as repeated ones.
+        # mode has absent output rows as well as repeated ones; the
+        # coordinates are unsorted and some repeat.
         coo = CooTensor(rng.choice(np.arange(0, n, 2), nnz), rng.integers(0, 30, nnz),
                         rng.integers(0, kp1 - 1, nnz),
                         np.log1p(rng.integers(1, 40, nnz).astype(np.float64)),
                         (n, n, kp1))
+        assert len(set(zip(coo.i, coo.j, coo.k))) < nnz
         U, W = rng.standard_normal((n, d)), rng.standard_normal((n, d))
         Q = rng.standard_normal((kp1, d))
-        modes = {"U": (W, Q, coo.i, coo.j, coo.k, n, (W.T @ W) * (Q.T @ Q)),
-                 "W": (U, Q, coo.j, coo.i, coo.k, n, (U.T @ U) * (Q.T @ Q)),
-                 "Q": (U, W, coo.k, coo.i, coo.j, kp1, (U.T @ U) * (W.T @ W))}
-        for mode, (A, B, idx_out, idx_a, idx_b, n_out, gram) in modes.items():
-            want = add_at_mttkrp(coo, A, B, idx_out, idx_a, idx_b, n_out)
-            assert np.any(np.bincount(idx_out, minlength=n_out) == 0)
+        modes = {"U": (W, Q, coo.i, (W.T @ W) * (Q.T @ Q)),
+                 "W": (U, Q, coo.j, (U.T @ U) * (Q.T @ Q)),
+                 "Q": (U, W, coo.k, (U.T @ U) * (W.T @ W))}
+        for mode, (A, B, idx_out, gram) in modes.items():
+            want = add_at_mode_mttkrp(coo, mode, A, B)
+            assert np.any(np.bincount(idx_out, minlength=len(want)) == 0)
             assert np.any(np.bincount(idx_out) > 1)
-            got = factorize._mttkrp(coo, A, B, idx_out, idx_a, idx_b, n_out)
+            got = factorize._mttkrp(coo, mode, A, B)
             assert np.array_equal(got, want)
             update = np.linalg.solve(gram + factorize.RIDGE * np.eye(d), want.T).T
             assert np.array_equal(als_update_mode(coo, U, W, Q, mode), update)
+
+    def test_decompose_equals_scatter_add_run(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        entries = shuffled_entries(rng, 30, 5, 1500)
+        counts = SparseCountTensor.from_entries(30, 4, 3, entries)
+        config = TrainingConfig(dim=6, iterations=6, ortho_iterations=2, seed=3)
+        got = decompose_orth_als(counts, config)
+        monkeypatch.setattr(factorize, "_mttkrp", add_at_mode_mttkrp)
+        want = decompose_orth_als(counts, config)
+        for name in ("U", "W", "Q"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert got.trajectory == want.trajectory and len(got.trajectory) > 1
+
+    def test_unfoldings_built_once_per_run(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        counts = SparseCountTensor.from_entries(30, 4, 3, shuffled_entries(rng, 30, 5, 800))
+        built = []
+        build = factorize._build_unfolding
+        monkeypatch.setattr(factorize, "_build_unfolding",
+                            lambda coo, mode: built.append(mode) or build(coo, mode))
+        config = TrainingConfig(dim=4, iterations=5, ortho_iterations=1, seed=0)
+        for _ in range(2):
+            built.clear()
+            emb = decompose_orth_als(counts, config)
+            assert len(emb.trajectory) > 1
+            assert sorted(built) == ["Q", "U", "W"]
 
     def test_from_counts_equals_sorted_keys(self):
         rng = np.random.default_rng(41)
@@ -233,8 +270,8 @@ class TestArrayKernelsEqualReferences:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_losses_across_block_boundary(self, offset):
         rng = np.random.default_rng(42 + offset)
-        nnz = factorize._ENTRY_BLOCK + offset
         n, kp1, d = 200, 4, 25
+        nnz = factorize._BLOCK_VALUES // d + offset
         raw = CooTensor(rng.integers(0, n, nnz), rng.integers(0, n, nnz),
                         rng.integers(0, kp1, nnz),
                         rng.integers(1, 30, nnz).astype(np.float64), (n, n, kp1))

@@ -95,6 +95,8 @@ class TestDecisionTree:
         ("leaf 1 x", r"tree\.txt: .*'x'"),
         ("split 0 nan 1 2", r"tree\.txt: line 3: non-finite value$"),
         ("leaf 1 inf", r"tree\.txt: line 3: non-finite value$"),
+        ("split \u0660 0.5 1 2", r"tree\.txt: line 3: non-integer field '\u0660'$"),
+        ("split 0 0.5 1 0_2", r"tree\.txt: line 3: non-integer field '0_2'$"),
     ])
     def test_load_rejects_bad_structure(self, tmp_path, root, match):
         path = tmp_path / "tree.txt"
@@ -108,6 +110,7 @@ class TestDecisionTree:
         ("TREE v1 3 two 8 5", "0 1", "'two'"),
         ("TREE v1 3 2 8 5", "'corr 'error'", "unterminated string"),
         ("TREE v1 3 2 8 5", "0 foo", "malformed"),
+        ("TREE v1 3 2 8 1_0", "0 1", r"tree\.txt: line 1: non-integer field '1_0'$"),
     ])
     def test_load_rejects_unparsable_header(self, tmp_path, header, classes, match):
         path = tmp_path / "tree.txt"
@@ -235,6 +238,16 @@ class TestFnnTraining:
         X = rng.standard_normal((10, 3))
         assert np.array_equal(fnn_forward_batch(net, X),
                               fnn_forward_batch(loaded, X))
+
+    @pytest.mark.parametrize("size", ["\u0662", "0_2"])
+    def test_load_rejects_non_integer_size(self, tmp_path, size):
+        path = tmp_path / "fnn.txt"
+        save_fnn(FeedForwardNet.init([3, 4, 2], seed=8), path)
+        text = path.read_text()
+        path.write_text(text.replace("FNN v1 sizes 3 4 2\n", f"FNN v1 sizes 3 4 {size}\n"))
+        with pytest.raises(ValueError) as exc:
+            load_fnn(path)
+        assert str(exc.value) == f"{path}: line 1: non-integer field {size!r}"
 
     # sizes 3-4-2: weights on lines 2-4, bias line 5, then weights on
     # lines 6-9 and bias line 10.

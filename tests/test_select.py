@@ -174,6 +174,17 @@ class TestConfusionTable:
         with pytest.raises(ValueError, match="header"):
             load_confusion_table(path)
 
+    @pytest.mark.parametrize("k", ["\u0663", "0_3"])
+    def test_non_integer_size_rejected(self, tmp_path, k):
+        table = build_confusion_table([inst(["x", "on", "y"], 1, "on", "in")], ROSTER)
+        path = tmp_path / "conf.txt"
+        save_confusion_table(table, path)
+        text = path.read_text()
+        path.write_text(text.replace("CONFUSION v1 3 ", f"CONFUSION v1 {k} ", 1))
+        with pytest.raises(ValueError) as exc:
+            load_confusion_table(path)
+        assert str(exc.value) == f"{path}: line 1: non-integer field {k!r}"
+
     @pytest.mark.parametrize("lineno, value", [(3, "nan"), (5, "inf")])
     def test_non_finite_value_rejected(self, tmp_path, lineno, value):
         table = build_confusion_table([inst(["x", "on", "y"], 1, "on", "in")], ROSTER)
