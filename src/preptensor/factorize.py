@@ -206,24 +206,19 @@ def cp_fit(coo, embeddings: EmbeddingSet) -> float:
 
 
 def _unfolding(coo: CooTensor, mode: str) -> scipy.sparse.csr_matrix:
-    """The mode-``mode`` unfolding of ``coo`` as a CSR matrix, built once
-    and kept on the tensor.
-
-    Its rows are the output index of ``mode``'s MTTKRP. The U and W
-    unfoldings have a column per (k, other index) pair, k * N + j and
-    k * N + i; the Q unfolding has a column per entry, since an N x N
-    vector would not fit in memory. Each row keeps its entries in entry
-    order (a stable sort on the row index), and the matrix is never put
-    in canonical form, so a row's product sums in the order an
-    entry-by-entry scatter-add does.
-    """
-    csr = coo._unfoldings.get(mode)
-    if csr is None:
-        csr = coo._unfoldings[mode] = _build_unfolding(coo, mode)
-    return csr
+    """``mode``'s unfolding of ``coo``, built on first use and kept on it."""
+    if mode not in coo._unfoldings:
+        coo._unfoldings[mode] = _build_unfolding(coo, mode)
+    return coo._unfoldings[mode]
 
 
 def _build_unfolding(coo: CooTensor, mode: str) -> scipy.sparse.csr_matrix:
+    """A CSR matrix whose rows are ``mode``'s index and whose columns are
+    k * N + j (U), k * N + i (W) or the entry's position (Q, since an
+    N x N vector would not fit in memory). A stable sort keeps each
+    row's entries in entry order, and the matrix is never sorted or
+    merged, so a row's product adds its terms in the order an
+    entry-by-entry scatter-add does."""
     n, _, kp1 = coo.dims
     rows = {"U": coo.i, "W": coo.j, "Q": coo.k}[mode]
     n_rows = kp1 if mode == "Q" else n
@@ -236,16 +231,16 @@ def _build_unfolding(coo: CooTensor, mode: str) -> scipy.sparse.csr_matrix:
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
     return scipy.sparse.csr_matrix((coo.values[order], columns, indptr),
-                                  shape=(n_rows, n_columns))
+                                   shape=(n_rows, n_columns))
 
 
 def _mttkrp(coo: CooTensor, mode: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Matricized tensor times Khatri-Rao product for ``mode``, where A
-    and B are the other two factors in (U, W, Q) order: one CSR
-    matrix-vector product per component. The vector is B's column times
-    A's column as an outer product, or, for Q, each entry's U[i] * W[j].
-    A row's sum starts at 0 and adds value * (a * b) in entry order, so it
-    is, bit for bit, the sum of an entry-by-entry scatter-add."""
+    and B are the other two factors in (U, W, Q) order: per component,
+    the unfolding times B's column outer A's column, or, for Q, times
+    each entry's U[i] * W[j]. A row's sum starts at 0 and adds
+    value * (a * b) in entry order, bit for bit the sum of an
+    entry-by-entry scatter-add."""
     csr = _unfolding(coo, mode)
     At, Bt = np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
     out = np.empty((A.shape[1], csr.shape[0]))
