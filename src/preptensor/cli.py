@@ -16,7 +16,9 @@ import hashlib
 import json
 import logging
 import os
+import resource
 import sys
+import time
 from pathlib import Path
 
 from . import attach as attach_ops
@@ -127,6 +129,14 @@ def _write_manifest(path, command: str, config: dict, inputs: list, outputs: lis
         fh.write("\n")
 
 
+def _resources(start: float) -> dict:
+    """Wall seconds since ``start`` and the process's peak resident set
+    so far in MB (``ru_maxrss`` is in KiB on Linux). Kept out of a
+    manifest's ``counters``, which repeat exactly between runs."""
+    return {"wall_s": time.perf_counter() - start,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
 def _require_tokens(store, tokens) -> None:
     """Reject tokens the embeddings lack as a user error, naming them."""
     missing = [tok for tok in dict.fromkeys(tokens) if tok not in store]
@@ -169,6 +179,7 @@ def _load_roster(path) -> list[str]:
 
 
 def cmd_build_tensor(args, cfg: dict, produced: list) -> None:
+    start = time.perf_counter()
     roster = _load_roster(args.roster)
     with corpus_ops.open_input(args.corpus, "rb") as fh:
         sentences = corpus_ops.tokenize_sentences(fh.read())
@@ -187,12 +198,14 @@ def cmd_build_tensor(args, cfg: dict, produced: list) -> None:
                                         "tokens": sum(map(len, sentences)),
                                         "n_words": vocab.n_words,
                                         "n_prepositions": vocab.n_prepositions,
-                                        "nnz": tensor.nnz}})
+                                        "nnz": tensor.nnz},
+                           "resources": _resources(start)})
     logger.info("tensor: N=%d K=%d nnz=%d", vocab.n_words,
                 vocab.n_prepositions, tensor.nnz)
 
 
 def cmd_decompose(args, cfg: dict, produced: list) -> None:
+    start = time.perf_counter()
     tensor_dir = Path(args.tensor)
     vocab, tensor = _load_tensor_dir(tensor_dir)
     config = TrainingConfig(
@@ -217,7 +230,8 @@ def cmd_decompose(args, cfg: dict, produced: list) -> None:
                     extra={"trajectory": emb.trajectory,
                            "counters": {"n_words": tensor.n_words,
                                         "n_prepositions": tensor.n_prepositions,
-                                        "nnz": tensor.nnz}})
+                                        "nnz": tensor.nnz},
+                           "resources": _resources(start)})
 
 
 def cmd_query_sim(args, cfg: dict, produced: list) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import os
 import re
 import warnings
 from collections import Counter
@@ -39,12 +40,12 @@ _SENTENCE_SPLIT = re.compile(r"[.!?]+")
 _TOKEN = re.compile(r"[\w']+")
 # The integer fields np.loadtxt reads; int() also takes "1_0" and
 # non-ASCII digits.
-_ASCII_INTEGER = re.compile(r"[+-]?[0-9]+")
+ASCII_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 TENSOR_MAGIC = "PREPTENSOR"
 PREP_SENTINEL = "#PREPOSITIONS"
-# Tensor lines parsed per array chunk: bounds the text and arrays held
-# at once while loading.
+# Tensor lines parsed or formatted per chunk: bounds the text and the
+# Python ints held at once while loading or saving.
 _LOAD_CHUNK_LINES = 1 << 16
 _COLUMNS = ("i", "j", "k", "counts")
 # Window positions counted per array block: bounds the keys held at once.
@@ -67,7 +68,7 @@ def parse_integers(fields, lineno: int) -> list[int]:
     """The ints ``fields`` hold, each ASCII digits with an optional sign;
     any other field is a ValueError naming line ``lineno``."""
     for text in fields:
-        if not _ASCII_INTEGER.fullmatch(text):
+        if not ASCII_INTEGER.fullmatch(text):
             raise ValueError(f"line {lineno}: non-integer field {text!r}")
     return [int(text) for text in fields]
 
@@ -76,7 +77,8 @@ def tokenize_sentences(raw_text: str | bytes) -> list[list[str]]:
     """Split text into sentences of lowercased tokens.
 
     Sentences end at runs of ``.!?``; tokens are maximal runs of word
-    characters or apostrophes, everything else is dropped.
+    characters or apostrophes, everything else is dropped. Equal tokens
+    are one shared ``str``, so the lists grow by a pointer per token.
     """
     if isinstance(raw_text, bytes):
         try:
@@ -85,11 +87,12 @@ def tokenize_sentences(raw_text: str | bytes) -> list[list[str]]:
             raise ValueError(
                 f"input is not valid UTF-8 at byte offset {exc.start}"
             ) from exc
+    shared = {}.setdefault
     sentences = []
     for chunk in _SENTENCE_SPLIT.split(raw_text):
         tokens = _TOKEN.findall(chunk.lower())
         if tokens:
-            sentences.append(tokens)
+            sentences.append(list(map(shared, tokens, tokens)))
     return sentences
 
 
@@ -171,17 +174,17 @@ class SparseCountTensor:
         self.window_t = window_t
         i, j, k, counts = (np.ascontiguousarray(a, dtype=np.int64)
                            for a in (i, j, k, counts))
-        # The first nonzero step of each neighbouring (k, i, j) pair is
-        # positive iff the rows ascend strictly.
-        steps = np.sign(np.diff(np.stack([k, i, j]))).T @ np.array([4, 2, 1])
-        if (steps > 0).all():
+        above, _equal = _compare_rows(k, i, j)
+        if above.all():
             self.k, self.i, self.j, self.counts = k, i, j, counts
             return
         order = np.lexsort((j, i, k))
-        keys = np.take(np.stack([k, i, j]), order, axis=1)
-        starts = np.flatnonzero(np.diff(keys, prepend=keys[:, :1] - 1).any(axis=0))
-        self.k, self.i, self.j = np.take(keys, starts, axis=1)
-        self.counts = np.add.reduceat(counts[order], starts)
+        k, i, j, counts = (a[order] for a in (k, i, j, counts))
+        del order
+        _above, equal = _compare_rows(k, i, j)
+        starts = np.flatnonzero(np.concatenate([[True], ~equal]))
+        self.k, self.i, self.j = k[starts], i[starts], j[starts]
+        self.counts = np.add.reduceat(counts, starts)
 
     @classmethod
     def from_entries(cls, n_words, n_prepositions, window_t, mapping) -> "SparseCountTensor":
@@ -213,6 +216,19 @@ class SparseCountTensor:
                         for name in _COLUMNS))
 
 
+def _compare_rows(k, i, j):
+    """Per neighbouring pair of (k, i, j) rows, whether the later row is
+    above the earlier one and whether the two are equal, as boolean
+    arrays, so that no int64 temporaries of the columns' size are made."""
+    above = np.zeros(max(len(k) - 1, 0), dtype=bool)
+    equal = ~above
+    for col in (k, i, j):
+        later, earlier = col[1:], col[:-1]
+        above |= equal & (later > earlier)
+        equal &= later == earlier
+    return above, equal
+
+
 def _check_key_range(n_words: int, n_prepositions: int) -> None:
     """Counting encodes (i, j, k) as the int64 key (k*N + i)*N + j."""
     if n_words * n_words * (n_prepositions + 1) >= 1 << 63:
@@ -221,20 +237,20 @@ def _check_key_range(n_words: int, n_prepositions: int) -> None:
             "to count: N*N*(K+1) must be below 2**63")
 
 
-def _token_arrays(sentences: Iterable[Sequence[str]], vocab: Vocabulary, pad: int):
+def _token_arrays(sentences: Iterable[Sequence[str]], vocab: Vocabulary, t: int):
     """Per-token word id, preposition id (-1 where the token is not one)
-    and sentence id of the whole corpus, with ``pad`` entries of -1 at
-    each end so that every position may look ``pad`` tokens away."""
+    and sentence id of the whole corpus, with 2t entries of -1 at each
+    end so that every position may look 2t tokens away."""
     tokens: list[str] = []
     lengths: list[int] = []
     for sent in sentences:
         tokens.extend(sent)
         lengths.append(len(sent))
     word, prep = (np.pad(np.fromiter(map(ids.get, tokens, itertools.repeat(-1)),
-                                     np.int64, len(tokens)), pad, constant_values=-1)
+                                     np.int64, len(tokens)), 2 * t, constant_values=-1)
                   for ids in (vocab.word_ids, vocab.prep_ids))
     sent = np.pad(np.repeat(np.arange(len(lengths), dtype=np.int64), lengths),
-                  pad, constant_values=-1)
+                  2 * t, constant_values=-1)
     return word, prep, sent
 
 
@@ -249,63 +265,100 @@ def _near_words(word, sent, pos, idx):
     return np.where(sent[idx] == sent[pos], word[idx], -1)
 
 
-def _tensor_from_keys(blocks: list, vocab: Vocabulary, t: int) -> SparseCountTensor:
-    """Sum the ``(keys, counts)`` of every block and decode the keys."""
-    n = vocab.n_words
-    keys = np.concatenate([np.empty(0, np.int64), *(b[0] for b in blocks)])
-    counts = np.concatenate([np.empty(0, np.int64), *(b[1] for b in blocks)])
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    ki, j = np.divmod(keys[starts], n)
-    k, i = np.divmod(ki, n)
-    return SparseCountTensor(n, vocab.n_prepositions, t, i, j, k,
-                             np.add.reduceat(counts[order], starts))
+class _KeyCounter:
+    """Counts of int64 keys (k*N + i)*N + j added a block at a time, as
+    sorted (distinct keys, counts) pairs: a running pair first, then the
+    blocks' ``np.unique`` pairs, which are folded into it once they hold
+    more keys than it. The memory held thus follows the distinct keys,
+    not the keys counted."""
+
+    def __init__(self):
+        self.pairs = [(np.empty(0, np.int64), np.empty(0, np.int64))]
+        self.pending = 0
+
+    def add(self, keys: np.ndarray) -> None:
+        self.pairs.append(np.unique(keys, return_counts=True))
+        self.pending += len(self.pairs[-1][0])
+        if self.pending > len(self.pairs[0][0]):
+            self._fold()
+
+    def _fold(self) -> None:
+        # The local list is the last reference to the folded pairs, so
+        # they are freed as soon as both are concatenated.
+        pairs, self.pairs = self.pairs, None
+        keys = np.concatenate([pair[0] for pair in pairs])
+        counts = np.concatenate([pair[1] for pair in pairs])
+        del pairs
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        counts = counts[order]
+        del order
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        self.pairs = [(keys[starts], np.add.reduceat(counts, starts))]
+        self.pending = 0
+
+    def tensor(self, vocab: Vocabulary, t: int) -> SparseCountTensor:
+        """The counts as a tensor; decodes the keys in place, so the
+        counter is spent."""
+        if len(self.pairs) > 1:
+            self._fold()
+        [(keys, counts)] = self.pairs
+        n = vocab.n_words
+        j = keys % n
+        keys //= n
+        i = keys % n
+        keys //= n
+        return SparseCountTensor(n, vocab.n_prepositions, t, i, j, keys, counts)
 
 
 def count_preposition_slices(
     sentences: Iterable[Sequence[str]],
     vocab: Vocabulary,
     t: int,
+    token_ids=None,
 ) -> SparseCountTensor:
     """Count ordered vocabulary-word pairs inside each preposition window.
 
     Every occurrence of a roster preposition contributes its own window
     of radius ``t``; all ordered pairs of distinct positions inside the
     window are incremented. Out-of-vocabulary and roster tokens in the
-    window are skipped.
+    window are skipped. ``token_ids``, the ``_token_arrays`` of
+    ``sentences``, spares converting the tokens again.
     """
     n = vocab.n_words
     _check_key_range(n, vocab.n_prepositions)
-    word, prep, sent = _token_arrays(sentences, vocab, t)
+    word, prep, sent = token_ids or _token_arrays(sentences, vocab, t)
     offsets = np.array([d for d in range(-t, t + 1) if d])
     distinct = ~np.eye(len(offsets), dtype=bool)[:, :, None]
-    blocks = []
+    counter = _KeyCounter()
     for pos in _blocks(np.flatnonzero(prep >= 0)):
         near = _near_words(word, sent, pos, pos + offsets[:, None])
         valid = near >= 0
         rows = (prep[pos] * n + near) * n
         keep = valid[:, None] & valid[None, :] & distinct
-        blocks.append(np.unique((rows[:, None] + near[None, :])[keep],
-                                return_counts=True))
-    return _tensor_from_keys(blocks, vocab, t)
+        counter.add((rows[:, None] + near[None, :])[keep])
+    return counter.tensor(vocab, t)
 
 
 def count_extra_slice(
     sentences: Iterable[Sequence[str]],
     vocab: Vocabulary,
     t: int,
+    token_ids=None,
 ) -> SparseCountTensor:
     """Count pairs within distance 2t with a position outside all windows.
 
     An ordered pair of distinct in-vocabulary positions is counted in
     slice K iff at least one of the two positions lies at distance > t
-    from every preposition occurrence in the sentence.
+    from every preposition occurrence in the sentence. ``token_ids`` is
+    as for ``count_preposition_slices``.
     """
     n = vocab.n_words
     _check_key_range(n, vocab.n_prepositions)
     pad = 2 * t
-    word, prep, sent = _token_arrays(sentences, vocab, pad)
+    word, prep, sent = token_ids or _token_arrays(sentences, vocab, t)
     # Within distance t of a preposition in the same sentence.
     covered = np.zeros(len(word), dtype=bool)
     core = slice(pad, len(word) - pad)
@@ -313,14 +366,14 @@ def count_extra_slice(
         shifted = slice(pad + d, len(word) - pad + d)
         covered[core] |= (prep[shifted] >= 0) & (sent[shifted] == sent[core])
     offsets = np.array([d for d in range(-pad, pad + 1) if d])
-    blocks = []
+    counter = _KeyCounter()
     for pos in _blocks(np.flatnonzero(word >= 0)):
         idx = pos + offsets[:, None]
         near = _near_words(word, sent, pos, idx)
         keep = (near >= 0) & ~(covered[pos] & covered[idx])
         rows = (vocab.n_prepositions * n + word[pos]) * n
-        blocks.append(np.unique((rows + near)[keep], return_counts=True))
-    return _tensor_from_keys(blocks, vocab, t)
+        counter.add((rows + near)[keep])
+    return counter.tensor(vocab, t)
 
 
 def merge_counts(partials: Sequence[SparseCountTensor]) -> SparseCountTensor:
@@ -344,51 +397,70 @@ def count_tensor(
     vocab: Vocabulary,
     t: int,
 ) -> SparseCountTensor:
-    """Full tensor: preposition slices plus the extra slice."""
-    return merge_counts([
-        count_preposition_slices(sentences, vocab, t),
-        count_extra_slice(sentences, vocab, t),
-    ])
+    """Full tensor: preposition slices plus the extra slice, both counted
+    from one conversion of the tokens to ids."""
+    token_ids = _token_arrays(sentences, vocab, t)
+    partials = [count_preposition_slices(sentences, vocab, t, token_ids=token_ids),
+                count_extra_slice(sentences, vocab, t, token_ids=token_ids)]
+    # Freed before the merge, which holds both partials and their sum.
+    del token_ids
+    return merge_counts(partials)
 
 
 def save_tensor(tensor: SparseCountTensor, path) -> None:
     """Write the text format: a header line then one `i j k count` line
     per nonzero, in ascending (k, i, j) order."""
+    columns = [getattr(tensor, name) for name in _COLUMNS]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{TENSOR_MAGIC} v1 {tensor.n_words} {tensor.n_prepositions} "
                  f"{tensor.nnz} {tensor.window_t}\n")
-        for i, j, k, c in zip(*(getattr(tensor, name).tolist() for name in _COLUMNS)):
-            fh.write(f"{i} {j} {k} {c}\n")
+        for start in range(0, tensor.nnz, _LOAD_CHUNK_LINES):
+            rows = np.stack([col[start:start + _LOAD_CHUNK_LINES] for col in columns],
+                            axis=1)
+            fh.write(("%d %d %d %d\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def load_tensor(path) -> SparseCountTensor:
     """Read a ``save_tensor`` file; its body lines may come in any order,
     each coordinate once. The body is parsed as integer arrays, a chunk
-    of lines at a time."""
+    of lines at a time, into columns sized by the header's nnz."""
     with open_input(path) as fh:
         header = fh.readline().split()
         if len(header) != 6 or header[0] != TENSOR_MAGIC or header[1] != "v1":
             raise ValueError("line 1: bad tensor header")
-        if not all(map(_ASCII_INTEGER.fullmatch, header[2:])):
+        if not all(map(ASCII_INTEGER.fullmatch, header[2:])):
             raise ValueError("line 1: non-integer header field")
         n, k_preps, nnz, t = map(int, header[2:])
         if min(n, k_preps, nnz) < 0:
             raise ValueError("line 1: negative size in header")
         if t < 1:
             raise ValueError(f"line 1: window must be >= 1, got {t}")
-        chunks = [np.empty((0, 4), dtype=np.int64)]
+        # A body line takes at least 8 bytes ("0 0 0 1\n"), so a header
+        # declaring more entries than the file can hold allocates no more.
+        cols = np.empty((4, min(nnz, os.fstat(fh.fileno()).st_size // 8 + 1)),
+                        dtype=np.int64)
+        filled = 0
         lineno = 2
         while lines := list(itertools.islice(fh, _LOAD_CHUNK_LINES)):
-            chunks.append(_tensor_rows(lines, lineno, n, k_preps))
+            rows = _tensor_rows(lines, lineno, n, k_preps)
+            end = filled + len(rows)
+            if end > cols.shape[1]:
+                # More lines than the header declares: kept only to word
+                # the error.
+                grown = np.empty((4, 2 * end), dtype=np.int64)
+                grown[:, :filled] = cols[:, :filled]
+                cols = grown
+            cols[:, filled:end] = rows.T
+            filled = end
             lineno += len(lines)
-        rows = np.concatenate(chunks)
-        tensor = SparseCountTensor(n, k_preps, t, *rows.T)
-        if tensor.nnz != len(rows):
-            order = np.lexsort(rows[:, [1, 0, 2]].T)
-            same = (np.diff(rows[order, :3], axis=0) == 0).all(axis=1)
-            repeat = order[1:][same].min()
-            i, j, k, _c = rows[repeat]
-            raise ValueError(f"line {repeat + 2}: repeated coordinate {i} {j} {k}")
+        i, j, k, counts = cols[:, :filled]
+        tensor = SparseCountTensor(n, k_preps, t, i, j, k, counts)
+        if tensor.nnz != filled:
+            order = np.lexsort((j, i, k))
+            _above, equal = _compare_rows(k[order], i[order], j[order])
+            repeat = order[1:][equal].min()
+            raise ValueError(f"line {repeat + 2}: repeated coordinate "
+                             f"{i[repeat]} {j[repeat]} {k[repeat]}")
         if tensor.nnz != nnz:
             raise ValueError(f"header declares nnz={nnz} but found {tensor.nnz}")
     return tensor
@@ -413,7 +485,7 @@ def _tensor_rows(lines, start, n, k_preps) -> np.ndarray:
         parts = line.split()
         if len(parts) != 4:
             raise ValueError(f"line {lineno}: expected 4 fields")
-        if not all(map(_ASCII_INTEGER.fullmatch, parts)):
+        if not all(map(ASCII_INTEGER.fullmatch, parts)):
             raise ValueError(f"line {lineno}: non-integer field")
         i, j, k, c = map(int, parts)
         if c < 1:

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .corpus import SparseCountTensor, Vocabulary, open_input, parse_integers
+from .corpus import ASCII_INTEGER, SparseCountTensor, Vocabulary, open_input
 from .factorize import EmbeddingSet
 
 logger = logging.getLogger(__name__)
@@ -278,22 +278,24 @@ def save_embeddings(store: EmbeddingStore, path) -> None:
 
 def load_embeddings(path) -> EmbeddingStore:
     """Load the text layout; also accepts externally trained word2vec or
-    GloVe style files (with or without the count/dim header)."""
+    GloVe style files (with or without the count/dim header). A first
+    line of two ASCII integers is that header; any other first line is
+    the first vector row."""
     vectors: dict[str, np.ndarray] = {}
     linenos: list[int] = []
     declared = None
     with open_input(path) as fh:
         first = fh.readline().rstrip("\n")
         parts = first.split()
-        if len(parts) == 2:
-            declared, dim = parse_integers(parts, 1)
-        elif len(parts) > 2:
+        if len(parts) < 2:
+            raise ValueError("line 1: bad header")
+        if len(parts) == 2 and all(map(ASCII_INTEGER.fullmatch, parts)):
+            declared, dim = map(int, parts)
+        else:
             # Headerless GloVe-style file: the first line is a vector row.
             dim = len(parts) - 1
             vectors[parts[0]] = _parse_vector(parts, 1)
             linenos.append(1)
-        else:
-            raise ValueError("line 1: bad header")
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:

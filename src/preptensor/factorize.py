@@ -39,7 +39,7 @@ RIDGE = 1e-8
 FIT_TOL = 1e-5
 # Factor values gathered at once, per factor, when evaluating the model
 # on the stored pattern; a block holds this many divided by d entries.
-_BLOCK_VALUES = 1 << 20
+_BLOCK_VALUES = 1 << 18
 
 
 @dataclass

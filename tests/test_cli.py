@@ -216,6 +216,16 @@ class TestDecompose:
                                         "nnz": tensor.nnz}
         assert tensor.nnz > 0
 
+    def test_manifests_record_resources(self, tmp_path, tensor_dir):
+        out = tmp_path / "emb.txt"
+        assert cli.run(["decompose", "--tensor", str(tensor_dir), "--method", "als",
+                        "--dim", "3", "--iters", "2", "--out", str(out)]) == 0
+        for path in (tensor_dir / "manifest.json", tmp_path / "emb.txt.manifest.json"):
+            resources = json.loads(path.read_text())["resources"]
+            assert sorted(resources) == ["peak_rss_mb", "wall_s"]
+            assert all(type(value) is float and value > 0
+                       for value in resources.values())
+
     def test_corrupt_tensor_fails_cleanly(self, tmp_path, tensor_dir):
         (tensor_dir / "tensor.txt").write_text("garbage\n")
         out = tmp_path / "emb.txt"

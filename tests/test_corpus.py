@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,11 @@ class TestTokenize:
 
     def test_lowercase_and_punctuation(self):
         assert tokenize_sentences("He SAT on mats!") == [["he", "sat", "on", "mats"]]
+
+    def test_equal_tokens_share_one_string(self):
+        sents = tokenize_sentences("The cats sat. the cats ran!")
+        assert sents == [["the", "cats", "sat"], ["the", "cats", "ran"]]
+        assert sents[0][0] is sents[1][0] and sents[0][1] is sents[1][1]
 
     def test_bad_utf8_reports_offset(self):
         with pytest.raises(ValueError, match="byte offset 4"):
@@ -213,6 +220,17 @@ class TestArrayCounting:
         monkeypatch.setattr(corpus, "_COUNT_BLOCK", 7)
         blocked = count_tensor(sentences, vocab, t)
         assert blocked == whole == brute_force_tensor(sentences, vocab, t)
+
+    def test_count_tensor_converts_tokens_once(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        sentences = _corpus_with_edges(rng, self.ROSTER)
+        vocab = build_vocabulary(sentences, 1, self.ROSTER)
+        calls = []
+        convert = corpus._token_arrays
+        monkeypatch.setattr(corpus, "_token_arrays",
+                            lambda *args: calls.append(args) or convert(*args))
+        assert count_tensor(sentences, vocab, 2) == brute_force_tensor(sentences, vocab, 2)
+        assert len(calls) == 1
 
     def test_generator_input(self):
         rng = np.random.default_rng(8)
@@ -478,3 +496,103 @@ class TestVocabularyIO:
             load_vocabulary(path)
         token = "cat" if "dog" in text else "on"
         assert str(exc.value) == f"{path}: line {lineno}: token {token!r} listed twice"
+
+
+def _per_line_save(tensor, path):
+    """The reference writer: one f-string per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"PREPTENSOR v1 {tensor.n_words} {tensor.n_prepositions} "
+                 f"{tensor.nnz} {tensor.window_t}\n")
+        for i, j, k, c in zip(tensor.i.tolist(), tensor.j.tolist(),
+                              tensor.k.tolist(), tensor.counts.tolist()):
+            fh.write(f"{i} {j} {k} {c}\n")
+
+
+class TestChunkedTensorIO:
+    @pytest.mark.parametrize("nnz, chunk", [(0, 7), (24, 1), (24, 7), (24, 8), (24, 25)])
+    def test_save_matches_per_line_writer(self, tmp_path, monkeypatch, nnz, chunk):
+        rng = np.random.default_rng(nnz)
+        keys = np.sort(rng.choice(1000 * 1000 * 4, nnz, replace=False))
+        counts = rng.integers(1, 2 ** 40, nnz)
+        counts[:3] = [2 ** 63 - 1, 2 ** 63 - 2, 1][:nnz]
+        tensor = SparseCountTensor(1000, 3, 2, keys // 1000 % 1000, keys % 1000,
+                                   keys // 1000 ** 2, counts)
+        monkeypatch.setattr(corpus, "_LOAD_CHUNK_LINES", chunk)
+        save_tensor(tensor, tmp_path / "chunked.txt")
+        _per_line_save(tensor, tmp_path / "per_line.txt")
+        assert ((tmp_path / "chunked.txt").read_bytes()
+                == (tmp_path / "per_line.txt").read_bytes())
+        assert load_tensor(tmp_path / "chunked.txt") == tensor
+
+    @pytest.mark.parametrize("lines, nnz, message", [
+        (_GOOD + [_GOOD[1]], 5, "line 6: repeated coordinate 0 1 0"),
+        (_GOOD + [_GOOD[1]], 4, "line 6: repeated coordinate 0 1 0"),
+        (_GOOD + ["0 1 0 5", _GOOD[0]], 1, "line 6: repeated coordinate 0 1 0"),
+        (_GOOD, 1, "header declares nnz=1 but found 4"),
+        (_GOOD, 0, "header declares nnz=0 but found 4"),
+        (_GOOD, 7, "header declares nnz=7 but found 4"),
+        (_GOOD, 10 ** 15, "header declares nnz=1000000000000000 but found 4"),
+        ([], 3, "header declares nnz=3 but found 0"),
+    ])
+    def test_entry_count_errors_across_chunks(self, tmp_path, monkeypatch, lines,
+                                              nnz, message):
+        # Two lines a chunk: each repeat lies in another chunk than the
+        # line it repeats, and a body longer than the header spans chunks.
+        monkeypatch.setattr(corpus, "_LOAD_CHUNK_LINES", 2)
+        path = tmp_path / "tensor.txt"
+        path.write_text(_tensor_text(lines, nnz=nnz))
+        with pytest.raises(ValueError) as exc:
+            load_tensor(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryGuard:
+    """The traced peak of counting, saving and loading, above what was
+    held before the call, as a multiple of the tensor's own 32 bytes per
+    nonzero. This code measured 2.13 (count), 0.02 (save, a chunk of
+    512 lines) and 1.13 (load) here; summing every counted block at the
+    end, formatting whole columns and concatenating parsed chunks
+    measured 3.5, 2.4 and 4.5."""
+
+    ROSTER = ["on", "of", "in", "at", "by"]
+    CHUNK = 512
+
+    def _corpus(self):
+        rng = np.random.default_rng(0)
+        sentences = random_corpus(rng, 3000, 1000, self.ROSTER, max_len=20,
+                                  prep_prob=0.15)
+        return sentences, build_vocabulary(sentences, 1, self.ROSTER)
+
+    def _tensor(self):
+        tensor = count_tensor(*self._corpus(), 3)
+        assert tensor.nnz > 100 * self.CHUNK
+        return tensor
+
+    def test_count(self):
+        sentences, vocab = self._corpus()
+        tensor, peak = _traced_peak(lambda: count_tensor(sentences, vocab, 3))
+        assert peak < 2.5 * 32 * tensor.nnz
+
+    def test_save(self, tmp_path, monkeypatch):
+        tensor = self._tensor()
+        monkeypatch.setattr(corpus, "_LOAD_CHUNK_LINES", self.CHUNK)
+        _, peak = _traced_peak(lambda: save_tensor(tensor, tmp_path / "tensor.txt"))
+        assert peak < 0.5 * 32 * tensor.nnz
+
+    def test_load(self, tmp_path, monkeypatch):
+        tensor = self._tensor()
+        save_tensor(tensor, tmp_path / "tensor.txt")
+        monkeypatch.setattr(corpus, "_LOAD_CHUNK_LINES", self.CHUNK)
+        loaded, peak = _traced_peak(lambda: load_tensor(tmp_path / "tensor.txt"))
+        assert loaded == tensor
+        assert peak < 1.5 * 32 * tensor.nnz

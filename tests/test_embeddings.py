@@ -332,6 +332,15 @@ class TestEmbeddingIO:
         assert np.array_equal(loaded.vectors["bar"], [0.5, -1.0])
         assert len(loaded.vectors) == 3
 
+    def test_headerless_one_dimensional_glove(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("the 0.5\nof -1\n__NOPREP__ 2\n")
+        loaded = load_embeddings(path)
+        assert loaded.dim == 1
+        assert {tok: vec.tolist() for tok, vec in loaded.vectors.items()} == {
+            "the": [0.5], "of": [-1.0]}
+        assert loaded.q_const.tolist() == [2.0]
+
     def test_missing_constant_vector_warns(self, tmp_path, caplog):
         path = tmp_path / "emb.txt"
         path.write_text("2 2\nfoo 1 2\nbar 0.5 -1\n")
@@ -363,8 +372,9 @@ class TestEmbeddingIO:
          "line 4: token '__NOPREP__' listed twice"),
         ("", "line 1: bad header"),
         ("foo\n", "line 1: bad header"),
-        ("1_0 2\nfoo 1 2\n", "line 1: non-integer field '1_0'"),
-        ("1 \u0662\nfoo 1 2\n", "line 1: non-integer field '\u0662'"),
+        # Not two ASCII integers, so a one-float vector row, not a header.
+        ("1_0 2\nfoo 1 2\n", "line 2: expected 1 floats, got 2"),
+        ("1 \u0662\nfoo 1 2\n", "line 2: expected 1 floats, got 2"),
     ])
     def test_rejects_what_it_would_guess_at(self, tmp_path, text, message):
         path = tmp_path / "emb.txt"
