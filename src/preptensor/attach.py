@@ -13,13 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import open_input
-from .embeddings import (
-    EmbeddingStore,
-    cosine_similarity,
-    similarity_or_zero,
-    triple_similarity,
-)
+from .corpus import ASCII_INTEGER, open_input
+from .embeddings import EmbeddingStore, row_cosines, row_triples
 from .learn import FeedForwardNet, FnnHyper, accuracy, fnn_forward_batch, train_fnn
 
 logger = logging.getLogger(__name__)
@@ -75,34 +70,31 @@ def load_attachment_dataset(path) -> list[AttachmentInstance]:
             else:
                 prep, child, gold_str, cand_str = parts
                 candidates = []
-                try:
-                    gold_index = int(gold_str)
-                except ValueError:
-                    gold_index = -1
                 for spec in cand_str.split(";"):
                     bits = spec.split(":")
                     if len(bits) != 4:
                         reason = f"bad candidate spec {spec!r}"
                         break
-                    try:
-                        dist = int(bits[3])
-                    except ValueError:
+                    if not ASCII_INTEGER.fullmatch(bits[3]):
                         reason = f"non-integer distance in {spec!r}"
                         break
+                    dist = int(bits[3])
                     if dist < 1:
                         reason = f"distance must be >= 1 in {spec!r}"
                         break
                     candidates.append(Candidate(bits[0], bits[1], bits[2], dist))
                 if reason is None and not candidates:
                     reason = "no candidates"
-                if reason is None and not (0 <= gold_index < len(candidates)):
-                    reason = f"gold_index {gold_index} out of range"
+                if reason is None and not ASCII_INTEGER.fullmatch(gold_str):
+                    reason = f"non-integer gold_index {gold_str!r}"
+                if reason is None and not (0 <= int(gold_str) < len(candidates)):
+                    reason = f"gold_index {gold_str} out of range"
             if reason:
                 logger.warning("attachment dataset %s: line %d rejected: %s",
                                path, lineno, reason)
                 rejected += 1
                 continue
-            instances.append(AttachmentInstance(candidates, prep, child, gold_index))
+            instances.append(AttachmentInstance(candidates, prep, child, int(gold_str)))
     if rejected:
         logger.warning("attachment dataset %s: %d record(s) rejected", path, rejected)
     return instances
@@ -139,28 +131,30 @@ def build_tagset(instances) -> TagSet:
     return TagSet(tags)
 
 
-def attachment_features(instance: AttachmentInstance, candidate_index: int,
-                        store: EmbeddingStore, tagset: TagSet) -> np.ndarray:
-    """Feature vector for one candidate head.
+def attachment_features(instance: AttachmentInstance, store: EmbeddingStore,
+                        tagset: TagSet) -> np.ndarray:
+    """A feature row for each candidate head.
 
     Out-of-vocabulary tokens contribute zero vectors and zero similarity
     components; the head-preposition distance is scaled by 1/10 and
     capped at 1.
     """
-    cand = instance.candidates[candidate_index]
-    v_h = store.get_or_zero(cand.token)
-    v_p = store.get_or_zero(instance.preposition)
-    v_c = store.get_or_zero(instance.child)
-    feats = [
-        v_h, v_p, v_c,
-        [similarity_or_zero(triple_similarity, v_h, v_p, v_c),
-         similarity_or_zero(cosine_similarity, v_h, v_p),
-         similarity_or_zero(cosine_similarity, v_h, v_c)],
-        tagset.one_hot(cand.pos_tag),
-        tagset.one_hot(cand.next_pos_tag),
-        [min(cand.distance / MAX_DISTANCE, 1.0)],
-    ]
-    return np.concatenate(feats)
+    cands = instance.candidates
+    heads = store.rows_or_zero([c.token for c in cands])
+    v_p, v_c = store.rows_or_zero([instance.preposition, instance.child])
+    d = store.dim
+    feats = np.empty((len(cands), 3 * d + 3 + 2 * len(tagset.tags) + 1))
+    feats[:, :d] = heads
+    feats[:, d:2 * d] = v_p
+    feats[:, 2 * d:3 * d] = v_c
+    feats[:, 3 * d] = row_triples(heads, v_p, v_c)
+    feats[:, 3 * d + 1] = row_cosines(heads, v_p)
+    feats[:, 3 * d + 2] = row_cosines(heads, v_c)
+    feats[:, 3 * d + 3:-1] = [np.concatenate([tagset.one_hot(c.pos_tag),
+                                              tagset.one_hot(c.next_pos_tag)])
+                              for c in cands]
+    feats[:, -1] = [min(c.distance / MAX_DISTANCE, 1.0) for c in cands]
+    return feats
 
 
 def train_attachment_model(
@@ -174,11 +168,9 @@ def train_attachment_model(
     if not instances:
         raise ValueError("no training instances")
     tagset = tagset or build_tagset(instances)
-    rows, labels = [], []
-    for inst in instances:
-        for ci in range(len(inst.candidates)):
-            rows.append(attachment_features(inst, ci, store, tagset))
-            labels.append(1 if ci == inst.gold_index else 0)
+    rows = np.vstack([attachment_features(inst, store, tagset) for inst in instances])
+    labels = [int(ci == inst.gold_index) for inst in instances
+              for ci in range(len(inst.candidates))]
     fnn = train_fnn(rows, labels, arch, hyper)
     return fnn, tagset
 
@@ -187,9 +179,7 @@ def predict_head(instance: AttachmentInstance, fnn: FeedForwardNet,
                  store: EmbeddingStore, tagset: TagSet) -> int:
     """Candidate with the highest positive-class score; ties go to the
     nearest candidate, then the lowest index."""
-    rows = np.stack([attachment_features(instance, ci, store, tagset)
-                     for ci in range(len(instance.candidates))])
-    scores = fnn_forward_batch(fnn, rows)[:, 1]
+    scores = fnn_forward_batch(fnn, attachment_features(instance, store, tagset))[:, 1]
     order = sorted(
         range(len(instance.candidates)),
         key=lambda ci: (-scores[ci], instance.candidates[ci].distance, ci),

@@ -16,10 +16,14 @@ import hashlib
 import json
 import logging
 import os
+import platform
 import resource
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from . import attach as attach_ops
 from . import corpus as corpus_ops
@@ -122,6 +126,9 @@ def _write_manifest(path, command: str, config: dict, inputs: list, outputs: lis
         "config": {k: v for k, v in sorted(config.items())},
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
+        # Outputs are byte-identical only under the same numpy row kernels.
+        "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                     "scipy": scipy.__version__},
         **(extra or {}),
     }
     with open(path, "w", encoding="utf-8") as fh:

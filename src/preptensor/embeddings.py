@@ -39,70 +39,125 @@ NOPREP_TOKEN = "__NOPREP__"
 
 @dataclass
 class EmbeddingStore:
-    """Token -> vector map plus the constant extra-slice vector, as
-    ``emb.txt`` holds them. Words come from the U factor, prepositions
-    from Q; queries that rank over a roster take it as an argument.
+    """The rows of ``emb.txt``: distinct tokens, a contiguous float64
+    (tokens × d) matrix of their vectors (words from the U factor,
+    prepositions from Q) and the constant extra-slice vector.
     """
 
-    vectors: dict[str, np.ndarray]
+    tokens: list[str]
+    matrix: np.ndarray
     q_const: np.ndarray
-    dim: int
+
+    def __post_init__(self):
+        self.index = {tok: row for row, tok in enumerate(self.tokens)}
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     @classmethod
     def from_factors(cls, vocab: Vocabulary, emb: EmbeddingSet) -> "EmbeddingStore":
-        vectors: dict[str, np.ndarray] = {}
-        for i, tok in enumerate(vocab.words):
-            vectors[tok] = np.asarray(emb.U[i], dtype=np.float64)
-        for k, tok in enumerate(vocab.prepositions):
-            vectors[tok] = np.asarray(emb.Q[k], dtype=np.float64)
-        q_const = np.asarray(emb.Q[vocab.n_prepositions], dtype=np.float64)
-        return cls(vectors=vectors, q_const=q_const, dim=emb.dim)
+        return cls(tokens=[*vocab.words, *vocab.prepositions],
+                   matrix=np.vstack([emb.U, emb.Q[:-1]]), q_const=emb.Q[-1])
 
     def __contains__(self, token: str) -> bool:
-        return token in self.vectors
+        return token in self.index
 
-    def get(self, token: str) -> np.ndarray:
-        try:
-            return self.vectors[token]
-        except KeyError:
-            raise KeyError(f"token {token!r} not in embedding store") from None
+    def rows(self, tokens: Sequence[str]) -> np.ndarray:
+        """The vectors of ``tokens``, one row each (KeyError if one has none)."""
+        return self.matrix[[self.index[tok] for tok in tokens]]
 
-    def get_or_zero(self, token: str) -> np.ndarray:
-        return self.vectors.get(token, np.zeros(self.dim))
+    def rows_or_zero(self, tokens: Sequence[str]) -> np.ndarray:
+        """``rows``, with a zero row for each token without a vector."""
+        rows = np.zeros((len(tokens), self.dim))
+        known = [pos for pos, tok in enumerate(tokens) if tok in self.index]
+        rows[known] = self.rows([tokens[pos] for pos in known])
+        return rows
 
 
 class UndefinedSimilarityError(ValueError):
     """A similarity asked of a zero vector, for which it is undefined."""
 
 
-def similarity_or_zero(similarity, *vectors) -> float:
-    """``similarity(*vectors)``, or 0.0 where a zero vector leaves it
-    undefined; the rule feature builders use for out-of-vocabulary tokens
-    and empty contexts."""
-    try:
-        return similarity(*vectors)
-    except UndefinedSimilarityError:
-        return 0.0
+# The scalar similarities define each measure and are the tests' oracle.
+# The row_* kernels score a block of rows, each bit for bit as the scalar
+# form: np.vecdot is a ddot per row, like ``a @ b`` (``R @ v``, einsum and
+# ``norm(R, axis=1)`` are not). Out of __all__, so not traced on their own.
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    return cosine_with_norms(a, b, np.linalg.norm(a), np.linalg.norm(b))
-
-
-# The *_with_norms cores take norms the caller computed once per vector,
-# so batched feature builders score many candidates against one context
-# with the same arithmetic as the public similarities that wrap them.
-# They run once per element and, like similarity_or_zero, stay out of
-# __all__.
-
-
-def cosine_with_norms(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
-    """``cosine_similarity`` given both Euclidean norms."""
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
         raise UndefinedSimilarityError("cosine similarity undefined for zero-norm vector")
     return float(a @ b / (na * nb))
+
+
+def pair_similarity(v_left: np.ndarray, v_right: np.ndarray,
+                    v_p: np.ndarray) -> float:
+    """Best cosine between the preposition and either context side; a
+    zero-vector side is excluded from the max."""
+    sims = [cosine_similarity(v, v_p) for v in (v_left, v_right)
+            if np.linalg.norm(v) > 0.0]
+    if not sims:
+        raise UndefinedSimilarityError("both context vectors are zero")
+    return max(sims)
+
+
+def triple_similarity(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+    """Three-way inner product sum(a*b*c) normalized by the 3-norms
+    (sum |v|^3)^(1/3)."""
+    a, b, c = (np.asarray(v, dtype=np.float64) for v in (a, b, c))
+    ta, tb, tc = (np.sum(np.abs(v) ** 3) ** (1.0 / 3.0) for v in (a, b, c))
+    if ta == 0.0 or tb == 0.0 or tc == 0.0:
+        raise UndefinedSimilarityError(
+            "triple similarity undefined for zero 3-norm vector")
+    return float(np.sum(a * b * c) / (ta * tb * tc))
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row."""
+    return np.sqrt(np.vecdot(rows, rows))
+
+
+def row_cosines(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``cosine_similarity`` of each row with ``v``, 0.0 where a norm is 0."""
+    norms, v_norm = row_norms(rows), np.linalg.norm(v)
+    out = np.zeros(len(rows))
+    if v_norm != 0.0:
+        np.divide(np.vecdot(rows, v), norms * v_norm, out=out, where=norms != 0.0)
+    return out
+
+
+def row_pairs(rows: np.ndarray, v_left: np.ndarray, v_right: np.ndarray) -> np.ndarray:
+    """``pair_similarity`` of each row with the two context sides, 0.0 for
+    a zero row or two zero sides."""
+    sims = [row_cosines(rows, v) for v in (v_left, v_right) if np.linalg.norm(v) > 0.0]
+    if len(sims) == 2:
+        # As max(), which keeps the first of equal values.
+        return np.where(sims[1] > sims[0], sims[1], sims[0])
+    return sims[0] if sims else np.zeros(len(rows))
+
+
+def row_triples(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``triple_similarity`` row by row of ``a``, ``b`` and ``c``, each a
+    block of rows or one vector, 0.0 where a 3-norm is 0."""
+    ta, tb, tc = (_three_norms(x) for x in (a, b, c))
+    products = a * b * c
+    out = np.zeros(len(products))
+    np.divide(np.sum(products, axis=1), ta * tb * tc, out=out,
+              where=(ta != 0.0) & (tb != 0.0) & (tc != 0.0))
+    return out
+
+
+def _three_norms(x: np.ndarray):
+    """3-norm of a vector, or of each row. The cube root is a scalar pow
+    per row: an array power differs from it in the last bit."""
+    sums = np.sum(np.abs(x) ** 3, axis=-1)
+    if sums.ndim == 0:
+        return sums ** (1.0 / 3.0)
+    return np.array([s ** (1.0 / 3.0) for s in sums])
 
 
 def preposition_similarity_table(
@@ -114,61 +169,19 @@ def preposition_similarity_table(
     """Cosine for each preposition pair, optionally after subtracting the
     mean of the roster prepositions that have vectors."""
     if centered:
-        members = [store.vectors[p] for p in roster if p in store.vectors]
-        if not members:
+        members = store.rows([p for p in roster if p in store])
+        if not len(members):
             raise ValueError("centered similarity needs a preposition roster")
         mean = np.mean(members, axis=0)
     else:
         mean = np.zeros(store.dim)
-    rows = []
-    for left, right in pairs:
-        sim = cosine_similarity(store.get(left) - mean, store.get(right) - mean)
-        rows.append((left, right, sim))
-    return rows
-
-
-def pair_similarity(v_left: np.ndarray, v_right: np.ndarray,
-                    v_p: np.ndarray) -> float:
-    """Best cosine between the preposition and either context side; a
-    zero-vector side is excluded from the max."""
-    v_left, v_right, v_p = (np.asarray(v, dtype=np.float64)
-                            for v in (v_left, v_right, v_p))
-    return pair_with_norms(v_left, v_right, v_p, np.linalg.norm(v_left),
-                           np.linalg.norm(v_right), np.linalg.norm(v_p))
-
-
-def pair_with_norms(v_left: np.ndarray, v_right: np.ndarray, v_p: np.ndarray,
-                    n_left: float, n_right: float, n_p: float) -> float:
-    """``pair_similarity`` given the three Euclidean norms."""
-    if n_p == 0.0:
-        raise UndefinedSimilarityError("preposition vector must be nonzero")
-    sims = [cosine_with_norms(v, v_p, n, n_p)
-            for v, n in ((v_left, n_left), (v_right, n_right)) if n > 0.0]
-    if not sims:
-        raise UndefinedSimilarityError("both context vectors are zero")
-    return max(sims)
-
-
-def three_norm(v: np.ndarray) -> float:
-    """(sum |v|^3)^(1/3), the scale ``triple_similarity`` divides by."""
-    return np.sum(np.abs(v) ** 3) ** (1.0 / 3.0)
-
-
-def triple_similarity(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    """Three-way inner product sum(a*b*c) normalized by 3-norms."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    return triple_with_norms(a, b, c, three_norm(a), three_norm(b), three_norm(c))
-
-
-def triple_with_norms(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                      ta: float, tb: float, tc: float) -> float:
-    """``triple_similarity`` given the three 3-norms."""
-    if ta == 0.0 or tb == 0.0 or tc == 0.0:
-        raise UndefinedSimilarityError(
-            "triple similarity undefined for zero 3-norm vector")
-    return float(np.sum(a * b * c) / (ta * tb * tc))
+    left = store.rows([pair[0] for pair in pairs]) - mean
+    right = store.rows([pair[1] for pair in pairs]) - mean
+    n_left, n_right = row_norms(left), row_norms(right)
+    if not (n_left.all() and n_right.all()):
+        raise UndefinedSimilarityError("cosine similarity undefined for zero-norm vector")
+    sims = np.vecdot(left, right) / (n_left * n_right)
+    return [(l_tok, r_tok, float(sim)) for (l_tok, r_tok), sim in zip(pairs, sims)]
 
 
 def paraphrase_phrasal_verb(
@@ -185,13 +198,10 @@ def paraphrase_phrasal_verb(
     """
     if not candidate_verbs:
         raise ValueError("candidate set is empty")
-    target = store.get(head) * store.get(prep)
-    scored = []
-    for pos, verb in enumerate(candidate_verbs):
-        dist = float(np.linalg.norm(store.get(verb) * store.q_const - target))
-        scored.append((dist, pos, verb))
-    scored.sort(key=lambda rec: (rec[0], rec[1]))
-    return [(verb, dist) for dist, _, verb in scored]
+    v_head, v_prep = store.rows([head, prep])
+    dists = row_norms(store.rows(candidate_verbs) * store.q_const - v_head * v_prep)
+    return [(candidate_verbs[pos], float(dists[pos]))
+            for pos in np.argsort(dists, kind="stable")]
 
 
 def rank_preposition(
@@ -202,30 +212,28 @@ def rank_preposition(
 ) -> tuple[int, float]:
     """1-based cosine rank of the observed preposition against the mean
     of the nonzero context vectors, among the roster members that have
-    vectors, ties broken by roster order. Raises UndefinedSimilarityError
-    when no context vector is nonzero or their mean is zero."""
-    roster = [p for p in roster if p in store.vectors]
+    vectors, ties broken by roster order; UndefinedSimilarityError when
+    the context is zero or cancels out, or a ranked vector is zero."""
+    roster = [p for p in roster if p in store]
     if observed_prep not in roster:
         raise ValueError(f"preposition {observed_prep!r} not in roster")
-    context = [np.asarray(v, dtype=np.float64) for v in context_vectors
-               if np.linalg.norm(v) > 0.0]
-    if not context:
+    context = np.asarray(context_vectors, dtype=np.float64).reshape(-1, store.dim)
+    context = context[row_norms(context) > 0.0]
+    if not len(context):
         raise UndefinedSimilarityError("no nonzero context vectors")
     mean = np.mean(context, axis=0)
     n_mean = np.linalg.norm(mean)
     if n_mean == 0.0:
         raise UndefinedSimilarityError("the context vectors cancel out")
-    sims = []
-    for p in roster:
-        v_p = store.get(p)
-        sims.append(cosine_with_norms(v_p, mean, np.linalg.norm(v_p), n_mean))
-    observed_idx = roster.index(observed_prep)
-    observed_sim = sims[observed_idx]
-    rank = 1
-    for idx, sim in enumerate(sims):
-        if sim > observed_sim or (sim == observed_sim and idx < observed_idx):
-            rank += 1
-    return rank, observed_sim
+    members = store.rows(roster)
+    norms = row_norms(members)
+    if not norms.all():
+        raise UndefinedSimilarityError("cosine similarity undefined for zero-norm vector")
+    sims = np.vecdot(members, mean) / (norms * n_mean)
+    idx = roster.index(observed_prep)
+    observed = sims[idx]
+    rank = 1 + np.count_nonzero(sims > observed) + np.count_nonzero(sims[:idx] == observed)
+    return int(rank), float(observed)
 
 
 def slice_spectrum(tensor: SparseCountTensor, k: int, top_m: int) -> np.ndarray:
@@ -270,10 +278,10 @@ def save_embeddings(store: EmbeddingStore, path) -> None:
     `token f1 ... fd` line per token; the constant vector is stored
     under the reserved token."""
     row = " ".join(["%.17g"] * store.dim)
-    rows = [*store.vectors.items(), (NOPREP_TOKEN, store.q_const)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(rows)} {store.dim}\n")
-        fh.writelines(f"{tok} {row % tuple(vec.tolist())}\n" for tok, vec in rows)
+        fh.write(f"{len(store.tokens) + 1} {store.dim}\n")
+        fh.writelines(f"{tok} {row % tuple(vec.tolist())}\n" for tok, vec in
+                      zip([*store.tokens, NOPREP_TOKEN], [*store.matrix, store.q_const]))
 
 
 def load_embeddings(path) -> EmbeddingStore:
@@ -322,7 +330,8 @@ def load_embeddings(path) -> EmbeddingStore:
                        "paraphrase rankings keep candidate order",
                        path, NOPREP_TOKEN)
         q_const = np.zeros(dim)
-    return EmbeddingStore(vectors=vectors, q_const=q_const, dim=dim)
+    matrix = np.array(list(vectors.values())).reshape(len(vectors), dim)
+    return EmbeddingStore(tokens=list(vectors), matrix=matrix, q_const=q_const)
 
 
 def _parse_vector(parts, lineno) -> np.ndarray:

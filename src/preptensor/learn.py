@@ -385,6 +385,8 @@ def load_tree(path) -> DecisionTree:
         if len(header) != 6 or header[0] != "TREE" or header[1] != "v1":
             raise ValueError("bad tree header")
         n_nodes, n_classes, max_depth, min_leaf = parse_integers(header[2:], 1)
+        if n_nodes < 1:
+            raise ValueError("line 1: a tree needs at least one node")
         params = TreeParams(max_depth=max_depth, min_leaf=min_leaf)
         try:
             classes = [ast.literal_eval(tok) for tok in fh.readline().split()]
@@ -418,6 +420,9 @@ def load_tree(path) -> DecisionTree:
                 raise ValueError(f"unknown node kind {parts[0]!r}")
             if not np.isfinite(values).all():
                 raise ValueError(f"line {idx + 3}: non-finite value")
+            if node.feature < 0 and ((values < 0.0).any() or values.sum() == 0.0):
+                raise ValueError(f"line {idx + 3}: leaf counts must be >= 0 "
+                                 "with a positive sum")
             nodes.append(node)
     return DecisionTree(nodes=nodes, classes=classes, params=params)
 
@@ -439,6 +444,8 @@ def load_fnn(path) -> FeedForwardNet:
         if len(header) < 4 or header[:3] != ["FNN", "v1", "sizes"]:
             raise ValueError("bad network header")
         sizes = parse_integers(header[3:], 1)
+        if len(sizes) < 2 or min(sizes) < 1:
+            raise ValueError("line 1: a network needs two or more sizes, each >= 1")
         weights, biases = [], []
         lineno = 2
         for a, b in zip(sizes[:-1], sizes[1:]):

@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 
 from . import embeddings as emb_ops
-from .corpus import load_roster, open_input, parse_integers
+from .corpus import ASCII_INTEGER, load_roster, open_input, parse_integers
 from .embeddings import EmbeddingStore
 from .learn import (
     DecisionTree,
@@ -95,12 +95,11 @@ def load_selection_dataset(path, roster) -> list[SelectionInstance]:
                 reason = "expected 4 tab-separated fields"
             else:
                 tokens = parts[0].split()
-                try:
-                    prep_index = int(parts[1])
-                except ValueError:
-                    prep_index = -1
+                prep_index = int(parts[1]) if ASCII_INTEGER.fullmatch(parts[1]) else None
                 observed, gold = parts[2], parts[3]
-                if not (0 <= prep_index < len(tokens)):
+                if prep_index is None:
+                    reason = f"non-integer prep_index {parts[1]!r}"
+                elif not (0 <= prep_index < len(tokens)):
                     reason = "prep_index out of range"
                 elif tokens[prep_index] != observed:
                     reason = "token at prep_index differs from observed"
@@ -190,9 +189,14 @@ def load_confusion_table(path) -> ConfusionTable:
             raise ValueError("bad confusion-table header")
         k = parse_integers([header[2]], 1)[0]
         smoothing = float(header[3])
+        if not np.isfinite(smoothing):
+            raise ValueError("line 1: non-finite value")
         roster = fh.readline().split()
         if len(roster) != k:
             raise ValueError("roster length mismatch")
+        repeated = [tok for pos, tok in enumerate(roster) if tok in roster[:pos]]
+        if repeated:
+            raise ValueError(f"line 2: token {repeated[0]!r} listed twice")
         probs = {}
         for lineno, q in enumerate(roster, start=3):
             row = [float(x) for x in fh.readline().split()]
@@ -204,13 +208,6 @@ def load_confusion_table(path) -> ConfusionTable:
     return ConfusionTable(roster=roster, probs=probs, smoothing=smoothing)
 
 
-def _context_vector(tokens, store: EmbeddingStore) -> np.ndarray:
-    vecs = [store.vectors[t] for t in tokens if t in store.vectors]
-    if not vecs:
-        return np.zeros(store.dim)
-    return np.mean(vecs, axis=0)
-
-
 def detection_features(instance: SelectionInstance, store: EmbeddingStore,
                        table: ConfusionTable, window: int = 3,
                        stoplist: frozenset[str] | None = None) -> np.ndarray | None:
@@ -218,12 +215,12 @@ def detection_features(instance: SelectionInstance, store: EmbeddingStore,
     (no embedding for the observed preposition, or no usable context: no
     nonzero context vector, or context vectors that cancel out; treated
     as correct downstream)."""
-    if instance.observed not in store.vectors:
+    if instance.observed not in store:
         return None
     left, right = preprocess_context(instance, window, stoplist)
-    context_vecs = [store.vectors[t] for t in left + right if t in store.vectors]
+    context = store.rows([tok for tok in left + right if tok in store])
     try:
-        rank, cos = emb_ops.rank_preposition(context_vecs, instance.observed, store,
+        rank, cos = emb_ops.rank_preposition(context, instance.observed, store,
                                              table.roster)
     except emb_ops.UndefinedSimilarityError:
         return None
@@ -235,37 +232,32 @@ def correction_features(instance: SelectionInstance, candidates: list[str],
                         window: int = 3,
                         stoplist: frozenset[str] | None = None) -> np.ndarray:
     """One row per candidate: [v_left; v_cand; v_right; pair sim; triple
-    sim; replacement probability], shape (len(candidates), 3d + 3).
-
-    The context vectors and their norms are built once per instance and
-    each candidate's norms once per call.
-    """
+    sim; replacement probability], shape (len(candidates), 3d + 3); a
+    candidate without a vector scores 0.0."""
     if isinstance(candidates, str):
         raise TypeError("candidates must be a list of prepositions, not a string")
     roster = set(table.roster)
     for cand in candidates:
         if cand not in roster:
             raise ValueError(f"candidate {cand!r} not in roster")
-    left, right = preprocess_context(instance, window, stoplist)
-    v_l = _context_vector(left, store)
-    v_r = _context_vector(right, store)
-    n_l, n_r = np.linalg.norm(v_l), np.linalg.norm(v_r)
-    if n_l == 0.0 and n_r == 0.0:
-        raise ValueError("both context sides are empty; nothing to correct against")
-    t_l, t_r = emb_ops.three_norm(v_l), emb_ops.three_norm(v_r)
     d = store.dim
+    sides = np.zeros((2, d))
+    for side, tokens in zip(sides, preprocess_context(instance, window, stoplist)):
+        known = store.rows([tok for tok in tokens if tok in store])
+        if len(known):
+            side[:] = np.mean(known, axis=0)
+    if not emb_ops.row_norms(sides).any():
+        raise ValueError("both context sides are empty; nothing to correct against")
+    v_l, v_r = sides
+    cands = store.rows_or_zero(candidates)
     rows = np.empty((len(candidates), 3 * d + 3))
     rows[:, :d] = v_l
+    rows[:, d:2 * d] = cands
     rows[:, 2 * d:3 * d] = v_r
-    for row, cand in zip(rows, candidates):
-        v_p = store.get_or_zero(cand)
-        row[d:2 * d] = v_p
-        row[3 * d] = emb_ops.similarity_or_zero(
-            emb_ops.pair_with_norms, v_l, v_r, v_p, n_l, n_r, np.linalg.norm(v_p))
-        row[3 * d + 1] = emb_ops.similarity_or_zero(
-            emb_ops.triple_with_norms, v_l, v_p, v_r,
-            t_l, emb_ops.three_norm(v_p), t_r)
-        row[3 * d + 2] = table.replace_prob(instance.observed, cand)
+    rows[:, 3 * d] = emb_ops.row_pairs(cands, v_l, v_r)
+    rows[:, 3 * d + 1] = emb_ops.row_triples(v_l, cands, v_r)
+    rows[:, 3 * d + 2] = [table.replace_prob(instance.observed, cand)
+                          for cand in candidates]
     return rows
 
 

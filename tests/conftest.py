@@ -1,8 +1,10 @@
 import re
 
+import numpy as np
 import pytest
 
 from preptensor.corpus import SparseCountTensor, build_vocabulary
+from preptensor.embeddings import EmbeddingStore
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)_(\w+)")
 
@@ -26,6 +28,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         name, ok = results[number]
         terminalreporter.write_line(
             f"[{'PASS' if ok else 'FAIL'}] criterion {number:02d}: {name}")
+
+
+def make_store(vectors, q_const=None):
+    """An EmbeddingStore holding ``{token: vector}`` in dict order; the
+    extra-slice vector defaults to zero."""
+    matrix = np.array([np.asarray(v, dtype=np.float64) for v in vectors.values()])
+    if q_const is None:
+        q_const = np.zeros(matrix.shape[1])
+    return EmbeddingStore(tokens=list(vectors), matrix=matrix,
+                          q_const=np.asarray(q_const, dtype=np.float64))
 
 
 def brute_force_tensor(sentences, vocab, t):

@@ -1,0 +1,120 @@
+"""Per-candidate reference for the batched feature builders and queries.
+
+Each function composes the public scalar similarities one candidate at
+a time, with a zero vector for an out-of-vocabulary token and 0.0 for a
+similarity a zero vector leaves undefined. The batched code must equal
+these bit for bit.
+"""
+
+import numpy as np
+
+from preptensor.attach import MAX_DISTANCE
+from preptensor.embeddings import (
+    UndefinedSimilarityError,
+    cosine_similarity,
+    pair_similarity,
+    triple_similarity,
+)
+from preptensor.select import preprocess_context
+
+
+def or_zero(similarity, *vectors) -> float:
+    try:
+        return similarity(*vectors)
+    except UndefinedSimilarityError:
+        return 0.0
+
+
+def vector(store, token):
+    return store.matrix[store.index[token]]
+
+
+def vector_or_zero(store, token):
+    return vector(store, token) if token in store else np.zeros(store.dim)
+
+
+def rank_preposition(context_vectors, observed, store, roster):
+    roster = [p for p in roster if p in store]
+    if observed not in roster:
+        raise ValueError(f"preposition {observed!r} not in roster")
+    context = [np.asarray(v, dtype=np.float64) for v in context_vectors
+               if np.linalg.norm(v) > 0.0]
+    if not context:
+        raise UndefinedSimilarityError("no nonzero context vectors")
+    mean = np.mean(context, axis=0)
+    if np.linalg.norm(mean) == 0.0:
+        raise UndefinedSimilarityError("the context vectors cancel out")
+    sims = [cosine_similarity(vector(store, p), mean) for p in roster]
+    idx = roster.index(observed)
+    rank = 1 + sum(s > sims[idx] or (s == sims[idx] and j < idx)
+                   for j, s in enumerate(sims))
+    return rank, sims[idx]
+
+
+def detection_features(instance, store, table, window=3, stoplist=None):
+    if instance.observed not in store:
+        return None
+    left, right = preprocess_context(instance, window, stoplist)
+    context = [vector(store, tok) for tok in left + right if tok in store]
+    try:
+        rank, cos = rank_preposition(context, instance.observed, store, table.roster)
+    except UndefinedSimilarityError:
+        return None
+    return np.array([cos, float(rank), table.keep_prob(instance.observed)])
+
+
+def side_vector(store, tokens):
+    vecs = [vector(store, tok) for tok in tokens if tok in store]
+    return np.mean(vecs, axis=0) if vecs else np.zeros(store.dim)
+
+
+def correction_features(instance, candidates, store, table, window=3,
+                        stoplist=None):
+    left, right = preprocess_context(instance, window, stoplist)
+    v_l, v_r = side_vector(store, left), side_vector(store, right)
+    if np.linalg.norm(v_l) == 0.0 and np.linalg.norm(v_r) == 0.0:
+        raise ValueError("both context sides are empty")
+    rows = []
+    for cand in candidates:
+        v_p = vector_or_zero(store, cand)
+        rows.append(np.concatenate([
+            v_l, v_p, v_r,
+            [or_zero(pair_similarity, v_l, v_r, v_p),
+             or_zero(triple_similarity, v_l, v_p, v_r),
+             table.replace_prob(instance.observed, cand)]]))
+    return np.stack(rows)
+
+
+def attachment_features(instance, store, tagset):
+    v_p = vector_or_zero(store, instance.preposition)
+    v_c = vector_or_zero(store, instance.child)
+    rows = []
+    for cand in instance.candidates:
+        v_h = vector_or_zero(store, cand.token)
+        rows.append(np.concatenate([
+            v_h, v_p, v_c,
+            [or_zero(triple_similarity, v_h, v_p, v_c),
+             or_zero(cosine_similarity, v_h, v_p),
+             or_zero(cosine_similarity, v_h, v_c)],
+            tagset.one_hot(cand.pos_tag),
+            tagset.one_hot(cand.next_pos_tag),
+            [min(cand.distance / MAX_DISTANCE, 1.0)]]))
+    return np.stack(rows)
+
+
+def preposition_similarity_table(store, pairs, roster, centered=True):
+    if centered:
+        mean = np.mean([vector(store, p) for p in roster if p in store], axis=0)
+    else:
+        mean = np.zeros(store.dim)
+    return [(left, right, cosine_similarity(vector(store, left) - mean,
+                                            vector(store, right) - mean))
+            for left, right in pairs]
+
+
+def paraphrase_phrasal_verb(head, prep, candidates, store):
+    target = vector(store, head) * vector(store, prep)
+    scored = sorted(
+        (float(np.linalg.norm(vector(store, verb) * store.q_const - target)), pos)
+        for pos, verb in enumerate(candidates))
+    return [(candidates[pos], dist) for dist, pos in scored]

@@ -22,7 +22,6 @@ from preptensor.attach import (
 )
 from preptensor.corpus import SparseCountTensor, build_vocabulary, count_tensor
 from preptensor.embeddings import (
-    EmbeddingStore,
     cosine_similarity,
     paraphrase_phrasal_verb,
     slice_spectrum,
@@ -53,7 +52,7 @@ from preptensor.learn import (
 )
 from preptensor.select import default_roster
 
-from conftest import brute_force_tensor, random_corpus
+from conftest import brute_force_tensor, make_store, random_corpus
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -290,7 +289,7 @@ def test_criterion_07_paraphrase_geometry():
     for idx in range(30):
         candidates.append(f"noise{idx}")
         vectors[f"noise{idx}"] = rng.standard_normal(dim)
-    store = EmbeddingStore(vectors=vectors, q_const=q_const, dim=dim)
+    store = make_store(vectors, q_const=q_const)
     ok = True
     for head, prep, verb in pairs:
         ranked = paraphrase_phrasal_verb(head, prep, candidates, store)

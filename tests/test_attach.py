@@ -15,27 +15,20 @@ from preptensor.attach import (
     save_attachment_dataset,
     train_attachment_model,
 )
-from preptensor.embeddings import EmbeddingStore
+from conftest import make_store
 from preptensor.learn import FeedForwardNet, FnnHyper
 
-
-def make_store(vectors):
-    dim = len(next(iter(vectors.values())))
-    return EmbeddingStore(
-        vectors={tok: np.asarray(v, dtype=np.float64) for tok, v in vectors.items()},
-        q_const=np.zeros(dim),
-        dim=dim,
-    )
+VECTORS = {
+    "ate": [1.0, 0.2, 0.0],
+    "pizza": [0.1, 1.0, 0.0],
+    "fork": [0.9, 0.3, 0.2],
+    "with": [0.5, 0.5, 0.5],
+}
 
 
 @pytest.fixture
 def store():
-    return make_store({
-        "ate": [1.0, 0.2, 0.0],
-        "pizza": [0.1, 1.0, 0.0],
-        "fork": [0.9, 0.3, 0.2],
-        "with": [0.5, 0.5, 0.5],
-    })
+    return make_store(VECTORS)
 
 
 def cand(token, pos="NN", nxt="IN", dist=1):
@@ -73,6 +66,23 @@ class TestDatasetIO:
         assert len(loaded) == 1
         assert "5 record(s) rejected" in caplog.text
 
+    def test_rejects_non_ascii_integer_fields(self, tmp_path, caplog):
+        # int() reads each of these as a gold index or distance in range.
+        path = tmp_path / "att.tsv"
+        path.write_text("with\tfork\t1\tate:VB:NN:3;pizza:NN:IN:1_0\n"
+                        "with\tfork\t\u0661\tate:VB:NN:3;pizza:NN:IN:1\n"
+                        "with\tfork\t\uff11\tate:VB:NN:3;pizza:NN:IN:1\n"
+                        "with\tfork\t0\tate:VB:NN:\u0663\n"
+                        "with\tfork\t+1\tate:VB:NN:3;pizza:NN:IN:10\n")
+        with caplog.at_level("WARNING"):
+            loaded = load_attachment_dataset(path)
+        assert [(inst.gold_index, inst.candidates[1].distance) for inst in loaded] == [
+            (1, 10)]
+        rejected = [r.getMessage() for r in caplog.records]
+        assert len(rejected) == 5 and "4 record(s) rejected" in rejected[-1]
+        assert "non-integer distance in 'pizza:NN:IN:1_0'" in rejected[0]
+        assert "non-integer gold_index '\u0661'" in rejected[1]
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "att.tsv"
         path.write_text("\nwith\tfork\t0\tate:VB:NN:3\n\n")
@@ -105,29 +115,29 @@ class TestFeatures:
     def test_arity(self, store):
         tagset = TagSet(["NN", "VB", "IN"])
         instance = make_instance([("ate", 3), ("pizza", 1)])
-        feats = attachment_features(instance, 0, store, tagset)
+        feats = attachment_features(instance, store, tagset)[0]
         assert feats.shape == (3 * store.dim + 3 + 2 * len(tagset.tags) + 1,)
 
     def test_layout_and_distance_scaling(self, store):
         tagset = TagSet(["NN", "IN"])
         instance = make_instance([("ate", 3)])
-        feats = attachment_features(instance, 0, store, tagset)
+        feats = attachment_features(instance, store, tagset)[0]
         d = store.dim
-        assert np.array_equal(feats[:d], store.vectors["ate"])
-        assert np.array_equal(feats[d:2 * d], store.vectors["with"])
-        assert np.array_equal(feats[2 * d:3 * d], store.vectors["fork"])
+        assert np.array_equal(feats[:d], VECTORS["ate"])
+        assert np.array_equal(feats[d:2 * d], VECTORS["with"])
+        assert np.array_equal(feats[2 * d:3 * d], VECTORS["fork"])
         assert feats[-1] == pytest.approx(0.3)
 
     def test_distance_caps_at_one(self, store):
         tagset = TagSet(["NN", "IN"])
         instance = make_instance([("ate", 25)])
-        feats = attachment_features(instance, 0, store, tagset)
+        feats = attachment_features(instance, store, tagset)[0]
         assert feats[-1] == 1.0
 
     def test_oov_head_zeroes_similarities(self, store):
         tagset = TagSet(["NN", "IN"])
         instance = make_instance([("zzz", 2)])
-        feats = attachment_features(instance, 0, store, tagset)
+        feats = attachment_features(instance, store, tagset)[0]
         d = store.dim
         assert np.array_equal(feats[:d], np.zeros(d))
         assert np.array_equal(feats[3 * d:3 * d + 3], np.zeros(3))
@@ -136,7 +146,7 @@ class TestFeatures:
         tagset = TagSet(["NN", "IN"])
         store2 = make_store({"h": [1.0, 0.0], "with": [1.0, 1.0], "c": [0.0, 1.0]})
         instance = AttachmentInstance([cand("h")], "with", "c", 0)
-        feats = attachment_features(instance, 0, store2, tagset)
+        feats = attachment_features(instance, store2, tagset)[0]
         d = store2.dim
         assert feats[3 * d + 1] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
         assert feats[3 * d + 2] == pytest.approx(0.0, abs=1e-12)

@@ -11,7 +11,10 @@ from pathlib import Path
 
 import pytest
 
+import preptensor.attach as attach_ops
 import preptensor.cli as cli
+import preptensor.select as select_ops
+import scalar_features
 from preptensor.corpus import (
     build_vocabulary,
     count_tensor,
@@ -225,6 +228,23 @@ class TestDecompose:
             assert sorted(resources) == ["peak_rss_mb", "wall_s"]
             assert all(type(value) is float and value > 0
                        for value in resources.values())
+
+    def test_manifests_record_versions(self, tmp_path, tensor_dir):
+        import platform
+
+        import numpy
+        import scipy
+
+        out, spectrum = tmp_path / "emb.txt", tmp_path / "spectrum.csv"
+        assert cli.run(["decompose", "--tensor", str(tensor_dir), "--method", "als",
+                        "--dim", "3", "--iters", "2", "--out", str(out)]) == 0
+        assert cli.run(["spectrum", "--tensor", str(tensor_dir), "--slice", "in",
+                        "--out", str(spectrum)]) == 0
+        for path in (tensor_dir / "manifest.json", tmp_path / "emb.txt.manifest.json",
+                     tmp_path / "spectrum.csv.manifest.json"):
+            assert json.loads(path.read_text())["versions"] == {
+                "python": platform.python_version(), "numpy": numpy.__version__,
+                "scipy": scipy.__version__}
 
     def test_corrupt_tensor_fails_cleanly(self, tmp_path, tensor_dir):
         (tensor_dir / "tensor.txt").write_text("garbage\n")
@@ -467,6 +487,40 @@ def write_attachment_dataset(path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def test_batched_features_equal_scalar_composition_run(tmp_path, embeddings_path,
+                                                        roster_path, monkeypatch):
+    """Training and evaluation write the same bytes when every feature
+    builder is the per-candidate scalar composition."""
+    sel, att = tmp_path / "sel.tsv", tmp_path / "att.tsv"
+    write_selection_dataset(sel)
+    write_attachment_dataset(att)
+    net = ["--hidden1", "8", "--hidden2", "4", "--epochs", "20"]
+    names = ["sel/tree.txt", "sel/fnn.txt", "sel/confusion.txt", "sel_errors.csv",
+             "att/fnn.txt", "att/tags.txt", "att_errors.csv"]
+
+    def run_all(out):
+        emb = ["--embeddings", str(embeddings_path)]
+        for argv in (
+                ["train-select", "--train", str(sel), "--roster", str(roster_path),
+                 "--out", str(out / "sel"), "--min-leaf", "1", *net],
+                ["eval-select", "--test", str(sel), "--models", str(out / "sel"),
+                 "--out", str(out / "sel_errors.csv")],
+                ["train-attach", "--train", str(att), "--out", str(out / "att"), *net],
+                ["eval-attach", "--test", str(att), "--models", str(out / "att"),
+                 "--out", str(out / "att_errors.csv")]):
+            assert cli.run(argv + emb) == 0
+        return [(out / name).read_bytes() for name in names]
+
+    batched = run_all(tmp_path / "batched")
+    monkeypatch.setattr(select_ops, "detection_features",
+                        scalar_features.detection_features)
+    monkeypatch.setattr(select_ops, "correction_features",
+                        scalar_features.correction_features)
+    monkeypatch.setattr(attach_ops, "attachment_features",
+                        scalar_features.attachment_features)
+    assert run_all(tmp_path / "scalar") == batched
+
+
 class TestSelectPipeline:
     def test_train_then_eval(self, tmp_path, embeddings_path, roster_path,
                              capsys):
@@ -583,6 +637,9 @@ class TestSelectPipeline:
         (1, "'corr 'error'", "unterminated string"),
         (0, "TREE v1 3 two 8 5", "'two'"),
         (2, "split 0 half 1 2", "'half'"),
+        (0, "TREE v1 0 2 8 5", "at least one node"),
+        (3, "leaf 0 0", "line 4: leaf counts"),
+        (4, "leaf -3 1", "line 5: leaf counts"),
     ])
     def test_corrupt_tree_is_user_error(self, tmp_path, embeddings_path,
                                         roster_path, caplog, lineno, text, named):
@@ -611,6 +668,8 @@ class TestSelectPipeline:
     @pytest.mark.parametrize("lineno, text, named", [
         (0, "CONFUSION v1 3 one", "'one'"),
         (2, "0.5 half 0.25", "'half'"),
+        (0, "CONFUSION v1 3 nan", "non-finite"),
+        (1, "in of in", "'in' listed twice"),
     ])
     def test_corrupt_confusion_table_is_user_error(self, tmp_path, embeddings_path,
                                                    roster_path, caplog, lineno,
@@ -682,6 +741,7 @@ class TestAttachPipeline:
     @pytest.mark.parametrize("lineno, text, named", [
         (0, "FNN v1 sizes 2 x 2", "'x'"),
         (1, "0.5 half", "'half'"),
+        (0, "FNN v1 sizes 30", "two or more sizes"),
     ])
     def test_corrupt_fnn_is_user_error(self, tmp_path, embeddings_path, caplog,
                                        lineno, text, named):

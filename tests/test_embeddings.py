@@ -9,6 +9,8 @@ from preptensor.corpus import (
     count_tensor,
     tokenize_sentences,
 )
+from conftest import make_store
+from preptensor.factorize import EmbeddingSet
 from preptensor.embeddings import (
     EmbeddingStore,
     UndefinedSimilarityError,
@@ -18,24 +20,16 @@ from preptensor.embeddings import (
     paraphrase_phrasal_verb,
     preposition_similarity_table,
     rank_preposition,
+    row_cosines,
+    row_pairs,
+    row_triples,
     save_embeddings,
-    similarity_or_zero,
     slice_spectrum,
     triple_similarity,
 )
 from preptensor.select import default_roster
 
 TOY_CORPUS = Path(__file__).parent / "data" / "toy_corpus.txt"
-
-
-def make_store(vectors, q_const=None):
-    dim = len(next(iter(vectors.values())))
-    return EmbeddingStore(
-        vectors={tok: np.asarray(v, dtype=np.float64) for tok, v in vectors.items()},
-        q_const=np.asarray(q_const if q_const is not None else np.zeros(dim),
-                           dtype=np.float64),
-        dim=dim,
-    )
 
 
 class TestCosine:
@@ -132,21 +126,42 @@ class TestTripleSimilarity:
             triple_similarity([0, 0], [1, 1], [1, 1])
 
 
+def row_form(similarity, *vectors) -> float:
+    """The row kernel's score of one row: ``similarity(*vectors)``
+    computed as the feature builders compute it."""
+    rows = [np.array([v], dtype=np.float64) for v in vectors]
+    if similarity is cosine_similarity:
+        return row_cosines(rows[0], rows[1][0])[0]
+    if similarity is triple_similarity:
+        return row_triples(*rows)[0]
+    return row_pairs(rows[2], rows[0][0], rows[1][0])[0]
+
+
 class TestSimilarityOrZero:
+    """The feature builders' rule: the row kernels score 0.0 where a zero
+    vector leaves the scalar similarity undefined."""
+
     @pytest.mark.parametrize("similarity, vectors", [
         (cosine_similarity, ([0.0, 0.0], [1.0, 2.0])),
         (triple_similarity, ([1.0, 1.0], [0.0, 0.0], [1.0, 2.0])),
         (pair_similarity, ([1.0, 0.0], [0.0, 1.0], [0.0, 0.0])),
     ])
     def test_zero_vector_gives_zero(self, similarity, vectors):
-        assert similarity_or_zero(similarity, *vectors) == 0.0
+        with pytest.raises(UndefinedSimilarityError):
+            similarity(*vectors)
+        assert row_form(similarity, *vectors) == 0.0
 
     def test_defined_value_passes_through(self):
-        assert similarity_or_zero(cosine_similarity, [1.0, 0.0], [2.0, 0.0]) == 1.0
+        for similarity, vectors in [
+                (cosine_similarity, ([1.0, 0.0], [2.0, 0.0])),
+                (triple_similarity, ([1.0, 2.0], [0.5, -1.0], [3.0, 1.0])),
+                (pair_similarity, ([0.0, 0.0], [1.0, 3.0], [2.0, 1.0])),
+                (pair_similarity, ([1.0, 0.5], [1.0, 3.0], [2.0, 1.0]))]:
+            assert row_form(similarity, *vectors) == similarity(*vectors)
 
     def test_other_errors_propagate(self):
         with pytest.raises(ValueError):
-            similarity_or_zero(cosine_similarity, [1.0, 0.0], [1.0, 0.0, 0.0])
+            row_form(cosine_similarity, [1.0, 0.0], [1.0, 0.0, 0.0])
 
 
 class TestParaphrase:
@@ -231,11 +246,12 @@ class TestRankPreposition:
     def test_equals_per_preposition_cosines(self, dim):
         rng = np.random.default_rng(dim)
         roster = ["on", "in", "to", "at", "by"]
-        store = make_store({p: rng.standard_normal(dim) for p in roster})
-        store.vectors["by"] = store.vectors["on"].copy()
+        vectors = {p: rng.standard_normal(dim) for p in roster}
+        vectors["by"] = vectors["on"].copy()
+        store = make_store(vectors)
         context = [rng.standard_normal(dim), np.zeros(dim), rng.standard_normal(dim)]
         mean = np.mean([context[0], context[2]], axis=0)
-        sims = [cosine_similarity(store.get(p), mean) for p in roster]
+        sims = [cosine_similarity(vectors[p], mean) for p in roster]
         for idx, observed in enumerate(roster):
             rank = 1 + sum(s > sims[idx] or (s == sims[idx] and j < idx)
                            for j, s in enumerate(sims))
@@ -304,9 +320,8 @@ class TestEmbeddingIO:
         path = tmp_path / "emb.txt"
         save_embeddings(store, path)
         loaded = load_embeddings(path)
-        assert loaded.dim == 4
-        for tok, vec in store.vectors.items():
-            assert np.array_equal(loaded.vectors[tok], vec)
+        assert loaded.dim == 4 and loaded.tokens == store.tokens
+        assert np.array_equal(loaded.matrix, store.matrix)
         assert np.array_equal(loaded.q_const, store.q_const)
 
     def test_bytes_equal_per_value_writer(self, tmp_path):
@@ -320,25 +335,46 @@ class TestEmbeddingIO:
         path = tmp_path / "emb.txt"
         save_embeddings(store, path)
         want = [f"{len(rows)} 4\n"]
-        for tok, vec in [*store.vectors.items(), ("__NOPREP__", store.q_const)]:
+        for tok, vec in [*zip(store.tokens, store.matrix), ("__NOPREP__", store.q_const)]:
             want.append(tok + " " + " ".join(format(x, ".17g") for x in vec) + "\n")
         assert "-0 0 4.9406564584124654e-324" in want[-1]
         assert path.read_bytes() == "".join(want).encode("utf-8")
+
+    def test_constant_row_anywhere_leaves_the_matrix(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("3 2\nfoo 1 2\n__NOPREP__ 3 4\nbar 5 6\n")
+        loaded = load_embeddings(path)
+        assert loaded.tokens == ["foo", "bar"] and loaded.index == {"foo": 0, "bar": 1}
+        assert loaded.matrix.tolist() == [[1.0, 2.0], [5.0, 6.0]]
+        assert loaded.matrix.dtype == np.float64 and loaded.matrix.flags.c_contiguous
+        assert loaded.q_const.tolist() == [3.0, 4.0]
+
+    def test_from_factors_rows(self):
+        vocab = build_vocabulary([["cat", "sat", "on", "mat", "cat"]], 1, ["on", "in"])
+        rng = np.random.default_rng(8)
+        emb = EmbeddingSet(U=rng.standard_normal((vocab.n_words, 3)), W=None,
+                           Q=rng.standard_normal((3, 3)), method_tag="test")
+        store = EmbeddingStore.from_factors(vocab, emb)
+        assert store.tokens == [*vocab.words, "on", "in"] and store.dim == 3
+        assert np.array_equal(store.matrix, np.vstack([emb.U, emb.Q[:2]]))
+        assert np.array_equal(store.q_const, emb.Q[2])
+        assert np.array_equal(store.rows_or_zero(["in", "zzz"]),
+                              [emb.Q[1], np.zeros(3)])
 
     def test_handwritten_file(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("3 2\nfoo 1 2\nbar 0.5 -1\nbaz 3.25 0\n")
         loaded = load_embeddings(path)
-        assert np.array_equal(loaded.vectors["bar"], [0.5, -1.0])
-        assert len(loaded.vectors) == 3
+        assert np.array_equal(loaded.rows(["bar"]), [[0.5, -1.0]])
+        assert loaded.tokens == ["foo", "bar", "baz"]
 
     def test_headerless_one_dimensional_glove(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("the 0.5\nof -1\n__NOPREP__ 2\n")
         loaded = load_embeddings(path)
         assert loaded.dim == 1
-        assert {tok: vec.tolist() for tok, vec in loaded.vectors.items()} == {
-            "the": [0.5], "of": [-1.0]}
+        assert loaded.tokens == ["the", "of"]
+        assert loaded.matrix.tolist() == [[0.5], [-1.0]]
         assert loaded.q_const.tolist() == [2.0]
 
     def test_missing_constant_vector_warns(self, tmp_path, caplog):

@@ -97,6 +97,9 @@ class TestDecisionTree:
         ("leaf 1 inf", r"tree\.txt: line 3: non-finite value$"),
         ("split \u0660 0.5 1 2", r"tree\.txt: line 3: non-integer field '\u0660'$"),
         ("split 0 0.5 1 0_2", r"tree\.txt: line 3: non-integer field '0_2'$"),
+        ("leaf 0 0", r"tree\.txt: line 3: leaf counts must be >= 0 with a positive sum$"),
+        ("leaf -3 1", r"tree\.txt: line 3: leaf counts must be >= 0"),
+        ("leaf 2 -2", r"tree\.txt: line 3: leaf counts must be >= 0"),
     ])
     def test_load_rejects_bad_structure(self, tmp_path, root, match):
         path = tmp_path / "tree.txt"
@@ -111,6 +114,9 @@ class TestDecisionTree:
         ("TREE v1 3 2 8 5", "'corr 'error'", "unterminated string"),
         ("TREE v1 3 2 8 5", "0 foo", "malformed"),
         ("TREE v1 3 2 8 1_0", "0 1", r"tree\.txt: line 1: non-integer field '1_0'$"),
+        # A tree with no nodes has no root to predict from.
+        ("TREE v1 0 2 8 5", "0 1", r"tree\.txt: line 1: a tree needs at least one node$"),
+        ("TREE v1 -1 2 8 5", "0 1", "at least one node"),
     ])
     def test_load_rejects_unparsable_header(self, tmp_path, header, classes, match):
         path = tmp_path / "tree.txt"
@@ -248,6 +254,18 @@ class TestFnnTraining:
         with pytest.raises(ValueError) as exc:
             load_fnn(path)
         assert str(exc.value) == f"{path}: line 1: non-integer field {size!r}"
+
+    @pytest.mark.parametrize("sizes", ["9", "3 0 2", "3 4 -2"])
+    def test_load_rejects_fewer_than_two_sizes_or_a_size_below_one(self, tmp_path,
+                                                                   sizes):
+        path = tmp_path / "fnn.txt"
+        save_fnn(FeedForwardNet.init([3, 4, 2], seed=8), path)
+        text = path.read_text()
+        path.write_text(text.replace("FNN v1 sizes 3 4 2\n", f"FNN v1 sizes {sizes}\n"))
+        with pytest.raises(ValueError) as exc:
+            load_fnn(path)
+        assert str(exc.value) == (f"{path}: line 1: a network needs two or more "
+                                  "sizes, each >= 1")
 
     # sizes 3-4-2: weights on lines 2-4, bias line 5, then weights on
     # lines 6-9 and bias line 10.

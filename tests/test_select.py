@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from preptensor.embeddings import (
-    EmbeddingStore,
-    pair_similarity,
-    similarity_or_zero,
-    triple_similarity,
-)
+import scalar_features
+from conftest import make_store
 from preptensor.learn import (
     DecisionTree,
     FeedForwardNet,
@@ -37,26 +33,20 @@ ROSTER = ["on", "in", "to"]
 STOPLIST = frozenset({"the", "it", "a"})
 
 
-def make_store(vectors):
-    dim = len(next(iter(vectors.values())))
-    return EmbeddingStore(
-        vectors={tok: np.asarray(v, dtype=np.float64) for tok, v in vectors.items()},
-        q_const=np.zeros(dim),
-        dim=dim,
-    )
+VECTORS = {
+    "on": [1.0, 0.0, 0.0],
+    "in": [0.0, 1.0, 0.0],
+    "to": [0.0, 0.0, 1.0],
+    "sat": [1.0, 0.2, 0.0],
+    "mat": [0.9, 0.1, 0.1],
+    "box": [0.1, 1.0, 0.2],
+    "ran": [0.2, 0.1, 1.0],
+}
 
 
 @pytest.fixture
 def store():
-    return make_store({
-        "on": [1.0, 0.0, 0.0],
-        "in": [0.0, 1.0, 0.0],
-        "to": [0.0, 0.0, 1.0],
-        "sat": [1.0, 0.2, 0.0],
-        "mat": [0.9, 0.1, 0.1],
-        "box": [0.1, 1.0, 0.2],
-        "ran": [0.2, 0.1, 1.0],
-    })
+    return make_store(VECTORS)
 
 
 def inst(tokens, idx, observed, gold):
@@ -97,6 +87,21 @@ class TestDatasetIO:
             loaded = load_selection_dataset(path, ROSTER)
         assert len(loaded) == 1
         assert "4 line(s) rejected" in caplog.text
+
+    def test_rejects_non_ascii_integer_index(self, tmp_path, caplog):
+        # int() reads each of these as an index in range.
+        tokens = "a b c d e f g h i j on k"
+        path = tmp_path / "sel.tsv"
+        path.write_text(f"{tokens}\t10\ton\tin\n"
+                        f"{tokens}\t1_0\ton\tin\n"
+                        "sat on mat\t\u0661\ton\tin\n"
+                        "sat on mat\t\uff11\ton\tin\n")
+        with caplog.at_level("WARNING"):
+            loaded = load_selection_dataset(path, ROSTER)
+        assert [inst.prep_index for inst in loaded] == [10]
+        rejected = [r.getMessage() for r in caplog.records]
+        assert len(rejected) == 4 and "3 line(s) rejected" in rejected[-1]
+        assert "line 2 rejected: non-integer prep_index '1_0'" in rejected[0]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "sel.tsv"
@@ -185,6 +190,23 @@ class TestConfusionTable:
             load_confusion_table(path)
         assert str(exc.value) == f"{path}: line 1: non-integer field {k!r}"
 
+    @pytest.mark.parametrize("lineno, text, message", [
+        (0, "CONFUSION v1 3 nan", "line 1: non-finite value"),
+        (0, "CONFUSION v1 3 inf", "line 1: non-finite value"),
+        (1, "on in on", "line 2: token 'on' listed twice"),
+    ])
+    def test_bad_smoothing_or_repeated_token_rejected(self, tmp_path, lineno, text,
+                                                     message):
+        table = build_confusion_table([inst(["x", "on", "y"], 1, "on", "in")], ROSTER)
+        path = tmp_path / "conf.txt"
+        save_confusion_table(table, path)
+        lines = path.read_text().splitlines()
+        lines[lineno] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_confusion_table(path)
+        assert str(exc.value) == f"{path}: {message}"
+
     @pytest.mark.parametrize("lineno, value", [(3, "nan"), (5, "inf")])
     def test_non_finite_value_rejected(self, tmp_path, lineno, value):
         table = build_confusion_table([inst(["x", "on", "y"], 1, "on", "in")], ROSTER)
@@ -217,7 +239,7 @@ class TestDetectionFeatures:
         instance = inst(["sat", "on", "mat"], 1, "on", "on")
         feats = detection_features(instance, store, uniform_table(),
                                    stoplist=STOPLIST)
-        mean = (store.vectors["sat"] + store.vectors["mat"]) / 2
+        mean = (np.array(VECTORS["sat"]) + VECTORS["mat"]) / 2
         expected = mean[0] / np.linalg.norm(mean)
         assert feats[0] == pytest.approx(expected, abs=1e-12)
 
@@ -231,9 +253,8 @@ class TestDetectionFeatures:
         assert detection_features(instance, store, uniform_table(),
                                   stoplist=STOPLIST) is None
 
-    def test_cancelling_context_is_none(self, store):
-        store.vectors["up"] = np.array([0.3, -0.7, 0.2])
-        store.vectors["down"] = -store.vectors["up"]
+    def test_cancelling_context_is_none(self):
+        store = make_store({**VECTORS, "up": [0.3, -0.7, 0.2], "down": [-0.3, 0.7, -0.2]})
         instance = inst(["up", "on", "down"], 1, "on", "on")
         assert detection_features(instance, store, uniform_table(),
                                   stoplist=STOPLIST) is None
@@ -251,13 +272,13 @@ class TestCorrectionFeatures:
         feats = correction_features(instance, ["in"], store, uniform_table(),
                                     stoplist=STOPLIST)[0]
         d = store.dim
-        assert np.array_equal(feats[:d], store.vectors["sat"])
-        assert np.array_equal(feats[d:2 * d], store.vectors["in"])
-        assert np.array_equal(feats[2 * d:3 * d], store.vectors["mat"])
+        assert np.array_equal(feats[:d], VECTORS["sat"])
+        assert np.array_equal(feats[d:2 * d], VECTORS["in"])
+        assert np.array_equal(feats[2 * d:3 * d], VECTORS["mat"])
         assert feats[-1] == pytest.approx(1 / 3)
 
-    def test_oov_candidate_zeroes_similarities(self, store):
-        store.vectors["to"] = np.zeros(3)
+    def test_oov_candidate_zeroes_similarities(self):
+        store = make_store({**VECTORS, "to": np.zeros(3)})
         instance = inst(["sat", "on", "mat"], 1, "on", "in")
         feats = correction_features(instance, ["to"], store, uniform_table(),
                                     stoplist=STOPLIST)[0]
@@ -283,25 +304,6 @@ class TestCorrectionFeatures:
                                 stoplist=STOPLIST)
 
 
-def composed_correction_rows(instance, candidates, store, table, stoplist):
-    """Per-candidate reference built from the public similarities."""
-    left, right = preprocess_context(instance, 3, stoplist)
-
-    def side(tokens):
-        vecs = [store.vectors[t] for t in tokens if t in store.vectors]
-        return np.mean(vecs, axis=0) if vecs else np.zeros(store.dim)
-
-    v_l, v_r = side(left), side(right)
-    rows = []
-    for cand in candidates:
-        v_p = store.get_or_zero(cand)
-        pair = similarity_or_zero(pair_similarity, v_l, v_r, v_p)
-        triple = similarity_or_zero(triple_similarity, v_l, v_p, v_r)
-        conf = table.replace_prob(instance.observed, cand)
-        rows.append(np.concatenate([v_l, v_p, v_r, [pair, triple, conf]]))
-    return np.stack(rows)
-
-
 class TestBatchedCorrectionFeatures:
     # "upon" has no vector and "at" gets a zero one.
     ROSTER = ["on", "in", "to", "at", "upon"]
@@ -315,15 +317,15 @@ class TestBatchedCorrectionFeatures:
     def test_rows_equal_per_candidate_composition(self, dim, tokens):
         rng = np.random.default_rng(dim)
         words = ["on", "in", "to", "at", "sat", "ran", "mat", "box"]
-        store = make_store({w: rng.standard_normal(dim) for w in words})
-        store.vectors["at"] = np.zeros(dim)
+        store = make_store({**{w: rng.standard_normal(dim) for w in words},
+                            "at": np.zeros(dim)})
         instance = inst(tokens, tokens.index("on"), "on", "in")
         table = build_confusion_table(
             [instance, inst(tokens, tokens.index("on"), "on", "to")], self.ROSTER)
         got = correction_features(instance, self.ROSTER, store, table,
                                   stoplist=STOPLIST)
-        want = composed_correction_rows(instance, self.ROSTER, store, table,
-                                        STOPLIST)
+        want = scalar_features.correction_features(instance, self.ROSTER, store,
+                                                   table, stoplist=STOPLIST)
         assert got.shape == (len(self.ROSTER), 3 * dim + 3)
         assert np.array_equal(got, want)
 
