@@ -29,7 +29,7 @@ from . import attach as attach_ops
 from . import corpus as corpus_ops
 from . import embeddings as emb_ops
 from . import select as select_ops
-from .factorize import TrainingConfig, decompose_orth_als, decompose_weighted
+from .factorize import WD_BATCH, TrainingConfig, decompose_orth_als, decompose_weighted
 from .learn import FnnHyper, TreeParams, load_fnn, load_tree, save_fnn, save_tree
 
 logger = logging.getLogger("preptensor")
@@ -221,10 +221,13 @@ def cmd_decompose(args, cfg: dict, produced: list) -> None:
         x_max=cfg["xmax"], alpha=cfg["alpha"],
         learning_rate=cfg["lr"], seed=cfg["seed"],
     )
+    counters = {"n_words": tensor.n_words, "n_prepositions": tensor.n_prepositions,
+                "nnz": tensor.nnz}
     if args.method == "als":
         emb = decompose_orth_als(tensor, config)
     elif args.method == "wd":
         emb = decompose_weighted(tensor, config)
+        counters["batch"] = WD_BATCH
     else:
         raise ValueError(f"unknown method {args.method!r}")
     store = emb_ops.EmbeddingStore.from_factors(vocab, emb)
@@ -234,10 +237,7 @@ def cmd_decompose(args, cfg: dict, produced: list) -> None:
     cfg["method"] = args.method
     _write_manifest(_staged(produced, str(out) + ".manifest.json"), "decompose", cfg,
                     [tensor_dir / "vocab.txt", tensor_dir / "tensor.txt"], [out],
-                    extra={"trajectory": emb.trajectory,
-                           "counters": {"n_words": tensor.n_words,
-                                        "n_prepositions": tensor.n_prepositions,
-                                        "nnz": tensor.nnz},
+                    extra={"trajectory": emb.trajectory, "counters": counters,
                            "resources": _resources(start)})
 
 

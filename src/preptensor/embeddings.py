@@ -41,7 +41,9 @@ NOPREP_TOKEN = "__NOPREP__"
 class EmbeddingStore:
     """The rows of ``emb.txt``: distinct tokens, a contiguous float64
     (tokens × d) matrix of their vectors (words from the U factor,
-    prepositions from Q) and the constant extra-slice vector.
+    prepositions from Q) and the constant extra-slice vector. The roster
+    rows ``rank_preposition`` ranks are kept with the store, so the
+    matrix must not change after its first ranking.
     """
 
     tokens: list[str]
@@ -50,6 +52,7 @@ class EmbeddingStore:
 
     def __post_init__(self):
         self.index = {tok: row for row, tok in enumerate(self.tokens)}
+        self._roster_blocks = {}
 
     @property
     def dim(self) -> int:
@@ -73,6 +76,15 @@ class EmbeddingStore:
         known = [pos for pos, tok in enumerate(tokens) if tok in self.index]
         rows[known] = self.rows([tokens[pos] for pos in known])
         return rows
+
+    def _roster_block(self, roster: Sequence[str]):
+        """``roster``'s members with vectors, their rows and row norms."""
+        key = tuple(roster)
+        if key not in self._roster_blocks:
+            members = [p for p in roster if p in self.index]
+            rows = self.rows(members)
+            self._roster_blocks[key] = members, rows, row_norms(rows)
+        return self._roster_blocks[key]
 
 
 class UndefinedSimilarityError(ValueError):
@@ -214,7 +226,7 @@ def rank_preposition(
     of the nonzero context vectors, among the roster members that have
     vectors, ties broken by roster order; UndefinedSimilarityError when
     the context is zero or cancels out, or a ranked vector is zero."""
-    roster = [p for p in roster if p in store]
+    roster, members, norms = store._roster_block(roster)
     if observed_prep not in roster:
         raise ValueError(f"preposition {observed_prep!r} not in roster")
     context = np.asarray(context_vectors, dtype=np.float64).reshape(-1, store.dim)
@@ -225,8 +237,6 @@ def rank_preposition(
     n_mean = np.linalg.norm(mean)
     if n_mean == 0.0:
         raise UndefinedSimilarityError("the context vectors cancel out")
-    members = store.rows(roster)
-    norms = row_norms(members)
     if not norms.all():
         raise UndefinedSimilarityError("cosine similarity undefined for zero-norm vector")
     sims = np.vecdot(members, mean) / (norms * n_mean)

@@ -9,7 +9,6 @@ with per-index bias terms trained only on nonzero entries.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +39,9 @@ FIT_TOL = 1e-5
 # Factor values gathered at once, per factor, when evaluating the model
 # on the stored pattern; a block holds this many divided by d entries.
 _BLOCK_VALUES = 1 << 18
+# Entries per weighted-decomposition step. Nearly every entry hits Q's
+# extra-slice row, which steps once per batch, so larger batches slow it.
+WD_BATCH = 16
 
 
 @dataclass
@@ -146,10 +148,12 @@ def log_transform(tensor: SparseCountTensor) -> CooTensor:
 
 
 def weight(x, x_max: float, alpha: float):
-    """Saturating weight min((x/x_max)^alpha, 1) applied to raw counts."""
+    """Saturating weight min((x/x_max)^alpha, 1) applied to raw counts. A
+    scalar is weighed as a one-element array: numpy's power of a scalar
+    can differ from its power of an array in the last bit."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.minimum((x / x_max) ** alpha, 1.0)
-    return float(out) if out.ndim == 0 else out
+    out = np.minimum((x.reshape(-1) / x_max) ** alpha, 1.0)
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def _as_coo(tensor) -> CooTensor:
@@ -218,11 +222,14 @@ def _build_unfolding(coo: CooTensor, mode: str) -> scipy.sparse.csr_matrix:
     N x N vector would not fit in memory). A stable sort keeps each
     row's entries in entry order, and the matrix is never sorted or
     merged, so a row's product adds its terms in the order an
-    entry-by-entry scatter-add does."""
+    entry-by-entry scatter-add does. Entries already in row order, as
+    the (k, i, j)-ordered entries are for Q, share ``coo.values``."""
     n, _, kp1 = coo.dims
     rows = {"U": coo.i, "W": coo.j, "Q": coo.k}[mode]
     n_rows = kp1 if mode == "Q" else n
-    order = np.argsort(rows, kind="stable")
+    ordered = np.all(rows[:-1] <= rows[1:])
+    order = np.arange(coo.nnz) if ordered else np.argsort(rows, kind="stable")
+    values = coo.values if ordered else coo.values[order]
     if mode == "Q":
         columns, n_columns = order, coo.nnz
     else:
@@ -230,8 +237,7 @@ def _build_unfolding(coo: CooTensor, mode: str) -> scipy.sparse.csr_matrix:
         columns, n_columns = coo.k[order] * n + other[order], kp1 * n
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-    return scipy.sparse.csr_matrix((coo.values[order], columns, indptr),
-                                   shape=(n_rows, n_columns))
+    return scipy.sparse.csr_matrix((values, columns, indptr), shape=(n_rows, n_columns))
 
 
 def _mttkrp(coo: CooTensor, mode: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -312,26 +318,17 @@ def decompose_orth_als(tensor, config: TrainingConfig) -> EmbeddingSet:
     seed. Accepts a raw count tensor or an already log-domain CooTensor;
     count tensors are log-transformed first.
     """
-    if isinstance(tensor, SparseCountTensor):
-        coo = log_transform(tensor)
-    elif isinstance(tensor, CooTensor):
-        coo = tensor
-    else:
-        raise TypeError(f"unsupported tensor type {type(tensor).__name__}")
-    if coo.nnz == 0 or coo.norm() == 0.0:
+    coo = log_transform(tensor) if isinstance(tensor, SparseCountTensor) else _as_coo(tensor)
+    norm_t = coo.norm()
+    if norm_t == 0.0:
         raise ValueError("empty tensor: nothing to decompose")
     rng, U, W, Q = _init_factors(coo.dims, config.dim, config.seed)
-    norm_t = coo.norm()
     prev_fit = -np.inf
     trajectory = []
     for sweep in range(config.iterations):
         if sweep < config.ortho_iterations:
-            if U.shape[0] >= config.dim:
-                U = orthogonalize_factors(U, rng)
-            if W.shape[0] >= config.dim:
-                W = orthogonalize_factors(W, rng)
-            if Q.shape[0] >= config.dim:
-                Q = orthogonalize_factors(Q, rng)
+            U, W, Q = (orthogonalize_factors(F, rng) if len(F) >= config.dim else F
+                       for F in (U, W, Q))
         U = als_update_mode(coo, U, W, Q, "U")
         W = als_update_mode(coo, U, W, Q, "W")
         Q = als_update_mode(coo, U, W, Q, "Q")
@@ -347,61 +344,50 @@ def decompose_orth_als(tensor, config: TrainingConfig) -> EmbeddingSet:
     return emb
 
 
-def weighted_gradient(emb: EmbeddingSet, i: int, j: int, k: int, x: float,
-                      x_max: float, alpha: float):
-    """Analytic gradient of one weighted squared-residual term.
+def weighted_gradient(emb: EmbeddingSet, i, j, k, x, x_max: float, alpha: float):
+    """Analytic gradient of one weighted squared-residual term, or of each
+    when the indices and raw counts are arrays (with a leading entry axis).
 
     Returns (g_u, g_w, g_q, g_bias) where the shared scalar bias gradient
     applies to all three biases.
     """
     u, w, q = emb.U[i], emb.W[j], emb.Q[k]
-    r = float(u @ (w * q)) + float(emb.b_U[i]) + float(emb.b_W[j]) + float(emb.b_Q[k])
-    r -= np.log1p(x)
+    wq = w * q
+    r = np.vecdot(u, wq) + emb.b_U[i] + emb.b_W[j] + emb.b_Q[k] - np.log1p(x)
     g = 2.0 * weight(x, x_max, alpha) * r
-    return g * (w * q), g * (u * q), g * (u * w), g
+    gc = g[..., None]
+    return gc * wq, gc * (u * q), gc * (u * w), g
 
 
-def _wd_epoch(order, ii, jj, kk, targets, weights, lr,
-              U, W, Q, bU, bW, bQ, GU, GW, GQ, GbU, GbW, GbQ):
-    """One adaptive-step pass over the entries in ``order``; updates the
-    factors, biases and squared-gradient sums in place and returns the
-    weighted loss seen during the pass.
+def _wd_epoch(order, rows, counts, A, G, config: TrainingConfig) -> None:
+    """One pass over the entries in ``order``, ``WD_BATCH`` at a time;
+    updates ``A`` and its squared-gradient sums ``G`` in place.
 
-    Indices, targets, weights, biases and bias sums are python lists, so
-    the per-entry scalar work stays off numpy; factor rows are updated in
-    place through their views.
+    ``A`` stacks U's, W's and Q's rows, each with its bias as a last
+    column, and ``rows`` holds each entry's i, N + j and 2N + k. A batch's
+    gradients all come from the values at its start. Each row it touches
+    takes one step with the mean of its entries' gradients, summed in
+    entry order, and its sum grows by that mean squared.
     """
-    sqrt = math.sqrt
-    loss = 0.0
-    for e in order:
-        i, j, k = ii[e], jj[e], kk[e]
-        u, w, q = U[i], W[j], Q[k]
-        wq = w * q
-        r = float(u @ wq) + bU[i] + bW[j] + bQ[k] - targets[e]
-        wt = weights[e]
-        loss += wt * r * r
-        g = 2.0 * wt * r
-        gu = g * wq
-        gw = g * (u * q)
-        gq = g * (u * w)
-        gU, gW, gQ = GU[i], GW[j], GQ[k]
-        u -= lr * gu / np.sqrt(gU)
-        w -= lr * gw / np.sqrt(gW)
-        q -= lr * gq / np.sqrt(gQ)
-        gu *= gu
-        gU += gu
-        gw *= gw
-        gW += gw
-        gq *= gq
-        gQ += gq
-        bU[i] -= lr * g / sqrt(GbU[i])
-        bW[j] -= lr * g / sqrt(GbW[j])
-        bQ[k] -= lr * g / sqrt(GbQ[k])
-        gg = g * g
-        GbU[i] += gg
-        GbW[j] += gg
-        GbQ[k] += gg
-    return loss
+    P, b, lr = A[:, :-1], A[:, -1], config.learning_rate
+    stacked = EmbeddingSet(U=P, W=P, Q=P, method_tag="WD", b_U=b, b_W=b, b_Q=b)
+    width = A.shape[1]
+    columns = np.arange(width)
+    for start in range(0, len(order), WD_BATCH):
+        batch = order[start:start + WD_BATCH]
+        idx = rows[:, batch]
+        gu, gw, gq, gb = weighted_gradient(stacked, *idx, counts[batch],
+                                           config.x_max, config.alpha)
+        grads = np.empty((3, len(batch), width))
+        grads[..., :-1] = gu, gw, gq
+        grads[..., -1] = gb
+        touched, inverse, hits = np.unique(idx.ravel(), return_inverse=True,
+                                           return_counts=True)
+        # bincount adds each cell's terms in entry order, starting at 0.
+        cells = (inverse[:, None] * width + columns).ravel()
+        step = np.bincount(cells, grads.ravel()).reshape(-1, width) / hits[:, None]
+        A[touched] -= lr * step / np.sqrt(G[touched])
+        G[touched] += step * step
 
 
 def wd_loss(raw: CooTensor, emb: EmbeddingSet, x_max: float, alpha: float) -> float:
@@ -415,44 +401,39 @@ def wd_loss(raw: CooTensor, emb: EmbeddingSet, x_max: float, alpha: float) -> fl
 
 def decompose_weighted(tensor, config: TrainingConfig,
                        init: EmbeddingSet | None = None) -> EmbeddingSet:
-    """Weighted decomposition with biases by adaptive stochastic descent.
+    """Weighted decomposition with biases by mini-batch AdaGrad.
 
     Visits shuffled nonzero entries (zero entries carry zero weight) for
-    ``iterations`` epochs, updating each touched row with per-coordinate
-    adaptive step sizes. Deterministic given the seed.
+    ``iterations`` epochs in batches (see ``_wd_epoch``), with
+    per-coordinate adaptive step sizes; ``trajectory`` holds the weighted
+    loss after each epoch. Deterministic given the seed.
     """
     raw = _as_coo(tensor)
     if np.any(raw.values <= 0):
         raise ValueError("weighted decomposition requires positive nonzero entries")
+    n, _, kp1 = raw.dims
     if init is not None:
         rng = np.random.default_rng(config.seed)
-        U, W, Q = init.U.copy(), init.W.copy(), init.Q.copy()
-        bU, bW, bQ = init.b_U.tolist(), init.b_W.tolist(), init.b_Q.tolist()
+        factors, biases = (init.U, init.W, init.Q), (init.b_U, init.b_W, init.b_Q)
     else:
-        rng, U, W, Q = _init_factors(raw.dims, config.dim, config.seed)
-        n, _, kp1 = raw.dims
-        bU, bW, bQ = [0.0] * n, [0.0] * n, [0.0] * kp1
-    GU, GW, GQ = np.ones_like(U), np.ones_like(W), np.ones_like(Q)
-    GbU, GbW, GbQ = [1.0] * len(bU), [1.0] * len(bW), [1.0] * len(bQ)
-    ii, jj, kk = raw.i.tolist(), raw.j.tolist(), raw.k.tolist()
-    targets = np.log1p(raw.values).tolist()
-    weights = weight(raw.values, config.x_max, config.alpha).tolist()
-    trajectory = []
+        rng, *factors = _init_factors(raw.dims, config.dim, config.seed)
+        biases = (np.zeros(n), np.zeros(n), np.zeros(kp1))
+    A = np.hstack([np.vstack(factors), np.concatenate(biases)[:, None]])
+    P, b, G = A[:, :-1], A[:, -1], np.ones_like(A)
+    rows = np.stack([raw.i, n + raw.j, 2 * n + raw.k])
+    emb = EmbeddingSet(P[:n], P[n:2 * n], P[2 * n:], method_tag="WD",
+                       b_U=b[:n], b_W=b[n:2 * n], b_Q=b[2 * n:])
     for epoch in range(config.iterations):
-        order = rng.permutation(raw.nnz).tolist()
         # A diverging run is reported once, by the loss check below.
         with np.errstate(over="ignore", invalid="ignore"):
-            loss = _wd_epoch(order, ii, jj, kk, targets, weights,
-                             config.learning_rate,
-                             U, W, Q, bU, bW, bQ, GU, GW, GQ, GbU, GbW, GbQ)
+            _wd_epoch(rng.permutation(raw.nnz), rows, raw.values, A, G, config)
+            loss = wd_loss(raw, emb, config.x_max, config.alpha)
         if not np.isfinite(loss):
             raise RuntimeError(
                 f"weighted decomposition diverged at epoch {epoch + 1}: "
                 f"loss is not finite (try a smaller learning rate)"
             )
         logger.info("epoch %d loss %.10g", epoch + 1, loss)
-        trajectory.append(loss)
-    emb = EmbeddingSet(U=U, W=W, Q=Q, method_tag="WD", b_U=np.array(bU),
-                       b_W=np.array(bW), b_Q=np.array(bQ), trajectory=trajectory)
+        emb.trajectory.append(loss)
     emb.validate()
     return emb

@@ -13,6 +13,7 @@ import pytest
 
 import preptensor.attach as attach_ops
 import preptensor.cli as cli
+import preptensor.factorize as factorize
 import preptensor.select as select_ops
 import scalar_features
 from preptensor.corpus import (
@@ -218,6 +219,17 @@ class TestDecompose:
                                         "n_prepositions": len(ROSTER),
                                         "nnz": tensor.nnz}
         assert tensor.nnz > 0
+
+    def test_wd_manifest_records_batch(self, tmp_path, tensor_dir):
+        out = tmp_path / "emb.txt"
+        assert cli.run(["decompose", "--tensor", str(tensor_dir), "--method", "wd",
+                        "--dim", "3", "--iters", "2", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "emb.txt.manifest.json").read_text())
+        tensor = load_tensor(tensor_dir / "tensor.txt")
+        assert manifest["counters"] == {"n_words": tensor.n_words,
+                                        "n_prepositions": len(ROSTER),
+                                        "nnz": tensor.nnz,
+                                        "batch": factorize.WD_BATCH}
 
     def test_manifests_record_resources(self, tmp_path, tensor_dir):
         out = tmp_path / "emb.txt"

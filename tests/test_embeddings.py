@@ -257,6 +257,31 @@ class TestRankPreposition:
                            for j, s in enumerate(sims))
             assert rank_preposition(context, observed, store, roster) == (rank, sims[idx])
 
+    def test_roster_rows_gathered_once_per_roster(self, monkeypatch):
+        store = make_store({"on": [1.0, 0.0], "in": [0.0, 1.0], "at": [1.0, 1.0]})
+        gathered = []
+        rows = EmbeddingStore.rows
+        monkeypatch.setattr(EmbeddingStore, "rows",
+                            lambda self, tokens: gathered.append(list(tokens))
+                            or rows(self, tokens))
+        context = [np.array([1.0, 0.2])]
+        first = [rank_preposition(context, p, store, ["on", "in", "up"])
+                 for p in ("on", "in", "on")]
+        assert first == [rank_preposition(context, p, store, ["on", "in", "up"])
+                         for p in ("on", "in", "on")]
+        assert gathered == [["on", "in"]]
+        # Another roster gets its own block, and another store its own.
+        assert rank_preposition(context, "at", store, ["at", "on"])[0] == 2
+        assert rank_preposition(context, "on", make_store({"on": [1.0, 0.0]}),
+                                ["on", "in"]) == (1, pytest.approx(0.98, abs=0.01))
+        assert gathered == [["on", "in"], ["at", "on"], ["on"]]
+
+    def test_zero_roster_vector_rejected_on_every_call(self):
+        store = make_store({"on": [1.0, 0.0], "in": [0.0, 0.0]})
+        for _ in range(2):
+            with pytest.raises(UndefinedSimilarityError, match="zero-norm"):
+                rank_preposition([np.array([1.0, 0.0])], "on", store, ["on", "in"])
+
 
 class TestSliceSpectrum:
     def test_rank1_log_domain_slice(self):

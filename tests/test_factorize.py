@@ -228,6 +228,19 @@ class TestArrayKernelsEqualReferences:
             update = np.linalg.solve(gram + factorize.RIDGE * np.eye(d), want.T).T
             assert np.array_equal(als_update_mode(coo, U, W, Q, mode), update)
 
+    @pytest.mark.parametrize("d", [1, 25])
+    def test_q_unfolding_shares_ordered_values(self, d):
+        rng = np.random.default_rng(45)
+        counts = SparseCountTensor.from_entries(30, 4, 3, shuffled_entries(rng, 30, 5, 900))
+        coo = log_transform(counts)
+        assert np.any(np.bincount(coo.k) > 1)
+        csr = factorize._unfolding(coo, "Q")
+        assert np.shares_memory(csr.data, coo.values)
+        assert not np.shares_memory(factorize._unfolding(coo, "U").data, coo.values)
+        U, W = rng.standard_normal((30, d)), rng.standard_normal((30, d))
+        assert np.array_equal(factorize._mttkrp(coo, "Q", U, W),
+                              add_at_mode_mttkrp(coo, "Q", U, W))
+
     def test_decompose_equals_scatter_add_run(self, monkeypatch):
         rng = np.random.default_rng(43)
         entries = shuffled_entries(rng, 30, 5, 1500)
@@ -369,6 +382,23 @@ class TestCpFit:
 
 
 class TestWeightedGradient:
+    @pytest.mark.parametrize("d", [1, 3, 25, 200])
+    def test_batch_equals_scalar_calls(self, d):
+        rng = np.random.default_rng(36)
+        n, kp1, batch = 30, 6, 400
+        emb = make_wd_embeddings(rng, n, kp1, d)
+        i, j = rng.integers(0, n, batch), rng.integers(0, n, batch)
+        k = rng.integers(0, kp1, batch)
+        # Counts either side of x_max, so the weight both grows and saturates.
+        x = rng.integers(1, 60, batch).astype(np.float64)
+        got = weighted_gradient(emb, i, j, k, x, 10.0, 0.75)
+        assert [g.shape for g in got] == [(batch, d)] * 3 + [(batch,)]
+        for e in range(batch):
+            want = weighted_gradient(emb, int(i[e]), int(j[e]), int(k[e]),
+                                     float(x[e]), 10.0, 0.75)
+            for g_batch, g_one in zip(got, want):
+                assert np.array_equal(g_batch[e], g_one)
+
     def test_zero_residual(self):
         rng = np.random.default_rng(16)
         emb = make_wd_embeddings(rng, 4, 3, 2, positive=True)
@@ -417,10 +447,29 @@ class TestWeightedGradient:
                     assert abs(fd - grad[c]) / denom <= 1e-4
 
 
+PARAMETERS = ("U", "W", "Q", "b_U", "b_W", "b_Q")
+
+
+def oracle_start(raw, config, init=None):
+    """The generator ``decompose_weighted`` draws from and an EmbeddingSet
+    of copies of the factors and biases it starts from."""
+    rng = np.random.default_rng(config.seed)
+    if init is None:
+        n, _, kp1 = raw.dims
+        scale = 1.0 / np.sqrt(config.dim)
+        init = EmbeddingSet(U=rng.standard_normal((n, config.dim)) * scale,
+                            W=rng.standard_normal((n, config.dim)) * scale,
+                            Q=rng.standard_normal((kp1, config.dim)) * scale,
+                            method_tag="WD", b_U=np.zeros(n), b_W=np.zeros(n),
+                            b_Q=np.zeros(kp1))
+    copies = {name: getattr(init, name).copy() for name in PARAMETERS}
+    return rng, EmbeddingSet(method_tag="WD", **copies)
+
+
 def scalar_wd_epoch(order, ii, jj, kk, targets, weights, lr,
                     U, W, Q, bU, bW, bQ, GU, GW, GQ, GbU, GbW, GbQ):
-    """Reference epoch: every index and scalar a numpy value, every row
-    written back by assignment."""
+    """Sequential reference epoch: one adaptive step per entry, every index
+    and scalar a numpy value, every row written back by assignment."""
     loss = 0.0
     for e in order:
         i, j, k = ii[e], jj[e], kk[e]
@@ -448,29 +497,54 @@ def scalar_wd_epoch(order, ii, jj, kk, targets, weights, lr,
 
 
 def scalar_decompose_weighted(raw, config, init=None):
-    """``decompose_weighted`` driven by ``scalar_wd_epoch``: returns the
-    factors, the biases and the per-epoch losses."""
-    rng = np.random.default_rng(config.seed)
-    if init is not None:
-        U, W, Q = init.U.copy(), init.W.copy(), init.Q.copy()
-        bU, bW, bQ = init.b_U.copy(), init.b_W.copy(), init.b_Q.copy()
-    else:
-        n, _, kp1 = raw.dims
-        scale = 1.0 / np.sqrt(config.dim)
-        U = rng.standard_normal((n, config.dim)) * scale
-        W = rng.standard_normal((n, config.dim)) * scale
-        Q = rng.standard_normal((kp1, config.dim)) * scale
-        bU, bW, bQ = np.zeros(n), np.zeros(n), np.zeros(kp1)
-    G = [np.ones_like(a) for a in (U, W, Q, bU, bW, bQ)]
+    """The sequential AdaGrad decomposition, driven by ``scalar_wd_epoch``:
+    returns the embeddings and the loss seen during each pass."""
+    rng, emb = oracle_start(raw, config, init)
+    params = [getattr(emb, name) for name in PARAMETERS]
+    sums = [np.ones_like(param) for param in params]
     targets = np.log1p(raw.values)
     weights = weight(raw.values, config.x_max, config.alpha)
     losses = []
     for _ in range(config.iterations):
         order = rng.permutation(raw.nnz)
         losses.append(scalar_wd_epoch(order, raw.i, raw.j, raw.k, targets, weights,
-                                      config.learning_rate,
-                                      U, W, Q, bU, bW, bQ, *G))
-    return (U, W, Q, bU, bW, bQ), losses
+                                      config.learning_rate, *params, *sums))
+    return emb, losses
+
+
+def minibatch_wd_epoch(order, raw, config, emb, sums):
+    """Reference mini-batch epoch: one scalar ``weighted_gradient`` call per
+    entry of a batch, each touched row's gradients added from 0 in batch
+    order, then one adaptive step per row with their mean."""
+    lr = config.learning_rate
+    for start in range(0, len(order), factorize.WD_BATCH):
+        totals, hits = {}, {}
+        for e in order[start:start + factorize.WD_BATCH]:
+            i, j, k = int(raw.i[e]), int(raw.j[e]), int(raw.k[e])
+            gu, gw, gq, gb = weighted_gradient(emb, i, j, k, float(raw.values[e]),
+                                               config.x_max, config.alpha)
+            for key, grad in ((("U", i), gu), (("W", j), gw), (("Q", k), gq),
+                              (("b_U", i), gb), (("b_W", j), gb), (("b_Q", k), gb)):
+                totals[key] = totals.get(key, 0.0) + grad
+                hits[key] = hits.get(key, 0) + 1
+        for (name, row), total in totals.items():
+            mean = total / hits[name, row]
+            param, sum_sq = getattr(emb, name), sums[name]
+            param[row] = param[row] - lr * mean / np.sqrt(sum_sq[row])
+            sum_sq[row] += mean * mean
+
+
+def minibatch_decompose_weighted(raw, config, init=None):
+    """``decompose_weighted`` composed from scalar gradients by
+    ``minibatch_wd_epoch``: returns the embeddings and the loss after each
+    epoch."""
+    rng, emb = oracle_start(raw, config, init)
+    sums = {name: np.ones_like(getattr(emb, name)) for name in PARAMETERS}
+    losses = []
+    for _ in range(config.iterations):
+        minibatch_wd_epoch(rng.permutation(raw.nnz), raw, config, emb, sums)
+        losses.append(reference_wd_loss(raw, emb, config.x_max, config.alpha))
+    return emb, losses
 
 
 class TestDecomposeWeighted:
@@ -571,17 +645,53 @@ class TestDecomposeWeighted:
         rng = np.random.default_rng(30)
         dense = rng.integers(0, 25, size=(7, 7, 4)).astype(np.float64)
         raw = dense_to_coo(dense)
+        # Every full batch repeats a row of each factor, and the last
+        # batch is short.
+        assert max(raw.dims) < factorize.WD_BATCH
+        assert raw.nnz % factorize.WD_BATCH
         config = TrainingConfig(dim=dim, iterations=4, seed=31, ortho_iterations=0)
         init = None
         for _ in range(2):
             out = decompose_weighted(raw, config, init=init)
-            expected, losses = scalar_decompose_weighted(raw, config, init=init)
-            for got, want in zip((out.U, out.W, out.Q, out.b_U, out.b_W, out.b_Q),
-                                 expected):
-                assert np.array_equal(got, want)
+            expected, losses = minibatch_decompose_weighted(raw, config, init=init)
+            for name in PARAMETERS:
+                assert np.array_equal(getattr(out, name), getattr(expected, name))
             assert out.trajectory == losses
             # Then warm-start from this run, as a resumed decomposition would.
             init = out
+
+    def test_loss_near_sequential_kernel(self):
+        rng = np.random.default_rng(32)
+        raw = dense_to_coo(rng.integers(0, 25, size=(12, 12, 5)).astype(np.float64))
+        assert max(raw.dims) < factorize.WD_BATCH
+        config = TrainingConfig(dim=3, iterations=10, seed=33, ortho_iterations=0)
+        sequential, _ = scalar_decompose_weighted(raw, config)
+        out = decompose_weighted(raw, config)
+        assert (wd_loss(raw, out, config.x_max, config.alpha)
+                <= 1.05 * wd_loss(raw, sequential, config.x_max, config.alpha))
+
+    def test_one_gradient_call_per_batch(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        raw = dense_to_coo(rng.integers(0, 25, size=(7, 7, 4)).astype(np.float64))
+        sizes = []
+
+        def counting(emb, i, j, k, x, x_max, alpha):
+            sizes.append(len(x))
+            return weighted_gradient(emb, i, j, k, x, x_max, alpha)
+
+        monkeypatch.setattr(factorize, "weighted_gradient", counting)
+        decompose_weighted(raw, TrainingConfig(dim=3, iterations=3, ortho_iterations=0))
+        full, last = divmod(raw.nnz, factorize.WD_BATCH)
+        assert last
+        assert sizes == 3 * ([factorize.WD_BATCH] * full + [last])
+
+    def test_trajectory_ends_at_final_loss(self):
+        rng = np.random.default_rng(35)
+        raw = dense_to_coo(rng.integers(0, 25, size=(7, 7, 4)).astype(np.float64))
+        config = TrainingConfig(dim=3, iterations=6, ortho_iterations=0)
+        out = decompose_weighted(raw, config)
+        assert len(out.trajectory) == 6
+        assert out.trajectory[-1] == wd_loss(raw, out, config.x_max, config.alpha)
 
 
 class TestTrainingConfig:
