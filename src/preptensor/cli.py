@@ -320,21 +320,28 @@ def cmd_train_select(args, cfg: dict, produced: list) -> None:
                     inputs, outputs)
 
 
-def _trained_window(manifest_path: Path) -> int:
-    """The context window ``train-select`` recorded in its manifest."""
-    with corpus_ops.open_input(manifest_path) as fh:
+def _training_manifest(models_dir: Path, embeddings) -> dict:
+    """The manifest training wrote to ``models_dir``; a ValueError unless
+    it lists ``embeddings``, by sha256, among the inputs the models were
+    trained on."""
+    with corpus_ops.open_input(models_dir / "manifest.json") as fh:
         manifest = json.load(fh)
-        try:
-            window = manifest["config"]["window"]
-        except (KeyError, TypeError):
-            window = None
-        if type(window) is not int:
-            raise ValueError("no config.window recorded")
-    return window
+        inputs = manifest.get("inputs") if isinstance(manifest, dict) else None
+        if not isinstance(inputs, dict):
+            raise ValueError("no inputs recorded")
+        if (digest := _sha256(embeddings)) not in inputs.values():
+            raise ValueError(f"{embeddings} (sha256 {digest}) is not among the "
+                             f"inputs the models were trained on: {inputs}")
+        return manifest
 
 
 def cmd_eval_select(args, cfg: dict, produced: list) -> None:
     models_dir = Path(args.models)
+    manifest = _training_manifest(models_dir, args.embeddings)
+    config = manifest.get("config")
+    window = config.get("window") if isinstance(config, dict) else None
+    if type(window) is not int:
+        raise ValueError(f"{models_dir / 'manifest.json'}: no config.window recorded")
     table = select_ops.load_confusion_table(models_dir / "confusion.txt")
     if args.roster and _load_roster(args.roster) != table.roster:
         raise ValueError(f"roster {args.roster} differs from the trained roster "
@@ -346,7 +353,6 @@ def cmd_eval_select(args, cfg: dict, produced: list) -> None:
         table=table,
     )
     instances = select_ops.load_selection_dataset(args.test, table.roster)
-    window = _trained_window(models_dir / "manifest.json")
     errors_path = Path(args.out) if args.out else models_dir / "errors.csv"
     metrics_path = errors_path.with_name(errors_path.stem + "_metrics.txt")
     (p, r, f1), _errors = select_ops.evaluate_selection(
@@ -383,6 +389,7 @@ def cmd_train_attach(args, cfg: dict, produced: list) -> None:
 
 def cmd_eval_attach(args, cfg: dict, produced: list) -> None:
     models_dir = Path(args.models)
+    _training_manifest(models_dir, args.embeddings)
     store = emb_ops.load_embeddings(args.embeddings)
     fnn = load_fnn(models_dir / "fnn.txt")
     with corpus_ops.open_input(models_dir / "tags.txt") as fh:
@@ -396,7 +403,8 @@ def cmd_eval_attach(args, cfg: dict, produced: list) -> None:
     line = f"accuracy={acc:.4f}"
     print(line)
     _staged(produced, metrics_path).write_text(line + "\n", encoding="utf-8")
-    inputs = [args.test, args.embeddings, models_dir / "fnn.txt", models_dir / "tags.txt"]
+    inputs = [args.test, args.embeddings,
+              *(models_dir / name for name in ("fnn.txt", "tags.txt", "manifest.json"))]
     _write_manifest(_staged(produced, str(errors_path) + ".manifest.json"), "eval-attach",
                     cfg, inputs, [errors_path, metrics_path])
 

@@ -38,14 +38,20 @@ __all__ = [
 
 _SENTENCE_SPLIT = re.compile(r"[.!?]+")
 _TOKEN = re.compile(r"[\w']+")
-# The integer fields np.loadtxt reads; int() also takes "1_0" and
-# non-ASCII digits.
+# The number fields every loader reads, as np.loadtxt reads them: ASCII
+# digits with an optional sign, for floats also an optional fraction and
+# exponent, or inf and nan, which parse_rows rejects.
+# int() and float() also take "1_0" and non-ASCII digits.
 ASCII_INTEGER = re.compile(r"[+-]?[0-9]+")
+ASCII_FLOAT = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+                         r"|inf|infinity|nan)", re.IGNORECASE)
+_INT64 = np.iinfo(np.int64)
 
 TENSOR_MAGIC = "PREPTENSOR"
 PREP_SENTINEL = "#PREPOSITIONS"
 # Tensor lines parsed or formatted per chunk: bounds the text and the
-# Python ints held at once while loading or saving.
+# Python ints held at once while loading or saving. parse_rows reads as
+# many values per chunk from lines of any width.
 _LOAD_CHUNK_LINES = 1 << 16
 _COLUMNS = ("i", "j", "k", "counts")
 # Window positions counted per array block: bounds the keys held at once.
@@ -65,12 +71,81 @@ def open_input(path, mode="r"):
 
 
 def parse_integers(fields, lineno: int) -> list[int]:
-    """The ints ``fields`` hold, each ASCII digits with an optional sign;
-    any other field is a ValueError naming line ``lineno``."""
+    """The ints ``fields`` hold, each read as parse_rows reads an int64;
+    any other field is a ValueError naming it and line ``lineno``."""
     for text in fields:
+        _check_field(text, lineno, integer=True)
+    return [int(text) for text in fields]
+
+
+def parse_rows(lines, width: int, start: int = 1, dtype=np.float64, out=None,
+               skip_blank: bool = False) -> np.ndarray:
+    """The numbers on text ``lines``, the first of which is line
+    ``start``, as a (rows, width) array of int64 or finite float64
+    values: one row per line, or per non-blank line with ``skip_blank``.
+
+    np.loadtxt parses the lines a chunk at a time into ``out`` (by
+    default a new array), which is grown when the lines outnumber its
+    rows; the rows filled are returned. A chunk np.loadtxt rejects is
+    read again field by field, only to name its first bad line.
+    """
+    lines, filled = iter(lines), 0
+    if out is None:
+        out = np.empty((0, width), dtype)
+    chunk_lines = max(1, 4 * _LOAD_CHUNK_LINES // max(width, 1))
+    while chunk := list(itertools.islice(lines, chunk_lines)):
+        try:
+            with warnings.catch_warnings():
+                # Warns of a chunk of blank lines, which holds no rows.
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(chunk, dtype=dtype, comments=None, ndmin=2)
+        except (ValueError, OverflowError):
+            rows = None
+        if (rows is None or len(rows) != len(chunk) and not skip_blank
+                or len(rows) and rows.shape[1] != width
+                or rows.dtype.kind == "f" and not np.isfinite(rows).all()):
+            _raise_bad_line(chunk, start, width, np.dtype(dtype).kind == "i", skip_blank)
+        end = filled + len(rows)
+        if end > len(out):
+            # np.empty_like keeps the layout, so a transposed ``out``
+            # grows with contiguous columns.
+            grown = np.empty_like(out, shape=(max(end, 2 * len(out)), width))
+            grown[:filled] = out[:filled]
+            out = grown
+        out[filled:end] = rows
+        filled = end
+        start += len(chunk)
+        # Freed before the next chunk is read, so one chunk is held.
+        del chunk, rows
+    return out[:filled]
+
+
+def _raise_bad_line(lines, start, width, integer, skip_blank):
+    """Raise the ValueError that names the first of ``lines`` (the first
+    being line ``start``) that does not hold ``width`` numbers."""
+    for lineno, line in enumerate(lines, start):
+        fields = line.split()
+        if fields or not skip_blank:
+            for text in fields:
+                _check_field(text, lineno, integer)
+            if len(fields) != width:
+                raise ValueError(f"line {lineno}: expected {width} fields, "
+                                 f"got {len(fields)}")
+    raise ValueError(f"lines {start}-{lineno}: not {width} numbers per line")
+
+
+def _check_field(text: str, lineno: int, integer: bool) -> None:
+    """A ValueError naming ``text`` and line ``lineno`` unless np.loadtxt
+    reads it as an int64, or else as a finite float64."""
+    if integer:
         if not ASCII_INTEGER.fullmatch(text):
             raise ValueError(f"line {lineno}: non-integer field {text!r}")
-    return [int(text) for text in fields]
+        if not _INT64.min <= int(text) <= _INT64.max:
+            raise ValueError(f"line {lineno}: integer field {text!r} out of range")
+    elif not ASCII_FLOAT.fullmatch(text):
+        raise ValueError(f"line {lineno}: non-numeric field {text!r}")
+    elif not np.isfinite(np.float64(text)):
+        raise ValueError(f"line {lineno}: non-finite value {text!r}")
 
 
 def tokenize_sentences(raw_text: str | bytes) -> list[list[str]]:
@@ -422,15 +497,13 @@ def save_tensor(tensor: SparseCountTensor, path) -> None:
 
 def load_tensor(path) -> SparseCountTensor:
     """Read a ``save_tensor`` file; its body lines may come in any order,
-    each coordinate once. The body is parsed as integer arrays, a chunk
-    of lines at a time, into columns sized by the header's nnz."""
+    each coordinate once. The body is parsed by parse_rows into columns
+    sized by the header's nnz."""
     with open_input(path) as fh:
         header = fh.readline().split()
         if len(header) != 6 or header[0] != TENSOR_MAGIC or header[1] != "v1":
             raise ValueError("line 1: bad tensor header")
-        if not all(map(ASCII_INTEGER.fullmatch, header[2:])):
-            raise ValueError("line 1: non-integer header field")
-        n, k_preps, nnz, t = map(int, header[2:])
+        n, k_preps, nnz, t = parse_integers(header[2:], 1)
         if min(n, k_preps, nnz) < 0:
             raise ValueError("line 1: negative size in header")
         if t < 1:
@@ -439,23 +512,16 @@ def load_tensor(path) -> SparseCountTensor:
         # declaring more entries than the file can hold allocates no more.
         cols = np.empty((4, min(nnz, os.fstat(fh.fileno()).st_size // 8 + 1)),
                         dtype=np.int64)
-        filled = 0
-        lineno = 2
-        while lines := list(itertools.islice(fh, _LOAD_CHUNK_LINES)):
-            rows = _tensor_rows(lines, lineno, n, k_preps)
-            end = filled + len(rows)
-            if end > cols.shape[1]:
-                # More lines than the header declares: kept only to word
-                # the error.
-                grown = np.empty((4, 2 * end), dtype=np.int64)
-                grown[:, :filled] = cols[:, :filled]
-                cols = grown
-            cols[:, filled:end] = rows.T
-            filled = end
-            lineno += len(lines)
-        i, j, k, counts = cols[:, :filled]
+        # Filled through its transpose, so each column stays contiguous.
+        i, j, k, counts = parse_rows(fh, 4, 2, np.int64, out=cols.T).T
+        if len(counts) and (counts.min() < 1 or min(i.min(), j.min(), k.min()) < 0
+                            or max(i.max(), j.max()) >= n or k.max() > k_preps):
+            row = np.flatnonzero((counts < 1) | (i >= n) | (j >= n) | (k > k_preps)
+                                 | (np.minimum(np.minimum(i, j), k) < 0))[0]
+            raise ValueError(f"line {row + 2}: " + ("count must be >= 1"
+                             if counts[row] < 1 else "index out of range"))
         tensor = SparseCountTensor(n, k_preps, t, i, j, k, counts)
-        if tensor.nnz != filled:
+        if tensor.nnz != len(counts):
             order = np.lexsort((j, i, k))
             _above, equal = _compare_rows(k[order], i[order], j[order])
             repeat = order[1:][equal].min()
@@ -464,37 +530,6 @@ def load_tensor(path) -> SparseCountTensor:
         if tensor.nnz != nnz:
             raise ValueError(f"header declares nnz={nnz} but found {tensor.nnz}")
     return tensor
-
-
-def _tensor_rows(lines, start, n, k_preps) -> np.ndarray:
-    """The (i, j, k, count) int64 rows of tensor body ``lines``, the
-    first of which is line ``start``. Only when the array parse rejects
-    them are the lines checked one at a time, to word the error."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
-        if rows.shape == (len(lines), 4):
-            i, j, k, c = rows.T
-            if (c.min() >= 1 and min(i.min(), j.min(), k.min()) >= 0
-                    and max(i.max(), j.max()) < n and k.max() <= k_preps):
-                return rows
-    except (ValueError, OverflowError, Warning):
-        pass
-    for lineno, line in enumerate(lines, start):
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"line {lineno}: expected 4 fields")
-        if not all(map(ASCII_INTEGER.fullmatch, parts)):
-            raise ValueError(f"line {lineno}: non-integer field")
-        i, j, k, c = map(int, parts)
-        if c < 1:
-            raise ValueError(f"line {lineno}: count must be >= 1")
-        if c > np.iinfo(np.int64).max:
-            raise ValueError(f"line {lineno}: count out of range")
-        if not (0 <= i < n and 0 <= j < n and 0 <= k <= k_preps):
-            raise ValueError(f"line {lineno}: index out of range")
-    raise ValueError(f"lines {start}-{lineno}: not one entry of 4 integers per line")
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:

@@ -7,7 +7,9 @@ ranking, and singular-value spectra of tensor slices.
 
 from __future__ import annotations
 
+import itertools
 import logging
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -15,7 +17,8 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .corpus import ASCII_INTEGER, SparseCountTensor, Vocabulary, open_input
+from .corpus import (ASCII_INTEGER, SparseCountTensor, Vocabulary, open_input,
+                     parse_integers, parse_rows)
 from .factorize import EmbeddingSet
 
 logger = logging.getLogger(__name__)
@@ -298,54 +301,51 @@ def load_embeddings(path) -> EmbeddingStore:
     """Load the text layout; also accepts externally trained word2vec or
     GloVe style files (with or without the count/dim header). A first
     line of two ASCII integers is that header; any other first line is
-    the first vector row."""
-    vectors: dict[str, np.ndarray] = {}
-    linenos: list[int] = []
-    declared = None
+    the first vector row. Blank lines are skipped."""
     with open_input(path) as fh:
-        first = fh.readline().rstrip("\n")
+        first = fh.readline()
         parts = first.split()
         if len(parts) < 2:
             raise ValueError("line 1: bad header")
         if len(parts) == 2 and all(map(ASCII_INTEGER.fullmatch, parts)):
-            declared, dim = map(int, parts)
+            declared, dim = parse_integers(parts, 1)
+            if declared < 0 or dim < 1:
+                raise ValueError("line 1: bad header")
+            # A row takes at least 2 bytes per value, so a header declaring
+            # more rows than the file can hold allocates no more.
+            rows = min(declared, os.fstat(fh.fileno()).st_size // (2 * dim) + 1)
+            lines, start = fh, 2
         else:
             # Headerless GloVe-style file: the first line is a vector row.
-            dim = len(parts) - 1
-            vectors[parts[0]] = _parse_vector(parts, 1)
-            linenos.append(1)
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) - 1 != dim:
-                raise ValueError(
-                    f"line {lineno}: expected {dim} floats, got {len(parts) - 1}"
-                )
-            if parts[0] in vectors:
-                raise ValueError(f"line {lineno}: token {parts[0]!r} listed twice")
-            vectors[parts[0]] = _parse_vector(parts, lineno)
-            linenos.append(lineno)
-        if declared is not None and len(vectors) != declared:
-            raise ValueError(f"header declares {declared} rows, found {len(vectors)}")
-        # Checked once for the whole file: a check per row costs about
-        # as much as parsing the row.
-        finite = np.isfinite(np.array(list(vectors.values())).reshape(len(vectors), dim))
-        if not finite.all():
-            raise ValueError(f"line {linenos[finite.all(axis=1).argmin()]}: "
-                             "non-finite value")
-    q_const = vectors.pop(NOPREP_TOKEN, None)
-    if q_const is None:
+            declared, dim, rows = None, len(parts) - 1, 0
+            lines, start = itertools.chain([first], fh), 1
+        tokens: dict[str, int] = {}
+        matrix = parse_rows(_split_tokens(lines, start, dim, tokens), dim, start,
+                            out=np.empty((rows, dim)), skip_blank=True)
+        if declared is not None and len(tokens) != declared:
+            raise ValueError(f"header declares {declared} rows, found {len(tokens)}")
+    row = tokens.pop(NOPREP_TOKEN, None)
+    if row is None:
         logger.warning("%s: no %s row; the extra-slice vector is zero, so "
                        "paraphrase rankings keep candidate order",
                        path, NOPREP_TOKEN)
         q_const = np.zeros(dim)
-    matrix = np.array(list(vectors.values())).reshape(len(vectors), dim)
-    return EmbeddingStore(tokens=list(vectors), matrix=matrix, q_const=q_const)
+    else:
+        q_const = matrix[row].copy()
+        matrix = np.delete(matrix, row, axis=0)
+    return EmbeddingStore(tokens=list(tokens), matrix=matrix, q_const=q_const)
 
 
-def _parse_vector(parts, lineno) -> np.ndarray:
-    try:
-        return np.array([float(x) for x in parts[1:]], dtype=np.float64)
-    except ValueError:
-        raise ValueError(f"line {lineno}: non-numeric vector entry") from None
+def _split_tokens(lines, start: int, dim: int, tokens: dict):
+    """Each of ``lines`` (the first being line ``start``) without its
+    token, which ``tokens`` maps to its row; blank lines stay blank."""
+    for lineno, line in enumerate(lines, start):
+        head = line.split(None, 1)
+        if head:
+            if len(head) == 1:
+                raise ValueError(f"line {lineno}: expected {dim} fields, got 0")
+            if head[0] in tokens:
+                raise ValueError(f"line {lineno}: token {head[0]!r} listed twice")
+            tokens[head[0]] = len(tokens)
+            line = head[1]
+        yield line

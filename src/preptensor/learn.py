@@ -8,12 +8,13 @@ precision/recall/F1 and accuracy metrics used to score them.
 from __future__ import annotations
 
 import ast
+import itertools
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import open_input, parse_integers
+from .corpus import open_input, parse_integers, parse_rows
 
 logger = logging.getLogger(__name__)
 
@@ -401,28 +402,22 @@ def load_tree(path) -> DecisionTree:
                 raise ValueError(f"truncated at node {idx}")
             if parts[0] == "split":
                 if len(parts) != 5:
-                    raise ValueError(f"node {idx}: a split has 4 fields")
+                    raise ValueError(f"line {idx + 3}: a split has 4 fields")
                 feature, left, right = parse_integers(parts[1:2] + parts[3:], idx + 3)
                 # Children follow their parent, so prediction always ends.
                 if feature < 0 or not idx < left < n_nodes or not idx < right < n_nodes:
                     raise ValueError(f"node {idx}: a split needs a feature >= 0 "
                                      f"and children in ({idx}, {n_nodes})")
-                node = TreeNode(feature=feature, threshold=float(parts[2]),
-                                left=left, right=right)
-                values = [node.threshold]
+                [threshold] = parse_rows(parts[2:3], 1, idx + 3)[0]
+                node = TreeNode(feature=feature, threshold=threshold, left=left, right=right)
             elif parts[0] == "leaf":
-                if len(parts) - 1 != n_classes:
-                    raise ValueError(f"node {idx}: leaf has "
-                                     f"{len(parts) - 1} counts for {n_classes} classes")
-                node = TreeNode(counts=np.array([float(x) for x in parts[1:]]))
-                values = node.counts
+                [counts] = parse_rows([" ".join(parts[1:])], n_classes, idx + 3)
+                node = TreeNode(counts=counts)
+                if (node.counts < 0.0).any() or node.counts.sum() == 0.0:
+                    raise ValueError(f"line {idx + 3}: leaf counts must be >= 0 "
+                                     "with a positive sum")
             else:
                 raise ValueError(f"unknown node kind {parts[0]!r}")
-            if not np.isfinite(values).all():
-                raise ValueError(f"line {idx + 3}: non-finite value")
-            if node.feature < 0 and ((values < 0.0).any() or values.sum() == 0.0):
-                raise ValueError(f"line {idx + 3}: leaf counts must be >= 0 "
-                                 "with a positive sum")
             nodes.append(node)
     return DecisionTree(nodes=nodes, classes=classes, params=params)
 
@@ -449,15 +444,12 @@ def load_fnn(path) -> FeedForwardNet:
         weights, biases = [], []
         lineno = 2
         for a, b in zip(sizes[:-1], sizes[1:]):
-            w = np.array([[float(x) for x in fh.readline().split()]
-                          for _ in range(a)])
-            bias = np.array([float(x) for x in fh.readline().split()])
-            if w.shape != (a, b) or bias.shape != (b,):
-                raise ValueError("layer shape mismatch")
-            bad = np.flatnonzero(~np.isfinite(np.vstack([w, bias])).all(axis=1))
-            if bad.size:
-                raise ValueError(f"line {lineno + bad[0]}: non-finite value")
+            # a weight rows, then the bias row.
+            layer = parse_rows(itertools.islice(fh, a + 1), b, lineno)
+            if len(layer) != a + 1:
+                raise ValueError(f"line {lineno + len(layer)}: file ends within "
+                                 f"a {a} x {b} layer")
+            weights.append(layer[:a])
+            biases.append(layer[a])
             lineno += a + 1
-            weights.append(w)
-            biases.append(bias)
     return FeedForwardNet(sizes=sizes, weights=weights, biases=biases)

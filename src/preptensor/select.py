@@ -8,6 +8,7 @@ then scores every roster candidate for the flagged instances.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 from dataclasses import dataclass
 from importlib import resources
@@ -15,7 +16,7 @@ from importlib import resources
 import numpy as np
 
 from . import embeddings as emb_ops
-from .corpus import ASCII_INTEGER, load_roster, open_input, parse_integers
+from .corpus import ASCII_INTEGER, load_roster, open_input, parse_integers, parse_rows
 from .embeddings import EmbeddingStore
 from .learn import (
     DecisionTree,
@@ -141,17 +142,22 @@ def preprocess_context(instance: SelectionInstance, window: int = 3,
 
 @dataclass
 class ConfusionTable:
-    """Smoothed replacement probabilities between roster prepositions."""
+    """Smoothed replacement probabilities between roster prepositions:
+    ``probs[a, b]`` is the probability that observed roster[a] should be
+    roster[b]."""
 
     roster: list[str]
-    probs: dict[str, dict[str, float]]
+    probs: np.ndarray
     smoothing: float
 
+    def __post_init__(self):
+        self.index = {p: k for k, p in enumerate(self.roster)}
+
     def replace_prob(self, q: str, p: str) -> float:
-        return self.probs[q][p]
+        return float(self.probs[self.index[q], self.index[p]])
 
     def keep_prob(self, q: str) -> float:
-        return self.probs[q][q]
+        return self.replace_prob(q, q)
 
 
 def build_confusion_table(instances, roster, smoothing: float = 1.0) -> ConfusionTable:
@@ -159,15 +165,13 @@ def build_confusion_table(instances, roster, smoothing: float = 1.0) -> Confusio
     smoothing over the roster."""
     if not instances:
         raise ValueError("cannot build a confusion table from no instances")
-    roster = list(roster)
-    counts = {q: {p: 0 for p in roster} for q in roster}
+    k = len(roster)
+    table = ConfusionTable(roster=list(roster), probs=np.zeros((k, k)), smoothing=smoothing)
     for inst in instances:
-        counts[inst.observed][inst.gold] += 1
-    probs = {}
-    for q in roster:
-        total = sum(counts[q].values()) + smoothing * len(roster)
-        probs[q] = {p: (counts[q][p] + smoothing) / total for p in roster}
-    return ConfusionTable(roster=roster, probs=probs, smoothing=smoothing)
+        table.probs[table.index[inst.observed], table.index[inst.gold]] += 1
+    table.probs = (table.probs + smoothing) / (table.probs.sum(axis=1, keepdims=True)
+                                               + smoothing * k)
+    return table
 
 
 def save_confusion_table(table: ConfusionTable, path) -> None:
@@ -175,9 +179,8 @@ def save_confusion_table(table: ConfusionTable, path) -> None:
         fh.write(f"CONFUSION v1 {len(table.roster)} "
                  f"{format(table.smoothing, '.17g')}\n")
         fh.write(" ".join(table.roster) + "\n")
-        for q in table.roster:
-            fh.write(" ".join(format(table.probs[q][p], ".17g")
-                              for p in table.roster) + "\n")
+        for row in table.probs.tolist():
+            fh.write(" ".join(format(x, ".17g") for x in row) + "\n")
 
 
 def load_confusion_table(path) -> ConfusionTable:
@@ -188,23 +191,17 @@ def load_confusion_table(path) -> ConfusionTable:
         if len(header) != 4 or header[0] != "CONFUSION" or header[1] != "v1":
             raise ValueError("bad confusion-table header")
         k = parse_integers([header[2]], 1)[0]
-        smoothing = float(header[3])
-        if not np.isfinite(smoothing):
-            raise ValueError("line 1: non-finite value")
+        smoothing = parse_rows(header[3:], 1, 1)[0, 0]
         roster = fh.readline().split()
         if len(roster) != k:
             raise ValueError("roster length mismatch")
         repeated = [tok for pos, tok in enumerate(roster) if tok in roster[:pos]]
         if repeated:
             raise ValueError(f"line 2: token {repeated[0]!r} listed twice")
-        probs = {}
-        for lineno, q in enumerate(roster, start=3):
-            row = [float(x) for x in fh.readline().split()]
-            if len(row) != k:
-                raise ValueError(f"row length mismatch for {q!r}")
-            if not np.isfinite(row).all():
-                raise ValueError(f"line {lineno}: non-finite value")
-            probs[q] = dict(zip(roster, row))
+        probs = parse_rows(itertools.islice(fh, k), k, 3)
+        if len(probs) != k:
+            raise ValueError(f"line {3 + len(probs)}: expected {k} rows, "
+                             f"got {len(probs)}")
     return ConfusionTable(roster=roster, probs=probs, smoothing=smoothing)
 
 
@@ -236,9 +233,8 @@ def correction_features(instance: SelectionInstance, candidates: list[str],
     candidate without a vector scores 0.0."""
     if isinstance(candidates, str):
         raise TypeError("candidates must be a list of prepositions, not a string")
-    roster = set(table.roster)
     for cand in candidates:
-        if cand not in roster:
+        if cand not in table.index:
             raise ValueError(f"candidate {cand!r} not in roster")
     d = store.dim
     sides = np.zeros((2, d))
@@ -256,8 +252,8 @@ def correction_features(instance: SelectionInstance, candidates: list[str],
     rows[:, 2 * d:3 * d] = v_r
     rows[:, 3 * d] = emb_ops.row_pairs(cands, v_l, v_r)
     rows[:, 3 * d + 1] = emb_ops.row_triples(v_l, cands, v_r)
-    rows[:, 3 * d + 2] = [table.replace_prob(instance.observed, cand)
-                          for cand in candidates]
+    rows[:, 3 * d + 2] = table.probs[table.index[instance.observed],
+                                     [table.index[cand] for cand in candidates]]
     return rows
 
 

@@ -744,7 +744,8 @@ class TestAttachPipeline:
         manifest = json.loads((tmp_path / "att_errors.csv.manifest.json").read_text())
         assert manifest["command"] == "eval-attach"
         assert manifest["config"] == {}
-        inputs = [train, embeddings_path, models / "fnn.txt", models / "tags.txt"]
+        inputs = [train, embeddings_path, models / "fnn.txt", models / "tags.txt",
+                  models / "manifest.json"]
         assert manifest["inputs"] == {
             str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in inputs}
         assert manifest["outputs"] == [str(tmp_path / "att_errors.csv"),
@@ -1103,7 +1104,7 @@ class TestInputFileErrors:
         ('{"config": {"window": "3"}}', "no config.window recorded"),
         ('{"config": {"window": 2.5}}', "no config.window recorded"),
         ('{"config": {"window": true}}', "no config.window recorded"),
-        ('["config"]', "no config.window recorded"),
+        ('["config"]', "no inputs recorded"),
         ('{"config": {"window": 3', "Expecting ',' delimiter: line 1 column 24 (char 23)"),
     ])
     def test_trained_window_read_from_manifest(self, tmp_path, trained, caplog, text,
@@ -1111,19 +1112,28 @@ class TestInputFileErrors:
         d = tmp_path / "d"
         shutil.copytree(trained, d)
         path = d / "sel" / "manifest.json"
+        if text.endswith("}"):
+            # The recorded inputs are kept, so the embeddings pass their
+            # check and the window is read.
+            inputs = json.loads(path.read_text())["inputs"]
+            text = json.dumps({**json.loads(text), "inputs": inputs})
         path.write_text(text)
         assert cli.run(_commands(d)["eval-select"]) == 1
         assert _one_error(caplog) == f"{path}: {message}"
 
     # Files the program never writes, which it used to read by guessing.
     @pytest.mark.parametrize("command, name, spoil, lineno, message", [
-        ("eval-attach", "att/fnn.txt", _set_field(2, 0, "nan"), 2, "non-finite value"),
-        ("eval-select", "sel/fnn.txt", _set_field(3, -1, "inf"), 3, "non-finite value"),
-        ("eval-select", "sel/tree.txt", _set_field(3, 2, "nan"), 3, "non-finite value"),
-        ("eval-select", "sel/tree.txt", _set_field(4, 1, "inf"), 4, "non-finite value"),
+        ("eval-attach", "att/fnn.txt", _set_field(2, 0, "nan"), 2,
+         "non-finite value 'nan'"),
+        ("eval-select", "sel/fnn.txt", _set_field(3, -1, "inf"), 3,
+         "non-finite value 'inf'"),
+        ("eval-select", "sel/tree.txt", _set_field(3, 2, "nan"), 3,
+         "non-finite value 'nan'"),
+        ("eval-select", "sel/tree.txt", _set_field(4, 1, "inf"), 4,
+         "non-finite value 'inf'"),
         ("eval-select", "sel/confusion.txt", _set_field(4, 0, "-inf"), 4,
-         "non-finite value"),
-        ("paraphrase", "emb.txt", _set_field(3, 1, "nan"), 3, "non-finite value"),
+         "non-finite value '-inf'"),
+        ("paraphrase", "emb.txt", _set_field(3, 1, "nan"), 3, "non-finite value 'nan'"),
         ("decompose", "tensor/vocab.txt", _set_field(3, 0, "cats", sep="\t"), 3,
          "token 'cats' listed twice"),
         ("query-sim", "emb.txt", _set_field(3, 0, "cats"), 3, "token 'cats' listed twice"),
@@ -1146,6 +1156,30 @@ class TestInputFileErrors:
         assert cli.run(["decompose", "--tensor", str(d / "tensor"), "--method", "wd",
                         "--dim", "4", "--iters", "2", "--out", str(d / "emb.txt")]) == 0
         assert cli.run(_commands(d)[command]) == 1
-        error = _one_error(caplog)
-        assert error.endswith("the embeddings' dimension differs from the one it "
-                              "was trained on")
+        _assert_untrained_embeddings(_one_error(caplog), trained, d, command)
+
+    # WD and ALS embeddings of one dimension give a network input of the
+    # width it was trained on, so only their digests tell them apart.
+    @pytest.mark.parametrize("command", ["eval-select", "eval-attach"])
+    def test_embeddings_of_the_same_dimension_rejected(self, tmp_path, trained, caplog,
+                                                       command):
+        d = tmp_path / "d"
+        shutil.copytree(trained, d)
+        assert cli.run(["decompose", "--tensor", str(d / "tensor"), "--method", "als",
+                        "--dim", "6", "--iters", "2", "--out", str(d / "emb.txt")]) == 0
+        assert load_embeddings(d / "emb.txt").dim == load_embeddings(trained / "emb.txt").dim
+        assert cli.run(_commands(d)[command]) == 1
+        _assert_untrained_embeddings(_one_error(caplog), trained, d, command)
+
+
+def _assert_untrained_embeddings(error, trained, d, command):
+    """``error`` rejects ``d``'s embeddings by naming their digest and the
+    inputs, with the trained embeddings' digest, the models of
+    ``command`` were trained on."""
+    manifest = d / ("sel" if command == "eval-select" else "att") / "manifest.json"
+    inputs = json.loads(manifest.read_text())["inputs"]
+    digest = hashlib.sha256((d / "emb.txt").read_bytes()).hexdigest()
+    assert error == (f"{manifest}: {d / 'emb.txt'} (sha256 {digest}) is not among the "
+                     f"inputs the models were trained on: {inputs}")
+    trained_digest = hashlib.sha256((trained / "emb.txt").read_bytes()).hexdigest()
+    assert trained_digest in inputs.values() and digest != trained_digest

@@ -335,8 +335,8 @@ class TestTensorIO:
 
     @pytest.mark.parametrize("header, problem", [
         ("PREPTENSOR v1 5 2 1 0", "window must be >= 1, got 0"),
-        ("PREPTENSOR v1 1_0 2 1 3", "non-integer header field"),
-        ("PREPTENSOR v1 5 2 1 \u0663", "non-integer header field"),
+        ("PREPTENSOR v1 1_0 2 1 3", "non-integer field '1_0'"),
+        ("PREPTENSOR v1 5 2 1 \u0663", "non-integer field '\u0663'"),
         ("PREPTENSOR v1 -3 2 0 3", "negative size"),
         ("PREPTENSOR v1 5 -1 0 3", "negative size"),
         ("PREPTENSOR v1 5 2 -1 3", "negative size"),
@@ -396,14 +396,14 @@ _GOOD_ARRAYS = ([0, 1, 2, 2], [0, 2, 1, 4], [1, 3, 0, 4], [3, 7, 2, 1])
 LOADER_CASES = [
     ("valid", lambda: _tensor_text(_GOOD), _GOOD_ARRAYS),
     ("bad header", lambda: "PREPTENSOR v1 5 two 0 3\n",
-     "line 1: non-integer header field"),
+     "line 1: non-integer field 'two'"),
     ("no body", lambda: _tensor_text([]), ([], [], [], [])),
     ("crlf", lambda: _tensor_text(_GOOD, eol="\r\n"), _GOOD_ARRAYS),
     ("no final newline", lambda: _tensor_text(_GOOD)[:-1], _GOOD_ARRAYS),
     ("blank line", lambda: _tensor_text(_GOOD[:2] + [""] + _GOOD[2:], nnz=4),
-     "line 4: expected 4 fields"),
+     "line 4: expected 4 fields, got 0"),
     ("trailing blank line", lambda: _tensor_text(_GOOD) + "\n",
-     "line 6: expected 4 fields"),
+     "line 6: expected 4 fields, got 0"),
     ("duplicate line, nnz of keys",
      lambda: _tensor_text(_GOOD + [_GOOD[0]], nnz=4),
      "line 6: repeated coordinate 2 3 1"),
@@ -412,26 +412,26 @@ LOADER_CASES = [
      "line 6: repeated coordinate 0 1 0"),
     ("duplicate line, nnz of lines", lambda: _tensor_text(_GOOD + [_GOOD[0]]),
      "line 6: repeated coordinate 2 3 1"),
-    ("3 fields", lambda: _good_with("4 4 2"), "line 4: expected 4 fields"),
-    ("5 fields", lambda: _good_with("4 4 2 1 1"), "line 4: expected 4 fields"),
-    ("float count", lambda: _good_with("4 4 2 1.0"), "line 4: non-integer field"),
+    ("3 fields", lambda: _good_with("4 4 2"), "line 4: expected 4 fields, got 3"),
+    ("5 fields", lambda: _good_with("4 4 2 1 1"), "line 4: expected 4 fields, got 5"),
+    ("float count", lambda: _good_with("4 4 2 1.0"), "line 4: non-integer field '1.0'"),
     ("underscore count", lambda: _good_with("4 4 2 1_0"),
-     "line 4: non-integer field"),
+     "line 4: non-integer field '1_0'"),
     ("plus sign", lambda: _good_with("4 4 2 +1"), _GOOD_ARRAYS),
     ("arabic-indic digit", lambda: _good_with("4 4 2 \u0663"),
-     "line 4: non-integer field"),
+     "line 4: non-integer field '\u0663'"),
     ("nbsp separator", lambda: _good_with("4\u00a04 2 1"), _GOOD_ARRAYS),
     ("count 0", lambda: _good_with("4 4 2 0"), "line 4: count must be >= 1"),
     ("i out of range", lambda: _good_with("5 4 2 1"), "line 4: index out of range"),
     ("j negative", lambda: _good_with("4 -1 2 1"), "line 4: index out of range"),
     ("k out of range", lambda: _good_with("4 4 3 1"), "line 4: index out of range"),
     ("count beyond int64", lambda: _good_with(f"4 4 2 {2 ** 63}"),
-     "line 4: count out of range"),
+     f"line 4: integer field '{2 ** 63}' out of range"),
     ("index beyond int64", lambda: _good_with(f"{2 ** 63} 4 2 1"),
-     "line 4: index out of range"),
+     f"line 4: integer field '{2 ** 63}' out of range"),
     ("two chunks", _two_chunks, _two_chunks_arrays()),
     ("error in second chunk", lambda: _two_chunks("0 0 0 zero"),
-     f"line {corpus._LOAD_CHUNK_LINES + 7}: non-integer field"),
+     f"line {corpus._LOAD_CHUNK_LINES + 7}: non-integer field 'zero'"),
 ]
 
 

@@ -425,17 +425,18 @@ class TestEmbeddingIO:
             load_embeddings(path)
 
     @pytest.mark.parametrize("text, message", [
-        ("3 2\nfoo 1 2\nbar nan 0\n__NOPREP__ 1 1\n", "line 3: non-finite value"),
-        ("2 2\nfoo 1 2\n__NOPREP__ 1 -inf\n", "line 3: non-finite value"),
-        ("foo inf 2\nbar 1 2\n", "line 1: non-finite value"),
+        ("3 2\nfoo 1 2\nbar nan 0\n__NOPREP__ 1 1\n", "line 3: non-finite value 'nan'"),
+        ("2 2\nfoo 1 2\n__NOPREP__ 1 -inf\n", "line 3: non-finite value '-inf'"),
+        ("foo inf 2\nbar 1 2\n", "line 1: non-finite value 'inf'"),
         ("3 2\nfoo 1 2\nbar 0 1\nfoo 3 4\n", "line 4: token 'foo' listed twice"),
         ("3 2\n__NOPREP__ 1 2\nfoo 0 1\n__NOPREP__ 1 2\n",
          "line 4: token '__NOPREP__' listed twice"),
         ("", "line 1: bad header"),
         ("foo\n", "line 1: bad header"),
         # Not two ASCII integers, so a one-float vector row, not a header.
-        ("1_0 2\nfoo 1 2\n", "line 2: expected 1 floats, got 2"),
-        ("1 \u0662\nfoo 1 2\n", "line 2: expected 1 floats, got 2"),
+        ("1_0 2\nfoo 1 2\n", "line 2: expected 1 fields, got 2"),
+        # A vector row whose value is not ASCII digits.
+        ("1 \u0662\nfoo 1 2\n", "line 1: non-numeric field '\u0662'"),
     ])
     def test_rejects_what_it_would_guess_at(self, tmp_path, text, message):
         path = tmp_path / "emb.txt"

@@ -89,12 +89,12 @@ class TestDecisionTree:
         ("split 0 0.5 0 2", "children in"),   # points at itself
         ("split 0 0.5 1 7", "children in"),   # past the last node
         ("split -1 0.5 1 2", "feature >= 0"),
-        ("leaf 1 2 3", "3 counts for 2 classes"),
+        ("leaf 1 2 3", "line 3: expected 2 fields, got 3"),
         ("split 0 half 1 2", r"tree\.txt: .*'half'"),
         ("split x 0.5 1 2", r"tree\.txt: .*'x'"),
         ("leaf 1 x", r"tree\.txt: .*'x'"),
-        ("split 0 nan 1 2", r"tree\.txt: line 3: non-finite value$"),
-        ("leaf 1 inf", r"tree\.txt: line 3: non-finite value$"),
+        ("split 0 nan 1 2", r"tree\.txt: line 3: non-finite value 'nan'$"),
+        ("leaf 1 inf", r"tree\.txt: line 3: non-finite value 'inf'$"),
         ("split \u0660 0.5 1 2", r"tree\.txt: line 3: non-integer field '\u0660'$"),
         ("split 0 0.5 1 0_2", r"tree\.txt: line 3: non-integer field '0_2'$"),
         ("leaf 0 0", r"tree\.txt: line 3: leaf counts must be >= 0 with a positive sum$"),
@@ -279,7 +279,7 @@ class TestFnnTraining:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as exc:
             load_fnn(path)
-        assert str(exc.value) == f"{path}: line {lineno}: non-finite value"
+        assert str(exc.value) == f"{path}: line {lineno}: non-finite value {value!r}"
 
 
 class TestMetrics:

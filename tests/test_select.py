@@ -149,9 +149,10 @@ class TestConfusionTable:
     def test_smoothed_rows_sum_to_one(self):
         data = [inst(["x", "on", "y"], 1, "on", "in")]
         table = build_confusion_table(data, ROSTER, smoothing=1.0)
-        for q in ROSTER:
-            assert sum(table.probs[q].values()) == pytest.approx(1.0, abs=1e-12)
-            assert all(v > 0 for v in table.probs[q].values())
+        assert table.probs.shape == (len(ROSTER), len(ROSTER))
+        for row in table.probs:
+            assert row.sum() == pytest.approx(1.0, abs=1e-12)
+            assert (row > 0).all()
 
     def test_smoothing_with_no_observations(self):
         data = [inst(["x", "on", "y"], 1, "on", "on")]
@@ -171,7 +172,7 @@ class TestConfusionTable:
         loaded = load_confusion_table(path)
         assert loaded.roster == ROSTER
         assert loaded.smoothing == 0.5
-        assert loaded.probs == table.probs
+        assert np.array_equal(loaded.probs, table.probs)
 
     def test_corrupt_header_rejected(self, tmp_path):
         path = tmp_path / "conf.txt"
@@ -191,8 +192,8 @@ class TestConfusionTable:
         assert str(exc.value) == f"{path}: line 1: non-integer field {k!r}"
 
     @pytest.mark.parametrize("lineno, text, message", [
-        (0, "CONFUSION v1 3 nan", "line 1: non-finite value"),
-        (0, "CONFUSION v1 3 inf", "line 1: non-finite value"),
+        (0, "CONFUSION v1 3 nan", "line 1: non-finite value 'nan'"),
+        (0, "CONFUSION v1 3 inf", "line 1: non-finite value 'inf'"),
         (1, "on in on", "line 2: token 'on' listed twice"),
     ])
     def test_bad_smoothing_or_repeated_token_rejected(self, tmp_path, lineno, text,
@@ -217,11 +218,11 @@ class TestConfusionTable:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as exc:
             load_confusion_table(path)
-        assert str(exc.value) == f"{path}: line {lineno}: non-finite value"
+        assert str(exc.value) == f"{path}: line {lineno}: non-finite value {value!r}"
 
 
 def uniform_table():
-    probs = {q: {p: 1 / len(ROSTER) for p in ROSTER} for q in ROSTER}
+    probs = np.full((len(ROSTER), len(ROSTER)), 1 / len(ROSTER))
     return ConfusionTable(roster=list(ROSTER), probs=probs, smoothing=1.0)
 
 
