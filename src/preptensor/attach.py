@@ -7,7 +7,6 @@ baseline.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 
@@ -196,8 +195,9 @@ def baseline_nearest_head(instance: AttachmentInstance) -> int:
 
 
 def evaluate_attachment(instances, fnn: FeedForwardNet, store: EmbeddingStore,
-                        tagset: TagSet, error_log_path=None):
-    """Mean head-prediction accuracy plus a per-error log."""
+                        tagset: TagSet):
+    """Mean head-prediction accuracy, and a (preposition, child,
+    predicted head, gold head) row per mispredicted instance."""
     if not instances:
         raise ValueError("cannot evaluate on an empty test set")
     predicted, gold = [], []
@@ -210,9 +210,4 @@ def evaluate_attachment(instances, fnn: FeedForwardNet, store: EmbeddingStore,
             errors.append((inst.preposition, inst.child,
                            inst.candidates[pred].token,
                            inst.candidates[inst.gold_index].token))
-    if error_log_path is not None:
-        with open(error_log_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["preposition", "child", "predicted_head", "gold_head"])
-            writer.writerows(errors)
     return accuracy(predicted, gold), errors

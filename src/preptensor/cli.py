@@ -3,18 +3,20 @@
 Subcommands: build-tensor, decompose, query-sim, paraphrase, spectrum,
 train-select, eval-select, train-attach, eval-attach, each declared once
 in COMMANDS with the OPTIONS it reads. Flag values override config-file
-values, which override defaults; every artifact-producing run writes a
-manifest with the resolved configuration and input digests. Outputs are
-written next to their final paths and moved into place only when the
-command succeeds.
+values, which override defaults. run() writes the manifest of every
+artifact-producing command, with the resolved configuration and the
+digest of every file the command read. Outputs are written next to their
+final paths and moved into place only when the command succeeds.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import platform
 import resource
@@ -46,36 +48,50 @@ def _boolean(text: str) -> bool:
             f"{text!r} is not one of {'/'.join(_BOOLEANS)}") from None
 
 
+# Numbers spelled as in the files the program reads: int() and float()
+# would also take "1_0", non-ASCII digits, nan and inf.
+def _integer(text: str) -> int:
+    if not corpus_ops.ASCII_INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{value} is below 1")
     return value
+
+
+def _finite_float(text: str) -> float:
+    if not (corpus_ops.ASCII_FLOAT.fullmatch(text) and math.isfinite(float(text))):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return float(text)
 
 
 # name -> (type, default). The type converts a flag's text and a config-
 # file value alike. A default of None leaves the value to each command
 # that reads it (the network sizes and `top` differ between commands).
 OPTIONS = {
-    "window": (int, 3),
-    "min_count": (int, 5),
-    "dim": (int, 200),
+    "window": (_integer, 3),
+    "min_count": (_integer, 5),
+    "dim": (_integer, 200),
     "iters": (_positive_int, 20),
-    "ortho_iters": (int, 5),
-    "xmax": (float, 10.0),
-    "alpha": (float, 0.75),
-    "lr": (float, 0.05),
-    "seed": (int, 0),
+    "ortho_iters": (_integer, 5),
+    "xmax": (_finite_float, 10.0),
+    "alpha": (_finite_float, 0.75),
+    "lr": (_finite_float, 0.05),
+    "seed": (_integer, 0),
     "top": (_positive_int, None),
     "centered": (_boolean, True),
     "hidden1": (_positive_int, None),
     "hidden2": (_positive_int, None),
     "epochs": (_positive_int, 50),
     "batch": (_positive_int, 64),
-    "fnn_lr": (float, 0.01),
-    "momentum": (float, 0.9),
-    "max_depth": (int, 8),
-    "min_leaf": (int, 5),
+    "fnn_lr": (_finite_float, 0.01),
+    "momentum": (_finite_float, 0.9),
+    "max_depth": (_integer, 8),
+    "min_leaf": (_integer, 5),
 }
 
 
@@ -119,29 +135,28 @@ def _resolve(args: argparse.Namespace, options, config: dict) -> dict:
             for key in options}
 
 
-def _write_manifest(path, command: str, config: dict, inputs: list, outputs: list,
-                    extra: dict | None = None):
+def _write_manifest(path, extra: dict, command: str, config: dict, inputs: list,
+                    produced: list, start: float) -> None:
+    """Stage at ``path`` the manifest of a command that succeeded, with
+    its ``extra`` fields (``counters``, ``trajectory``)."""
     manifest = {
         "command": command,
-        "config": {k: v for k, v in sorted(config.items())},
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": [str(p) for p in outputs],
+        "config": config,
+        "inputs": {name: _sha256(name) for name in dict.fromkeys(map(str, inputs))},
+        "outputs": [str(final) for _tmp, final in produced],
         # Outputs are byte-identical only under the same numpy row kernels.
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "scipy": scipy.__version__},
-        **(extra or {}),
+        # Peak resident set in MB (``ru_maxrss`` is KiB on Linux); kept
+        # out of ``counters``, which repeat exactly between runs.
+        "resources": {"wall_s": time.perf_counter() - start,
+                      "peak_rss_mb": resource.getrusage(
+                          resource.RUSAGE_SELF).ru_maxrss / 1024},
+        **extra,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(_staged(produced, path), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _resources(start: float) -> dict:
-    """Wall seconds since ``start`` and the process's peak resident set
-    so far in MB (``ru_maxrss`` is in KiB on Linux). Kept out of a
-    manifest's ``counters``, which repeat exactly between runs."""
-    return {"wall_s": time.perf_counter() - start,
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
 def _require_tokens(store, tokens) -> None:
@@ -185,8 +200,7 @@ def _load_roster(path) -> list[str]:
 # Subcommands
 
 
-def cmd_build_tensor(args, cfg: dict, produced: list) -> None:
-    start = time.perf_counter()
+def cmd_build_tensor(args, cfg: dict, produced: list):
     roster = _load_roster(args.roster)
     with corpus_ops.open_input(args.corpus, "rb") as fh:
         sentences = corpus_ops.tokenize_sentences(fh.read())
@@ -194,27 +208,18 @@ def cmd_build_tensor(args, cfg: dict, produced: list) -> None:
     tensor = corpus_ops.count_tensor(sentences, vocab, cfg["window"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    vocab_path = out / "vocab.txt"
-    tensor_path = out / "tensor.txt"
-    corpus_ops.save_vocabulary(vocab, _staged(produced, vocab_path))
-    corpus_ops.save_tensor(tensor, _staged(produced, tensor_path))
-    inputs = [args.corpus] + ([args.roster] if args.roster else [])
-    _write_manifest(_staged(produced, out / "manifest.json"), "build-tensor", cfg,
-                    inputs, [vocab_path, tensor_path],
-                    extra={"counters": {"sentences": len(sentences),
-                                        "tokens": sum(map(len, sentences)),
-                                        "n_words": vocab.n_words,
-                                        "n_prepositions": vocab.n_prepositions,
-                                        "nnz": tensor.nnz},
-                           "resources": _resources(start)})
+    corpus_ops.save_vocabulary(vocab, _staged(produced, out / "vocab.txt"))
+    corpus_ops.save_tensor(tensor, _staged(produced, out / "tensor.txt"))
     logger.info("tensor: N=%d K=%d nnz=%d", vocab.n_words,
                 vocab.n_prepositions, tensor.nnz)
+    return out / "manifest.json", {"counters": {
+        "sentences": len(sentences), "tokens": sum(map(len, sentences)),
+        "n_words": vocab.n_words, "n_prepositions": vocab.n_prepositions,
+        "nnz": tensor.nnz}}
 
 
-def cmd_decompose(args, cfg: dict, produced: list) -> None:
-    start = time.perf_counter()
-    tensor_dir = Path(args.tensor)
-    vocab, tensor = _load_tensor_dir(tensor_dir)
+def cmd_decompose(args, cfg: dict, produced: list):
+    vocab, tensor = _load_tensor_dir(Path(args.tensor))
     config = TrainingConfig(
         dim=cfg["dim"], iterations=cfg["iters"],
         ortho_iterations=min(cfg["ortho_iters"], cfg["iters"]),
@@ -235,13 +240,11 @@ def cmd_decompose(args, cfg: dict, produced: list) -> None:
     out.parent.mkdir(parents=True, exist_ok=True)
     emb_ops.save_embeddings(store, _staged(produced, out))
     cfg["method"] = args.method
-    _write_manifest(_staged(produced, str(out) + ".manifest.json"), "decompose", cfg,
-                    [tensor_dir / "vocab.txt", tensor_dir / "tensor.txt"], [out],
-                    extra={"trajectory": emb.trajectory, "counters": counters,
-                           "resources": _resources(start)})
+    return str(out) + ".manifest.json", {"trajectory": emb.trajectory,
+                                         "counters": counters}
 
 
-def cmd_query_sim(args, cfg: dict, produced: list) -> None:
+def cmd_query_sim(args, cfg: dict, produced: list):
     roster = _load_roster(args.roster)
     store = emb_ops.load_embeddings(args.embeddings)
     pairs = []
@@ -258,7 +261,7 @@ def cmd_query_sim(args, cfg: dict, produced: list) -> None:
         print(f"{left}\t{right}\t{sim:.4f}")
 
 
-def cmd_paraphrase(args, cfg: dict, produced: list) -> None:
+def cmd_paraphrase(args, cfg: dict, produced: list):
     store = emb_ops.load_embeddings(args.embeddings)
     with corpus_ops.open_input(args.candidates) as fh:
         candidates = [line.strip() for line in fh if line.strip()]
@@ -268,27 +271,24 @@ def cmd_paraphrase(args, cfg: dict, produced: list) -> None:
         print(f"{verb}\t{dist:.6g}")
 
 
-def cmd_spectrum(args, cfg: dict, produced: list) -> None:
-    tensor_dir = Path(args.tensor)
-    vocab, tensor = _load_tensor_dir(tensor_dir)
+def cmd_spectrum(args, cfg: dict, produced: list):
+    vocab, tensor = _load_tensor_dir(Path(args.tensor))
     try:
         k = int(args.slice)
     except ValueError:
         if args.slice not in vocab.prep_ids:
             raise ValueError(f"unknown slice {args.slice!r}") from None
         k = vocab.prep_ids[args.slice]
-    top = cfg["top"] or 50
-    values = emb_ops.slice_spectrum(tensor, k, top)
+    cfg.update(slice=args.slice, k=k, top=cfg["top"] or 50)
+    values = emb_ops.slice_spectrum(tensor, k, cfg["top"])
     lines = [f"{idx},{format(val, '.10g')}" for idx, val in enumerate(values, 1)]
-    if args.out:
-        with open(_staged(produced, args.out), "w", encoding="utf-8") as fh:
-            fh.write("rank,normalized_singular_value\n")
-            fh.write("\n".join(lines) + "\n")
-        _write_manifest(_staged(produced, str(args.out) + ".manifest.json"), "spectrum",
-                        {"slice": args.slice, "k": k, "top": top},
-                        [tensor_dir / "vocab.txt", tensor_dir / "tensor.txt"], [args.out])
-    else:
+    if not args.out:
         print("\n".join(lines))
+        return None
+    with open(_staged(produced, args.out), "w", encoding="utf-8") as fh:
+        fh.write("rank,normalized_singular_value\n")
+        fh.write("\n".join(lines) + "\n")
+    return str(args.out) + ".manifest.json", {}
 
 
 def _fnn_hyper(cfg) -> FnnHyper:
@@ -297,7 +297,7 @@ def _fnn_hyper(cfg) -> FnnHyper:
                     seed=cfg["seed"])
 
 
-def cmd_train_select(args, cfg: dict, produced: list) -> None:
+def cmd_train_select(args, cfg: dict, produced: list):
     roster = _load_roster(args.roster)
     store = emb_ops.load_embeddings(args.embeddings)
     instances = select_ops.load_selection_dataset(args.train, roster)
@@ -309,15 +309,11 @@ def cmd_train_select(args, cfg: dict, produced: list) -> None:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = [out / "tree.txt", out / "fnn.txt", out / "confusion.txt"]
-    tree_tmp, fnn_tmp, table_tmp = (_staged(produced, path) for path in outputs)
-    save_tree(models.tree, tree_tmp)
-    save_fnn(models.fnn, fnn_tmp)
-    select_ops.save_confusion_table(models.table, table_tmp)
+    save_tree(models.tree, _staged(produced, out / "tree.txt"))
+    save_fnn(models.fnn, _staged(produced, out / "fnn.txt"))
+    select_ops.save_confusion_table(models.table, _staged(produced, out / "confusion.txt"))
     cfg["arch"] = list(arch)
-    inputs = [args.train, args.embeddings] + ([args.roster] if args.roster else [])
-    _write_manifest(_staged(produced, out / "manifest.json"), "train-select", cfg,
-                    inputs, outputs)
+    return out / "manifest.json", {}
 
 
 def _training_manifest(models_dir: Path, embeddings) -> dict:
@@ -335,7 +331,23 @@ def _training_manifest(models_dir: Path, embeddings) -> dict:
         return manifest
 
 
-def cmd_eval_select(args, cfg: dict, produced: list) -> None:
+def _report(produced: list, out, models_dir: Path, header: list, errors: list,
+            line: str) -> str:
+    """Stage the errors CSV at ``out`` (by default ``errors.csv`` in
+    ``models_dir``) and ``<stem>_metrics.txt`` next to it, print the
+    metrics ``line``, and return the path of the command's manifest."""
+    errors_path = Path(out) if out else models_dir / "errors.csv"
+    with open(_staged(produced, errors_path), "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(errors)
+    print(line)
+    metrics_path = errors_path.with_name(errors_path.stem + "_metrics.txt")
+    _staged(produced, metrics_path).write_text(line + "\n", encoding="utf-8")
+    return str(errors_path) + ".manifest.json"
+
+
+def cmd_eval_select(args, cfg: dict, produced: list):
     models_dir = Path(args.models)
     manifest = _training_manifest(models_dir, args.embeddings)
     config = manifest.get("config")
@@ -353,24 +365,15 @@ def cmd_eval_select(args, cfg: dict, produced: list) -> None:
         table=table,
     )
     instances = select_ops.load_selection_dataset(args.test, table.roster)
-    errors_path = Path(args.out) if args.out else models_dir / "errors.csv"
-    metrics_path = errors_path.with_name(errors_path.stem + "_metrics.txt")
-    (p, r, f1), _errors = select_ops.evaluate_selection(
-        instances, models, store, window=window,
-        error_log_path=_staged(produced, errors_path))
-    line = f"P={p:.4f} R={r:.4f} F1={f1:.4f}"
-    print(line)
-    _staged(produced, metrics_path).write_text(line + "\n", encoding="utf-8")
+    (p, r, f1), errors = select_ops.evaluate_selection(instances, models, store,
+                                                       window=window)
     cfg["window"] = window
-    model_files = [models_dir / name for name in
-                   ("tree.txt", "fnn.txt", "confusion.txt", "manifest.json")]
-    inputs = ([args.test, args.embeddings, *model_files]
-              + ([args.roster] if args.roster else []))
-    _write_manifest(_staged(produced, str(errors_path) + ".manifest.json"), "eval-select",
-                    cfg, inputs, [errors_path, metrics_path])
+    return _report(produced, args.out, models_dir,
+                   ["sentence", "observed", "gold", "predicted"], errors,
+                   f"P={p:.4f} R={r:.4f} F1={f1:.4f}"), {}
 
 
-def cmd_train_attach(args, cfg: dict, produced: list) -> None:
+def cmd_train_attach(args, cfg: dict, produced: list):
     store = emb_ops.load_embeddings(args.embeddings)
     instances = attach_ops.load_attachment_dataset(args.train)
     arch = (cfg["hidden1"] or 1000, cfg["hidden2"] or 20)
@@ -378,16 +381,14 @@ def cmd_train_attach(args, cfg: dict, produced: list) -> None:
         instances, store, hyper=_fnn_hyper(cfg), arch=arch)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = [out / "fnn.txt", out / "tags.txt"]
-    fnn_tmp, tags_tmp = (_staged(produced, path) for path in outputs)
-    save_fnn(fnn, fnn_tmp)
-    tags_tmp.write_text("\n".join(tagset.tags) + "\n", encoding="utf-8")
+    save_fnn(fnn, _staged(produced, out / "fnn.txt"))
+    _staged(produced, out / "tags.txt").write_text("\n".join(tagset.tags) + "\n",
+                                                   encoding="utf-8")
     cfg["arch"] = list(arch)
-    _write_manifest(_staged(produced, out / "manifest.json"), "train-attach", cfg,
-                    [args.train, args.embeddings], outputs)
+    return out / "manifest.json", {}
 
 
-def cmd_eval_attach(args, cfg: dict, produced: list) -> None:
+def cmd_eval_attach(args, cfg: dict, produced: list):
     models_dir = Path(args.models)
     _training_manifest(models_dir, args.embeddings)
     store = emb_ops.load_embeddings(args.embeddings)
@@ -396,17 +397,10 @@ def cmd_eval_attach(args, cfg: dict, produced: list) -> None:
         tags = [line for line in fh.read().splitlines() if line]
     tagset = attach_ops.TagSet(tags)
     instances = attach_ops.load_attachment_dataset(args.test)
-    errors_path = Path(args.out) if args.out else models_dir / "errors.csv"
-    metrics_path = errors_path.with_name(errors_path.stem + "_metrics.txt")
-    acc, _errors = attach_ops.evaluate_attachment(
-        instances, fnn, store, tagset, error_log_path=_staged(produced, errors_path))
-    line = f"accuracy={acc:.4f}"
-    print(line)
-    _staged(produced, metrics_path).write_text(line + "\n", encoding="utf-8")
-    inputs = [args.test, args.embeddings,
-              *(models_dir / name for name in ("fnn.txt", "tags.txt", "manifest.json"))]
-    _write_manifest(_staged(produced, str(errors_path) + ".manifest.json"), "eval-attach",
-                    cfg, inputs, [errors_path, metrics_path])
+    acc, errors = attach_ops.evaluate_attachment(instances, fnn, store, tagset)
+    return _report(produced, args.out, models_dir,
+                   ["preposition", "child", "predicted_head", "gold_head"], errors,
+                   f"accuracy={acc:.4f}"), {}
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +410,9 @@ _FNN_OPTIONS = ("hidden1", "hidden2", "epochs", "batch", "fnn_lr", "momentum")
 
 # name -> (function, help, options read, other arguments). The options
 # are OPTIONS keys, which the function gets resolved; an argument ending
-# in "?" is optional, the others are required.
+# in "?" is optional, the others are required. A function returns the
+# path of its manifest and the manifest's command-specific fields, or
+# None when it writes no file.
 COMMANDS = {
     "build-tensor": (cmd_build_tensor, "count the co-occurrence tensor",
                      ("window", "min_count"), ("corpus", "roster?", "out")),
@@ -481,9 +477,16 @@ def run(argv=None) -> int:
                         format="%(levelname)s %(name)s %(message)s")
     func, _help, options, _arguments = COMMANDS[args.command]
     produced: list[tuple[Path, Path]] = []
+    inputs: list = []
+    # Records every file this command opens, the config file included.
+    recording = corpus_ops.OPENED_INPUTS.set(inputs)
+    start = time.perf_counter()
     try:
         config = _read_config_file(args.config) if args.config else {}
-        func(args, _resolve(args, options, config), produced)
+        cfg = _resolve(args, options, config)
+        manifest = func(args, cfg, produced)
+        if manifest is not None:
+            _write_manifest(*manifest, args.command, cfg, inputs, produced, start)
         for tmp, path in produced:
             os.replace(tmp, path)
         return 0
@@ -491,6 +494,7 @@ def run(argv=None) -> int:
         logger.error("%s", exc)
         return 1
     finally:
+        corpus_ops.OPENED_INPUTS.reset(recording)
         # Whatever was not moved into place is a partial output.
         for tmp, _path in produced:
             tmp.unlink(missing_ok=True)

@@ -9,6 +9,7 @@ every preposition window.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import itertools
 import os
 import re
@@ -58,12 +59,20 @@ _COLUMNS = ("i", "j", "k", "counts")
 _COUNT_BLOCK = 1 << 13
 
 
+# The paths open_input opens, in a list that cli.run sets for one
+# command and resets after it; with none set, nothing is recorded.
+OPENED_INPUTS: contextvars.ContextVar[list | None] = contextvars.ContextVar(
+    "opened_inputs", default=None)
+
+
 @contextlib.contextmanager
 def open_input(path, mode="r"):
-    """Open an input file, as UTF-8 text unless ``mode`` is binary. A
-    ValueError raised in the block, a decoding error included, is raised
-    again as one naming the file."""
+    """Open an input file, as UTF-8 text unless ``mode`` is binary, and
+    record its path in OPENED_INPUTS. A ValueError raised in the block,
+    a decoding error included, is raised again as one naming the file."""
     with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        if (opened := OPENED_INPUTS.get()) is not None:
+            opened.append(path)
         try:
             yield fh
         except ValueError as exc:

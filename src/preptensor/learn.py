@@ -67,13 +67,6 @@ class DecisionTree:
     classes: list
     params: TreeParams
 
-    def node_depth(self, idx: int = 0, depth: int = 0) -> int:
-        node = self.nodes[idx]
-        if node.feature < 0:
-            return depth
-        return max(self.node_depth(node.left, depth + 1),
-                   self.node_depth(node.right, depth + 1))
-
 
 def _gini(counts: np.ndarray) -> float:
     total = counts.sum()

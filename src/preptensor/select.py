@@ -7,7 +7,6 @@ then scores every roster candidate for the flagged instances.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import logging
 from dataclasses import dataclass
@@ -331,10 +330,9 @@ def select_preposition(instance: SelectionInstance, tree: DecisionTree,
 
 
 def evaluate_selection(instances, models: SelectionModels,
-                       store: EmbeddingStore, window: int = 3,
-                       error_log_path=None):
-    """Score predictions with edit-based P/R/F1; optionally write a CSV
-    of mispredicted instances."""
+                       store: EmbeddingStore, window: int = 3):
+    """Edit-based (P, R, F1) of the predictions, and a (sentence,
+    observed, gold, predicted) row per mispredicted instance."""
     if not instances:
         raise ValueError("cannot evaluate on an empty test set")
     stoplist = context_stoplist()
@@ -348,10 +346,4 @@ def evaluate_selection(instances, models: SelectionModels,
         observed.append(inst.observed)
         if pred != inst.gold:
             errors.append((" ".join(inst.tokens), inst.observed, inst.gold, pred))
-    if error_log_path is not None:
-        with open(error_log_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sentence", "observed", "gold", "predicted"])
-            writer.writerows(errors)
-    metrics = precision_recall_f1(predicted, gold, observed)
-    return metrics, errors
+    return precision_recall_f1(predicted, gold, observed), errors

@@ -241,7 +241,8 @@ class TestTrainAndEvaluate:
         assert acc == 1.0
         assert errors == []
 
-    def test_error_log_written(self, rich_store, tmp_path):
+    def test_error_log_written(self, rich_store):
+        # The rows eval-attach writes to its errors CSV (checked there).
         data = self.make_dataset(n=2)
         tagset = build_tagset(data)
         d = 3 * rich_store.dim + 3 + 2 * len(tagset.tags) + 1
@@ -249,14 +250,10 @@ class TestTrainAndEvaluate:
                              weights=[np.zeros((d, 2)), np.zeros((2, 2)),
                                       np.zeros((2, 2))],
                              biases=[np.zeros(2), np.zeros(2), np.zeros(2)])
-        log = tmp_path / "errors.csv"
-        acc, errors = evaluate_attachment(data, net, rich_store, tagset,
-                                          error_log_path=log)
+        acc, errors = evaluate_attachment(data, net, rich_store, tagset)
         # The zero net always picks the nearest candidate (index 1).
         assert acc == 0.5
-        lines = log.read_text().strip().splitlines()
-        assert lines[0] == "preposition,child,predicted_head,gold_head"
-        assert len(lines) == 1 + len(errors) == 3
+        assert len(errors) == 2
 
     def test_empty_train_rejected(self, rich_store):
         with pytest.raises(ValueError, match="no training"):

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import importlib.util
 import json
@@ -13,6 +14,7 @@ import pytest
 
 import preptensor.attach as attach_ops
 import preptensor.cli as cli
+import preptensor.corpus as corpus_ops
 import preptensor.factorize as factorize
 import preptensor.select as select_ops
 import scalar_features
@@ -37,6 +39,8 @@ from preptensor.select import (
 ROSTER = ["in", "of", "on"]
 TOY_CORPUS = Path(__file__).parent / "data" / "toy_corpus.txt"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+BUNDLED_ROSTER = Path(cli.__file__).parent / "data" / "prepositions_49.txt"
+STOPLIST = Path(cli.__file__).parent / "data" / "context_stoplist.txt"
 
 CORPUS = (
     "Cats sat on mats near doors. Dogs slept in boxes under tables.\n"
@@ -67,6 +71,16 @@ def tensor_dir(tmp_path, corpus_path, roster_path):
                   "--out", str(out)])
     assert rc == 0
     return out
+
+
+def digests(*paths) -> dict:
+    return {str(path): hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            for path in paths}
+
+
+def read_csv(path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
 
 
 class TestBuildTensor:
@@ -231,15 +245,17 @@ class TestDecompose:
                                         "nnz": tensor.nnz,
                                         "batch": factorize.WD_BATCH}
 
-    def test_manifests_record_resources(self, tmp_path, tensor_dir):
-        out = tmp_path / "emb.txt"
-        assert cli.run(["decompose", "--tensor", str(tensor_dir), "--method", "als",
-                        "--dim", "3", "--iters", "2", "--out", str(out)]) == 0
-        for path in (tensor_dir / "manifest.json", tmp_path / "emb.txt.manifest.json"):
-            resources = json.loads(path.read_text())["resources"]
+    def test_manifests_record_resources(self, tmp_path, trained):
+        commands = []
+        for argv, path, _inputs in manifest_runs(trained, tmp_path):
+            assert cli.run(argv) == 0, argv
+            manifest = json.loads(path.read_text())
+            commands.append(manifest["command"])
+            resources = manifest["resources"]
             assert sorted(resources) == ["peak_rss_mb", "wall_s"]
             assert all(type(value) is float and value > 0
                        for value in resources.values())
+        assert sorted(commands) == sorted(set(cli.COMMANDS) - {"query-sim", "paraphrase"})
 
     def test_manifests_record_versions(self, tmp_path, tensor_dir):
         import platform
@@ -562,6 +578,34 @@ class TestSelectPipeline:
         metrics = (tmp_path / "sel_errors_metrics.txt").read_text()
         assert metrics.strip() == out.strip()
 
+    def test_eval_writes_a_row_per_error(self, tmp_path, embeddings_path, roster_path):
+        train = tmp_path / "sel_train.tsv"
+        write_selection_dataset(train)
+        models = tmp_path / "sel_models"
+        assert cli.run(["train-select", "--train", str(train),
+                        "--embeddings", str(embeddings_path),
+                        "--roster", str(roster_path), "--out", str(models),
+                        "--hidden1", "4", "--hidden2", "2", "--epochs", "2",
+                        "--min-leaf", "1"]) == 0
+        # One instance with two gold prepositions: whatever the models
+        # learned, they mispredict at least one.
+        test = tmp_path / "sel_test.tsv"
+        test.write_text("cats sat on mats\t2\ton\ton\ncats sat on mats\t2\ton\tin\n")
+        errors_csv = tmp_path / "sel_errors.csv"
+        assert cli.run(["eval-select", "--test", str(test), "--models", str(models),
+                        "--embeddings", str(embeddings_path),
+                        "--out", str(errors_csv)]) == 0
+        table = load_confusion_table(models / "confusion.txt")
+        trained = SelectionModels(tree=load_tree(models / "tree.txt"),
+                                  fnn=load_fnn(models / "fnn.txt"), table=table)
+        _metrics, errors = evaluate_selection(
+            load_selection_dataset(test, table.roster), trained,
+            load_embeddings(embeddings_path))
+        rows = read_csv(errors_csv)
+        assert rows[0] == ["sentence", "observed", "gold", "predicted"]
+        assert len(rows) == 1 + len(errors) >= 2
+        assert rows[1:] == [list(row) for row in errors]
+
     def test_eval_writes_manifest(self, tmp_path, embeddings_path, roster_path):
         train = tmp_path / "sel_train.tsv"
         write_selection_dataset(train)
@@ -579,7 +623,8 @@ class TestSelectPipeline:
         assert manifest["command"] == "eval-select"
         assert manifest["config"] == {"window": 2}
         inputs = [train, embeddings_path, models / "tree.txt", models / "fnn.txt",
-                  models / "confusion.txt", models / "manifest.json", roster_path]
+                  models / "confusion.txt", models / "manifest.json", roster_path,
+                  STOPLIST]
         assert manifest["inputs"] == {
             str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in inputs}
         assert manifest["outputs"] == [str(errors),
@@ -751,6 +796,32 @@ class TestAttachPipeline:
         assert manifest["outputs"] == [str(tmp_path / "att_errors.csv"),
                                        str(tmp_path / "att_errors_metrics.txt")]
 
+    def test_eval_writes_a_row_per_error(self, tmp_path, embeddings_path, capsys):
+        train = tmp_path / "att_train.tsv"
+        write_attachment_dataset(train)
+        models = tmp_path / "att_models"
+        assert cli.run(["train-attach", "--train", str(train),
+                        "--embeddings", str(embeddings_path), "--out", str(models),
+                        "--hidden1", "4", "--hidden2", "2", "--epochs", "2"]) == 0
+        # One instance with two gold heads: whatever the network learned,
+        # it mispredicts at least one.
+        test = tmp_path / "att_test.tsv"
+        test.write_text("on\tmats\t0\tsat:VB:NN:3;cats:NN:IN:1\n"
+                        "on\tmats\t1\tsat:VB:NN:3;cats:NN:IN:1\n")
+        errors_csv = tmp_path / "att_errors.csv"
+        assert cli.run(["eval-attach", "--test", str(test), "--models", str(models),
+                        "--embeddings", str(embeddings_path),
+                        "--out", str(errors_csv)]) == 0
+        tagset = attach_ops.TagSet((models / "tags.txt").read_text().splitlines())
+        acc, errors = attach_ops.evaluate_attachment(
+            attach_ops.load_attachment_dataset(test), load_fnn(models / "fnn.txt"),
+            load_embeddings(embeddings_path), tagset)
+        assert capsys.readouterr().out == f"accuracy={acc:.4f}\n"
+        rows = read_csv(errors_csv)
+        assert rows[0] == ["preposition", "child", "predicted_head", "gold_head"]
+        assert len(rows) == 1 + len(errors) >= 2
+        assert rows[1:] == [list(row) for row in errors]
+
     @pytest.mark.parametrize("lineno, text, named", [
         (0, "FNN v1 sizes 2 x 2", "'x'"),
         (1, "0.5 half", "'half'"),
@@ -883,6 +954,12 @@ class TestArgumentHandling:
         ("batch = -2\n", "batch"),
         ("iters = 0\n", "iters"),
         ("epochs = 0\n", "epochs"),
+        ("dim = 1_0\n", "dim"),
+        ("top = \u0663\n", "top"),
+        ("lr = \u0660.\u0665\n", "lr"),
+        ("lr = nan\n", "lr"),
+        ("xmax = inf\n", "xmax"),
+        ("momentum = 1e999\n", "momentum"),
     ])
     def test_config_value_the_type_rejects_fails(self, tmp_path, embeddings_path,
                                                  roster_path, caplog, capsys,
@@ -899,6 +976,24 @@ class TestArgumentHandling:
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1
         assert named in errors[0] and "\n" not in errors[0]
+
+    def test_config_numbers_spelled_as_in_files(self, tmp_path):
+        config = tmp_path / "conf.txt"
+        config.write_text("seed = +3\nwindow = 007\nlr = .5\nxmax = 1E1\nalpha = -0.25\n")
+        assert cli._read_config_file(config) == {
+            "seed": 3, "window": 7, "lr": 0.5, "xmax": 10.0, "alpha": -0.25}
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--dim", "\u0663"), ("--dim", "1_0"), ("--iters", "1_0"), ("--seed", " 3"),
+        ("--lr", "nan"), ("--xmax", "inf"), ("--alpha", "\u0660.\u0665"),
+        ("--lr", "1e999"),
+    ])
+    def test_numbers_outside_the_number_rule_are_rejected(self, flag, value, capsys):
+        argv = ["decompose", "--tensor", "t", "--method", "als", "--out", "e.txt",
+                flag, value]
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and repr(value) in err
 
     @pytest.mark.parametrize("value, centered", [
         ("yes", True), ("TRUE", True), ("1", True),
@@ -1049,6 +1144,70 @@ def _commands(d):
         "eval-attach": ["eval-attach", "--test", str(d / "att.tsv"), "--models",
                         str(d / "att"), "--embeddings", str(d / "emb.txt")],
     }
+
+
+def manifest_runs(d, out):
+    """(argv, manifest, files read) of one run of each command that
+    writes a manifest, on the inputs under ``d``, writing under ``out``;
+    each run reads only ``d`` and the outputs of the runs before it."""
+    config = out / "config.txt"
+    config.write_text("seed = 0\n")
+    net = ["--hidden1", "4", "--hidden2", "2", "--epochs", "1"]
+    emb, sel, att = d / "emb.txt", out / "sel", out / "att"
+    tensor = [d / "tensor" / "vocab.txt", d / "tensor" / "tensor.txt"]
+    return [
+        (["build-tensor", "--corpus", str(d / "corpus.txt"), "--min-count", "1",
+          "--out", str(out / "tensor")],
+         out / "tensor" / "manifest.json", [d / "corpus.txt", BUNDLED_ROSTER]),
+        (["--config", str(config), "decompose", "--tensor", str(d / "tensor"),
+          "--method", "als", "--dim", "2", "--out", str(out / "emb.txt")],
+         out / "emb.txt.manifest.json", [config, *tensor]),
+        (["spectrum", "--tensor", str(d / "tensor"), "--slice", "on",
+          "--out", str(out / "spec.csv")], out / "spec.csv.manifest.json", tensor),
+        (["train-select", "--train", str(d / "sel.tsv"), "--embeddings", str(emb),
+          "--roster", str(d / "roster.txt"), "--out", str(sel), *net, "--min-leaf", "1"],
+         sel / "manifest.json", [d / "sel.tsv", emb, d / "roster.txt", STOPLIST]),
+        (["eval-select", "--test", str(d / "sel.tsv"), "--models", str(sel),
+          "--embeddings", str(emb)],
+         sel / "errors.csv.manifest.json",
+         [d / "sel.tsv", emb, STOPLIST,
+          *(sel / name for name in ("manifest.json", "tree.txt", "fnn.txt",
+                                    "confusion.txt"))]),
+        (["train-attach", "--train", str(d / "att.tsv"), "--embeddings", str(emb),
+          "--out", str(att), *net], att / "manifest.json", [d / "att.tsv", emb]),
+        (["eval-attach", "--test", str(d / "att.tsv"), "--models", str(att),
+          "--embeddings", str(emb)],
+         att / "errors.csv.manifest.json",
+         [d / "att.tsv", emb, *(att / name for name in ("manifest.json", "fnn.txt",
+                                                         "tags.txt"))]),
+    ]
+
+
+class TestManifestInputs:
+    def test_inputs_are_the_files_read(self, tmp_path, trained):
+        """The bundled roster and stoplist and the config file included."""
+        for argv, manifest, inputs in manifest_runs(trained, tmp_path):
+            assert cli.run(argv) == 0, argv
+            assert json.loads(manifest.read_text())["inputs"] == digests(*inputs), argv
+
+    def test_a_run_records_only_its_own_reads(self, tmp_path, trained):
+        config = tmp_path / "config.txt"
+        config.write_text("min_count = 1\n")
+        tensor = tmp_path / "tensor"
+        assert cli.run(["--config", str(config), "build-tensor", "--corpus",
+                        str(trained / "corpus.txt"), "--roster",
+                        str(trained / "roster.txt"), "--out", str(tensor)]) == 0
+        # Fails after reading another tensor directory.
+        assert cli.run(["spectrum", "--tensor", str(trained / "tensor"),
+                        "--slice", "nosuch", "--out", str(tmp_path / "spec.csv")]) == 1
+        assert corpus_ops.OPENED_INPUTS.get() is None
+        assert cli.run(["decompose", "--tensor", str(tensor), "--method", "als",
+                        "--dim", "2", "--iters", "2",
+                        "--out", str(tmp_path / "emb.txt")]) == 0
+        manifest = json.loads((tmp_path / "emb.txt.manifest.json").read_text())
+        assert manifest["inputs"] == digests(tensor / "vocab.txt", tensor / "tensor.txt")
+        load_tensor(tensor / "tensor.txt")
+        assert corpus_ops.OPENED_INPUTS.get() is None
 
 
 def _set_field(lineno, field, value, sep=" "):

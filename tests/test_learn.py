@@ -37,7 +37,8 @@ class TestDecisionTree:
     def test_threshold_separable(self):
         X, y = separable_1d()
         tree = train_decision_tree(X, y, TreeParams(max_depth=8, min_leaf=1))
-        assert tree.node_depth() == 1
+        # One split: the root and its two leaves.
+        assert len(tree.nodes) == 3 and tree.nodes[0].feature == 0
         preds = [tree_predict(tree, row)[0] for row in X]
         assert preds == y
 

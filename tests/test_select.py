@@ -396,16 +396,15 @@ class TestTrainAndEvaluate:
         assert (p, r, f1) == (0.0, 0.0, 0.0)
         assert len(errors) == 12
 
-    def test_error_log_written(self, store, tmp_path):
+    def test_error_log_written(self, store):
+        # The rows eval-select writes to its errors CSV (checked there).
         data = self.make_dataset(n_per=2)
         table = build_confusion_table(data, ROSTER)
         net = FeedForwardNet.init([3 * store.dim + 3, 4, 2, 2], seed=0)
         models = SelectionModels(tree=leaf_tree("correct"), fnn=net, table=table)
-        log = tmp_path / "errors.csv"
-        evaluate_selection(data, models, store, error_log_path=log)
-        lines = log.read_text().strip().splitlines()
-        assert lines[0] == "sentence,observed,gold,predicted"
-        assert len(lines) == 3
+        _metrics, errors = evaluate_selection(data, models, store)
+        assert len(errors) == 2
+        assert all(len(row) == 4 for row in errors)
 
     def test_empty_eval_rejected(self, store):
         net = FeedForwardNet.init([3 * store.dim + 3, 4, 2, 2], seed=0)
