@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -230,11 +231,9 @@ def cmd_decompose(args, cfg: dict, produced: list):
                 "nnz": tensor.nnz}
     if args.method == "als":
         emb = decompose_orth_als(tensor, config)
-    elif args.method == "wd":
+    else:  # "wd": the parser's choices allow nothing else
         emb = decompose_weighted(tensor, config)
         counters["batch"] = WD_BATCH
-    else:
-        raise ValueError(f"unknown method {args.method!r}")
     store = emb_ops.EmbeddingStore.from_factors(vocab, emb)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -439,6 +438,9 @@ COMMANDS = {
 _CHOICES = {"method": ("als", "wd")}
 
 
+# Built once per process: parse_args leaves the parser as it was, and
+# unset flags stay off each run's fresh namespace.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="preptensor",

@@ -91,10 +91,6 @@ class EmbeddingSet:
     trajectory: list[float] = field(default_factory=list)
 
     @property
-    def dim(self) -> int:
-        return self.U.shape[1]
-
-    @property
     def has_biases(self) -> bool:
         return self.b_U is not None
 

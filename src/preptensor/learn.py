@@ -68,17 +68,17 @@ class DecisionTree:
     params: TreeParams
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return 1.0 - float(np.sum(p * p))
+def _gini(counts: np.ndarray):
+    """Gini impurity of a class-count vector, or of each row of a block."""
+    p = counts / counts.sum(axis=-1, keepdims=True)
+    return 1.0 - np.sum(p * p, axis=-1)
 
 
 def train_decision_tree(rows, labels, params: TreeParams | None = None) -> DecisionTree:
     """Greedy recursive partitioning minimizing Gini impurity.
 
+    Each node scores every boundary between distinct sorted values of
+    every feature at once, from the cumulative class counts left of it.
     Deterministic: split ties go to the lowest feature index, then the
     smallest threshold. Rows go left when feature < threshold, right
     when >= threshold.
@@ -95,48 +95,38 @@ def train_decision_tree(rows, labels, params: TreeParams | None = None) -> Decis
     classes = sorted(set(labels), key=repr)
     class_ids = {c: idx for idx, c in enumerate(classes)}
     y = np.array([class_ids[lab] for lab in labels], dtype=np.int64)
+    one_hot = np.eye(len(classes), dtype=np.int64)
     nodes: list[TreeNode] = []
 
-    def leaf_counts(idx):
-        return np.bincount(y[idx], minlength=len(classes)).astype(np.float64)
-
     def grow(idx: np.ndarray, depth: int) -> int:
-        counts = leaf_counts(idx)
-        node_id = len(nodes)
-        if (depth >= params.max_depth or len(idx) < 2 * params.min_leaf
+        counts = np.bincount(y[idx], minlength=len(classes)).astype(np.float64)
+        node_id, n = len(nodes), len(idx)
+        nodes.append(TreeNode(counts=counts))
+        # Below two rows there is no boundary (a threshold that rounds onto
+        # its left value can even leave a child empty).
+        if (depth >= params.max_depth or n < max(2 * params.min_leaf, 2)
                 or _gini(counts) == 0.0):
-            nodes.append(TreeNode(counts=counts))
             return node_id
-        best = None  # (impurity, feature, threshold)
-        for f in range(X.shape[1]):
-            col = X[idx, f]
-            order = np.argsort(col, kind="stable")
-            sorted_col = col[order]
-            sorted_y = y[idx][order]
-            left_counts = np.zeros(len(classes))
-            right_counts = leaf_counts(idx)
-            n = len(idx)
-            for pos in range(n - 1):
-                c = sorted_y[pos]
-                left_counts[c] += 1
-                right_counts[c] -= 1
-                if sorted_col[pos] == sorted_col[pos + 1]:
-                    continue
-                n_left = pos + 1
-                n_right = n - n_left
-                if n_left < params.min_leaf or n_right < params.min_leaf:
-                    continue
-                impurity = (n_left * _gini(left_counts)
-                            + n_right * _gini(right_counts)) / n
-                thr = 0.5 * (sorted_col[pos] + sorted_col[pos + 1])
-                cand = (impurity, f, thr)
-                if best is None or cand < best:
-                    best = cand
-        if best is None or best[0] >= _gini(counts) - 1e-15:
-            nodes.append(TreeNode(counts=counts))
+        # (features, n): each feature's sorted values, and the class counts
+        # left of the boundary after each position.
+        order = np.argsort(X[idx], axis=0, kind="stable").T
+        values = X[idx[order], np.arange(X.shape[1])[:, None]]
+        left = np.cumsum(one_hot[y[idx[order]]], axis=1)[:, :-1]
+        n_left = np.arange(1, n)
+        usable = ((values[:, :-1] != values[:, 1:])
+                  & (n_left >= params.min_leaf) & (n - n_left >= params.min_leaf))
+        if not usable.any():
             return node_id
-        _, f, thr = best
-        nodes.append(TreeNode(feature=f, threshold=thr))
+        left, n_left = left[usable], np.broadcast_to(n_left, usable.shape)[usable]
+        gini = _gini(np.concatenate([left, counts - left]))
+        impurity = (n_left * gini[:len(left)] + (n - n_left) * gini[len(left):]) / n
+        # The first minimum: the lowest feature, then the smallest threshold.
+        best = int(np.argmin(impurity))
+        if impurity[best] >= _gini(counts) - 1e-15:
+            return node_id
+        f, pos = np.argwhere(usable)[best].tolist()
+        thr = 0.5 * (values[f, pos] + values[f, pos + 1])
+        nodes[node_id] = TreeNode(feature=f, threshold=thr)
         go_left = X[idx, f] < thr
         nodes[node_id].left = grow(idx[go_left], depth + 1)
         nodes[node_id].right = grow(idx[~go_left], depth + 1)

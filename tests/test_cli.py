@@ -175,6 +175,18 @@ class TestDecompose:
         manifest = json.loads((out.parent / "emb.txt.manifest.json").read_text())
         assert manifest["config"]["dim"] == 200
 
+    def test_a_flag_does_not_carry_into_the_next_run(self, tmp_path, tensor_dir):
+        # One parser serves every run in a process.
+        dims = []
+        for name, flags in (("emb3.txt", ["--dim", "3"]), ("emb.txt", [])):
+            out = tmp_path / name
+            rc = cli.run(["decompose", "--tensor", str(tensor_dir), "--method", "als",
+                          "--iters", "1", *flags, "--out", str(out)])
+            assert rc == 0
+            manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            dims.append((manifest["config"]["dim"], load_embeddings(out).dim))
+        assert dims == [(3, 3), (200, 200)]
+
     def test_config_file_overridden_by_flag(self, tmp_path, tensor_dir):
         config = tmp_path / "conf.txt"
         config.write_text("dim = 3   # comment\niters = 2\n")
@@ -903,6 +915,11 @@ class TestArgumentHandling:
     def test_options_no_command_reads_are_rejected(self, argv, capsys):
         assert cli.run(argv) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_method_is_rejected(self, capsys):
+        rc = cli.run(["decompose", "--tensor", "t", "--method", "xx", "--out", "e.txt"])
+        assert rc == 2
+        assert "invalid choice: 'xx'" in capsys.readouterr().err
 
     def test_bad_config_line_fails(self, tmp_path, tensor_dir):
         config = tmp_path / "conf.txt"

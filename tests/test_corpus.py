@@ -484,6 +484,20 @@ class TestVocabularyIO:
             load_vocabulary(path)
         assert str(exc.value) == f"{path}: line {lineno}: non-integer field {field!r}"
 
+    @pytest.mark.parametrize("text, lineno, idx", [
+        ("cat\t3\t1\n", 1, 1),
+        ("cat\t3\t0\ndog\t2\t0\n", 2, 0),
+        ("cat\t3\t0\ndog\t2\t3\n", 2, 3),
+        # Preposition ids restart at 0.
+        ("cat\t3\t0\n#PREPOSITIONS\non\t4\t1\n", 3, 1),
+    ])
+    def test_id_out_of_order_rejected(self, tmp_path, text, lineno, idx):
+        path = tmp_path / "vocab.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_vocabulary(path)
+        assert str(exc.value) == f"{path}: line {lineno}: id {idx} out of order"
+
     @pytest.mark.parametrize("text, lineno", [
         ("cat\t3\t0\ndog\t2\t1\ncat\t1\t2\n#PREPOSITIONS\non\t4\t0\n", 3),
         ("cat\t3\t0\n#PREPOSITIONS\non\t4\t0\non\t4\t1\n", 4),

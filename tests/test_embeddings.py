@@ -437,6 +437,12 @@ class TestEmbeddingIO:
         ("1_0 2\nfoo 1 2\n", "line 2: expected 1 fields, got 2"),
         # A vector row whose value is not ASCII digits.
         ("1 \u0662\nfoo 1 2\n", "line 1: non-numeric field '\u0662'"),
+        ("-1 2\nfoo 1 2\n", "line 1: bad header"),
+        ("1 0\nfoo\n", "line 1: bad header"),
+        ("3 2\nfoo 1 2\n__NOPREP__ 1 1\n", "header declares 3 rows, found 2"),
+        ("1 2\nfoo 1 2\n__NOPREP__ 1 1\n", "header declares 1 rows, found 2"),
+        ("2 2\nfoo\n__NOPREP__ 1 1\n", "line 2: expected 2 fields, got 0"),
+        ("foo 1 2\nbar\n", "line 2: expected 2 fields, got 0"),
     ])
     def test_rejects_what_it_would_guess_at(self, tmp_path, text, message):
         path = tmp_path / "emb.txt"

@@ -685,6 +685,14 @@ class TestDecomposeWeighted:
         assert last
         assert sizes == 3 * ([factorize.WD_BATCH] * full + [last])
 
+    @pytest.mark.parametrize("value", [0.0, -2.0])
+    def test_non_positive_entry_rejected(self, value):
+        raw = CooTensor(np.array([0, 1]), np.array([1, 0]), np.array([0, 1]),
+                        np.array([3.0, value]), (2, 2, 2))
+        with pytest.raises(ValueError, match="requires positive nonzero entries"):
+            decompose_weighted(raw, TrainingConfig(dim=2, iterations=1,
+                                                   ortho_iterations=0))
+
     def test_trajectory_ends_at_final_loss(self):
         rng = np.random.default_rng(35)
         raw = dense_to_coo(rng.integers(0, 25, size=(7, 7, 4)).astype(np.float64))
@@ -706,6 +714,16 @@ class TestTrainingConfig:
     def test_rejects_negative_ortho_iterations(self):
         with pytest.raises(ValueError, match="ortho_iterations must be >= 0"):
             TrainingConfig(ortho_iterations=-1)
+
+    @pytest.mark.parametrize("field, message", [
+        ("dim", "dim must be >= 1, got 0"),
+        ("x_max", "x_max must be positive, got 0"),
+        ("learning_rate", "learning_rate must be positive, got 0"),
+    ])
+    def test_rejects_zero(self, field, message):
+        with pytest.raises(ValueError) as exc:
+            TrainingConfig(**{field: 0})
+        assert str(exc.value) == message
 
     def test_zero_ortho_iterations_valid(self):
         assert TrainingConfig(ortho_iterations=0).ortho_iterations == 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import scalar_tree
 from preptensor.learn import (
     FeedForwardNet,
     FnnHyper,
@@ -25,6 +26,37 @@ def separable_1d(n=40):
     x = np.concatenate([rng.uniform(0, 0.45, n // 2), rng.uniform(0.55, 1.0, n // 2)])
     y = [0] * (n // 2) + [1] * (n // 2)
     return x[:, None], y
+
+
+def tied_dataset(seed):
+    """Rows with many repeated values (a column sometimes copies another,
+    so impurity ties across features too), labels of 2 or 3 classes
+    loosely tied to the first column, min_leaf 0-7 and max_depth 1-8."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80))
+    n_features = int(rng.integers(1, 4))
+    levels = int(rng.integers(2, 9))
+    X = rng.integers(0, levels, (n, n_features)) / levels
+    if n_features > 1 and rng.random() < 0.3:
+        X[:, -1] = X[:, 0]
+    if rng.random() < 0.3:
+        X[:, 0] += rng.standard_normal(n) * 0.1
+    n_classes = int(rng.integers(2, 4))
+    y = (X[:, 0] * n_classes + rng.integers(0, 2, n)).astype(int) % n_classes
+    params = TreeParams(max_depth=int(rng.integers(1, 9)), min_leaf=int(rng.integers(0, 8)))
+    return X, ["abc"[c] for c in y], params
+
+
+def assert_same_tree(tree, reference, seed=None):
+    assert tree.classes == reference.classes, seed
+    assert len(tree.nodes) == len(reference.nodes), seed
+    for got, want in zip(tree.nodes, reference.nodes):
+        assert (got.feature, got.left, got.right) == (want.feature, want.left,
+                                                      want.right), seed
+        if want.feature >= 0:
+            assert got.threshold == want.threshold, seed
+        else:
+            assert np.array_equal(got.counts, want.counts), seed
 
 
 class TestDecisionTree:
@@ -76,6 +108,25 @@ class TestDecisionTree:
             assert acc >= prev - 1e-12
             prev = acc
 
+    def test_no_gain_split_makes_a_leaf(self):
+        # The one usable boundary leaves both sides as mixed as the root.
+        X, y = [[0.0], [0.0], [1.0], [1.0]], [0, 1, 0, 1]
+        params = TreeParams(min_leaf=1)
+        tree = train_decision_tree(X, y, params)
+        assert len(tree.nodes) == 1
+        assert_same_tree(tree, scalar_tree.train_decision_tree(X, y, params))
+
+    def test_matches_per_position_search(self):
+        splits = 0
+        for seed in range(300):
+            X, y, params = tied_dataset(seed)
+            tree = train_decision_tree(X, y, params)
+            assert_same_tree(tree, scalar_tree.train_decision_tree(X, y, params),
+                             seed)
+            splits += sum(node.feature >= 0 for node in tree.nodes)
+        # The datasets grow real trees, not only single leaves.
+        assert splits > 1000
+
     def test_round_trip(self, tmp_path):
         X, y = separable_1d()
         tree = train_decision_tree(X, y, TreeParams(min_leaf=1))
@@ -101,6 +152,9 @@ class TestDecisionTree:
         ("leaf 0 0", r"tree\.txt: line 3: leaf counts must be >= 0 with a positive sum$"),
         ("leaf -3 1", r"tree\.txt: line 3: leaf counts must be >= 0"),
         ("leaf 2 -2", r"tree\.txt: line 3: leaf counts must be >= 0"),
+        ("split 0 0.5 1", r"tree\.txt: line 3: a split has 4 fields$"),
+        ("branch 0 0.5 1 2", r"tree\.txt: unknown node kind 'branch'$"),
+        ("", r"tree\.txt: truncated at node 0$"),
     ])
     def test_load_rejects_bad_structure(self, tmp_path, root, match):
         path = tmp_path / "tree.txt"
@@ -118,6 +172,11 @@ class TestDecisionTree:
         # A tree with no nodes has no root to predict from.
         ("TREE v1 0 2 8 5", "0 1", r"tree\.txt: line 1: a tree needs at least one node$"),
         ("TREE v1 -1 2 8 5", "0 1", "at least one node"),
+        ("TREE v2 3 2 8 5", "0 1", r"tree\.txt: bad tree header$"),
+        ("TREE v1 3 2 8", "0 1", r"tree\.txt: bad tree header$"),
+        ("TREE v1 3 2 8 5", "0 1 2", r"tree\.txt: class list does not match header$"),
+        # More nodes declared than the file holds.
+        ("TREE v1 4 2 8 5", "0 1", r"tree\.txt: truncated at node 3$"),
     ])
     def test_load_rejects_unparsable_header(self, tmp_path, header, classes, match):
         path = tmp_path / "tree.txt"
@@ -226,6 +285,14 @@ class TestFnnTraining:
         loss, _, _ = fnn_loss_and_grads(net, X, np.array([1]))
         assert loss <= 1e-3
 
+    def test_divergence_is_an_error(self):
+        # The first epoch's loss is taken before its huge steps.
+        X = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        hyper = FnnHyper(learning_rate=1e300, epochs=5, seed=0, val_fraction=0.0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(RuntimeError, match="diverged at epoch 2: loss is not finite"):
+            train_fnn(X, [0, 1], (4, 4), hyper)
+
     def test_seeded_determinism(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((50, 3))
@@ -267,6 +334,25 @@ class TestFnnTraining:
             load_fnn(path)
         assert str(exc.value) == (f"{path}: line 1: a network needs two or more "
                                   "sizes, each >= 1")
+
+    # The 10-line file of a 3-4-2 net (layout below) under a new header,
+    # cut after its first ``keep`` lines.
+    @pytest.mark.parametrize("header, keep, message", [
+        ("FNN v2 sizes 3 4 2", 10, "bad network header"),
+        ("FNN v1 3 4 2", 10, "bad network header"),
+        ("FNN v1 sizes", 10, "bad network header"),
+        ("FNN v1 sizes 3 4 2", 9, "line 10: file ends within a 4 x 2 layer"),
+        ("FNN v1 sizes 3 4 2", 3, "line 4: file ends within a 3 x 4 layer"),
+        ("FNN v1 sizes 3 4 2", 1, "line 2: file ends within a 3 x 4 layer"),
+    ])
+    def test_load_rejects_bad_header_or_short_file(self, tmp_path, header, keep, message):
+        path = tmp_path / "fnn.txt"
+        save_fnn(FeedForwardNet.init([3, 4, 2], seed=8), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([header] + lines[1:keep]) + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_fnn(path)
+        assert str(exc.value) == f"{path}: {message}"
 
     # sizes 3-4-2: weights on lines 2-4, bias line 5, then weights on
     # lines 6-9 and bias line 10.

@@ -3,12 +3,14 @@ import pytest
 
 import scalar_features
 from conftest import make_store
+from preptensor import select
 from preptensor.learn import (
     DecisionTree,
     FeedForwardNet,
     FnnHyper,
     TreeNode,
     TreeParams,
+    train_fnn,
 )
 from preptensor.select import (
     ConfusionTable,
@@ -195,6 +197,8 @@ class TestConfusionTable:
         (0, "CONFUSION v1 3 nan", "line 1: non-finite value 'nan'"),
         (0, "CONFUSION v1 3 inf", "line 1: non-finite value 'inf'"),
         (1, "on in on", "line 2: token 'on' listed twice"),
+        (1, "on in", "roster length mismatch"),
+        (1, "on in to at", "roster length mismatch"),
     ])
     def test_bad_smoothing_or_repeated_token_rejected(self, tmp_path, lineno, text,
                                                      message):
@@ -204,6 +208,21 @@ class TestConfusionTable:
         lines = path.read_text().splitlines()
         lines[lineno] = text
         path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_confusion_table(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    # A 3-row table cut after its first ``keep`` lines.
+    @pytest.mark.parametrize("keep, message", [
+        (4, "line 5: expected 3 rows, got 2"),
+        (2, "line 3: expected 3 rows, got 0"),
+    ])
+    def test_short_file_rejected(self, tmp_path, keep, message):
+        table = build_confusion_table([inst(["x", "on", "y"], 1, "on", "in")], ROSTER)
+        path = tmp_path / "conf.txt"
+        save_confusion_table(table, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:keep]) + "\n")
         with pytest.raises(ValueError) as exc:
             load_confusion_table(path)
         assert str(exc.value) == f"{path}: {message}"
@@ -386,6 +405,36 @@ class TestTrainAndEvaluate:
         (p, r, f1), errors = evaluate_selection(data, models, store)
         assert f1 == pytest.approx(1.0)
         assert errors == []
+
+    def test_undecidable_skipped_and_true_errors_when_nothing_flagged(
+            self, store, monkeypatch):
+        # A depth-0 detector is one leaf, majority "correct", so it flags
+        # nothing. The out-of-vocabulary contexts are undecidable errors;
+        # counted, they would make "error" the majority.
+        data = self.make_dataset(n_per=4)
+        data += [inst(["xx", "on", "yy"], 1, "on", "in")] * 5
+        fitted = []
+
+        def recording(rows, labels, arch, hyper):
+            fitted.append((len(rows), list(labels)))
+            return train_fnn(rows, labels, arch, hyper)
+
+        monkeypatch.setattr(select, "train_fnn", recording)
+        models = train_selection_models(
+            data, store, ROSTER, tree_params=TreeParams(max_depth=0),
+            hyper=FnnHyper(epochs=1, seed=0), arch=(4, 2))
+        [root] = models.tree.nodes
+        assert models.tree.classes == ["correct", "error"]
+        assert root.counts.tolist() == [8.0, 4.0]
+        # The 4 true errors, one row per roster candidate; gold is "in".
+        assert fitted == [(12, [0, 1, 0] * 4)]
+
+    def test_no_error_instances_rejected(self, store):
+        data = [inst(["sat", "on", "mat"], 1, "on", "on"),
+                inst(["ran", "to", "box"], 1, "to", "to")] * 3
+        with pytest.raises(ValueError, match="no error instances"):
+            train_selection_models(data, store, ROSTER, arch=(4, 2),
+                                   tree_params=TreeParams(min_leaf=1))
 
     def test_always_keep_baseline_scores_zero(self, store):
         data = self.make_dataset()
