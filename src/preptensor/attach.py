@@ -7,16 +7,13 @@ baseline.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ASCII_INTEGER, open_input
+from .corpus import ASCII_INTEGER, read_records
 from .embeddings import EmbeddingStore, row_cosines, row_triples
 from .learn import FeedForwardNet, FnnHyper, accuracy, fnn_forward_batch, train_fnn
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "Candidate",
@@ -54,49 +51,29 @@ class AttachmentInstance:
 
 def load_attachment_dataset(path) -> list[AttachmentInstance]:
     """Parse `prep<TAB>child<TAB>gold_index<TAB>cand:pos:nextpos:dist;...`
-    records, rejecting malformed ones with a report."""
-    instances = []
-    rejected = 0
-    with open_input(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            reason = None
-            parts = line.split("\t")
-            if len(parts) != 4:
-                reason = "expected 4 tab-separated fields"
-            else:
-                prep, child, gold_str, cand_str = parts
-                candidates = []
-                for spec in cand_str.split(";"):
-                    bits = spec.split(":")
-                    if len(bits) != 4:
-                        reason = f"bad candidate spec {spec!r}"
-                        break
-                    if not ASCII_INTEGER.fullmatch(bits[3]):
-                        reason = f"non-integer distance in {spec!r}"
-                        break
-                    dist = int(bits[3])
-                    if dist < 1:
-                        reason = f"distance must be >= 1 in {spec!r}"
-                        break
-                    candidates.append(Candidate(bits[0], bits[1], bits[2], dist))
-                if reason is None and not candidates:
-                    reason = "no candidates"
-                if reason is None and not ASCII_INTEGER.fullmatch(gold_str):
-                    reason = f"non-integer gold_index {gold_str!r}"
-                if reason is None and not (0 <= int(gold_str) < len(candidates)):
-                    reason = f"gold_index {gold_str} out of range"
-            if reason:
-                logger.warning("attachment dataset %s: line %d rejected: %s",
-                               path, lineno, reason)
-                rejected += 1
-                continue
-            instances.append(AttachmentInstance(candidates, prep, child, int(gold_str)))
-    if rejected:
-        logger.warning("attachment dataset %s: %d record(s) rejected", path, rejected)
-    return instances
+    lines; ``read_records`` skips and reports a malformed line."""
+
+    def parse(fields):
+        if len(fields) != 4:
+            raise ValueError("expected 4 tab-separated fields")
+        prep, child, gold, specs = fields
+        candidates = []
+        for spec in specs.split(";"):
+            bits = spec.split(":")
+            if len(bits) != 4:
+                raise ValueError(f"bad candidate spec {spec!r}")
+            if not ASCII_INTEGER.fullmatch(bits[3]):
+                raise ValueError(f"non-integer distance in {spec!r}")
+            if int(bits[3]) < 1:
+                raise ValueError(f"distance must be >= 1 in {spec!r}")
+            candidates.append(Candidate(bits[0], bits[1], bits[2], int(bits[3])))
+        if not ASCII_INTEGER.fullmatch(gold):
+            raise ValueError(f"non-integer gold_index {gold!r}")
+        if not 0 <= int(gold) < len(candidates):
+            raise ValueError(f"gold_index {gold} out of range")
+        return AttachmentInstance(candidates, prep, child, int(gold))
+
+    return read_records(path, parse, "attachment dataset")
 
 
 def save_attachment_dataset(instances, path) -> None:

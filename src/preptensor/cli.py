@@ -12,6 +12,7 @@ final paths and moved into place only when the command succeeds.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import csv
 import functools
 import hashlib
@@ -104,6 +105,19 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+# The digests taken during one command, by path: run() sets a new dict
+# for each command, so a file rewritten between commands is hashed again.
+_DIGESTS: contextvars.ContextVar[dict] = contextvars.ContextVar("digests")
+
+
+def _digest(path) -> str:
+    """The sha256 of ``path``, taken once per command."""
+    digests = _DIGESTS.get()
+    if (key := str(path)) not in digests:
+        digests[key] = _sha256(path)
+    return digests[key]
+
+
 def _read_config_file(path) -> dict:
     """Plain-text `key = value` pairs; `#` starts a comment. Every key
     must be a known option, and its value is converted by the option's
@@ -143,7 +157,7 @@ def _write_manifest(path, extra: dict, command: str, config: dict, inputs: list,
     manifest = {
         "command": command,
         "config": config,
-        "inputs": {name: _sha256(name) for name in dict.fromkeys(map(str, inputs))},
+        "inputs": {name: _digest(name) for name in dict.fromkeys(map(str, inputs))},
         "outputs": [str(final) for _tmp, final in produced],
         # Outputs are byte-identical only under the same numpy row kernels.
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
@@ -272,12 +286,12 @@ def cmd_paraphrase(args, cfg: dict, produced: list):
 
 def cmd_spectrum(args, cfg: dict, produced: list):
     vocab, tensor = _load_tensor_dir(Path(args.tensor))
-    try:
+    if corpus_ops.ASCII_INTEGER.fullmatch(args.slice):
         k = int(args.slice)
-    except ValueError:
-        if args.slice not in vocab.prep_ids:
-            raise ValueError(f"unknown slice {args.slice!r}") from None
+    elif args.slice in vocab.prep_ids:
         k = vocab.prep_ids[args.slice]
+    else:
+        raise ValueError(f"unknown slice {args.slice!r}")
     cfg.update(slice=args.slice, k=k, top=cfg["top"] or 50)
     values = emb_ops.slice_spectrum(tensor, k, cfg["top"])
     lines = [f"{idx},{format(val, '.10g')}" for idx, val in enumerate(values, 1)]
@@ -324,7 +338,7 @@ def _training_manifest(models_dir: Path, embeddings) -> dict:
         inputs = manifest.get("inputs") if isinstance(manifest, dict) else None
         if not isinstance(inputs, dict):
             raise ValueError("no inputs recorded")
-        if (digest := _sha256(embeddings)) not in inputs.values():
+        if (digest := _digest(embeddings)) not in inputs.values():
             raise ValueError(f"{embeddings} (sha256 {digest}) is not among the "
                              f"inputs the models were trained on: {inputs}")
         return manifest
@@ -482,6 +496,7 @@ def run(argv=None) -> int:
     inputs: list = []
     # Records every file this command opens, the config file included.
     recording = corpus_ops.OPENED_INPUTS.set(inputs)
+    digesting = _DIGESTS.set({})
     start = time.perf_counter()
     try:
         config = _read_config_file(args.config) if args.config else {}
@@ -497,6 +512,7 @@ def run(argv=None) -> int:
         return 1
     finally:
         corpus_ops.OPENED_INPUTS.reset(recording)
+        _DIGESTS.reset(digesting)
         # Whatever was not moved into place is a partial output.
         for tmp, _path in produced:
             tmp.unlink(missing_ok=True)

@@ -11,15 +11,18 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import itertools
+import logging
 import os
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "Vocabulary",
@@ -77,6 +80,27 @@ def open_input(path, mode="r"):
             yield fh
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+
+def read_records(path, parse, what: str) -> list:
+    """``parse(fields)`` for the tab-separated fields of each non-blank
+    line of ``path``. A line that ``parse`` rejects with a ValueError is
+    skipped and logged as "<what> <path>: line N rejected: <reason>",
+    and one total of the lines rejected is logged at the end."""
+    records, rejected = [], 0
+    with open_input(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            try:
+                records.append(parse(line.split("\t")))
+            except ValueError as exc:
+                logger.warning("%s %s: line %d rejected: %s", what, path, lineno, exc)
+                rejected += 1
+    if rejected:
+        logger.warning("%s %s: %d line(s) rejected", what, path, rejected)
+    return records
 
 
 def parse_integers(fields, lineno: int) -> list[int]:
@@ -186,14 +210,19 @@ class Vocabulary:
 
     Words and prepositions are disjoint; ``word_ids`` maps the N content
     words onto 0..N-1 and ``prep_ids`` maps the K roster tokens onto
-    0..K-1 (the tensor's extra slice uses index K).
+    0..K-1 (the tensor's extra slice uses index K); both are built from
+    the lists.
     """
 
     words: list[str]
-    word_ids: dict[str, int]
     prepositions: list[str]
-    prep_ids: dict[str, int]
     counts: dict[str, int]
+    word_ids: dict[str, int] = field(init=False)
+    prep_ids: dict[str, int] = field(init=False)
+
+    def __post_init__(self):
+        self.word_ids = {tok: i for i, tok in enumerate(self.words)}
+        self.prep_ids = {tok: k for k, tok in enumerate(self.prepositions)}
 
     @property
     def n_words(self) -> int:
@@ -228,13 +257,7 @@ def build_vocabulary(
         (tok for tok, c in counts.items() if tok not in roster_set and c >= min_count),
         key=lambda tok: (-counts[tok], tok),
     )
-    return Vocabulary(
-        words=words,
-        word_ids={tok: i for i, tok in enumerate(words)},
-        prepositions=roster,
-        prep_ids={tok: k for k, tok in enumerate(roster)},
-        counts=dict(counts),
-    )
+    return Vocabulary(words=words, prepositions=roster, counts=dict(counts))
 
 
 class SparseCountTensor:
@@ -577,13 +600,7 @@ def load_vocabulary(path) -> Vocabulary:
                 raise ValueError(f"line {lineno}: id {idx} out of order")
             target.append(tok)
             counts[tok] = freq
-    return Vocabulary(
-        words=words,
-        word_ids={tok: i for i, tok in enumerate(words)},
-        prepositions=preps,
-        prep_ids={tok: k for k, tok in enumerate(preps)},
-        counts=counts,
-    )
+    return Vocabulary(words=words, prepositions=preps, counts=counts)
 
 
 def load_roster(path) -> list[str]:

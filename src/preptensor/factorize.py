@@ -84,26 +84,15 @@ class EmbeddingSet:
     U: np.ndarray
     W: np.ndarray
     Q: np.ndarray
-    method_tag: str
     b_U: np.ndarray | None = None
     b_W: np.ndarray | None = None
     b_Q: np.ndarray | None = None
     trajectory: list[float] = field(default_factory=list)
 
-    @property
-    def has_biases(self) -> bool:
-        return self.b_U is not None
-
     def validate(self) -> None:
         for name, arr in (("U", self.U), ("W", self.W), ("Q", self.Q)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite values in factor {name}")
-        biases = (self.b_U, self.b_W, self.b_Q)
-        if self.method_tag == "WD":
-            if any(b is None for b in biases):
-                raise ValueError("weighted decomposition requires bias vectors")
-        elif any(b is not None for b in biases):
-            raise ValueError(f"method {self.method_tag} must not carry biases")
 
 
 @dataclass
@@ -335,7 +324,7 @@ def decompose_orth_als(tensor, config: TrainingConfig) -> EmbeddingSet:
         if sweep >= config.ortho_iterations and fit - prev_fit < FIT_TOL:
             break
         prev_fit = fit
-    emb = EmbeddingSet(U=U, W=W, Q=Q, method_tag="ALS", trajectory=trajectory)
+    emb = EmbeddingSet(U=U, W=W, Q=Q, trajectory=trajectory)
     emb.validate()
     return emb
 
@@ -366,7 +355,7 @@ def _wd_epoch(order, rows, counts, A, G, config: TrainingConfig) -> None:
     entry order, and its sum grows by that mean squared.
     """
     P, b, lr = A[:, :-1], A[:, -1], config.learning_rate
-    stacked = EmbeddingSet(U=P, W=P, Q=P, method_tag="WD", b_U=b, b_W=b, b_Q=b)
+    stacked = EmbeddingSet(U=P, W=P, Q=P, b_U=b, b_W=b, b_Q=b)
     width = A.shape[1]
     columns = np.arange(width)
     for start in range(0, len(order), WD_BATCH):
@@ -417,7 +406,7 @@ def decompose_weighted(tensor, config: TrainingConfig,
     A = np.hstack([np.vstack(factors), np.concatenate(biases)[:, None]])
     P, b, G = A[:, :-1], A[:, -1], np.ones_like(A)
     rows = np.stack([raw.i, n + raw.j, 2 * n + raw.k])
-    emb = EmbeddingSet(P[:n], P[n:2 * n], P[2 * n:], method_tag="WD",
+    emb = EmbeddingSet(P[:n], P[n:2 * n], P[2 * n:],
                        b_U=b[:n], b_W=b[n:2 * n], b_Q=b[2 * n:])
     for epoch in range(config.iterations):
         # A diverging run is reported once, by the loss check below.

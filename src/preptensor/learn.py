@@ -102,8 +102,7 @@ def train_decision_tree(rows, labels, params: TreeParams | None = None) -> Decis
         counts = np.bincount(y[idx], minlength=len(classes)).astype(np.float64)
         node_id, n = len(nodes), len(idx)
         nodes.append(TreeNode(counts=counts))
-        # Below two rows there is no boundary (a threshold that rounds onto
-        # its left value can even leave a child empty).
+        # Below two rows there is no boundary.
         if (depth >= params.max_depth or n < max(2 * params.min_leaf, 2)
                 or _gini(counts) == 0.0):
             return node_id
@@ -125,7 +124,10 @@ def train_decision_tree(rows, labels, params: TreeParams | None = None) -> Decis
         if impurity[best] >= _gini(counts) - 1e-15:
             return node_id
         f, pos = np.argwhere(usable)[best].tolist()
-        thr = 0.5 * (values[f, pos] + values[f, pos + 1])
+        # The midpoint, summed as halves so that it cannot overflow; when it
+        # rounds onto a (b is a's neighbouring float), b itself.
+        a, b = values[f, pos], values[f, pos + 1]
+        thr = mid if (mid := 0.5 * a + 0.5 * b) > a else b
         nodes[node_id] = TreeNode(feature=f, threshold=thr)
         go_left = X[idx, f] < thr
         nodes[node_id].left = grow(idx[go_left], depth + 1)

@@ -8,14 +8,14 @@ then scores every roster candidate for the flagged instances.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from . import embeddings as emb_ops
-from .corpus import ASCII_INTEGER, load_roster, open_input, parse_integers, parse_rows
+from .corpus import (ASCII_INTEGER, load_roster, open_input, parse_integers, parse_rows,
+                     read_records)
 from .embeddings import EmbeddingStore
 from .learn import (
     DecisionTree,
@@ -28,8 +28,6 @@ from .learn import (
     train_fnn,
     tree_predict,
 )
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "SelectionInstance",
@@ -77,45 +75,28 @@ class SelectionInstance:
 
 
 def load_selection_dataset(path, roster) -> list[SelectionInstance]:
-    """Parse the TSV format `tokens<TAB>prep_index<TAB>observed<TAB>gold`.
-
-    Malformed lines are rejected and reported with their numbers.
-    """
+    """Parse the TSV format `tokens<TAB>prep_index<TAB>observed<TAB>gold`;
+    ``read_records`` skips and reports a malformed line."""
     roster = set(roster)
-    instances = []
-    rejected = 0
-    with open_input(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            reason = None
-            if len(parts) != 4:
-                reason = "expected 4 tab-separated fields"
-            else:
-                tokens = parts[0].split()
-                prep_index = int(parts[1]) if ASCII_INTEGER.fullmatch(parts[1]) else None
-                observed, gold = parts[2], parts[3]
-                if prep_index is None:
-                    reason = f"non-integer prep_index {parts[1]!r}"
-                elif not (0 <= prep_index < len(tokens)):
-                    reason = "prep_index out of range"
-                elif tokens[prep_index] != observed:
-                    reason = "token at prep_index differs from observed"
-                elif observed not in roster:
-                    reason = f"observed {observed!r} not in roster"
-                elif gold not in roster:
-                    reason = f"gold {gold!r} not in roster"
-            if reason:
-                logger.warning("selection dataset %s: line %d rejected: %s",
-                               path, lineno, reason)
-                rejected += 1
-                continue
-            instances.append(SelectionInstance(tokens, prep_index, observed, gold))
-    if rejected:
-        logger.warning("selection dataset %s: %d line(s) rejected", path, rejected)
-    return instances
+
+    def parse(fields):
+        if len(fields) != 4:
+            raise ValueError("expected 4 tab-separated fields")
+        tokens, index, observed, gold = fields[0].split(), *fields[1:]
+        if not ASCII_INTEGER.fullmatch(index):
+            raise ValueError(f"non-integer prep_index {index!r}")
+        prep_index = int(index)
+        if not 0 <= prep_index < len(tokens):
+            raise ValueError("prep_index out of range")
+        if tokens[prep_index] != observed:
+            raise ValueError("token at prep_index differs from observed")
+        if observed not in roster:
+            raise ValueError(f"observed {observed!r} not in roster")
+        if gold not in roster:
+            raise ValueError(f"gold {gold!r} not in roster")
+        return SelectionInstance(tokens, prep_index, observed, gold)
+
+    return read_records(path, parse, "selection dataset")
 
 
 def save_selection_dataset(instances, path) -> None:

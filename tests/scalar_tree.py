@@ -57,7 +57,10 @@ def train_decision_tree(rows, labels, params: TreeParams) -> DecisionTree:
                     continue
                 impurity = (n_left * gini(left_counts)
                             + n_right * gini(right_counts)) / n
-                thr = 0.5 * (sorted_col[pos] + sorted_col[pos + 1])
+                a, b = sorted_col[pos], sorted_col[pos + 1]
+                thr = 0.5 * a + 0.5 * b
+                if not thr > a:
+                    thr = b
                 cand = (impurity, f, thr)
                 if best is None or cand < best:
                     best = cand

@@ -172,7 +172,6 @@ def wd_numeric_check(rng, h=1e-5):
     emb = EmbeddingSet(U=rng.standard_normal((n, d)) * 0.5,
                        W=rng.standard_normal((n, d)) * 0.5,
                        Q=rng.standard_normal((kp1, d)) * 0.5,
-                       method_tag="WD",
                        b_U=rng.standard_normal(n) * 0.1,
                        b_W=rng.standard_normal(n) * 0.1,
                        b_Q=rng.standard_normal(kp1) * 0.1)

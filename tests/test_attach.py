@@ -64,7 +64,7 @@ class TestDatasetIO:
         with caplog.at_level("WARNING"):
             loaded = load_attachment_dataset(path)
         assert len(loaded) == 1
-        assert "5 record(s) rejected" in caplog.text
+        assert "5 line(s) rejected" in caplog.text
 
     def test_rejects_non_ascii_integer_fields(self, tmp_path, caplog):
         # int() reads each of these as a gold index or distance in range.
@@ -79,7 +79,7 @@ class TestDatasetIO:
         assert [(inst.gold_index, inst.candidates[1].distance) for inst in loaded] == [
             (1, 10)]
         rejected = [r.getMessage() for r in caplog.records]
-        assert len(rejected) == 5 and "4 record(s) rejected" in rejected[-1]
+        assert len(rejected) == 5 and "4 line(s) rejected" in rejected[-1]
         assert "non-integer distance in 'pizza:NN:IN:1_0'" in rejected[0]
         assert "non-integer gold_index '\u0661'" in rejected[1]
 

@@ -491,6 +491,14 @@ class TestQueryCommands:
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert errors == [f"slice {index} out of range 0..3"]
 
+    @pytest.mark.parametrize("value", ["1_0", "\u0663", " 3"])
+    def test_spectrum_slice_index_is_an_ascii_integer(self, tensor_dir, caplog, value):
+        """int() reads each of these as a slice index; they are names."""
+        rc = cli.run(["spectrum", "--tensor", str(tensor_dir), "--slice", value])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"unknown slice {value!r}"]
+
     def test_query_sim_rejects_malformed_pair_line(self, tmp_path, embeddings_path,
                                                    roster_path, caplog, capsys):
         pairs = tmp_path / "pairs.txt"
@@ -1225,6 +1233,30 @@ class TestManifestInputs:
         assert manifest["inputs"] == digests(tensor / "vocab.txt", tensor / "tensor.txt")
         load_tensor(tensor / "tensor.txt")
         assert corpus_ops.OPENED_INPUTS.get() is None
+
+    @pytest.mark.parametrize("command", ["eval-select", "eval-attach"])
+    def test_each_input_hashed_once_per_run(self, tmp_path, trained, monkeypatch,
+                                            command):
+        """The embeddings are checked against the training manifest and
+        recorded in the eval manifest from one digest; a second run hashes
+        them again."""
+        hashed, sha256 = [], cli._sha256
+
+        def counted(path):
+            hashed.append(str(path))
+            return sha256(path)
+
+        monkeypatch.setattr(cli, "_sha256", counted)
+        argv, manifest, inputs = {
+            argv[0]: (argv, manifest, inputs)
+            for argv, manifest, inputs in manifest_runs(trained, tmp_path)}[command]
+        models = Path(argv[argv.index("--models") + 1])
+        shutil.copytree(trained / models.name, models)
+        for run in (1, 2):
+            assert cli.run(argv) == 0
+            assert sorted(hashed) == sorted(map(str, inputs)), run
+            assert json.loads(manifest.read_text())["inputs"] == digests(*inputs)
+            hashed.clear()
 
 
 def _set_field(lineno, field, value, sep=" "):

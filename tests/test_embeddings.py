@@ -378,7 +378,7 @@ class TestEmbeddingIO:
         vocab = build_vocabulary([["cat", "sat", "on", "mat", "cat"]], 1, ["on", "in"])
         rng = np.random.default_rng(8)
         emb = EmbeddingSet(U=rng.standard_normal((vocab.n_words, 3)), W=None,
-                           Q=rng.standard_normal((3, 3)), method_tag="test")
+                           Q=rng.standard_normal((3, 3)))
         store = EmbeddingStore.from_factors(vocab, emb)
         assert store.tokens == [*vocab.words, "on", "in"] and store.dim == 3
         assert np.array_equal(store.matrix, np.vstack([emb.U, emb.Q[:2]]))

@@ -39,7 +39,7 @@ def make_wd_embeddings(rng, n, kp1, d, positive=False):
         arr = rng.uniform(0.5, 1.5, shape) if positive else rng.standard_normal(shape)
         return arr
     return EmbeddingSet(
-        U=draw((n, d)), W=draw((n, d)), Q=draw((kp1, d)), method_tag="WD",
+        U=draw((n, d)), W=draw((n, d)), Q=draw((kp1, d)),
         b_U=np.abs(rng.standard_normal(n)) * 0.1,
         b_W=np.abs(rng.standard_normal(n)) * 0.1,
         b_Q=np.abs(rng.standard_normal(kp1)) * 0.1,
@@ -350,14 +350,14 @@ class TestCpFit:
     def test_exact_factors(self):
         rng = np.random.default_rng(13)
         coo, (U, W, Q) = planted_tensor(rng, 5, 3, 2)
-        emb = EmbeddingSet(U=U, W=W, Q=Q, method_tag="ALS")
+        emb = EmbeddingSet(U=U, W=W, Q=Q)
         assert cp_fit(coo, emb) == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_embeddings(self):
         rng = np.random.default_rng(14)
         coo, _ = planted_tensor(rng, 5, 3, 2)
         emb = EmbeddingSet(U=np.zeros((5, 2)), W=np.zeros((5, 2)),
-                           Q=np.zeros((3, 2)), method_tag="ALS")
+                           Q=np.zeros((3, 2)))
         assert cp_fit(coo, emb) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_dense_oracle(self):
@@ -365,7 +365,7 @@ class TestCpFit:
         coo, _ = planted_tensor(rng, 4, 2, 2)
         emb = EmbeddingSet(U=rng.standard_normal((4, 2)),
                            W=rng.standard_normal((4, 2)),
-                           Q=rng.standard_normal((2, 2)), method_tag="ALS")
+                           Q=rng.standard_normal((2, 2)))
         dense = np.zeros(coo.dims)
         dense[coo.i, coo.j, coo.k] = coo.values
         recon = np.einsum("ir,jr,kr->ijk", emb.U, emb.W, emb.Q)
@@ -376,7 +376,7 @@ class TestCpFit:
         coo = CooTensor(np.array([0]), np.array([0]), np.array([0]),
                         np.array([0.0]), (2, 2, 2))
         emb = EmbeddingSet(U=np.zeros((2, 1)), W=np.zeros((2, 1)),
-                           Q=np.zeros((2, 1)), method_tag="ALS")
+                           Q=np.zeros((2, 1)))
         with pytest.raises(ValueError, match="zero tensor"):
             cp_fit(coo, emb)
 
@@ -460,10 +460,10 @@ def oracle_start(raw, config, init=None):
         init = EmbeddingSet(U=rng.standard_normal((n, config.dim)) * scale,
                             W=rng.standard_normal((n, config.dim)) * scale,
                             Q=rng.standard_normal((kp1, config.dim)) * scale,
-                            method_tag="WD", b_U=np.zeros(n), b_W=np.zeros(n),
+                            b_U=np.zeros(n), b_W=np.zeros(n),
                             b_Q=np.zeros(kp1))
     copies = {name: getattr(init, name).copy() for name in PARAMETERS}
-    return rng, EmbeddingSet(method_tag="WD", **copies)
+    return rng, EmbeddingSet(**copies)
 
 
 def scalar_wd_epoch(order, ii, jj, kk, targets, weights, lr,
@@ -569,7 +569,7 @@ class TestDecomposeWeighted:
         raw = CooTensor(rng.integers(0, 4, 10), rng.integers(0, 4, 10),
                         rng.integers(0, 3, 10), vals, (4, 4, 3))
         zero = EmbeddingSet(U=np.zeros((4, 2)), W=np.zeros((4, 2)),
-                            Q=np.zeros((3, 2)), method_tag="WD",
+                            Q=np.zeros((3, 2)),
                             b_U=np.zeros(4), b_W=np.zeros(4), b_Q=np.zeros(3))
         expected = float(np.sum(weight(vals, 10, 0.75) * np.log1p(vals) ** 2))
         assert wd_loss(raw, zero, 10.0, 0.75) == pytest.approx(expected, rel=1e-12)
@@ -633,12 +633,12 @@ class TestDecomposeWeighted:
         coo, _ = planted_tensor(rng, 5, 3, 2)
         emb = decompose_orth_als(coo, TrainingConfig(dim=2, iterations=3,
                                                      ortho_iterations=0))
-        assert not emb.has_biases
+        assert emb.b_U is None
         dense = np.abs(np.random.default_rng(29).integers(1, 5, (4, 4, 2))).astype(float)
         wd = decompose_weighted(dense_to_coo(dense),
                                 TrainingConfig(dim=2, iterations=2,
                                                ortho_iterations=0))
-        assert wd.has_biases
+        assert wd.b_U is not None
 
     @pytest.mark.parametrize("dim", [3, 40])
     def test_equals_scalar_reference(self, dim):

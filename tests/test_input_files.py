@@ -10,10 +10,11 @@ import pytest
 
 import preptensor
 from preptensor import corpus
+from preptensor.attach import AttachmentInstance, Candidate, load_attachment_dataset
 from preptensor.corpus import load_tensor
 from preptensor.embeddings import load_embeddings
 from preptensor.learn import load_fnn, load_tree
-from preptensor.select import load_confusion_table
+from preptensor.select import SelectionInstance, load_confusion_table, load_selection_dataset
 
 PACKAGE = Path(preptensor.__file__).parent
 # (module, function) of the reads allowed outside the helper: the helper
@@ -74,6 +75,92 @@ def test_no_loader_parses_floats_itself():
                           if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                           and node.func.id == "float"]
     assert calls == []
+
+
+def _log_calls(node, function=None):
+    """(function, call) of each logging call under ``node``, with the
+    innermost function that makes it."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr in ("debug", "info", "warning", "error")):
+            yield function, child
+        inner = child.name if isinstance(child, ast.FunctionDef) else function
+        yield from _log_calls(child, inner)
+
+
+def test_one_reader_rejects_dataset_lines():
+    """Only ``corpus.read_records`` logs a rejected line, and both dataset
+    loaders read through it."""
+    loggers, readers = set(), {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function, call in _log_calls(tree):
+            if any(isinstance(arg, ast.Constant) and "rejected" in str(arg.value)
+                   for arg in call.args):
+                loggers.add((path.stem, function))
+        for function in ast.walk(tree):
+            if (isinstance(function, ast.FunctionDef)
+                    and function.name.startswith("load_")
+                    and function.name.endswith("_dataset")):
+                readers[function.name] = any(
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "read_records" for node in ast.walk(function))
+    assert loggers == {("corpus", "read_records")}
+    assert readers == {"load_selection_dataset": True, "load_attachment_dataset": True}
+
+
+# Per dataset loader: the loader with its settings, the good line and
+# the instance it holds, and each malformed line with its reason.
+DATASETS = {
+    "selection": (
+        lambda path: load_selection_dataset(path, ["on", "in"]),
+        "sat on mat\t1\ton\tin", SelectionInstance(["sat", "on", "mat"], 1, "on", "in"),
+        [("sat on mat\t1\ton", "expected 4 tab-separated fields"),
+         ("sat on mat\t1\ton\tin\t", "expected 4 tab-separated fields"),
+         ("sat on mat\tx\ton\tin", "non-integer prep_index 'x'"),
+         ("sat on mat\t1_0\ton\tin", "non-integer prep_index '1_0'"),
+         ("sat on mat\t3\ton\tin", "prep_index out of range"),
+         ("sat on mat\t-1\ton\tin", "prep_index out of range"),
+         ("sat on mat\t0\ton\tin", "token at prep_index differs from observed"),
+         ("sat to mat\t1\tto\tin", "observed 'to' not in roster"),
+         ("sat on mat\t1\ton\tbeside", "gold 'beside' not in roster")]),
+    "attachment": (
+        load_attachment_dataset,
+        "with\tfork\t1\tate:VB:NN:3;pizza:NN:IN:1",
+        AttachmentInstance([Candidate("ate", "VB", "NN", 3),
+                            Candidate("pizza", "NN", "IN", 1)], "with", "fork", 1),
+        [("with\tfork\t0", "expected 4 tab-separated fields"),
+         ("with\tfork\t0\t", "bad candidate spec ''"),
+         ("with\tfork\t0\tate:VB:NN:3;", "bad candidate spec ''"),
+         ("with\tfork\t0\tate:VB:NN", "bad candidate spec 'ate:VB:NN'"),
+         ("with\tfork\t0\tate:VB:NN:x", "non-integer distance in 'ate:VB:NN:x'"),
+         ("with\tfork\t0\tate:VB:NN:0", "distance must be >= 1 in 'ate:VB:NN:0'"),
+         ("with\tfork\tx\tate:VB:NN:3", "non-integer gold_index 'x'"),
+         ("with\tfork\t1\tate:VB:NN:3", "gold_index 1 out of range"),
+         ("with\tfork\t-1\tate:VB:NN:3", "gold_index -1 out of range")]),
+}
+
+
+@pytest.mark.parametrize("kind", DATASETS)
+def test_dataset_loaders_reject_lines_by_one_rule(tmp_path, caplog, kind):
+    load, good, instance, bad = DATASETS[kind]
+    path = tmp_path / f"{kind}.tsv"
+    # Blank lines are skipped, but still counted in the line numbers.
+    path.write_text("\n".join(["", good, "", *(line for line, _ in bad), good]) + "\n",
+                    encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        assert load(path) == [instance, instance]
+    assert [r.getMessage() for r in caplog.records] == [
+        *(f"{kind} dataset {path}: line {lineno} rejected: {reason}"
+          for lineno, (_, reason) in enumerate(bad, start=4)),
+        f"{kind} dataset {path}: {len(bad)} line(s) rejected"]
+    # A decoding error is no rejected line: the load fails, naming the file.
+    caplog.clear()
+    path.write_bytes(f"{good}\n".encode() + b"\xff\xfe\n")
+    with pytest.raises(ValueError) as exc, caplog.at_level("WARNING"):
+        load(path)
+    assert str(exc.value).startswith(f"{path}: 'utf-8' codec can't decode")
+    assert caplog.records == []
 
 
 # A valid file of each kind that holds numbers, its loader, the body

@@ -136,6 +136,23 @@ class TestDecisionTree:
         assert [tree_predict(loaded, row) for row in X] == \
                [tree_predict(tree, row) for row in X]
 
+    @pytest.mark.parametrize("values", [
+        [1.0, np.nextafter(1.0, 2.0)],  # the midpoint rounds onto the left value
+        [1e308, 1.7e308],               # the sum of the two overflows
+    ])
+    def test_round_trip_at_the_float_limits(self, tmp_path, values):
+        X, y = [[v] for v in values], [0, 1]
+        params = TreeParams(max_depth=3, min_leaf=1)
+        with np.errstate(over="raise"):
+            tree = train_decision_tree(X, y, params)
+        assert_same_tree(tree, scalar_tree.train_decision_tree(X, y, params))
+        assert len(tree.nodes) == 3
+        assert values[0] < tree.nodes[0].threshold <= values[1]
+        path = tmp_path / "tree.txt"
+        save_tree(tree, path)
+        loaded = load_tree(path)
+        assert [tree_predict(loaded, row)[0] for row in X] == y
+
     # A two-class tree of three nodes whose root is the node under test.
     @pytest.mark.parametrize("root, match", [
         ("split 0 0.5 0 2", "children in"),   # points at itself
