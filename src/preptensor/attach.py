@@ -94,6 +94,10 @@ class TagSet:
         if UNK_TAG not in self.tags:
             self.tags = [*self.tags, UNK_TAG]
         self._ids = {tag: i for i, tag in enumerate(self.tags)}
+        if len(self._ids) != len(self.tags):
+            # The first tag whose id is not its own position is repeated.
+            tag = next(tag for pos, tag in enumerate(self.tags) if self._ids[tag] != pos)
+            raise ValueError(f"tag {tag!r} listed twice")
 
     def one_hot(self, tag: str) -> np.ndarray:
         vec = np.zeros(len(self.tags))
@@ -136,14 +140,14 @@ def attachment_features(instance: AttachmentInstance, store: EmbeddingStore,
 def train_attachment_model(
     instances,
     store: EmbeddingStore,
-    tagset: TagSet | None = None,
-    hyper: FnnHyper | None = None,
-    arch: tuple[int, int] = (1000, 20),
+    hyper: FnnHyper,
+    arch: tuple[int, int],
 ) -> tuple[FeedForwardNet, TagSet]:
-    """Train the per-candidate binary scorer (gold head vs other)."""
+    """Train the per-candidate binary scorer (gold head vs other) over
+    the tag set of ``instances``."""
     if not instances:
         raise ValueError("no training instances")
-    tagset = tagset or build_tagset(instances)
+    tagset = build_tagset(instances)
     rows = np.vstack([attachment_features(inst, store, tagset) for inst in instances])
     labels = [int(ci == inst.gold_index) for inst in instances
               for ci in range(len(inst.candidates))]

@@ -407,8 +407,7 @@ def cmd_eval_attach(args, cfg: dict, produced: list):
     store = emb_ops.load_embeddings(args.embeddings)
     fnn = load_fnn(models_dir / "fnn.txt")
     with corpus_ops.open_input(models_dir / "tags.txt") as fh:
-        tags = [line for line in fh.read().splitlines() if line]
-    tagset = attach_ops.TagSet(tags)
+        tagset = attach_ops.TagSet([line for line in fh.read().splitlines() if line])
     instances = attach_ops.load_attachment_dataset(args.test)
     acc, errors = attach_ops.evaluate_attachment(instances, fnn, store, tagset)
     return _report(produced, args.out, models_dir,

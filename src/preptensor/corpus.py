@@ -103,6 +103,13 @@ def read_records(path, parse, what: str) -> list:
     return records
 
 
+def expect_end(fh, lineno: int) -> None:
+    """A ValueError naming line ``lineno`` unless ``fh`` has no more
+    lines: a model file ends at the body its header declares."""
+    if fh.readline():
+        raise ValueError(f"line {lineno}: expected the end of the file")
+
+
 def parse_integers(fields, lineno: int) -> list[int]:
     """The ints ``fields`` hold, each read as parse_rows reads an int64;
     any other field is a ValueError naming it and line ``lineno``."""
@@ -257,7 +264,9 @@ def build_vocabulary(
         (tok for tok, c in counts.items() if tok not in roster_set and c >= min_count),
         key=lambda tok: (-counts[tok], tok),
     )
-    return Vocabulary(words=words, prepositions=roster, counts=dict(counts))
+    # A Counter reads 0 for a preposition that never occurs.
+    return Vocabulary(words=words, prepositions=roster,
+                      counts={tok: counts[tok] for tok in [*words, *roster]})
 
 
 class SparseCountTensor:
@@ -569,10 +578,10 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
     preposition roster after a sentinel line."""
     with open(path, "w", encoding="utf-8") as fh:
         for i, tok in enumerate(vocab.words):
-            fh.write(f"{tok}\t{vocab.counts.get(tok, 0)}\t{i}\n")
+            fh.write(f"{tok}\t{vocab.counts[tok]}\t{i}\n")
         fh.write(PREP_SENTINEL + "\n")
         for k, tok in enumerate(vocab.prepositions):
-            fh.write(f"{tok}\t{vocab.counts.get(tok, 0)}\t{k}\n")
+            fh.write(f"{tok}\t{vocab.counts[tok]}\t{k}\n")
 
 
 def load_vocabulary(path) -> Vocabulary:

@@ -97,19 +97,13 @@ class EmbeddingSet:
 
 @dataclass
 class CooTensor:
-    """Real-valued sparse tensor in coordinate form.
-
-    The CSR unfoldings the ALS updates multiply by are built on first use
-    and kept with the tensor, so its arrays must not change after that.
-    """
+    """Real-valued sparse tensor in coordinate form."""
 
     i: np.ndarray
     j: np.ndarray
     k: np.ndarray
     values: np.ndarray
     dims: tuple[int, int, int]
-    _unfoldings: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
 
     @property
     def nnz(self) -> int:
@@ -128,8 +122,7 @@ class CooTensor:
 
 def log_transform(tensor: SparseCountTensor) -> CooTensor:
     """ln(1+x) on every stored count; the sparsity pattern is unchanged."""
-    coo = CooTensor.from_counts(tensor)
-    return CooTensor(coo.i, coo.j, coo.k, np.log1p(coo.values), coo.dims)
+    return CooTensor(tensor.i, tensor.j, tensor.k, np.log1p(tensor.counts), tensor.dims)
 
 
 def weight(x, x_max: float, alpha: float):
@@ -194,13 +187,6 @@ def cp_fit(coo, embeddings: EmbeddingSet) -> float:
     return 1.0 - np.sqrt(obj) / norm_t
 
 
-def _unfolding(coo: CooTensor, mode: str) -> scipy.sparse.csr_matrix:
-    """``mode``'s unfolding of ``coo``, built on first use and kept on it."""
-    if mode not in coo._unfoldings:
-        coo._unfoldings[mode] = _build_unfolding(coo, mode)
-    return coo._unfoldings[mode]
-
-
 def _build_unfolding(coo: CooTensor, mode: str) -> scipy.sparse.csr_matrix:
     """A CSR matrix whose rows are ``mode``'s index and whose columns are
     k * N + j (U), k * N + i (W) or the entry's position (Q, since an
@@ -225,14 +211,14 @@ def _build_unfolding(coo: CooTensor, mode: str) -> scipy.sparse.csr_matrix:
     return scipy.sparse.csr_matrix((values, columns, indptr), shape=(n_rows, n_columns))
 
 
-def _mttkrp(coo: CooTensor, mode: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _mttkrp(coo: CooTensor, mode: str, A: np.ndarray, B: np.ndarray,
+            csr: scipy.sparse.csr_matrix) -> np.ndarray:
     """Matricized tensor times Khatri-Rao product for ``mode``, where A
     and B are the other two factors in (U, W, Q) order: per component,
-    the unfolding times B's column outer A's column, or, for Q, times
-    each entry's U[i] * W[j]. A row's sum starts at 0 and adds
-    value * (a * b) in entry order, bit for bit the sum of an
+    ``mode``'s unfolding ``csr`` times B's column outer A's column, or,
+    for Q, times each entry's U[i] * W[j]. A row's sum starts at 0 and
+    adds value * (a * b) in entry order, bit for bit the sum of an
     entry-by-entry scatter-add."""
-    csr = _unfolding(coo, mode)
     At, Bt = np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
     out = np.empty((A.shape[1], csr.shape[0]))
     for c, (a, b) in enumerate(zip(At, Bt)):
@@ -242,25 +228,26 @@ def _mttkrp(coo: CooTensor, mode: str, A: np.ndarray, B: np.ndarray) -> np.ndarr
 
 
 def als_update_mode(coo: CooTensor, U: np.ndarray, W: np.ndarray, Q: np.ndarray,
-                    mode: str) -> np.ndarray:
+                    mode: str, unfolding: scipy.sparse.csr_matrix) -> np.ndarray:
     """Exact ridge-regularized least-squares update of one factor matrix,
-    holding the other two fixed."""
+    holding the other two fixed; ``unfolding`` is ``mode``'s
+    ``_build_unfolding`` of ``coo``."""
     fixed = {"U": (W, Q), "W": (U, Q), "Q": (U, W)}
     if mode not in fixed:
         raise ValueError(f"unknown mode {mode!r}")
     A, B = fixed[mode]
-    m = _mttkrp(coo, mode, A, B)
+    m = _mttkrp(coo, mode, A, B, unfolding)
     gram = (A.T @ A) * (B.T @ B)
     gram = gram + RIDGE * np.eye(gram.shape[0])
     return np.linalg.solve(gram, m.T).T
 
 
-def orthogonalize_factors(factor: np.ndarray,
-                          rng: np.random.Generator | None = None) -> np.ndarray:
+def orthogonalize_factors(factor: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Orthonormalize the d component columns, preserving their span.
 
     Rank-deficient columns are replaced by random orthogonal completions
-    (logged); the result always has orthonormal columns.
+    drawn from ``rng`` (logged); the result always has orthonormal
+    columns.
     """
     n, d = factor.shape
     if n < d:
@@ -274,7 +261,6 @@ def orthogonalize_factors(factor: np.ndarray,
     if np.any(deficient):
         logger.warning("orthogonalize: replacing %d rank-deficient component(s)",
                        int(deficient.sum()))
-        rng = rng or np.random.default_rng(0)
         for col in np.nonzero(deficient)[0]:
             v = rng.standard_normal(n)
             for other in range(d):
@@ -301,12 +287,14 @@ def decompose_orth_als(tensor, config: TrainingConfig) -> EmbeddingSet:
     are orthogonalized before the least-squares updates (skipped for
     factors with fewer rows than components). Deterministic given the
     seed. Accepts a raw count tensor or an already log-domain CooTensor;
-    count tensors are log-transformed first.
+    count tensors are log-transformed first. The three unfoldings are
+    built once, before the first sweep, and freed with the run.
     """
     coo = log_transform(tensor) if isinstance(tensor, SparseCountTensor) else _as_coo(tensor)
     norm_t = coo.norm()
     if norm_t == 0.0:
         raise ValueError("empty tensor: nothing to decompose")
+    unfoldings = {mode: _build_unfolding(coo, mode) for mode in "UWQ"}
     rng, U, W, Q = _init_factors(coo.dims, config.dim, config.seed)
     prev_fit = -np.inf
     trajectory = []
@@ -314,9 +302,9 @@ def decompose_orth_als(tensor, config: TrainingConfig) -> EmbeddingSet:
         if sweep < config.ortho_iterations:
             U, W, Q = (orthogonalize_factors(F, rng) if len(F) >= config.dim else F
                        for F in (U, W, Q))
-        U = als_update_mode(coo, U, W, Q, "U")
-        W = als_update_mode(coo, U, W, Q, "W")
-        Q = als_update_mode(coo, U, W, Q, "Q")
+        U = als_update_mode(coo, U, W, Q, "U", unfoldings["U"])
+        W = als_update_mode(coo, U, W, Q, "W", unfoldings["W"])
+        Q = als_update_mode(coo, U, W, Q, "Q", unfoldings["Q"])
         obj = als_objective(coo, U, W, Q)
         fit = 1.0 - np.sqrt(obj) / norm_t
         logger.info("sweep %d objective %.10g fit %.10g", sweep + 1, obj, fit)

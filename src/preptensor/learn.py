@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import open_input, parse_integers, parse_rows
+from .corpus import expect_end, open_input, parse_integers, parse_rows
 
 logger = logging.getLogger(__name__)
 
@@ -74,7 +74,7 @@ def _gini(counts: np.ndarray):
     return 1.0 - np.sum(p * p, axis=-1)
 
 
-def train_decision_tree(rows, labels, params: TreeParams | None = None) -> DecisionTree:
+def train_decision_tree(rows, labels, params: TreeParams) -> DecisionTree:
     """Greedy recursive partitioning minimizing Gini impurity.
 
     Each node scores every boundary between distinct sorted values of
@@ -83,7 +83,6 @@ def train_decision_tree(rows, labels, params: TreeParams | None = None) -> Decis
     smallest threshold. Rows go left when feature < threshold, right
     when >= threshold.
     """
-    params = params or TreeParams()
     X = np.asarray(rows, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("training data must be a nonempty 2-d array")
@@ -242,14 +241,13 @@ def fnn_loss_and_grads(net: FeedForwardNet, X: np.ndarray, y: np.ndarray):
     return loss, w_grads, b_grads
 
 
-def train_fnn(rows, labels, arch, hyper: FnnHyper | None = None) -> FeedForwardNet:
+def train_fnn(rows, labels, arch, hyper: FnnHyper) -> FeedForwardNet:
     """Mini-batch SGD with momentum on cross-entropy.
 
     ``arch`` gives the two hidden sizes; input and output widths come
     from the data. With a validation fraction set, keeps the parameters
     of the best validation epoch and stops early when stalled.
     """
-    hyper = hyper or FnnHyper()
     X = np.asarray(rows, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("training data must be a nonempty 2-d array")
@@ -404,6 +402,7 @@ def load_tree(path) -> DecisionTree:
             else:
                 raise ValueError(f"unknown node kind {parts[0]!r}")
             nodes.append(node)
+        expect_end(fh, n_nodes + 3)
     return DecisionTree(nodes=nodes, classes=classes, params=params)
 
 
@@ -437,4 +436,5 @@ def load_fnn(path) -> FeedForwardNet:
             weights.append(layer[:a])
             biases.append(layer[a])
             lineno += a + 1
+        expect_end(fh, lineno)
     return FeedForwardNet(sizes=sizes, weights=weights, biases=biases)

@@ -14,8 +14,8 @@ from importlib import resources
 import numpy as np
 
 from . import embeddings as emb_ops
-from .corpus import (ASCII_INTEGER, load_roster, open_input, parse_integers, parse_rows,
-                     read_records)
+from .corpus import (ASCII_INTEGER, expect_end, load_roster, open_input, parse_integers,
+                     parse_rows, read_records)
 from .embeddings import EmbeddingStore
 from .learn import (
     DecisionTree,
@@ -106,13 +106,12 @@ def save_selection_dataset(instances, path) -> None:
                      f"\t{inst.observed}\t{inst.gold}\n")
 
 
-def preprocess_context(instance: SelectionInstance, window: int = 3,
-                       stoplist: frozenset[str] | None = None):
+def preprocess_context(instance: SelectionInstance, window: int,
+                       stoplist: frozenset[str]):
     """Drop stop-list tokens, then take up to ``window`` surviving tokens
     adjacent to the preposition on each side."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    stoplist = context_stoplist() if stoplist is None else stoplist
     left = [tok for tok in instance.tokens[:instance.prep_index]
             if tok not in stoplist]
     right = [tok for tok in instance.tokens[instance.prep_index + 1:]
@@ -182,12 +181,13 @@ def load_confusion_table(path) -> ConfusionTable:
         if len(probs) != k:
             raise ValueError(f"line {3 + len(probs)}: expected {k} rows, "
                              f"got {len(probs)}")
+        expect_end(fh, 3 + k)
     return ConfusionTable(roster=roster, probs=probs, smoothing=smoothing)
 
 
 def detection_features(instance: SelectionInstance, store: EmbeddingStore,
-                       table: ConfusionTable, window: int = 3,
-                       stoplist: frozenset[str] | None = None) -> np.ndarray | None:
+                       table: ConfusionTable, window: int,
+                       stoplist: frozenset[str]) -> np.ndarray | None:
     """Three detection features, or None when the instance is undecidable
     (no embedding for the observed preposition, or no usable context: no
     nonzero context vector, or context vectors that cancel out; treated
@@ -204,18 +204,12 @@ def detection_features(instance: SelectionInstance, store: EmbeddingStore,
     return np.array([cos, float(rank), table.keep_prob(instance.observed)])
 
 
-def correction_features(instance: SelectionInstance, candidates: list[str],
-                        store: EmbeddingStore, table: ConfusionTable,
-                        window: int = 3,
-                        stoplist: frozenset[str] | None = None) -> np.ndarray:
-    """One row per candidate: [v_left; v_cand; v_right; pair sim; triple
-    sim; replacement probability], shape (len(candidates), 3d + 3); a
-    candidate without a vector scores 0.0."""
-    if isinstance(candidates, str):
-        raise TypeError("candidates must be a list of prepositions, not a string")
-    for cand in candidates:
-        if cand not in table.index:
-            raise ValueError(f"candidate {cand!r} not in roster")
+def correction_features(instance: SelectionInstance, store: EmbeddingStore,
+                        table: ConfusionTable, window: int,
+                        stoplist: frozenset[str]) -> np.ndarray:
+    """One row per candidate of ``table.roster``: [v_left; v_cand;
+    v_right; pair sim; triple sim; replacement probability], shape
+    (len(roster), 3d + 3); a candidate without a vector scores 0.0."""
     d = store.dim
     sides = np.zeros((2, d))
     for side, tokens in zip(sides, preprocess_context(instance, window, stoplist)):
@@ -225,15 +219,14 @@ def correction_features(instance: SelectionInstance, candidates: list[str],
     if not emb_ops.row_norms(sides).any():
         raise ValueError("both context sides are empty; nothing to correct against")
     v_l, v_r = sides
-    cands = store.rows_or_zero(candidates)
-    rows = np.empty((len(candidates), 3 * d + 3))
+    cands = store.rows_or_zero(table.roster)
+    rows = np.empty((len(table.roster), 3 * d + 3))
     rows[:, :d] = v_l
     rows[:, d:2 * d] = cands
     rows[:, 2 * d:3 * d] = v_r
     rows[:, 3 * d] = emb_ops.row_pairs(cands, v_l, v_r)
     rows[:, 3 * d + 1] = emb_ops.row_triples(v_l, cands, v_r)
-    rows[:, 3 * d + 2] = table.probs[table.index[instance.observed],
-                                     [table.index[cand] for cand in candidates]]
+    rows[:, 3 * d + 2] = table.probs[table.index[instance.observed]]
     return rows
 
 
@@ -248,10 +241,10 @@ def train_selection_models(
     instances,
     store: EmbeddingStore,
     roster,
-    tree_params: TreeParams | None = None,
-    hyper: FnnHyper | None = None,
-    arch: tuple[int, int] = (500, 10),
-    window: int = 3,
+    tree_params: TreeParams,
+    hyper: FnnHyper,
+    arch: tuple[int, int],
+    window: int,
 ) -> SelectionModels:
     """Train the detector tree and the corrector network.
 
@@ -281,7 +274,7 @@ def train_selection_models(
     if not flagged:
         raise ValueError("no error instances to train the corrector on")
     corr_rows = np.vstack([
-        correction_features(inst, table.roster, store, table, window, stoplist)
+        correction_features(inst, store, table, window, stoplist)
         for inst in flagged
     ])
     corr_labels = [int(cand == inst.gold) for inst in flagged
@@ -292,26 +285,24 @@ def train_selection_models(
 
 def select_preposition(instance: SelectionInstance, tree: DecisionTree,
                        fnn: FeedForwardNet, store: EmbeddingStore,
-                       table: ConfusionTable, window: int = 3,
-                       stoplist: frozenset[str] | None = None) -> str:
+                       table: ConfusionTable, window: int,
+                       stoplist: frozenset[str]) -> str:
     """Keep the observed preposition when the detector accepts it,
     otherwise return the candidate the corrector scores highest (ties go
     to roster order)."""
-    stoplist = context_stoplist() if stoplist is None else stoplist
     feats = detection_features(instance, store, table, window, stoplist)
     if feats is None:
         return instance.observed
     verdict, _ = tree_predict(tree, feats)
     if verdict != ERROR:
         return instance.observed
-    rows = correction_features(instance, table.roster, store, table, window,
-                               stoplist)
+    rows = correction_features(instance, store, table, window, stoplist)
     scores = fnn_forward_batch(fnn, rows)[:, 1]
     return table.roster[int(np.argmax(scores))]
 
 
 def evaluate_selection(instances, models: SelectionModels,
-                       store: EmbeddingStore, window: int = 3):
+                       store: EmbeddingStore, window: int):
     """Edit-based (P, R, F1) of the predictions, and a (sentence,
     observed, gold, predicted) row per mispredicted instance."""
     if not instances:

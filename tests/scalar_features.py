@@ -51,7 +51,7 @@ def rank_preposition(context_vectors, observed, store, roster):
     return rank, sims[idx]
 
 
-def detection_features(instance, store, table, window=3, stoplist=None):
+def detection_features(instance, store, table, window, stoplist):
     if instance.observed not in store:
         return None
     left, right = preprocess_context(instance, window, stoplist)
@@ -68,14 +68,13 @@ def side_vector(store, tokens):
     return np.mean(vecs, axis=0) if vecs else np.zeros(store.dim)
 
 
-def correction_features(instance, candidates, store, table, window=3,
-                        stoplist=None):
+def correction_features(instance, store, table, window, stoplist):
     left, right = preprocess_context(instance, window, stoplist)
     v_l, v_r = side_vector(store, left), side_vector(store, right)
     if np.linalg.norm(v_l) == 0.0 and np.linalg.norm(v_r) == 0.0:
         raise ValueError("both context sides are empty")
     rows = []
-    for cand in candidates:
+    for cand in table.roster:
         v_p = vector_or_zero(store, cand)
         rows.append(np.concatenate([
             v_l, v_p, v_r,

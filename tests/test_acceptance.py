@@ -31,6 +31,7 @@ from preptensor.factorize import (
     CooTensor,
     EmbeddingSet,
     TrainingConfig,
+    _build_unfolding,
     als_objective,
     als_update_mode,
     cp_fit,
@@ -134,10 +135,11 @@ def test_criterion_03_als_rank_recovery():
     W = init.standard_normal((100, 5))
     Q = init.standard_normal((6, 5))
     objectives = []
+    unfoldings = {mode: _build_unfolding(coo, mode) for mode in "UWQ"}
     for _ in range(25):
-        U = als_update_mode(coo, U, W, Q, "U")
-        W = als_update_mode(coo, U, W, Q, "W")
-        Q = als_update_mode(coo, U, W, Q, "Q")
+        U = als_update_mode(coo, U, W, Q, "U", unfoldings["U"])
+        W = als_update_mode(coo, U, W, Q, "W", unfoldings["W"])
+        Q = als_update_mode(coo, U, W, Q, "Q", unfoldings["Q"])
         objectives.append(als_objective(coo, U, W, Q))
     elapsed = time.perf_counter() - start
     monotone = all(b <= a + 1e-8 * objectives[0]

@@ -110,6 +110,17 @@ class TestTagSet:
         tagset = TagSet(["NN", UNK_TAG])
         assert tagset.tags.count(UNK_TAG) == 1
 
+    @pytest.mark.parametrize("tags, tag", [
+        (["NN", "NN", UNK_TAG], "NN"),
+        (["NN", "VB", UNK_TAG, "VB"], "VB"),
+        (["NN", UNK_TAG, UNK_TAG], UNK_TAG),
+    ])
+    def test_repeated_tag_rejected(self, tags, tag):
+        # Each tag owns one slot of the one-hot vector.
+        with pytest.raises(ValueError) as exc:
+            TagSet(tags)
+        assert str(exc.value) == f"tag {tag!r} listed twice"
+
 
 class TestFeatures:
     def test_arity(self, store):
@@ -257,7 +268,7 @@ class TestTrainAndEvaluate:
 
     def test_empty_train_rejected(self, rich_store):
         with pytest.raises(ValueError, match="no training"):
-            train_attachment_model([], rich_store)
+            train_attachment_model([], rich_store, FnnHyper(), (16, 8))
 
     def test_empty_eval_rejected(self, rich_store):
         tagset = TagSet(["NN"])

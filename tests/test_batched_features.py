@@ -63,8 +63,9 @@ def test_rank_and_detection(store, roster):
         data = instances(observed)
         table = build_confusion_table(data, roster)
         for inst in data:
-            got = detection_features(inst, store, table, stoplist=STOPLIST)
-            want = scalar.detection_features(inst, store, table, stoplist=STOPLIST)
+            got = detection_features(inst, store, table, window=3, stoplist=STOPLIST)
+            want = scalar.detection_features(inst, store, table, window=3,
+                                             stoplist=STOPLIST)
             assert (got is None) == (want is None)
             if got is not None:
                 decided += 1
@@ -92,19 +93,18 @@ def test_rank_undefined_cases(store):
 
 
 def test_correction(store):
-    candidates = ROSTER
     data = instances()
     table = build_confusion_table(data, ROSTER)
     checked = 0
     for inst in data:
         try:
-            want = scalar.correction_features(inst, candidates, store, table,
+            want = scalar.correction_features(inst, store, table, window=3,
                                               stoplist=STOPLIST)
         except ValueError:
             with pytest.raises(ValueError, match="context"):
-                correction_features(inst, candidates, store, table, stoplist=STOPLIST)
+                correction_features(inst, store, table, window=3, stoplist=STOPLIST)
             continue
-        got = correction_features(inst, candidates, store, table, stoplist=STOPLIST)
+        got = correction_features(inst, store, table, window=3, stoplist=STOPLIST)
         assert np.array_equal(got, want)
         checked += 1
     assert checked == 10

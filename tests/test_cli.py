@@ -620,7 +620,7 @@ class TestSelectPipeline:
                                   fnn=load_fnn(models / "fnn.txt"), table=table)
         _metrics, errors = evaluate_selection(
             load_selection_dataset(test, table.roster), trained,
-            load_embeddings(embeddings_path))
+            load_embeddings(embeddings_path), window=3)
         rows = read_csv(errors_csv)
         assert rows[0] == ["sentence", "observed", "gold", "predicted"]
         assert len(rows) == 1 + len(errors) >= 2
@@ -1355,6 +1355,34 @@ class TestInputFileErrors:
         assert cli.run(_commands(d)[command]) == 1
         error = _one_error(caplog)
         assert error.startswith(f"{path}: line {lineno}: ") and error.endswith(message)
+
+    @pytest.mark.parametrize("extra", ["repeated", "blank"])
+    @pytest.mark.parametrize("command, name", [
+        ("eval-select", "sel/tree.txt"),
+        ("eval-select", "sel/fnn.txt"),
+        ("eval-select", "sel/confusion.txt"),
+        ("eval-attach", "att/fnn.txt"),
+    ])
+    def test_model_file_ends_at_its_body(self, tmp_path, trained, caplog, command,
+                                         name, extra):
+        d = tmp_path / "d"
+        shutil.copytree(trained, d)
+        path = d / name
+        lines = path.read_text().splitlines(keepends=True)
+        lines.append(lines[-1] if extra == "repeated" else "\n")
+        path.write_text("".join(lines))
+        assert cli.run(_commands(d)[command]) == 1
+        assert _one_error(caplog) == (f"{path}: line {len(lines)}: "
+                                      "expected the end of the file")
+
+    def test_repeated_tag_rejected(self, tmp_path, trained, caplog):
+        d = tmp_path / "d"
+        shutil.copytree(trained, d)
+        path = d / "att" / "tags.txt"
+        tags = path.read_text().splitlines()
+        path.write_text("\n".join([tags[0], *tags]) + "\n")
+        assert cli.run(_commands(d)["eval-attach"]) == 1
+        assert _one_error(caplog) == f"{path}: tag {tags[0]!r} listed twice"
 
     @pytest.mark.parametrize("command", ["eval-select", "eval-attach"])
     def test_embeddings_of_another_dimension_rejected(self, tmp_path, trained, caplog,

@@ -466,6 +466,17 @@ class TestVocabularyIO:
         assert loaded.prepositions == tiny_vocab.prepositions
         assert loaded.word_ids == tiny_vocab.word_ids
 
+    def test_built_vocabulary_equals_its_round_trip(self, tmp_path):
+        # "mat" and "dog" fall below min_count, and "under" never occurs.
+        sentences = tokenize_sentences("The cat sat on a mat. A dog sat in the box. "
+                                       "The cat sat on the box.")
+        vocab = build_vocabulary(sentences, min_count=2, roster=["on", "in", "under"])
+        path = tmp_path / "vocab.txt"
+        save_vocabulary(vocab, path)
+        assert load_vocabulary(path) == vocab
+        assert vocab.counts == {"the": 4, "sat": 3, "box": 2, "cat": 2, "a": 2,
+                                "on": 2, "in": 1, "under": 0}
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_text("cat\t3\n")

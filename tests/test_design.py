@@ -1,0 +1,119 @@
+"""Design rules of the package that no behaviour test shows: a layer
+function states what it needs instead of falling back to a default
+object, and a sparse tensor is a plain value that holds no cache."""
+
+import ast
+import dataclasses
+import importlib
+import inspect
+
+from preptensor.factorize import CooTensor
+
+LAYERS = ("corpus", "factorize", "embeddings", "learn", "select", "attach")
+
+
+def _parameters(function: ast.FunctionDef):
+    """(all parameter names, the names of those that default to None)."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    defaulted = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+    defaulted += [(arg, default) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                  if default is not None]
+    names = {arg.arg for arg in positional + args.kwonlyargs}
+    return names, {arg.arg for arg, default in defaulted
+                   if isinstance(default, ast.Constant) and default.value is None}
+
+
+def _reads(node, names) -> bool:
+    return any(isinstance(sub, ast.Name) and sub.id in names for sub in ast.walk(node))
+
+
+def _is_none_test(test, params):
+    """The parameter ``test`` compares with None and whether it is ``is``,
+    or None when ``test`` is no such comparison."""
+    if (isinstance(test, ast.Compare) and isinstance(test.left, ast.Name)
+            and test.left.id in params and len(test.ops) == 1
+            and isinstance(test.ops[0], (ast.Is, ast.IsNot))
+            and isinstance(test.comparators[0], ast.Constant)
+            and test.comparators[0].value is None):
+        return test.left.id, isinstance(test.ops[0], ast.Is)
+    return None
+
+
+def _fallbacks(function: ast.FunctionDef) -> list[int]:
+    """Lines where a parameter that defaults to None is replaced by a
+    value that reads no parameter: ``x or Cls()``, ``Cls() if x is None
+    else x`` or ``if x is None: x = Cls()``. A value computed from the
+    other arguments, as a cache passed in or built here, is no default."""
+    names, none = _parameters(function)
+    lines = []
+    for node in ast.walk(function):
+        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+            first, *rest = node.values
+            if (isinstance(first, ast.Name) and first.id in none
+                    and not any(_reads(value, names) for value in rest)):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.IfExp) and (found := _is_none_test(node.test, none)):
+            default = node.body if found[1] else node.orelse
+            if not _reads(default, names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.If) and (found := _is_none_test(node.test, none)):
+            if found[1] and any(
+                    isinstance(stmt, ast.Assign) and not _reads(stmt.value, names)
+                    and any(isinstance(t, ast.Name) and t.id == found[0]
+                            for t in stmt.targets)
+                    for stmt in node.body):
+                lines.append(node.lineno)
+    return lines
+
+
+def _public_functions(module):
+    """The ast of each function in ``module.__all__``, and of each method
+    of a class in it, by qualified name."""
+    tree = ast.parse(inspect.getsource(module))
+    for node in tree.body:
+        if getattr(node, "name", None) not in module.__all__:
+            continue
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef):
+                    yield f"{node.name}.{method.name}", method
+
+
+def test_the_fallback_detector_sees_the_forms_it_names():
+    source = '''
+def a(params=None):
+    params = params or TreeParams()
+def b(rng=None):
+    rng = np.random.default_rng(0) if rng is None else rng
+def c(stoplist=None):
+    stoplist = stoplist if stoplist is not None else context_stoplist()
+def d(hyper=None):
+    if hyper is None:
+        hyper = FnnHyper()
+def cache(sentences, token_ids=None):
+    word = token_ids or _token_arrays(sentences)
+def optional(init=None):
+    if init is not None:
+        return init
+'''
+    found = {f.name: _fallbacks(f) for f in ast.parse(source).body}
+    assert found == {"a": [3], "b": [5], "c": [7], "d": [9], "cache": [], "optional": []}
+
+
+def test_no_layer_function_falls_back_to_a_default_object():
+    fallbacks = []
+    for layer in LAYERS:
+        module = importlib.import_module(f"preptensor.{layer}")
+        for name, function in _public_functions(module):
+            fallbacks += [f"{layer}.{name} line {line}" for line in _fallbacks(function)]
+    assert fallbacks == []
+
+
+def test_coo_tensor_is_a_plain_value():
+    """The ALS unfoldings belong to one decomposition run, not to the
+    tensor it factorizes."""
+    assert [f.name for f in dataclasses.fields(CooTensor)] == [
+        "i", "j", "k", "values", "dims"]

@@ -79,13 +79,13 @@ class TestWeight:
 class TestOrthogonalize:
     def test_idempotent_on_orthonormal(self):
         q = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 3)))[0]
-        out = orthogonalize_factors(q)
+        out = orthogonalize_factors(q, np.random.default_rng(0))
         assert np.allclose(out.T @ out, np.eye(3), atol=1e-12)
         assert np.allclose(np.abs(out.T @ q), np.eye(3), atol=1e-10)
 
     def test_hand_case(self):
         mat = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
-        out = orthogonalize_factors(mat)
+        out = orthogonalize_factors(mat, np.random.default_rng(0))
         assert np.allclose(out.T @ out, np.eye(2), atol=1e-12)
         # Span preserved: first column direction unchanged.
         assert np.allclose(np.abs(out[:, 0]), [1.0, 0.0, 0.0], atol=1e-12)
@@ -100,7 +100,7 @@ class TestAlsUpdate:
     def test_fixed_point(self):
         rng = np.random.default_rng(7)
         coo, (U, W, Q) = planted_tensor(rng, 5, 3, 2)
-        updated = als_update_mode(coo, U, W, Q, "U")
+        updated = als_update_mode(coo, U, W, Q, "U", factorize._build_unfolding(coo, "U"))
         assert np.allclose(updated, U, atol=1e-8)
 
     def test_dense_oracle_2x2x2(self):
@@ -110,7 +110,7 @@ class TestAlsUpdate:
         U = rng.standard_normal((2, 1))
         W = rng.standard_normal((2, 1))
         Q = rng.standard_normal((2, 1))
-        updated = als_update_mode(coo, U, W, Q, "U")
+        updated = als_update_mode(coo, U, W, Q, "U", factorize._build_unfolding(coo, "U"))
         # Hand-built separable least squares per row of U.
         denom = sum((W[j, 0] * Q[k, 0]) ** 2 for j in range(2) for k in range(2))
         for i in range(2):
@@ -128,7 +128,8 @@ class TestAlsUpdate:
         prev = als_objective(coo, U, W, Q)
         for _ in range(10):
             for mode in ("U", "W", "Q"):
-                updated = als_update_mode(coo, U, W, Q, mode)
+                updated = als_update_mode(coo, U, W, Q, mode,
+                                          factorize._build_unfolding(coo, mode))
                 if mode == "U":
                     U = updated
                 elif mode == "W":
@@ -223,10 +224,11 @@ class TestArrayKernelsEqualReferences:
             want = add_at_mode_mttkrp(coo, mode, A, B)
             assert np.any(np.bincount(idx_out, minlength=len(want)) == 0)
             assert np.any(np.bincount(idx_out) > 1)
-            got = factorize._mttkrp(coo, mode, A, B)
+            csr = factorize._build_unfolding(coo, mode)
+            got = factorize._mttkrp(coo, mode, A, B, csr)
             assert np.array_equal(got, want)
             update = np.linalg.solve(gram + factorize.RIDGE * np.eye(d), want.T).T
-            assert np.array_equal(als_update_mode(coo, U, W, Q, mode), update)
+            assert np.array_equal(als_update_mode(coo, U, W, Q, mode, csr), update)
 
     @pytest.mark.parametrize("d", [1, 25])
     def test_q_unfolding_shares_ordered_values(self, d):
@@ -234,11 +236,11 @@ class TestArrayKernelsEqualReferences:
         counts = SparseCountTensor.from_entries(30, 4, 3, shuffled_entries(rng, 30, 5, 900))
         coo = log_transform(counts)
         assert np.any(np.bincount(coo.k) > 1)
-        csr = factorize._unfolding(coo, "Q")
+        csr = factorize._build_unfolding(coo, "Q")
         assert np.shares_memory(csr.data, coo.values)
-        assert not np.shares_memory(factorize._unfolding(coo, "U").data, coo.values)
+        assert not np.shares_memory(factorize._build_unfolding(coo, "U").data, coo.values)
         U, W = rng.standard_normal((30, d)), rng.standard_normal((30, d))
-        assert np.array_equal(factorize._mttkrp(coo, "Q", U, W),
+        assert np.array_equal(factorize._mttkrp(coo, "Q", U, W, csr),
                               add_at_mode_mttkrp(coo, "Q", U, W))
 
     def test_decompose_equals_scatter_add_run(self, monkeypatch):
@@ -247,7 +249,8 @@ class TestArrayKernelsEqualReferences:
         counts = SparseCountTensor.from_entries(30, 4, 3, entries)
         config = TrainingConfig(dim=6, iterations=6, ortho_iterations=2, seed=3)
         got = decompose_orth_als(counts, config)
-        monkeypatch.setattr(factorize, "_mttkrp", add_at_mode_mttkrp)
+        monkeypatch.setattr(factorize, "_mttkrp", lambda coo, mode, A, B, _csr:
+                            add_at_mode_mttkrp(coo, mode, A, B))
         want = decompose_orth_als(counts, config)
         for name in ("U", "W", "Q"):
             assert np.array_equal(getattr(got, name), getattr(want, name))

@@ -207,6 +207,38 @@ def test_every_loader_rejects_the_same_spellings(tmp_path, kind, spelling):
     assert str(exc.value) == f"{path}: line {lineno}: {message}"
 
 
+# A model file of each kind, which ends at the body its header declares,
+# the body line the repeated-line case writes twice and the line the
+# appended-line case adds: either way the file goes on one line past it.
+MODEL_FILES = {
+    # The repeated line is the first weight row of the last layer.
+    "fnn": (load_fnn, "FNN v1 sizes 3 4 2\n" + "1 2 3 4\n" * 3 + "0.5 0.5 0.5 0.5\n"
+            + "1 -1\n2 -2\n3 -3\n4 -4\n0.25 0.25\n", 6, "0 0\n"),
+    "confusion": (load_confusion_table, "CONFUSION v1 3 1\non in to\n0.5 0.25 0.25\n"
+                  "0.2 0.6 0.2\n0.1 0.1 0.8\n", 4, "0.2 0.3 0.5\n"),
+    "tree": (load_tree, "TREE v1 3 2 8 5\n0 1\nsplit 0 0.5 1 2\nleaf 1 0\nleaf 0 1\n",
+             4, "leaf 1 1\n"),
+}
+
+
+@pytest.mark.parametrize("case", ["repeated", "appended"])
+@pytest.mark.parametrize("kind", MODEL_FILES)
+def test_model_loaders_stop_at_the_declared_body(tmp_path, kind, case):
+    load, text, repeated, appended = MODEL_FILES[kind]
+    path = tmp_path / f"{kind}.txt"
+    path.write_text(text, encoding="utf-8")
+    load(path)
+    lines = text.splitlines(keepends=True)
+    if case == "repeated":
+        lines.insert(repeated, lines[repeated - 1])
+    else:
+        lines.append(appended)
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load(path)
+    assert str(exc.value) == f"{path}: line {len(lines)}: expected the end of the file"
+
+
 @pytest.mark.parametrize("spelling", [
     *SPELLINGS[:-1], "-inf", "+nan", "NaN", "Infinity", "INF", "nan(1)", "infinit",
     "1e400", "1e-400", "-0", "+1", "5.", ".5", "1.e5", "+.5e-3", "1E+05", "1.0",

@@ -95,7 +95,7 @@ class TestDecisionTree:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            train_decision_tree(np.empty((0, 2)), [])
+            train_decision_tree(np.empty((0, 2)), [], TreeParams())
 
     def test_accuracy_nondecreasing_in_depth(self):
         rng = np.random.default_rng(1)
