@@ -1,37 +1,3 @@
 """Preposition embeddings from word-triple co-occurrence tensors."""
 
-from .corpus import (
-    SparseCountTensor,
-    Vocabulary,
-    build_vocabulary,
-    count_tensor,
-    load_tensor,
-    save_tensor,
-    tokenize_sentences,
-)
-from .factorize import (
-    EmbeddingSet,
-    TrainingConfig,
-    decompose_orth_als,
-    decompose_weighted,
-)
-from .embeddings import EmbeddingStore, load_embeddings, save_embeddings
-
-__all__ = [
-    "SparseCountTensor",
-    "Vocabulary",
-    "build_vocabulary",
-    "count_tensor",
-    "load_tensor",
-    "save_tensor",
-    "tokenize_sentences",
-    "EmbeddingSet",
-    "TrainingConfig",
-    "decompose_orth_als",
-    "decompose_weighted",
-    "EmbeddingStore",
-    "load_embeddings",
-    "save_embeddings",
-]
-
 __version__ = "0.1.0"

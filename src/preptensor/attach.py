@@ -1,8 +1,7 @@
 """Prepositional attachment disambiguation.
 
 Scores each candidate head with a feed-forward network over embedding,
-similarity, part-of-speech and distance features, plus the nearest-head
-baseline.
+similarity, part-of-speech and distance features.
 """
 
 from __future__ import annotations
@@ -20,12 +19,10 @@ __all__ = [
     "AttachmentInstance",
     "TagSet",
     "load_attachment_dataset",
-    "save_attachment_dataset",
     "attachment_features",
     "build_tagset",
     "train_attachment_model",
     "predict_head",
-    "baseline_nearest_head",
     "evaluate_attachment",
 ]
 
@@ -74,14 +71,6 @@ def load_attachment_dataset(path) -> list[AttachmentInstance]:
         return AttachmentInstance(candidates, prep, child, int(gold))
 
     return read_records(path, parse, "attachment dataset")
-
-
-def save_attachment_dataset(instances, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            cands = ";".join(f"{c.token}:{c.pos_tag}:{c.next_pos_tag}:{c.distance}"
-                             for c in inst.candidates)
-            fh.write(f"{inst.preposition}\t{inst.child}\t{inst.gold_index}\t{cands}\n")
 
 
 @dataclass
@@ -165,14 +154,6 @@ def predict_head(instance: AttachmentInstance, fnn: FeedForwardNet,
         key=lambda ci: (-scores[ci], instance.candidates[ci].distance, ci),
     )
     return order[0]
-
-
-def baseline_nearest_head(instance: AttachmentInstance) -> int:
-    """Closest candidate to the preposition (ties to the lowest index)."""
-    if not instance.candidates:
-        raise ValueError("instance has no candidates")
-    distances = [c.distance for c in instance.candidates]
-    return int(np.argmin(distances))
 
 
 def evaluate_attachment(instances, fnn: FeedForwardNet, store: EmbeddingStore,

@@ -75,7 +75,7 @@ def _finite_float(text: str) -> float:
 # file value alike. A default of None leaves the value to each command
 # that reads it (the network sizes and `top` differ between commands).
 OPTIONS = {
-    "window": (_integer, 3),
+    "window": (_positive_int, 3),
     "min_count": (_integer, 5),
     "dim": (_integer, 200),
     "iters": (_positive_int, 20),
@@ -503,6 +503,9 @@ def run(argv=None) -> int:
         manifest = func(args, cfg, produced)
         if manifest is not None:
             _write_manifest(*manifest, args.command, cfg, inputs, produced, start)
+            # Evaluation refuses a directory without a manifest, so until
+            # the new one moves in last, a failed move leaves none.
+            Path(manifest[0]).unlink(missing_ok=True)
         for tmp, path in produced:
             os.replace(tmp, path)
         return 0

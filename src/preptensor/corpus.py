@@ -258,14 +258,13 @@ def build_vocabulary(
         counts.update(sent)
     if not counts:
         raise ValueError("empty corpus: no tokens to build a vocabulary from")
-    roster = list(dict.fromkeys(roster))
     roster_set = set(roster)
     words = sorted(
         (tok for tok, c in counts.items() if tok not in roster_set and c >= min_count),
         key=lambda tok: (-counts[tok], tok),
     )
     # A Counter reads 0 for a preposition that never occurs.
-    return Vocabulary(words=words, prepositions=roster,
+    return Vocabulary(words=words, prepositions=list(roster),
                       counts={tok: counts[tok] for tok in [*words, *roster]})
 
 
@@ -283,8 +282,7 @@ class SparseCountTensor:
 
     def __init__(self, n_words: int, n_prepositions: int, window_t: int,
                  i=(), j=(), k=(), counts=()):
-        if window_t < 1:
-            raise ValueError(f"window_t must be >= 1, got {window_t}")
+        _check_window(window_t)
         self.n_words = n_words
         self.n_prepositions = n_prepositions
         self.window_t = window_t
@@ -301,13 +299,6 @@ class SparseCountTensor:
         starts = np.flatnonzero(np.concatenate([[True], ~equal]))
         self.k, self.i, self.j = k[starts], i[starts], j[starts]
         self.counts = np.add.reduceat(counts, starts)
-
-    @classmethod
-    def from_entries(cls, n_words, n_prepositions, window_t, mapping) -> "SparseCountTensor":
-        """The tensor holding a ``{(i, j, k): count}`` mapping."""
-        keys = np.fromiter(itertools.chain.from_iterable(mapping), np.int64).reshape(-1, 3)
-        counts = np.fromiter(mapping.values(), np.int64, len(mapping))
-        return cls(n_words, n_prepositions, window_t, *keys.T, counts)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -345,6 +336,11 @@ def _compare_rows(k, i, j):
     return above, equal
 
 
+def _check_window(window_t: int) -> None:
+    if window_t < 1:
+        raise ValueError(f"window_t must be >= 1, got {window_t}")
+
+
 def _check_key_range(n_words: int, n_prepositions: int) -> None:
     """Counting encodes (i, j, k) as the int64 key (k*N + i)*N + j."""
     if n_words * n_words * (n_prepositions + 1) >= 1 << 63:
@@ -356,7 +352,9 @@ def _check_key_range(n_words: int, n_prepositions: int) -> None:
 def _token_arrays(sentences: Iterable[Sequence[str]], vocab: Vocabulary, t: int):
     """Per-token word id, preposition id (-1 where the token is not one)
     and sentence id of the whole corpus, with 2t entries of -1 at each
-    end so that every position may look 2t tokens away."""
+    end so that every position may look 2t tokens away; a window below
+    1 is the tensor's ValueError, raised before any token is indexed."""
+    _check_window(t)
     tokens: list[str] = []
     lengths: list[int] = []
     for sent in sentences:
@@ -613,11 +611,15 @@ def load_vocabulary(path) -> Vocabulary:
 
 
 def load_roster(path) -> list[str]:
-    """One token per line; blank lines and `#` comments ignored."""
-    roster = []
+    """One token per line, lowercased, each once; blank lines and `#`
+    comments ignored."""
+    roster = {}
     with open_input(path) as fh:
-        for line in fh:
-            tok = line.strip()
-            if tok and not tok.startswith("#"):
-                roster.append(tok.lower())
-    return roster
+        for lineno, line in enumerate(fh, start=1):
+            tok = line.strip().lower()
+            if not tok or tok.startswith("#"):
+                continue
+            if tok in roster:
+                raise ValueError(f"line {lineno}: token {tok!r} listed twice")
+            roster[tok] = None
+    return list(roster)

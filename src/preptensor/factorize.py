@@ -372,8 +372,7 @@ def wd_loss(raw: CooTensor, emb: EmbeddingSet, x_max: float, alpha: float) -> fl
     return float(np.sum(weights * resid ** 2))
 
 
-def decompose_weighted(tensor, config: TrainingConfig,
-                       init: EmbeddingSet | None = None) -> EmbeddingSet:
+def decompose_weighted(tensor, config: TrainingConfig) -> EmbeddingSet:
     """Weighted decomposition with biases by mini-batch AdaGrad.
 
     Visits shuffled nonzero entries (zero entries carry zero weight) for
@@ -385,13 +384,9 @@ def decompose_weighted(tensor, config: TrainingConfig,
     if np.any(raw.values <= 0):
         raise ValueError("weighted decomposition requires positive nonzero entries")
     n, _, kp1 = raw.dims
-    if init is not None:
-        rng = np.random.default_rng(config.seed)
-        factors, biases = (init.U, init.W, init.Q), (init.b_U, init.b_W, init.b_Q)
-    else:
-        rng, *factors = _init_factors(raw.dims, config.dim, config.seed)
-        biases = (np.zeros(n), np.zeros(n), np.zeros(kp1))
-    A = np.hstack([np.vstack(factors), np.concatenate(biases)[:, None]])
+    rng, *factors = _init_factors(raw.dims, config.dim, config.seed)
+    # The biases start at zero, in the last column.
+    A = np.hstack([np.vstack(factors), np.zeros((2 * n + kp1, 1))])
     P, b, G = A[:, :-1], A[:, -1], np.ones_like(A)
     rows = np.stack([raw.i, n + raw.j, 2 * n + raw.k])
     emb = EmbeddingSet(P[:n], P[n:2 * n], P[2 * n:],

@@ -25,7 +25,6 @@ __all__ = [
     "tree_predict",
     "FnnHyper",
     "FeedForwardNet",
-    "fnn_forward",
     "fnn_forward_batch",
     "fnn_loss_and_grads",
     "train_fnn",
@@ -209,11 +208,6 @@ def fnn_forward_batch(net: FeedForwardNet, X: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         raise ValueError("network input must be finite")
     return _forward(net, X)[0][-1]
-
-
-def fnn_forward(net: FeedForwardNet, row) -> np.ndarray:
-    """Class scores for one input row; scores sum to one."""
-    return fnn_forward_batch(net, np.asarray(row, dtype=np.float64)[None, :])[0]
 
 
 def fnn_loss_and_grads(net: FeedForwardNet, X: np.ndarray, y: np.ndarray):

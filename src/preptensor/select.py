@@ -35,7 +35,6 @@ __all__ = [
     "default_roster",
     "context_stoplist",
     "load_selection_dataset",
-    "save_selection_dataset",
     "preprocess_context",
     "build_confusion_table",
     "save_confusion_table",
@@ -97,13 +96,6 @@ def load_selection_dataset(path, roster) -> list[SelectionInstance]:
         return SelectionInstance(tokens, prep_index, observed, gold)
 
     return read_records(path, parse, "selection dataset")
-
-
-def save_selection_dataset(instances, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            fh.write(f"{' '.join(inst.tokens)}\t{inst.prep_index}"
-                     f"\t{inst.observed}\t{inst.gold}\n")
 
 
 def preprocess_context(instance: SelectionInstance, window: int,

@@ -68,7 +68,9 @@ def brute_force_tensor(sentences, vocab, t):
                     b_outside = all(abs(b - pos) > t for pos, _ in prep_occurrences)
                     if a_outside or b_outside:
                         counts[(ia, jb, k_extra)] = counts.get((ia, jb, k_extra), 0) + 1
-    return SparseCountTensor.from_entries(vocab.n_words, vocab.n_prepositions, t, counts)
+    # The i, j and k columns of the keys, and the counts.
+    return SparseCountTensor(vocab.n_words, vocab.n_prepositions, t, *zip(*counts),
+                             counts=list(counts.values()))
 
 
 def random_corpus(rng, n_sentences, vocab_size, roster, max_len=12,

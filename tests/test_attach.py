@@ -7,12 +7,10 @@ from preptensor.attach import (
     TagSet,
     UNK_TAG,
     attachment_features,
-    baseline_nearest_head,
     build_tagset,
     evaluate_attachment,
     load_attachment_dataset,
     predict_head,
-    save_attachment_dataset,
     train_attachment_model,
 )
 from conftest import make_store
@@ -48,7 +46,8 @@ class TestDatasetIO:
             AttachmentInstance([cand("ran", "VB", "IN", 2)], "to", "store", 0),
         ]
         path = tmp_path / "att.tsv"
-        save_attachment_dataset(data, path)
+        path.write_text("with\tfork\t0\tate:VB:NN:3;pizza:NN:IN:1\n"
+                        "to\tstore\t0\tran:VB:IN:2\n")
         assert load_attachment_dataset(path) == data
 
     def test_rejects_bad_records(self, tmp_path, caplog):
@@ -203,20 +202,6 @@ class TestPredictHead:
                                           "fork", 0)
             pred_shuffled = predict_head(shuffled, net, store, tagset)
             assert shuffled.candidates[pred_shuffled] == cands[pred]
-
-
-class TestBaseline:
-    def test_picks_minimum_distance(self):
-        instance = make_instance([("a", 3), ("b", 1), ("c", 5)])
-        assert baseline_nearest_head(instance) == 1
-
-    def test_tie_goes_to_lowest_index(self):
-        instance = make_instance([("a", 2), ("b", 2)])
-        assert baseline_nearest_head(instance) == 0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="candidates"):
-            baseline_nearest_head(AttachmentInstance([], "with", "c", 0))
 
 
 class TestTrainAndEvaluate:

@@ -146,6 +146,26 @@ class TestBuildTensor:
             "dc5eee04d544bc47b3e79e6288818cde84f0f6ec0ab5e195a8d5ff07f2be0ac2",
         ]
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_window_below_one_is_a_usage_error(self, tmp_path, corpus_path, capsys,
+                                               value):
+        out = tmp_path / "tensor"
+        assert cli.run(["build-tensor", "--corpus", str(corpus_path),
+                        "--window", value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "argument --window" in err and "below 1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_window_below_one_in_config_fails(self, tmp_path, corpus_path, caplog):
+        config = tmp_path / "conf.txt"
+        config.write_text("window = 0\n")
+        out = tmp_path / "tensor"
+        assert cli.run(["--config", str(config), "build-tensor",
+                        "--corpus", str(corpus_path), "--out", str(out)]) == 1
+        assert _one_error(caplog) == f"{config}: window = 0: 0 is below 1"
+        assert not out.exists()
+
     def test_missing_corpus_fails(self, tmp_path, roster_path):
         rc = cli.run(["build-tensor", "--corpus", str(tmp_path / "nope.txt"),
                       "--roster", str(roster_path), "--out",
@@ -1259,6 +1279,38 @@ class TestManifestInputs:
             hashed.clear()
 
 
+@pytest.mark.parametrize("failing", [1, 2, 3, 4])
+def test_failed_move_leaves_a_directory_evaluation_refuses(tmp_path, trained,
+                                                            monkeypatch, caplog,
+                                                            failing):
+    """train-select over an earlier good run, with one of its four moves
+    into place failing (the three model files, then the manifest): the
+    old manifest is gone before the first move, so eval-select never
+    accepts a mix of old and new files."""
+    moves, replace = [], os.replace
+
+    def failing_replace(src, dst):
+        moves.append(Path(dst).name)
+        if len(moves) == failing:
+            raise OSError("disk full")
+        replace(src, dst)
+
+    d = tmp_path / "d"
+    shutil.copytree(trained, d)
+    commands = _commands(d)
+    train = commands["train-select"]
+    train[train.index("--out") + 1] = str(d / "sel")
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", failing_replace)
+        assert cli.run(train) == 1
+    assert _one_error(caplog) == "disk full"
+    assert moves == ["tree.txt", "fnn.txt", "confusion.txt", "manifest.json"][:failing]
+    assert list((d / "sel").glob("*.tmp")) == []
+    caplog.clear()
+    assert cli.run(commands["eval-select"]) == 1
+    assert "manifest.json" in _one_error(caplog)
+
+
 def _set_field(lineno, field, value, sep=" "):
     """Sets one ``sep``-separated field of line ``lineno``."""
     def spoil(lines):
@@ -1374,6 +1426,18 @@ class TestInputFileErrors:
         assert cli.run(_commands(d)[command]) == 1
         assert _one_error(caplog) == (f"{path}: line {len(lines)}: "
                                       "expected the end of the file")
+
+    @pytest.mark.parametrize("command", ["build-tensor", "train-select"])
+    def test_repeated_roster_token_rejected(self, tmp_path, trained, caplog, command):
+        """Both commands read a roster by one rule."""
+        d = tmp_path / "d"
+        shutil.copytree(trained, d)
+        roster = d / "roster.txt"
+        roster.write_text("in\nof\n# on\non\nof\n")
+        argv = _commands(d)[command]
+        assert cli.run(argv) == 1
+        assert _one_error(caplog) == f"{roster}: line 5: token 'of' listed twice"
+        assert not Path(argv[argv.index("--out") + 1]).exists()
 
     def test_repeated_tag_rejected(self, tmp_path, trained, caplog):
         d = tmp_path / "d"

@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from preptensor.corpus import (
     count_extra_slice,
     count_preposition_slices,
     count_tensor,
+    load_roster,
     load_tensor,
     load_vocabulary,
     merge_counts,
@@ -73,6 +75,20 @@ class TestVocabulary:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty corpus"):
             build_vocabulary([], min_count=1, roster=[])
+
+
+class TestRoster:
+    def test_repeated_token_rejected(self, tmp_path):
+        path = tmp_path / "roster.txt"
+        path.write_text("in\nof\n\n# on\non\nOf\n")
+        with pytest.raises(ValueError) as info:
+            load_roster(path)
+        assert str(info.value) == f"{path}: line 6: token 'of' listed twice"
+
+    def test_bundled_lists_are_distinct(self):
+        for name in ("prepositions_49.txt", "context_stoplist.txt"):
+            tokens = load_roster(Path(corpus.__file__).parent / "data" / name)
+            assert len(tokens) == len(set(tokens)) > 0, name
 
 
 class TestPrepositionSlices:
@@ -151,8 +167,8 @@ class TestMerge:
             tensor.entries[(0, 0, 0)] = 1
 
     def test_counts_add(self):
-        a = SparseCountTensor.from_entries(3, 1, 3, {(0, 1, 0): 1})
-        b = SparseCountTensor.from_entries(3, 1, 3, {(0, 1, 0): 1})
+        a = SparseCountTensor(3, 1, 3, [0], [1], [0], [1])
+        b = SparseCountTensor(3, 1, 3, [0], [1], [0], [1])
         assert merge_counts([a, b]).entries.get((0, 1, 0), 0) == 2
 
     def test_dimension_mismatch(self):
@@ -259,6 +275,13 @@ class TestArrayCounting:
         with pytest.raises(ValueError, match="N=3037000500 .*K=0 "):
             corpus._check_key_range(3_037_000_500, 0)
 
+    @pytest.mark.parametrize("t", [0, -2])
+    def test_window_below_one_rejected_before_counting(self, tiny_vocab, t):
+        """The tensor's own window check, before any token is indexed."""
+        for count in (count_tensor, count_preposition_slices, count_extra_slice):
+            with pytest.raises(ValueError, match=f"^window_t must be >= 1, got {t}$"):
+                count([["cats", "sat", "on", "mats"]], tiny_vocab, t)
+
     def test_count_functions_check_key_range(self, monkeypatch):
         vocab = build_vocabulary([["cats", "on"]], 1, self.ROSTER)
         monkeypatch.setattr(Vocabulary, "n_words", property(lambda self: 2 ** 31))
@@ -300,7 +323,8 @@ class TestConstructorOrder:
         expected = {}
         for row in rows:
             expected[row] = expected.get(row, 0) + 1
-        assert tensor == SparseCountTensor.from_entries(6, 1, 1, expected)
+        assert tensor == SparseCountTensor(6, 1, 1, *zip(*expected),
+                                           counts=list(expected.values()))
         order = list(zip(tensor.k.tolist(), tensor.i.tolist(), tensor.j.tolist()))
         assert order == sorted(set(order))
 

@@ -1,15 +1,25 @@
 """Design rules of the package that no behaviour test shows: a layer
 function states what it needs instead of falling back to a default
-object, and a sparse tensor is a plain value that holds no cache."""
+object, a sparse tensor is a plain value that holds no cache, and the
+public API is what the package itself calls."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
+from pathlib import Path
 
+import preptensor
 from preptensor.factorize import CooTensor
 
 LAYERS = ("corpus", "factorize", "embeddings", "learn", "select", "attach")
+# The names of a layer's __all__ that no code of the package calls, and
+# why each is public all the same.
+UNCALLED = {
+    "factorize.cp_fit": "the benchmark's fit score of an ALS run",
+    "embeddings.pair_similarity": "the test oracle of embeddings.row_pairs",
+    "embeddings.triple_similarity": "the test oracle of embeddings.row_triples",
+}
 
 
 def _parameters(function: ast.FunctionDef):
@@ -117,3 +127,55 @@ def test_coo_tensor_is_a_plain_value():
     tensor it factorizes."""
     assert [f.name for f in dataclasses.fields(CooTensor)] == [
         "i", "j", "k", "values", "dims"]
+
+
+def _references(tree: ast.Module, outside: str | None = None) -> set[str]:
+    """The names ``tree`` reads as code, bare or as an attribute, outside
+    the top-level definition of ``outside``. A string, a docstring or an
+    entry of ``__all__`` is no reference."""
+    names = set()
+    for node in tree.body:
+        if getattr(node, "name", None) == outside:
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+    return names
+
+
+def test_the_reference_scan_skips_definitions_and_strings():
+    tree = ast.parse('''
+__all__ = ["a", "b", "c"]
+def a():
+    """Calls b()."""
+    return a()
+def b():
+    return obj.c
+''')
+    assert _references(tree, "a") == {"obj", "c"}
+    assert _references(tree, "b") == {"a"}
+
+
+def test_every_public_name_is_called_in_the_package():
+    """A function that only tests call lives in the tests."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(preptensor.__file__).parent.glob("*.py")}
+    uncalled = []
+    for layer in LAYERS:
+        for name in importlib.import_module(f"preptensor.{layer}").__all__:
+            if not any(name in _references(tree, name if stem == layer else None)
+                       for stem, tree in trees.items()):
+                uncalled.append(f"{layer}.{name}")
+    extra = sorted(set(uncalled) - set(UNCALLED))
+    assert extra == [], f"public, but no code of the package calls {extra}"
+    assert set(UNCALLED) <= set(uncalled), "an allow-listed name is called now"
+
+
+def test_the_package_re_exports_no_layer_name():
+    """Callers import the layer modules."""
+    public = {name for layer in LAYERS
+              for name in importlib.import_module(f"preptensor.{layer}").__all__}
+    bound = sorted(public & set(vars(preptensor)))
+    assert bound == [], f"the package re-exports {bound}"

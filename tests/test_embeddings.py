@@ -290,14 +290,14 @@ class TestSliceSpectrum:
         m = [1, 2, 1, 3, 2]
         entries = {(i, j, 0): 2 ** (m[i] * m[j]) - 1
                    for i in range(5) for j in range(5)}
-        tensor = SparseCountTensor.from_entries(5, 1, 3, entries)
+        tensor = SparseCountTensor(5, 1, 3, *zip(*entries), counts=list(entries.values()))
         spec = slice_spectrum(tensor, 0, 5)
         assert spec[0] == pytest.approx(1.0, abs=1e-12)
         assert spec[1] <= 1e-8
 
     def test_identity_pattern_slice(self):
         entries = {(i, i, 0): 1 for i in range(5)}
-        tensor = SparseCountTensor.from_entries(5, 1, 3, entries)
+        tensor = SparseCountTensor(5, 1, 3, *zip(*entries), counts=list(entries.values()))
         spec = slice_spectrum(tensor, 0, 5)
         assert np.allclose(spec, 1.0, atol=1e-10)
 
@@ -305,13 +305,13 @@ class TestSliceSpectrum:
         rng = np.random.default_rng(4)
         entries = {(int(rng.integers(8)), int(rng.integers(8)), 1): int(c)
                    for c in rng.integers(1, 30, size=40)}
-        tensor = SparseCountTensor.from_entries(8, 2, 3, entries)
+        tensor = SparseCountTensor(8, 2, 3, *zip(*entries), counts=list(entries.values()))
         spec = slice_spectrum(tensor, 1, 6)
         assert spec[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(spec) <= 1e-12)
 
     def test_empty_slice_rejected(self):
-        tensor = SparseCountTensor.from_entries(4, 2, 3, {(0, 1, 0): 2})
+        tensor = SparseCountTensor(4, 2, 3, [0], [1], [0], [2])
         with pytest.raises(ValueError, match="slice 1"):
             slice_spectrum(tensor, 1, 3)
 
@@ -331,7 +331,8 @@ class TestSliceSpectrum:
         n = 10
         dense = rng.integers(1, 30, size=(n, n))
         entries = {(i, j, 0): int(dense[i, j]) for i in range(n) for j in range(n)}
-        spec = slice_spectrum(SparseCountTensor.from_entries(n, 1, 3, entries), 0, n)
+        tensor = SparseCountTensor(n, 1, 3, *zip(*entries), counts=list(entries.values()))
+        spec = slice_spectrum(tensor, 0, n)
         svals = np.linalg.svd(np.log1p(dense.astype(np.float64)), compute_uv=False)
         assert np.all(spec > 0.0)
         assert np.array_equal(spec, svals / svals[0])

@@ -48,14 +48,14 @@ def make_wd_embeddings(rng, n, kp1, d, positive=False):
 
 class TestLogTransform:
     def test_values(self):
-        t = SparseCountTensor.from_entries(3, 1, 3, {(0, 1, 0): 9, (1, 2, 1): 1})
+        t = SparseCountTensor(3, 1, 3, [0, 1], [1, 2], [0, 1], [9, 1])
         coo = log_transform(t)
         vals = dict(zip(zip(coo.i, coo.j, coo.k), coo.values))
         assert vals[(0, 1, 0)] == pytest.approx(np.log(10), abs=1e-12)
         assert vals[(1, 2, 1)] == pytest.approx(np.log(2), abs=1e-12)
 
     def test_pattern_preserved(self):
-        t = SparseCountTensor.from_entries(3, 1, 3, {(0, 1, 0): 5})
+        t = SparseCountTensor(3, 1, 3, [0], [1], [0], [5])
         assert log_transform(t).nnz == 1
 
 
@@ -233,7 +233,8 @@ class TestArrayKernelsEqualReferences:
     @pytest.mark.parametrize("d", [1, 25])
     def test_q_unfolding_shares_ordered_values(self, d):
         rng = np.random.default_rng(45)
-        counts = SparseCountTensor.from_entries(30, 4, 3, shuffled_entries(rng, 30, 5, 900))
+        entries = shuffled_entries(rng, 30, 5, 900)
+        counts = SparseCountTensor(30, 4, 3, *zip(*entries), counts=list(entries.values()))
         coo = log_transform(counts)
         assert np.any(np.bincount(coo.k) > 1)
         csr = factorize._build_unfolding(coo, "Q")
@@ -246,7 +247,7 @@ class TestArrayKernelsEqualReferences:
     def test_decompose_equals_scatter_add_run(self, monkeypatch):
         rng = np.random.default_rng(43)
         entries = shuffled_entries(rng, 30, 5, 1500)
-        counts = SparseCountTensor.from_entries(30, 4, 3, entries)
+        counts = SparseCountTensor(30, 4, 3, *zip(*entries), counts=list(entries.values()))
         config = TrainingConfig(dim=6, iterations=6, ortho_iterations=2, seed=3)
         got = decompose_orth_als(counts, config)
         monkeypatch.setattr(factorize, "_mttkrp", lambda coo, mode, A, B, _csr:
@@ -258,7 +259,8 @@ class TestArrayKernelsEqualReferences:
 
     def test_unfoldings_built_once_per_run(self, monkeypatch):
         rng = np.random.default_rng(44)
-        counts = SparseCountTensor.from_entries(30, 4, 3, shuffled_entries(rng, 30, 5, 800))
+        entries = shuffled_entries(rng, 30, 5, 800)
+        counts = SparseCountTensor(30, 4, 3, *zip(*entries), counts=list(entries.values()))
         built = []
         build = factorize._build_unfolding
         monkeypatch.setattr(factorize, "_build_unfolding",
@@ -273,7 +275,7 @@ class TestArrayKernelsEqualReferences:
     def test_from_counts_equals_sorted_keys(self):
         rng = np.random.default_rng(41)
         entries = shuffled_entries(rng, 30, 5, 2000)
-        counts = SparseCountTensor.from_entries(30, 4, 3, entries)
+        counts = SparseCountTensor(30, 4, 3, *zip(*entries), counts=list(entries.values()))
         i, j, k, c = sorted_columns(entries)
         coo = CooTensor.from_counts(counts)
         for got, want in zip((counts.i, counts.j, counts.k, counts.counts,
@@ -453,20 +455,16 @@ class TestWeightedGradient:
 PARAMETERS = ("U", "W", "Q", "b_U", "b_W", "b_Q")
 
 
-def oracle_start(raw, config, init=None):
+def oracle_start(raw, config):
     """The generator ``decompose_weighted`` draws from and an EmbeddingSet
-    of copies of the factors and biases it starts from."""
+    of the factors and biases it starts from."""
     rng = np.random.default_rng(config.seed)
-    if init is None:
-        n, _, kp1 = raw.dims
-        scale = 1.0 / np.sqrt(config.dim)
-        init = EmbeddingSet(U=rng.standard_normal((n, config.dim)) * scale,
-                            W=rng.standard_normal((n, config.dim)) * scale,
-                            Q=rng.standard_normal((kp1, config.dim)) * scale,
-                            b_U=np.zeros(n), b_W=np.zeros(n),
-                            b_Q=np.zeros(kp1))
-    copies = {name: getattr(init, name).copy() for name in PARAMETERS}
-    return rng, EmbeddingSet(**copies)
+    n, _, kp1 = raw.dims
+    scale = 1.0 / np.sqrt(config.dim)
+    return rng, EmbeddingSet(U=rng.standard_normal((n, config.dim)) * scale,
+                             W=rng.standard_normal((n, config.dim)) * scale,
+                             Q=rng.standard_normal((kp1, config.dim)) * scale,
+                             b_U=np.zeros(n), b_W=np.zeros(n), b_Q=np.zeros(kp1))
 
 
 def scalar_wd_epoch(order, ii, jj, kk, targets, weights, lr,
@@ -499,10 +497,10 @@ def scalar_wd_epoch(order, ii, jj, kk, targets, weights, lr,
     return loss
 
 
-def scalar_decompose_weighted(raw, config, init=None):
+def scalar_decompose_weighted(raw, config):
     """The sequential AdaGrad decomposition, driven by ``scalar_wd_epoch``:
     returns the embeddings and the loss seen during each pass."""
-    rng, emb = oracle_start(raw, config, init)
+    rng, emb = oracle_start(raw, config)
     params = [getattr(emb, name) for name in PARAMETERS]
     sums = [np.ones_like(param) for param in params]
     targets = np.log1p(raw.values)
@@ -537,11 +535,11 @@ def minibatch_wd_epoch(order, raw, config, emb, sums):
             sum_sq[row] += mean * mean
 
 
-def minibatch_decompose_weighted(raw, config, init=None):
+def minibatch_decompose_weighted(raw, config):
     """``decompose_weighted`` composed from scalar gradients by
     ``minibatch_wd_epoch``: returns the embeddings and the loss after each
     epoch."""
-    rng, emb = oracle_start(raw, config, init)
+    rng, emb = oracle_start(raw, config)
     sums = {name: np.ones_like(getattr(emb, name)) for name in PARAMETERS}
     losses = []
     for _ in range(config.iterations):
@@ -562,9 +560,17 @@ class TestDecomposeWeighted:
         raw = CooTensor(ii, jj, kk, np.expm1(model), (4, 4, 3))
         assert wd_loss(raw, emb, 10.0, 0.75) == pytest.approx(0.0, abs=1e-18)
         config = TrainingConfig(dim=2, iterations=5, seed=20, ortho_iterations=0)
-        out = decompose_weighted(raw, config, init=emb)
-        assert np.allclose(out.U, emb.U, atol=1e-9)
-        assert np.allclose(out.b_U, emb.b_U, atol=1e-9)
+        # The epochs of decompose_weighted, from the planted parameters
+        # stacked as it stacks them.
+        A = np.hstack([np.vstack([emb.U, emb.W, emb.Q]),
+                       np.concatenate([emb.b_U, emb.b_W, emb.b_Q])[:, None]])
+        G = np.ones_like(A)
+        rows = np.stack([raw.i, 4 + raw.j, 8 + raw.k])
+        rng = np.random.default_rng(config.seed)
+        for _ in range(config.iterations):
+            factorize._wd_epoch(rng.permutation(raw.nnz), rows, raw.values, A, G, config)
+        assert np.allclose(A[:4, :-1], emb.U, atol=1e-9)
+        assert np.allclose(A[:4, -1], emb.b_U, atol=1e-9)
 
     def test_zero_parameter_loss(self):
         rng = np.random.default_rng(21)
@@ -653,15 +659,11 @@ class TestDecomposeWeighted:
         assert max(raw.dims) < factorize.WD_BATCH
         assert raw.nnz % factorize.WD_BATCH
         config = TrainingConfig(dim=dim, iterations=4, seed=31, ortho_iterations=0)
-        init = None
-        for _ in range(2):
-            out = decompose_weighted(raw, config, init=init)
-            expected, losses = minibatch_decompose_weighted(raw, config, init=init)
-            for name in PARAMETERS:
-                assert np.array_equal(getattr(out, name), getattr(expected, name))
-            assert out.trajectory == losses
-            # Then warm-start from this run, as a resumed decomposition would.
-            init = out
+        out = decompose_weighted(raw, config)
+        expected, losses = minibatch_decompose_weighted(raw, config)
+        for name in PARAMETERS:
+            assert np.array_equal(getattr(out, name), getattr(expected, name))
+        assert out.trajectory == losses
 
     def test_loss_near_sequential_kernel(self):
         rng = np.random.default_rng(32)

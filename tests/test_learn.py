@@ -7,7 +7,6 @@ from preptensor.learn import (
     FnnHyper,
     TreeParams,
     accuracy,
-    fnn_forward,
     fnn_forward_batch,
     fnn_loss_and_grads,
     load_fnn,
@@ -209,7 +208,7 @@ class TestFnnForward:
                              weights=[np.zeros((3, 4)), np.zeros((4, 2)),
                                       np.zeros((2, 5))],
                              biases=[np.zeros(4), np.zeros(2), np.zeros(5)])
-        scores = fnn_forward(net, [1.0, -2.0, 0.5])
+        scores = fnn_forward_batch(net, [[1.0, -2.0, 0.5]])[0]
         assert np.allclose(scores, 0.2, atol=1e-12)
 
     def test_tiny_hand_computation(self):
@@ -220,7 +219,7 @@ class TestFnnForward:
                      np.array([[1.0, 0.0]])],
             biases=[np.zeros(1), np.zeros(1), np.zeros(2)],
         )
-        scores = fnn_forward(net, [2.0])
+        scores = fnn_forward_batch(net, [[2.0]])[0]
         expected = np.exp([2.0, 0.0]) / np.exp([2.0, 0.0]).sum()
         assert np.allclose(scores, expected, atol=1e-12)
 
@@ -235,7 +234,7 @@ class TestFnnForward:
     def test_non_finite_input_rejected(self):
         net = FeedForwardNet.init([2, 3, 2, 2], seed=0)
         with pytest.raises(ValueError, match="finite"):
-            fnn_forward(net, [np.inf, 0.0])
+            fnn_forward_batch(net, [[np.inf, 0.0]])
 
     @pytest.mark.parametrize("width", [2, 4])
     def test_input_width_mismatch_rejected(self, width):
@@ -278,7 +277,7 @@ class TestFnnTraining:
         hyper = FnnHyper(learning_rate=0.1, momentum=0.9, batch_size=4,
                          epochs=2000, seed=0, val_fraction=0.0)
         net = train_fnn(X, y, (8, 4), hyper)
-        preds = [int(np.argmax(fnn_forward(net, row))) for row in X]
+        preds = np.argmax(fnn_forward_batch(net, X), axis=1).tolist()
         assert preds == y
 
     def test_separable_blobs(self):
@@ -291,7 +290,7 @@ class TestFnnTraining:
         X, y = X[perm], [y[p] for p in perm]
         net = train_fnn(X[:300], y[:300], (16, 8),
                         FnnHyper(epochs=30, seed=2, val_fraction=0.1))
-        preds = [int(np.argmax(fnn_forward(net, row))) for row in X[300:]]
+        preds = np.argmax(fnn_forward_batch(net, X[300:]), axis=1).tolist()
         assert accuracy(preds, y[300:]) >= 0.99
 
     def test_memorizes_single_example(self):

@@ -26,7 +26,6 @@ from preptensor.select import (
     load_selection_dataset,
     preprocess_context,
     save_confusion_table,
-    save_selection_dataset,
     select_preposition,
     train_selection_models,
 )
@@ -73,7 +72,7 @@ class TestDatasetIO:
         data = [inst(["sat", "on", "mat"], 1, "on", "in"),
                 inst(["ran", "to", "box"], 1, "to", "to")]
         path = tmp_path / "sel.tsv"
-        save_selection_dataset(data, path)
+        path.write_text("sat on mat\t1\ton\tin\nran to box\t1\tto\tto\n")
         assert load_selection_dataset(path, ROSTER) == data
 
     def test_rejects_bad_lines(self, tmp_path, caplog):
