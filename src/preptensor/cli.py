@@ -326,7 +326,8 @@ def cmd_train_select(args, cfg: dict, produced: list):
     save_fnn(models.fnn, _staged(produced, out / "fnn.txt"))
     select_ops.save_confusion_table(models.table, _staged(produced, out / "confusion.txt"))
     cfg["arch"] = list(arch)
-    return out / "manifest.json", {}
+    return out / "manifest.json", {"trajectory": models.fnn.trajectory,
+                                   "counters": models.fnn.counters}
 
 
 def _training_manifest(models_dir: Path, embeddings) -> dict:
@@ -367,6 +368,9 @@ def cmd_eval_select(args, cfg: dict, produced: list):
     window = config.get("window") if isinstance(config, dict) else None
     if type(window) is not int:
         raise ValueError(f"{models_dir / 'manifest.json'}: no config.window recorded")
+    if window < 1:
+        raise ValueError(f"{models_dir / 'manifest.json'}: config.window must be "
+                         f">= 1, got {window}")
     table = select_ops.load_confusion_table(models_dir / "confusion.txt")
     if args.roster and _load_roster(args.roster) != table.roster:
         raise ValueError(f"roster {args.roster} differs from the trained roster "
@@ -398,7 +402,8 @@ def cmd_train_attach(args, cfg: dict, produced: list):
     _staged(produced, out / "tags.txt").write_text("\n".join(tagset.tags) + "\n",
                                                    encoding="utf-8")
     cfg["arch"] = list(arch)
-    return out / "manifest.json", {}
+    return out / "manifest.json", {"trajectory": fnn.trajectory,
+                                   "counters": fnn.counters}
 
 
 def cmd_eval_attach(args, cfg: dict, produced: list):

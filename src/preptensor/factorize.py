@@ -38,6 +38,8 @@ RIDGE = 1e-8
 FIT_TOL = 1e-5
 # Factor values gathered at once, per factor, when evaluating the model
 # on the stored pattern; a block holds this many divided by d entries.
+# A WD epoch prepares its batches a block of about as many entries at a
+# time (see ``_wd_epoch``).
 _BLOCK_VALUES = 1 << 18
 # Entries per weighted-decomposition step. Nearly every entry hits Q's
 # extra-slice row, which steps once per batch, so larger batches slow it.
@@ -341,26 +343,44 @@ def _wd_epoch(order, rows, counts, A, G, config: TrainingConfig) -> None:
     gradients all come from the values at its start. Each row it touches
     takes one step with the mean of its entries' gradients, summed in
     entry order, and its sum grows by that mean squared.
+
+    The entries' rows and counts are gathered, and the rows each batch
+    touches found, once per block of whole batches of at most
+    ``_BLOCK_VALUES / width`` entries (one batch at least); each batch
+    takes its share as slices.
     """
     P, b, lr = A[:, :-1], A[:, -1], config.learning_rate
     stacked = EmbeddingSet(U=P, W=P, Q=P, b_U=b, b_W=b, b_Q=b)
-    width = A.shape[1]
+    n_rows, width = A.shape
     columns = np.arange(width)
-    for start in range(0, len(order), WD_BATCH):
-        batch = order[start:start + WD_BATCH]
-        idx = rows[:, batch]
-        gu, gw, gq, gb = weighted_gradient(stacked, *idx, counts[batch],
-                                           config.x_max, config.alpha)
-        grads = np.empty((3, len(batch), width))
-        grads[..., :-1] = gu, gw, gq
-        grads[..., -1] = gb
-        touched, inverse, hits = np.unique(idx.ravel(), return_inverse=True,
-                                           return_counts=True)
-        # bincount adds each cell's terms in entry order, starting at 0.
-        cells = (inverse[:, None] * width + columns).ravel()
-        step = np.bincount(cells, grads.ravel()).reshape(-1, width) / hits[:, None]
-        A[touched] -= lr * step / np.sqrt(G[touched])
-        G[touched] += step * step
+    block = max(1, _BLOCK_VALUES // (width * WD_BATCH)) * WD_BATCH
+    for block_start in range(0, len(order), block):
+        entries = order[block_start:block_start + block]
+        idx, x = rows[:, entries], counts[entries]
+        # One key per (batch, row): sorted, a batch's distinct rows are a
+        # run of keys, in the order np.unique gives them for that batch.
+        batch_of = np.arange(len(entries)) // WD_BATCH
+        keys, inverse, hits = np.unique(batch_of * n_rows + idx, return_inverse=True,
+                                        return_counts=True)
+        bounds = np.searchsorted(keys, np.arange(batch_of[-1] + 2) * n_rows)
+        # Each entry's position among its own batch's distinct rows.
+        inverse = inverse.reshape(idx.shape) - bounds[batch_of]
+        touched_rows, bounds = keys % n_rows, bounds.tolist()
+        for batch, start in enumerate(range(0, len(entries), WD_BATCH)):
+            part = slice(start, start + WD_BATCH)
+            gu, gw, gq, gb = weighted_gradient(stacked, *idx[:, part], x[part],
+                                               config.x_max, config.alpha)
+            grads = np.empty((3, len(gb), width))
+            grads[..., :-1] = gu, gw, gq
+            grads[..., -1] = gb
+            first, last = bounds[batch], bounds[batch + 1]
+            touched = touched_rows[first:last]
+            # bincount adds each cell's terms in entry order, starting at 0.
+            cells = (inverse[:, part, None] * width + columns).ravel()
+            step = (np.bincount(cells, grads.ravel()).reshape(-1, width)
+                    / hits[first:last, None])
+            A[touched] -= lr * step / np.sqrt(G[touched])
+            G[touched] += step * step
 
 
 def wd_loss(raw: CooTensor, emb: EmbeddingSet, x_max: float, alpha: float) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import ast
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -166,11 +166,14 @@ class FnnHyper:
 
 @dataclass
 class FeedForwardNet:
-    """Rectifier hidden layers, softmax output."""
+    """Rectifier hidden layers, softmax output. ``trajectory`` and
+    ``counters`` describe the ``train_fnn`` run that made the network."""
 
     sizes: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    trajectory: list[float] = field(default_factory=list)
+    counters: dict = field(default_factory=dict)
 
     @classmethod
     def init(cls, sizes, seed: int = 0) -> "FeedForwardNet":
@@ -214,14 +217,17 @@ def fnn_loss_and_grads(net: FeedForwardNet, X: np.ndarray, y: np.ndarray):
     """Mean cross-entropy and its gradients for a batch.
 
     Returns (loss, weight_grads, bias_grads); the backward pass is the
-    analytic counterpart of ``fnn_forward_batch``.
+    analytic counterpart of ``fnn_forward_batch``. Runs in the network's
+    dtype.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X, dtype=net.weights[0].dtype)
     y = np.asarray(y, dtype=np.int64)
     activations, zs = _forward(net, X)
     probs = activations[-1]
     n = X.shape[0]
-    loss = float(-np.mean(np.log(np.clip(probs[np.arange(n), y], 1e-300, None))))
+    # The smallest normal float of the dtype, so that log stays finite.
+    floor = np.finfo(probs.dtype).tiny
+    loss = float(-np.mean(np.log(np.clip(probs[np.arange(n), y], floor, None))))
     delta = probs.copy()
     delta[np.arange(n), y] -= 1.0
     delta /= n
@@ -241,33 +247,41 @@ def train_fnn(rows, labels, arch, hyper: FnnHyper) -> FeedForwardNet:
     ``arch`` gives the two hidden sizes; input and output widths come
     from the data. With a validation fraction set, keeps the parameters
     of the best validation epoch and stops early when stalled.
+
+    Trains in float32: the float64 draw of ``FeedForwardNet.init`` and
+    the rows are cast once, each batch is gathered from the cast rows,
+    and the network is widened back to float64 on return. Its
+    ``trajectory`` is the validation loss of each epoch run, and its
+    ``counters`` the rows, the epochs run and the epoch it keeps.
     """
     X = np.asarray(rows, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("training data must be a nonempty 2-d array")
+    if max(X.max(), -X.min()) > np.finfo(np.float32).max:
+        raise ValueError("training features must lie within the float32 range")
+    X = X.astype(np.float32)
     labels = np.asarray(labels, dtype=np.int64)
     n_classes = int(labels.max()) + 1
     sizes = [X.shape[1], *arch, n_classes]
     net = FeedForwardNet.init(sizes, seed=hyper.seed)
+    net.weights = [w.astype(np.float32) for w in net.weights]
+    net.biases = [b.astype(np.float32) for b in net.biases]
     rng = np.random.default_rng(hyper.seed + 1)
     n = X.shape[0]
     n_val = int(n * hyper.val_fraction)
     perm = rng.permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    X_train, y_train = X[train_idx], labels[train_idx]
-    X_val, y_val = X[val_idx], labels[val_idx]
     vel_w = [np.zeros_like(w) for w in net.weights]
     vel_b = [np.zeros_like(b) for b in net.biases]
     best_val = np.inf
     best_params = None
-    stall = 0
-    for epoch in range(hyper.epochs):
-        order = rng.permutation(len(X_train))
+    best_epoch = stall = epoch = 0
+    for epoch in range(1, hyper.epochs + 1):
+        order = train_idx[rng.permutation(len(train_idx))]
         epoch_loss = 0.0
         for start in range(0, len(order), hyper.batch_size):
             batch = order[start:start + hyper.batch_size]
-            loss, w_grads, b_grads = fnn_loss_and_grads(net, X_train[batch],
-                                                        y_train[batch])
+            loss, w_grads, b_grads = fnn_loss_and_grads(net, X[batch], labels[batch])
             epoch_loss += loss * len(batch)
             for layer in range(len(net.weights)):
                 vel_w[layer] = hyper.momentum * vel_w[layer] - hyper.learning_rate * w_grads[layer]
@@ -277,24 +291,28 @@ def train_fnn(rows, labels, arch, hyper: FnnHyper) -> FeedForwardNet:
         epoch_loss /= max(len(order), 1)
         if not np.isfinite(epoch_loss):
             raise RuntimeError(
-                f"FNN training diverged at epoch {epoch + 1}: loss is not finite"
+                f"FNN training diverged at epoch {epoch}: loss is not finite"
             )
-        if len(X_val):
-            val_loss, _, _ = fnn_loss_and_grads(net, X_val, y_val)
-            logger.debug("epoch %d train %.6g val %.6g", epoch + 1, epoch_loss, val_loss)
+        if n_val:
+            val_loss, _, _ = fnn_loss_and_grads(net, X[val_idx], labels[val_idx])
+            logger.debug("epoch %d train %.6g val %.6g", epoch, epoch_loss, val_loss)
+            net.trajectory.append(val_loss)
             if val_loss < best_val - 1e-9:
-                best_val = val_loss
+                best_val, best_epoch, stall = val_loss, epoch, 0
                 best_params = ([w.copy() for w in net.weights],
                                [b.copy() for b in net.biases])
-                stall = 0
             else:
                 stall += 1
                 if stall >= PATIENCE:
                     break
         else:
-            logger.debug("epoch %d train %.6g", epoch + 1, epoch_loss)
+            logger.debug("epoch %d train %.6g", epoch, epoch_loss)
+            best_epoch = epoch
     if best_params is not None:
         net.weights, net.biases = best_params
+    net.weights = [w.astype(np.float64) for w in net.weights]
+    net.biases = [b.astype(np.float64) for b in net.biases]
+    net.counters = {"fnn_rows": n, "epochs_run": epoch, "best_epoch": best_epoch}
     return net
 
 

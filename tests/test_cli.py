@@ -289,6 +289,28 @@ class TestDecompose:
                        for value in resources.values())
         assert sorted(commands) == sorted(set(cli.COMMANDS) - {"query-sim", "paraphrase"})
 
+    @pytest.mark.parametrize("command", ["train-select", "train-attach"])
+    def test_training_manifests_record_the_network_run(self, tmp_path, trained,
+                                                       command):
+        """The per-epoch validation loss and the network's counters, the
+        same in two runs with one seed."""
+        records = []
+        for run in ("a", "b"):
+            argv = _commands(trained)[command]
+            out = tmp_path / run
+            argv[argv.index("--out") + 1] = str(out)
+            assert cli.run(argv[:-2] + ["--epochs", "15", "--seed", "3"]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            records.append((manifest["trajectory"], manifest["counters"]))
+        (trajectory, counters), again = records
+        assert again == (trajectory, counters)
+        assert sorted(counters) == ["best_epoch", "epochs_run", "fnn_rows"]
+        assert counters["fnn_rows"] > 0
+        assert len(trajectory) == counters["epochs_run"] <= 15
+        assert all(math.isfinite(loss) for loss in trajectory)
+        best = counters["best_epoch"]
+        assert trajectory[best - 1] == min(trajectory)
+
     def test_manifests_record_versions(self, tmp_path, tensor_dir):
         import platform
 
@@ -1364,6 +1386,8 @@ class TestInputFileErrors:
         ('{"config": {"window": "3"}}', "no config.window recorded"),
         ('{"config": {"window": 2.5}}', "no config.window recorded"),
         ('{"config": {"window": true}}', "no config.window recorded"),
+        ('{"config": {"window": 0}}', "config.window must be >= 1, got 0"),
+        ('{"config": {"window": -2}}', "config.window must be >= 1, got -2"),
         ('["config"]', "no inputs recorded"),
         ('{"config": {"window": 3', "Expecting ',' delimiter: line 1 column 24 (char 23)"),
     ])

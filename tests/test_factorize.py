@@ -665,6 +665,17 @@ class TestDecomposeWeighted:
             assert np.array_equal(getattr(out, name), getattr(expected, name))
         assert out.trajectory == losses
 
+    @pytest.mark.parametrize("dim", [3, 40])
+    @pytest.mark.parametrize("batches_per_block", [1, 3])
+    def test_equals_scalar_reference_across_blocks(self, dim, batches_per_block,
+                                                   monkeypatch):
+        """Blocks of a few batches (the values of 5 entries more, rounded
+        down to whole batches): the reference tensor's 13 batches cross
+        block boundaries, and the last block ends with the short batch."""
+        monkeypatch.setattr(factorize, "_BLOCK_VALUES",
+                            (batches_per_block * factorize.WD_BATCH + 5) * (dim + 1))
+        self.test_equals_scalar_reference(dim)
+
     def test_loss_near_sequential_kernel(self):
         rng = np.random.default_rng(32)
         raw = dense_to_coo(rng.integers(0, 25, size=(12, 12, 5)).astype(np.float64))

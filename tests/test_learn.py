@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import preptensor.learn as learn
 import scalar_tree
 from preptensor.learn import (
     FeedForwardNet,
@@ -269,6 +276,24 @@ class TestFnnGradients:
                         denom = max(abs(fd), abs(grad), 1e-6)
                         assert abs(fd - grad) / denom <= 1e-4
 
+    def test_confidently_wrong_float32_batch_has_a_finite_loss(self):
+        """A probability that underflows to 0 in float32 is floored at the
+        smallest normal float32, so the loss stays finite and log warns
+        of nothing."""
+        net = FeedForwardNet(
+            sizes=[1, 1, 1, 2],
+            weights=[np.array([[1.0]], np.float32), np.array([[1.0]], np.float32),
+                     np.array([[1000.0, 0.0]], np.float32)],
+            biases=[np.zeros(1, np.float32), np.zeros(1, np.float32),
+                    np.zeros(2, np.float32)],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, w_grads, _ = fnn_loss_and_grads(net, np.ones((2, 1), np.float32),
+                                                  np.array([1, 1]))
+        assert loss == pytest.approx(-np.log(np.finfo(np.float32).tiny), rel=1e-6)
+        assert all(grad.dtype == np.float32 for grad in w_grads)
+
 
 class TestFnnTraining:
     def test_xor(self):
@@ -309,6 +334,11 @@ class TestFnnTraining:
                 pytest.raises(RuntimeError, match="diverged at epoch 2: loss is not finite"):
             train_fnn(X, [0, 1], (4, 4), hyper)
 
+    @pytest.mark.parametrize("value", [1e39, -1e39])
+    def test_features_beyond_float32_rejected(self, value):
+        with pytest.raises(ValueError, match="within the float32 range"):
+            train_fnn([[0.0, 1.0], [value, 0.0]], [0, 1], (4, 4), FnnHyper(epochs=1))
+
     def test_seeded_determinism(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((50, 3))
@@ -318,6 +348,61 @@ class TestFnnTraining:
         b = train_fnn(X, y, (5, 4), hyper)
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
+
+    def test_trains_in_float32_and_returns_float64(self, monkeypatch):
+        dtypes = set()
+
+        def recording(net, X, y):
+            dtypes.update([X.dtype, *(w.dtype for w in net.weights)])
+            return fnn_loss_and_grads(net, X, y)
+
+        monkeypatch.setattr(learn, "fnn_loss_and_grads", recording)
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((60, 3))
+        net = train_fnn(X, (X[:, 0] > 0).astype(int), (5, 4), FnnHyper(epochs=3, seed=1))
+        assert dtypes == {np.dtype(np.float32)}
+        for param in net.weights + net.biases:
+            assert param.dtype == np.float64
+            assert np.array_equal(param.astype(np.float32), param)
+
+    def test_records_validation_losses_and_counters(self):
+        rng = np.random.default_rng(10)
+        X = rng.standard_normal((80, 3))
+        net = train_fnn(X, (X[:, 0] > 0).astype(int), (5, 4),
+                        FnnHyper(learning_rate=0.5, epochs=40, seed=2))
+        counters = net.counters
+        assert counters["fnn_rows"] == 80
+        # The validation loss stalls, so training stops early.
+        assert len(net.trajectory) == counters["epochs_run"] < 40
+        assert net.trajectory[counters["best_epoch"] - 1] == min(net.trajectory)
+
+    def test_without_validation_keeps_the_last_epoch(self):
+        net = train_fnn(np.array([[1.0, -1.0]]), [1], (4, 4),
+                        FnnHyper(epochs=7, seed=3, val_fraction=0.0))
+        assert net.trajectory == []
+        assert net.counters == {"fnn_rows": 1, "epochs_run": 7, "best_epoch": 7}
+
+    def test_same_file_at_one_and_two_blas_threads(self, tmp_path):
+        """A validation pass of 2,000 rows through a 78 -> 128 layer is a
+        product OpenBLAS splits between threads; each setting trains in a
+        fresh process, since the thread count is read at load."""
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from preptensor.learn import FnnHyper, save_fnn, train_fnn\n"
+            "X = np.random.default_rng(0).standard_normal((20000, 78))\n"
+            "y = (X[:, :3].sum(axis=1) > 0).astype(int)\n"
+            "save_fnn(train_fnn(X, y, (128, 16), FnnHyper(epochs=2, seed=4)), sys.argv[1])\n"
+        )
+        src = Path(learn.__file__).parents[1]
+        files = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"fnn{threads}.txt"
+            subprocess.run([sys.executable, "-c", script, str(path)], check=True,
+                           env={**os.environ, "PYTHONPATH": str(src),
+                                "OPENBLAS_NUM_THREADS": threads})
+            files.append(path.read_bytes())
+        assert files[0] == files[1]
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
