@@ -22,7 +22,6 @@ __all__ = [
     "attachment_features",
     "build_tagset",
     "train_attachment_model",
-    "predict_head",
     "evaluate_attachment",
 ]
 
@@ -88,10 +87,9 @@ class TagSet:
             tag = next(tag for pos, tag in enumerate(self.tags) if self._ids[tag] != pos)
             raise ValueError(f"tag {tag!r} listed twice")
 
-    def one_hot(self, tag: str) -> np.ndarray:
-        vec = np.zeros(len(self.tags))
-        vec[self._ids.get(tag, self._ids[UNK_TAG])] = 1.0
-        return vec
+    def slots(self, tags) -> np.ndarray:
+        """The one-hot slot of each tag; an unknown tag takes ``UNK_TAG``'s."""
+        return np.array([self._ids.get(t, self._ids[UNK_TAG]) for t in tags], dtype=np.intp)
 
 
 def build_tagset(instances) -> TagSet:
@@ -100,29 +98,31 @@ def build_tagset(instances) -> TagSet:
     return TagSet(tags)
 
 
-def attachment_features(instance: AttachmentInstance, store: EmbeddingStore,
-                        tagset: TagSet) -> np.ndarray:
-    """A feature row for each candidate head.
+def attachment_features(instances, store: EmbeddingStore, tagset: TagSet) -> np.ndarray:
+    """A feature row for each candidate head of each instance, in order.
 
     Out-of-vocabulary tokens contribute zero vectors and zero similarity
     components; the head-preposition distance is scaled by 1/10 and
     capped at 1.
     """
-    cands = instance.candidates
+    cands = [c for inst in instances for c in inst.candidates]
+    counts = [len(inst.candidates) for inst in instances]
     heads = store.rows_or_zero([c.token for c in cands])
-    v_p, v_c = store.rows_or_zero([instance.preposition, instance.child])
-    d = store.dim
-    feats = np.empty((len(cands), 3 * d + 3 + 2 * len(tagset.tags) + 1))
+    pairs = store.rows_or_zero([tok for inst in instances
+                                for tok in (inst.preposition, inst.child)])
+    v_p, v_c = (np.repeat(pairs[side::2], counts, axis=0) for side in (0, 1))
+    d, n_tags = store.dim, len(tagset.tags)
+    feats = np.zeros((len(cands), 3 * d + 3 + 2 * n_tags + 1))
     feats[:, :d] = heads
     feats[:, d:2 * d] = v_p
     feats[:, 2 * d:3 * d] = v_c
     feats[:, 3 * d] = row_triples(heads, v_p, v_c)
     feats[:, 3 * d + 1] = row_cosines(heads, v_p)
     feats[:, 3 * d + 2] = row_cosines(heads, v_c)
-    feats[:, 3 * d + 3:-1] = [np.concatenate([tagset.one_hot(c.pos_tag),
-                                              tagset.one_hot(c.next_pos_tag)])
-                              for c in cands]
-    feats[:, -1] = [min(c.distance / MAX_DISTANCE, 1.0) for c in cands]
+    rows = np.arange(len(cands))
+    feats[rows, 3 * d + 3 + tagset.slots([c.pos_tag for c in cands])] = 1.0
+    feats[rows, 3 * d + 3 + n_tags + tagset.slots([c.next_pos_tag for c in cands])] = 1.0
+    feats[:, -1] = np.minimum(np.array([c.distance for c in cands]) / MAX_DISTANCE, 1.0)
     return feats
 
 
@@ -137,39 +137,35 @@ def train_attachment_model(
     if not instances:
         raise ValueError("no training instances")
     tagset = build_tagset(instances)
-    rows = np.vstack([attachment_features(inst, store, tagset) for inst in instances])
+    rows = attachment_features(instances, store, tagset)
     labels = [int(ci == inst.gold_index) for inst in instances
               for ci in range(len(inst.candidates))]
     fnn = train_fnn(rows, labels, arch, hyper)
     return fnn, tagset
 
 
-def predict_head(instance: AttachmentInstance, fnn: FeedForwardNet,
-                 store: EmbeddingStore, tagset: TagSet) -> int:
-    """Candidate with the highest positive-class score; ties go to the
-    nearest candidate, then the lowest index."""
-    scores = fnn_forward_batch(fnn, attachment_features(instance, store, tagset))[:, 1]
-    order = sorted(
-        range(len(instance.candidates)),
-        key=lambda ci: (-scores[ci], instance.candidates[ci].distance, ci),
-    )
-    return order[0]
-
-
 def evaluate_attachment(instances, fnn: FeedForwardNet, store: EmbeddingStore,
                         tagset: TagSet):
-    """Mean head-prediction accuracy, and a (preposition, child,
-    predicted head, gold head) row per mispredicted instance."""
+    """Mean head-prediction accuracy, a (preposition, child, predicted
+    head, gold head) row per mispredicted instance, and the counts of
+    instances and candidates scored.
+
+    The predicted head is the candidate with the highest positive-class
+    score; ties go to the nearest candidate, then the lowest index.
+    """
     if not instances:
         raise ValueError("cannot evaluate on an empty test set")
-    predicted, gold = [], []
-    errors = []
-    for inst in instances:
-        pred = predict_head(inst, fnn, store, tagset)
+    rows = attachment_features(instances, store, tagset)
+    ends = np.cumsum([len(inst.candidates) for inst in instances])
+    predicted, errors = [], []
+    # One pass per instance: one over the whole block rounds differently.
+    for inst, block in zip(instances, np.split(rows, ends[:-1])):
+        scores = fnn_forward_batch(fnn, block)[:, 1]
+        cands = inst.candidates
+        pred = min(range(len(cands)), key=lambda ci: (-scores[ci], cands[ci].distance, ci))
         predicted.append(pred)
-        gold.append(inst.gold_index)
         if pred != inst.gold_index:
-            errors.append((inst.preposition, inst.child,
-                           inst.candidates[pred].token,
-                           inst.candidates[inst.gold_index].token))
-    return accuracy(predicted, gold), errors
+            errors.append((inst.preposition, inst.child, cands[pred].token,
+                           cands[inst.gold_index].token))
+    counters = {"instances": len(instances), "candidates": len(rows)}
+    return accuracy(predicted, [inst.gold_index for inst in instances]), errors, counters

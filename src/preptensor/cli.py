@@ -245,9 +245,10 @@ def cmd_decompose(args, cfg: dict, produced: list):
                 "nnz": tensor.nnz}
     if args.method == "als":
         emb = decompose_orth_als(tensor, config)
+        counters["sweeps"] = len(emb.trajectory)
     else:  # "wd": the parser's choices allow nothing else
         emb = decompose_weighted(tensor, config)
-        counters["batch"] = WD_BATCH
+        counters.update(batch=WD_BATCH, epochs=len(emb.trajectory))
     store = emb_ops.EmbeddingStore.from_factors(vocab, emb)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -327,7 +328,7 @@ def cmd_train_select(args, cfg: dict, produced: list):
     select_ops.save_confusion_table(models.table, _staged(produced, out / "confusion.txt"))
     cfg["arch"] = list(arch)
     return out / "manifest.json", {"trajectory": models.fnn.trajectory,
-                                   "counters": models.fnn.counters}
+                                   "counters": {**models.fnn.counters, **models.counters}}
 
 
 def _training_manifest(models_dir: Path, embeddings) -> dict:
@@ -382,12 +383,12 @@ def cmd_eval_select(args, cfg: dict, produced: list):
         table=table,
     )
     instances = select_ops.load_selection_dataset(args.test, table.roster)
-    (p, r, f1), errors = select_ops.evaluate_selection(instances, models, store,
-                                                       window=window)
+    (p, r, f1), errors, counters = select_ops.evaluate_selection(instances, models, store,
+                                                                 window=window)
     cfg["window"] = window
     return _report(produced, args.out, models_dir,
                    ["sentence", "observed", "gold", "predicted"], errors,
-                   f"P={p:.4f} R={r:.4f} F1={f1:.4f}"), {}
+                   f"P={p:.4f} R={r:.4f} F1={f1:.4f}"), {"counters": counters}
 
 
 def cmd_train_attach(args, cfg: dict, produced: list):
@@ -402,8 +403,9 @@ def cmd_train_attach(args, cfg: dict, produced: list):
     _staged(produced, out / "tags.txt").write_text("\n".join(tagset.tags) + "\n",
                                                    encoding="utf-8")
     cfg["arch"] = list(arch)
-    return out / "manifest.json", {"trajectory": fnn.trajectory,
-                                   "counters": fnn.counters}
+    counters = {**fnn.counters, "instances": len(instances),
+                "candidates": fnn.counters["fnn_rows"]}
+    return out / "manifest.json", {"trajectory": fnn.trajectory, "counters": counters}
 
 
 def cmd_eval_attach(args, cfg: dict, produced: list):
@@ -414,10 +416,10 @@ def cmd_eval_attach(args, cfg: dict, produced: list):
     with corpus_ops.open_input(models_dir / "tags.txt") as fh:
         tagset = attach_ops.TagSet([line for line in fh.read().splitlines() if line])
     instances = attach_ops.load_attachment_dataset(args.test)
-    acc, errors = attach_ops.evaluate_attachment(instances, fnn, store, tagset)
+    acc, errors, counters = attach_ops.evaluate_attachment(instances, fnn, store, tagset)
     return _report(produced, args.out, models_dir,
                    ["preposition", "child", "predicted_head", "gold_head"], errors,
-                   f"accuracy={acc:.4f}"), {}
+                   f"accuracy={acc:.4f}"), {"counters": counters}
 
 
 # ---------------------------------------------------------------------------

@@ -137,22 +137,22 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def row_cosines(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``cosine_similarity`` of each row with ``v``, 0.0 where a norm is 0."""
-    norms, v_norm = row_norms(rows), np.linalg.norm(v)
+    """``cosine_similarity`` of each row with ``v``, one vector or a block
+    of rows, 0.0 where a norm is 0."""
+    norms, v_norms = row_norms(rows), row_norms(v)
     out = np.zeros(len(rows))
-    if v_norm != 0.0:
-        np.divide(np.vecdot(rows, v), norms * v_norm, out=out, where=norms != 0.0)
+    np.divide(np.vecdot(rows, v), norms * v_norms, out=out,
+              where=(norms != 0.0) & (v_norms != 0.0))
     return out
 
 
 def row_pairs(rows: np.ndarray, v_left: np.ndarray, v_right: np.ndarray) -> np.ndarray:
-    """``pair_similarity`` of each row with the two context sides, 0.0 for
-    a zero row or two zero sides."""
-    sims = [row_cosines(rows, v) for v in (v_left, v_right) if np.linalg.norm(v) > 0.0]
-    if len(sims) == 2:
-        # As max(), which keeps the first of equal values.
-        return np.where(sims[1] > sims[0], sims[1], sims[0])
-    return sims[0] if sims else np.zeros(len(rows))
+    """``pair_similarity`` of each row with the two context sides, each
+    one vector or a block of rows, 0.0 for a zero row or two zero sides."""
+    left, right = row_cosines(rows, v_left), row_cosines(rows, v_right)
+    # As max() over the nonzero sides, which keeps the first of equal values.
+    return np.where((row_norms(v_right) > 0.0)
+                    & ((row_norms(v_left) == 0.0) | (right > left)), right, left)
 
 
 def row_triples(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -167,11 +167,9 @@ def row_triples(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _three_norms(x: np.ndarray):
-    """3-norm of a vector, or of each row. The cube root is a scalar pow
-    per row: an array power differs from it in the last bit."""
-    sums = np.sum(np.abs(x) ** 3, axis=-1)
-    if sums.ndim == 0:
-        return sums ** (1.0 / 3.0)
+    """3-norm of each row, a vector being one row. The cube root is a
+    scalar pow per row: an array power differs from it in the last bit."""
+    sums = np.sum(np.abs(x) ** 3, axis=-1).reshape(-1)
     return np.array([s ** (1.0 / 3.0) for s in sums])
 
 

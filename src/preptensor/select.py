@@ -8,7 +8,7 @@ then scores every roster candidate for the flagged instances.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -43,7 +43,6 @@ __all__ = [
     "correction_features",
     "SelectionModels",
     "train_selection_models",
-    "select_preposition",
     "evaluate_selection",
 ]
 
@@ -196,37 +195,58 @@ def detection_features(instance: SelectionInstance, store: EmbeddingStore,
     return np.array([cos, float(rank), table.keep_prob(instance.observed)])
 
 
-def correction_features(instance: SelectionInstance, store: EmbeddingStore,
-                        table: ConfusionTable, window: int,
-                        stoplist: frozenset[str]) -> np.ndarray:
-    """One row per candidate of ``table.roster``: [v_left; v_cand;
-    v_right; pair sim; triple sim; replacement probability], shape
-    (len(roster), 3d + 3); a candidate without a vector scores 0.0."""
-    d = store.dim
-    sides = np.zeros((2, d))
-    for side, tokens in zip(sides, preprocess_context(instance, window, stoplist)):
-        known = store.rows([tok for tok in tokens if tok in store])
-        if len(known):
-            side[:] = np.mean(known, axis=0)
-    if not emb_ops.row_norms(sides).any():
-        raise ValueError("both context sides are empty; nothing to correct against")
-    v_l, v_r = sides
+def correction_features(instances, store: EmbeddingStore, table: ConfusionTable,
+                        window: int, stoplist: frozenset[str]) -> np.ndarray:
+    """One row per candidate of ``table.roster`` for each instance, in
+    order: [v_left; v_cand; v_right; pair sim; triple sim; replacement
+    probability], shape (len(instances) * len(roster), 3d + 3); a
+    candidate without a vector scores 0.0."""
+    d, k = store.dim, len(table.roster)
     cands = store.rows_or_zero(table.roster)
-    rows = np.empty((len(table.roster), 3 * d + 3))
-    rows[:, :d] = v_l
-    rows[:, d:2 * d] = cands
-    rows[:, 2 * d:3 * d] = v_r
-    rows[:, 3 * d] = emb_ops.row_pairs(cands, v_l, v_r)
-    rows[:, 3 * d + 1] = emb_ops.row_triples(v_l, cands, v_r)
-    rows[:, 3 * d + 2] = table.probs[table.index[instance.observed]]
-    return rows
+    rows = np.empty((len(instances), k, 3 * d + 3))
+    rows[:, :, d:2 * d] = cands
+    for inst, block in zip(instances, rows):
+        sides = np.zeros((2, d))
+        for side, tokens in zip(sides, preprocess_context(inst, window, stoplist)):
+            known = store.rows([tok for tok in tokens if tok in store])
+            if len(known):
+                side[:] = np.mean(known, axis=0)
+        if not emb_ops.row_norms(sides).any():
+            raise ValueError("both context sides are empty; nothing to correct against")
+        v_l, v_r = sides
+        block[:, :d] = v_l
+        block[:, 2 * d:3 * d] = v_r
+        block[:, 3 * d] = emb_ops.row_pairs(cands, v_l, v_r)
+        block[:, 3 * d + 1] = emb_ops.row_triples(v_l, cands, v_r)
+        block[:, 3 * d + 2] = table.probs[table.index[inst.observed]]
+    return rows.reshape(len(instances) * k, 3 * d + 3)
 
 
 @dataclass
 class SelectionModels:
+    """``counters`` describe the training pass that made the models."""
+
     tree: DecisionTree
     fnn: FeedForwardNet
     table: ConfusionTable
+    counters: dict = field(default_factory=dict)
+
+
+def _detect(instances, store: EmbeddingStore, table: ConfusionTable, window: int,
+            stoplist: frozenset[str]):
+    """The positions of the decidable instances and their detection rows."""
+    rows = [detection_features(inst, store, table, window, stoplist) for inst in instances]
+    decidable = [pos for pos, feats in enumerate(rows) if feats is not None]
+    return decidable, [rows[pos] for pos in decidable]
+
+
+def _flag(tree: DecisionTree, instances, decidable, rows):
+    """The positions of ``decidable`` whose rows ``tree`` flags as errors,
+    and the counters of the detection pass over ``instances``."""
+    flagged = [pos for pos, feats in zip(decidable, rows)
+               if tree_predict(tree, feats)[0] == ERROR]
+    return flagged, {"instances": len(instances), "decidable": len(decidable),
+                     "flagged": len(flagged)}
 
 
 def train_selection_models(
@@ -246,68 +266,51 @@ def train_selection_models(
     """
     table = build_confusion_table(instances, roster)
     stoplist = context_stoplist()
-    det_rows, det_labels, usable = [], [], []
-    for inst in instances:
-        feats = detection_features(inst, store, table, window, stoplist)
-        if feats is None:
-            continue
-        det_rows.append(feats)
-        det_labels.append(ERROR if inst.observed != inst.gold else CORRECT)
-        usable.append((inst, feats))
-    if not det_rows:
+    decidable, det_rows = _detect(instances, store, table, window, stoplist)
+    if not decidable:
         raise ValueError("no trainable instances: all contexts were empty")
+    det_labels = [ERROR if instances[pos].observed != instances[pos].gold else CORRECT
+                  for pos in decidable]
     tree = train_decision_tree(det_rows, det_labels, tree_params)
-    flagged = [inst for inst, feats in usable
-               if tree_predict(tree, feats)[0] == ERROR]
-    if not flagged:
-        # Degenerate detector: fall back to training on the true errors so
-        # the corrector still exists.
-        flagged = [inst for inst, _ in usable if inst.observed != inst.gold]
-    if not flagged:
+    flagged, counters = _flag(tree, instances, decidable, det_rows)
+    # Degenerate detector: fall back to training on the true errors so
+    # the corrector still exists.
+    errors = flagged or [pos for pos, label in zip(decidable, det_labels)
+                         if label == ERROR]
+    if not errors:
         raise ValueError("no error instances to train the corrector on")
-    corr_rows = np.vstack([
-        correction_features(inst, store, table, window, stoplist)
-        for inst in flagged
-    ])
-    corr_labels = [int(cand == inst.gold) for inst in flagged
-                   for cand in table.roster]
+    corrected = [instances[pos] for pos in errors]
+    corr_rows = correction_features(corrected, store, table, window, stoplist)
+    corr_labels = [int(cand == inst.gold) for inst in corrected for cand in table.roster]
     fnn = train_fnn(corr_rows, corr_labels, arch, hyper)
-    return SelectionModels(tree=tree, fnn=fnn, table=table)
-
-
-def select_preposition(instance: SelectionInstance, tree: DecisionTree,
-                       fnn: FeedForwardNet, store: EmbeddingStore,
-                       table: ConfusionTable, window: int,
-                       stoplist: frozenset[str]) -> str:
-    """Keep the observed preposition when the detector accepts it,
-    otherwise return the candidate the corrector scores highest (ties go
-    to roster order)."""
-    feats = detection_features(instance, store, table, window, stoplist)
-    if feats is None:
-        return instance.observed
-    verdict, _ = tree_predict(tree, feats)
-    if verdict != ERROR:
-        return instance.observed
-    rows = correction_features(instance, store, table, window, stoplist)
-    scores = fnn_forward_batch(fnn, rows)[:, 1]
-    return table.roster[int(np.argmax(scores))]
+    return SelectionModels(tree=tree, fnn=fnn, table=table, counters=counters)
 
 
 def evaluate_selection(instances, models: SelectionModels,
                        store: EmbeddingStore, window: int):
-    """Edit-based (P, R, F1) of the predictions, and a (sentence,
-    observed, gold, predicted) row per mispredicted instance."""
+    """Edit-based (P, R, F1) of the predictions, a (sentence, observed,
+    gold, predicted) row per mispredicted instance, and the counts of
+    instances, decidable instances and flagged instances.
+
+    The observed preposition is kept unless the detector flags it; a
+    flagged instance takes the candidate the corrector scores highest
+    (ties go to roster order).
+    """
     if not instances:
         raise ValueError("cannot evaluate on an empty test set")
-    stoplist = context_stoplist()
-    predicted, gold, observed = [], [], []
-    errors = []
-    for inst in instances:
-        pred = select_preposition(inst, models.tree, models.fnn, store,
-                                  models.table, window, stoplist)
-        predicted.append(pred)
-        gold.append(inst.gold)
-        observed.append(inst.observed)
-        if pred != inst.gold:
-            errors.append((" ".join(inst.tokens), inst.observed, inst.gold, pred))
-    return precision_recall_f1(predicted, gold, observed), errors
+    stoplist, table = context_stoplist(), models.table
+    decidable, det_rows = _detect(instances, store, table, window, stoplist)
+    flagged, counters = _flag(models.tree, instances, decidable, det_rows)
+    rows = correction_features([instances[pos] for pos in flagged], store, table,
+                               window, stoplist)
+    predicted = [inst.observed for inst in instances]
+    # One pass per instance: one over the whole block rounds differently.
+    blocks = rows.reshape(len(flagged), len(table.roster), rows.shape[1])
+    for pos, block in zip(flagged, blocks):
+        scores = fnn_forward_batch(models.fnn, block)[:, 1]
+        predicted[pos] = table.roster[int(np.argmax(scores))]
+    errors = [(" ".join(inst.tokens), inst.observed, inst.gold, pred)
+              for inst, pred in zip(instances, predicted) if pred != inst.gold]
+    return (precision_recall_f1(predicted, [inst.gold for inst in instances],
+                                [inst.observed for inst in instances]),
+            errors, counters)

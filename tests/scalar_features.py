@@ -2,13 +2,14 @@
 
 Each function composes the public scalar similarities one candidate at
 a time, with a zero vector for an out-of-vocabulary token and 0.0 for a
-similarity a zero vector leaves undefined. The batched code must equal
+similarity a zero vector leaves undefined; the dataset builders stack
+the rows of one instance after another. The batched code must equal
 these bit for bit.
 """
 
 import numpy as np
 
-from preptensor.attach import MAX_DISTANCE
+from preptensor.attach import MAX_DISTANCE, UNK_TAG
 from preptensor.embeddings import (
     UndefinedSimilarityError,
     cosine_similarity,
@@ -68,7 +69,7 @@ def side_vector(store, tokens):
     return np.mean(vecs, axis=0) if vecs else np.zeros(store.dim)
 
 
-def correction_features(instance, store, table, window, stoplist):
+def instance_correction_rows(instance, store, table, window, stoplist):
     left, right = preprocess_context(instance, window, stoplist)
     v_l, v_r = side_vector(store, left), side_vector(store, right)
     if np.linalg.norm(v_l) == 0.0 and np.linalg.norm(v_r) == 0.0:
@@ -84,7 +85,19 @@ def correction_features(instance, store, table, window, stoplist):
     return np.stack(rows)
 
 
-def attachment_features(instance, store, tagset):
+def correction_features(instances, store, table, window, stoplist):
+    rows = [instance_correction_rows(inst, store, table, window, stoplist)
+            for inst in instances]
+    return np.concatenate(rows) if rows else np.zeros((0, 3 * store.dim + 3))
+
+
+def one_hot(tagset, tag):
+    vec = np.zeros(len(tagset.tags))
+    vec[tagset.tags.index(tag if tag in tagset.tags else UNK_TAG)] = 1.0
+    return vec
+
+
+def instance_attachment_rows(instance, store, tagset):
     v_p = vector_or_zero(store, instance.preposition)
     v_c = vector_or_zero(store, instance.child)
     rows = []
@@ -95,10 +108,16 @@ def attachment_features(instance, store, tagset):
             [or_zero(triple_similarity, v_h, v_p, v_c),
              or_zero(cosine_similarity, v_h, v_p),
              or_zero(cosine_similarity, v_h, v_c)],
-            tagset.one_hot(cand.pos_tag),
-            tagset.one_hot(cand.next_pos_tag),
+            one_hot(tagset, cand.pos_tag),
+            one_hot(tagset, cand.next_pos_tag),
             [min(cand.distance / MAX_DISTANCE, 1.0)]]))
     return np.stack(rows)
+
+
+def attachment_features(instances, store, tagset):
+    rows = [instance_attachment_rows(inst, store, tagset) for inst in instances]
+    width = 3 * store.dim + 3 + 2 * len(tagset.tags) + 1
+    return np.concatenate(rows) if rows else np.zeros((0, width))
 
 
 def preposition_similarity_table(store, pairs, roster, centered=True):

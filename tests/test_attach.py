@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from preptensor.attach import (
     build_tagset,
     evaluate_attachment,
     load_attachment_dataset,
-    predict_head,
     train_attachment_model,
 )
 from conftest import make_store
@@ -95,15 +96,19 @@ class TestTagSet:
         tagset = build_tagset(data)
         assert set(tagset.tags) == {"VB", "NN", "JJ", "IN", UNK_TAG}
 
+    def tag_columns(self, tagset, pos, nxt):
+        store = make_store(VECTORS)
+        instance = AttachmentInstance([cand("ate", pos, nxt)], "with", "fork", 0)
+        feats = attachment_features([instance], store, tagset)[0]
+        return feats[3 * store.dim + 3:-1].tolist()
+
     def test_one_hot_known(self):
         tagset = TagSet(["NN", "VB"])
-        vec = tagset.one_hot("VB")
-        assert vec.tolist() == [0.0, 1.0, 0.0]
+        assert self.tag_columns(tagset, "VB", "NN") == [0.0, 1.0, 0.0, 1.0, 0.0, 0.0]
 
     def test_one_hot_unknown_maps_to_unk(self):
         tagset = TagSet(["NN"])
-        vec = tagset.one_hot("XX")
-        assert vec.tolist() == [0.0, 1.0]
+        assert self.tag_columns(tagset, "XX", "NN") == [0.0, 1.0, 1.0, 0.0]
 
     def test_unk_not_duplicated(self):
         tagset = TagSet(["NN", UNK_TAG])
@@ -125,13 +130,13 @@ class TestFeatures:
     def test_arity(self, store):
         tagset = TagSet(["NN", "VB", "IN"])
         instance = make_instance([("ate", 3), ("pizza", 1)])
-        feats = attachment_features(instance, store, tagset)[0]
+        feats = attachment_features([instance], store, tagset)[0]
         assert feats.shape == (3 * store.dim + 3 + 2 * len(tagset.tags) + 1,)
 
     def test_layout_and_distance_scaling(self, store):
         tagset = TagSet(["NN", "IN"])
         instance = make_instance([("ate", 3)])
-        feats = attachment_features(instance, store, tagset)[0]
+        feats = attachment_features([instance], store, tagset)[0]
         d = store.dim
         assert np.array_equal(feats[:d], VECTORS["ate"])
         assert np.array_equal(feats[d:2 * d], VECTORS["with"])
@@ -141,13 +146,13 @@ class TestFeatures:
     def test_distance_caps_at_one(self, store):
         tagset = TagSet(["NN", "IN"])
         instance = make_instance([("ate", 25)])
-        feats = attachment_features(instance, store, tagset)[0]
+        feats = attachment_features([instance], store, tagset)[0]
         assert feats[-1] == 1.0
 
     def test_oov_head_zeroes_similarities(self, store):
         tagset = TagSet(["NN", "IN"])
         instance = make_instance([("zzz", 2)])
-        feats = attachment_features(instance, store, tagset)[0]
+        feats = attachment_features([instance], store, tagset)[0]
         d = store.dim
         assert np.array_equal(feats[:d], np.zeros(d))
         assert np.array_equal(feats[3 * d:3 * d + 3], np.zeros(3))
@@ -156,13 +161,15 @@ class TestFeatures:
         tagset = TagSet(["NN", "IN"])
         store2 = make_store({"h": [1.0, 0.0], "with": [1.0, 1.0], "c": [0.0, 1.0]})
         instance = AttachmentInstance([cand("h")], "with", "c", 0)
-        feats = attachment_features(instance, store2, tagset)[0]
+        feats = attachment_features([instance], store2, tagset)[0]
         d = store2.dim
         assert feats[3 * d + 1] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
         assert feats[3 * d + 2] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestPredictHead:
+    """The head ``evaluate_attachment`` predicts for one instance."""
+
     def tagset(self):
         return TagSet(["NN", "IN"])
 
@@ -173,18 +180,28 @@ class TestPredictHead:
                                        np.zeros((2, 2))],
                               biases=[np.zeros(2), np.zeros(2), np.zeros(2)])
 
+    def predict(self, instance, net, store, tagset):
+        """The index of the candidate ``evaluate_attachment`` predicts:
+        the one gold index it gets right."""
+        right = [g for g in range(len(instance.candidates))
+                 if evaluate_attachment([replace(instance, gold_index=g)], net,
+                                        store, tagset)[0] == 1.0]
+        assert len(right) == 1
+        return right[0]
+
     def test_single_candidate(self, store):
         tagset = self.tagset()
         net = self.zero_net(store, tagset)
         instance = make_instance([("ate", 3)])
-        assert predict_head(instance, net, store, tagset) == 0
+        assert self.predict(instance, net, store, tagset) == 0
 
     def test_tie_breaks_by_distance_then_index(self, store):
         tagset = self.tagset()
         net = self.zero_net(store, tagset)
         instance = make_instance([("ate", 3), ("pizza", 1), ("fork", 1)])
         # Uniform scores: nearest wins, then the lower index of the two at 1.
-        assert predict_head(instance, net, store, tagset) == 1
+        _acc, errors, _counters = evaluate_attachment([instance], net, store, tagset)
+        assert errors == [("with", "fork", "pizza", "ate")]
 
     def test_candidate_permutation_equivariance(self, store):
         tagset = TagSet(["NN", "VB", "IN"])
@@ -195,12 +212,12 @@ class TestPredictHead:
                  Candidate("pizza", "NN", "IN", 1),
                  Candidate("fork", "NN", "IN", 5)]
         base = AttachmentInstance(list(cands), "with", "fork", 0)
-        pred = predict_head(base, net, store, tagset)
+        pred = self.predict(base, net, store, tagset)
         for _ in range(10):
             perm = rng.permutation(3)
             shuffled = AttachmentInstance([cands[p] for p in perm], "with",
                                           "fork", 0)
-            pred_shuffled = predict_head(shuffled, net, store, tagset)
+            pred_shuffled = self.predict(shuffled, net, store, tagset)
             assert shuffled.candidates[pred_shuffled] == cands[pred]
 
 
@@ -233,7 +250,7 @@ class TestTrainAndEvaluate:
         fnn, tagset = train_attachment_model(
             data, rich_store, arch=(16, 8),
             hyper=FnnHyper(epochs=200, seed=0, val_fraction=0.0))
-        acc, errors = evaluate_attachment(data, fnn, rich_store, tagset)
+        acc, errors, _counters = evaluate_attachment(data, fnn, rich_store, tagset)
         assert acc == 1.0
         assert errors == []
 
@@ -246,10 +263,11 @@ class TestTrainAndEvaluate:
                              weights=[np.zeros((d, 2)), np.zeros((2, 2)),
                                       np.zeros((2, 2))],
                              biases=[np.zeros(2), np.zeros(2), np.zeros(2)])
-        acc, errors = evaluate_attachment(data, net, rich_store, tagset)
+        acc, errors, counters = evaluate_attachment(data, net, rich_store, tagset)
         # The zero net always picks the nearest candidate (index 1).
         assert acc == 0.5
-        assert len(errors) == 2
+        assert errors == [("with", "fork", "pizza", "ate")] * 2
+        assert counters == {"instances": 4, "candidates": 8}
 
     def test_empty_train_rejected(self, rich_store):
         with pytest.raises(ValueError, match="no training"):

@@ -93,21 +93,27 @@ def test_rank_undefined_cases(store):
 
 
 def test_correction(store):
+    """One builder call over several instances, one instance and none
+    stacks the per-instance rows; an instance without context fails the
+    call."""
     data = instances()
     table = build_confusion_table(data, ROSTER)
-    checked = 0
+    usable = []
     for inst in data:
         try:
-            want = scalar.correction_features(inst, store, table, window=3,
-                                              stoplist=STOPLIST)
+            scalar.instance_correction_rows(inst, store, table, window=3,
+                                            stoplist=STOPLIST)
         except ValueError:
             with pytest.raises(ValueError, match="context"):
-                correction_features(inst, store, table, window=3, stoplist=STOPLIST)
+                correction_features([inst], store, table, window=3, stoplist=STOPLIST)
             continue
-        got = correction_features(inst, store, table, window=3, stoplist=STOPLIST)
-        assert np.array_equal(got, want)
-        checked += 1
-    assert checked == 10
+        usable.append(inst)
+    assert len(usable) == 10
+    for batch in (usable, usable[:1], []):
+        got = correction_features(batch, store, table, window=3, stoplist=STOPLIST)
+        assert got.shape == (len(batch) * len(ROSTER), 3 * store.dim + 3)
+        assert np.array_equal(got, scalar.correction_features(
+            batch, store, table, window=3, stoplist=STOPLIST))
 
 
 def attachment_instances():
@@ -117,15 +123,22 @@ def attachment_instances():
              Candidate("tinier", "NN", "IN", 4)]
     return [AttachmentInstance(cands, prep, child, 0)
             for prep, child in [("with", "fork"), ("with", "qqq"),
-                                ("zzz", "fork"), ("at", "fork"), ("tiny", "fork")]]
+                                ("zzz", "fork"), ("at", "fork"), ("tiny", "fork")]] + [
+        # One candidate, an out-of-vocabulary head with unknown tags.
+        AttachmentInstance([Candidate("zzz", "XX", "YY", 30)], "with", "fork", 0)]
 
 
 def test_attachment(store):
+    """One builder call over several instances, one instance and none
+    stacks the per-instance rows: out-of-vocabulary heads and words,
+    zero and underflowing vectors, unknown tags and capped distances."""
     tagset = TagSet(["NN", "VB", "IN"])
-    for inst in attachment_instances():
-        got = attachment_features(inst, store, tagset)
-        assert got.shape == (len(inst.candidates), 3 * store.dim + 3 + 2 * 4 + 1)
-        assert np.array_equal(got, scalar.attachment_features(inst, store, tagset))
+    data = attachment_instances()
+    width = 3 * store.dim + 3 + 2 * 4 + 1
+    for batch in (data, data[-1:], []):
+        got = attachment_features(batch, store, tagset)
+        assert got.shape == (sum(len(inst.candidates) for inst in batch), width)
+        assert np.array_equal(got, scalar.attachment_features(batch, store, tagset))
 
 
 @pytest.mark.parametrize("centered", [True, False])

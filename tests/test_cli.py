@@ -263,8 +263,9 @@ class TestDecompose:
         tensor = load_tensor(tensor_dir / "tensor.txt")
         assert manifest["counters"] == {"n_words": tensor.n_words,
                                         "n_prepositions": len(ROSTER),
-                                        "nnz": tensor.nnz}
-        assert tensor.nnz > 0
+                                        "nnz": tensor.nnz,
+                                        "sweeps": len(manifest["trajectory"])}
+        assert tensor.nnz > 0 and 1 <= len(manifest["trajectory"]) <= 2
 
     def test_wd_manifest_records_batch(self, tmp_path, tensor_dir):
         out = tmp_path / "emb.txt"
@@ -275,7 +276,8 @@ class TestDecompose:
         assert manifest["counters"] == {"n_words": tensor.n_words,
                                         "n_prepositions": len(ROSTER),
                                         "nnz": tensor.nnz,
-                                        "batch": factorize.WD_BATCH}
+                                        "batch": factorize.WD_BATCH,
+                                        "epochs": 2}
 
     def test_manifests_record_resources(self, tmp_path, trained):
         commands = []
@@ -304,12 +306,47 @@ class TestDecompose:
             records.append((manifest["trajectory"], manifest["counters"]))
         (trajectory, counters), again = records
         assert again == (trajectory, counters)
-        assert sorted(counters) == ["best_epoch", "epochs_run", "fnn_rows"]
+        task = (["decidable", "flagged"] if command == "train-select"
+                else ["candidates"])
+        assert sorted(counters) == sorted(["best_epoch", "epochs_run", "fnn_rows",
+                                           "instances", *task])
         assert counters["fnn_rows"] > 0
         assert len(trajectory) == counters["epochs_run"] <= 15
         assert all(math.isfinite(loss) for loss in trajectory)
         best = counters["best_epoch"]
         assert trajectory[best - 1] == min(trajectory)
+
+    def test_manifests_record_pass_counters(self, tmp_path, trained):
+        """Each train and eval command counts what its pass over the
+        dataset saw, and decompose the sweeps it ran: the same in two
+        runs with one seed."""
+        runs = []
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            manifests = {}
+            for argv, path, _inputs in manifest_runs(trained, tmp_path / run):
+                assert cli.run(argv) == 0, argv
+                manifest = json.loads(path.read_text())
+                manifests[manifest["command"]] = manifest
+            runs.append(manifests)
+        first, again = [{cmd: m.get("counters") for cmd, m in manifests.items()}
+                        for manifests in runs]
+        assert again == first
+        counters = first
+        assert counters["decompose"]["sweeps"] == len(runs[0]["decompose"]["trajectory"])
+        selection = load_selection_dataset(trained / "sel.tsv", ROSTER)
+        select_pass = {key: counters["train-select"][key]
+                       for key in ("instances", "decidable", "flagged")}
+        # Evaluation on the training set sees what training saw.
+        assert counters["eval-select"] == select_pass
+        assert select_pass["instances"] == len(selection)
+        assert 0 < select_pass["flagged"] <= select_pass["decidable"] <= len(selection)
+        attachment = attach_ops.load_attachment_dataset(trained / "att.tsv")
+        attach_pass = {"instances": len(attachment),
+                       "candidates": sum(len(inst.candidates) for inst in attachment)}
+        assert counters["eval-attach"] == attach_pass
+        assert counters["train-attach"]["candidates"] == counters["train-attach"]["fnn_rows"]
+        assert {key: counters["train-attach"][key] for key in attach_pass} == attach_pass
 
     def test_manifests_record_versions(self, tmp_path, tensor_dir):
         import platform
@@ -660,7 +697,7 @@ class TestSelectPipeline:
         table = load_confusion_table(models / "confusion.txt")
         trained = SelectionModels(tree=load_tree(models / "tree.txt"),
                                   fnn=load_fnn(models / "fnn.txt"), table=table)
-        _metrics, errors = evaluate_selection(
+        _metrics, errors, _counters = evaluate_selection(
             load_selection_dataset(test, table.roster), trained,
             load_embeddings(embeddings_path), window=3)
         rows = read_csv(errors_csv)
@@ -875,7 +912,7 @@ class TestAttachPipeline:
                         "--embeddings", str(embeddings_path),
                         "--out", str(errors_csv)]) == 0
         tagset = attach_ops.TagSet((models / "tags.txt").read_text().splitlines())
-        acc, errors = attach_ops.evaluate_attachment(
+        acc, errors, _counters = attach_ops.evaluate_attachment(
             attach_ops.load_attachment_dataset(test), load_fnn(models / "fnn.txt"),
             load_embeddings(embeddings_path), tagset)
         assert capsys.readouterr().out == f"accuracy={acc:.4f}\n"

@@ -163,6 +163,21 @@ class TestSimilarityOrZero:
         with pytest.raises(ValueError):
             row_form(cosine_similarity, [1.0, 0.0], [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("dim", [3, 200])
+    def test_block_of_second_vectors(self, dim):
+        """Each row against its own row of a block, zero rows among them,
+        bit for bit as the scalar similarity or 0.0."""
+        rng = np.random.default_rng(dim)
+        rows, left, right = rng.standard_normal((3, 7, dim))
+        rows[1] = left[2] = right[3] = left[4] = right[4] = 0.0
+        rows[5] = left[5] = 0.0
+        want = [0.0 if not (np.linalg.norm(r) and np.linalg.norm(v))
+                else cosine_similarity(r, v) for r, v in zip(rows, left)]
+        assert row_cosines(rows, left).tolist() == want
+        pairs = [0.0 if not (np.linalg.norm(r) and (np.linalg.norm(a) or np.linalg.norm(b)))
+                 else pair_similarity(a, b, r) for r, a, b in zip(rows, left, right)]
+        assert row_pairs(rows, left, right).tolist() == pairs
+
 
 class TestParaphrase:
     def test_planted_exact_match(self):

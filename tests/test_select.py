@@ -26,7 +26,6 @@ from preptensor.select import (
     load_selection_dataset,
     preprocess_context,
     save_confusion_table,
-    select_preposition,
     train_selection_models,
 )
 
@@ -282,13 +281,13 @@ class TestDetectionFeatures:
 class TestCorrectionFeatures:
     def test_arity(self, store):
         instance = inst(["sat", "on", "mat"], 1, "on", "in")
-        feats = correction_features(instance, store, uniform_table(),
+        feats = correction_features([instance], store, uniform_table(),
                                     window=3, stoplist=STOPLIST)[ROSTER.index("in")]
         assert feats.shape == (3 * store.dim + 3,)
 
     def test_layout(self, store):
         instance = inst(["sat", "on", "mat"], 1, "on", "in")
-        feats = correction_features(instance, store, uniform_table(),
+        feats = correction_features([instance], store, uniform_table(),
                                     window=3, stoplist=STOPLIST)[ROSTER.index("in")]
         d = store.dim
         assert np.array_equal(feats[:d], VECTORS["sat"])
@@ -299,7 +298,7 @@ class TestCorrectionFeatures:
     def test_oov_candidate_zeroes_similarities(self):
         store = make_store({**VECTORS, "to": np.zeros(3)})
         instance = inst(["sat", "on", "mat"], 1, "on", "in")
-        feats = correction_features(instance, store, uniform_table(),
+        feats = correction_features([instance], store, uniform_table(),
                                     window=3, stoplist=STOPLIST)[ROSTER.index("to")]
         d = store.dim
         assert np.array_equal(feats[d:2 * d], np.zeros(3))
@@ -308,7 +307,7 @@ class TestCorrectionFeatures:
     def test_no_context_rejected(self, store):
         instance = inst(["the", "on", "it"], 1, "on", "in")
         with pytest.raises(ValueError, match="context"):
-            correction_features(instance, store, uniform_table(),
+            correction_features([instance], store, uniform_table(),
                                 window=3, stoplist=STOPLIST)
 
 
@@ -330,8 +329,8 @@ class TestBatchedCorrectionFeatures:
         instance = inst(tokens, tokens.index("on"), "on", "in")
         table = build_confusion_table(
             [instance, inst(tokens, tokens.index("on"), "on", "to")], self.ROSTER)
-        got = correction_features(instance, store, table, window=3, stoplist=STOPLIST)
-        want = scalar_features.correction_features(instance, store, table,
+        got = correction_features([instance], store, table, window=3, stoplist=STOPLIST)
+        want = scalar_features.correction_features([instance], store, table,
                                                    window=3, stoplist=STOPLIST)
         assert got.shape == (len(self.ROSTER), 3 * dim + 3)
         assert np.array_equal(got, want)
@@ -345,19 +344,27 @@ def leaf_tree(label):
 
 
 class TestSelectPreposition:
+    """What ``evaluate_selection`` predicts for one instance: the error
+    row it writes names the prediction, and the counters show the pass."""
+
+    def predict(self, store, instance, tree, net):
+        models = SelectionModels(tree=tree, fnn=net, table=uniform_table())
+        _metrics, errors, counters = evaluate_selection([instance], models, store,
+                                                        window=3)
+        [(_sentence, _observed, _gold, predicted)] = errors
+        return predicted, counters
+
     def test_detector_accepts_keeps_observed(self, store):
         net = FeedForwardNet.init([3 * store.dim + 3, 4, 2, 2], seed=0)
         instance = inst(["sat", "on", "mat"], 1, "on", "in")
-        pred = select_preposition(instance, leaf_tree("correct"), net, store,
-                                  uniform_table(), window=3, stoplist=STOPLIST)
-        assert pred == "on"
+        assert self.predict(store, instance, leaf_tree("correct"), net) == (
+            "on", {"instances": 1, "decidable": 1, "flagged": 0})
 
     def test_undecidable_keeps_observed(self, store):
         net = FeedForwardNet.init([3 * store.dim + 3, 4, 2, 2], seed=0)
         instance = inst(["the", "on", "it"], 1, "on", "in")
-        pred = select_preposition(instance, leaf_tree("error"), net, store,
-                                  uniform_table(), window=3, stoplist=STOPLIST)
-        assert pred == "on"
+        assert self.predict(store, instance, leaf_tree("error"), net) == (
+            "on", {"instances": 1, "decidable": 0, "flagged": 0})
 
     def test_zero_net_ties_break_to_roster_order(self, store):
         d = 3 * store.dim + 3
@@ -366,9 +373,26 @@ class TestSelectPreposition:
                                       np.zeros((2, 2))],
                              biases=[np.zeros(2), np.zeros(2), np.zeros(2)])
         instance = inst(["sat", "on", "mat"], 1, "on", "in")
-        pred = select_preposition(instance, leaf_tree("error"), net, store,
-                                  uniform_table(), window=3, stoplist=STOPLIST)
-        assert pred == ROSTER[0]
+        assert self.predict(store, instance, leaf_tree("error"), net) == (
+            ROSTER[0], {"instances": 1, "decidable": 1, "flagged": 1})
+
+
+    def test_each_flagged_instance_takes_its_own_best_candidate(self, store):
+        # The net's positive score grows with the pair similarity, so each
+        # instance takes the roster member nearest its own context.
+        d = 3 * store.dim + 3
+        w1 = np.zeros((d, 1))
+        w1[3 * store.dim] = 1.0
+        net = FeedForwardNet(sizes=[d, 1, 1, 2],
+                             weights=[w1, np.ones((1, 1)), np.array([[0.0, 1.0]])],
+                             biases=[np.ones(1), np.zeros(1), np.zeros(2)])
+        models = SelectionModels(tree=leaf_tree("error"), fnn=net, table=uniform_table())
+        data = [inst(["box", "to", "box"], 1, "to", "in"),
+                inst(["ran", "on", "ran"], 1, "on", "to"),
+                inst(["sat", "in", "mat"], 1, "in", "on")]
+        _metrics, errors, counters = evaluate_selection(data, models, store, window=3)
+        assert errors == []
+        assert counters == {"instances": 3, "decidable": 3, "flagged": 3}
 
 
 class TestTrainAndEvaluate:
@@ -389,7 +413,7 @@ class TestTrainAndEvaluate:
             tree_params=TreeParams(max_depth=4, min_leaf=1),
             hyper=FnnHyper(epochs=200, seed=0, val_fraction=0.0),
             arch=(16, 8), window=3)
-        (p, r, f1), errors = evaluate_selection(data, models, store, window=3)
+        (p, r, f1), errors, _counters = evaluate_selection(data, models, store, window=3)
         assert f1 == pytest.approx(1.0)
         assert errors == []
 
@@ -415,6 +439,7 @@ class TestTrainAndEvaluate:
         assert root.counts.tolist() == [8.0, 4.0]
         # The 4 true errors, one row per roster candidate; gold is "in".
         assert fitted == [(12, [0, 1, 0] * 4)]
+        assert models.counters == {"instances": 17, "decidable": 12, "flagged": 0}
 
     def test_no_error_instances_rejected(self, store):
         data = [inst(["sat", "on", "mat"], 1, "on", "on"),
@@ -429,7 +454,7 @@ class TestTrainAndEvaluate:
         table = build_confusion_table(data, ROSTER)
         net = FeedForwardNet.init([3 * store.dim + 3, 4, 2, 2], seed=0)
         models = SelectionModels(tree=leaf_tree("correct"), fnn=net, table=table)
-        (p, r, f1), errors = evaluate_selection(data, models, store, window=3)
+        (p, r, f1), errors, _counters = evaluate_selection(data, models, store, window=3)
         assert (p, r, f1) == (0.0, 0.0, 0.0)
         assert len(errors) == 12
 
@@ -439,7 +464,7 @@ class TestTrainAndEvaluate:
         table = build_confusion_table(data, ROSTER)
         net = FeedForwardNet.init([3 * store.dim + 3, 4, 2, 2], seed=0)
         models = SelectionModels(tree=leaf_tree("correct"), fnn=net, table=table)
-        _metrics, errors = evaluate_selection(data, models, store, window=3)
+        _metrics, errors, _counters = evaluate_selection(data, models, store, window=3)
         assert len(errors) == 2
         assert all(len(row) == 4 for row in errors)
 
