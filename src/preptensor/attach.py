@@ -45,9 +45,9 @@ class AttachmentInstance:
     gold_index: int
 
 
-def load_attachment_dataset(path) -> list[AttachmentInstance]:
+def load_attachment_dataset(path) -> tuple[list[AttachmentInstance], int]:
     """Parse `prep<TAB>child<TAB>gold_index<TAB>cand:pos:nextpos:dist;...`
-    lines; ``read_records`` skips and reports a malformed line."""
+    lines; ``read_records`` skips, reports and counts a malformed line."""
 
     def parse(fields):
         if len(fields) != 4:

@@ -74,26 +74,28 @@ def _finite_float(text: str) -> float:
 # name -> (type, default). The type converts a flag's text and a config-
 # file value alike. A default of None leaves the value to each command
 # that reads it (the network sizes and `top` differ between commands).
+# An option that sets a field of a layer's settings takes the field's
+# default.
 OPTIONS = {
     "window": (_positive_int, 3),
     "min_count": (_integer, 5),
-    "dim": (_integer, 200),
-    "iters": (_positive_int, 20),
-    "ortho_iters": (_integer, 5),
-    "xmax": (_finite_float, 10.0),
-    "alpha": (_finite_float, 0.75),
-    "lr": (_finite_float, 0.05),
-    "seed": (_integer, 0),
+    "dim": (_integer, TrainingConfig.dim),
+    "iters": (_positive_int, TrainingConfig.iterations),
+    "ortho_iters": (_integer, TrainingConfig.ortho_iterations),
+    "xmax": (_finite_float, TrainingConfig.x_max),
+    "alpha": (_finite_float, TrainingConfig.alpha),
+    "lr": (_finite_float, TrainingConfig.learning_rate),
+    "seed": (_integer, TrainingConfig.seed),
     "top": (_positive_int, None),
     "centered": (_boolean, True),
     "hidden1": (_positive_int, None),
     "hidden2": (_positive_int, None),
-    "epochs": (_positive_int, 50),
-    "batch": (_positive_int, 64),
-    "fnn_lr": (_finite_float, 0.01),
-    "momentum": (_finite_float, 0.9),
-    "max_depth": (_integer, 8),
-    "min_leaf": (_integer, 5),
+    "epochs": (_positive_int, FnnHyper.epochs),
+    "batch": (_positive_int, FnnHyper.batch_size),
+    "fnn_lr": (_finite_float, FnnHyper.learning_rate),
+    "momentum": (_finite_float, FnnHyper.momentum),
+    "max_depth": (_integer, TreeParams.max_depth),
+    "min_leaf": (_integer, TreeParams.min_leaf),
 }
 
 
@@ -314,7 +316,7 @@ def _fnn_hyper(cfg) -> FnnHyper:
 def cmd_train_select(args, cfg: dict, produced: list):
     roster = _load_roster(args.roster)
     store = emb_ops.load_embeddings(args.embeddings)
-    instances = select_ops.load_selection_dataset(args.train, roster)
+    instances, rejected = select_ops.load_selection_dataset(args.train, roster)
     arch = (cfg["hidden1"] or 500, cfg["hidden2"] or 10)
     models = select_ops.train_selection_models(
         instances, store, roster,
@@ -328,7 +330,8 @@ def cmd_train_select(args, cfg: dict, produced: list):
     select_ops.save_confusion_table(models.table, _staged(produced, out / "confusion.txt"))
     cfg["arch"] = list(arch)
     return out / "manifest.json", {"trajectory": models.fnn.trajectory,
-                                   "counters": {**models.fnn.counters, **models.counters}}
+                                   "counters": {**models.fnn.counters, **models.counters,
+                                                "rejected": rejected}}
 
 
 def _training_manifest(models_dir: Path, embeddings) -> dict:
@@ -382,10 +385,11 @@ def cmd_eval_select(args, cfg: dict, produced: list):
         fnn=load_fnn(models_dir / "fnn.txt"),
         table=table,
     )
-    instances = select_ops.load_selection_dataset(args.test, table.roster)
+    instances, rejected = select_ops.load_selection_dataset(args.test, table.roster)
     (p, r, f1), errors, counters = select_ops.evaluate_selection(instances, models, store,
                                                                  window=window)
     cfg["window"] = window
+    counters["rejected"] = rejected
     return _report(produced, args.out, models_dir,
                    ["sentence", "observed", "gold", "predicted"], errors,
                    f"P={p:.4f} R={r:.4f} F1={f1:.4f}"), {"counters": counters}
@@ -393,7 +397,7 @@ def cmd_eval_select(args, cfg: dict, produced: list):
 
 def cmd_train_attach(args, cfg: dict, produced: list):
     store = emb_ops.load_embeddings(args.embeddings)
-    instances = attach_ops.load_attachment_dataset(args.train)
+    instances, rejected = attach_ops.load_attachment_dataset(args.train)
     arch = (cfg["hidden1"] or 1000, cfg["hidden2"] or 20)
     fnn, tagset = attach_ops.train_attachment_model(
         instances, store, hyper=_fnn_hyper(cfg), arch=arch)
@@ -403,7 +407,7 @@ def cmd_train_attach(args, cfg: dict, produced: list):
     _staged(produced, out / "tags.txt").write_text("\n".join(tagset.tags) + "\n",
                                                    encoding="utf-8")
     cfg["arch"] = list(arch)
-    counters = {**fnn.counters, "instances": len(instances),
+    counters = {**fnn.counters, "instances": len(instances), "rejected": rejected,
                 "candidates": fnn.counters["fnn_rows"]}
     return out / "manifest.json", {"trajectory": fnn.trajectory, "counters": counters}
 
@@ -415,8 +419,9 @@ def cmd_eval_attach(args, cfg: dict, produced: list):
     fnn = load_fnn(models_dir / "fnn.txt")
     with corpus_ops.open_input(models_dir / "tags.txt") as fh:
         tagset = attach_ops.TagSet([line for line in fh.read().splitlines() if line])
-    instances = attach_ops.load_attachment_dataset(args.test)
+    instances, rejected = attach_ops.load_attachment_dataset(args.test)
     acc, errors, counters = attach_ops.evaluate_attachment(instances, fnn, store, tagset)
+    counters["rejected"] = rejected
     return _report(produced, args.out, models_dir,
                    ["preposition", "child", "predicted_head", "gold_head"], errors,
                    f"accuracy={acc:.4f}"), {"counters": counters}

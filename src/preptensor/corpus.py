@@ -82,11 +82,12 @@ def open_input(path, mode="r"):
             raise ValueError(f"{path}: {exc}") from None
 
 
-def read_records(path, parse, what: str) -> list:
+def read_records(path, parse, what: str) -> tuple[list, int]:
     """``parse(fields)`` for the tab-separated fields of each non-blank
-    line of ``path``. A line that ``parse`` rejects with a ValueError is
-    skipped and logged as "<what> <path>: line N rejected: <reason>",
-    and one total of the lines rejected is logged at the end."""
+    line of ``path``, and the number of lines rejected. A line that
+    ``parse`` rejects with a ValueError is skipped and logged as
+    "<what> <path>: line N rejected: <reason>", and one total of the
+    lines rejected is logged at the end."""
     records, rejected = [], 0
     with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -100,7 +101,7 @@ def read_records(path, parse, what: str) -> list:
                 rejected += 1
     if rejected:
         logger.warning("%s %s: %d line(s) rejected", what, path, rejected)
-    return records
+    return records, rejected
 
 
 def expect_end(fh, lineno: int) -> None:

@@ -72,9 +72,9 @@ class SelectionInstance:
     gold: str
 
 
-def load_selection_dataset(path, roster) -> list[SelectionInstance]:
+def load_selection_dataset(path, roster) -> tuple[list[SelectionInstance], int]:
     """Parse the TSV format `tokens<TAB>prep_index<TAB>observed<TAB>gold`;
-    ``read_records`` skips and reports a malformed line."""
+    ``read_records`` skips, reports and counts a malformed line."""
     roster = set(roster)
 
     def parse(fields):

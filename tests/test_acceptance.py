@@ -467,7 +467,7 @@ def test_criterion_11_end_to_end_smoke(tmp_path):
     _, _, baseline_f1 = precision_recall_f1(observed, gold, observed)
 
     model_acc = read_metric(tmp_path / "att_errors_metrics.txt", "accuracy")
-    att_instances = load_attachment_dataset(att_eval)
+    att_instances, _rejected = load_attachment_dataset(att_eval)
     # Nearest-head baseline: the closest candidate, ties to the lowest index.
     nearest = [int(np.argmin([c.distance for c in i.candidates])) for i in att_instances]
     baseline_acc = accuracy(nearest, [i.gold_index for i in att_instances])

@@ -49,7 +49,7 @@ class TestDatasetIO:
         path = tmp_path / "att.tsv"
         path.write_text("with\tfork\t0\tate:VB:NN:3;pizza:NN:IN:1\n"
                         "to\tstore\t0\tran:VB:IN:2\n")
-        assert load_attachment_dataset(path) == data
+        assert load_attachment_dataset(path) == (data, 0)
 
     def test_rejects_bad_records(self, tmp_path, caplog):
         path = tmp_path / "att.tsv"
@@ -62,8 +62,8 @@ class TestDatasetIO:
             "with\tfork\t0\tate:VB:NN:x\n"                # non-integer distance
         )
         with caplog.at_level("WARNING"):
-            loaded = load_attachment_dataset(path)
-        assert len(loaded) == 1
+            loaded, rejected = load_attachment_dataset(path)
+        assert (len(loaded), rejected) == (1, 5)
         assert "5 line(s) rejected" in caplog.text
 
     def test_rejects_non_ascii_integer_fields(self, tmp_path, caplog):
@@ -75,7 +75,7 @@ class TestDatasetIO:
                         "with\tfork\t0\tate:VB:NN:\u0663\n"
                         "with\tfork\t+1\tate:VB:NN:3;pizza:NN:IN:10\n")
         with caplog.at_level("WARNING"):
-            loaded = load_attachment_dataset(path)
+            loaded, _rejected = load_attachment_dataset(path)
         assert [(inst.gold_index, inst.candidates[1].distance) for inst in loaded] == [
             (1, 10)]
         rejected = [r.getMessage() for r in caplog.records]
@@ -86,7 +86,8 @@ class TestDatasetIO:
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "att.tsv"
         path.write_text("\nwith\tfork\t0\tate:VB:NN:3\n\n")
-        assert len(load_attachment_dataset(path)) == 1
+        loaded, rejected = load_attachment_dataset(path)
+        assert (len(loaded), rejected) == (1, 0)
 
 
 class TestTagSet:

@@ -309,7 +309,7 @@ class TestDecompose:
         task = (["decidable", "flagged"] if command == "train-select"
                 else ["candidates"])
         assert sorted(counters) == sorted(["best_epoch", "epochs_run", "fnn_rows",
-                                           "instances", *task])
+                                           "instances", "rejected", *task])
         assert counters["fnn_rows"] > 0
         assert len(trajectory) == counters["epochs_run"] <= 15
         assert all(math.isfinite(loss) for loss in trajectory)
@@ -318,8 +318,8 @@ class TestDecompose:
 
     def test_manifests_record_pass_counters(self, tmp_path, trained):
         """Each train and eval command counts what its pass over the
-        dataset saw, and decompose the sweeps it ran: the same in two
-        runs with one seed."""
+        dataset saw, the lines it rejected included, and decompose the
+        sweeps it ran: the same in two runs with one seed."""
         runs = []
         for run in ("a", "b"):
             (tmp_path / run).mkdir()
@@ -334,19 +334,37 @@ class TestDecompose:
         assert again == first
         counters = first
         assert counters["decompose"]["sweeps"] == len(runs[0]["decompose"]["trajectory"])
-        selection = load_selection_dataset(trained / "sel.tsv", ROSTER)
+        selection, _rejected = load_selection_dataset(trained / "sel.tsv", ROSTER)
         select_pass = {key: counters["train-select"][key]
-                       for key in ("instances", "decidable", "flagged")}
+                       for key in ("instances", "rejected", "decidable", "flagged")}
         # Evaluation on the training set sees what training saw.
         assert counters["eval-select"] == select_pass
-        assert select_pass["instances"] == len(selection)
+        assert (select_pass["instances"], select_pass["rejected"]) == (len(selection), 0)
         assert 0 < select_pass["flagged"] <= select_pass["decidable"] <= len(selection)
-        attachment = attach_ops.load_attachment_dataset(trained / "att.tsv")
-        attach_pass = {"instances": len(attachment),
+        attachment, _rejected = attach_ops.load_attachment_dataset(trained / "att.tsv")
+        attach_pass = {"instances": len(attachment), "rejected": 0,
                        "candidates": sum(len(inst.candidates) for inst in attachment)}
         assert counters["eval-attach"] == attach_pass
         assert counters["train-attach"]["candidates"] == counters["train-attach"]["fnn_rows"]
         assert {key: counters["train-attach"][key] for key in attach_pass} == attach_pass
+        # Lines a dataset loader rejects are counted; the pass over the
+        # rest is the same.
+        spoiled = tmp_path / "spoiled"
+        shutil.copytree(trained, spoiled)
+        with open(spoiled / "sel.tsv", "a", encoding="utf-8") as fh:
+            fh.write("no tabs on this line\nsat on mat\t1\ton\n")
+        with open(spoiled / "att.tsv", "a", encoding="utf-8") as fh:
+            fh.write("with\tfork\t0\n")
+        rejected = {"train-select": 2, "eval-select": 2, "train-attach": 1, "eval-attach": 1}
+        (tmp_path / "c").mkdir()
+        for argv, path, _inputs in manifest_runs(spoiled, tmp_path / "c"):
+            assert cli.run(argv) == 0, argv
+            manifest = json.loads(path.read_text())
+            command = manifest["command"]
+            expected = first[command]
+            if command in rejected:
+                expected = {**expected, "rejected": rejected[command]}
+            assert manifest.get("counters") == expected, command
 
     def test_manifests_record_versions(self, tmp_path, tensor_dir):
         import platform
@@ -698,7 +716,7 @@ class TestSelectPipeline:
         trained = SelectionModels(tree=load_tree(models / "tree.txt"),
                                   fnn=load_fnn(models / "fnn.txt"), table=table)
         _metrics, errors, _counters = evaluate_selection(
-            load_selection_dataset(test, table.roster), trained,
+            load_selection_dataset(test, table.roster)[0], trained,
             load_embeddings(embeddings_path), window=3)
         rows = read_csv(errors_csv)
         assert rows[0] == ["sentence", "observed", "gold", "predicted"]
@@ -750,7 +768,7 @@ class TestSelectPipeline:
         table = load_confusion_table(models / "confusion.txt")
         trained = SelectionModels(tree=load_tree(models / "tree.txt"),
                                   fnn=load_fnn(models / "fnn.txt"), table=table)
-        instances = load_selection_dataset(train, table.roster)
+        instances, _rejected = load_selection_dataset(train, table.roster)
         store = load_embeddings(embeddings_path)
         scores = {window: evaluate_selection(instances, trained, store,
                                              window=window)[0]
@@ -913,7 +931,7 @@ class TestAttachPipeline:
                         "--out", str(errors_csv)]) == 0
         tagset = attach_ops.TagSet((models / "tags.txt").read_text().splitlines())
         acc, errors, _counters = attach_ops.evaluate_attachment(
-            attach_ops.load_attachment_dataset(test), load_fnn(models / "fnn.txt"),
+            attach_ops.load_attachment_dataset(test)[0], load_fnn(models / "fnn.txt"),
             load_embeddings(embeddings_path), tagset)
         assert capsys.readouterr().out == f"accuracy={acc:.4f}\n"
         rows = read_csv(errors_csv)

@@ -1,7 +1,8 @@
 """Design rules of the package that no behaviour test shows: a layer
 function states what it needs instead of falling back to a default
-object, a sparse tensor is a plain value that holds no cache, and the
-public API is what the package itself calls."""
+object, a sparse tensor is a plain value that holds no cache, the
+public API is what the package itself calls, and an option's default is
+the default of the setting it sets."""
 
 import ast
 import dataclasses
@@ -10,7 +11,9 @@ import inspect
 from pathlib import Path
 
 import preptensor
-from preptensor.factorize import CooTensor
+from preptensor import cli
+from preptensor.factorize import CooTensor, TrainingConfig
+from preptensor.learn import FnnHyper, TreeParams
 
 LAYERS = ("corpus", "factorize", "embeddings", "learn", "select", "attach")
 # The names of a layer's __all__ that no code of the package calls, and
@@ -19,7 +22,27 @@ UNCALLED = {
     "factorize.cp_fit": "the benchmark's fit score of an ALS run",
     "embeddings.pair_similarity": "the test oracle of embeddings.row_pairs",
     "embeddings.triple_similarity": "the test oracle of embeddings.row_triples",
+    "learn.fnn_loss_and_grads": "the gradient checks' entry to train_fnn's kernel",
 }
+
+
+# Each option that sets a field of a layer's settings, and the field.
+OPTION_FIELDS = [
+    ("dim", TrainingConfig, "dim"),
+    ("iters", TrainingConfig, "iterations"),
+    ("ortho_iters", TrainingConfig, "ortho_iterations"),
+    ("xmax", TrainingConfig, "x_max"),
+    ("alpha", TrainingConfig, "alpha"),
+    ("lr", TrainingConfig, "learning_rate"),
+    ("seed", TrainingConfig, "seed"),
+    ("seed", FnnHyper, "seed"),
+    ("epochs", FnnHyper, "epochs"),
+    ("batch", FnnHyper, "batch_size"),
+    ("fnn_lr", FnnHyper, "learning_rate"),
+    ("momentum", FnnHyper, "momentum"),
+    ("max_depth", TreeParams, "max_depth"),
+    ("min_leaf", TreeParams, "min_leaf"),
+]
 
 
 def _parameters(function: ast.FunctionDef):
@@ -179,3 +202,10 @@ def test_the_package_re_exports_no_layer_name():
               for name in importlib.import_module(f"preptensor.{layer}").__all__}
     bound = sorted(public & set(vars(preptensor)))
     assert bound == [], f"the package re-exports {bound}"
+
+
+def test_each_option_defaults_to_its_field():
+    """A changed default reaches the command line and the library at once."""
+    for key, settings, name in OPTION_FIELDS:
+        [default] = [f.default for f in dataclasses.fields(settings) if f.name == name]
+        assert cli.OPTIONS[key][1] == default, f"--{key} and {settings.__name__}.{name}"

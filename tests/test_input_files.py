@@ -149,7 +149,7 @@ def test_dataset_loaders_reject_lines_by_one_rule(tmp_path, caplog, kind):
     path.write_text("\n".join(["", good, "", *(line for line, _ in bad), good]) + "\n",
                     encoding="utf-8")
     with caplog.at_level("WARNING"):
-        assert load(path) == [instance, instance]
+        assert load(path) == ([instance, instance], len(bad))
     assert [r.getMessage() for r in caplog.records] == [
         *(f"{kind} dataset {path}: line {lineno} rejected: {reason}"
           for lineno, (_, reason) in enumerate(bad, start=4)),

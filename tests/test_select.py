@@ -72,7 +72,7 @@ class TestDatasetIO:
                 inst(["ran", "to", "box"], 1, "to", "to")]
         path = tmp_path / "sel.tsv"
         path.write_text("sat on mat\t1\ton\tin\nran to box\t1\tto\tto\n")
-        assert load_selection_dataset(path, ROSTER) == data
+        assert load_selection_dataset(path, ROSTER) == (data, 0)
 
     def test_rejects_bad_lines(self, tmp_path, caplog):
         path = tmp_path / "sel.tsv"
@@ -84,8 +84,8 @@ class TestDatasetIO:
             "sat on mat\t1\ton\tbeside\n"      # gold not in roster
         )
         with caplog.at_level("WARNING"):
-            loaded = load_selection_dataset(path, ROSTER)
-        assert len(loaded) == 1
+            loaded, rejected = load_selection_dataset(path, ROSTER)
+        assert (len(loaded), rejected) == (1, 4)
         assert "4 line(s) rejected" in caplog.text
 
     def test_rejects_non_ascii_integer_index(self, tmp_path, caplog):
@@ -97,7 +97,7 @@ class TestDatasetIO:
                         "sat on mat\t\u0661\ton\tin\n"
                         "sat on mat\t\uff11\ton\tin\n")
         with caplog.at_level("WARNING"):
-            loaded = load_selection_dataset(path, ROSTER)
+            loaded, _rejected = load_selection_dataset(path, ROSTER)
         assert [inst.prep_index for inst in loaded] == [10]
         rejected = [r.getMessage() for r in caplog.records]
         assert len(rejected) == 4 and "3 line(s) rejected" in rejected[-1]
@@ -106,7 +106,8 @@ class TestDatasetIO:
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "sel.tsv"
         path.write_text("\nsat on mat\t1\ton\tin\n\n")
-        assert len(load_selection_dataset(path, ROSTER)) == 1
+        loaded, rejected = load_selection_dataset(path, ROSTER)
+        assert (len(loaded), rejected) == (1, 0)
 
 
 class TestPreprocessContext:
