@@ -72,10 +72,9 @@ def _finite_float(text: str) -> float:
 
 
 # name -> (type, default). The type converts a flag's text and a config-
-# file value alike. A default of None leaves the value to each command
-# that reads it (the network sizes and `top` differ between commands).
-# An option that sets a field of a layer's settings takes the field's
-# default.
+# file value alike. A default of None is set by each command that reads
+# the option, in COMMAND_DEFAULTS. An option that sets a field of a
+# layer's settings takes the field's default.
 OPTIONS = {
     "window": (_positive_int, 3),
     "min_count": (_integer, 5),
@@ -96,6 +95,15 @@ OPTIONS = {
     "momentum": (_finite_float, FnnHyper.momentum),
     "max_depth": (_integer, TreeParams.max_depth),
     "min_leaf": (_integer, TreeParams.min_leaf),
+}
+
+# command -> {name: default}: the options whose default differs between
+# the commands that read them.
+COMMAND_DEFAULTS = {
+    "paraphrase": {"top": 5},
+    "spectrum": {"top": 50},
+    "train-select": {"hidden1": 500, "hidden2": 10},
+    "train-attach": {"hidden1": 1000, "hidden2": 20},
 }
 
 
@@ -146,10 +154,13 @@ def _read_config_file(path) -> dict:
     return values
 
 
-def _resolve(args: argparse.Namespace, options, config: dict) -> dict:
-    """Merge flag > config file > default for the given option names."""
-    return {key: getattr(args, key, config.get(key, OPTIONS[key][1]))
-            for key in options}
+def _resolve(args: argparse.Namespace, config: dict) -> dict:
+    """Merge flag > config file > default for the options that
+    ``args.command`` reads."""
+    defaults = {key: default for key, (_type, default) in OPTIONS.items()}
+    defaults.update(COMMAND_DEFAULTS.get(args.command, {}))
+    return {key: getattr(args, key, config.get(key, defaults[key]))
+            for key in COMMANDS[args.command][2]}
 
 
 def _write_manifest(path, extra: dict, command: str, config: dict, inputs: list,
@@ -283,7 +294,7 @@ def cmd_paraphrase(args, cfg: dict, produced: list):
         candidates = [line.strip() for line in fh if line.strip()]
     _require_tokens(store, [args.head, args.prep, *candidates])
     ranked = emb_ops.paraphrase_phrasal_verb(args.head, args.prep, candidates, store)
-    for verb, dist in ranked[:cfg["top"] or 5]:
+    for verb, dist in ranked[:cfg["top"]]:
         print(f"{verb}\t{dist:.6g}")
 
 
@@ -295,7 +306,7 @@ def cmd_spectrum(args, cfg: dict, produced: list):
         k = vocab.prep_ids[args.slice]
     else:
         raise ValueError(f"unknown slice {args.slice!r}")
-    cfg.update(slice=args.slice, k=k, top=cfg["top"] or 50)
+    cfg.update(slice=args.slice, k=k)
     values = emb_ops.slice_spectrum(tensor, k, cfg["top"])
     lines = [f"{idx},{format(val, '.10g')}" for idx, val in enumerate(values, 1)]
     if not args.out:
@@ -317,7 +328,7 @@ def cmd_train_select(args, cfg: dict, produced: list):
     roster = _load_roster(args.roster)
     store = emb_ops.load_embeddings(args.embeddings)
     instances, rejected = select_ops.load_selection_dataset(args.train, roster)
-    arch = (cfg["hidden1"] or 500, cfg["hidden2"] or 10)
+    arch = (cfg["hidden1"], cfg["hidden2"])
     models = select_ops.train_selection_models(
         instances, store, roster,
         tree_params=TreeParams(max_depth=cfg["max_depth"], min_leaf=cfg["min_leaf"]),
@@ -398,7 +409,7 @@ def cmd_eval_select(args, cfg: dict, produced: list):
 def cmd_train_attach(args, cfg: dict, produced: list):
     store = emb_ops.load_embeddings(args.embeddings)
     instances, rejected = attach_ops.load_attachment_dataset(args.train)
-    arch = (cfg["hidden1"] or 1000, cfg["hidden2"] or 20)
+    arch = (cfg["hidden1"], cfg["hidden2"])
     fnn, tagset = attach_ops.train_attachment_model(
         instances, store, hyper=_fnn_hyper(cfg), arch=arch)
     out = Path(args.out)
@@ -502,7 +513,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     logging.basicConfig(level=getattr(logging, args.log_level.upper()),
                         format="%(levelname)s %(name)s %(message)s")
-    func, _help, options, _arguments = COMMANDS[args.command]
+    func = COMMANDS[args.command][0]
     produced: list[tuple[Path, Path]] = []
     inputs: list = []
     # Records every file this command opens, the config file included.
@@ -511,7 +522,7 @@ def run(argv=None) -> int:
     start = time.perf_counter()
     try:
         config = _read_config_file(args.config) if args.config else {}
-        cfg = _resolve(args, options, config)
+        cfg = _resolve(args, config)
         manifest = func(args, cfg, produced)
         if manifest is not None:
             _write_manifest(*manifest, args.command, cfg, inputs, produced, start)

@@ -8,6 +8,7 @@ precision/recall/F1 and accuracy metrics used to score them.
 from __future__ import annotations
 
 import ast
+import functools
 import itertools
 import logging
 from dataclasses import dataclass, field
@@ -25,6 +26,7 @@ __all__ = [
     "tree_predict",
     "FnnHyper",
     "FeedForwardNet",
+    "CandidateRows",
     "fnn_forward_batch",
     "fnn_loss_and_grads",
     "train_fnn",
@@ -186,6 +188,44 @@ class FeedForwardNet:
         return cls(sizes=list(sizes), weights=weights, biases=biases)
 
 
+@dataclass
+class CandidateRows:
+    """Feature rows held as their factors: one row per (instance,
+    candidate) pair, instance-major. Row ``i * K + c`` is ``[sides[i, 0];
+    cands[c]; sides[i, 1]; scalars[i * K + c]]``, where K is
+    ``len(cands)``, so only the scalars are held per row."""
+
+    sides: np.ndarray  # (instances, 2, d)
+    cands: np.ndarray  # (K, d)
+    scalars: np.ndarray  # (instances * K, s)
+
+    def __len__(self) -> int:
+        return len(self.scalars)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.scalars), 3 * self.cands.shape[1] + self.scalars.shape[1]
+
+    def take(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the given rows into ``out``, a C-contiguous (len(rows),
+        row width) block of the factors' dtype, and return it."""
+        k, d = self.cands.shape
+        instance, cand = np.divmod(rows, k)
+        # The two sides fill columns [0, d) and [2d, 3d) of each row.
+        sides = out[:, :3 * d].reshape(len(rows), 3, d, copy=False)[:, ::2]
+        # "clip" writes straight into the block; the indices are in range.
+        np.take(self.sides, instance, axis=0, out=sides, mode="clip")
+        np.take(self.cands, cand, axis=0, out=out[:, d:2 * d], mode="clip")
+        np.take(self.scalars, rows, axis=0, out=out[:, 3 * d:], mode="clip")
+        return out
+
+    def instance(self, i: int) -> np.ndarray:
+        """The (K, width) block of the rows of instance ``i``."""
+        k = len(self.cands)
+        return self.take(np.arange(i * k, (i + 1) * k),
+                         np.empty((k, self.shape[1]), self.scalars.dtype))
+
+
 def _layer_views(flat: np.ndarray, sizes) -> tuple[list, list]:
     """The (in, out) weight and (out,) bias views of each layer in one
     flat buffer laid out as w0, b0, w1, b1, ..."""
@@ -214,9 +254,16 @@ def _forward(weights, biases, acts, n: int) -> np.ndarray:
         z += b
         if layer < last:
             np.maximum(z, 0.0, out=z)
-    z -= z.max(axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    if z.shape[1] == 2:
+        # The max and the sum of two columns, as the axis reductions
+        # compute them for a row of two, without their per-call cost.
+        z -= np.maximum(z[:, :1], z[:, 1:])
+        np.exp(z, out=z)
+        z /= z[:, :1] + z[:, 1:]
+    else:
+        z -= z.max(axis=-1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=-1, keepdims=True)
     return z
 
 
@@ -279,23 +326,35 @@ def train_fnn(rows, labels, arch, hyper: FnnHyper) -> FeedForwardNet:
     from the data. With a validation fraction set, keeps the parameters
     of the best validation epoch and stops early when stalled.
 
-    Trains in float32: the float64 draw of ``FeedForwardNet.init`` and
-    the rows are cast once, and the network is widened back to float64
-    on return. Every step runs in buffers made before the first: the
-    parameters, their velocity and their gradient are flat arrays with
-    per-layer views, each batch is gathered into one block, each layer
+    ``rows`` is an array or a ``CandidateRows``. Trains in float32: the
+    float64 draw of ``FeedForwardNet.init`` and the rows, or each of
+    their factors, are cast once, and the network is widened back to
+    float64 on return. A cast factor holds the values of the cast rows,
+    so factored rows train the network their assembled array would.
+    Every step runs in buffers made before the first: the parameters,
+    their velocity and their gradient are flat arrays with per-layer
+    views, each batch is gathered into one block, each layer
     writes into its own block, and the momentum update is four
     whole-buffer operations that round as ``m * v - lr * g`` does for
     one layer at a time. The network's ``trajectory`` is the validation
     loss of each epoch run, and its ``counters`` the rows, the epochs
     run and the epoch it keeps.
     """
-    X = np.asarray(rows, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
+    factored = isinstance(rows, CandidateRows)
+    parts = ([rows.sides, rows.cands, rows.scalars] if factored
+             else [np.asarray(rows, dtype=np.float64)])
+    if parts[-1].ndim != 2 or len(parts[-1]) == 0:
         raise ValueError("training data must be a nonempty 2-d array")
-    if max(X.max(), -X.min()) > np.finfo(np.float32).max:
+    if any(max(part.max(), -part.min()) > np.finfo(np.float32).max for part in parts):
         raise ValueError("training features must lie within the float32 range")
-    X = X.astype(np.float32)
+    parts = [part.astype(np.float32) for part in parts]
+    if factored:
+        X = CandidateRows(*parts)
+        gather = X.take
+    else:
+        [X] = parts
+        # "clip" writes straight into the block; the indices are in range.
+        gather = functools.partial(np.take, X, axis=0, mode="clip")
     labels = np.asarray(labels, dtype=np.int64)
     n_classes = int(labels.max()) + 1
     sizes = [X.shape[1], *arch, n_classes]
@@ -321,8 +380,7 @@ def train_fnn(rows, labels, arch, hyper: FnnHyper) -> FeedForwardNet:
         epoch_loss = 0.0
         for start in range(0, len(order), hyper.batch_size):
             batch = order[start:start + hyper.batch_size]
-            # "clip" writes straight into the block; the indices are in range.
-            np.take(X, batch, axis=0, out=acts[0][:len(batch)], mode="clip")
+            gather(batch, out=acts[0][:len(batch)])
             loss = _loss_and_grads(weights, biases, acts, labels[batch], w_grads, b_grads)
             epoch_loss += loss * len(batch)
             vel *= hyper.momentum
@@ -335,7 +393,7 @@ def train_fnn(rows, labels, arch, hyper: FnnHyper) -> FeedForwardNet:
                 f"FNN training diverged at epoch {epoch}: loss is not finite"
             )
         if n_val:
-            np.take(X, val_idx, axis=0, out=acts[0][:n_val], mode="clip")
+            gather(val_idx, out=acts[0][:n_val])
             val_loss = _cross_entropy(_forward(weights, biases, acts, n_val), val_labels)
             logger.debug("epoch %d train %.6g val %.6g", epoch, epoch_loss, val_loss)
             trajectory.append(val_loss)

@@ -18,6 +18,7 @@ from .corpus import (ASCII_INTEGER, expect_end, load_roster, open_input, parse_i
                      parse_rows, read_records)
 from .embeddings import EmbeddingStore
 from .learn import (
+    CandidateRows,
     DecisionTree,
     FeedForwardNet,
     FnnHyper,
@@ -196,30 +197,28 @@ def detection_features(instance: SelectionInstance, store: EmbeddingStore,
 
 
 def correction_features(instances, store: EmbeddingStore, table: ConfusionTable,
-                        window: int, stoplist: frozenset[str]) -> np.ndarray:
+                        window: int, stoplist: frozenset[str]) -> CandidateRows:
     """One row per candidate of ``table.roster`` for each instance, in
     order: [v_left; v_cand; v_right; pair sim; triple sim; replacement
-    probability], shape (len(instances) * len(roster), 3d + 3); a
-    candidate without a vector scores 0.0."""
+    probability], 3d + 3 wide, held as its factors: the context sides
+    (len(instances), 2, d), the candidate rows (len(roster), d) and the
+    three scalars of each row. A candidate without a vector scores 0.0."""
     d, k = store.dim, len(table.roster)
     cands = store.rows_or_zero(table.roster)
-    rows = np.empty((len(instances), k, 3 * d + 3))
-    rows[:, :, d:2 * d] = cands
-    for inst, block in zip(instances, rows):
-        sides = np.zeros((2, d))
-        for side, tokens in zip(sides, preprocess_context(inst, window, stoplist)):
+    sides = np.zeros((len(instances), 2, d))
+    scalars = np.empty((len(instances), k, 3))
+    for inst, pair, block in zip(instances, sides, scalars):
+        for side, tokens in zip(pair, preprocess_context(inst, window, stoplist)):
             known = store.rows([tok for tok in tokens if tok in store])
             if len(known):
                 side[:] = np.mean(known, axis=0)
-        if not emb_ops.row_norms(sides).any():
+        if not emb_ops.row_norms(pair).any():
             raise ValueError("both context sides are empty; nothing to correct against")
-        v_l, v_r = sides
-        block[:, :d] = v_l
-        block[:, 2 * d:3 * d] = v_r
-        block[:, 3 * d] = emb_ops.row_pairs(cands, v_l, v_r)
-        block[:, 3 * d + 1] = emb_ops.row_triples(v_l, cands, v_r)
-        block[:, 3 * d + 2] = table.probs[table.index[inst.observed]]
-    return rows.reshape(len(instances) * k, 3 * d + 3)
+        v_l, v_r = pair
+        block[:, 0] = emb_ops.row_pairs(cands, v_l, v_r)
+        block[:, 1] = emb_ops.row_triples(v_l, cands, v_r)
+        block[:, 2] = table.probs[table.index[inst.observed]]
+    return CandidateRows(sides, cands, scalars.reshape(len(instances) * k, 3))
 
 
 @dataclass
@@ -304,10 +303,10 @@ def evaluate_selection(instances, models: SelectionModels,
     rows = correction_features([instances[pos] for pos in flagged], store, table,
                                window, stoplist)
     predicted = [inst.observed for inst in instances]
-    # One pass per instance: one over the whole block rounds differently.
-    blocks = rows.reshape(len(flagged), len(table.roster), rows.shape[1])
-    for pos, block in zip(flagged, blocks):
-        scores = fnn_forward_batch(models.fnn, block)[:, 1]
+    # One pass per instance, on its rows assembled just before it: one
+    # pass over every flagged instance's rows rounds differently.
+    for at, pos in enumerate(flagged):
+        scores = fnn_forward_batch(models.fnn, rows.instance(at))[:, 1]
         predicted[pos] = table.roster[int(np.argmax(scores))]
     errors = [(" ".join(inst.tokens), inst.observed, inst.gold, pred)
               for inst, pred in zip(instances, predicted) if pred != inst.gold]

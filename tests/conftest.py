@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,21 @@ def make_store(vectors, q_const=None):
         q_const = np.zeros(matrix.shape[1])
     return EmbeddingStore(tokens=list(vectors), matrix=matrix,
                           q_const=np.asarray(q_const, dtype=np.float64))
+
+
+def assembled(rows):
+    """Every row of a ``CandidateRows``, gathered into one array."""
+    return rows.take(np.arange(len(rows)), np.empty(rows.shape, rows.scalars.dtype))
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def brute_force_tensor(sentences, vocab, t):

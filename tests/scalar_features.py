@@ -16,6 +16,7 @@ from preptensor.embeddings import (
     pair_similarity,
     triple_similarity,
 )
+from preptensor.learn import CandidateRows
 from preptensor.select import preprocess_context
 
 
@@ -89,6 +90,24 @@ def correction_features(instances, store, table, window, stoplist):
     rows = [instance_correction_rows(inst, store, table, window, stoplist)
             for inst in instances]
     return np.concatenate(rows) if rows else np.zeros((0, 3 * store.dim + 3))
+
+
+def correction_factors(instances, store, table, window, stoplist):
+    """The rows of ``correction_features`` split into the factors of a
+    ``CandidateRows``, after checking that they repeat as it assumes:
+    an instance's sides on each of its rows and a candidate's vector on
+    each instance."""
+    rows = correction_features(instances, store, table, window, stoplist)
+    d = store.dim
+    blocks = rows.reshape(len(instances), len(table.roster), 3 * d + 3)
+    factors = CandidateRows(
+        sides=np.stack([blocks[:, 0, :d], blocks[:, 0, 2 * d:3 * d]], axis=1),
+        cands=np.array([vector_or_zero(store, cand) for cand in table.roster]),
+        scalars=rows[:, 3 * d:])
+    assert (blocks[:, :, :d] == factors.sides[:, None, 0]).all()
+    assert (blocks[:, :, d:2 * d] == factors.cands).all()
+    assert (blocks[:, :, 2 * d:3 * d] == factors.sides[:, None, 1]).all()
+    return factors
 
 
 def one_hot(tagset, tag):

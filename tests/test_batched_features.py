@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import scalar_features as scalar
-from conftest import make_store
+from conftest import assembled, make_store
 from preptensor.attach import AttachmentInstance, Candidate, TagSet, attachment_features
 from preptensor.embeddings import (
     UndefinedSimilarityError,
@@ -94,8 +94,8 @@ def test_rank_undefined_cases(store):
 
 def test_correction(store):
     """One builder call over several instances, one instance and none
-    stacks the per-instance rows; an instance without context fails the
-    call."""
+    gives the factors of the per-instance rows; an instance without
+    context fails the call."""
     data = instances()
     table = build_confusion_table(data, ROSTER)
     usable = []
@@ -110,7 +110,8 @@ def test_correction(store):
         usable.append(inst)
     assert len(usable) == 10
     for batch in (usable, usable[:1], []):
-        got = correction_features(batch, store, table, window=3, stoplist=STOPLIST)
+        got = assembled(correction_features(batch, store, table, window=3,
+                                            stoplist=STOPLIST))
         assert got.shape == (len(batch) * len(ROSTER), 3 * store.dim + 3)
         assert np.array_equal(got, scalar.correction_features(
             batch, store, table, window=3, stoplist=STOPLIST))

@@ -660,7 +660,7 @@ def test_batched_features_equal_scalar_composition_run(tmp_path, embeddings_path
     monkeypatch.setattr(select_ops, "detection_features",
                         scalar_features.detection_features)
     monkeypatch.setattr(select_ops, "correction_features",
-                        scalar_features.correction_features)
+                        scalar_features.correction_factors)
     monkeypatch.setattr(attach_ops, "attachment_features",
                         scalar_features.attachment_features)
     assert run_all(tmp_path / "scalar") == batched
@@ -1165,6 +1165,16 @@ class TestCommandTable:
                 == {name.rstrip("?") for name in arguments})
         assert all(a.option_strings[0] == "--" + a.dest.replace("_", "-")
                    for a in actions)
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_no_option_resolves_to_none(self, command):
+        """Each option a command reads has a default, and a command sets
+        defaults only for options it reads."""
+        options = cli.COMMANDS[command][2]
+        assert set(cli.COMMAND_DEFAULTS.get(command, {})) <= set(options)
+        resolved = cli._resolve(argparse.Namespace(command=command), {})
+        assert list(resolved) == list(options)
+        assert None not in resolved.values()
 
     def test_every_option_is_read(self):
         read = {key for _f, _h, options, _a in cli.COMMANDS.values() for key in options}

@@ -1,4 +1,3 @@
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,7 @@ from preptensor.corpus import (
     tokenize_sentences,
 )
 
-from conftest import brute_force_tensor, random_corpus
+from conftest import brute_force_tensor, random_corpus, traced_peak
 
 
 class TestTokenize:
@@ -595,16 +594,6 @@ class TestChunkedTensorIO:
         assert str(exc.value) == f"{path}: {message}"
 
 
-def _traced_peak(fn):
-    """``fn()`` and the peak of the memory it allocated, in bytes."""
-    tracemalloc.start()
-    try:
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestMemoryGuard:
     """The traced peak of counting, saving and loading, above what was
     held before the call, as a multiple of the tensor's own 32 bytes per
@@ -629,19 +618,19 @@ class TestMemoryGuard:
 
     def test_count(self):
         sentences, vocab = self._corpus()
-        tensor, peak = _traced_peak(lambda: count_tensor(sentences, vocab, 3))
+        tensor, peak = traced_peak(lambda: count_tensor(sentences, vocab, 3))
         assert peak < 2.5 * 32 * tensor.nnz
 
     def test_save(self, tmp_path, monkeypatch):
         tensor = self._tensor()
         monkeypatch.setattr(corpus, "_LOAD_CHUNK_LINES", self.CHUNK)
-        _, peak = _traced_peak(lambda: save_tensor(tensor, tmp_path / "tensor.txt"))
+        _, peak = traced_peak(lambda: save_tensor(tensor, tmp_path / "tensor.txt"))
         assert peak < 0.5 * 32 * tensor.nnz
 
     def test_load(self, tmp_path, monkeypatch):
         tensor = self._tensor()
         save_tensor(tensor, tmp_path / "tensor.txt")
         monkeypatch.setattr(corpus, "_LOAD_CHUNK_LINES", self.CHUNK)
-        loaded, peak = _traced_peak(lambda: load_tensor(tmp_path / "tensor.txt"))
+        loaded, peak = traced_peak(lambda: load_tensor(tmp_path / "tensor.txt"))
         assert loaded == tensor
         assert peak < 1.5 * 32 * tensor.nnz

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,7 +10,9 @@ import pytest
 import preptensor.learn as learn
 import reference_fnn
 import scalar_tree
+from conftest import assembled, traced_peak
 from preptensor.learn import (
+    CandidateRows,
     FeedForwardNet,
     FnnHyper,
     TreeParams,
@@ -448,12 +449,8 @@ class TestFnnTraining:
         shuffled training rows once per epoch adds 0.45."""
         X = np.random.default_rng(0).standard_normal((16954, 78))
         y = (X[:, :3].sum(axis=1) > 0).astype(int)
-        tracemalloc.start()
-        try:
-            train_fnn(X, y, (128, 16), FnnHyper(epochs=2, seed=0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: train_fnn(X, y, (128, 16),
+                                                FnnHyper(epochs=2, seed=0)))
         assert peak < 0.8 * X.nbytes
 
     def test_round_trip(self, tmp_path):
@@ -520,6 +517,68 @@ class TestFnnTraining:
         with pytest.raises(ValueError) as exc:
             load_fnn(path)
         assert str(exc.value) == f"{path}: line {lineno}: non-finite value {value!r}"
+
+
+class TestCandidateRows:
+    """Rows held as factors, against the same rows built by plain
+    concatenation: 60 instances of K = 7 candidates, d = 4, 3 scalars."""
+
+    K = 7
+
+    def rows(self, seed=0):
+        rng = np.random.default_rng(seed)
+        return CandidateRows(sides=rng.standard_normal((60, 2, 4)),
+                             cands=rng.standard_normal((self.K, 4)),
+                             scalars=rng.standard_normal((60 * self.K, 3)))
+
+    def concatenated(self, rows):
+        return np.array([np.concatenate([rows.sides[r // self.K, 0],
+                                         rows.cands[r % self.K],
+                                         rows.sides[r // self.K, 1], rows.scalars[r]])
+                         for r in range(len(rows))])
+
+    def test_take_equals_concatenation(self):
+        rows = self.rows()
+        want = self.concatenated(rows)
+        assert rows.shape == want.shape == (420, 15)
+        # Rows out of order and across instance boundaries, and one
+        # instance's block.
+        picks = np.array([6, 7, 13, 14, 419, 0, 20, 21, 22, 200])
+        got = rows.take(picks, np.empty((len(picks), 15)))
+        assert np.array_equal(got, want[picks])
+        assert np.array_equal(assembled(rows), want)
+        assert np.array_equal(rows.instance(3), want[21:28])
+
+    @pytest.mark.parametrize("batch", [64, 100])
+    @pytest.mark.parametrize("val_fraction", [0.0, 0.1])
+    def test_trains_the_network_of_its_rows(self, batch, val_fraction):
+        """Batches of 64 and 100 rows split the instances of K = 7, and
+        the 42 validation rows are drawn across them; the network equals
+        the one trained on the concatenated rows and the per-layer
+        reference's bit for bit."""
+        rows = self.rows(batch)
+        X = self.concatenated(rows)
+        y = (X[:, 0] + X[:, 4] > X[:, -1]).astype(int)
+        hyper = FnnHyper(learning_rate=0.01 * batch / 64, batch_size=batch, epochs=6,
+                         seed=batch, val_fraction=val_fraction)
+        net = train_fnn(rows, y, (8, 4), hyper)
+        assert net.counters["fnn_rows"] == 420
+        assert_same_net(net, train_fnn(X, y, (8, 4), hyper))
+        assert_same_net(net, reference_fnn.train_fnn(X, y, (8, 4), hyper))
+
+    @pytest.mark.parametrize("factor", ["sides", "cands", "scalars"])
+    @pytest.mark.parametrize("value", [1e39, -1e39])
+    def test_float32_range_checked_on_each_factor(self, factor, value):
+        rows = self.rows()
+        getattr(rows, factor).flat[5] = value
+        with pytest.raises(ValueError, match="training features must lie within "
+                                             "the float32 range"):
+            train_fnn(rows, np.arange(len(rows)) % 2, (4, 4), FnnHyper(epochs=1))
+
+    def test_no_rows_rejected(self):
+        rows = CandidateRows(np.zeros((0, 2, 4)), np.ones((self.K, 4)), np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="nonempty 2-d"):
+            train_fnn(rows, [], (4, 4), FnnHyper(epochs=1))
 
 
 class TestMetrics:

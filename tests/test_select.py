@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import scalar_features
-from conftest import make_store
+from conftest import assembled, make_store, traced_peak
 from preptensor import select
 from preptensor.learn import (
     DecisionTree,
@@ -282,14 +282,16 @@ class TestDetectionFeatures:
 class TestCorrectionFeatures:
     def test_arity(self, store):
         instance = inst(["sat", "on", "mat"], 1, "on", "in")
-        feats = correction_features([instance], store, uniform_table(),
-                                    window=3, stoplist=STOPLIST)[ROSTER.index("in")]
+        rows = correction_features([instance], store, uniform_table(),
+                                   window=3, stoplist=STOPLIST)
+        feats = assembled(rows)[ROSTER.index("in")]
         assert feats.shape == (3 * store.dim + 3,)
 
     def test_layout(self, store):
         instance = inst(["sat", "on", "mat"], 1, "on", "in")
-        feats = correction_features([instance], store, uniform_table(),
-                                    window=3, stoplist=STOPLIST)[ROSTER.index("in")]
+        rows = correction_features([instance], store, uniform_table(),
+                                   window=3, stoplist=STOPLIST)
+        feats = assembled(rows)[ROSTER.index("in")]
         d = store.dim
         assert np.array_equal(feats[:d], VECTORS["sat"])
         assert np.array_equal(feats[d:2 * d], VECTORS["in"])
@@ -299,8 +301,9 @@ class TestCorrectionFeatures:
     def test_oov_candidate_zeroes_similarities(self):
         store = make_store({**VECTORS, "to": np.zeros(3)})
         instance = inst(["sat", "on", "mat"], 1, "on", "in")
-        feats = correction_features([instance], store, uniform_table(),
-                                    window=3, stoplist=STOPLIST)[ROSTER.index("to")]
+        rows = correction_features([instance], store, uniform_table(),
+                                   window=3, stoplist=STOPLIST)
+        feats = assembled(rows)[ROSTER.index("to")]
         d = store.dim
         assert np.array_equal(feats[d:2 * d], np.zeros(3))
         assert feats[-3] == 0.0 and feats[-2] == 0.0
@@ -330,7 +333,8 @@ class TestBatchedCorrectionFeatures:
         instance = inst(tokens, tokens.index("on"), "on", "in")
         table = build_confusion_table(
             [instance, inst(tokens, tokens.index("on"), "on", "to")], self.ROSTER)
-        got = correction_features([instance], store, table, window=3, stoplist=STOPLIST)
+        got = assembled(correction_features([instance], store, table, window=3,
+                                            stoplist=STOPLIST))
         want = scalar_features.correction_features([instance], store, table,
                                                    window=3, stoplist=STOPLIST)
         assert got.shape == (len(self.ROSTER), 3 * dim + 3)
@@ -428,7 +432,7 @@ class TestTrainAndEvaluate:
         fitted = []
 
         def recording(rows, labels, arch, hyper):
-            fitted.append((len(rows), list(labels)))
+            fitted.append((rows.shape, list(labels)))
             return train_fnn(rows, labels, arch, hyper)
 
         monkeypatch.setattr(select, "train_fnn", recording)
@@ -439,7 +443,7 @@ class TestTrainAndEvaluate:
         assert models.tree.classes == ["correct", "error"]
         assert root.counts.tolist() == [8.0, 4.0]
         # The 4 true errors, one row per roster candidate; gold is "in".
-        assert fitted == [(12, [0, 1, 0] * 4)]
+        assert fitted == [((12, 3 * store.dim + 3), [0, 1, 0] * 4)]
         assert models.counters == {"instances": 17, "decidable": 12, "flagged": 0}
 
     def test_no_error_instances_rejected(self, store):
@@ -459,6 +463,24 @@ class TestTrainAndEvaluate:
         assert (p, r, f1) == (0.0, 0.0, 0.0)
         assert len(errors) == 12
 
+    def test_nothing_flagged_builds_and_scores_no_rows(self, store, monkeypatch):
+        data = self.make_dataset()
+        table = build_confusion_table(data, ROSTER)
+        rows = correction_features([], store, table, window=3, stoplist=STOPLIST)
+        assert rows.shape == (0, 3 * store.dim + 3)
+        assert rows.sides.shape == (0, 2, store.dim)
+        assert np.array_equal(rows.cands, store.rows(ROSTER))
+
+        def forbidden(net, X):
+            raise AssertionError("an unflagged instance was scored")
+
+        monkeypatch.setattr(select, "fnn_forward_batch", forbidden)
+        net = FeedForwardNet.init([3 * store.dim + 3, 4, 2, 2], seed=0)
+        models = SelectionModels(tree=leaf_tree("correct"), fnn=net, table=table)
+        _metrics, errors, counters = evaluate_selection(data, models, store, window=3)
+        assert counters == {"instances": 36, "decidable": 36, "flagged": 0}
+        assert [row[3] for row in errors] == [row[1] for row in errors] == ["on"] * 12
+
     def test_error_log_written(self, store):
         # The rows eval-select writes to its errors CSV (checked there).
         data = self.make_dataset(n_per=2)
@@ -475,3 +497,29 @@ class TestTrainAndEvaluate:
                                  table=uniform_table())
         with pytest.raises(ValueError, match="empty"):
             evaluate_selection([], models, store, window=3)
+
+
+def test_corrector_rows_never_built_whole():
+    """The traced peak of training at d = 200, above what was held before
+    the call, against the bytes of the corrector's float64 rows (4,802 x
+    603): this code measured 0.14, mostly its float32 validation and batch
+    blocks; holding the rows whole and their float32 copy measured 1.58."""
+    d, roster = 200, default_roster()
+    rng = np.random.default_rng(0)
+    words = [f"w{idx}" for idx in range(60)]
+    store = make_store({tok: rng.standard_normal(d) for tok in words + roster})
+    data = []
+    for idx in range(240):
+        observed = roster[idx % len(roster)]
+        gold = roster[(7 * idx + 3) % len(roster)] if idx < 100 else observed
+        left, right = ([words[w] for w in rng.integers(len(words), size=2)]
+                       for _ in range(2))
+        data.append(inst([*left, observed, *right], 2, observed, gold))
+    # A depth-0 detector flags nothing, so the corrector trains on the
+    # 98 true errors.
+    models, peak = traced_peak(lambda: train_selection_models(
+        data, store, roster, TreeParams(max_depth=0), FnnHyper(epochs=1, seed=0),
+        (16, 4), window=3))
+    rows = models.fnn.counters["fnn_rows"]
+    assert rows == 98 * len(roster)
+    assert peak < 0.25 * rows * (3 * d + 3) * 8
