@@ -328,18 +328,17 @@ def cmd_train_select(args, cfg: dict, produced: list):
     roster = _load_roster(args.roster)
     store = emb_ops.load_embeddings(args.embeddings)
     instances, rejected = select_ops.load_selection_dataset(args.train, roster)
-    arch = (cfg["hidden1"], cfg["hidden2"])
     models = select_ops.train_selection_models(
         instances, store, roster,
         tree_params=TreeParams(max_depth=cfg["max_depth"], min_leaf=cfg["min_leaf"]),
-        hyper=_fnn_hyper(cfg), arch=arch, window=cfg["window"],
+        hyper=_fnn_hyper(cfg), arch=(cfg["hidden1"], cfg["hidden2"]),
+        window=cfg["window"],
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_tree(models.tree, _staged(produced, out / "tree.txt"))
     save_fnn(models.fnn, _staged(produced, out / "fnn.txt"))
     select_ops.save_confusion_table(models.table, _staged(produced, out / "confusion.txt"))
-    cfg["arch"] = list(arch)
     return out / "manifest.json", {"trajectory": models.fnn.trajectory,
                                    "counters": {**models.fnn.counters, **models.counters,
                                                 "rejected": rejected}}
@@ -409,15 +408,13 @@ def cmd_eval_select(args, cfg: dict, produced: list):
 def cmd_train_attach(args, cfg: dict, produced: list):
     store = emb_ops.load_embeddings(args.embeddings)
     instances, rejected = attach_ops.load_attachment_dataset(args.train)
-    arch = (cfg["hidden1"], cfg["hidden2"])
     fnn, tagset = attach_ops.train_attachment_model(
-        instances, store, hyper=_fnn_hyper(cfg), arch=arch)
+        instances, store, hyper=_fnn_hyper(cfg), arch=(cfg["hidden1"], cfg["hidden2"]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_fnn(fnn, _staged(produced, out / "fnn.txt"))
     _staged(produced, out / "tags.txt").write_text("\n".join(tagset.tags) + "\n",
                                                    encoding="utf-8")
-    cfg["arch"] = list(arch)
     counters = {**fnn.counters, "instances": len(instances), "rejected": rejected,
                 "candidates": fnn.counters["fnn_rows"]}
     return out / "manifest.json", {"trajectory": fnn.trajectory, "counters": counters}

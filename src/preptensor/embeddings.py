@@ -44,9 +44,7 @@ NOPREP_TOKEN = "__NOPREP__"
 class EmbeddingStore:
     """The rows of ``emb.txt``: distinct tokens, a contiguous float64
     (tokens × d) matrix of their vectors (words from the U factor,
-    prepositions from Q) and the constant extra-slice vector. The roster
-    rows ``rank_preposition`` ranks are kept with the store, so the
-    matrix must not change after its first ranking.
+    prepositions from Q) and the constant extra-slice vector.
     """
 
     tokens: list[str]
@@ -55,7 +53,6 @@ class EmbeddingStore:
 
     def __post_init__(self):
         self.index = {tok: row for row, tok in enumerate(self.tokens)}
-        self._roster_blocks = {}
 
     @property
     def dim(self) -> int:
@@ -79,15 +76,6 @@ class EmbeddingStore:
         known = [pos for pos, tok in enumerate(tokens) if tok in self.index]
         rows[known] = self.rows([tokens[pos] for pos in known])
         return rows
-
-    def _roster_block(self, roster: Sequence[str]):
-        """``roster``'s members with vectors, their rows and row norms."""
-        key = tuple(roster)
-        if key not in self._roster_blocks:
-            members = [p for p in roster if p in self.index]
-            rows = self.rows(members)
-            self._roster_blocks[key] = members, rows, row_norms(rows)
-        return self._roster_blocks[key]
 
 
 class UndefinedSimilarityError(ValueError):
@@ -218,33 +206,35 @@ def paraphrase_phrasal_verb(
 
 
 def rank_preposition(
-    context_vectors: Sequence[np.ndarray],
-    observed_prep: str,
+    means: np.ndarray,
+    observed: Sequence[str],
     store: EmbeddingStore,
     roster: Sequence[str],
-) -> tuple[int, float]:
-    """1-based cosine rank of the observed preposition against the mean
-    of the nonzero context vectors, among the roster members that have
-    vectors, ties broken by roster order; UndefinedSimilarityError when
-    the context is zero or cancels out, or a ranked vector is zero."""
-    roster, members, norms = store._roster_block(roster)
-    if observed_prep not in roster:
-        raise ValueError(f"preposition {observed_prep!r} not in roster")
-    context = np.asarray(context_vectors, dtype=np.float64).reshape(-1, store.dim)
-    context = context[row_norms(context) > 0.0]
-    if not len(context):
-        raise UndefinedSimilarityError("no nonzero context vectors")
-    mean = np.mean(context, axis=0)
-    n_mean = np.linalg.norm(mean)
-    if n_mean == 0.0:
-        raise UndefinedSimilarityError("the context vectors cancel out")
-    if not norms.all():
-        raise UndefinedSimilarityError("cosine similarity undefined for zero-norm vector")
-    sims = np.vecdot(members, mean) / (norms * n_mean)
-    idx = roster.index(observed_prep)
-    observed = sims[idx]
-    rank = 1 + np.count_nonzero(sims > observed) + np.count_nonzero(sims[:idx] == observed)
-    return int(rank), float(observed)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each context mean (a row of ``means``) and its observed
+    preposition: the 1-based cosine rank of the preposition among the
+    roster members that have vectors, ties broken by roster order, its
+    cosine, and whether both are defined. They are not (rank 0, cosine
+    0.0) for a zero mean, an observed preposition without a vector or a
+    zero roster vector."""
+    unknown = set(observed).difference(roster)
+    if unknown:
+        raise ValueError(f"preposition {min(unknown)!r} not in roster")
+    members = [p for p in roster if p in store]
+    place = {p: pos for pos, p in enumerate(members)}
+    rows = store.rows(members)
+    norms, n_means = row_norms(rows), row_norms(means)
+    idx = np.array([place.get(p, -1) for p in observed], dtype=np.intp)
+    defined = (n_means != 0.0) & (idx >= 0) & norms.all()
+    sims = np.zeros((len(means), len(members)))
+    np.divide(np.vecdot(rows, means[:, None, :]), norms * n_means[:, None], out=sims,
+              where=defined[:, None])
+    cosines = np.zeros(len(means))
+    cosines[defined] = sims[defined, idx[defined]]
+    obs = cosines[:, None]
+    ahead = (sims > obs) | ((sims == obs) & (np.arange(len(members)) < idx[:, None]))
+    ranks = np.where(defined, 1 + np.count_nonzero(ahead, axis=1), 0)
+    return ranks, cosines, defined
 
 
 def slice_spectrum(tensor: SparseCountTensor, k: int, top_m: int) -> np.ndarray:

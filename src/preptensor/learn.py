@@ -138,18 +138,26 @@ def train_decision_tree(rows, labels, params: TreeParams) -> DecisionTree:
     return DecisionTree(nodes=nodes, classes=classes, params=params)
 
 
-def tree_predict(tree: DecisionTree, row):
-    """Leaf majority class and its probability (ties to lower class index)."""
-    row = np.asarray(row, dtype=np.float64)
-    if not np.all(np.isfinite(row)):
+def tree_predict(tree: DecisionTree, rows) -> list:
+    """The leaf majority class of each row (ties to the lower class
+    index). Each node routes its rows at once: feature < threshold goes
+    left."""
+    X = np.asarray(rows, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError("prediction rows must be a 2-d array")
+    if not np.all(np.isfinite(X)):
         raise ValueError("prediction features must be finite")
-    node = tree.nodes[0]
-    while node.feature >= 0:
-        node = tree.nodes[node.left if row[node.feature] < node.threshold
-                          else node.right]
-    probs = node.counts / node.counts.sum()
-    best = int(np.argmax(probs))
-    return tree.classes[best], float(probs[best])
+    labels = np.empty(len(X), dtype=object)
+    pending = [(0, np.arange(len(X)))]
+    while pending:
+        node_id, idx = pending.pop()
+        node = tree.nodes[node_id]
+        if node.feature < 0:
+            labels[idx] = tree.classes[int(np.argmax(node.counts))]
+            continue
+        go_left = X[idx, node.feature] < node.threshold
+        pending += [(node.left, idx[go_left]), (node.right, idx[~go_left])]
+    return labels.tolist()
 
 
 # ---------------------------------------------------------------------------

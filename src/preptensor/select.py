@@ -124,12 +124,6 @@ class ConfusionTable:
     def __post_init__(self):
         self.index = {p: k for k, p in enumerate(self.roster)}
 
-    def replace_prob(self, q: str, p: str) -> float:
-        return float(self.probs[self.index[q], self.index[p]])
-
-    def keep_prob(self, q: str) -> float:
-        return self.replace_prob(q, q)
-
 
 def build_confusion_table(instances, roster, smoothing: float = 1.0) -> ConfusionTable:
     """Maximum-likelihood observed->gold edit ratios with additive
@@ -177,23 +171,30 @@ def load_confusion_table(path) -> ConfusionTable:
     return ConfusionTable(roster=roster, probs=probs, smoothing=smoothing)
 
 
-def detection_features(instance: SelectionInstance, store: EmbeddingStore,
-                       table: ConfusionTable, window: int,
-                       stoplist: frozenset[str]) -> np.ndarray | None:
-    """Three detection features, or None when the instance is undecidable
-    (no embedding for the observed preposition, or no usable context: no
-    nonzero context vector, or context vectors that cancel out; treated
-    as correct downstream)."""
-    if instance.observed not in store:
-        return None
-    left, right = preprocess_context(instance, window, stoplist)
-    context = store.rows([tok for tok in left + right if tok in store])
-    try:
-        rank, cos = emb_ops.rank_preposition(context, instance.observed, store,
-                                             table.roster)
-    except emb_ops.UndefinedSimilarityError:
-        return None
-    return np.array([cos, float(rank), table.keep_prob(instance.observed)])
+def detection_features(instances, store: EmbeddingStore, table: ConfusionTable,
+                       window: int, stoplist: frozenset[str]):
+    """The positions of the decidable instances and their three detection
+    features, (decidable, 3): context cosine, cosine rank and keep
+    probability. An instance is undecidable (treated as correct
+    downstream) without an embedding for its observed preposition or
+    without a usable context: no nonzero context vector, or context
+    vectors that cancel out."""
+    means = np.zeros((len(instances), store.dim))
+    for inst, mean in zip(instances, means):
+        if inst.observed in store:
+            left, right = preprocess_context(inst, window, stoplist)
+            context = store.rows([tok for tok in left + right if tok in store])
+            context = context[emb_ops.row_norms(context) > 0.0]
+            if len(context):
+                mean[:] = np.mean(context, axis=0)
+    observed = [inst.observed for inst in instances]
+    ranks, cosines, defined = emb_ops.rank_preposition(means, observed, store,
+                                                       table.roster)
+    obs = [table.index[p] for p in observed]
+    keep = table.probs[obs, obs]
+    decidable = np.flatnonzero(defined)
+    return decidable.tolist(), np.column_stack(
+        [cosines[decidable], ranks[decidable].astype(np.float64), keep[decidable]])
 
 
 def correction_features(instances, store: EmbeddingStore, table: ConfusionTable,
@@ -231,19 +232,11 @@ class SelectionModels:
     counters: dict = field(default_factory=dict)
 
 
-def _detect(instances, store: EmbeddingStore, table: ConfusionTable, window: int,
-            stoplist: frozenset[str]):
-    """The positions of the decidable instances and their detection rows."""
-    rows = [detection_features(inst, store, table, window, stoplist) for inst in instances]
-    decidable = [pos for pos, feats in enumerate(rows) if feats is not None]
-    return decidable, [rows[pos] for pos in decidable]
-
-
 def _flag(tree: DecisionTree, instances, decidable, rows):
     """The positions of ``decidable`` whose rows ``tree`` flags as errors,
     and the counters of the detection pass over ``instances``."""
-    flagged = [pos for pos, feats in zip(decidable, rows)
-               if tree_predict(tree, feats)[0] == ERROR]
+    verdicts = tree_predict(tree, rows) if decidable else []
+    flagged = [pos for pos, verdict in zip(decidable, verdicts) if verdict == ERROR]
     return flagged, {"instances": len(instances), "decidable": len(decidable),
                      "flagged": len(flagged)}
 
@@ -265,7 +258,7 @@ def train_selection_models(
     """
     table = build_confusion_table(instances, roster)
     stoplist = context_stoplist()
-    decidable, det_rows = _detect(instances, store, table, window, stoplist)
+    decidable, det_rows = detection_features(instances, store, table, window, stoplist)
     if not decidable:
         raise ValueError("no trainable instances: all contexts were empty")
     det_labels = [ERROR if instances[pos].observed != instances[pos].gold else CORRECT
@@ -298,7 +291,7 @@ def evaluate_selection(instances, models: SelectionModels,
     if not instances:
         raise ValueError("cannot evaluate on an empty test set")
     stoplist, table = context_stoplist(), models.table
-    decidable, det_rows = _detect(instances, store, table, window, stoplist)
+    decidable, det_rows = detection_features(instances, store, table, window, stoplist)
     flagged, counters = _flag(models.tree, instances, decidable, det_rows)
     rows = correction_features([instances[pos] for pos in flagged], store, table,
                                window, stoplist)

@@ -3,8 +3,9 @@
 Each function composes the public scalar similarities one candidate at
 a time, with a zero vector for an out-of-vocabulary token and 0.0 for a
 similarity a zero vector leaves undefined; the dataset builders stack
-the rows of one instance after another. The batched code must equal
-these bit for bit.
+the rows of one instance after another. Detection ranks one instance at
+a time and marks an undecidable one by ``UndefinedSimilarityError``.
+The batched code must equal these bit for bit.
 """
 
 import numpy as np
@@ -62,7 +63,18 @@ def detection_features(instance, store, table, window, stoplist):
         rank, cos = rank_preposition(context, instance.observed, store, table.roster)
     except UndefinedSimilarityError:
         return None
-    return np.array([cos, float(rank), table.keep_prob(instance.observed)])
+    keep = table.index[instance.observed]
+    return np.array([cos, float(rank), table.probs[keep, keep]])
+
+
+def detect(instances, store, table, window, stoplist):
+    """``detection_features`` over a dataset, in the form of
+    ``select.detection_features``: the decidable positions and their
+    rows."""
+    rows = [detection_features(inst, store, table, window, stoplist)
+            for inst in instances]
+    decidable = [pos for pos, feats in enumerate(rows) if feats is not None]
+    return decidable, np.array([rows[pos] for pos in decidable]).reshape(-1, 3)
 
 
 def side_vector(store, tokens):
@@ -82,7 +94,7 @@ def instance_correction_rows(instance, store, table, window, stoplist):
             v_l, v_p, v_r,
             [or_zero(pair_similarity, v_l, v_r, v_p),
              or_zero(triple_similarity, v_l, v_p, v_r),
-             table.replace_prob(instance.observed, cand)]]))
+             table.probs[table.index[instance.observed], table.index[cand]]]]))
     return np.stack(rows)
 
 

@@ -1,9 +1,12 @@
-"""Per-position reference for the decision tree's split search.
+"""Per-position reference for the decision tree's split search, and
+the per-row walk of its prediction.
 
 Walks each feature's sorted rows one at a time, moving one row's class
 count from the right side to the left and scoring the boundary after it
 with the scalar Gini impurity. ``learn.train_decision_tree`` scores the
-same boundaries as arrays and must build the same tree node for node.
+same boundaries as arrays and must build the same tree node for node;
+``learn.tree_predict`` routes a block of rows and must give each row
+the class ``predict`` gives it.
 """
 
 import numpy as np
@@ -76,3 +79,16 @@ def train_decision_tree(rows, labels, params: TreeParams) -> DecisionTree:
 
     grow(np.arange(X.shape[0]), 0)
     return DecisionTree(nodes=nodes, classes=classes, params=params)
+
+
+def predict(tree: DecisionTree, row):
+    """The leaf majority class of one row and its share of the leaf's
+    counts (ties to the lower class index)."""
+    row = np.asarray(row, dtype=np.float64)
+    node = tree.nodes[0]
+    while node.feature >= 0:
+        node = tree.nodes[node.left if row[node.feature] < node.threshold
+                          else node.right]
+    probs = node.counts / node.counts.sum()
+    best = int(np.argmax(probs))
+    return tree.classes[best], float(probs[best])

@@ -349,7 +349,7 @@ def test_criterion_10_learners():
     xs = np.concatenate([rng.uniform(0, 0.45, 30), rng.uniform(0.55, 1, 30)])
     yt = [0] * 30 + [1] * 30
     tree = train_decision_tree(xs[:, None], yt, TreeParams(min_leaf=1))
-    tree_ok = [tree_predict(tree, [v])[0] for v in xs] == yt
+    tree_ok = tree_predict(tree, xs[:, None]) == yt
 
     # Hand-built metrics case with TP=2, FP=1, FN=3.
     p, r, f1 = precision_recall_f1(

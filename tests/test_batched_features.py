@@ -56,40 +56,78 @@ def instances(observed="on"):
             for tokens in SENTENCES for gold in ("in", "on")]
 
 
+def context_mean(context, dim):
+    """The mean of the nonzero context vectors, or a zero vector."""
+    rows = [v for v in context if np.linalg.norm(v) > 0.0]
+    return np.mean(rows, axis=0) if rows else np.zeros(dim)
+
+
+def assert_same_detection(data, store, table):
+    got = detection_features(data, store, table, window=3, stoplist=STOPLIST)
+    want = scalar.detect(data, store, table, window=3, stoplist=STOPLIST)
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+    return got
+
+
 @pytest.mark.parametrize("roster", [ROSTER, DECIDABLE_ROSTER])
 def test_rank_and_detection(store, roster):
     decided = 0
     for observed in roster:
         data = instances(observed)
-        table = build_confusion_table(data, roster)
-        for inst in data:
-            got = detection_features(inst, store, table, window=3, stoplist=STOPLIST)
-            want = scalar.detection_features(inst, store, table, window=3,
-                                             stoplist=STOPLIST)
-            assert (got is None) == (want is None)
-            if got is not None:
-                decided += 1
-                assert np.array_equal(got, want)
+        decidable, _ = assert_same_detection(data, store,
+                                             build_confusion_table(data, roster))
+        decided += len(decidable)
     # The zero roster vector leaves every instance undecidable.
     assert (decided > 0) == (roster is DECIDABLE_ROSTER)
 
 
+def test_mixed_dataset_in_one_call(store):
+    """One call over a dataset that mixes the undecidable cases (an
+    observed preposition without a vector; an empty, an out-of-vocabulary
+    and a cancelling context; a zero roster vector) with decidable and
+    tied instances gives the per-instance rows and positions."""
+    observed = ["on", "by", "near", "in", "upon"]
+    data = [inst for prep in observed for inst in instances(prep)]
+    data.append(SelectionInstance(["the", "on", "it"], 1, "on", "in"))
+    # The zero roster vector leaves every instance undecidable.
+    assert assert_same_detection(data, store, build_confusion_table(data, ROSTER))[0] == []
+    decidable, rows = assert_same_detection(data, store,
+                                            build_confusion_table(data, DECIDABLE_ROSTER))
+    per_prep = len(SENTENCES) * 2
+    assert 0 < len(decidable) < len(data)
+    assert not any(pos >= 4 * per_prep for pos in decidable)  # "upon", empty
+    # "by" ties "on" and comes after it in the roster.
+    rank = dict(zip(decidable, rows[:, 1]))
+    on = [pos for pos in decidable if pos < per_prep]
+    assert on and all(rank[pos + per_prep] == rank[pos] + 1 for pos in on)
+
+
 def test_rank_ties_go_to_roster_order(store):
     context = [store.rows(["on"])[0]]
-    assert rank_preposition(context, "on", store, DECIDABLE_ROSTER)[0] == 1
-    for observed in ("by", "near"):
-        got = rank_preposition(context, observed, store, DECIDABLE_ROSTER)
-        assert got == scalar.rank_preposition(context, observed, store,
-                                              DECIDABLE_ROSTER)
-    assert rank_preposition(context, "by", store, DECIDABLE_ROSTER)[0] == 2
+    observed = ["on", "by", "near"]
+    means = np.array([context_mean(context, store.dim)] * len(observed))
+    ranks, cosines, defined = rank_preposition(means, observed, store, DECIDABLE_ROSTER)
+    assert defined.all() and ranks[0] == 1 and ranks[1] == 2
+    for pos, prep in enumerate(observed):
+        assert (ranks[pos], cosines[pos]) == scalar.rank_preposition(
+            context, prep, store, DECIDABLE_ROSTER)
 
 
 def test_rank_undefined_cases(store):
     up = store.rows(["up"])[0]
-    for context in ([up, -up], [np.zeros(store.dim)], []):
-        for fn in (rank_preposition, scalar.rank_preposition):
-            with pytest.raises(UndefinedSimilarityError):
-                fn(context, "on", store, DECIDABLE_ROSTER)
+    contexts = ([up, -up], [np.zeros(store.dim)], [])
+    for context in contexts:
+        with pytest.raises(UndefinedSimilarityError):
+            scalar.rank_preposition(context, "on", store, DECIDABLE_ROSTER)
+    means = np.array([context_mean(context, store.dim) for context in contexts])
+    ranks, cosines, defined = rank_preposition(means, ["on"] * 3, store,
+                                               DECIDABLE_ROSTER)
+    assert not defined.any() and not ranks.any() and not cosines.any()
+    # An observed preposition without a vector, and a zero roster vector.
+    means = np.array([up, up])
+    assert not rank_preposition(means, ["upon", "on"], store, DECIDABLE_ROSTER)[2][0]
+    assert not rank_preposition(means, ["on", "in"], store, ROSTER)[2].any()
 
 
 def test_correction(store):

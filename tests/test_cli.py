@@ -657,8 +657,7 @@ def test_batched_features_equal_scalar_composition_run(tmp_path, embeddings_path
         return [(out / name).read_bytes() for name in names]
 
     batched = run_all(tmp_path / "batched")
-    monkeypatch.setattr(select_ops, "detection_features",
-                        scalar_features.detection_features)
+    monkeypatch.setattr(select_ops, "detection_features", scalar_features.detect)
     monkeypatch.setattr(select_ops, "correction_features",
                         scalar_features.correction_factors)
     monkeypatch.setattr(attach_ops, "attachment_features",
@@ -681,7 +680,8 @@ class TestSelectPipeline:
         for name in ("tree.txt", "fnn.txt", "confusion.txt", "manifest.json"):
             assert (models / name).exists()
         manifest = json.loads((models / "manifest.json").read_text())
-        assert manifest["config"]["arch"] == [8, 4]
+        assert (manifest["config"]["hidden1"], manifest["config"]["hidden2"]) == (8, 4)
+        assert "arch" not in manifest["config"]
 
         rc = cli.run(["eval-select", "--test", str(train),
                       "--models", str(models),
@@ -722,6 +722,36 @@ class TestSelectPipeline:
         assert rows[0] == ["sentence", "observed", "gold", "predicted"]
         assert len(rows) == 1 + len(errors) >= 2
         assert rows[1:] == [list(row) for row in errors]
+
+    def test_eval_with_nothing_decidable(self, tmp_path, embeddings_path, roster_path,
+                                         monkeypatch, capsys):
+        """No test instance has a context vector: each keeps its observed
+        preposition, and the tree is never asked."""
+        train = tmp_path / "sel_train.tsv"
+        write_selection_dataset(train)
+        models = tmp_path / "sel_models"
+        assert cli.run(["train-select", "--train", str(train),
+                        "--embeddings", str(embeddings_path),
+                        "--roster", str(roster_path), "--out", str(models),
+                        "--hidden1", "4", "--hidden2", "2", "--epochs", "2",
+                        "--min-leaf", "1"]) == 0
+        test = tmp_path / "sel_test.tsv"
+        test.write_text("zzz qqq on xxx\t2\ton\tin\nzzz on qqq\t1\ton\ton\n")
+
+        def refuse(tree, rows):
+            raise AssertionError("tree_predict called without a decidable row")
+
+        monkeypatch.setattr(select_ops, "tree_predict", refuse)
+        capsys.readouterr()
+        errors = tmp_path / "sel_errors.csv"
+        assert cli.run(["eval-select", "--test", str(test), "--models", str(models),
+                        "--embeddings", str(embeddings_path),
+                        "--out", str(errors)]) == 0
+        assert capsys.readouterr().out.startswith("P=")
+        manifest = json.loads((tmp_path / "sel_errors.csv.manifest.json").read_text())
+        assert manifest["counters"] == {"instances": 2, "decidable": 0, "flagged": 0,
+                                        "rejected": 0}
+        assert read_csv(errors)[1:] == [["zzz qqq on xxx", "on", "in", "on"]]
 
     def test_eval_writes_manifest(self, tmp_path, embeddings_path, roster_path):
         train = tmp_path / "sel_train.tsv"
@@ -880,7 +910,8 @@ class TestSelectPipeline:
                       "--roster", str(roster_path), "--out", str(models)])
         assert rc == 0
         manifest = json.loads((models / "manifest.json").read_text())
-        assert manifest["config"]["arch"] == [6, 3]
+        assert (manifest["config"]["hidden1"], manifest["config"]["hidden2"]) == (6, 3)
+        assert "arch" not in manifest["config"]
 
 class TestAttachPipeline:
     def test_train_then_eval(self, tmp_path, embeddings_path, capsys):
@@ -893,6 +924,9 @@ class TestAttachPipeline:
         assert rc == 0
         assert (models / "fnn.txt").exists()
         assert (models / "tags.txt").exists()
+        config = json.loads((models / "manifest.json").read_text())["config"]
+        assert (config["hidden1"], config["hidden2"]) == (8, 4)
+        assert "arch" not in config
 
         rc = cli.run(["eval-attach", "--test", str(train),
                       "--models", str(models),

@@ -1,6 +1,7 @@
 """Design rules of the package that no behaviour test shows: a layer
 function states what it needs instead of falling back to a default
-object, a sparse tensor is a plain value that holds no cache, the
+object, a sparse tensor and an embedding store are plain values that
+hold no cache, a dataset-level function is called once per dataset, the
 public API is what the package itself calls, and an option's default is
 the default of the setting it sets."""
 
@@ -11,6 +12,7 @@ import inspect
 from pathlib import Path
 
 import preptensor
+from conftest import make_store
 from preptensor import cli
 from preptensor.factorize import CooTensor, TrainingConfig
 from preptensor.learn import FnnHyper, TreeParams
@@ -25,6 +27,10 @@ UNCALLED = {
     "learn.fnn_loss_and_grads": "the gradient checks' entry to train_fnn's kernel",
 }
 
+
+# Functions that take a whole dataset or block, and so are never called
+# once per row.
+DATASET_FUNCTIONS = frozenset({"detection_features", "rank_preposition", "tree_predict"})
 
 # Each option that sets a field of a layer's settings, and the field.
 OPTION_FIELDS = [
@@ -150,6 +156,75 @@ def test_coo_tensor_is_a_plain_value():
     tensor it factorizes."""
     assert [f.name for f in dataclasses.fields(CooTensor)] == [
         "i", "j", "k", "values", "dims"]
+
+
+def test_embedding_store_is_a_plain_value():
+    """What ``emb.txt`` holds and its token index; a ranking keeps no
+    roster rows with the store."""
+    store = make_store({"on": [1.0, 0.0], "in": [0.0, 1.0]})
+    assert set(vars(store)) == {"tokens", "matrix", "q_const", "index"}
+
+
+def _calls_in_loops(tree: ast.AST, names) -> list[int]:
+    """Lines that call one of ``names`` (bare or as an attribute) in the
+    body of a loop or in a comprehension; the iterable of a ``for`` and
+    the first iterable of a comprehension run once and do not count."""
+    lines = []
+
+    def visit(node, looped: bool):
+        if looped and isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in names:
+                lines.append(node.lineno)
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            visit(node.target, looped)
+            visit(node.iter, looped)
+            for stmt in node.body + node.orelse:
+                visit(stmt, True)
+        elif isinstance(node, ast.While):
+            for child in [node.test, *node.body, *node.orelse]:
+                visit(child, True)
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            first = node.generators[0]
+            visit(first.iter, looped)
+            for child in ast.iter_child_nodes(node):
+                if child is not first:
+                    visit(child, True)
+            for child in [first.target, *first.ifs]:
+                visit(child, True)
+        else:
+            for child in ast.iter_child_nodes(node):
+                visit(child, looped)
+
+    visit(tree, False)
+    return sorted(lines)
+
+
+def test_the_loop_scan_sees_loops_and_comprehensions():
+    source = '''
+rows = tree_predict(tree, block)
+for row in tree_predict(tree, block):
+    ops.rank_preposition(m, o, s, r)
+while pending:
+    detection_features(d, s, t, w, l)
+[tree_predict(tree, row) for row in rows]
+[x for x in tree_predict(tree, rows) if tree_predict(tree, x)]
+{k: v for k in ks for v in tree_predict(t, k)}
+other(tree_predict)
+'''
+    assert _calls_in_loops(ast.parse(source), DATASET_FUNCTIONS) == [4, 6, 7, 8, 9]
+
+
+def test_dataset_functions_are_not_called_per_row():
+    """Detection, ranking and tree prediction take a whole dataset: no
+    package code calls them inside a loop or a comprehension."""
+    found = []
+    for path in sorted(Path(preptensor.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name} line {line}"
+                  for line in _calls_in_loops(tree, DATASET_FUNCTIONS)]
+    assert found == []
 
 
 def _references(tree: ast.Module, outside: str | None = None) -> set[str]:

@@ -224,38 +224,45 @@ class TestParaphrase:
 
 
 class TestRankPreposition:
+    """Ranks through the block call, one context mean per row."""
+
     def test_perfect_match_rank_one(self):
         store = make_store({"on": [1.0, 0.0], "in": [0.0, 1.0]})
-        rank, cos = rank_preposition([np.array([1.0, 0.0])], "on", store, ["on", "in"])
-        assert rank == 1
-        assert cos == pytest.approx(1.0, abs=1e-12)
+        ranks, cosines, defined = rank_preposition(np.array([[1.0, 0.0]]), ["on"],
+                                                   store, ["on", "in"])
+        assert defined[0] and ranks[0] == 1
+        assert cosines[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_observed_rank_two(self):
         store = make_store({"on": [0.0, 1.0], "in": [1.0, 0.0]})
-        rank, _ = rank_preposition([np.array([1.0, 0.0])], "on", store, ["on", "in"])
-        assert rank == 2
+        ranks, _, _ = rank_preposition(np.array([[1.0, 0.0]]), ["on"], store,
+                                       ["on", "in"])
+        assert ranks[0] == 2
 
     def test_tie_uses_roster_order(self):
         store = make_store({"on": [1.0, 0.0], "in": [1.0, 0.0], "at": [1.0, 0.0]})
-        rank, _ = rank_preposition([np.array([1.0, 0.0])], "at", store,
-                                   ["on", "in", "at"])
-        assert rank == 3
+        ranks, _, _ = rank_preposition(np.array([[1.0, 0.0]] * 3), ["at", "on", "in"],
+                                       store, ["on", "in", "at"])
+        assert ranks.tolist() == [3, 1, 2]
 
     def test_unknown_preposition_rejected(self):
         store = make_store({"on": [1.0, 0.0]})
         with pytest.raises(ValueError, match="roster"):
-            rank_preposition([np.array([1.0, 0.0])], "upon", store, ["on"])
+            rank_preposition(np.array([[1.0, 0.0]] * 2), ["on", "upon"], store, ["on"])
 
     def test_all_zero_context_rejected(self):
+        """A zero context mean leaves the rank undefined."""
         store = make_store({"on": [1.0, 0.0]})
-        with pytest.raises(UndefinedSimilarityError, match="context"):
-            rank_preposition([np.zeros(2)], "on", store, ["on"])
+        ranks, cosines, defined = rank_preposition(np.zeros((1, 2)), ["on"], store,
+                                                   ["on"])
+        assert (defined.tolist(), ranks.tolist(), cosines.tolist()) == ([False], [0], [0.0])
 
     def test_cancelling_context_rejected(self):
         store = make_store({"on": [1.0, 0.0]})
         v = np.array([0.3, -0.7])
-        with pytest.raises(UndefinedSimilarityError, match="cancel"):
-            rank_preposition([v, -v], "on", store, ["on"])
+        means = np.array([np.mean([v, -v], axis=0), v])
+        _, _, defined = rank_preposition(means, ["on", "on"], store, ["on"])
+        assert defined.tolist() == [False, True]
 
     @pytest.mark.parametrize("dim", [2, 200])
     def test_equals_per_preposition_cosines(self, dim):
@@ -264,38 +271,41 @@ class TestRankPreposition:
         vectors = {p: rng.standard_normal(dim) for p in roster}
         vectors["by"] = vectors["on"].copy()
         store = make_store(vectors)
-        context = [rng.standard_normal(dim), np.zeros(dim), rng.standard_normal(dim)]
-        mean = np.mean([context[0], context[2]], axis=0)
+        mean = np.mean([rng.standard_normal(dim), rng.standard_normal(dim)], axis=0)
         sims = [cosine_similarity(vectors[p], mean) for p in roster]
-        for idx, observed in enumerate(roster):
+        ranks, cosines, defined = rank_preposition(np.array([mean] * len(roster)),
+                                                   roster, store, roster)
+        assert defined.all()
+        for idx in range(len(roster)):
             rank = 1 + sum(s > sims[idx] or (s == sims[idx] and j < idx)
                            for j, s in enumerate(sims))
-            assert rank_preposition(context, observed, store, roster) == (rank, sims[idx])
+            assert (ranks[idx], cosines[idx]) == (rank, sims[idx])
 
     def test_roster_rows_gathered_once_per_roster(self, monkeypatch):
+        """A call gathers its roster's rows once, however many rows it
+        ranks; the store keeps no roster rows between calls."""
         store = make_store({"on": [1.0, 0.0], "in": [0.0, 1.0], "at": [1.0, 1.0]})
         gathered = []
         rows = EmbeddingStore.rows
         monkeypatch.setattr(EmbeddingStore, "rows",
                             lambda self, tokens: gathered.append(list(tokens))
                             or rows(self, tokens))
-        context = [np.array([1.0, 0.2])]
-        first = [rank_preposition(context, p, store, ["on", "in", "up"])
-                 for p in ("on", "in", "on")]
-        assert first == [rank_preposition(context, p, store, ["on", "in", "up"])
-                         for p in ("on", "in", "on")]
+        means = np.array([[1.0, 0.2]] * 3)
+        first = rank_preposition(means, ["on", "in", "on"], store, ["on", "in", "up"])
+        assert first[0].tolist() == [1, 2, 1]
         assert gathered == [["on", "in"]]
-        # Another roster gets its own block, and another store its own.
-        assert rank_preposition(context, "at", store, ["at", "on"])[0] == 2
-        assert rank_preposition(context, "on", make_store({"on": [1.0, 0.0]}),
-                                ["on", "in"]) == (1, pytest.approx(0.98, abs=0.01))
-        assert gathered == [["on", "in"], ["at", "on"], ["on"]]
+        again = rank_preposition(means, ["on", "in", "on"], store, ["on", "in", "up"])
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        assert rank_preposition(means[:1], ["at"], store, ["at", "on"])[0][0] == 2
+        assert gathered == [["on", "in"], ["on", "in"], ["at", "on"]]
 
     def test_zero_roster_vector_rejected_on_every_call(self):
         store = make_store({"on": [1.0, 0.0], "in": [0.0, 0.0]})
         for _ in range(2):
-            with pytest.raises(UndefinedSimilarityError, match="zero-norm"):
-                rank_preposition([np.array([1.0, 0.0])], "on", store, ["on", "in"])
+            _, _, defined = rank_preposition(np.array([[1.0, 0.0]]), ["on"], store,
+                                             ["on", "in"])
+            assert not defined[0]
+
 
 
 class TestSliceSpectrum:

@@ -76,26 +76,42 @@ def assert_same_tree(tree, reference, seed=None):
             assert np.array_equal(got.counts, want.counts), seed
 
 
+def assert_block_prediction(tree, X):
+    """``tree_predict`` over ``X`` and over rows that sit exactly on each
+    split threshold, against the per-row walk."""
+    X = np.asarray(X, dtype=np.float64)
+    at = []
+    for node in tree.nodes:
+        if node.feature >= 0:
+            row = X[0].copy()
+            row[node.feature] = node.threshold
+            at.append(row)
+    rows = np.vstack([X, *at]) if at else X
+    assert tree_predict(tree, rows) == [scalar_tree.predict(tree, row)[0]
+                                        for row in rows]
+
+
 class TestDecisionTree:
     def test_pure_labels_single_leaf(self):
         tree = train_decision_tree([[0.1], [0.2], [0.3]], ["a", "a", "a"],
                                    TreeParams(min_leaf=1))
         assert len(tree.nodes) == 1
-        assert tree_predict(tree, [0.9])[0] == "a"
+        assert tree_predict(tree, [[0.9]]) == ["a"]
 
     def test_threshold_separable(self):
         X, y = separable_1d()
         tree = train_decision_tree(X, y, TreeParams(max_depth=8, min_leaf=1))
         # One split: the root and its two leaves.
         assert len(tree.nodes) == 3 and tree.nodes[0].feature == 0
-        preds = [tree_predict(tree, row)[0] for row in X]
-        assert preds == y
+        assert tree_predict(tree, X) == y
 
     def test_min_leaf_forces_single_leaf(self):
         tree = train_decision_tree([[0.0], [1.0], [1.0]], [0, 1, 1],
                                    TreeParams(min_leaf=10))
         assert len(tree.nodes) == 1
-        label, score = tree_predict(tree, [0.0])
+        assert tree_predict(tree, [[0.0]]) == [1]
+        # The leaf's share of its counts, which only the per-row walk reports.
+        label, score = scalar_tree.predict(tree, [0.0])
         assert label == 1
         assert score == pytest.approx(2 / 3)
 
@@ -103,12 +119,14 @@ class TestDecisionTree:
         X = [[0.0], [0.0], [1.0], [1.0]]
         tree = train_decision_tree(X, [0, 0, 1, 1], TreeParams(min_leaf=1))
         thr = tree.nodes[0].threshold
-        assert tree_predict(tree, [thr])[0] == 1
+        assert tree_predict(tree, [[thr]]) == [1]
 
     def test_nan_feature_rejected(self):
         tree = train_decision_tree([[0.0], [1.0]], [0, 1], TreeParams(min_leaf=1))
         with pytest.raises(ValueError, match="finite"):
-            tree_predict(tree, [np.nan])
+            tree_predict(tree, [[np.nan]])
+        with pytest.raises(ValueError, match="2-d"):
+            tree_predict(tree, [0.5])
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -121,7 +139,7 @@ class TestDecisionTree:
         prev = 0.0
         for depth in range(1, 7):
             tree = train_decision_tree(X, y, TreeParams(max_depth=depth, min_leaf=1))
-            acc = accuracy([tree_predict(tree, row)[0] for row in X], list(y))
+            acc = accuracy(tree_predict(tree, X), list(y))
             assert acc >= prev - 1e-12
             prev = acc
 
@@ -144,14 +162,25 @@ class TestDecisionTree:
         # The datasets grow real trees, not only single leaves.
         assert splits > 1000
 
+    def test_block_prediction_matches_per_row_walk(self):
+        splits = 0
+        for seed in range(100):
+            X, y, params = tied_dataset(seed)
+            tree = train_decision_tree(X, y, params)
+            assert_block_prediction(tree, X)
+            splits += sum(node.feature >= 0 for node in tree.nodes)
+        assert splits > 300
+        assert tree_predict(tree, np.empty((0, X.shape[1]))) == []
+
     def test_round_trip(self, tmp_path):
         X, y = separable_1d()
         tree = train_decision_tree(X, y, TreeParams(min_leaf=1))
         path = tmp_path / "tree.txt"
         save_tree(tree, path)
         loaded = load_tree(path)
-        assert [tree_predict(loaded, row) for row in X] == \
-               [tree_predict(tree, row) for row in X]
+        assert tree_predict(loaded, X) == tree_predict(tree, X)
+        assert [scalar_tree.predict(loaded, row) for row in X] == \
+               [scalar_tree.predict(tree, row) for row in X]
 
     @pytest.mark.parametrize("values", [
         [1.0, np.nextafter(1.0, 2.0)],  # the midpoint rounds onto the left value
@@ -168,7 +197,8 @@ class TestDecisionTree:
         path = tmp_path / "tree.txt"
         save_tree(tree, path)
         loaded = load_tree(path)
-        assert [tree_predict(loaded, row)[0] for row in X] == y
+        assert tree_predict(loaded, X) == y
+        assert_block_prediction(loaded, X)
 
     # A two-class tree of three nodes whose root is the node under test.
     @pytest.mark.parametrize("root, match", [

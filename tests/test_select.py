@@ -143,9 +143,10 @@ class TestConfusionTable:
                 + [inst(["x", "in", "y"], 1, "in", "in")]
                 + [inst(["x", "to", "y"], 1, "to", "to")])
         table = build_confusion_table(data, ROSTER, smoothing=0.0)
-        assert table.replace_prob("on", "in") == pytest.approx(0.8)
-        assert table.keep_prob("on") == pytest.approx(0.2)
-        assert table.replace_prob("on", "to") == 0.0
+        on, in_, to = (table.index[p] for p in ("on", "in", "to"))
+        assert table.probs[on, in_] == pytest.approx(0.8)
+        assert table.probs[on, on] == pytest.approx(0.2)
+        assert table.probs[on, to] == 0.0
 
     def test_smoothed_rows_sum_to_one(self):
         data = [inst(["x", "on", "y"], 1, "on", "in")]
@@ -159,7 +160,7 @@ class TestConfusionTable:
         data = [inst(["x", "on", "y"], 1, "on", "on")]
         table = build_confusion_table(data, ROSTER, smoothing=1.0)
         # Row "in" saw nothing: uniform over the roster.
-        assert table.keep_prob("in") == pytest.approx(1 / 3)
+        assert table.probs[table.index["in"], table.index["in"]] == pytest.approx(1 / 3)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="no instances"):
@@ -244,39 +245,52 @@ def uniform_table():
     return ConfusionTable(roster=list(ROSTER), probs=probs, smoothing=1.0)
 
 
+def detect_one(instance, store):
+    """The detection row of ``instance`` alone, or None when it is
+    undecidable."""
+    decidable, rows = detection_features([instance], store, uniform_table(),
+                                         window=3, stoplist=STOPLIST)
+    assert rows.shape == (len(decidable), 3)
+    return rows[0] if decidable else None
+
+
 class TestDetectionFeatures:
     def test_arity_and_keep_prob(self, store):
-        instance = inst(["sat", "on", "mat"], 1, "on", "on")
-        feats = detection_features(instance, store, uniform_table(),
-                                   window=3, stoplist=STOPLIST)
+        feats = detect_one(inst(["sat", "on", "mat"], 1, "on", "on"), store)
         assert feats.shape == (3,)
         assert feats[2] == pytest.approx(1 / 3)
         assert 1 <= feats[1] <= len(ROSTER)
 
     def test_cosine_value(self, store):
         # Context mean of sat and mat is ((1+0.9)/2, 0.15, 0.05).
-        instance = inst(["sat", "on", "mat"], 1, "on", "on")
-        feats = detection_features(instance, store, uniform_table(),
-                                   window=3, stoplist=STOPLIST)
+        feats = detect_one(inst(["sat", "on", "mat"], 1, "on", "on"), store)
         mean = (np.array(VECTORS["sat"]) + VECTORS["mat"]) / 2
         expected = mean[0] / np.linalg.norm(mean)
         assert feats[0] == pytest.approx(expected, abs=1e-12)
 
     def test_empty_context_is_none(self, store):
-        instance = inst(["the", "on", "it"], 1, "on", "on")
-        assert detection_features(instance, store, uniform_table(),
-                                  window=3, stoplist=STOPLIST) is None
+        assert detect_one(inst(["the", "on", "it"], 1, "on", "on"), store) is None
 
     def test_oov_context_is_none(self, store):
-        instance = inst(["zzz", "on", "qqq"], 1, "on", "on")
-        assert detection_features(instance, store, uniform_table(),
-                                  window=3, stoplist=STOPLIST) is None
+        assert detect_one(inst(["zzz", "on", "qqq"], 1, "on", "on"), store) is None
 
     def test_cancelling_context_is_none(self):
         store = make_store({**VECTORS, "up": [0.3, -0.7, 0.2], "down": [-0.3, 0.7, -0.2]})
-        instance = inst(["up", "on", "down"], 1, "on", "on")
-        assert detection_features(instance, store, uniform_table(),
-                                  window=3, stoplist=STOPLIST) is None
+        assert detect_one(inst(["up", "on", "down"], 1, "on", "on"), store) is None
+
+    def test_dataset_keeps_decidable_positions(self, store):
+        data = [inst(["the", "on", "it"], 1, "on", "on"),
+                inst(["sat", "on", "mat"], 1, "on", "on"),
+                inst(["zzz", "on", "qqq"], 1, "on", "on"),
+                inst(["box", "in", "ran"], 1, "in", "on")]
+        decidable, rows = detection_features(data, store, uniform_table(),
+                                             window=3, stoplist=STOPLIST)
+        assert decidable == [1, 3]
+        assert np.array_equal(rows, [detect_one(data[1], store),
+                                     detect_one(data[3], store)])
+        empty = detection_features([], store, uniform_table(), window=3,
+                                   stoplist=STOPLIST)
+        assert empty[0] == [] and empty[1].shape == (0, 3)
 
 
 class TestCorrectionFeatures:
