@@ -248,9 +248,9 @@ def cmd_build_tensor(args, cfg: dict, produced: list):
 
 def cmd_decompose(args, cfg: dict, produced: list):
     vocab, tensor = _load_tensor_dir(Path(args.tensor))
+    cfg["ortho_iters"] = min(cfg["ortho_iters"], cfg["iters"])
     config = TrainingConfig(
-        dim=cfg["dim"], iterations=cfg["iters"],
-        ortho_iterations=min(cfg["ortho_iters"], cfg["iters"]),
+        dim=cfg["dim"], iterations=cfg["iters"], ortho_iterations=cfg["ortho_iters"],
         x_max=cfg["xmax"], alpha=cfg["alpha"],
         learning_rate=cfg["lr"], seed=cfg["seed"],
     )
@@ -529,8 +529,8 @@ def run(argv=None) -> int:
         for tmp, path in produced:
             os.replace(tmp, path)
         return 0
-    except (OSError, ValueError, RuntimeError) as exc:
-        logger.error("%s", exc)
+    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
+        logger.error("%s", str(exc) or type(exc).__name__)
         return 1
     finally:
         corpus_ops.OPENED_INPUTS.reset(recording)

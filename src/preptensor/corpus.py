@@ -275,10 +275,10 @@ class SparseCountTensor:
     Slice k < K holds pairs co-occurring with preposition k; slice K is
     the outside-all-preposition-windows slice. Absent entries are zero.
     The int64 arrays ``i``, ``j``, ``k``, ``counts`` hold each coordinate
-    once, in ascending (k, i, j) order, which only the constructor sets;
-    it sums the counts of a repeated coordinate. Coordinates given
-    already strictly ascending are kept as they are, without a copy
-    where they are contiguous int64 arrays.
+    once, in ascending (k, i, j) order, which only the constructor sets
+    from coordinates within the dims: strictly ascending ones are kept,
+    without a copy where they are contiguous int64 arrays; others are
+    summed by key.
     """
 
     def __init__(self, n_words: int, n_prepositions: int, window_t: int,
@@ -289,17 +289,11 @@ class SparseCountTensor:
         self.window_t = window_t
         i, j, k, counts = (np.ascontiguousarray(a, dtype=np.int64)
                            for a in (i, j, k, counts))
-        above, _equal = _compare_rows(k, i, j)
-        if above.all():
-            self.k, self.i, self.j, self.counts = k, i, j, counts
-            return
-        order = np.lexsort((j, i, k))
-        k, i, j, counts = (a[order] for a in (k, i, j, counts))
-        del order
-        _above, equal = _compare_rows(k, i, j)
-        starts = np.flatnonzero(np.concatenate([[True], ~equal]))
-        self.k, self.i, self.j = k[starts], i[starts], j[starts]
-        self.counts = np.add.reduceat(counts, starts)
+        if not _strictly_ascending(k, i, j):
+            _check_key_range(n_words, n_prepositions)
+            keys, counts = _sum_by_key((k * n_words + i) * n_words + j, counts)
+            i, j, k = _split_keys(keys, n_words)
+        self.k, self.i, self.j, self.counts = k, i, j, counts
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -324,17 +318,38 @@ class SparseCountTensor:
                         for name in _COLUMNS))
 
 
-def _compare_rows(k, i, j):
-    """Per neighbouring pair of (k, i, j) rows, whether the later row is
-    above the earlier one and whether the two are equal, as boolean
-    arrays, so that no int64 temporaries of the columns' size are made."""
+def _strictly_ascending(k, i, j) -> bool:
+    """Whether each (k, i, j) row is above the one before it, found with
+    boolean arrays only: no int64 temporaries of the columns' size."""
     above = np.zeros(max(len(k) - 1, 0), dtype=bool)
     equal = ~above
     for col in (k, i, j):
         later, earlier = col[1:], col[:-1]
         above |= equal & (later > earlier)
         equal &= later == earlier
-    return above, equal
+    return bool(above.all())
+
+
+def _sum_by_key(keys: np.ndarray, counts: np.ndarray):
+    """The distinct ``keys`` in ascending order and the sum of ``counts``
+    over each: the one sort-and-sum of coordinates."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    counts = counts[order]
+    del order
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return keys[starts], np.add.reduceat(counts, starts)
+
+
+def _split_keys(keys: np.ndarray, n: int):
+    """The (i, j, k) of keys (k*N + i)*N + j; ``keys`` becomes k."""
+    j = keys % n
+    keys //= n
+    i = keys % n
+    keys //= n
+    return i, j, keys
 
 
 def _check_window(window_t: int) -> None:
@@ -343,19 +358,20 @@ def _check_window(window_t: int) -> None:
 
 
 def _check_key_range(n_words: int, n_prepositions: int) -> None:
-    """Counting encodes (i, j, k) as the int64 key (k*N + i)*N + j."""
+    """Coordinates are sorted and summed as int64 keys (k*N + i)*N + j."""
     if n_words * n_words * (n_prepositions + 1) >= 1 << 63:
         raise ValueError(
-            f"N={n_words} words and K={n_prepositions} prepositions are too many "
-            "to count: N*N*(K+1) must be below 2**63")
+            f"N={n_words} words and K={n_prepositions} prepositions are too many: "
+            "N*N*(K+1) must be below 2**63")
 
 
 def _token_arrays(sentences: Iterable[Sequence[str]], vocab: Vocabulary, t: int):
     """Per-token word id, preposition id (-1 where the token is not one)
     and sentence id of the whole corpus, with 2t entries of -1 at each
-    end so that every position may look 2t tokens away; a window below
-    1 is the tensor's ValueError, raised before any token is indexed."""
+    end so that every position may look 2t tokens away. A window below 1
+    or a key range beyond int64 is raised before any token is indexed."""
     _check_window(t)
+    _check_key_range(vocab.n_words, vocab.n_prepositions)
     tokens: list[str] = []
     lengths: list[int] = []
     for sent in sentences:
@@ -404,14 +420,7 @@ class _KeyCounter:
         keys = np.concatenate([pair[0] for pair in pairs])
         counts = np.concatenate([pair[1] for pair in pairs])
         del pairs
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        counts = counts[order]
-        del order
-        first = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        self.pairs = [(keys[starts], np.add.reduceat(counts, starts))]
+        self.pairs = [_sum_by_key(keys, counts)]
         self.pending = 0
 
     def tensor(self, vocab: Vocabulary, t: int) -> SparseCountTensor:
@@ -420,12 +429,8 @@ class _KeyCounter:
         if len(self.pairs) > 1:
             self._fold()
         [(keys, counts)] = self.pairs
-        n = vocab.n_words
-        j = keys % n
-        keys //= n
-        i = keys % n
-        keys //= n
-        return SparseCountTensor(n, vocab.n_prepositions, t, i, j, keys, counts)
+        return SparseCountTensor(vocab.n_words, vocab.n_prepositions, t,
+                                 *_split_keys(keys, vocab.n_words), counts)
 
 
 def count_preposition_slices(
@@ -443,7 +448,6 @@ def count_preposition_slices(
     ``sentences``, spares converting the tokens again.
     """
     n = vocab.n_words
-    _check_key_range(n, vocab.n_prepositions)
     word, prep, sent = token_ids or _token_arrays(sentences, vocab, t)
     offsets = np.array([d for d in range(-t, t + 1) if d])
     distinct = ~np.eye(len(offsets), dtype=bool)[:, :, None]
@@ -471,7 +475,6 @@ def count_extra_slice(
     as for ``count_preposition_slices``.
     """
     n = vocab.n_words
-    _check_key_range(n, vocab.n_prepositions)
     pad = 2 * t
     word, prep, sent = token_ids or _token_arrays(sentences, vocab, t)
     # Within distance t of a preposition in the same sentence.
@@ -562,9 +565,9 @@ def load_tensor(path) -> SparseCountTensor:
                              if counts[row] < 1 else "index out of range"))
         tensor = SparseCountTensor(n, k_preps, t, i, j, k, counts)
         if tensor.nnz != len(counts):
-            order = np.lexsort((j, i, k))
-            _above, equal = _compare_rows(k[order], i[order], j[order])
-            repeat = order[1:][equal].min()
+            first = np.zeros(len(counts), dtype=bool)
+            first[np.unique((k * n + i) * n + j, return_index=True)[1]] = True
+            repeat = np.argmin(first)
             raise ValueError(f"line {repeat + 2}: repeated coordinate "
                              f"{i[repeat]} {j[repeat]} {k[repeat]}")
         if tensor.nnz != nnz:

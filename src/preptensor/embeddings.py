@@ -300,8 +300,11 @@ def load_embeddings(path) -> EmbeddingStore:
             if declared < 0 or dim < 1:
                 raise ValueError("line 1: bad header")
             # A row takes at least 2 bytes per value, so a header declaring
-            # more rows than the file can hold allocates no more.
-            rows = min(declared, os.fstat(fh.fileno()).st_size // (2 * dim) + 1)
+            # more or wider rows than the file can hold allocates no more.
+            if declared and 2 * dim > (size := os.fstat(fh.fileno()).st_size):
+                raise ValueError(f"line 1: rows of {dim} values do not fit in "
+                                 f"{size} bytes")
+            rows = min(declared, size // (2 * dim) + 1)
             lines, start = fh, 2
         else:
             # Headerless GloVe-style file: the first line is a vector row.

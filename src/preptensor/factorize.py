@@ -136,17 +136,15 @@ def weight(x, x_max: float, alpha: float):
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
-def _as_coo(tensor) -> CooTensor:
-    """Raw-count coordinate view of a count or real tensor."""
-    if isinstance(tensor, SparseCountTensor):
-        raw = CooTensor.from_counts(tensor)
-    elif isinstance(tensor, CooTensor):
-        raw = tensor
-    else:
-        raise TypeError(f"unsupported tensor type {type(tensor).__name__}")
-    if raw.nnz == 0:
-        raise ValueError("empty tensor: nothing to decompose")
-    return raw
+def _as_coo(tensor, log: bool) -> CooTensor:
+    """The tensor a factorization works on: a CooTensor as it is, a count
+    tensor's log form (``log``) or its raw counts. One without a nonzero
+    value is a ValueError."""
+    if not isinstance(tensor, CooTensor):
+        tensor = log_transform(tensor) if log else CooTensor.from_counts(tensor)
+    if not tensor.values.any():
+        raise ValueError("empty or all-zero tensor: nothing to fit")
+    return tensor
 
 
 def _reconstruction_at(coo: CooTensor, U, W, Q) -> np.ndarray:
@@ -180,13 +178,9 @@ def als_objective(coo: CooTensor, U: np.ndarray, W: np.ndarray, Q: np.ndarray) -
 
 def cp_fit(coo, embeddings: EmbeddingSet) -> float:
     """1 minus relative Frobenius reconstruction error."""
-    if isinstance(coo, SparseCountTensor):
-        coo = log_transform(coo)
-    norm_t = coo.norm()
-    if norm_t == 0.0:
-        raise ValueError("zero tensor has no defined fit")
+    coo = _as_coo(coo, log=True)
     obj = als_objective(coo, embeddings.U, embeddings.W, embeddings.Q)
-    return 1.0 - np.sqrt(obj) / norm_t
+    return 1.0 - np.sqrt(obj) / coo.norm()
 
 
 def _build_unfolding(coo: CooTensor, mode: str) -> scipy.sparse.csr_matrix:
@@ -292,10 +286,8 @@ def decompose_orth_als(tensor, config: TrainingConfig) -> EmbeddingSet:
     count tensors are log-transformed first. The three unfoldings are
     built once, before the first sweep, and freed with the run.
     """
-    coo = log_transform(tensor) if isinstance(tensor, SparseCountTensor) else _as_coo(tensor)
+    coo = _as_coo(tensor, log=True)
     norm_t = coo.norm()
-    if norm_t == 0.0:
-        raise ValueError("empty tensor: nothing to decompose")
     unfoldings = {mode: _build_unfolding(coo, mode) for mode in "UWQ"}
     rng, U, W, Q = _init_factors(coo.dims, config.dim, config.seed)
     prev_fit = -np.inf
@@ -400,7 +392,7 @@ def decompose_weighted(tensor, config: TrainingConfig) -> EmbeddingSet:
     per-coordinate adaptive step sizes; ``trajectory`` holds the weighted
     loss after each epoch. Deterministic given the seed.
     """
-    raw = _as_coo(tensor)
+    raw = _as_coo(tensor, log=False)
     if np.any(raw.values <= 0):
         raise ValueError("weighted decomposition requires positive nonzero entries")
     n, _, kp1 = raw.dims

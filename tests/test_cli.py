@@ -73,6 +73,15 @@ def tensor_dir(tmp_path, corpus_path, roster_path):
     return out
 
 
+def run_main(*argv) -> subprocess.CompletedProcess:
+    """The CLI run in a separate process, so stderr holds all a user
+    sees: numpy warnings and tracebacks included, no pytest log capture."""
+    return subprocess.run(
+        [sys.executable, "-c", "from preptensor.cli import main; main()", *argv],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+
+
 def digests(*paths) -> dict:
     return {str(path): hashlib.sha256(Path(path).read_bytes()).hexdigest()
             for path in paths}
@@ -417,19 +426,45 @@ class TestDecompose:
             "emb.txt", "emb.txt.manifest.json"]
 
     def test_diverged_run_prints_one_line(self, tmp_path, tensor_dir):
-        # A separate process, so stderr holds all a user sees: numpy
-        # warnings included, and no pytest log capture.
-        src = Path(cli.__file__).parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-c", "from preptensor.cli import main; main()",
-             "decompose", "--tensor", str(tensor_dir), "--method", "wd",
-             "--dim", "4", "--iters", "3", "--lr", "1e6",
-             "--out", str(tmp_path / "emb.txt")],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(src)})
+        proc = run_main("decompose", "--tensor", str(tensor_dir), "--method", "wd",
+                        "--dim", "4", "--iters", "3", "--lr", "1e6",
+                        "--out", str(tmp_path / "emb.txt"))
         assert proc.returncode == 1
         assert len(proc.stderr.splitlines()) == 1
         assert "diverged" in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+    def test_failed_allocation_prints_one_line(self, tmp_path, tensor_dir):
+        # U alone would take about 2**61 bytes: more than any address
+        # space holds, and less than numpy's "array is too big" limit.
+        n_words = load_vocabulary(tensor_dir / "vocab.txt").n_words
+        out = tmp_path / "emb.txt"
+        proc = run_main("decompose", "--tensor", str(tensor_dir), "--method", "als",
+                        "--dim", str(2 ** 58 // n_words), "--out", str(out))
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Unable to allocate" in proc.stderr and "Traceback" not in proc.stderr
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith("emb")]
+
+    def test_manifest_records_the_ortho_iters_run(self, tmp_path, tensor_dir):
+        out = tmp_path / "emb.txt"
+        assert cli.run(["decompose", "--tensor", str(tensor_dir), "--method", "als",
+                        "--dim", "3", "--iters", "2", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "emb.txt.manifest.json").read_text())
+        assert manifest["config"]["iters"] == 2
+        assert manifest["config"]["ortho_iters"] == 2
+        assert manifest["counters"]["sweeps"] == 2
+
+    def test_unordered_tensor_beyond_the_key_range_is_one_line_error(
+            self, tmp_path, tensor_dir, caplog):
+        # N*N*(K+1) = 2**63: the unordered body cannot be keyed in int64.
+        tensor = tensor_dir / "tensor.txt"
+        tensor.write_text("PREPTENSOR v1 2147483648 1 2 3\n0 1 0 1\n0 0 0 1\n")
+        rc = cli.run(["decompose", "--tensor", str(tensor_dir),
+                      "--method", "als", "--dim", "4", "--out", str(tmp_path / "e.txt")])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{tensor}: N=2147483648 words and K=1 prepositions are "
+                          "too many: N*N*(K+1) must be below 2**63"]
 
     def test_negative_ortho_iters_is_user_error(self, tmp_path, tensor_dir,
                                                  caplog):
@@ -506,6 +541,20 @@ class TestQueryCommands:
         tok_l, tok_r, sim = lines[0].split("\t")
         assert (tok_l, tok_r) == ("on", "in")
         assert -1.0 <= float(sim) <= 1.0
+
+    def test_header_wider_than_the_file_prints_one_line(self, tmp_path, roster_path):
+        # A row of 2**58 values would take 2**61 bytes to hold.
+        emb = tmp_path / "emb.txt"
+        emb.write_text(f"1 {2 ** 58}\non 1 2\n")
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text("on in\n")
+        proc = run_main("query-sim", "--embeddings", str(emb), "--pairs", str(pairs),
+                        "--roster", str(roster_path))
+        assert proc.returncode == 1
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("ERROR ") and line.endswith(
+            f" {emb}: line 1: rows of {2 ** 58} values do not fit in "
+            f"{emb.stat().st_size} bytes")
 
     def test_paraphrase_ranks_candidates(self, tmp_path, embeddings_path, capsys):
         cands = tmp_path / "cands.txt"

@@ -1,9 +1,10 @@
 """Design rules of the package that no behaviour test shows: a layer
 function states what it needs instead of falling back to a default
 object, a sparse tensor and an embedding store are plain values that
-hold no cache, a dataset-level function is called once per dataset, the
-public API is what the package itself calls, and an option's default is
-the default of the setting it sets."""
+hold no cache, coordinates are sorted by one key and a factorization's
+input is converted in one place, a dataset-level function is called
+once per dataset, the public API is what the package itself calls, and
+an option's default is the default of the setting it sets."""
 
 import ast
 import dataclasses
@@ -156,6 +157,27 @@ def test_coo_tensor_is_a_plain_value():
     tensor it factorizes."""
     assert [f.name for f in dataclasses.fields(CooTensor)] == [
         "i", "j", "k", "values", "dims"]
+
+
+def test_no_lexicographic_sort_in_the_package():
+    """Coordinates are sorted and summed as int64 keys, by one function."""
+    found = []
+    for path in sorted(Path(preptensor.__file__).parent.glob("*.py")):
+        found += [f"{path.name} line {node.lineno}"
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if getattr(node, "attr", getattr(node, "id", None)) == "lexsort"]
+    assert found == []
+
+
+def test_factorize_checks_tensor_types_in_one_function():
+    """One function turns a factorization's input into its CooTensor."""
+    tree = ast.parse(inspect.getsource(importlib.import_module("preptensor.factorize")))
+    checking = sorted({function.name for function in ast.walk(tree)
+                       if isinstance(function, ast.FunctionDef)
+                       for node in ast.walk(function)
+                       if isinstance(node, ast.Call)
+                       and getattr(node.func, "id", None) == "isinstance"})
+    assert checking == ["_as_coo"]
 
 
 def test_embedding_store_is_a_plain_value():

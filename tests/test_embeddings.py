@@ -465,6 +465,7 @@ class TestEmbeddingIO:
         ("1 \u0662\nfoo 1 2\n", "line 1: non-numeric field '\u0662'"),
         ("-1 2\nfoo 1 2\n", "line 1: bad header"),
         ("1 0\nfoo\n", "line 1: bad header"),
+        ("1 8\nfoo 1 2\n", "line 1: rows of 8 values do not fit in 12 bytes"),
         ("3 2\nfoo 1 2\n__NOPREP__ 1 1\n", "header declares 3 rows, found 2"),
         ("1 2\nfoo 1 2\n__NOPREP__ 1 1\n", "header declares 1 rows, found 2"),
         ("2 2\nfoo\n__NOPREP__ 1 1\n", "line 2: expected 2 fields, got 0"),
