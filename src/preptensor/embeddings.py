@@ -301,7 +301,8 @@ def load_embeddings(path) -> EmbeddingStore:
                 raise ValueError("line 1: bad header")
             # A row takes at least 2 bytes per value, so a header declaring
             # more or wider rows than the file can hold allocates no more.
-            if declared and 2 * dim > (size := os.fstat(fh.fileno()).st_size):
+            size = os.fstat(fh.fileno()).st_size
+            if declared and 2 * dim > size:
                 raise ValueError(f"line 1: rows of {dim} values do not fit in "
                                  f"{size} bytes")
             rows = min(declared, size // (2 * dim) + 1)

@@ -428,6 +428,14 @@ class TestEmbeddingIO:
         assert loaded.matrix.tolist() == [[0.5], [-1.0]]
         assert loaded.q_const.tolist() == [2.0]
 
+    def test_zero_row_header_loads_empty(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("0 2\n")
+        loaded = load_embeddings(path)
+        assert loaded.tokens == []
+        assert loaded.matrix.shape == (0, 2)
+        assert loaded.q_const.tolist() == [0.0, 0.0]
+
     def test_missing_constant_vector_warns(self, tmp_path, caplog):
         path = tmp_path / "emb.txt"
         path.write_text("2 2\nfoo 1 2\nbar 0.5 -1\n")
@@ -466,6 +474,7 @@ class TestEmbeddingIO:
         ("-1 2\nfoo 1 2\n", "line 1: bad header"),
         ("1 0\nfoo\n", "line 1: bad header"),
         ("1 8\nfoo 1 2\n", "line 1: rows of 8 values do not fit in 12 bytes"),
+        ("0 2\nfoo 1 2\n", "header declares 0 rows, found 1"),
         ("3 2\nfoo 1 2\n__NOPREP__ 1 1\n", "header declares 3 rows, found 2"),
         ("1 2\nfoo 1 2\n__NOPREP__ 1 1\n", "header declares 1 rows, found 2"),
         ("2 2\nfoo\n__NOPREP__ 1 1\n", "line 2: expected 2 fields, got 0"),
