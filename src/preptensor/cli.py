@@ -50,12 +50,13 @@ def _boolean(text: str) -> bool:
             f"{text!r} is not one of {'/'.join(_BOOLEANS)}") from None
 
 
-# Numbers spelled as in the files the program reads: int() and float()
-# would also take "1_0", non-ASCII digits, nan and inf.
+# Numbers spelled and bounded as in the files the program reads: int()
+# and float() would also take "1_0", non-ASCII digits, nan and inf.
 def _integer(text: str) -> int:
-    if not corpus_ops.ASCII_INTEGER.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    return int(text)
+    try:
+        return corpus_ops.int64_field(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive_int(text: str) -> int:

@@ -175,18 +175,29 @@ def _raise_bad_line(lines, start, width, integer, skip_blank):
     raise ValueError(f"lines {start}-{lineno}: not {width} numbers per line")
 
 
+def int64_field(text: str) -> int:
+    """``text`` as np.loadtxt reads an int64: the one integer rule of
+    file fields, flags and config values. Any other text is a ValueError
+    naming it."""
+    if not ASCII_INTEGER.fullmatch(text):
+        raise ValueError(f"non-integer field {text!r}")
+    if not _INT64.min <= int(text) <= _INT64.max:
+        raise ValueError(f"integer field {text!r} out of range")
+    return int(text)
+
+
 def _check_field(text: str, lineno: int, integer: bool) -> None:
     """A ValueError naming ``text`` and line ``lineno`` unless np.loadtxt
     reads it as an int64, or else as a finite float64."""
-    if integer:
-        if not ASCII_INTEGER.fullmatch(text):
-            raise ValueError(f"line {lineno}: non-integer field {text!r}")
-        if not _INT64.min <= int(text) <= _INT64.max:
-            raise ValueError(f"line {lineno}: integer field {text!r} out of range")
-    elif not ASCII_FLOAT.fullmatch(text):
-        raise ValueError(f"line {lineno}: non-numeric field {text!r}")
-    elif not np.isfinite(np.float64(text)):
-        raise ValueError(f"line {lineno}: non-finite value {text!r}")
+    try:
+        if integer:
+            int64_field(text)
+        elif not ASCII_FLOAT.fullmatch(text):
+            raise ValueError(f"non-numeric field {text!r}")
+        elif not np.isfinite(np.float64(text)):
+            raise ValueError(f"non-finite value {text!r}")
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
 
 
 def tokenize_sentences(raw_text: str | bytes) -> list[list[str]]:
@@ -367,8 +378,10 @@ def _check_key_range(n_words: int, n_prepositions: int) -> None:
 
 def _token_arrays(sentences: Iterable[Sequence[str]], vocab: Vocabulary, t: int):
     """Per-token word id, preposition id (-1 where the token is not one)
-    and sentence id of the whole corpus, with 2t entries of -1 at each
-    end so that every position may look 2t tokens away. A window below 1
+    and sentence id of the whole corpus, and the reach: the window ``t``
+    capped at the longest sentence, past which a wider window counts the
+    same pairs. The arrays hold 2 * reach entries of -1 at each end, so
+    that every position may look 2 * reach tokens away. A window below 1
     or a key range beyond int64 is raised before any token is indexed."""
     _check_window(t)
     _check_key_range(vocab.n_words, vocab.n_prepositions)
@@ -377,12 +390,13 @@ def _token_arrays(sentences: Iterable[Sequence[str]], vocab: Vocabulary, t: int)
     for sent in sentences:
         tokens.extend(sent)
         lengths.append(len(sent))
+    reach = max(1, min(t, max(lengths, default=0)))
     word, prep = (np.pad(np.fromiter(map(ids.get, tokens, itertools.repeat(-1)),
-                                     np.int64, len(tokens)), 2 * t, constant_values=-1)
+                                     np.int64, len(tokens)), 2 * reach, constant_values=-1)
                   for ids in (vocab.word_ids, vocab.prep_ids))
     sent = np.pad(np.repeat(np.arange(len(lengths), dtype=np.int64), lengths),
-                  2 * t, constant_values=-1)
-    return word, prep, sent
+                  2 * reach, constant_values=-1)
+    return word, prep, sent, reach
 
 
 def _blocks(positions: np.ndarray):
@@ -448,8 +462,8 @@ def count_preposition_slices(
     ``sentences``, spares converting the tokens again.
     """
     n = vocab.n_words
-    word, prep, sent = token_ids or _token_arrays(sentences, vocab, t)
-    offsets = np.array([d for d in range(-t, t + 1) if d])
+    word, prep, sent, reach = token_ids or _token_arrays(sentences, vocab, t)
+    offsets = np.array([d for d in range(-reach, reach + 1) if d])
     distinct = ~np.eye(len(offsets), dtype=bool)[:, :, None]
     counter = _KeyCounter()
     for pos in _blocks(np.flatnonzero(prep >= 0)):
@@ -475,12 +489,12 @@ def count_extra_slice(
     as for ``count_preposition_slices``.
     """
     n = vocab.n_words
-    pad = 2 * t
-    word, prep, sent = token_ids or _token_arrays(sentences, vocab, t)
+    word, prep, sent, reach = token_ids or _token_arrays(sentences, vocab, t)
+    pad = 2 * reach
     # Within distance t of a preposition in the same sentence.
     covered = np.zeros(len(word), dtype=bool)
     core = slice(pad, len(word) - pad)
-    for d in range(-t, t + 1):
+    for d in range(-reach, reach + 1):
         shifted = slice(pad + d, len(word) - pad + d)
         covered[core] |= (prep[shifted] >= 0) & (sent[shifted] == sent[core])
     offsets = np.array([d for d in range(-pad, pad + 1) if d])

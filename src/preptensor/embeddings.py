@@ -125,10 +125,11 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def row_cosines(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``cosine_similarity`` of each row with ``v``, one vector or a block
-    of rows, 0.0 where a norm is 0."""
+    """``cosine_similarity`` of each row with ``v``, broadcast as vecdot
+    does: one vector, a block of rows, or a block of blocks, such as (n,
+    1, d) means for (K, d) rows, an (n, K) block. 0.0 where a norm is 0."""
     norms, v_norms = row_norms(rows), row_norms(v)
-    out = np.zeros(len(rows))
+    out = np.zeros(np.broadcast_shapes(norms.shape, v_norms.shape))
     np.divide(np.vecdot(rows, v), norms * v_norms, out=out,
               where=(norms != 0.0) & (v_norms != 0.0))
     return out
@@ -178,10 +179,9 @@ def preposition_similarity_table(
         mean = np.zeros(store.dim)
     left = store.rows([pair[0] for pair in pairs]) - mean
     right = store.rows([pair[1] for pair in pairs]) - mean
-    n_left, n_right = row_norms(left), row_norms(right)
-    if not (n_left.all() and n_right.all()):
+    if not (row_norms(left).all() and row_norms(right).all()):
         raise UndefinedSimilarityError("cosine similarity undefined for zero-norm vector")
-    sims = np.vecdot(left, right) / (n_left * n_right)
+    sims = row_cosines(left, right)
     return [(l_tok, r_tok, float(sim)) for (l_tok, r_tok), sim in zip(pairs, sims)]
 
 
@@ -223,12 +223,9 @@ def rank_preposition(
     members = [p for p in roster if p in store]
     place = {p: pos for pos, p in enumerate(members)}
     rows = store.rows(members)
-    norms, n_means = row_norms(rows), row_norms(means)
     idx = np.array([place.get(p, -1) for p in observed], dtype=np.intp)
-    defined = (n_means != 0.0) & (idx >= 0) & norms.all()
-    sims = np.zeros((len(means), len(members)))
-    np.divide(np.vecdot(rows, means[:, None, :]), norms * n_means[:, None], out=sims,
-              where=defined[:, None])
+    defined = (row_norms(means) != 0.0) & (idx >= 0) & row_norms(rows).all()
+    sims = row_cosines(rows, means[:, None, :])
     cosines = np.zeros(len(means))
     cosines[defined] = sims[defined, idx[defined]]
     obs = cosines[:, None]

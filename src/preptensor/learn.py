@@ -1,8 +1,8 @@
 """Self-contained learners and metrics shared by the downstream tasks.
 
 A CART-style decision tree with Gini impurity, a two-hidden-layer
-feed-forward network trained by momentum SGD on cross-entropy, and the
-precision/recall/F1 and accuracy metrics used to score them.
+two-class feed-forward network trained by momentum SGD on cross-entropy,
+and the precision/recall/F1 and accuracy metrics used to score them.
 """
 
 from __future__ import annotations
@@ -175,11 +175,23 @@ class FnnHyper:
     seed: int = 0
     val_fraction: float = 0.1
 
+    def __post_init__(self):
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
+
 
 @dataclass
 class FeedForwardNet:
-    """Rectifier hidden layers, softmax output. ``trajectory`` and
-    ``counters`` describe the ``train_fnn`` run that made the network."""
+    """Rectifier hidden layers, a two-class softmax output. ``trajectory``
+    and ``counters`` describe the ``train_fnn`` run that made the network."""
 
     sizes: list[int]
     weights: list[np.ndarray]
@@ -255,23 +267,18 @@ def _blocks(X: np.ndarray, weights, rows: int) -> list[np.ndarray]:
 def _forward(weights, biases, acts, n: int) -> np.ndarray:
     """Fill the first ``n`` rows of each block after ``acts[0]`` with the
     activations of the first ``n`` rows of ``acts[0]``; return the
-    softmax rows."""
+    two-class softmax rows."""
     last = len(weights) - 1
     for layer, (w, b) in enumerate(zip(weights, biases)):
         z = np.matmul(acts[layer][:n], w, out=acts[layer + 1][:n])
         z += b
         if layer < last:
             np.maximum(z, 0.0, out=z)
-    if z.shape[1] == 2:
-        # The max and the sum of two columns, as the axis reductions
-        # compute them for a row of two, without their per-call cost.
-        z -= np.maximum(z[:, :1], z[:, 1:])
-        np.exp(z, out=z)
-        z /= z[:, :1] + z[:, 1:]
-    else:
-        z -= z.max(axis=-1, keepdims=True)
-        np.exp(z, out=z)
-        z /= z.sum(axis=-1, keepdims=True)
+    # The max and the sum of the two columns, as the axis reductions
+    # compute them for a row of two, without their per-call cost.
+    z -= np.maximum(z[:, :1], z[:, 1:])
+    np.exp(z, out=z)
+    z /= z[:, :1] + z[:, 1:]
     return z
 
 
@@ -330,9 +337,9 @@ def fnn_loss_and_grads(net: FeedForwardNet, X: np.ndarray, y: np.ndarray):
 def train_fnn(rows, labels, arch, hyper: FnnHyper) -> FeedForwardNet:
     """Mini-batch SGD with momentum on cross-entropy.
 
-    ``arch`` gives the two hidden sizes; input and output widths come
-    from the data. With a validation fraction set, keeps the parameters
-    of the best validation epoch and stops early when stalled.
+    ``arch`` gives the two hidden sizes, the data the input width, and
+    ``labels`` are 0 or 1. With a validation fraction set, keeps the
+    parameters of the best validation epoch and stops early when stalled.
 
     ``rows`` is an array or a ``CandidateRows``. Trains in float32: the
     float64 draw of ``FeedForwardNet.init`` and the rows, or each of
@@ -364,8 +371,9 @@ def train_fnn(rows, labels, arch, hyper: FnnHyper) -> FeedForwardNet:
         # "clip" writes straight into the block; the indices are in range.
         gather = functools.partial(np.take, X, axis=0, mode="clip")
     labels = np.asarray(labels, dtype=np.int64)
-    n_classes = int(labels.max()) + 1
-    sizes = [X.shape[1], *arch, n_classes]
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    sizes = [X.shape[1], *arch, 2]
     init = FeedForwardNet.init(sizes, seed=hyper.seed)
     theta = np.concatenate([p.ravel() for layer in zip(init.weights, init.biases)
                             for p in layer]).astype(np.float32)
@@ -542,8 +550,9 @@ def load_fnn(path) -> FeedForwardNet:
         if len(header) < 4 or header[:3] != ["FNN", "v1", "sizes"]:
             raise ValueError("bad network header")
         sizes = parse_integers(header[3:], 1)
-        if len(sizes) < 2 or min(sizes) < 1:
-            raise ValueError("line 1: a network needs two or more sizes, each >= 1")
+        if len(sizes) < 2 or min(sizes) < 1 or sizes[-1] != 2:
+            raise ValueError("line 1: a network needs two or more sizes, each >= 1, "
+                             "ending in 2 (its two classes)")
         weights, biases = [], []
         lineno = 2
         for a, b in zip(sizes[:-1], sizes[1:]):

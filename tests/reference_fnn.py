@@ -57,8 +57,7 @@ def train_fnn(rows, labels, arch, hyper: FnnHyper) -> FeedForwardNet:
         raise ValueError("training features must lie within the float32 range")
     X = X.astype(np.float32)
     labels = np.asarray(labels, dtype=np.int64)
-    n_classes = int(labels.max()) + 1
-    sizes = [X.shape[1], *arch, n_classes]
+    sizes = [X.shape[1], *arch, 2]
     net = FeedForwardNet.init(sizes, seed=hyper.seed)
     net.weights = [w.astype(np.float32) for w in net.weights]
     net.biases = [b.astype(np.float32) for b in net.biases]

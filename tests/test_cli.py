@@ -27,7 +27,7 @@ from preptensor.corpus import (
     tokenize_sentences,
 )
 from preptensor.embeddings import load_embeddings
-from preptensor.learn import load_fnn, load_tree
+from preptensor.learn import FeedForwardNet, load_fnn, load_tree, save_fnn
 from preptensor.select import (
     SelectionModels,
     default_roster,
@@ -174,6 +174,24 @@ class TestBuildTensor:
                         "--corpus", str(corpus_path), "--out", str(out)]) == 1
         assert _one_error(caplog) == f"{config}: window = 0: 0 is below 1"
         assert not out.exists()
+
+    def test_window_past_the_longest_sentence_counts_as_that_length(self, tmp_path,
+                                                                    corpus_path):
+        """A window of 2**62 counts what a window of the longest
+        sentence's length counts; the header and manifest keep 2**62."""
+        longest = max(map(len, tokenize_sentences(corpus_path.read_bytes())))
+        lines = {}
+        for window in (longest, 2 ** 62):
+            out = tmp_path / str(window)
+            assert cli.run(["build-tensor", "--corpus", str(corpus_path),
+                            "--min-count", "1", "--window", str(window),
+                            "--out", str(out)]) == 0
+            lines[window] = (out / "tensor.txt").read_text().splitlines()
+            assert lines[window][0].split()[-1] == str(window)
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["window"] == window
+        assert lines[longest][1:] == lines[2 ** 62][1:]
+        assert len(lines[longest]) > 1
 
     def test_missing_corpus_fails(self, tmp_path, roster_path):
         rc = cli.run(["build-tensor", "--corpus", str(tmp_path / "nope.txt"),
@@ -1165,6 +1183,7 @@ class TestArgumentHandling:
         ("lr = nan\n", "lr"),
         ("xmax = inf\n", "xmax"),
         ("momentum = 1e999\n", "momentum"),
+        (f"dim = {2 ** 63}\n", "dim"),
     ])
     def test_config_value_the_type_rejects_fails(self, tmp_path, embeddings_path,
                                                  roster_path, caplog, capsys,
@@ -1191,7 +1210,7 @@ class TestArgumentHandling:
     @pytest.mark.parametrize("flag, value", [
         ("--dim", "\u0663"), ("--dim", "1_0"), ("--iters", "1_0"), ("--seed", " 3"),
         ("--lr", "nan"), ("--xmax", "inf"), ("--alpha", "\u0660.\u0665"),
-        ("--lr", "1e999"),
+        ("--lr", "1e999"), ("--dim", "9" * 20), ("--seed", str(-2 ** 63 - 1)),
     ])
     def test_numbers_outside_the_number_rule_are_rejected(self, flag, value, capsys):
         argv = ["decompose", "--tensor", "t", "--method", "als", "--out", "e.txt",
@@ -1199,6 +1218,21 @@ class TestArgumentHandling:
         assert cli.run(argv) == 2
         err = capsys.readouterr().err
         assert f"argument {flag}" in err and repr(value) in err
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--fnn-lr", "-0.04", "learning_rate must be positive, got -0.04"),
+        ("--fnn-lr", "0", "learning_rate must be positive, got 0.0"),
+        ("--momentum", "-3", "momentum must be in [0, 1), got -3.0"),
+        ("--momentum", "1", "momentum must be in [0, 1), got 1.0"),
+    ])
+    @pytest.mark.parametrize("command", ["train-select", "train-attach"])
+    def test_network_settings_out_of_bounds_rejected(self, tmp_path, trained, caplog,
+                                                     command, option, value, message):
+        argv = _commands(trained)[command]
+        argv[argv.index("--out") + 1] = str(tmp_path / "models")
+        assert cli.run([*argv, option, value]) == 1
+        assert _one_error(caplog) == message
+        assert not (tmp_path / "models").exists()
 
     @pytest.mark.parametrize("value, centered", [
         ("yes", True), ("TRUE", True), ("1", True),
@@ -1619,6 +1653,24 @@ class TestInputFileErrors:
         path.write_text("\n".join([tags[0], *tags]) + "\n")
         assert cli.run(_commands(d)["eval-attach"]) == 1
         assert _one_error(caplog) == f"{path}: tag {tags[0]!r} listed twice"
+
+    # Evaluation scores each candidate by column 1 of a two-class
+    # softmax: a network of 1 output has no such column, and one of 3
+    # is no two-class scorer.
+    @pytest.mark.parametrize("outputs", [1, 3])
+    @pytest.mark.parametrize("command", ["eval-select", "eval-attach"])
+    def test_network_of_other_than_two_outputs_rejected(self, tmp_path, trained,
+                                                        command, outputs):
+        d = tmp_path / "d"
+        shutil.copytree(trained, d)
+        path = d / ("sel" if command == "eval-select" else "att") / "fnn.txt"
+        sizes = load_fnn(path).sizes
+        save_fnn(FeedForwardNet.init([*sizes[:-1], outputs], seed=0), path)
+        proc = run_main(*_commands(d)[command])
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"ERROR preptensor {path}: line 1: a network needs two or more sizes, "
+            "each >= 1, ending in 2 (its two classes)"]
 
     @pytest.mark.parametrize("command", ["eval-select", "eval-attach"])
     def test_embeddings_of_another_dimension_rejected(self, tmp_path, trained, caplog,

@@ -226,6 +226,22 @@ class TestArrayCounting:
             assert count_tensor(sentences, vocab, t) == brute_force_tensor(
                 sentences, vocab, t)
 
+    def test_window_past_the_longest_sentence(self):
+        """Counting caps the window at the longest sentence, past which a
+        wider window counts the same pairs; the tensor keeps the window
+        it was given."""
+        rng = np.random.default_rng(11)
+        sentences = _corpus_with_edges(rng, self.ROSTER)
+        vocab = build_vocabulary(sentences, 1, self.ROSTER)
+        longest = max(map(len, sentences))
+        for t in (longest - 1, longest, longest + 3):
+            assert count_tensor(sentences, vocab, t) == brute_force_tensor(
+                sentences, vocab, t)
+        huge, capped = (count_tensor(sentences, vocab, t) for t in (2 ** 62, longest))
+        assert huge.window_t == 2 ** 62
+        assert all(np.array_equal(getattr(huge, name), getattr(capped, name))
+                   for name in ("i", "j", "k", "counts"))
+
     @pytest.mark.parametrize("t", [1, 3])
     def test_small_blocks_cross_sentences(self, monkeypatch, t):
         rng = np.random.default_rng(7)

@@ -2,8 +2,8 @@
 function states what it needs instead of falling back to a default
 object, a sparse tensor and an embedding store are plain values that
 hold no cache, coordinates are sorted by one key and a factorization's
-input is converted in one place, a dataset-level function is called
-once per dataset, the public API is what the package itself calls, and
+input is converted in one place, a cosine is taken by one row kernel,
+a dataset-level function is called once per dataset, the public API is what the package itself calls, and
 an option's default is the default of the setting it sets."""
 
 import ast
@@ -178,6 +178,17 @@ def test_factorize_checks_tensor_types_in_one_function():
                        if isinstance(node, ast.Call)
                        and getattr(node.func, "id", None) == "isinstance"})
     assert checking == ["_as_coo"]
+
+
+def test_cosines_are_computed_by_the_row_kernels_only():
+    """Every cosine in ``embeddings`` comes from ``row_cosines``, which
+    broadcasts over blocks: no other function takes a ``vecdot``."""
+    tree = ast.parse(inspect.getsource(importlib.import_module("preptensor.embeddings")))
+    taking = sorted({function.name for function in ast.walk(tree)
+                     if isinstance(function, ast.FunctionDef)
+                     for node in ast.walk(function)
+                     if getattr(node, "attr", getattr(node, "id", None)) == "vecdot"})
+    assert taking == ["row_cosines", "row_norms"]
 
 
 def test_embedding_store_is_a_plain_value():

@@ -252,12 +252,12 @@ class TestDecisionTree:
 
 class TestFnnForward:
     def test_zero_net_uniform(self):
-        net = FeedForwardNet(sizes=[3, 4, 2, 5],
-                             weights=[np.zeros((3, 4)), np.zeros((4, 2)),
-                                      np.zeros((2, 5))],
-                             biases=[np.zeros(4), np.zeros(2), np.zeros(5)])
+        net = FeedForwardNet(sizes=[3, 4, 5, 2],
+                             weights=[np.zeros((3, 4)), np.zeros((4, 5)),
+                                      np.zeros((5, 2))],
+                             biases=[np.zeros(4), np.zeros(5), np.zeros(2)])
         scores = fnn_forward_batch(net, [[1.0, -2.0, 0.5]])[0]
-        assert np.allclose(scores, 0.2, atol=1e-12)
+        assert np.allclose(scores, 0.5, atol=1e-12)
 
     def test_tiny_hand_computation(self):
         # 1-1-1-2 net: x=2, w=1 chains, relu passthrough, output [z, 0].
@@ -273,7 +273,7 @@ class TestFnnForward:
 
     def test_scores_sum_to_one(self):
         rng = np.random.default_rng(2)
-        net = FeedForwardNet.init([4, 6, 3, 3], seed=5)
+        net = FeedForwardNet.init([4, 6, 3, 2], seed=5)
         X = rng.standard_normal((50, 4))
         scores = fnn_forward_batch(net, X)
         assert np.allclose(scores.sum(axis=1), 1.0, atol=1e-9)
@@ -375,6 +375,17 @@ class TestFnnTraining:
                 pytest.raises(RuntimeError, match="diverged at epoch 2: loss is not finite"):
             train_fnn(X, [0, 1], (4, 4), hyper)
 
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [-1, 0, 1]])
+    def test_labels_other_than_zero_and_one_rejected(self, labels):
+        X = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+            train_fnn(X, labels, (4, 4), FnnHyper(epochs=1))
+
+    def test_one_class_still_builds_two_outputs(self):
+        net = train_fnn(np.array([[1.0, -1.0]]), [0], (4, 4),
+                        FnnHyper(epochs=1, val_fraction=0.0))
+        assert net.sizes == [2, 4, 4, 2]
+
     @pytest.mark.parametrize("value", [1e39, -1e39])
     def test_features_beyond_float32_rejected(self, value):
         with pytest.raises(ValueError, match="within the float32 range"):
@@ -456,7 +467,7 @@ class TestFnnTraining:
         validation rows, end in a short batch at every size."""
         rng = np.random.default_rng(batch)
         X = rng.standard_normal((650, 6))
-        y = (X[:, 0] > 0).astype(int) + (X[:, 1] > 0.5)
+        y = ((X[:, 0] > 0) ^ (X[:, 1] > 0.5)).astype(int)
         hyper = FnnHyper(learning_rate=0.01 * batch / 64, batch_size=batch, epochs=12,
                          seed=batch, val_fraction=val_fraction)
         assert_same_net(train_fnn(X, y, (16, 8), hyper),
@@ -503,7 +514,7 @@ class TestFnnTraining:
             load_fnn(path)
         assert str(exc.value) == f"{path}: line 1: non-integer field {size!r}"
 
-    @pytest.mark.parametrize("sizes", ["9", "3 0 2", "3 4 -2"])
+    @pytest.mark.parametrize("sizes", ["9", "3 0 2", "3 4 -2", "3 4 1", "3 4 3"])
     def test_load_rejects_fewer_than_two_sizes_or_a_size_below_one(self, tmp_path,
                                                                    sizes):
         path = tmp_path / "fnn.txt"
@@ -513,7 +524,7 @@ class TestFnnTraining:
         with pytest.raises(ValueError) as exc:
             load_fnn(path)
         assert str(exc.value) == (f"{path}: line 1: a network needs two or more "
-                                  "sizes, each >= 1")
+                                  "sizes, each >= 1, ending in 2 (its two classes)")
 
     # The 10-line file of a 3-4-2 net (layout below) under a new header,
     # cut after its first ``keep`` lines.
@@ -547,6 +558,30 @@ class TestFnnTraining:
         with pytest.raises(ValueError) as exc:
             load_fnn(path)
         assert str(exc.value) == f"{path}: line {lineno}: non-finite value {value!r}"
+
+
+class TestFnnHyper:
+    @pytest.mark.parametrize("field, value, message", [
+        ("learning_rate", 0.0, "learning_rate must be positive, got 0.0"),
+        ("learning_rate", -0.04, "learning_rate must be positive, got -0.04"),
+        ("momentum", -3.0, "momentum must be in [0, 1), got -3.0"),
+        ("momentum", 1.0, "momentum must be in [0, 1), got 1.0"),
+        ("batch_size", 0, "batch_size must be >= 1, got 0"),
+        ("epochs", 0, "epochs must be >= 1, got 0"),
+        ("val_fraction", -0.1, "val_fraction must be in [0, 1), got -0.1"),
+        ("val_fraction", 1.0, "val_fraction must be in [0, 1), got 1.0"),
+    ])
+    def test_out_of_bounds_rejected(self, field, value, message):
+        with pytest.raises(ValueError) as exc:
+            FnnHyper(**{field: value})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", 5e-324), ("momentum", 0.0), ("momentum", 0.999),
+        ("batch_size", 1), ("epochs", 1), ("val_fraction", 0.0), ("val_fraction", 0.999),
+    ])
+    def test_bounds_accepted(self, field, value):
+        assert getattr(FnnHyper(**{field: value}), field) == value
 
 
 class TestCandidateRows:
