@@ -71,6 +71,8 @@ class TrainingConfig:
             raise ValueError(f"x_max must be positive, got {self.x_max}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -7,7 +7,6 @@ and the precision/recall/F1 and accuracy metrics used to score them.
 
 from __future__ import annotations
 
-import ast
 import functools
 import itertools
 import logging
@@ -42,6 +41,14 @@ __all__ = [
 PATIENCE = 10
 
 
+def _binary_labels(labels) -> np.ndarray:
+    """The labels of both learners as int64, each 0 or 1."""
+    y = np.asarray(labels)
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    return y.astype(np.int64)
+
+
 # ---------------------------------------------------------------------------
 # Decision tree
 
@@ -50,6 +57,12 @@ PATIENCE = 10
 class TreeParams:
     max_depth: int = 8
     min_leaf: int = 5
+
+    def __post_init__(self):
+        if self.max_depth < 0:
+            raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
+        if self.min_leaf < 0:
+            raise ValueError(f"min_leaf must be >= 0, got {self.min_leaf}")
 
 
 @dataclass
@@ -65,7 +78,6 @@ class TreeNode:
 @dataclass
 class DecisionTree:
     nodes: list[TreeNode]
-    classes: list
     params: TreeParams
 
 
@@ -76,7 +88,7 @@ def _gini(counts: np.ndarray):
 
 
 def train_decision_tree(rows, labels, params: TreeParams) -> DecisionTree:
-    """Greedy recursive partitioning minimizing Gini impurity.
+    """Greedy recursive partitioning minimizing Gini impurity on 0/1 labels.
 
     Each node scores every boundary between distinct sorted values of
     every feature at once, from the cumulative class counts left of it.
@@ -89,17 +101,14 @@ def train_decision_tree(rows, labels, params: TreeParams) -> DecisionTree:
         raise ValueError("training data must be a nonempty 2-d array")
     if not np.all(np.isfinite(X)):
         raise ValueError("training features must be finite")
-    labels = list(labels)
-    if len(labels) != X.shape[0]:
+    y = _binary_labels(labels)
+    if len(y) != X.shape[0]:
         raise ValueError("row/label length mismatch")
-    classes = sorted(set(labels), key=repr)
-    class_ids = {c: idx for idx, c in enumerate(classes)}
-    y = np.array([class_ids[lab] for lab in labels], dtype=np.int64)
-    one_hot = np.eye(len(classes), dtype=np.int64)
+    one_hot = np.eye(2, dtype=np.int64)
     nodes: list[TreeNode] = []
 
     def grow(idx: np.ndarray, depth: int) -> int:
-        counts = np.bincount(y[idx], minlength=len(classes)).astype(np.float64)
+        counts = np.bincount(y[idx], minlength=2).astype(np.float64)
         node_id, n = len(nodes), len(idx)
         nodes.append(TreeNode(counts=counts))
         # Below two rows there is no boundary.
@@ -135,29 +144,29 @@ def train_decision_tree(rows, labels, params: TreeParams) -> DecisionTree:
         return node_id
 
     grow(np.arange(X.shape[0]), 0)
-    return DecisionTree(nodes=nodes, classes=classes, params=params)
+    return DecisionTree(nodes=nodes, params=params)
 
 
-def tree_predict(tree: DecisionTree, rows) -> list:
-    """The leaf majority class of each row (ties to the lower class
-    index). Each node routes its rows at once: feature < threshold goes
-    left."""
+def tree_predict(tree: DecisionTree, rows) -> np.ndarray:
+    """True where a row's leaf holds more class-1 (error) rows than
+    class-0 rows; a tie is class 0. Each node routes its rows at once:
+    feature < threshold goes left."""
     X = np.asarray(rows, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("prediction rows must be a 2-d array")
     if not np.all(np.isfinite(X)):
         raise ValueError("prediction features must be finite")
-    labels = np.empty(len(X), dtype=object)
+    errors = np.empty(len(X), dtype=bool)
     pending = [(0, np.arange(len(X)))]
     while pending:
         node_id, idx = pending.pop()
         node = tree.nodes[node_id]
         if node.feature < 0:
-            labels[idx] = tree.classes[int(np.argmax(node.counts))]
+            errors[idx] = node.counts[1] > node.counts[0]
             continue
         go_left = X[idx, node.feature] < node.threshold
         pending += [(node.left, idx[go_left]), (node.right, idx[~go_left])]
-    return labels.tolist()
+    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +193,8 @@ class FnnHyper:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
@@ -370,9 +381,7 @@ def train_fnn(rows, labels, arch, hyper: FnnHyper) -> FeedForwardNet:
         [X] = parts
         # "clip" writes straight into the block; the indices are in range.
         gather = functools.partial(np.take, X, axis=0, mode="clip")
-    labels = np.asarray(labels, dtype=np.int64)
-    if not np.isin(labels, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
+    labels = _binary_labels(labels)
     sizes = [X.shape[1], *arch, 2]
     init = FeedForwardNet.init(sizes, seed=hyper.seed)
     theta = np.concatenate([p.ravel() for layer in zip(init.weights, init.biases)
@@ -473,12 +482,15 @@ def accuracy(predicted, gold) -> float:
 # ---------------------------------------------------------------------------
 # Model persistence
 
+# Line 2 of a tree file: the names of classes 0 and 1.
+_TREE_CLASSES = ["'correct'", "'error'"]
+
 
 def save_tree(tree: DecisionTree, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"TREE v1 {len(tree.nodes)} {len(tree.classes)} "
+        fh.write(f"TREE v1 {len(tree.nodes)} 2 "
                  f"{tree.params.max_depth} {tree.params.min_leaf}\n")
-        fh.write(" ".join(repr(c) for c in tree.classes) + "\n")
+        fh.write(" ".join(_TREE_CLASSES) + "\n")
         for node in tree.nodes:
             if node.feature >= 0:
                 fh.write(f"split {node.feature} {format(node.threshold, '.17g')} "
@@ -498,13 +510,11 @@ def load_tree(path) -> DecisionTree:
         n_nodes, n_classes, max_depth, min_leaf = parse_integers(header[2:], 1)
         if n_nodes < 1:
             raise ValueError("line 1: a tree needs at least one node")
+        if n_classes != 2:
+            raise ValueError(f"line 1: a tree has 2 classes, not {n_classes}")
         params = TreeParams(max_depth=max_depth, min_leaf=min_leaf)
-        try:
-            classes = [ast.literal_eval(tok) for tok in fh.readline().split()]
-        except SyntaxError as exc:
-            raise ValueError(exc) from None
-        if len(classes) != n_classes:
-            raise ValueError("class list does not match header")
+        if fh.readline().split() != _TREE_CLASSES:
+            raise ValueError(f"line 2: expected the classes {' '.join(_TREE_CLASSES)}")
         nodes = []
         for idx in range(n_nodes):
             parts = fh.readline().split()
@@ -521,7 +531,7 @@ def load_tree(path) -> DecisionTree:
                 [threshold] = parse_rows(parts[2:3], 1, idx + 3)[0]
                 node = TreeNode(feature=feature, threshold=threshold, left=left, right=right)
             elif parts[0] == "leaf":
-                [counts] = parse_rows([" ".join(parts[1:])], n_classes, idx + 3)
+                [counts] = parse_rows([" ".join(parts[1:])], 2, idx + 3)
                 node = TreeNode(counts=counts)
                 if (node.counts < 0.0).any() or node.counts.sum() == 0.0:
                     raise ValueError(f"line {idx + 3}: leaf counts must be >= 0 "
@@ -530,7 +540,7 @@ def load_tree(path) -> DecisionTree:
                 raise ValueError(f"unknown node kind {parts[0]!r}")
             nodes.append(node)
         expect_end(fh, n_nodes + 3)
-    return DecisionTree(nodes=nodes, classes=classes, params=params)
+    return DecisionTree(nodes=nodes, params=params)
 
 
 def save_fnn(net: FeedForwardNet, path) -> None:

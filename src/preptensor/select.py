@@ -47,8 +47,6 @@ __all__ = [
     "evaluate_selection",
 ]
 
-CORRECT, ERROR = "correct", "error"
-
 
 def _bundled_list(name: str) -> list[str]:
     with resources.as_file(resources.files("preptensor.data") / name) as path:
@@ -235,8 +233,8 @@ class SelectionModels:
 def _flag(tree: DecisionTree, instances, decidable, rows):
     """The positions of ``decidable`` whose rows ``tree`` flags as errors,
     and the counters of the detection pass over ``instances``."""
-    verdicts = tree_predict(tree, rows) if decidable else []
-    flagged = [pos for pos, verdict in zip(decidable, verdicts) if verdict == ERROR]
+    flagged = (np.asarray(decidable)[tree_predict(tree, rows)].tolist()
+               if decidable else [])
     return flagged, {"instances": len(instances), "decidable": len(decidable),
                      "flagged": len(flagged)}
 
@@ -261,14 +259,13 @@ def train_selection_models(
     decidable, det_rows = detection_features(instances, store, table, window, stoplist)
     if not decidable:
         raise ValueError("no trainable instances: all contexts were empty")
-    det_labels = [ERROR if instances[pos].observed != instances[pos].gold else CORRECT
+    det_labels = [int(instances[pos].observed != instances[pos].gold)
                   for pos in decidable]
     tree = train_decision_tree(det_rows, det_labels, tree_params)
     flagged, counters = _flag(tree, instances, decidable, det_rows)
     # Degenerate detector: fall back to training on the true errors so
     # the corrector still exists.
-    errors = flagged or [pos for pos, label in zip(decidable, det_labels)
-                         if label == ERROR]
+    errors = flagged or [pos for pos, label in zip(decidable, det_labels) if label]
     if not errors:
         raise ValueError("no error instances to train the corrector on")
     corrected = [instances[pos] for pos in errors]

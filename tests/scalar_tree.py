@@ -6,7 +6,7 @@ count from the right side to the left and scoring the boundary after it
 with the scalar Gini impurity. ``learn.train_decision_tree`` scores the
 same boundaries as arrays and must build the same tree node for node;
 ``learn.tree_predict`` routes a block of rows and must give each row
-the class ``predict`` gives it.
+the verdict ``predict`` gives it. Labels are 0 (correct) or 1 (error).
 """
 
 import numpy as np
@@ -24,13 +24,11 @@ def gini(counts: np.ndarray) -> float:
 
 def train_decision_tree(rows, labels, params: TreeParams) -> DecisionTree:
     X = np.asarray(rows, dtype=np.float64)
-    classes = sorted(set(labels), key=repr)
-    class_ids = {c: idx for idx, c in enumerate(classes)}
-    y = np.array([class_ids[lab] for lab in labels], dtype=np.int64)
+    y = np.asarray(labels, dtype=np.int64)
     nodes: list[TreeNode] = []
 
     def leaf_counts(idx):
-        return np.bincount(y[idx], minlength=len(classes)).astype(np.float64)
+        return np.bincount(y[idx], minlength=2).astype(np.float64)
 
     def grow(idx: np.ndarray, depth: int) -> int:
         counts = leaf_counts(idx)
@@ -45,7 +43,7 @@ def train_decision_tree(rows, labels, params: TreeParams) -> DecisionTree:
             order = np.argsort(col, kind="stable")
             sorted_col = col[order]
             sorted_y = y[idx][order]
-            left_counts = np.zeros(len(classes))
+            left_counts = np.zeros(2)
             right_counts = leaf_counts(idx)
             n = len(idx)
             for pos in range(n - 1):
@@ -78,12 +76,12 @@ def train_decision_tree(rows, labels, params: TreeParams) -> DecisionTree:
         return node_id
 
     grow(np.arange(X.shape[0]), 0)
-    return DecisionTree(nodes=nodes, classes=classes, params=params)
+    return DecisionTree(nodes=nodes, params=params)
 
 
 def predict(tree: DecisionTree, row):
-    """The leaf majority class of one row and its share of the leaf's
-    counts (ties to the lower class index)."""
+    """Whether the leaf majority class of one row is class 1 (error),
+    and that class's share of the leaf's counts (ties to class 0)."""
     row = np.asarray(row, dtype=np.float64)
     node = tree.nodes[0]
     while node.feature >= 0:
@@ -91,4 +89,4 @@ def predict(tree: DecisionTree, row):
                           else node.right]
     probs = node.counts / node.counts.sum()
     best = int(np.argmax(probs))
-    return tree.classes[best], float(probs[best])
+    return best == 1, float(probs[best])

@@ -905,8 +905,9 @@ class TestSelectPipeline:
         assert not errors_csv.exists()
 
     @pytest.mark.parametrize("lineno, text, named", [
-        (1, "'corr 'error'", "unterminated string"),
+        (1, "'corr 'error'", "line 2: expected the classes 'correct' 'error'"),
         (0, "TREE v1 3 two 8 5", "'two'"),
+        (0, "TREE v1 3 2 8 -5", "min_leaf must be >= 0, got -5"),
         (2, "split 0 half 1 2", "'half'"),
         (0, "TREE v1 0 2 8 5", "at least one node"),
         (3, "leaf 0 0", "line 4: leaf counts"),
@@ -1233,6 +1234,35 @@ class TestArgumentHandling:
         assert cli.run([*argv, option, value]) == 1
         assert _one_error(caplog) == message
         assert not (tmp_path / "models").exists()
+
+    @pytest.mark.parametrize("command, option, value, message", [
+        ("decompose", "--seed", "-1", "seed must be >= 0, got -1"),
+        ("decompose-wd", "--seed", "-1", "seed must be >= 0, got -1"),
+        ("train-select", "--seed", "-1", "seed must be >= 0, got -1"),
+        ("train-attach", "--seed", "-1", "seed must be >= 0, got -1"),
+        ("train-select", "--max-depth", "-1", "max_depth must be >= 0, got -1"),
+        ("train-select", "--min-leaf", "-5", "min_leaf must be >= 0, got -5"),
+    ])
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_negative_seed_and_tree_settings_rejected(self, tmp_path, trained, caplog,
+                                                      command, option, value, message,
+                                                      given):
+        argv = _commands(trained)[command.removesuffix("-wd")]
+        if argv[0] == "--config":
+            argv = argv[2:]
+        if command == "decompose-wd":
+            argv[argv.index("--method") + 1] = "wd"
+        out = tmp_path / "out"
+        argv[argv.index("--out") + 1] = str(out)
+        if given == "flag":
+            argv += [option, value]
+        else:
+            config = tmp_path / "config.txt"
+            config.write_text(f"{option[2:].replace('-', '_')} = {value}\n")
+            argv = ["--config", str(config), *argv]
+        assert cli.run(argv) == 1
+        assert _one_error(caplog) == message
+        assert not out.exists()
 
     @pytest.mark.parametrize("value, centered", [
         ("yes", True), ("TRUE", True), ("1", True),
@@ -1671,6 +1701,18 @@ class TestInputFileErrors:
         assert proc.stderr.splitlines() == [
             f"ERROR preptensor {path}: line 1: a network needs two or more sizes, "
             "each >= 1, ending in 2 (its two classes)"]
+
+    # A one-class tree.txt, such as an all-error training set once made,
+    # is rejected as one line naming it.
+    def test_one_class_tree_rejected(self, tmp_path, trained):
+        d = tmp_path / "d"
+        shutil.copytree(trained, d)
+        path = d / "sel" / "tree.txt"
+        path.write_text("TREE v1 1 1 8 1\n'error'\nleaf 12\n")
+        proc = run_main(*_commands(d)["eval-select"])
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"ERROR preptensor {path}: line 1: a tree has 2 classes, not 1"]
 
     @pytest.mark.parametrize("command", ["eval-select", "eval-attach"])
     def test_embeddings_of_another_dimension_rejected(self, tmp_path, trained, caplog,

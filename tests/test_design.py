@@ -3,8 +3,9 @@ function states what it needs instead of falling back to a default
 object, a sparse tensor and an embedding store are plain values that
 hold no cache, coordinates are sorted by one key and a factorization's
 input is converted in one place, a cosine is taken by one row kernel,
-a dataset-level function is called once per dataset, the public API is what the package itself calls, and
-an option's default is the default of the setting it sets."""
+a dataset-level function is called once per dataset, the public API
+is what the package itself calls, no file field is evaluated as
+Python, and an option's default is the default of the setting it sets."""
 
 import ast
 import dataclasses
@@ -166,6 +167,19 @@ def test_no_lexicographic_sort_in_the_package():
         found += [f"{path.name} line {node.lineno}"
                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                   if getattr(node, "attr", getattr(node, "id", None)) == "lexsort"]
+    assert found == []
+
+
+def test_no_module_imports_ast():
+    """A file's fields are parsed as numbers or compared with fixed tokens,
+    never evaluated as Python literals."""
+    found = []
+    for path in sorted(Path(preptensor.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name} line {node.lineno}" for name in names
+                      if name.split(".")[0] == "ast"]
     assert found == []
 
 

@@ -174,7 +174,8 @@ NUMERIC_FILES = {
     "fnn": (load_fnn, "FNN v1 sizes 2 2\n1 2\n3 4\n5 6\n", 3, 2, False),
     "confusion": (load_confusion_table,
                   "CONFUSION v1 2 1\non in\n0.5 0.5\n0.25 0.75\n", 4, 2, False),
-    "tree": (load_tree, "TREE v1 3 2 8 5\n0 1\nsplit 0 0.5 1 2\nleaf 1 0\nleaf 0 1\n",
+    "tree": (load_tree, "TREE v1 3 2 8 5\n'correct' 'error'\nsplit 0 0.5 1 2\n"
+             "leaf 1 0\nleaf 0 1\n",
              4, 2, False),
 }
 # The spellings np.loadtxt rejects, or float64 reads as non-finite; None
@@ -216,7 +217,8 @@ MODEL_FILES = {
             + "1 -1\n2 -2\n3 -3\n4 -4\n0.25 0.25\n", 6, "0 0\n"),
     "confusion": (load_confusion_table, "CONFUSION v1 3 1\non in to\n0.5 0.25 0.25\n"
                   "0.2 0.6 0.2\n0.1 0.1 0.8\n", 4, "0.2 0.3 0.5\n"),
-    "tree": (load_tree, "TREE v1 3 2 8 5\n0 1\nsplit 0 0.5 1 2\nleaf 1 0\nleaf 0 1\n",
+    "tree": (load_tree, "TREE v1 3 2 8 5\n'correct' 'error'\nsplit 0 0.5 1 2\n"
+             "leaf 1 0\nleaf 0 1\n",
              4, "leaf 1 1\n"),
 }
 

@@ -39,8 +39,8 @@ def separable_1d(n=40):
 
 def tied_dataset(seed):
     """Rows with many repeated values (a column sometimes copies another,
-    so impurity ties across features too), labels of 2 or 3 classes
-    loosely tied to the first column, min_leaf 0-7 and max_depth 1-8."""
+    so impurity ties across features too), 0/1 labels loosely tied to
+    the first column, min_leaf 0-7 and max_depth 1-8."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 80))
     n_features = int(rng.integers(1, 4))
@@ -50,10 +50,9 @@ def tied_dataset(seed):
         X[:, -1] = X[:, 0]
     if rng.random() < 0.3:
         X[:, 0] += rng.standard_normal(n) * 0.1
-    n_classes = int(rng.integers(2, 4))
-    y = (X[:, 0] * n_classes + rng.integers(0, 2, n)).astype(int) % n_classes
+    y = (X[:, 0] * 2 + rng.integers(0, 2, n)).astype(int) % 2
     params = TreeParams(max_depth=int(rng.integers(1, 9)), min_leaf=int(rng.integers(0, 8)))
-    return X, ["abc"[c] for c in y], params
+    return X, y.tolist(), params
 
 
 def assert_same_net(net, reference):
@@ -65,7 +64,6 @@ def assert_same_net(net, reference):
 
 
 def assert_same_tree(tree, reference, seed=None):
-    assert tree.classes == reference.classes, seed
     assert len(tree.nodes) == len(reference.nodes), seed
     for got, want in zip(tree.nodes, reference.nodes):
         assert (got.feature, got.left, got.right) == (want.feature, want.left,
@@ -87,39 +85,70 @@ def assert_block_prediction(tree, X):
             row[node.feature] = node.threshold
             at.append(row)
     rows = np.vstack([X, *at]) if at else X
-    assert tree_predict(tree, rows) == [scalar_tree.predict(tree, row)[0]
-                                        for row in rows]
+    assert tree_predict(tree, rows).tolist() == [scalar_tree.predict(tree, row)[0]
+                                                 for row in rows]
+
+
+CLASSES = "'correct' 'error'"
+BAD_CLASSES = r"tree\.txt: line 2: expected the classes 'correct' 'error'$"
 
 
 class TestDecisionTree:
-    def test_pure_labels_single_leaf(self):
-        tree = train_decision_tree([[0.1], [0.2], [0.3]], ["a", "a", "a"],
+    def test_pure_labels_single_leaf(self, tmp_path):
+        tree = train_decision_tree([[0.1], [0.2], [0.3]], [1, 1, 1],
                                    TreeParams(min_leaf=1))
         assert len(tree.nodes) == 1
-        assert tree_predict(tree, [[0.9]]) == ["a"]
+        assert tree_predict(tree, [[0.9]]).tolist() == [True]
+        # One class seen still makes a two-class tree.
+        path = tmp_path / "tree.txt"
+        save_tree(tree, path)
+        assert path.read_text() == "TREE v1 1 2 8 1\n'correct' 'error'\nleaf 0 3\n"
+
+    @pytest.mark.parametrize("labels", [[0, 1, 2], ["a", "b", "a"], [0, 0.5, 1],
+                                        ["0", "1", "1"]])
+    def test_labels_other_than_0_or_1_rejected(self, labels):
+        with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+            train_decision_tree([[0.1], [0.2], [0.3]], labels, TreeParams(min_leaf=1))
+
+    def test_predicts_a_bool_array(self):
+        X, y = separable_1d()
+        predicted = tree_predict(train_decision_tree(X, y, TreeParams(min_leaf=1)), X)
+        assert isinstance(predicted, np.ndarray) and predicted.dtype == bool
+        assert predicted.shape == (len(X),)
+
+    def test_a_tied_leaf_predicts_class_0(self):
+        tree = train_decision_tree([[0.0], [1.0]], [1, 0], TreeParams(max_depth=0))
+        assert tree.nodes[0].counts.tolist() == [1.0, 1.0]
+        assert tree_predict(tree, [[0.0], [1.0]]).tolist() == [False, False]
+
+    @pytest.mark.parametrize("field", ["max_depth", "min_leaf"])
+    def test_params_reject_negative_settings(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0, got -1$"):
+            TreeParams(**{field: -1})
+        assert getattr(TreeParams(**{field: 0}), field) == 0
 
     def test_threshold_separable(self):
         X, y = separable_1d()
         tree = train_decision_tree(X, y, TreeParams(max_depth=8, min_leaf=1))
         # One split: the root and its two leaves.
         assert len(tree.nodes) == 3 and tree.nodes[0].feature == 0
-        assert tree_predict(tree, X) == y
+        assert tree_predict(tree, X).tolist() == [bool(label) for label in y]
 
     def test_min_leaf_forces_single_leaf(self):
         tree = train_decision_tree([[0.0], [1.0], [1.0]], [0, 1, 1],
                                    TreeParams(min_leaf=10))
         assert len(tree.nodes) == 1
-        assert tree_predict(tree, [[0.0]]) == [1]
+        assert tree_predict(tree, [[0.0]]).tolist() == [True]
         # The leaf's share of its counts, which only the per-row walk reports.
         label, score = scalar_tree.predict(tree, [0.0])
-        assert label == 1
+        assert label is True
         assert score == pytest.approx(2 / 3)
 
     def test_boundary_goes_right(self):
         X = [[0.0], [0.0], [1.0], [1.0]]
         tree = train_decision_tree(X, [0, 0, 1, 1], TreeParams(min_leaf=1))
         thr = tree.nodes[0].threshold
-        assert tree_predict(tree, [[thr]]) == [1]
+        assert tree_predict(tree, [[thr]]).tolist() == [True]
 
     def test_nan_feature_rejected(self):
         tree = train_decision_tree([[0.0], [1.0]], [0, 1], TreeParams(min_leaf=1))
@@ -170,7 +199,7 @@ class TestDecisionTree:
             assert_block_prediction(tree, X)
             splits += sum(node.feature >= 0 for node in tree.nodes)
         assert splits > 300
-        assert tree_predict(tree, np.empty((0, X.shape[1]))) == []
+        assert tree_predict(tree, np.empty((0, X.shape[1]))).tolist() == []
 
     def test_round_trip(self, tmp_path):
         X, y = separable_1d()
@@ -178,7 +207,7 @@ class TestDecisionTree:
         path = tmp_path / "tree.txt"
         save_tree(tree, path)
         loaded = load_tree(path)
-        assert tree_predict(loaded, X) == tree_predict(tree, X)
+        assert np.array_equal(tree_predict(loaded, X), tree_predict(tree, X))
         assert [scalar_tree.predict(loaded, row) for row in X] == \
                [scalar_tree.predict(tree, row) for row in X]
 
@@ -197,7 +226,7 @@ class TestDecisionTree:
         path = tmp_path / "tree.txt"
         save_tree(tree, path)
         loaded = load_tree(path)
-        assert tree_predict(loaded, X) == y
+        assert tree_predict(loaded, X).tolist() == [bool(label) for label in y]
         assert_block_prediction(loaded, X)
 
     # A two-class tree of three nodes whose root is the node under test.
@@ -222,25 +251,33 @@ class TestDecisionTree:
     ])
     def test_load_rejects_bad_structure(self, tmp_path, root, match):
         path = tmp_path / "tree.txt"
-        path.write_text(f"TREE v1 3 2 8 5\n0 1\n{root}\nleaf 3 0\nleaf 0 3\n")
+        path.write_text(f"TREE v1 3 2 8 5\n'correct' 'error'\n{root}\nleaf 3 0\nleaf 0 3\n")
         with pytest.raises(ValueError, match=match):
             load_tree(path)
 
-    # A header or class list that does not parse is a ValueError naming
-    # the file.
+    # A header or class line that does not parse is a ValueError naming
+    # the file. Line 2 must be the two classes 'correct' 'error'; a
+    # header error is reported before line 2 is read.
     @pytest.mark.parametrize("header, classes, match", [
         ("TREE v1 3 two 8 5", "0 1", "'two'"),
-        ("TREE v1 3 2 8 5", "'corr 'error'", "unterminated string"),
-        ("TREE v1 3 2 8 5", "0 foo", "malformed"),
+        ("TREE v1 3 2 8 5", "'corr 'error'", BAD_CLASSES),
+        ("TREE v1 3 2 8 5", "0 1", BAD_CLASSES),
+        ("TREE v1 3 2 8 5", "'correct'", BAD_CLASSES),
+        ("TREE v1 3 2 8 5", "'error' 'correct'", BAD_CLASSES),
         ("TREE v1 3 2 8 1_0", "0 1", r"tree\.txt: line 1: non-integer field '1_0'$"),
         # A tree with no nodes has no root to predict from.
         ("TREE v1 0 2 8 5", "0 1", r"tree\.txt: line 1: a tree needs at least one node$"),
         ("TREE v1 -1 2 8 5", "0 1", "at least one node"),
         ("TREE v2 3 2 8 5", "0 1", r"tree\.txt: bad tree header$"),
         ("TREE v1 3 2 8", "0 1", r"tree\.txt: bad tree header$"),
-        ("TREE v1 3 2 8 5", "0 1 2", r"tree\.txt: class list does not match header$"),
+        ("TREE v1 3 2 8 5", CLASSES + " 'other'", BAD_CLASSES),
+        ("TREE v1 3 1 8 5", "'correct'", r"tree\.txt: line 1: a tree has 2 classes, not 1$"),
+        ("TREE v1 3 3 8 5", CLASSES + " 'other'",
+         r"tree\.txt: line 1: a tree has 2 classes, not 3$"),
+        ("TREE v1 3 2 -1 5", CLASSES, r"tree\.txt: max_depth must be >= 0, got -1$"),
+        ("TREE v1 3 2 8 -5", CLASSES, r"tree\.txt: min_leaf must be >= 0, got -5$"),
         # More nodes declared than the file holds.
-        ("TREE v1 4 2 8 5", "0 1", r"tree\.txt: truncated at node 3$"),
+        ("TREE v1 4 2 8 5", CLASSES, r"tree\.txt: truncated at node 3$"),
     ])
     def test_load_rejects_unparsable_header(self, tmp_path, header, classes, match):
         path = tmp_path / "tree.txt"
@@ -375,7 +412,8 @@ class TestFnnTraining:
                 pytest.raises(RuntimeError, match="diverged at epoch 2: loss is not finite"):
             train_fnn(X, [0, 1], (4, 4), hyper)
 
-    @pytest.mark.parametrize("labels", [[0, 1, 2], [-1, 0, 1]])
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [-1, 0, 1], [0, 0.5, 1],
+                                        ["a", "b", "a"]])
     def test_labels_other_than_zero_and_one_rejected(self, labels):
         X = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="^labels must be 0 or 1$"):

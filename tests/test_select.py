@@ -356,10 +356,8 @@ class TestBatchedCorrectionFeatures:
 
 
 def leaf_tree(label):
-    classes = ["correct", "error"]
-    counts = np.array([1.0, 0.0]) if label == "correct" else np.array([0.0, 1.0])
-    return DecisionTree(nodes=[TreeNode(counts=counts)], classes=classes,
-                        params=TreeParams())
+    """A one-leaf tree that gives every row ``label``: 0 correct, 1 error."""
+    return DecisionTree(nodes=[TreeNode(counts=np.eye(2)[label])], params=TreeParams())
 
 
 class TestSelectPreposition:
@@ -376,13 +374,13 @@ class TestSelectPreposition:
     def test_detector_accepts_keeps_observed(self, store):
         net = FeedForwardNet.init([3 * store.dim + 3, 4, 2, 2], seed=0)
         instance = inst(["sat", "on", "mat"], 1, "on", "in")
-        assert self.predict(store, instance, leaf_tree("correct"), net) == (
+        assert self.predict(store, instance, leaf_tree(0), net) == (
             "on", {"instances": 1, "decidable": 1, "flagged": 0})
 
     def test_undecidable_keeps_observed(self, store):
         net = FeedForwardNet.init([3 * store.dim + 3, 4, 2, 2], seed=0)
         instance = inst(["the", "on", "it"], 1, "on", "in")
-        assert self.predict(store, instance, leaf_tree("error"), net) == (
+        assert self.predict(store, instance, leaf_tree(1), net) == (
             "on", {"instances": 1, "decidable": 0, "flagged": 0})
 
     def test_zero_net_ties_break_to_roster_order(self, store):
@@ -392,7 +390,7 @@ class TestSelectPreposition:
                                       np.zeros((2, 2))],
                              biases=[np.zeros(2), np.zeros(2), np.zeros(2)])
         instance = inst(["sat", "on", "mat"], 1, "on", "in")
-        assert self.predict(store, instance, leaf_tree("error"), net) == (
+        assert self.predict(store, instance, leaf_tree(1), net) == (
             ROSTER[0], {"instances": 1, "decidable": 1, "flagged": 1})
 
 
@@ -405,7 +403,7 @@ class TestSelectPreposition:
         net = FeedForwardNet(sizes=[d, 1, 1, 2],
                              weights=[w1, np.ones((1, 1)), np.array([[0.0, 1.0]])],
                              biases=[np.ones(1), np.zeros(1), np.zeros(2)])
-        models = SelectionModels(tree=leaf_tree("error"), fnn=net, table=uniform_table())
+        models = SelectionModels(tree=leaf_tree(1), fnn=net, table=uniform_table())
         data = [inst(["box", "to", "box"], 1, "to", "in"),
                 inst(["ran", "on", "ran"], 1, "on", "to"),
                 inst(["sat", "in", "mat"], 1, "in", "on")]
@@ -453,8 +451,8 @@ class TestTrainAndEvaluate:
         models = train_selection_models(
             data, store, ROSTER, tree_params=TreeParams(max_depth=0),
             hyper=FnnHyper(epochs=1, seed=0), arch=(4, 2), window=3)
+        # 8 correct (class 0) and 4 error (class 1) decidable instances.
         [root] = models.tree.nodes
-        assert models.tree.classes == ["correct", "error"]
         assert root.counts.tolist() == [8.0, 4.0]
         # The 4 true errors, one row per roster candidate; gold is "in".
         assert fitted == [((12, 3 * store.dim + 3), [0, 1, 0] * 4)]
@@ -472,7 +470,7 @@ class TestTrainAndEvaluate:
         data = self.make_dataset()
         table = build_confusion_table(data, ROSTER)
         net = FeedForwardNet.init([3 * store.dim + 3, 4, 2, 2], seed=0)
-        models = SelectionModels(tree=leaf_tree("correct"), fnn=net, table=table)
+        models = SelectionModels(tree=leaf_tree(0), fnn=net, table=table)
         (p, r, f1), errors, _counters = evaluate_selection(data, models, store, window=3)
         assert (p, r, f1) == (0.0, 0.0, 0.0)
         assert len(errors) == 12
@@ -490,7 +488,7 @@ class TestTrainAndEvaluate:
 
         monkeypatch.setattr(select, "fnn_forward_batch", forbidden)
         net = FeedForwardNet.init([3 * store.dim + 3, 4, 2, 2], seed=0)
-        models = SelectionModels(tree=leaf_tree("correct"), fnn=net, table=table)
+        models = SelectionModels(tree=leaf_tree(0), fnn=net, table=table)
         _metrics, errors, counters = evaluate_selection(data, models, store, window=3)
         assert counters == {"instances": 36, "decidable": 36, "flagged": 0}
         assert [row[3] for row in errors] == [row[1] for row in errors] == ["on"] * 12
@@ -500,14 +498,14 @@ class TestTrainAndEvaluate:
         data = self.make_dataset(n_per=2)
         table = build_confusion_table(data, ROSTER)
         net = FeedForwardNet.init([3 * store.dim + 3, 4, 2, 2], seed=0)
-        models = SelectionModels(tree=leaf_tree("correct"), fnn=net, table=table)
+        models = SelectionModels(tree=leaf_tree(0), fnn=net, table=table)
         _metrics, errors, _counters = evaluate_selection(data, models, store, window=3)
         assert len(errors) == 2
         assert all(len(row) == 4 for row in errors)
 
     def test_empty_eval_rejected(self, store):
         net = FeedForwardNet.init([3 * store.dim + 3, 4, 2, 2], seed=0)
-        models = SelectionModels(tree=leaf_tree("correct"), fnn=net,
+        models = SelectionModels(tree=leaf_tree(0), fnn=net,
                                  table=uniform_table())
         with pytest.raises(ValueError, match="empty"):
             evaluate_selection([], models, store, window=3)
