@@ -25,11 +25,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "EmbeddingStore",
-    "UndefinedSimilarityError",
-    "cosine_similarity",
     "preposition_similarity_table",
-    "pair_similarity",
-    "triple_similarity",
     "paraphrase_phrasal_verb",
     "rank_preposition",
     "slice_spectrum",
@@ -78,45 +74,10 @@ class EmbeddingStore:
         return rows
 
 
-class UndefinedSimilarityError(ValueError):
-    """A similarity asked of a zero vector, for which it is undefined."""
-
-
-# The scalar similarities define each measure and are the tests' oracle.
-# The row_* kernels score a block of rows, each bit for bit as the scalar
-# form: np.vecdot is a ddot per row, like ``a @ b`` (``R @ v``, einsum and
-# ``norm(R, axis=1)`` are not). Out of __all__, so not traced on their own.
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise UndefinedSimilarityError("cosine similarity undefined for zero-norm vector")
-    return float(a @ b / (na * nb))
-
-
-def pair_similarity(v_left: np.ndarray, v_right: np.ndarray,
-                    v_p: np.ndarray) -> float:
-    """Best cosine between the preposition and either context side; a
-    zero-vector side is excluded from the max."""
-    sims = [cosine_similarity(v, v_p) for v in (v_left, v_right)
-            if np.linalg.norm(v) > 0.0]
-    if not sims:
-        raise UndefinedSimilarityError("both context vectors are zero")
-    return max(sims)
-
-
-def triple_similarity(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    """Three-way inner product sum(a*b*c) normalized by the 3-norms
-    (sum |v|^3)^(1/3)."""
-    a, b, c = (np.asarray(v, dtype=np.float64) for v in (a, b, c))
-    ta, tb, tc = (np.sum(np.abs(v) ** 3) ** (1.0 / 3.0) for v in (a, b, c))
-    if ta == 0.0 or tb == 0.0 or tc == 0.0:
-        raise UndefinedSimilarityError(
-            "triple similarity undefined for zero 3-norm vector")
-    return float(np.sum(a * b * c) / (ta * tb * tc))
+# The row_* kernels score a block of rows, and each row bit for bit as
+# the scalar forms in tests/scalar_features.py: np.vecdot is a ddot per
+# row, like ``a @ b`` (``R @ v``, einsum and ``norm(R, axis=1)`` are
+# not). Out of __all__, so not traced on their own.
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
@@ -125,9 +86,10 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def row_cosines(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``cosine_similarity`` of each row with ``v``, broadcast as vecdot
-    does: one vector, a block of rows, or a block of blocks, such as (n,
-    1, d) means for (K, d) rows, an (n, K) block. 0.0 where a norm is 0."""
+    """The cosine ``a @ b / (|a| |b|)`` of each row with ``v``, broadcast
+    as vecdot does: one vector, a block of rows, or a block of blocks,
+    such as (n, 1, d) means for (K, d) rows, an (n, K) block. 0.0 where a
+    norm is 0."""
     norms, v_norms = row_norms(rows), row_norms(v)
     out = np.zeros(np.broadcast_shapes(norms.shape, v_norms.shape))
     np.divide(np.vecdot(rows, v), norms * v_norms, out=out,
@@ -136,8 +98,9 @@ def row_cosines(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def row_pairs(rows: np.ndarray, v_left: np.ndarray, v_right: np.ndarray) -> np.ndarray:
-    """``pair_similarity`` of each row with the two context sides, each
-    one vector or a block of rows, 0.0 for a zero row or two zero sides."""
+    """The pair similarity of each row: its larger cosine with the two
+    context sides, a zero side left out, broadcast as ``row_cosines``.
+    0.0 for a zero row or two zero sides."""
     left, right = row_cosines(rows, v_left), row_cosines(rows, v_right)
     # As max() over the nonzero sides, which keeps the first of equal values.
     return np.where((row_norms(v_right) > 0.0)
@@ -145,21 +108,22 @@ def row_pairs(rows: np.ndarray, v_left: np.ndarray, v_right: np.ndarray) -> np.n
 
 
 def row_triples(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``triple_similarity`` row by row of ``a``, ``b`` and ``c``, each a
-    block of rows or one vector, 0.0 where a 3-norm is 0."""
+    """The triple similarity of the rows of ``a``, ``b`` and ``c``: the
+    three-way inner product sum(a*b*c) over the product of the 3-norms
+    (sum |x|^3)^(1/3), broadcast as ``row_cosines``. 0.0 where a 3-norm
+    is 0."""
     ta, tb, tc = (_three_norms(x) for x in (a, b, c))
-    products = a * b * c
-    out = np.zeros(len(products))
-    np.divide(np.sum(products, axis=1), ta * tb * tc, out=out,
+    out = np.zeros(np.broadcast_shapes(ta.shape, tb.shape, tc.shape))
+    np.divide(np.sum(a * b * c, axis=-1), ta * tb * tc, out=out,
               where=(ta != 0.0) & (tb != 0.0) & (tc != 0.0))
     return out
 
 
-def _three_norms(x: np.ndarray):
-    """3-norm of each row, a vector being one row. The cube root is a
+def _three_norms(x: np.ndarray) -> np.ndarray:
+    """3-norm of each row, in the shape of the rows. The cube root is a
     scalar pow per row: an array power differs from it in the last bit."""
-    sums = np.sum(np.abs(x) ** 3, axis=-1).reshape(-1)
-    return np.array([s ** (1.0 / 3.0) for s in sums])
+    sums = np.sum(np.abs(x) ** 3, axis=-1)
+    return np.array([s ** (1.0 / 3.0) for s in sums.reshape(-1)]).reshape(sums.shape)
 
 
 def preposition_similarity_table(
@@ -180,7 +144,7 @@ def preposition_similarity_table(
     left = store.rows([pair[0] for pair in pairs]) - mean
     right = store.rows([pair[1] for pair in pairs]) - mean
     if not (row_norms(left).all() and row_norms(right).all()):
-        raise UndefinedSimilarityError("cosine similarity undefined for zero-norm vector")
+        raise ValueError("cosine similarity undefined for zero-norm vector")
     sims = row_cosines(left, right)
     return [(l_tok, r_tok, float(sim)) for (l_tok, r_tok), sim in zip(pairs, sims)]
 

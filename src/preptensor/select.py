@@ -36,7 +36,6 @@ __all__ = [
     "default_roster",
     "context_stoplist",
     "load_selection_dataset",
-    "preprocess_context",
     "build_confusion_table",
     "save_confusion_table",
     "load_confusion_table",
@@ -94,19 +93,6 @@ def load_selection_dataset(path, roster) -> tuple[list[SelectionInstance], int]:
         return SelectionInstance(tokens, prep_index, observed, gold)
 
     return read_records(path, parse, "selection dataset")
-
-
-def preprocess_context(instance: SelectionInstance, window: int,
-                       stoplist: frozenset[str]):
-    """Drop stop-list tokens, then take up to ``window`` surviving tokens
-    adjacent to the preposition on each side."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    left = [tok for tok in instance.tokens[:instance.prep_index]
-            if tok not in stoplist]
-    right = [tok for tok in instance.tokens[instance.prep_index + 1:]
-             if tok not in stoplist]
-    return left[-window:], right[:window]
 
 
 @dataclass
@@ -169,6 +155,33 @@ def load_confusion_table(path) -> ConfusionTable:
     return ConfusionTable(roster=roster, probs=probs, smoothing=smoothing)
 
 
+def _context_rows(instances, store, window: int, stoplist: frozenset[str]):
+    """The rows of each instance's context and the group of each row, 2 *
+    instance + side (0 left, 1 right). A side drops stop-list tokens, then
+    takes up to ``window`` tokens next to the preposition and keeps those
+    with a vector, in sentence order."""
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    tokens, groups = [], []
+    for pos, inst in enumerate(instances):
+        left = [tok for tok in inst.tokens[:inst.prep_index] if tok not in stoplist]
+        right = [tok for tok in inst.tokens[inst.prep_index + 1:] if tok not in stoplist]
+        for group, side in enumerate((left[-window:], right[:window]), 2 * pos):
+            known = [tok for tok in side if tok in store]
+            tokens += known
+            groups += [group] * len(known)
+    return store.rows(tokens), np.array(groups, dtype=np.intp)
+
+
+def _group_means(rows: np.ndarray, groups: np.ndarray, size: int) -> np.ndarray:
+    """Each group's mean, a zero row for an empty group. ``add.at`` adds a
+    group's rows in order, as ``np.mean`` does for rows at least 2 wide."""
+    sums = np.zeros((size, rows.shape[1]))
+    np.add.at(sums, groups, rows)
+    counts = np.bincount(groups, minlength=size)[:, None]
+    return np.divide(sums, counts, out=sums, where=counts > 0)
+
+
 def detection_features(instances, store: EmbeddingStore, table: ConfusionTable,
                        window: int, stoplist: frozenset[str]):
     """The positions of the decidable instances and their three detection
@@ -177,14 +190,9 @@ def detection_features(instances, store: EmbeddingStore, table: ConfusionTable,
     downstream) without an embedding for its observed preposition or
     without a usable context: no nonzero context vector, or context
     vectors that cancel out."""
-    means = np.zeros((len(instances), store.dim))
-    for inst, mean in zip(instances, means):
-        if inst.observed in store:
-            left, right = preprocess_context(inst, window, stoplist)
-            context = store.rows([tok for tok in left + right if tok in store])
-            context = context[emb_ops.row_norms(context) > 0.0]
-            if len(context):
-                mean[:] = np.mean(context, axis=0)
+    rows, groups = _context_rows(instances, store, window, stoplist)
+    nonzero = emb_ops.row_norms(rows) > 0.0
+    means = _group_means(rows[nonzero], groups[nonzero] // 2, len(instances))
     observed = [inst.observed for inst in instances]
     ranks, cosines, defined = emb_ops.rank_preposition(means, observed, store,
                                                        table.roster)
@@ -202,22 +210,21 @@ def correction_features(instances, store: EmbeddingStore, table: ConfusionTable,
     probability], 3d + 3 wide, held as its factors: the context sides
     (len(instances), 2, d), the candidate rows (len(roster), d) and the
     three scalars of each row. A candidate without a vector scores 0.0."""
-    d, k = store.dim, len(table.roster)
+    n, d, k = len(instances), store.dim, len(table.roster)
     cands = store.rows_or_zero(table.roster)
-    sides = np.zeros((len(instances), 2, d))
-    scalars = np.empty((len(instances), k, 3))
-    for inst, pair, block in zip(instances, sides, scalars):
-        for side, tokens in zip(pair, preprocess_context(inst, window, stoplist)):
-            known = store.rows([tok for tok in tokens if tok in store])
-            if len(known):
-                side[:] = np.mean(known, axis=0)
-        if not emb_ops.row_norms(pair).any():
-            raise ValueError("both context sides are empty; nothing to correct against")
-        v_l, v_r = pair
-        block[:, 0] = emb_ops.row_pairs(cands, v_l, v_r)
-        block[:, 1] = emb_ops.row_triples(v_l, cands, v_r)
-        block[:, 2] = table.probs[table.index[inst.observed]]
-    return CandidateRows(sides, cands, scalars.reshape(len(instances) * k, 3))
+    sides = _group_means(*_context_rows(instances, store, window, stoplist),
+                         2 * n).reshape(n, 2, d)
+    if not emb_ops.row_norms(sides).any(axis=1).all():
+        raise ValueError("both context sides are empty; nothing to correct against")
+    v_l, v_r = sides[:, :1], sides[:, 1:]
+    scalars = np.empty((n, k, 3))
+    scalars[:, :, 0] = emb_ops.row_pairs(cands, v_l, v_r)
+    step = max(1, 2**17 // (k * d))  # bounds each row_triples product's memory
+    for lo in range(0, n, step):
+        scalars[lo:lo + step, :, 1] = emb_ops.row_triples(
+            v_l[lo:lo + step], cands, v_r[lo:lo + step])
+    scalars[:, :, 2] = table.probs[[table.index[inst.observed] for inst in instances]]
+    return CandidateRows(sides, cands, scalars.reshape(n * k, 3))
 
 
 @dataclass

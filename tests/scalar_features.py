@@ -1,7 +1,8 @@
 """Per-candidate reference for the batched feature builders and queries.
 
-Each function composes the public scalar similarities one candidate at
-a time, with a zero vector for an out-of-vocabulary token and 0.0 for a
+The scalar similarities and the context rule below define each measure
+one vector at a time. Each builder composes them one candidate at a
+time, with a zero vector for an out-of-vocabulary token and 0.0 for a
 similarity a zero vector leaves undefined; the dataset builders stack
 the rows of one instance after another. Detection ranks one instance at
 a time and marks an undecidable one by ``UndefinedSimilarityError``.
@@ -11,14 +12,54 @@ The batched code must equal these bit for bit.
 import numpy as np
 
 from preptensor.attach import MAX_DISTANCE, UNK_TAG
-from preptensor.embeddings import (
-    UndefinedSimilarityError,
-    cosine_similarity,
-    pair_similarity,
-    triple_similarity,
-)
 from preptensor.learn import CandidateRows
-from preptensor.select import preprocess_context
+
+
+class UndefinedSimilarityError(ValueError):
+    """A similarity asked of a zero vector, for which it is undefined."""
+
+
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        raise UndefinedSimilarityError("cosine similarity undefined for zero-norm vector")
+    return float(a @ b / (na * nb))
+
+
+def pair_similarity(v_left: np.ndarray, v_right: np.ndarray,
+                    v_p: np.ndarray) -> float:
+    """Best cosine between the preposition and either context side; a
+    zero-vector side is excluded from the max."""
+    sims = [cosine_similarity(v, v_p) for v in (v_left, v_right)
+            if np.linalg.norm(v) > 0.0]
+    if not sims:
+        raise UndefinedSimilarityError("both context vectors are zero")
+    return max(sims)
+
+
+def triple_similarity(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+    """Three-way inner product sum(a*b*c) normalized by the 3-norms
+    (sum |v|^3)^(1/3)."""
+    a, b, c = (np.asarray(v, dtype=np.float64) for v in (a, b, c))
+    ta, tb, tc = (np.sum(np.abs(v) ** 3) ** (1.0 / 3.0) for v in (a, b, c))
+    if ta == 0.0 or tb == 0.0 or tc == 0.0:
+        raise UndefinedSimilarityError(
+            "triple similarity undefined for zero 3-norm vector")
+    return float(np.sum(a * b * c) / (ta * tb * tc))
+
+
+def preprocess_context(instance, window: int, stoplist: frozenset[str]):
+    """Drop stop-list tokens, then take up to ``window`` surviving tokens
+    adjacent to the preposition on each side."""
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    left = [tok for tok in instance.tokens[:instance.prep_index]
+            if tok not in stoplist]
+    right = [tok for tok in instance.tokens[instance.prep_index + 1:]
+             if tok not in stoplist]
+    return left[-window:], right[:window]
 
 
 def or_zero(similarity, *vectors) -> float:

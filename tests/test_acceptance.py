@@ -16,10 +16,10 @@ import preptensor.cli as cli
 from preptensor.attach import load_attachment_dataset
 from preptensor.corpus import SparseCountTensor, build_vocabulary, count_tensor
 from preptensor.embeddings import (
-    cosine_similarity,
     paraphrase_phrasal_verb,
+    row_cosines,
+    row_triples,
     slice_spectrum,
-    triple_similarity,
 )
 from preptensor.factorize import (
     CooTensor,
@@ -294,18 +294,17 @@ def test_criterion_07_paraphrase_geometry():
 
 def test_criterion_08_similarity_algebra():
     rng = np.random.default_rng(600)
-    ok = True
-    for _ in range(1000):
-        a, b, c = rng.standard_normal((3, 6))
-        s = float(rng.uniform(0.1, 10.0))
-        ok = ok and abs(cosine_similarity(a, b) - cosine_similarity(b, a)) <= 1e-12
-        ok = ok and abs(cosine_similarity(s * a, b) - cosine_similarity(a, b)) <= 1e-10
-        base = triple_similarity(a, b, c)
-        ok = ok and abs(triple_similarity(b, c, a) - base) <= 1e-10
-        ok = ok and abs(triple_similarity(c, a, b) - base) <= 1e-10
-        ok = ok and abs(triple_similarity(s * a, b, c) - base) <= 1e-10
+    draws = [(rng.standard_normal((3, 6)), rng.uniform(0.1, 10.0)) for _ in range(1000)]
+    a, b, c = np.stack([vectors for vectors, _ in draws], axis=1)
+    s = np.array([[scale] for _, scale in draws])
+    base = row_triples(a, b, c)
+    ok = bool((abs(row_cosines(a, b) - row_cosines(b, a)) <= 1e-12).all()
+              and (abs(row_cosines(s * a, b) - row_cosines(a, b)) <= 1e-10).all()
+              and (abs(row_triples(b, c, a) - base) <= 1e-10).all()
+              and (abs(row_triples(c, a, b) - base) <= 1e-10).all()
+              and (abs(row_triples(s * a, b, c) - base) <= 1e-10).all())
     ones = np.ones(7)
-    ok = ok and triple_similarity(ones, ones, ones) == pytest.approx(1.0, abs=1e-15)
+    ok = ok and row_triples(ones, ones, ones) == pytest.approx(1.0, abs=1e-15)
     report(8, "similarity algebra over 1000 random vectors", ok)
 
 

@@ -6,9 +6,9 @@ import pytest
 
 import scalar_features as scalar
 from conftest import assembled, make_store
+from scalar_features import UndefinedSimilarityError
 from preptensor.attach import AttachmentInstance, Candidate, TagSet, attachment_features
 from preptensor.embeddings import (
-    UndefinedSimilarityError,
     paraphrase_phrasal_verb,
     preposition_similarity_table,
     rank_preposition,
@@ -191,9 +191,10 @@ def test_similarity_table(store, centered):
 
 
 def test_similarity_table_zero_vector_rejected(store):
-    for fn in (preposition_similarity_table, scalar.preposition_similarity_table):
-        with pytest.raises(UndefinedSimilarityError):
-            fn(store, [("on", "at")], ROSTER, centered=False)
+    with pytest.raises(ValueError, match="^cosine similarity undefined for zero-norm vector$"):
+        preposition_similarity_table(store, [("on", "at")], ROSTER, centered=False)
+    with pytest.raises(UndefinedSimilarityError):
+        scalar.preposition_similarity_table(store, [("on", "at")], ROSTER, centered=False)
 
 
 def test_paraphrase(store):

@@ -845,6 +845,35 @@ class TestSelectPipeline:
                                        str(tmp_path / "sel_errors_metrics.txt")]
 
 
+    def test_train_with_no_token_vectors(self, tmp_path, roster_path, caplog):
+        """An emb.txt that holds only the extra-slice row gives no context."""
+        train, emb = tmp_path / "sel_train.tsv", tmp_path / "emb.txt"
+        write_selection_dataset(train)
+        emb.write_text("1 3\n__NOPREP__ 0.5 1 1.5\n")
+        assert cli.run(["train-select", "--train", str(train), "--embeddings", str(emb),
+                        "--roster", str(roster_path),
+                        "--out", str(tmp_path / "sel_models")]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == ["no trainable instances: all contexts were empty"]
+
+    def test_window_past_every_context_changes_nothing(self, tmp_path, embeddings_path,
+                                                       roster_path):
+        """Any window longer than every context selects the same tokens,
+        however large: nothing is sized by it."""
+        train = tmp_path / "sel_train.tsv"
+        write_selection_dataset(train)
+        names = ("tree.txt", "fnn.txt", "confusion.txt")
+        written = []
+        for window in ("50", str(2 ** 62)):
+            models = tmp_path / f"window{window}"
+            assert cli.run(["train-select", "--train", str(train),
+                            "--embeddings", str(embeddings_path),
+                            "--roster", str(roster_path), "--out", str(models),
+                            "--hidden1", "4", "--hidden2", "2", "--epochs", "3",
+                            "--min-leaf", "1", "--window", window]) == 0
+            written.append([(models / name).read_bytes() for name in names])
+        assert written[0] == written[1]
+
     def test_eval_uses_trained_window(self, tmp_path, embeddings_path, roster_path,
                                       caplog, capsys):
         train = tmp_path / "sel_train.tsv"

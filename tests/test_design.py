@@ -3,7 +3,8 @@ function states what it needs instead of falling back to a default
 object, a sparse tensor and an embedding store are plain values that
 hold no cache, coordinates are sorted by one key and a factorization's
 input is converted in one place, a cosine is taken by one row kernel,
-a dataset-level function is called once per dataset, the public API
+a dataset-level function is called once per dataset, the selection
+builders gather and average context rows once per dataset, the public API
 is what the package itself calls, no file field is evaluated as
 Python, and an option's default is the default of the setting it sets."""
 
@@ -24,8 +25,6 @@ LAYERS = ("corpus", "factorize", "embeddings", "learn", "select", "attach")
 # why each is public all the same.
 UNCALLED = {
     "factorize.cp_fit": "the benchmark's fit score of an ALS run",
-    "embeddings.pair_similarity": "the test oracle of embeddings.row_pairs",
-    "embeddings.triple_similarity": "the test oracle of embeddings.row_triples",
     "learn.fnn_loss_and_grads": "the gradient checks' entry to train_fnn's kernel",
 }
 
@@ -33,6 +32,8 @@ UNCALLED = {
 # Functions that take a whole dataset or block, and so are never called
 # once per row.
 DATASET_FUNCTIONS = frozenset({"detection_features", "rank_preposition", "tree_predict"})
+# What the selection builders gather, average and score once per dataset.
+PER_DATASET_STEPS = frozenset({"mean", "rows", "row_norms", "row_pairs"})
 
 # Each option that sets a field of a layer's settings, and the field.
 OPTION_FIELDS = [
@@ -272,6 +273,13 @@ def test_dataset_functions_are_not_called_per_row():
         found += [f"{path.name} line {line}"
                   for line in _calls_in_loops(tree, DATASET_FUNCTIONS)]
     assert found == []
+
+
+def test_selection_steps_run_once_per_dataset():
+    """No function in ``select`` gathers, averages or scores context rows
+    inside a loop or a comprehension, that is, per instance."""
+    tree = ast.parse(inspect.getsource(importlib.import_module("preptensor.select")))
+    assert _calls_in_loops(tree, PER_DATASET_STEPS) == []
 
 
 def _references(tree: ast.Module, outside: str | None = None) -> set[str]:

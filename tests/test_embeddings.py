@@ -10,13 +10,17 @@ from preptensor.corpus import (
     tokenize_sentences,
 )
 from conftest import make_store
+from scalar_features import (
+    UndefinedSimilarityError,
+    cosine_similarity,
+    or_zero,
+    pair_similarity,
+    triple_similarity,
+)
 from preptensor.factorize import EmbeddingSet
 from preptensor.embeddings import (
     EmbeddingStore,
-    UndefinedSimilarityError,
-    cosine_similarity,
     load_embeddings,
-    pair_similarity,
     paraphrase_phrasal_verb,
     preposition_similarity_table,
     rank_preposition,
@@ -25,7 +29,6 @@ from preptensor.embeddings import (
     row_triples,
     save_embeddings,
     slice_spectrum,
-    triple_similarity,
 )
 from preptensor.select import default_roster
 
@@ -177,6 +180,18 @@ class TestSimilarityOrZero:
         pairs = [0.0 if not (np.linalg.norm(r) and (np.linalg.norm(a) or np.linalg.norm(b)))
                  else pair_similarity(a, b, r) for r, a, b in zip(rows, left, right)]
         assert row_pairs(rows, left, right).tolist() == pairs
+
+    @pytest.mark.parametrize("dim", [3, 200])
+    def test_triples_of_a_block_of_blocks(self, dim):
+        """(n, 1, d) sides around (K, d) rows score an (n, K) block, each
+        entry bit for bit as the scalar similarity or 0.0."""
+        rng = np.random.default_rng(dim)
+        left, right = rng.standard_normal((2, 4, 1, dim))
+        rows = rng.standard_normal((5, dim))
+        rows[1] = left[2] = right[3] = 0.0
+        want = [[or_zero(triple_similarity, a[0], r, b[0]) for r in rows]
+                for a, b in zip(left, right)]
+        assert row_triples(left, rows, right).tolist() == want
 
 
 class TestParaphrase:

@@ -3,6 +3,7 @@ import pytest
 
 import scalar_features
 from conftest import assembled, make_store, traced_peak
+from scalar_features import preprocess_context
 from preptensor import select
 from preptensor.learn import (
     DecisionTree,
@@ -24,7 +25,6 @@ from preptensor.select import (
     evaluate_selection,
     load_confusion_table,
     load_selection_dataset,
-    preprocess_context,
     save_confusion_table,
     train_selection_models,
 )
@@ -111,6 +111,8 @@ class TestDatasetIO:
 
 
 class TestPreprocessContext:
+    """The context rule of the oracle, which the builders follow."""
+
     def test_stopword_removal_then_window(self):
         instance = inst(
             ["it", "can", "save", "the", "effort", "to", "carrying"],
@@ -134,6 +136,16 @@ class TestPreprocessContext:
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError, match="window"):
             preprocess_context(inst(["on"], 0, "on", "on"), window=0, stoplist=STOPLIST)
+
+    def test_builders_reject_bad_window(self, store):
+        data = [inst(["sat", "on", "mat"], 1, "on", "in")]
+        table = build_confusion_table(data, ROSTER)
+        for build in (detection_features, correction_features):
+            with pytest.raises(ValueError, match="window"):
+                build(data, store, table, window=0, stoplist=STOPLIST)
+        with pytest.raises(ValueError, match="window"):
+            train_selection_models(data, store, ROSTER, TreeParams(), FnnHyper(epochs=1),
+                                   (4, 2), window=0)
 
 
 class TestConfusionTable:
