@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ASCII_INTEGER, read_records
+from .corpus import int64_field, read_records
 from .embeddings import EmbeddingStore, row_cosines, row_triples
 from .learn import FeedForwardNet, FnnHyper, accuracy, fnn_forward_batch, train_fnn
 
@@ -58,16 +58,12 @@ def load_attachment_dataset(path) -> tuple[list[AttachmentInstance], int]:
             bits = spec.split(":")
             if len(bits) != 4:
                 raise ValueError(f"bad candidate spec {spec!r}")
-            if not ASCII_INTEGER.fullmatch(bits[3]):
-                raise ValueError(f"non-integer distance in {spec!r}")
-            if int(bits[3]) < 1:
+            if (distance := int64_field(bits[3], "distance")) < 1:
                 raise ValueError(f"distance must be >= 1 in {spec!r}")
-            candidates.append(Candidate(bits[0], bits[1], bits[2], int(bits[3])))
-        if not ASCII_INTEGER.fullmatch(gold):
-            raise ValueError(f"non-integer gold_index {gold!r}")
-        if not 0 <= int(gold) < len(candidates):
+            candidates.append(Candidate(*bits[:3], distance))
+        if not 0 <= (gold_index := int64_field(gold, "gold_index")) < len(candidates):
             raise ValueError(f"gold_index {gold} out of range")
-        return AttachmentInstance(candidates, prep, child, int(gold))
+        return AttachmentInstance(candidates, prep, child, gold_index)
 
     return read_records(path, parse, "attachment dataset")
 
@@ -91,6 +87,10 @@ class TagSet:
         """The one-hot slot of each tag; an unknown tag takes ``UNK_TAG``'s."""
         return np.array([self._ids.get(t, self._ids[UNK_TAG]) for t in tags], dtype=np.intp)
 
+    def feature_width(self, dim: int) -> int:
+        """The width of a feature row over ``dim``-dimensional embeddings."""
+        return 3 * dim + 3 + 2 * len(self.tags) + 1
+
 
 def build_tagset(instances) -> TagSet:
     tags = sorted({tag for inst in instances for c in inst.candidates
@@ -112,7 +112,7 @@ def attachment_features(instances, store: EmbeddingStore, tagset: TagSet) -> np.
                                 for tok in (inst.preposition, inst.child)])
     v_p, v_c = (np.repeat(pairs[side::2], counts, axis=0) for side in (0, 1))
     d, n_tags = store.dim, len(tagset.tags)
-    feats = np.zeros((len(cands), 3 * d + 3 + 2 * n_tags + 1))
+    feats = np.zeros((len(cands), tagset.feature_width(d)))
     feats[:, :d] = heads
     feats[:, d:2 * d] = v_p
     feats[:, 2 * d:3 * d] = v_c

@@ -12,13 +12,11 @@ final paths and moved into place only when the command succeeds.
 from __future__ import annotations
 
 import argparse
-import contextvars
 import csv
 import functools
 import hashlib
 import json
 import logging
-import math
 import os
 import platform
 import resource
@@ -50,13 +48,17 @@ def _boolean(text: str) -> bool:
             f"{text!r} is not one of {'/'.join(_BOOLEANS)}") from None
 
 
-# Numbers spelled and bounded as in the files the program reads: int()
-# and float() would also take "1_0", non-ASCII digits, nan and inf.
-def _integer(text: str) -> int:
+# Numbers read by the file fields' rules: int() and float() would also
+# take "1_0", non-ASCII digits, nan and inf.
+def _number(rule, text: str):
     try:
-        return corpus_ops.int64_field(text)
+        return rule(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+_integer = functools.partial(_number, corpus_ops.int64_field)
+_finite_float = functools.partial(_number, corpus_ops.float_field)
 
 
 def _positive_int(text: str) -> int:
@@ -64,12 +66,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"{value} is below 1")
     return value
-
-
-def _finite_float(text: str) -> float:
-    if not (corpus_ops.ASCII_FLOAT.fullmatch(text) and math.isfinite(float(text))):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
-    return float(text)
 
 
 # name -> (type, default). The type converts a flag's text and a config-
@@ -116,17 +112,13 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-# The digests taken during one command, by path: run() sets a new dict
-# for each command, so a file rewritten between commands is hashed again.
-_DIGESTS: contextvars.ContextVar[dict] = contextvars.ContextVar("digests")
-
-
 def _digest(path) -> str:
-    """The sha256 of ``path``, taken once per command."""
-    digests = _DIGESTS.get()
-    if (key := str(path)) not in digests:
-        digests[key] = _sha256(path)
-    return digests[key]
+    """The sha256 of ``path``, kept in the input record run() sets anew
+    for each command: a file rewritten between commands is hashed again."""
+    inputs = corpus_ops.OPENED_INPUTS.get()
+    if inputs.get(key := str(path)) is None:
+        inputs[key] = _sha256(path)
+    return inputs[key]
 
 
 def _read_config_file(path) -> dict:
@@ -164,14 +156,14 @@ def _resolve(args: argparse.Namespace, config: dict) -> dict:
             for key in COMMANDS[args.command][2]}
 
 
-def _write_manifest(path, extra: dict, command: str, config: dict, inputs: list,
-                    produced: list, start: float) -> None:
+def _write_manifest(path, extra: dict, command: str, config: dict, produced: list,
+                    start: float) -> None:
     """Stage at ``path`` the manifest of a command that succeeded, with
     its ``extra`` fields (``counters``, ``trajectory``)."""
     manifest = {
         "command": command,
         "config": config,
-        "inputs": {name: _digest(name) for name in dict.fromkeys(map(str, inputs))},
+        "inputs": {name: _digest(name) for name in corpus_ops.OPENED_INPUTS.get()},
         "outputs": [str(final) for _tmp, final in produced],
         # Outputs are byte-identical only under the same numpy row kernels.
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
@@ -302,7 +294,7 @@ def cmd_paraphrase(args, cfg: dict, produced: list):
 def cmd_spectrum(args, cfg: dict, produced: list):
     vocab, tensor = _load_tensor_dir(Path(args.tensor))
     if corpus_ops.ASCII_INTEGER.fullmatch(args.slice):
-        k = int(args.slice)
+        k = corpus_ops.int64_field(args.slice, "slice")
     elif args.slice in vocab.prep_ids:
         k = vocab.prep_ids[args.slice]
     else:
@@ -426,8 +418,13 @@ def cmd_eval_attach(args, cfg: dict, produced: list):
     _training_manifest(models_dir, args.embeddings)
     store = emb_ops.load_embeddings(args.embeddings)
     fnn = load_fnn(models_dir / "fnn.txt")
-    with corpus_ops.open_input(models_dir / "tags.txt") as fh:
+    with corpus_ops.open_input(tags := models_dir / "tags.txt") as fh:
         tagset = attach_ops.TagSet([line for line in fh.read().splitlines() if line])
+    # The embeddings are the trained ones (by digest), so a feature row
+    # of a width the network does not take is the tag list's fault.
+    if (width := tagset.feature_width(store.dim)) != fnn.sizes[0]:
+        raise ValueError(f"{tags}: {len(tagset.tags)} tags make {width} input features, "
+                         f"but {models_dir / 'fnn.txt'} takes {fnn.sizes[0]}")
     instances, rejected = attach_ops.load_attachment_dataset(args.test)
     acc, errors, counters = attach_ops.evaluate_attachment(instances, fnn, store, tagset)
     counters["rejected"] = rejected
@@ -513,17 +510,16 @@ def run(argv=None) -> int:
                         format="%(levelname)s %(name)s %(message)s")
     func = COMMANDS[args.command][0]
     produced: list[tuple[Path, Path]] = []
-    inputs: list = []
-    # Records every file this command opens, the config file included.
-    recording = corpus_ops.OPENED_INPUTS.set(inputs)
-    digesting = _DIGESTS.set({})
+    # The input record: every file the command opens, the config file
+    # included, and the digests taken of them.
+    recording = corpus_ops.OPENED_INPUTS.set({})
     start = time.perf_counter()
     try:
         config = _read_config_file(args.config) if args.config else {}
         cfg = _resolve(args, config)
         manifest = func(args, cfg, produced)
         if manifest is not None:
-            _write_manifest(*manifest, args.command, cfg, inputs, produced, start)
+            _write_manifest(*manifest, args.command, cfg, produced, start)
             # Evaluation refuses a directory without a manifest, so until
             # the new one moves in last, a failed move leaves none.
             Path(manifest[0]).unlink(missing_ok=True)
@@ -535,7 +531,6 @@ def run(argv=None) -> int:
         return 1
     finally:
         corpus_ops.OPENED_INPUTS.reset(recording)
-        _DIGESTS.reset(digesting)
         # Whatever was not moved into place is a partial output.
         for tmp, _path in produced:
             tmp.unlink(missing_ok=True)

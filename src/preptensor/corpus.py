@@ -62,9 +62,10 @@ _COLUMNS = ("i", "j", "k", "counts")
 _COUNT_BLOCK = 1 << 13
 
 
-# The paths open_input opens, in a list that cli.run sets for one
-# command and resets after it; with none set, nothing is recorded.
-OPENED_INPUTS: contextvars.ContextVar[list | None] = contextvars.ContextVar(
+# The input record of one command, which cli.run sets and resets: each
+# path open_input opens, by str(path), to its sha256 digest, or to None
+# until cli takes it. With none set, nothing is recorded.
+OPENED_INPUTS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "opened_inputs", default=None)
 
 
@@ -75,7 +76,7 @@ def open_input(path, mode="r"):
     a decoding error included, is raised again as one naming the file."""
     with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
         if (opened := OPENED_INPUTS.get()) is not None:
-            opened.append(path)
+            opened.setdefault(str(path), None)
         try:
             yield fh
         except ValueError as exc:
@@ -114,9 +115,7 @@ def expect_end(fh, lineno: int) -> None:
 def parse_integers(fields, lineno: int) -> list[int]:
     """The ints ``fields`` hold, each read as parse_rows reads an int64;
     any other field is a ValueError naming it and line ``lineno``."""
-    for text in fields:
-        _check_field(text, lineno, integer=True)
-    return [int(text) for text in fields]
+    return [_check_field(text, lineno, integer=True) for text in fields]
 
 
 def parse_rows(lines, width: int, start: int = 1, dtype=np.float64, out=None,
@@ -175,27 +174,37 @@ def _raise_bad_line(lines, start, width, integer, skip_blank):
     raise ValueError(f"lines {start}-{lineno}: not {width} numbers per line")
 
 
-def int64_field(text: str) -> int:
+def int64_field(text: str, what: str = "field") -> int:
     """``text`` as np.loadtxt reads an int64: the one integer rule of
-    file fields, flags and config values. Any other text is a ValueError
-    naming it."""
+    file fields, dataset indices, flags and config values. Any other
+    text is a ValueError naming it as ``what``."""
     if not ASCII_INTEGER.fullmatch(text):
-        raise ValueError(f"non-integer field {text!r}")
-    if not _INT64.min <= int(text) <= _INT64.max:
-        raise ValueError(f"integer field {text!r} out of range")
-    return int(text)
+        raise ValueError(f"non-integer {what} {text!r}")
+    # int() refuses 4,300 digits or more, and 20 are past int64 already.
+    digits = text.lstrip("+-").lstrip("0") or "0"
+    if len(digits) > 19 or not (
+            _INT64.min <= (value := int("-" + digits if text[0] == "-" else digits))
+            <= _INT64.max):
+        raise ValueError(f"integer {what} {text!r} out of range")
+    return value
 
 
-def _check_field(text: str, lineno: int, integer: bool) -> None:
-    """A ValueError naming ``text`` and line ``lineno`` unless np.loadtxt
-    reads it as an int64, or else as a finite float64."""
+def float_field(text: str) -> float:
+    """``text`` as np.loadtxt reads a finite float64: the one float rule
+    of file fields, flags and config values. Any other text is a
+    ValueError naming it."""
+    if not ASCII_FLOAT.fullmatch(text):
+        raise ValueError(f"non-numeric field {text!r}")
+    if not np.isfinite(value := float(text)):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def _check_field(text: str, lineno: int, integer: bool) -> int | float:
+    """``text`` read by int64_field, or else by float_field; a ValueError
+    names line ``lineno``."""
     try:
-        if integer:
-            int64_field(text)
-        elif not ASCII_FLOAT.fullmatch(text):
-            raise ValueError(f"non-numeric field {text!r}")
-        elif not np.isfinite(np.float64(text)):
-            raise ValueError(f"non-finite value {text!r}")
+        return int64_field(text) if integer else float_field(text)
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
 

@@ -323,8 +323,7 @@ def fnn_forward_batch(net: FeedForwardNet, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != net.sizes[0]:
         raise ValueError(
-            f"the network takes {net.sizes[0]} input features but got {X.shape[1]}: "
-            "the embeddings' dimension differs from the one it was trained on")
+            f"the network takes {net.sizes[0]} input features but got {X.shape[1]}")
     if not np.all(np.isfinite(X)):
         raise ValueError("network input must be finite")
     return _forward(net.weights, net.biases, _blocks(X, net.weights, len(X)), len(X))

@@ -14,7 +14,7 @@ from importlib import resources
 import numpy as np
 
 from . import embeddings as emb_ops
-from .corpus import (ASCII_INTEGER, expect_end, load_roster, open_input, parse_integers,
+from .corpus import (expect_end, int64_field, load_roster, open_input, parse_integers,
                      parse_rows, read_records)
 from .embeddings import EmbeddingStore
 from .learn import (
@@ -79,10 +79,7 @@ def load_selection_dataset(path, roster) -> tuple[list[SelectionInstance], int]:
         if len(fields) != 4:
             raise ValueError("expected 4 tab-separated fields")
         tokens, index, observed, gold = fields[0].split(), *fields[1:]
-        if not ASCII_INTEGER.fullmatch(index):
-            raise ValueError(f"non-integer prep_index {index!r}")
-        prep_index = int(index)
-        if not 0 <= prep_index < len(tokens):
+        if not 0 <= (prep_index := int64_field(index, "prep_index")) < len(tokens):
             raise ValueError("prep_index out of range")
         if tokens[prep_index] != observed:
             raise ValueError("token at prep_index differs from observed")

@@ -80,7 +80,7 @@ class TestDatasetIO:
             (1, 10)]
         rejected = [r.getMessage() for r in caplog.records]
         assert len(rejected) == 5 and "4 line(s) rejected" in rejected[-1]
-        assert "non-integer distance in 'pizza:NN:IN:1_0'" in rejected[0]
+        assert "line 1 rejected: non-integer distance '1_0'" in rejected[0]
         assert "non-integer gold_index '\u0661'" in rejected[1]
 
     def test_blank_lines_skipped(self, tmp_path):

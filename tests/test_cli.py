@@ -648,12 +648,14 @@ class TestQueryCommands:
                       "--slice", "around", "--top", "3"])
         assert rc == 1
 
-    @pytest.mark.parametrize("index", ["4", "-1"])
+    @pytest.mark.parametrize("index", ["4", "-1", pytest.param("9" * 5000, id="9x5000")])
     def test_spectrum_slice_out_of_range(self, tensor_dir, caplog, index):
         rc = cli.run(["spectrum", "--tensor", str(tensor_dir), "--slice", index])
         assert rc == 1
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert errors == [f"slice {index} out of range 0..3"]
+        # An index past int64 is out of range by the integer rule itself.
+        assert errors == [f"slice {index} out of range 0..3" if len(index) < 20
+                          else f"integer slice {index!r} out of range"]
 
     @pytest.mark.parametrize("value", ["1_0", "\u0663", " 3"])
     def test_spectrum_slice_index_is_an_ascii_integer(self, tensor_dir, caplog, value):
@@ -1095,6 +1097,26 @@ class TestAttachPipeline:
         assert str(fnn) in errors[0] and named in errors[0]
         assert "\n" not in errors[0]
 
+    @pytest.mark.parametrize("command, manifest", [
+        ("train-attach", "att2/manifest.json"),
+        ("eval-attach", "att/errors.csv.manifest.json")])
+    def test_distance_past_int64_is_a_rejected_line(self, tmp_path, trained, caplog,
+                                                   command, manifest):
+        """Read as an int, it would overflow the float distance feature."""
+        d = tmp_path / "d"
+        shutil.copytree(trained, d)
+        dataset = d / "att.tsv"
+        lines = dataset.read_text().splitlines()
+        dataset.write_text("\n".join([*lines, f"on\tmats\t0\tsat:VB:NN:{'9' * 400}"])
+                           + "\n")
+        with caplog.at_level("WARNING"):
+            assert cli.run(_commands(d)[command]) == 0
+        assert json.loads((d / manifest).read_text())["counters"]["rejected"] == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            f"attachment dataset {dataset}: line {len(lines) + 1} rejected: "
+            f"integer distance {'9' * 400!r} out of range",
+            f"attachment dataset {dataset}: 1 line(s) rejected"]
+
     def test_failed_eval_keeps_earlier_outputs(self, tmp_path, embeddings_path):
         train = tmp_path / "att_train.tsv"
         write_attachment_dataset(train)
@@ -1233,9 +1255,11 @@ class TestArgumentHandling:
 
     def test_config_numbers_spelled_as_in_files(self, tmp_path):
         config = tmp_path / "conf.txt"
-        config.write_text("seed = +3\nwindow = 007\nlr = .5\nxmax = 1E1\nalpha = -0.25\n")
+        config.write_text("seed = +3\nwindow = 007\nlr = .5\nxmax = 1E1\nalpha = -0.25\n"
+                          f"min_count = {'0' * 5000}5\n")
         assert cli._read_config_file(config) == {
-            "seed": 3, "window": 7, "lr": 0.5, "xmax": 10.0, "alpha": -0.25}
+            "seed": 3, "window": 7, "lr": 0.5, "xmax": 10.0, "alpha": -0.25,
+            "min_count": 5}
 
     @pytest.mark.parametrize("flag, value", [
         ("--dim", "\u0663"), ("--dim", "1_0"), ("--iters", "1_0"), ("--seed", " 3"),
@@ -1248,6 +1272,27 @@ class TestArgumentHandling:
         assert cli.run(argv) == 2
         err = capsys.readouterr().err
         assert f"argument {flag}" in err and repr(value) in err
+
+    # Flags and config values are read by the file fields' two rules,
+    # int64_field and float_field, and give their messages.
+    @pytest.mark.parametrize("key, value, message", [
+        ("dim", "9" * 5000, f"integer field {'9' * 5000!r} out of range"),
+        ("dim", "1_0", "non-integer field '1_0'"),
+        ("lr", "nan", "non-finite value 'nan'"),
+        ("lr", "1_0", "non-numeric field '1_0'"),
+    ], ids=["dim-9x5000", "dim-1_0", "lr-nan", "lr-1_0"])
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_numbers_get_the_field_rules_messages(self, tmp_path, capsys, caplog, key,
+                                                  value, message, given):
+        argv = ["decompose", "--tensor", "t", "--method", "als", "--out", "e.txt"]
+        if given == "flag":
+            assert cli.run([*argv, f"--{key}", value]) == 2
+            assert f"argument --{key}: {message}\n" in capsys.readouterr().err
+        else:
+            config = tmp_path / "conf.txt"
+            config.write_text(f"{key} = {value}\n")
+            assert cli.run(["--config", str(config), *argv]) == 1
+            assert _one_error(caplog) == f"{config}: {key} = {value}: {message}"
 
     @pytest.mark.parametrize("option, value, message", [
         ("--fnn-lr", "-0.04", "learning_rate must be positive, got -0.04"),
@@ -1703,6 +1748,20 @@ class TestInputFileErrors:
         assert cli.run(argv) == 1
         assert _one_error(caplog) == f"{roster}: line 5: token 'of' listed twice"
         assert not Path(argv[argv.index("--out") + 1]).exists()
+
+    def test_missing_tag_blamed_on_the_tag_list(self, tmp_path, trained, caplog):
+        """The embeddings match the trained ones by digest, so a network
+        input of another width is the tag list's fault."""
+        d = tmp_path / "d"
+        shutil.copytree(trained, d)
+        path, fnn = d / "att" / "tags.txt", d / "att" / "fnn.txt"
+        tags = path.read_text().splitlines()
+        path.write_text("\n".join(tags[1:]) + "\n")
+        assert cli.run(_commands(d)["eval-attach"]) == 1
+        width = load_fnn(fnn).sizes[0]
+        assert _one_error(caplog) == (f"{path}: {len(tags) - 1} tags make {width - 2} "
+                                      f"input features, but {fnn} takes {width}")
+        assert not (d / "att" / "errors.csv").exists()
 
     def test_repeated_tag_rejected(self, tmp_path, trained, caplog):
         d = tmp_path / "d"

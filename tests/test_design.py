@@ -6,7 +6,9 @@ input is converted in one place, a cosine is taken by one row kernel,
 a dataset-level function is called once per dataset, the selection
 builders gather and average context rows once per dataset, the public API
 is what the package itself calls, no file field is evaluated as
-Python, and an option's default is the default of the setting it sets."""
+Python, a number is read only by ``corpus``'s field rules, one context
+variable holds a command's state, and an option's default is the
+default of the setting it sets."""
 
 import ast
 import dataclasses
@@ -324,6 +326,38 @@ def test_every_public_name_is_called_in_the_package():
     extra = sorted(set(uncalled) - set(UNCALLED))
     assert extra == [], f"public, but no code of the package calls {extra}"
     assert set(UNCALLED) <= set(uncalled), "an allow-listed name is called now"
+
+
+def _readers(name: str) -> set[str]:
+    """``module.function`` of each top-level definition outside ``corpus``
+    that reads ``name`` as code (``module.<module>`` for a read outside
+    any definition); an import reads nothing."""
+    found = set()
+    for path in sorted(Path(preptensor.__file__).parent.glob("*.py")):
+        if path.stem != "corpus":
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                if name in _references(ast.Module(body=[node], type_ignores=[])):
+                    found.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+    return found
+
+
+def test_numbers_are_read_by_the_field_rules_only():
+    """``corpus.int64_field`` and ``corpus.float_field`` read every number:
+    elsewhere the integer pattern only tells a number from a name (a
+    spectrum slice, an embedding header), and the float pattern is unread."""
+    assert _readers("ASCII_FLOAT") == set()
+    assert _readers("ASCII_INTEGER") == {"cli.cmd_spectrum", "embeddings.load_embeddings"}
+
+
+def test_one_context_variable_in_the_package():
+    """``corpus.OPENED_INPUTS``, a command's input record, holds both the
+    paths it opened and their digests."""
+    found = [f"{path.name} line {node.lineno}"
+             for path in sorted(Path(preptensor.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "ContextVar"]
+    assert len(found) == 1, found
 
 
 def test_the_package_re_exports_no_layer_name():

@@ -119,6 +119,9 @@ DATASETS = {
          ("sat on mat\t1\ton\tin\t", "expected 4 tab-separated fields"),
          ("sat on mat\tx\ton\tin", "non-integer prep_index 'x'"),
          ("sat on mat\t1_0\ton\tin", "non-integer prep_index '1_0'"),
+         # int() refuses 4,300 digits or more; the int64 rule needs none.
+         (f"sat on mat\t{'9' * 5000}\ton\tin",
+          f"integer prep_index {'9' * 5000!r} out of range"),
          ("sat on mat\t3\ton\tin", "prep_index out of range"),
          ("sat on mat\t-1\ton\tin", "prep_index out of range"),
          ("sat on mat\t0\ton\tin", "token at prep_index differs from observed"),
@@ -133,7 +136,10 @@ DATASETS = {
          ("with\tfork\t0\t", "bad candidate spec ''"),
          ("with\tfork\t0\tate:VB:NN:3;", "bad candidate spec ''"),
          ("with\tfork\t0\tate:VB:NN", "bad candidate spec 'ate:VB:NN'"),
-         ("with\tfork\t0\tate:VB:NN:x", "non-integer distance in 'ate:VB:NN:x'"),
+         ("with\tfork\t0\tate:VB:NN:x", "non-integer distance 'x'"),
+         # Past int64, a distance would overflow the float feature.
+         (f"with\tfork\t0\tate:VB:NN:{'9' * 400}",
+          f"integer distance {'9' * 400!r} out of range"),
          ("with\tfork\t0\tate:VB:NN:0", "distance must be >= 1 in 'ate:VB:NN:0'"),
          ("with\tfork\tx\tate:VB:NN:3", "non-integer gold_index 'x'"),
          ("with\tfork\t1\tate:VB:NN:3", "gold_index 1 out of range"),
@@ -246,18 +252,24 @@ def test_model_loaders_stop_at_the_declared_body(tmp_path, kind, case):
     "1e400", "1e-400", "-0", "+1", "5.", ".5", "1.e5", "+.5e-3", "1E+05", "1.0",
     ".", "-", "e5", "_1", "1.5e", "1e+", "1d5", "1,5", "0x10", "\uff11", "\u0661.5",
     str(2 ** 63 - 1), str(2 ** 63), str(-2 ** 63), str(-2 ** 63 - 1), "9" * 400,
+    # int() refuses 4,300 digits or more, np.loadtxt reads leading zeros.
+    pytest.param("9" * 5000, id="9x5000"), pytest.param("0" * 5000 + "7", id="0x5000+7"),
+    pytest.param("-" + "0" * 5000, id="-0x5000"),
 ])
 @pytest.mark.parametrize("dtype", [np.int64, np.float64])
 def test_array_and_field_paths_agree(spelling, dtype):
     """np.loadtxt, which parses each chunk, and the field-by-field check,
-    which names what it rejects, accept the same spellings."""
+    which names what it rejects, accept the same spellings and read the
+    same values."""
     try:
         [[value]] = corpus.parse_rows([spelling], 1, dtype=dtype)
     except ValueError:
         value = None
     try:
-        corpus._check_field(spelling, 1, integer=dtype is np.int64)
+        field = corpus._check_field(spelling, 1, integer=dtype is np.int64)
     except ValueError:
         assert value is None
     else:
-        assert value is not None and value == dtype(spelling)
+        assert value is not None and value == field
+        # np.int64() too refuses 4,300 digits or more.
+        assert len(spelling) > 4300 or value == dtype(spelling)
