@@ -251,7 +251,7 @@ def cmd_decompose(args, cfg: dict, produced: list):
                 "nnz": tensor.nnz}
     if args.method == "als":
         emb = decompose_orth_als(tensor, config)
-        counters["sweeps"] = len(emb.trajectory)
+        counters.update(sweeps=len(emb.trajectory), split_fits=emb.split_fits)
     else:  # "wd": the parser's choices allow nothing else
         emb = decompose_weighted(tensor, config)
         counters.update(batch=WD_BATCH, epochs=len(emb.trajectory))
@@ -385,9 +385,14 @@ def cmd_eval_select(args, cfg: dict, produced: list):
     store = emb_ops.load_embeddings(args.embeddings)
     models = select_ops.SelectionModels(
         tree=load_tree(models_dir / "tree.txt"),
-        fnn=load_fnn(models_dir / "fnn.txt"),
+        fnn=load_fnn(fnn_path := models_dir / "fnn.txt"),
         table=table,
     )
+    # The embeddings are the trained ones (by digest), so a corrector that
+    # does not take correction_features' 3d + 3 wide rows is at fault.
+    if (width := 3 * store.dim + 3) != models.fnn.sizes[0]:
+        raise ValueError(f"{fnn_path} takes {models.fnn.sizes[0]} input features, but "
+                         f"correction rows of d={store.dim} embeddings have {width}")
     instances, rejected = select_ops.load_selection_dataset(args.test, table.roster)
     (p, r, f1), errors, counters = select_ops.evaluate_selection(instances, models, store,
                                                                  window=window)

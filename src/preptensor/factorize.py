@@ -36,6 +36,17 @@ __all__ = [
 RIDGE = 1e-8
 # ALS stops once an unorthogonalized sweep gains less fit than this.
 FIT_TOL = 1e-5
+# A sweep's objective comes from the expansion ‖X‖² − 2⟨X, M⟩ + ‖M‖² only
+# while it exceeds EXPANSION_GUARD · ε · (‖X‖² + ‖M‖²) (see als_objective).
+# Rounding in the expansion's three sums costs c · ε · (‖X‖² + ‖M‖²), with
+# c growing with the longest sum and with how far the d components cancel
+# (against the split form, c was at most 17 on the toy tensor and 117 on
+# the 1 MB Zipf tensor, at d = 8 and 25 over 20 sweeps).
+# Above the guard the objective is then off by under c / 1e6 of itself,
+# and, since ‖M‖ ≤ ‖X‖ after a least-squares update, the fit 1 − √obj / ‖X‖
+# by under c · √(ε / 2e6) ≈ c · 1e-11, far below FIT_TOL for any c up to
+# 1e5; below the guard the split form, which does not cancel, is used.
+EXPANSION_GUARD = 1e6
 # Factor values gathered at once, per factor, when evaluating the model
 # on the stored pattern; a block holds this many divided by d entries.
 # A WD epoch prepares its batches a block of about as many entries at a
@@ -82,7 +93,8 @@ class EmbeddingSet:
     Rows of U are word vectors, rows of Q are preposition vectors with
     the extra-slice vector last. Bias vectors are present exactly for
     the weighted method. ``trajectory`` holds the per-epoch weighted loss
-    (WD) or the per-sweep fit (ALS) of the run that made them.
+    (WD) or the per-sweep fit (ALS) of the run that made them, and
+    ``split_fits`` how many ALS fits took ``als_objective``'s split form.
     """
 
     U: np.ndarray
@@ -92,6 +104,7 @@ class EmbeddingSet:
     b_W: np.ndarray | None = None
     b_Q: np.ndarray | None = None
     trajectory: list[float] = field(default_factory=list)
+    split_fits: int = 0
 
     def validate(self) -> None:
         for name, arr in (("U", self.U), ("W", self.W), ("Q", self.Q)):
@@ -160,22 +173,40 @@ def _reconstruction_at(coo: CooTensor, U, W, Q) -> np.ndarray:
     return out
 
 
-def als_objective(coo: CooTensor, U: np.ndarray, W: np.ndarray, Q: np.ndarray) -> float:
-    """Squared Frobenius error against the full tensor (zeros included),
-    evaluated without densifying.
+def als_objective(coo: CooTensor, U: np.ndarray, W: np.ndarray, Q: np.ndarray,
+                  m_q: np.ndarray | None = None, forms: list[str] | None = None) -> float:
+    """Squared Frobenius error ‖X − M‖² of the model M against the full
+    tensor X (zeros included), evaluated without densifying.
 
-    Split into the residual on the stored pattern plus the
-    reconstruction's energy on the zero pattern; the split avoids the
-    cancellation a norm-expansion formula suffers near exact fits.
+    ``m_q`` is the MTTKRP of ``coo`` with U and W, the second result of
+    ``als_update_mode`` for mode Q. Given it, the error is first taken
+    from the expansion ‖X‖² − 2⟨X, M⟩ + ‖M‖², with ⟨X, M⟩ = Σ Q ∘ m_q and
+    ‖M‖² = Σ (UᵀU) ∘ (WᵀW) ∘ (QᵀQ), which never gathers the model at the
+    stored entries. The expansion cancels near exact fits, so it is kept
+    only while it exceeds ``EXPANSION_GUARD`` · ε · (‖X‖² + ‖M‖²).
+
+    Otherwise, and always without ``m_q``, the error is split into the
+    residual on the stored pattern plus the reconstruction's energy on
+    the zero pattern, which suffers no such cancellation. ``forms``, when
+    given, receives the form this call took: "expansion" or "split".
     """
-    recon_at = _reconstruction_at(coo, U, W, Q)
-    sparse_term = float(np.sum((coo.values - recon_at) ** 2))
-    n, _, kp1 = coo.dims
-    if coo.nnz == n * n * kp1:
-        return sparse_term
     recon2 = float(np.sum((U.T @ U) * (W.T @ W) * (Q.T @ Q)))
-    zero_term = max(recon2 - float(np.sum(recon_at ** 2)), 0.0)
-    return sparse_term + zero_term
+    form = "split"
+    if m_q is not None:
+        norm2 = float(np.sum(coo.values ** 2))
+        # Summed in C order, whatever the layout of ``m_q``.
+        objective = norm2 - 2.0 * float(np.sum(np.ravel(Q * m_q))) + recon2
+        if objective > EXPANSION_GUARD * np.finfo(float).eps * (norm2 + recon2):
+            form = "expansion"
+    if form == "split":
+        recon_at = _reconstruction_at(coo, U, W, Q)
+        objective = float(np.sum((coo.values - recon_at) ** 2))
+        n, _, kp1 = coo.dims
+        if coo.nnz < n * n * kp1:
+            objective += max(recon2 - float(np.sum(recon_at ** 2)), 0.0)
+    if forms is not None:
+        forms.append(form)
+    return objective
 
 
 def cp_fit(coo, embeddings: EmbeddingSet) -> float:
@@ -226,10 +257,11 @@ def _mttkrp(coo: CooTensor, mode: str, A: np.ndarray, B: np.ndarray,
 
 
 def als_update_mode(coo: CooTensor, U: np.ndarray, W: np.ndarray, Q: np.ndarray,
-                    mode: str, unfolding: scipy.sparse.csr_matrix) -> np.ndarray:
+                    mode: str, unfolding: scipy.sparse.csr_matrix):
     """Exact ridge-regularized least-squares update of one factor matrix,
     holding the other two fixed; ``unfolding`` is ``mode``'s
-    ``_build_unfolding`` of ``coo``."""
+    ``_build_unfolding`` of ``coo``. Returns the updated factor and the
+    MTTKRP it was solved from."""
     fixed = {"U": (W, Q), "W": (U, Q), "Q": (U, W)}
     if mode not in fixed:
         raise ValueError(f"unknown mode {mode!r}")
@@ -237,7 +269,7 @@ def als_update_mode(coo: CooTensor, U: np.ndarray, W: np.ndarray, Q: np.ndarray,
     m = _mttkrp(coo, mode, A, B, unfolding)
     gram = (A.T @ A) * (B.T @ B)
     gram = gram + RIDGE * np.eye(gram.shape[0])
-    return np.linalg.solve(gram, m.T).T
+    return np.linalg.solve(gram, m.T).T, m
 
 
 def orthogonalize_factors(factor: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -286,29 +318,33 @@ def decompose_orth_als(tensor, config: TrainingConfig) -> EmbeddingSet:
     factors with fewer rows than components). Deterministic given the
     seed. Accepts a raw count tensor or an already log-domain CooTensor;
     count tensors are log-transformed first. The three unfoldings are
-    built once, before the first sweep, and freed with the run.
+    built once, before the first sweep, and freed with the run. Each
+    sweep's fit comes from the Q update's MTTKRP where that is exact
+    enough (see ``als_objective``).
     """
     coo = _as_coo(tensor, log=True)
     norm_t = coo.norm()
     unfoldings = {mode: _build_unfolding(coo, mode) for mode in "UWQ"}
     rng, U, W, Q = _init_factors(coo.dims, config.dim, config.seed)
     prev_fit = -np.inf
-    trajectory = []
+    trajectory, forms = [], []
     for sweep in range(config.iterations):
         if sweep < config.ortho_iterations:
             U, W, Q = (orthogonalize_factors(F, rng) if len(F) >= config.dim else F
                        for F in (U, W, Q))
-        U = als_update_mode(coo, U, W, Q, "U", unfoldings["U"])
-        W = als_update_mode(coo, U, W, Q, "W", unfoldings["W"])
-        Q = als_update_mode(coo, U, W, Q, "Q", unfoldings["Q"])
-        obj = als_objective(coo, U, W, Q)
+        U = als_update_mode(coo, U, W, Q, "U", unfoldings["U"])[0]
+        W = als_update_mode(coo, U, W, Q, "W", unfoldings["W"])[0]
+        Q, m_q = als_update_mode(coo, U, W, Q, "Q", unfoldings["Q"])
+        obj = als_objective(coo, U, W, Q, m_q, forms)
         fit = 1.0 - np.sqrt(obj) / norm_t
-        logger.info("sweep %d objective %.10g fit %.10g", sweep + 1, obj, fit)
+        logger.info("sweep %d objective %.10g fit %.10g (%s)", sweep + 1, obj, fit,
+                    forms[-1])
         trajectory.append(float(fit))
         if sweep >= config.ortho_iterations and fit - prev_fit < FIT_TOL:
             break
         prev_fit = fit
-    emb = EmbeddingSet(U=U, W=W, Q=Q, trajectory=trajectory)
+    emb = EmbeddingSet(U=U, W=W, Q=Q, trajectory=trajectory,
+                       split_fits=forms.count("split"))
     emb.validate()
     return emb
 

@@ -131,9 +131,9 @@ def test_criterion_03_als_rank_recovery():
     objectives = []
     unfoldings = {mode: _build_unfolding(coo, mode) for mode in "UWQ"}
     for _ in range(25):
-        U = als_update_mode(coo, U, W, Q, "U", unfoldings["U"])
-        W = als_update_mode(coo, U, W, Q, "W", unfoldings["W"])
-        Q = als_update_mode(coo, U, W, Q, "Q", unfoldings["Q"])
+        U, _ = als_update_mode(coo, U, W, Q, "U", unfoldings["U"])
+        W, _ = als_update_mode(coo, U, W, Q, "W", unfoldings["W"])
+        Q, _ = als_update_mode(coo, U, W, Q, "Q", unfoldings["Q"])
         objectives.append(als_objective(coo, U, W, Q))
     elapsed = time.perf_counter() - start
     monotone = all(b <= a + 1e-8 * objectives[0]

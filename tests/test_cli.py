@@ -291,7 +291,8 @@ class TestDecompose:
         assert manifest["counters"] == {"n_words": tensor.n_words,
                                         "n_prepositions": len(ROSTER),
                                         "nnz": tensor.nnz,
-                                        "sweeps": len(manifest["trajectory"])}
+                                        "sweeps": len(manifest["trajectory"]),
+                                        "split_fits": 0}
         assert tensor.nnz > 0 and 1 <= len(manifest["trajectory"]) <= 2
 
     def test_wd_manifest_records_batch(self, tmp_path, tensor_dir):
@@ -1762,6 +1763,20 @@ class TestInputFileErrors:
         assert _one_error(caplog) == (f"{path}: {len(tags) - 1} tags make {width - 2} "
                                       f"input features, but {fnn} takes {width}")
         assert not (d / "att" / "errors.csv").exists()
+
+    def test_corrector_of_another_width_blamed_on_its_file(self, tmp_path, trained,
+                                                           caplog):
+        """The embeddings match the trained ones by digest, so a corrector
+        input of another width is the network file's fault."""
+        d = tmp_path / "d"
+        shutil.copytree(trained, d)
+        path = d / "sel" / "fnn.txt"
+        sizes = load_fnn(path).sizes
+        save_fnn(FeedForwardNet.init([sizes[0] + 1, *sizes[1:]], seed=0), path)
+        assert cli.run(_commands(d)["eval-select"]) == 1
+        assert _one_error(caplog) == (f"{path} takes {sizes[0] + 1} input features, but "
+                                      f"correction rows of d=6 embeddings have {sizes[0]}")
+        assert not (d / "sel" / "errors.csv").exists()
 
     def test_repeated_tag_rejected(self, tmp_path, trained, caplog):
         d = tmp_path / "d"

@@ -7,8 +7,9 @@ a dataset-level function is called once per dataset, the selection
 builders gather and average context rows once per dataset, the public API
 is what the package itself calls, no file field is evaluated as
 Python, a number is read only by ``corpus``'s field rules, one context
-variable holds a command's state, and an option's default is the
-default of the setting it sets."""
+variable holds a command's state, an option's default is the default of
+the setting it sets, and an ALS sweep makes the calls the benchmark's
+tracer times by name."""
 
 import ast
 import dataclasses
@@ -16,9 +17,11 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import preptensor
 from conftest import make_store
-from preptensor import cli
+from preptensor import cli, factorize
 from preptensor.factorize import CooTensor, TrainingConfig
 from preptensor.learn import FnnHyper, TreeParams
 
@@ -373,3 +376,27 @@ def test_each_option_defaults_to_its_field():
     for key, settings, name in OPTION_FIELDS:
         [default] = [f.default for f in dataclasses.fields(settings) if f.name == name]
         assert cli.OPTIONS[key][1] == default, f"--{key} and {settings.__name__}.{name}"
+
+
+def test_each_als_sweep_makes_the_traced_calls(monkeypatch):
+    """perfbench times ``als_update_mode`` per mode, reading the tensor,
+    the first fixed factor and the mode from positions 0, 1 and 4, and
+    counts sweeps by ``als_objective`` calls."""
+    calls = []
+    for name in ("als_update_mode", "als_objective"):
+        original = getattr(factorize, name)
+        monkeypatch.setattr(factorize, name, lambda *args, _name=name, _fn=original:
+                            calls.append((_name, args)) or _fn(*args))
+    rng = np.random.default_rng(0)
+    n, kp1, nnz, d = 12, 4, 200, 3
+    coo = CooTensor(rng.integers(0, n, nnz), rng.integers(0, n, nnz),
+                    rng.integers(0, kp1, nnz), rng.uniform(0.5, 3.0, nnz), (n, n, kp1))
+    emb = factorize.decompose_orth_als(coo, TrainingConfig(dim=d, iterations=4,
+                                                           ortho_iterations=1, seed=0))
+    sweeps = len(emb.trajectory)
+    assert sweeps > 1
+    assert [(name, args[4] if name == "als_update_mode" else None)
+            for name, args in calls] == [("als_update_mode", "U"), ("als_update_mode", "W"),
+                                         ("als_update_mode", "Q"), ("als_objective", None)
+                                         ] * sweeps
+    assert all(args[0] is coo and args[1].shape[1] == d for _name, args in calls)

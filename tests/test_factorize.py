@@ -1,8 +1,16 @@
+import logging
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from preptensor import factorize
-from preptensor.corpus import SparseCountTensor
+from preptensor.corpus import (
+    SparseCountTensor,
+    build_vocabulary,
+    count_tensor,
+    tokenize_sentences,
+)
 from preptensor.factorize import (
     CooTensor,
     EmbeddingSet,
@@ -18,6 +26,9 @@ from preptensor.factorize import (
     weighted_gradient,
     wd_loss,
 )
+from preptensor.select import default_roster
+
+TOY_CORPUS = Path(__file__).parent / "data" / "toy_corpus.txt"
 
 
 def dense_to_coo(dense: np.ndarray, drop_zeros: bool = True) -> CooTensor:
@@ -100,7 +111,7 @@ class TestAlsUpdate:
     def test_fixed_point(self):
         rng = np.random.default_rng(7)
         coo, (U, W, Q) = planted_tensor(rng, 5, 3, 2)
-        updated = als_update_mode(coo, U, W, Q, "U", factorize._build_unfolding(coo, "U"))
+        updated, _ = als_update_mode(coo, U, W, Q, "U", factorize._build_unfolding(coo, "U"))
         assert np.allclose(updated, U, atol=1e-8)
 
     def test_dense_oracle_2x2x2(self):
@@ -110,7 +121,7 @@ class TestAlsUpdate:
         U = rng.standard_normal((2, 1))
         W = rng.standard_normal((2, 1))
         Q = rng.standard_normal((2, 1))
-        updated = als_update_mode(coo, U, W, Q, "U", factorize._build_unfolding(coo, "U"))
+        updated, _ = als_update_mode(coo, U, W, Q, "U", factorize._build_unfolding(coo, "U"))
         # Hand-built separable least squares per row of U.
         denom = sum((W[j, 0] * Q[k, 0]) ** 2 for j in range(2) for k in range(2))
         for i in range(2):
@@ -128,8 +139,8 @@ class TestAlsUpdate:
         prev = als_objective(coo, U, W, Q)
         for _ in range(10):
             for mode in ("U", "W", "Q"):
-                updated = als_update_mode(coo, U, W, Q, mode,
-                                          factorize._build_unfolding(coo, mode))
+                updated, _ = als_update_mode(coo, U, W, Q, mode,
+                                             factorize._build_unfolding(coo, mode))
                 if mode == "U":
                     U = updated
                 elif mode == "W":
@@ -228,7 +239,9 @@ class TestArrayKernelsEqualReferences:
             got = factorize._mttkrp(coo, mode, A, B, csr)
             assert np.array_equal(got, want)
             update = np.linalg.solve(gram + factorize.RIDGE * np.eye(d), want.T).T
-            assert np.array_equal(als_update_mode(coo, U, W, Q, mode, csr), update)
+            got_update, got_mttkrp = als_update_mode(coo, U, W, Q, mode, csr)
+            assert np.array_equal(got_update, update)
+            assert np.array_equal(got_mttkrp, want)
 
     @pytest.mark.parametrize("d", [1, 25])
     def test_q_unfolding_shares_ordered_values(self, d):
@@ -302,6 +315,99 @@ class TestArrayKernelsEqualReferences:
                 == reference_als_objective(raw, emb.U, emb.W, emb.Q))
         assert (wd_loss(raw, emb, 10.0, 0.75)
                 == reference_wd_loss(raw, emb, 10.0, 0.75))
+
+
+def plain_sweeps(coo, d, n_sweeps, seed=0):
+    """U, W, Q and the Q update's MTTKRP after ``n_sweeps`` ALS sweeps
+    from a random start."""
+    rng = np.random.default_rng(seed)
+    n, _, kp1 = coo.dims
+    U, W, Q = (rng.standard_normal((rows, d)) for rows in (n, n, kp1))
+    unfoldings = {mode: factorize._build_unfolding(coo, mode) for mode in "UWQ"}
+    for _ in range(n_sweeps):
+        U, _ = als_update_mode(coo, U, W, Q, "U", unfoldings["U"])
+        W, _ = als_update_mode(coo, U, W, Q, "W", unfoldings["W"])
+        Q, m_q = als_update_mode(coo, U, W, Q, "Q", unfoldings["Q"])
+    return U, W, Q, m_q
+
+
+def count_split_fits(monkeypatch) -> list:
+    """A list that grows by one for each model gathering at the stored
+    entries, which only the split form of the objective makes in ALS."""
+    calls = []
+    original = factorize._reconstruction_at
+    monkeypatch.setattr(factorize, "_reconstruction_at",
+                        lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
+class TestExpandedObjective:
+    """The objective taken from the Q update's MTTKRP, and its guard."""
+
+    # Far from an exact fit the expansion's rounding is about c * eps of
+    # the objective, c a few hundred at most for these sizes (the
+    # EXPANSION_GUARD comment), so 1e-9 leaves a wide margin.
+    REL = 1e-9
+
+    def agrees(self, coo, U, W, Q, m_q):
+        forms = []
+        got = als_objective(coo, U, W, Q, m_q, forms)
+        assert forms == ["expansion"]
+        assert got == pytest.approx(reference_als_objective(coo, U, W, Q), rel=self.REL)
+        als_objective(coo, U, W, Q, forms=forms)
+        assert forms == ["expansion", "split"]
+
+    @pytest.mark.parametrize("n_sweeps", [1, 3, 6])
+    def test_agrees_on_a_sparse_tensor(self, n_sweeps):
+        rng = np.random.default_rng(50)
+        entries = shuffled_entries(rng, 30, 5, 900)
+        counts = SparseCountTensor(30, 4, 3, *zip(*entries), counts=list(entries.values()))
+        coo = log_transform(counts)
+        self.agrees(coo, *plain_sweeps(coo, 4, n_sweeps))
+
+    def test_agrees_on_the_toy_tensor(self):
+        sentences = tokenize_sentences(TOY_CORPUS.read_bytes())
+        counts = count_tensor(sentences, build_vocabulary(sentences, 5, default_roster()), 3)
+        coo = log_transform(counts)
+        assert coo.nnz > 1000
+        self.agrees(coo, *plain_sweeps(coo, 8, 3))
+
+    def test_agrees_on_a_full_pattern_tensor(self):
+        rng = np.random.default_rng(51)
+        coo = dense_to_coo(rng.uniform(0.5, 2.0, (9, 9, 4)), drop_zeros=False)
+        assert coo.nnz == 9 * 9 * 4
+        self.agrees(coo, *plain_sweeps(coo, 3, 3))
+
+    def test_a_run_far_from_a_fit_never_takes_the_split_form(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        entries = shuffled_entries(rng, 30, 5, 1500)
+        counts = SparseCountTensor(30, 4, 3, *zip(*entries), counts=list(entries.values()))
+        calls = count_split_fits(monkeypatch)
+        emb = decompose_orth_als(counts, TrainingConfig(dim=6, iterations=8,
+                                                        ortho_iterations=2, seed=3))
+        assert len(emb.trajectory) > 3
+        assert calls == [] and emb.split_fits == 0
+
+    def test_the_planted_exact_tensor_falls_back_near_its_fit(self, monkeypatch, caplog):
+        # Criterion 3's tensor and run.
+        coo, _ = planted_tensor(np.random.default_rng(200), 100, 6, 5)
+        config = TrainingConfig(dim=5, iterations=100, ortho_iterations=5, seed=3)
+        calls = count_split_fits(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="preptensor.factorize"):
+            got = decompose_orth_als(coo, config)
+        forms = [record.args[3] for record in caplog.records
+                 if record.msg.startswith("sweep")]
+        split = forms.count("split")
+        # The split sweeps are the last, near-exact ones.
+        assert 0 < split == len(calls) == got.split_fits < len(got.trajectory)
+        assert forms == ["expansion"] * (len(forms) - split) + ["split"] * split
+        assert min(got.trajectory[-split:]) > 0.9999
+        calls.clear()
+        monkeypatch.setattr(factorize, "EXPANSION_GUARD", np.inf)
+        want = decompose_orth_als(coo, config)
+        assert len(calls) == want.split_fits == len(want.trajectory) == len(got.trajectory)
+        for name in ("U", "W", "Q"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestDecomposeAls:
