@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import json
 import logging
 import os
@@ -104,23 +103,6 @@ COMMAND_DEFAULTS = {
 }
 
 
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _digest(path) -> str:
-    """The sha256 of ``path``, kept in the input record run() sets anew
-    for each command: a file rewritten between commands is hashed again."""
-    inputs = corpus_ops.OPENED_INPUTS.get()
-    if inputs.get(key := str(path)) is None:
-        inputs[key] = _sha256(path)
-    return inputs[key]
-
-
 def _read_config_file(path) -> dict:
     """Plain-text `key = value` pairs; `#` starts a comment. Every key
     must be a known option, and its value is converted by the option's
@@ -163,7 +145,8 @@ def _write_manifest(path, extra: dict, command: str, config: dict, produced: lis
     manifest = {
         "command": command,
         "config": config,
-        "inputs": {name: _digest(name) for name in corpus_ops.OPENED_INPUTS.get()},
+        "inputs": {name: corpus_ops.input_digest(name)
+                   for name in corpus_ops.OPENED_INPUTS.get()},
         "outputs": [str(final) for _tmp, final in produced],
         # Outputs are byte-identical only under the same numpy row kernels.
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
@@ -230,7 +213,8 @@ def cmd_build_tensor(args, cfg: dict, produced: list):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     corpus_ops.save_vocabulary(vocab, _staged(produced, out / "vocab.txt"))
-    corpus_ops.save_tensor(tensor, _staged(produced, out / "tensor.txt"))
+    corpus_ops.save_tensor(tensor, _staged(produced, out / "tensor.txt"),
+                           _staged(produced, out / "tensor.npz"))
     logger.info("tensor: N=%d K=%d nnz=%d", vocab.n_words,
                 vocab.n_prepositions, tensor.nnz)
     return out / "manifest.json", {"counters": {
@@ -248,7 +232,7 @@ def cmd_decompose(args, cfg: dict, produced: list):
         learning_rate=cfg["lr"], seed=cfg["seed"],
     )
     counters = {"n_words": tensor.n_words, "n_prepositions": tensor.n_prepositions,
-                "nnz": tensor.nnz}
+                "nnz": tensor.nnz, "tensor_source": tensor.source}
     if args.method == "als":
         emb = decompose_orth_als(tensor, config)
         counters.update(sweeps=len(emb.trajectory), split_fits=emb.split_fits)
@@ -308,7 +292,8 @@ def cmd_spectrum(args, cfg: dict, produced: list):
     with open(_staged(produced, args.out), "w", encoding="utf-8") as fh:
         fh.write("rank,normalized_singular_value\n")
         fh.write("\n".join(lines) + "\n")
-    return str(args.out) + ".manifest.json", {}
+    return str(args.out) + ".manifest.json", {"counters": {
+        "tensor_source": tensor.source}}
 
 
 def _fnn_hyper(cfg) -> FnnHyper:
@@ -346,7 +331,7 @@ def _training_manifest(models_dir: Path, embeddings) -> dict:
         inputs = manifest.get("inputs") if isinstance(manifest, dict) else None
         if not isinstance(inputs, dict):
             raise ValueError("no inputs recorded")
-        if (digest := _digest(embeddings)) not in inputs.values():
+        if (digest := corpus_ops.input_digest(embeddings)) not in inputs.values():
             raise ValueError(f"{embeddings} (sha256 {digest}) is not among the "
                              f"inputs the models were trained on: {inputs}")
         return manifest

@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import hashlib
 import itertools
 import logging
 import os
 import re
 import warnings
+import zipfile
+import zlib
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -50,14 +54,25 @@ ASCII_INTEGER = re.compile(r"[+-]?[0-9]+")
 ASCII_FLOAT = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
                          r"|inf|infinity|nan)", re.IGNORECASE)
 _INT64 = np.iinfo(np.int64)
+_INT32 = np.iinfo(np.int32)
 
 TENSOR_MAGIC = "PREPTENSOR"
 PREP_SENTINEL = "#PREPOSITIONS"
+# The row of emb.txt that holds the constant vector, which no token of
+# a vocabulary or roster may spell.
+NOPREP_TOKEN = "__NOPREP__"
 # Tensor lines parsed or formatted per chunk: bounds the text and the
 # Python ints held at once while loading or saving. parse_rows reads as
 # many values per chunk from lines of any width.
 _LOAD_CHUNK_LINES = 1 << 16
 _COLUMNS = ("i", "j", "k", "counts")
+# What reading a damaged columns file raises besides a ValueError:
+# zipfile's BadZipFile (a CRC-32 mismatch among them), a truncated or
+# unreadable file, a missing member, a flag flipped to encryption
+# (RuntimeError), and a compression method flipped to one zipfile lacks
+# or to deflate.
+_COLUMN_FILE_ERRORS = (zipfile.BadZipFile, OSError, EOFError, KeyError, RuntimeError,
+                       NotImplementedError, zlib.error)
 # Window positions counted per array block: bounds the keys held at once.
 _COUNT_BLOCK = 1 << 13
 
@@ -81,6 +96,27 @@ def open_input(path, mode="r"):
             yield fh
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+
+def _sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open_input(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def input_digest(path) -> str:
+    """The sha256 of ``path``, kept in the command's input record, so
+    that each input is hashed once per command, and a file rewritten
+    between commands is hashed again. With no record set, the file is
+    hashed anew."""
+    inputs = OPENED_INPUTS.get()
+    if inputs is None:
+        return _sha256(path)
+    if inputs.get(key := str(path)) is None:
+        inputs[key] = _sha256(path)
+    return inputs[key]
 
 
 def read_records(path, parse, what: str) -> tuple[list, int]:
@@ -300,6 +336,10 @@ class SparseCountTensor:
     without a copy where they are contiguous int64 arrays; others are
     summed by key.
     """
+
+    # Where load_tensor read the entries from, "columns" or "text"; None
+    # for a tensor counted in memory. Equality ignores it.
+    source: str | None = None
 
     def __init__(self, n_words: int, n_prepositions: int, window_t: int,
                  i=(), j=(), k=(), counts=()):
@@ -548,23 +588,53 @@ def count_tensor(
     return merge_counts(partials)
 
 
-def save_tensor(tensor: SparseCountTensor, path) -> None:
+def save_tensor(tensor: SparseCountTensor, path, columns_path=None) -> None:
     """Write the text format: a header line then one `i j k count` line
-    per nonzero, in ascending (k, i, j) order."""
+    per nonzero, in ascending (k, i, j) order. With ``columns_path``,
+    also write there the columns file load_tensor reads in place of the
+    body: an uncompressed npz of the four columns, each int32 where its
+    values fit and int64 otherwise, and ``text_sha256``, the digest of
+    the text bytes as they were written."""
     columns = [getattr(tensor, name) for name in _COLUMNS]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{TENSOR_MAGIC} v1 {tensor.n_words} {tensor.n_prepositions} "
-                 f"{tensor.nnz} {tensor.window_t}\n")
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def write(text: str) -> None:
+            data = text.encode("ascii")
+            digest.update(data)
+            fh.write(data)
+
+        write(f"{TENSOR_MAGIC} v1 {tensor.n_words} {tensor.n_prepositions} "
+              f"{tensor.nnz} {tensor.window_t}\n")
         for start in range(0, tensor.nnz, _LOAD_CHUNK_LINES):
             rows = np.stack([col[start:start + _LOAD_CHUNK_LINES] for col in columns],
                             axis=1)
-            fh.write(("%d %d %d %d\n" * len(rows)) % tuple(rows.ravel().tolist()))
+            write(("%d %d %d %d\n" * len(rows)) % tuple(rows.ravel().tolist()))
+    if columns_path is not None:
+        # np.savez's layout, written a member at a time, so that one
+        # narrowed column is held at once where np.savez takes all four.
+        with open(columns_path, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
+            def put(name: str, array: np.ndarray) -> None:
+                with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                    np.lib.format.write_array(member, array)
+
+            for name, col in zip(_COLUMNS, columns):
+                fits = not len(col) or _INT32.min <= col.min() and col.max() <= _INT32.max
+                put(name, col.astype(np.int32) if fits else col)
+            put("text_sha256", np.array(digest.hexdigest()))
 
 
 def load_tensor(path) -> SparseCountTensor:
     """Read a ``save_tensor`` file; its body lines may come in any order,
-    each coordinate once. The body is parsed by parse_rows into columns
-    sized by the header's nnz."""
+    each coordinate once.
+
+    The entries come from the columns file ``<stem>.npz`` beside it when
+    that file records the digest of these text bytes and its columns
+    read back whole (see _read_columns); otherwise the body is parsed by
+    parse_rows into columns sized by the header's nnz. Both go through
+    one value check, and a columns file that fails either is ignored
+    with an INFO line, so the text decides every error. The tensor's
+    ``source`` says which was read.
+    """
     with open_input(path) as fh:
         header = fh.readline().split()
         if len(header) != 6 or header[0] != TENSOR_MAGIC or header[1] != "v1":
@@ -574,27 +644,78 @@ def load_tensor(path) -> SparseCountTensor:
             raise ValueError("line 1: negative size in header")
         if t < 1:
             raise ValueError(f"line 1: window must be >= 1, got {t}")
+        if (columns_path := Path(path).with_suffix(".npz")).exists():
+            try:
+                return _checked_tensor(n, k_preps, nnz, t, "columns",
+                                       *_read_columns(columns_path, path, nnz))
+            except ValueError as exc:
+                logger.info("%s ignored, parsing the text: %s", columns_path,
+                            str(exc).removeprefix(f"{columns_path}: "))
         # A body line takes at least 8 bytes ("0 0 0 1\n"), so a header
         # declaring more entries than the file can hold allocates no more.
         cols = np.empty((4, min(nnz, os.fstat(fh.fileno()).st_size // 8 + 1)),
                         dtype=np.int64)
         # Filled through its transpose, so each column stays contiguous.
-        i, j, k, counts = parse_rows(fh, 4, 2, np.int64, out=cols.T).T
-        if len(counts) and (counts.min() < 1 or min(i.min(), j.min(), k.min()) < 0
-                            or max(i.max(), j.max()) >= n or k.max() > k_preps):
-            row = np.flatnonzero((counts < 1) | (i >= n) | (j >= n) | (k > k_preps)
-                                 | (np.minimum(np.minimum(i, j), k) < 0))[0]
-            raise ValueError(f"line {row + 2}: " + ("count must be >= 1"
-                             if counts[row] < 1 else "index out of range"))
-        tensor = SparseCountTensor(n, k_preps, t, i, j, k, counts)
-        if tensor.nnz != len(counts):
-            first = np.zeros(len(counts), dtype=bool)
-            first[np.unique((k * n + i) * n + j, return_index=True)[1]] = True
-            repeat = np.argmin(first)
-            raise ValueError(f"line {repeat + 2}: repeated coordinate "
-                             f"{i[repeat]} {j[repeat]} {k[repeat]}")
-        if tensor.nnz != nnz:
-            raise ValueError(f"header declares nnz={nnz} but found {tensor.nnz}")
+        return _checked_tensor(n, k_preps, nnz, t, "text",
+                               *parse_rows(fh, 4, 2, np.int64, out=cols.T).T)
+
+
+def _read_columns(columns_path, text_path, nnz: int) -> np.ndarray:
+    """The int64 columns i, j, k, counts of the columns file at
+    ``columns_path``, as the rows of one block. The file must record the
+    digest of the text at ``text_path`` and hold ``nnz`` int32 or int64
+    values per column, which read back without a zip CRC-32 or format
+    error; anything else is a ValueError. One column is read and widened
+    at a time."""
+    try:
+        # What np.load opens an npz file as; it takes nothing but a zip,
+        # and no pickled member.
+        with (open_input(columns_path, "rb") as fh,
+              np.lib.npyio.NpzFile(fh) as archive):
+            if str(archive["text_sha256"]) != input_digest(text_path):
+                raise ValueError(f"written for other text than {text_path}")
+            # A value takes at least 4 bytes, so a header declaring more
+            # entries than the file can hold allocates nothing.
+            if 16 * nnz > os.fstat(fh.fileno()).st_size:
+                raise ValueError(f"too small to hold {nnz} entries")
+            # One block, as the text is parsed into: once it is freed,
+            # glibc serves nnz-sized arrays from its heap. Four separate
+            # columns cost each later decompose and spectrum in one
+            # process about 70,000 more page faults (seed-0 1 MB Zipf).
+            columns = np.empty((len(_COLUMNS), nnz), dtype=np.int64)
+            for row, name in zip(columns, _COLUMNS):
+                column = archive[name]
+                if column.shape != (nnz,) or column.dtype not in (np.int32, np.int64):
+                    raise ValueError(f"{name} is not {nnz} int32 or int64 values")
+                row[:] = column
+                del column
+            return columns
+    except _COLUMN_FILE_ERRORS as exc:
+        raise ValueError(f"{columns_path}: {exc}") from None
+
+
+def _checked_tensor(n: int, k_preps: int, nnz: int, t: int, source: str,
+                    i, j, k, counts) -> SparseCountTensor:
+    """The tensor of the columns read for a header (n, k_preps, nnz, t):
+    a ValueError names the body line of the first entry whose count is
+    below 1 or whose index is out of range, then that of the first
+    repeated coordinate, then an nnz other than the header's."""
+    if len(counts) and (counts.min() < 1 or min(i.min(), j.min(), k.min()) < 0
+                        or max(i.max(), j.max()) >= n or k.max() > k_preps):
+        row = np.flatnonzero((counts < 1) | (i >= n) | (j >= n) | (k > k_preps)
+                             | (np.minimum(np.minimum(i, j), k) < 0))[0]
+        raise ValueError(f"line {row + 2}: " + ("count must be >= 1"
+                         if counts[row] < 1 else "index out of range"))
+    tensor = SparseCountTensor(n, k_preps, t, i, j, k, counts)
+    if tensor.nnz != len(counts):
+        first = np.zeros(len(counts), dtype=bool)
+        first[np.unique((k * n + i) * n + j, return_index=True)[1]] = True
+        repeat = np.argmin(first)
+        raise ValueError(f"line {repeat + 2}: repeated coordinate "
+                         f"{i[repeat]} {j[repeat]} {k[repeat]}")
+    if tensor.nnz != nnz:
+        raise ValueError(f"header declares nnz={nnz} but found {tensor.nnz}")
+    tensor.source = source
     return tensor
 
 
@@ -610,6 +731,9 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
 
 
 def load_vocabulary(path) -> Vocabulary:
+    """Read a ``save_vocabulary`` file: only what its writer writes and
+    emb.txt can carry, so one sentinel line, tokens that _check_token
+    accepts and counts of at least 0."""
     words: list[str] = []
     preps: list[str] = []
     counts: dict[str, int] = {}
@@ -620,15 +744,20 @@ def load_vocabulary(path) -> Vocabulary:
             if not line:
                 continue
             if line == PREP_SENTINEL:
+                if in_preps:
+                    raise ValueError(f"line {lineno}: second {PREP_SENTINEL} line")
                 in_preps = True
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 3 tab-separated fields")
             tok, freq, idx = parts
+            _check_token(tok, lineno)
             if tok in counts:
                 raise ValueError(f"line {lineno}: token {tok!r} listed twice")
             freq, idx = parse_integers((freq, idx), lineno)
+            if freq < 0:
+                raise ValueError(f"line {lineno}: negative count {freq}")
             target = preps if in_preps else words
             if idx != len(target):
                 raise ValueError(f"line {lineno}: id {idx} out of order")
@@ -638,15 +767,27 @@ def load_vocabulary(path) -> Vocabulary:
 
 
 def load_roster(path) -> list[str]:
-    """One token per line, lowercased, each once; blank lines and `#`
-    comments ignored."""
+    """One token per line, lowercased, each once and without inner
+    whitespace; blank lines and `#` comments ignored."""
     roster = {}
     with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             tok = line.strip().lower()
             if not tok or tok.startswith("#"):
                 continue
+            _check_token(tok, lineno)
             if tok in roster:
                 raise ValueError(f"line {lineno}: token {tok!r} listed twice")
             roster[tok] = None
     return list(roster)
+
+
+def _check_token(tok: str, lineno: int) -> None:
+    """A ValueError naming line ``lineno`` unless ``tok`` can be a row of
+    emb.txt: one whitespace-free field, not its reserved row."""
+    if not tok:
+        raise ValueError(f"line {lineno}: empty token")
+    if tok.split() != [tok]:
+        raise ValueError(f"line {lineno}: token {tok!r} contains whitespace")
+    if tok == NOPREP_TOKEN:
+        raise ValueError(f"line {lineno}: token {tok!r} is reserved")

@@ -17,8 +17,8 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .corpus import (ASCII_INTEGER, SparseCountTensor, Vocabulary, open_input,
-                     parse_integers, parse_rows)
+from .corpus import (ASCII_INTEGER, NOPREP_TOKEN, SparseCountTensor, Vocabulary,
+                     open_input, parse_integers, parse_rows)
 from .factorize import EmbeddingSet
 
 logger = logging.getLogger(__name__)
@@ -32,8 +32,6 @@ __all__ = [
     "save_embeddings",
     "load_embeddings",
 ]
-
-NOPREP_TOKEN = "__NOPREP__"
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -110,3 +111,84 @@ def tiny_vocab():
     sentences = [["cats", "sat", "on", "mats", "quietly"],
                  ["dogs", "chase", "cats"]]
     return build_vocabulary(sentences, min_count=1, roster=["on", "of", "in"])
+
+
+def _rewrite_columns(columns, **changes):
+    """Rewrite the columns file ``columns`` with ``changes`` to its
+    members (None drops one); the others, text_sha256 included, kept."""
+    with np.load(columns) as archive:
+        members = {name: archive[name] for name in archive.files}
+    members.update(changes)
+    np.savez(columns, **{name: a for name, a in members.items() if a is not None})
+
+
+def _flip_last_counts_byte(columns, text):
+    """Flip the last data byte of the counts member, which its CRC-32
+    covers."""
+    with zipfile.ZipFile(columns) as archive:
+        offset = archive.getinfo("text_sha256.npy").header_offset - 1
+    raw = bytearray(columns.read_bytes())
+    raw[offset] ^= 0xFF
+    columns.write_bytes(bytes(raw))
+
+
+def _raise_last_count(columns, text):
+    """Rewrite the text with its last count one higher: a valid tensor of
+    as many entries, which only the digest tells from the columns'."""
+    lines = text.read_text().splitlines(keepends=True)
+    i, j, k, count = lines[-1].split()
+    lines[-1] = f"{i} {j} {k} {int(count) + 1}\n"
+    text.write_text("".join(lines))
+
+
+def _with_column(name, change):
+    """A spoiler rewriting column ``name`` as ``change`` of it."""
+    def spoil(columns, text):
+        with np.load(columns) as archive:
+            column = archive[name]
+        _rewrite_columns(columns, **{name: change(column)})
+    return spoil
+
+
+def _set(index, value):
+    def change(column):
+        column = column.copy()
+        column[index] = value
+        return column
+    return change
+
+
+def _repeat_first_entry(columns, text):
+    """Give the second entry the first one's coordinate."""
+    with np.load(columns) as archive:
+        changes = {name: _set(1, archive[name][0])(archive[name])
+                   for name in ("i", "j", "k")}
+    _rewrite_columns(columns, **changes)
+
+
+def _write_npy(columns, text):
+    with open(columns, "wb") as fh:
+        np.save(fh, np.arange(3))
+
+
+# Ways a tensor directory's columns file (tensor.npz beside tensor.txt,
+# written for at least two entries of N >= 2 words) fails to match its
+# text, each applied as spoil(columns_path, text_path): the loader must
+# parse the text instead.
+COLUMN_SPOILERS = {
+    "no columns file": lambda columns, text: columns.unlink(),
+    "stale digest": lambda columns, text: _rewrite_columns(
+        columns, text_sha256=np.array("0" * 64)),
+    "edited text": _raise_last_count,
+    "flipped byte": _flip_last_counts_byte,
+    "truncated": lambda columns, text: columns.write_bytes(
+        columns.read_bytes()[:columns.stat().st_size // 2]),
+    "missing member": lambda columns, text: _rewrite_columns(columns, counts=None),
+    "wrong length": _with_column("i", lambda column: column[:-1]),
+    "wrong dtype": _with_column("counts", lambda column: column.astype(np.float64)),
+    "count below 1": _with_column("counts", _set(0, 0)),
+    "index out of range": _with_column("j", _set(0, 2 ** 30)),
+    "repeated coordinate": _repeat_first_entry,
+    "not an npz": _write_npy,
+    "not a zip": lambda columns, text: columns.write_bytes(b"not a zip file"),
+}

@@ -18,6 +18,7 @@ import preptensor.corpus as corpus_ops
 import preptensor.factorize as factorize
 import preptensor.select as select_ops
 import scalar_features
+from conftest import COLUMN_SPOILERS
 from preptensor.corpus import (
     build_vocabulary,
     count_tensor,
@@ -292,7 +293,8 @@ class TestDecompose:
                                         "n_prepositions": len(ROSTER),
                                         "nnz": tensor.nnz,
                                         "sweeps": len(manifest["trajectory"]),
-                                        "split_fits": 0}
+                                        "split_fits": 0,
+                                        "tensor_source": "columns"}
         assert tensor.nnz > 0 and 1 <= len(manifest["trajectory"]) <= 2
 
     def test_wd_manifest_records_batch(self, tmp_path, tensor_dir):
@@ -305,7 +307,8 @@ class TestDecompose:
                                         "n_prepositions": len(ROSTER),
                                         "nnz": tensor.nnz,
                                         "batch": factorize.WD_BATCH,
-                                        "epochs": 2}
+                                        "epochs": 2,
+                                        "tensor_source": "columns"}
 
     def test_manifests_record_resources(self, tmp_path, trained):
         commands = []
@@ -604,7 +607,8 @@ class TestQueryCommands:
         manifest = json.loads((tmp_path / "spec.csv.manifest.json").read_text())
         assert manifest["command"] == "spectrum"
         assert manifest["config"] == {"slice": "on", "k": ROSTER.index("on"), "top": 50}
-        inputs = [tensor_dir / "vocab.txt", tensor_dir / "tensor.txt"]
+        inputs = [tensor_dir / "vocab.txt", tensor_dir / "tensor.txt",
+                  tensor_dir / "tensor.npz"]
         assert manifest["inputs"] == {
             str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in inputs}
         assert manifest["outputs"] == [str(out)]
@@ -1508,7 +1512,7 @@ def manifest_runs(d, out):
     config.write_text("seed = 0\n")
     net = ["--hidden1", "4", "--hidden2", "2", "--epochs", "1"]
     emb, sel, att = d / "emb.txt", out / "sel", out / "att"
-    tensor = [d / "tensor" / "vocab.txt", d / "tensor" / "tensor.txt"]
+    tensor = [d / "tensor" / name for name in ("vocab.txt", "tensor.txt", "tensor.npz")]
     return [
         (["build-tensor", "--corpus", str(d / "corpus.txt"), "--min-count", "1",
           "--out", str(out / "tensor")],
@@ -1559,33 +1563,79 @@ class TestManifestInputs:
                         "--dim", "2", "--iters", "2",
                         "--out", str(tmp_path / "emb.txt")]) == 0
         manifest = json.loads((tmp_path / "emb.txt.manifest.json").read_text())
-        assert manifest["inputs"] == digests(tensor / "vocab.txt", tensor / "tensor.txt")
+        assert manifest["inputs"] == digests(tensor / "vocab.txt", tensor / "tensor.txt",
+                                             tensor / "tensor.npz")
         load_tensor(tensor / "tensor.txt")
         assert corpus_ops.OPENED_INPUTS.get() is None
 
-    @pytest.mark.parametrize("command", ["eval-select", "eval-attach"])
+    @pytest.mark.parametrize("command", ["decompose", "spectrum", "eval-select",
+                                         "eval-attach"])
     def test_each_input_hashed_once_per_run(self, tmp_path, trained, monkeypatch,
                                             command):
-        """The embeddings are checked against the training manifest and
-        recorded in the eval manifest from one digest; a second run hashes
-        them again."""
-        hashed, sha256 = [], cli._sha256
+        """The embeddings are checked against the training manifest, and
+        the tensor text against its columns file, and recorded in the
+        manifest from one digest; a second run hashes them again."""
+        hashed, sha256 = [], corpus_ops._sha256
 
         def counted(path):
             hashed.append(str(path))
             return sha256(path)
 
-        monkeypatch.setattr(cli, "_sha256", counted)
+        monkeypatch.setattr(corpus_ops, "_sha256", counted)
         argv, manifest, inputs = {
-            argv[0]: (argv, manifest, inputs)
+            next(a for a in argv if a in cli.COMMANDS): (argv, manifest, inputs)
             for argv, manifest, inputs in manifest_runs(trained, tmp_path)}[command]
-        models = Path(argv[argv.index("--models") + 1])
-        shutil.copytree(trained / models.name, models)
+        if "--models" in argv:
+            models = Path(argv[argv.index("--models") + 1])
+            shutil.copytree(trained / models.name, models)
         for run in (1, 2):
             assert cli.run(argv) == 0
             assert sorted(hashed) == sorted(map(str, inputs)), run
             assert json.loads(manifest.read_text())["inputs"] == digests(*inputs)
             hashed.clear()
+
+
+class TestColumnsFile:
+    """build-tensor writes tensor.npz beside tensor.txt; decompose and
+    spectrum take the tensor from it only while it belongs to the text.
+    Whichever they read, their outputs are the text's, and the manifest
+    records which as ``counters.tensor_source``."""
+
+    def test_build_tensor_writes_the_columns(self, tensor_dir):
+        manifest = json.loads((tensor_dir / "manifest.json").read_text())
+        assert manifest["outputs"] == [str(tensor_dir / name) for name in (
+            "vocab.txt", "tensor.txt", "tensor.npz")]
+        tensor = load_tensor(tensor_dir / "tensor.txt")
+        assert tensor.source == "columns" and tensor.nnz == manifest["counters"]["nnz"]
+
+    @staticmethod
+    def _outputs(tensor, out):
+        """The bytes of an ALS run's emb.txt and a spectrum of ``tensor``,
+        and the tensor source each manifest records."""
+        out.mkdir()
+        emb, spectrum = out / "emb.txt", out / "spectrum.csv"
+        assert cli.run(["decompose", "--tensor", str(tensor), "--method", "als",
+                        "--dim", "2", "--iters", "2", "--out", str(emb)]) == 0
+        assert cli.run(["spectrum", "--tensor", str(tensor), "--slice", "on",
+                        "--out", str(spectrum)]) == 0
+        return ([path.read_bytes() for path in (emb, spectrum)],
+                {json.loads(Path(f"{path}.manifest.json").read_text())[
+                    "counters"]["tensor_source"] for path in (emb, spectrum)})
+
+    @pytest.mark.parametrize("spoil", [None, *COLUMN_SPOILERS.values()],
+                             ids=["intact", *COLUMN_SPOILERS])
+    def test_outputs_are_those_of_the_text_alone(self, tmp_path, trained, spoil):
+        tensor, alone = tmp_path / "tensor", tmp_path / "alone"
+        shutil.copytree(trained / "tensor", tensor)
+        if spoil is not None:
+            spoil(tensor / "tensor.npz", tensor / "tensor.txt")
+        # A copy of the text and the vocabulary alone loads too.
+        alone.mkdir()
+        for name in ("vocab.txt", "tensor.txt"):
+            shutil.copyfile(tensor / name, alone / name)
+        outputs, sources = self._outputs(tensor, tmp_path / "out")
+        assert sources == {"text" if spoil else "columns"}
+        assert self._outputs(alone, tmp_path / "out_alone") == (outputs, {"text"})
 
 
 @pytest.mark.parametrize("failing", [1, 2, 3, 4])
@@ -1718,6 +1768,33 @@ class TestInputFileErrors:
         assert cli.run(_commands(d)[command]) == 1
         error = _one_error(caplog)
         assert error.startswith(f"{path}: line {lineno}: ") and error.endswith(message)
+
+    @pytest.mark.parametrize("field, value, message", [
+        (0, "", "empty token"),
+        (0, "cats and", "token 'cats and' contains whitespace"),
+        (0, "__NOPREP__", "token '__NOPREP__' is reserved"),
+        (1, "-4", "negative count -4"),
+        (None, "#PREPOSITIONS", "second #PREPOSITIONS line"),
+    ])
+    def test_vocabulary_emb_txt_cannot_carry_rejected(self, tmp_path, trained, caplog,
+                                                      field, value, message):
+        """vocab.txt holds only rows its writer makes and emb.txt can
+        carry, so decompose refuses a row it would write wrongly."""
+        d = tmp_path / "d"
+        shutil.copytree(trained, d)
+        path = d / "tensor" / "vocab.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        if field is None:
+            lineno = lines.index(value + "\n") + 2
+            lines.insert(lineno - 1, value + "\n")
+        else:
+            lineno = 2
+            lines = _set_field(lineno, field, value, sep="\t")(lines)
+        path.write_text("".join(lines))
+        argv = _commands(d)["decompose"]
+        assert cli.run(argv) == 1
+        assert _one_error(caplog) == f"{path}: line {lineno}: {message}"
+        assert not Path(argv[argv.index("--out") + 1]).exists()
 
     @pytest.mark.parametrize("extra", ["repeated", "blank"])
     @pytest.mark.parametrize("command, name", [

@@ -1,3 +1,6 @@
+import logging
+import shutil
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +23,7 @@ from preptensor.corpus import (
     tokenize_sentences,
 )
 
-from conftest import brute_force_tensor, random_corpus, traced_peak
+from conftest import COLUMN_SPOILERS, brute_force_tensor, random_corpus, traced_peak
 
 
 class TestTokenize:
@@ -83,6 +86,14 @@ class TestRoster:
         with pytest.raises(ValueError) as info:
             load_roster(path)
         assert str(info.value) == f"{path}: line 6: token 'of' listed twice"
+
+    def test_token_with_inner_whitespace_rejected(self, tmp_path):
+        """vocab.txt and emb.txt could not carry it."""
+        path = tmp_path / "roster.txt"
+        path.write_text("in\nout of\n")
+        with pytest.raises(ValueError) as info:
+            load_roster(path)
+        assert str(info.value) == f"{path}: line 2: token 'out of' contains whitespace"
 
     def test_bundled_lists_are_distinct(self):
         for name in ("prepositions_49.txt", "context_stoplist.txt"):
@@ -610,6 +621,124 @@ class TestChunkedTensorIO:
         assert str(exc.value) == f"{path}: {message}"
 
 
+def _text_only(path, tmp_path):
+    """``path`` loaded from a copy of the text alone."""
+    copy = tmp_path / "text_only" / "tensor.txt"
+    copy.parent.mkdir()
+    shutil.copyfile(path, copy)
+    tensor = load_tensor(copy)
+    assert tensor.source == "text"
+    return tensor
+
+
+class TestColumnsFile:
+    """``save_tensor`` writes the columns beside the text, and
+    ``load_tensor`` takes them in place of the body only while they
+    belong to the text and read back whole; otherwise it parses the text."""
+
+    def _tensor(self, counts_high=1):
+        rng = np.random.default_rng(3)
+        keys = np.sort(rng.choice(40 * 40 * 4, 300, replace=False))
+        counts = rng.integers(1, 50, 300)
+        counts[7] = counts_high
+        return SparseCountTensor(40, 3, 2, keys // 40 % 40, keys % 40, keys // 1600,
+                                 counts)
+
+    def _saved(self, tmp_path, tensor):
+        text, columns = tmp_path / "tensor.txt", tmp_path / "tensor.npz"
+        save_tensor(tensor, text, columns)
+        return text, columns
+
+    @pytest.mark.parametrize("counts_high, counts_dtype", [
+        (1, np.int32), (2 ** 31 - 1, np.int32), (2 ** 31, np.int64)])
+    def test_round_trip(self, tmp_path, counts_high, counts_dtype):
+        tensor = self._tensor(counts_high)
+        text, columns = self._saved(tmp_path, tensor)
+        save_tensor(tensor, tmp_path / "alone.txt")
+        assert text.read_bytes() == (tmp_path / "alone.txt").read_bytes()
+        # The columns repeat byte for byte: zip members carry a fixed date.
+        save_tensor(tensor, tmp_path / "again.txt", tmp_path / "again.npz")
+        assert columns.read_bytes() == (tmp_path / "again.npz").read_bytes()
+        loaded = load_tensor(text)
+        assert loaded == tensor and loaded.source == "columns"
+        for name in ("i", "j", "k", "counts"):
+            assert getattr(loaded, name).dtype == np.int64
+            assert getattr(loaded, name).flags.c_contiguous
+        with np.load(columns) as archive:
+            assert sorted(archive.files) == ["counts", "i", "j", "k", "text_sha256"]
+            assert [archive[name].dtype for name in ("i", "j", "k", "counts")] == [
+                np.int32, np.int32, np.int32, counts_dtype]
+            assert str(archive["text_sha256"]) == corpus.input_digest(text)
+        with zipfile.ZipFile(columns) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {
+                zipfile.ZIP_STORED}
+
+    def test_empty_round_trip(self, tmp_path):
+        tensor = SparseCountTensor(5, 2, 3)
+        text, _columns = self._saved(tmp_path, tensor)
+        loaded = load_tensor(text)
+        assert loaded == tensor and loaded.source == "columns"
+
+    @pytest.mark.parametrize("spoil", COLUMN_SPOILERS.values(), ids=COLUMN_SPOILERS)
+    def test_text_read_when_the_columns_do_not_match(self, tmp_path, caplog, spoil):
+        text, columns = self._saved(tmp_path, self._tensor())
+        spoil(columns, text)
+        with caplog.at_level(logging.INFO, logger="preptensor"):
+            loaded = load_tensor(text)
+        assert loaded == _text_only(text, tmp_path) and loaded.source == "text"
+        records = [(r.levelname, r.getMessage()) for r in caplog.records]
+        if columns.exists():
+            [(level, message)] = records
+            assert level == "INFO"
+            assert message.startswith(f"{columns} ignored, parsing the text: ")
+            assert message.count(str(columns)) == 1, message
+        else:
+            assert records == []
+
+    def test_every_flipped_byte_loads_the_text_tensor(self, tmp_path):
+        """Whichever byte of a small columns file is flipped, the
+        tensor loaded is the text's: the digest and the zip's CRC-32
+        stand between a damaged column and the result."""
+        tensor = self._tensor()
+        tensor = SparseCountTensor(40, 3, 2, tensor.i[:6], tensor.j[:6], tensor.k[:6],
+                                   tensor.counts[:6])
+        text, columns = self._saved(tmp_path, tensor)
+        raw = columns.read_bytes()
+        sources = set()
+        for offset in range(len(raw)):
+            columns.write_bytes(raw[:offset] + bytes([raw[offset] ^ 0xA5])
+                                + raw[offset + 1:])
+            loaded = load_tensor(text)
+            assert loaded == tensor, offset
+            sources.add(loaded.source)
+        assert sources == {"columns", "text"}
+
+    def test_header_nnz_past_the_columns_allocates_nothing(self, tmp_path, caplog):
+        """Columns recording the text's digest, but fewer than its header
+        declares: read as such they would be a 32 PB block."""
+        text, columns = tmp_path / "tensor.txt", tmp_path / "tensor.npz"
+        text.write_text(_tensor_text(_GOOD, nnz=10 ** 15))
+        k, i, j, counts = (np.array(column) for column in _GOOD_ARRAYS)
+        np.savez(columns, i=i, j=j, k=k, counts=counts,
+                 text_sha256=np.array(corpus.input_digest(text)))
+        with pytest.raises(ValueError) as exc, caplog.at_level(logging.INFO):
+            load_tensor(text)
+        assert str(exc.value) == f"{text}: header declares nnz={10 ** 15} but found 4"
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{columns} ignored, parsing the text: too small to hold {10 ** 15} entries"]
+
+    def test_text_errors_name_the_text(self, tmp_path):
+        """A columns file of the text before it was spoiled changes no
+        error."""
+        text, _columns = self._saved(tmp_path, self._tensor())
+        lines = text.read_text().splitlines(keepends=True)
+        lines[3] = "0 0 0 0\n"
+        text.write_text("".join(lines))
+        with pytest.raises(ValueError) as exc:
+            load_tensor(text)
+        assert str(exc.value) == f"{text}: line 4: count must be >= 1"
+
+
 class TestMemoryGuard:
     """The traced peak of counting, saving and loading, above what was
     held before the call, as a multiple of the tensor's own 32 bytes per
@@ -643,10 +772,19 @@ class TestMemoryGuard:
         _, peak = traced_peak(lambda: save_tensor(tensor, tmp_path / "tensor.txt"))
         assert peak < 0.5 * 32 * tensor.nnz
 
-    def test_load(self, tmp_path, monkeypatch):
+    def test_save_with_columns(self, tmp_path, monkeypatch):
         tensor = self._tensor()
-        save_tensor(tensor, tmp_path / "tensor.txt")
+        monkeypatch.setattr(corpus, "_LOAD_CHUNK_LINES", self.CHUNK)
+        _, peak = traced_peak(lambda: save_tensor(tensor, tmp_path / "tensor.txt",
+                                                  tmp_path / "tensor.npz"))
+        assert peak < 0.5 * 32 * tensor.nnz
+
+    @pytest.mark.parametrize("source", ["text", "columns"])
+    def test_load(self, tmp_path, monkeypatch, source):
+        tensor = self._tensor()
+        save_tensor(tensor, tmp_path / "tensor.txt",
+                    tmp_path / "tensor.npz" if source == "columns" else None)
         monkeypatch.setattr(corpus, "_LOAD_CHUNK_LINES", self.CHUNK)
         loaded, peak = traced_peak(lambda: load_tensor(tmp_path / "tensor.txt"))
-        assert loaded == tensor
+        assert loaded == tensor and loaded.source == source
         assert peak < 1.5 * 32 * tensor.nnz

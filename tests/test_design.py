@@ -8,8 +8,9 @@ builders gather and average context rows once per dataset, the public API
 is what the package itself calls, no file field is evaluated as
 Python, a number is read only by ``corpus``'s field rules, one context
 variable holds a command's state, an option's default is the default of
-the setting it sets, and an ALS sweep makes the calls the benchmark's
-tracer times by name."""
+the setting it sets, an ALS sweep makes the calls the benchmark's
+tracer times by name, and only ``corpus`` reads or writes the one binary
+file, the tensor's columns, whose entries pass the text's value check."""
 
 import ast
 import dataclasses
@@ -400,3 +401,36 @@ def test_each_als_sweep_makes_the_traced_calls(monkeypatch):
                                          ("als_update_mode", "Q"), ("als_objective", None)
                                          ] * sweeps
     assert all(args[0] is coo and args[1].shape[1] == d for _name, args in calls)
+
+
+def test_only_corpus_reads_or_writes_arrays_to_files():
+    """The tensor's columns file is the package's one binary file: only
+    ``corpus`` calls ``np.load``, ``np.savez`` or what it reads and writes
+    the columns with, ``NpzFile`` and ``write_array``."""
+    found = sorted(f"{path.name} line {node.lineno}"
+                   for path in Path(preptensor.__file__).parent.glob("*.py")
+                   if path.stem != "corpus"
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.Attribute) and (
+                       node.attr in ("savez", "write_array", "NpzFile")
+                       or node.attr == "load" and getattr(node.value, "id", None) == "np"))
+    assert found == []
+
+
+def test_load_tensor_checks_both_sources_on_one_path():
+    """Whether the columns come from tensor.npz or from parsing the text,
+    ``load_tensor`` returns what ``_checked_tensor`` makes of them, and
+    only ``load_tensor`` calls it."""
+    tree = ast.parse(inspect.getsource(importlib.import_module("preptensor.corpus")))
+    functions = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+    returned = [getattr(node.value.func, "id", None)
+                if isinstance(node.value, ast.Call) else None
+                for node in ast.walk(functions["load_tensor"])
+                if isinstance(node, ast.Return)]
+    assert returned == ["_checked_tensor", "_checked_tensor"]
+    callers = sorted(name for name, function in functions.items()
+                     for node in ast.walk(function)
+                     if isinstance(node, ast.Call)
+                     and getattr(node.func, "id", None) == "_checked_tensor")
+    assert callers == ["load_tensor", "load_tensor"]
