@@ -245,6 +245,7 @@ def cmd_decompose(args, cfg: dict, produced: list):
     emb_ops.save_embeddings(store, _staged(produced, out))
     cfg["method"] = args.method
     return str(out) + ".manifest.json", {"trajectory": emb.trajectory,
+                                         "trajectory_s": emb.trajectory_s,
                                          "counters": counters}
 
 

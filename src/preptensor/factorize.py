@@ -9,6 +9,7 @@ with per-index bias terms trained only on nonzero entries.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,9 +79,9 @@ class TrainingConfig:
             raise ValueError("ortho_iterations must not exceed iterations")
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.x_max <= 0:
+        if not 0 < self.x_max < np.inf:
             raise ValueError(f"x_max must be positive, got {self.x_max}")
-        if self.learning_rate <= 0:
+        if not 0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -93,8 +94,10 @@ class EmbeddingSet:
     Rows of U are word vectors, rows of Q are preposition vectors with
     the extra-slice vector last. Bias vectors are present exactly for
     the weighted method. ``trajectory`` holds the per-epoch weighted loss
-    (WD) or the per-sweep fit (ALS) of the run that made them, and
-    ``split_fits`` how many ALS fits took ``als_objective``'s split form.
+    (WD) or the per-sweep fit (ALS) of the run that made them,
+    ``trajectory_s`` the seconds each epoch (its loss included) or sweep
+    (its fit included) took, and ``split_fits`` how many ALS fits took
+    ``als_objective``'s split form.
     """
 
     U: np.ndarray
@@ -104,6 +107,7 @@ class EmbeddingSet:
     b_W: np.ndarray | None = None
     b_Q: np.ndarray | None = None
     trajectory: list[float] = field(default_factory=list)
+    trajectory_s: list[float] = field(default_factory=list)
     split_fits: int = 0
 
     def validate(self) -> None:
@@ -327,8 +331,9 @@ def decompose_orth_als(tensor, config: TrainingConfig) -> EmbeddingSet:
     unfoldings = {mode: _build_unfolding(coo, mode) for mode in "UWQ"}
     rng, U, W, Q = _init_factors(coo.dims, config.dim, config.seed)
     prev_fit = -np.inf
-    trajectory, forms = [], []
+    trajectory, trajectory_s, forms = [], [], []
     for sweep in range(config.iterations):
+        start = time.perf_counter()
         if sweep < config.ortho_iterations:
             U, W, Q = (orthogonalize_factors(F, rng) if len(F) >= config.dim else F
                        for F in (U, W, Q))
@@ -340,13 +345,32 @@ def decompose_orth_als(tensor, config: TrainingConfig) -> EmbeddingSet:
         logger.info("sweep %d objective %.10g fit %.10g (%s)", sweep + 1, obj, fit,
                     forms[-1])
         trajectory.append(float(fit))
+        trajectory_s.append(time.perf_counter() - start)
         if sweep >= config.ortho_iterations and fit - prev_fit < FIT_TOL:
             break
         prev_fit = fit
     emb = EmbeddingSet(U=U, W=W, Q=Q, trajectory=trajectory,
-                       split_fits=forms.count("split"))
+                       trajectory_s=trajectory_s, split_fits=forms.count("split"))
     emb.validate()
     return emb
+
+
+def _gradient_block(a: np.ndarray, target: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """The weighted-residual gradients of a batch of entries, as one
+    (3, entries, width) block of U's, W's and Q's rows, each entry's
+    bias gradient in the last column.
+
+    ``a`` holds each entry's W, U, U, Q, Q and W rows with their biases
+    last, ``target`` its log1p count and ``w2`` twice its weight. The
+    products w∘q, u∘q and u∘w are formed in one multiply; the scale
+    after setting their bias column to 1 leaves that column exactly g.
+    """
+    p = a[:3] * a[3:]
+    g = (np.vecdot(a[1, :, :-1], p[0, :, :-1])
+         + a[1, :, -1] + a[0, :, -1] + a[3, :, -1] - target) * w2
+    p[..., -1] = 1.0
+    p *= g[:, None]
+    return p
 
 
 def weighted_gradient(emb: EmbeddingSet, i, j, k, x, x_max: float, alpha: float):
@@ -354,14 +378,18 @@ def weighted_gradient(emb: EmbeddingSet, i, j, k, x, x_max: float, alpha: float)
     when the indices and raw counts are arrays (with a leading entry axis).
 
     Returns (g_u, g_w, g_q, g_bias) where the shared scalar bias gradient
-    applies to all three biases.
+    applies to all three biases. The gradients come from
+    ``_gradient_block``, the kernel of a WD epoch.
     """
-    u, w, q = emb.U[i], emb.W[j], emb.Q[k]
-    wq = w * q
-    r = np.vecdot(u, wq) + emb.b_U[i] + emb.b_W[j] + emb.b_Q[k] - np.log1p(x)
-    g = 2.0 * weight(x, x_max, alpha) * r
-    gc = g[..., None]
-    return gc * wq, gc * (u * q), gc * (u * w), g
+    scalar = np.ndim(x) == 0
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    u, w, q = (np.column_stack([F[np.atleast_1d(r)], b[np.atleast_1d(r)]])
+               for F, b, r in ((emb.U, emb.b_U, i), (emb.W, emb.b_W, j),
+                               (emb.Q, emb.b_Q, k)))
+    p = _gradient_block(np.stack([w, u, u, q, q, w]), np.log1p(x),
+                        2.0 * weight(x, x_max, alpha))
+    grads, g = p[..., :-1], p[0, :, -1]
+    return (*grads[:, 0], g[0]) if scalar else (*grads, g)
 
 
 def _wd_epoch(order, rows, counts, A, G, config: TrainingConfig) -> None:
@@ -374,43 +402,42 @@ def _wd_epoch(order, rows, counts, A, G, config: TrainingConfig) -> None:
     takes one step with the mean of its entries' gradients, summed in
     entry order, and its sum grows by that mean squared.
 
-    The entries' rows and counts are gathered, and the rows each batch
-    touches found, once per block of whole batches of at most
-    ``_BLOCK_VALUES / width`` entries (one batch at least); each batch
-    takes its share as slices.
+    The entries' rows, log1p counts and weights, and the first cell of
+    each entry's row among those its batch touches, are found once per
+    block of whole batches of at most ``_BLOCK_VALUES / width`` entries
+    (one batch at least); each batch takes its share as slices and
+    gathers its six rows per entry (see ``_gradient_block``) in one take.
     """
-    P, b, lr = A[:, :-1], A[:, -1], config.learning_rate
-    stacked = EmbeddingSet(U=P, W=P, Q=P, b_U=b, b_W=b, b_Q=b)
+    lr = config.learning_rate
     n_rows, width = A.shape
     columns = np.arange(width)
     block = max(1, _BLOCK_VALUES // (width * WD_BATCH)) * WD_BATCH
     for block_start in range(0, len(order), block):
         entries = order[block_start:block_start + block]
         idx, x = rows[:, entries], counts[entries]
+        six = idx[[1, 0, 0, 2, 2, 1]]
+        target, w2 = np.log1p(x), 2.0 * weight(x, config.x_max, config.alpha)
         # One key per (batch, row): sorted, a batch's distinct rows are a
         # run of keys, in the order np.unique gives them for that batch.
         batch_of = np.arange(len(entries)) // WD_BATCH
         keys, inverse, hits = np.unique(batch_of * n_rows + idx, return_inverse=True,
                                         return_counts=True)
         bounds = np.searchsorted(keys, np.arange(batch_of[-1] + 2) * n_rows)
-        # Each entry's position among its own batch's distinct rows.
-        inverse = inverse.reshape(idx.shape) - bounds[batch_of]
+        # The first cell of each entry's row among its own batch's rows.
+        base = (inverse.reshape(idx.shape) - bounds[batch_of]) * width
         touched_rows, bounds = keys % n_rows, bounds.tolist()
         for batch, start in enumerate(range(0, len(entries), WD_BATCH)):
             part = slice(start, start + WD_BATCH)
-            gu, gw, gq, gb = weighted_gradient(stacked, *idx[:, part], x[part],
-                                               config.x_max, config.alpha)
-            grads = np.empty((3, len(gb), width))
-            grads[..., :-1] = gu, gw, gq
-            grads[..., -1] = gb
+            grads = _gradient_block(A[six[:, part]], target[part], w2[part])
             first, last = bounds[batch], bounds[batch + 1]
             touched = touched_rows[first:last]
             # bincount adds each cell's terms in entry order, starting at 0.
-            cells = (inverse[:, part, None] * width + columns).ravel()
-            step = (np.bincount(cells, grads.ravel()).reshape(-1, width)
-                    / hits[first:last, None])
-            A[touched] -= lr * step / np.sqrt(G[touched])
-            G[touched] += step * step
+            step = np.bincount((base[:, part, None] + columns).ravel(),
+                               grads.ravel()).reshape(-1, width)
+            step /= hits[first:last, None]
+            sums = G[touched]
+            A[touched] -= lr * step / np.sqrt(sums)
+            G[touched] = sums + step * step
 
 
 def wd_loss(raw: CooTensor, emb: EmbeddingSet, x_max: float, alpha: float) -> float:
@@ -428,7 +455,8 @@ def decompose_weighted(tensor, config: TrainingConfig) -> EmbeddingSet:
     Visits shuffled nonzero entries (zero entries carry zero weight) for
     ``iterations`` epochs in batches (see ``_wd_epoch``), with
     per-coordinate adaptive step sizes; ``trajectory`` holds the weighted
-    loss after each epoch. Deterministic given the seed.
+    loss after each epoch and ``trajectory_s`` its seconds. Deterministic
+    given the seed.
     """
     raw = _as_coo(tensor, log=False)
     if np.any(raw.values <= 0):
@@ -442,6 +470,7 @@ def decompose_weighted(tensor, config: TrainingConfig) -> EmbeddingSet:
     emb = EmbeddingSet(P[:n], P[n:2 * n], P[2 * n:],
                        b_U=b[:n], b_W=b[n:2 * n], b_Q=b[2 * n:])
     for epoch in range(config.iterations):
+        start = time.perf_counter()
         # A diverging run is reported once, by the loss check below.
         with np.errstate(over="ignore", invalid="ignore"):
             _wd_epoch(rng.permutation(raw.nnz), rows, raw.values, A, G, config)
@@ -453,5 +482,6 @@ def decompose_weighted(tensor, config: TrainingConfig) -> EmbeddingSet:
             )
         logger.info("epoch %d loss %.10g", epoch + 1, loss)
         emb.trajectory.append(loss)
+        emb.trajectory_s.append(time.perf_counter() - start)
     emb.validate()
     return emb

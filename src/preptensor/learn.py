@@ -185,7 +185,7 @@ class FnnHyper:
     val_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not 0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")

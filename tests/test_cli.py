@@ -283,6 +283,16 @@ class TestDecompose:
         else:
             assert 1 <= len(trajectory) <= iters
 
+    @pytest.mark.parametrize("method", ["wd", "als"])
+    def test_manifest_records_trajectory_seconds(self, tmp_path, tensor_dir, method):
+        out = tmp_path / "emb.txt"
+        assert cli.run(["decompose", "--tensor", str(tensor_dir), "--method", method,
+                        "--dim", "3", "--iters", "3", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "emb.txt.manifest.json").read_text())
+        seconds = manifest["trajectory_s"]
+        assert len(seconds) == len(manifest["trajectory"]) >= 1
+        assert all(math.isfinite(s) and s > 0 for s in seconds)
+
     def test_manifest_records_tensor_counters(self, tmp_path, tensor_dir):
         out = tmp_path / "emb.txt"
         assert cli.run(["decompose", "--tensor", str(tensor_dir), "--method", "als",

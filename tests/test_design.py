@@ -31,6 +31,7 @@ LAYERS = ("corpus", "factorize", "embeddings", "learn", "select", "attach")
 # why each is public all the same.
 UNCALLED = {
     "factorize.cp_fit": "the benchmark's fit score of an ALS run",
+    "factorize.weighted_gradient": "the gradient checks' entry to the WD kernel",
     "learn.fnn_loss_and_grads": "the gradient checks' entry to train_fnn's kernel",
 }
 

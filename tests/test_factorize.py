@@ -28,6 +28,8 @@ from preptensor.factorize import (
 )
 from preptensor.select import default_roster
 
+from conftest import traced_peak
+
 TOY_CORPUS = Path(__file__).parent / "data" / "toy_corpus.txt"
 
 
@@ -510,6 +512,17 @@ class TestWeightedGradient:
             for g_batch, g_one in zip(got, want):
                 assert np.array_equal(g_batch[e], g_one)
 
+    def test_scalar_entry_equals_length_one_array(self):
+        rng = np.random.default_rng(37)
+        emb = make_wd_embeddings(rng, 5, 3, 4)
+        scalar = weighted_gradient(emb, 2, 4, 1, 7.0, 10.0, 0.75)
+        array = weighted_gradient(emb, np.array([2]), np.array([4]), np.array([1]),
+                                  np.array([7.0]), 10.0, 0.75)
+        assert [np.shape(g) for g in scalar] == [(4,)] * 3 + [()]
+        assert [g.shape for g in array] == [(1, 4)] * 3 + [(1,)]
+        for one, batch in zip(scalar, array):
+            assert np.array_equal(one, batch[0])
+
     def test_zero_residual(self):
         rng = np.random.default_rng(16)
         emb = make_wd_embeddings(rng, 4, 3, 2, positive=True)
@@ -755,7 +768,7 @@ class TestDecomposeWeighted:
                                                ortho_iterations=0))
         assert wd.b_U is not None
 
-    @pytest.mark.parametrize("dim", [3, 40])
+    @pytest.mark.parametrize("dim", [1, 3, 25, 40, 200])
     def test_equals_scalar_reference(self, dim):
         rng = np.random.default_rng(30)
         dense = rng.integers(0, 25, size=(7, 7, 4)).astype(np.float64)
@@ -771,7 +784,7 @@ class TestDecomposeWeighted:
             assert np.array_equal(getattr(out, name), getattr(expected, name))
         assert out.trajectory == losses
 
-    @pytest.mark.parametrize("dim", [3, 40])
+    @pytest.mark.parametrize("dim", [1, 3, 25, 40, 200])
     @pytest.mark.parametrize("batches_per_block", [1, 3])
     def test_equals_scalar_reference_across_blocks(self, dim, batches_per_block,
                                                    monkeypatch):
@@ -797,15 +810,37 @@ class TestDecomposeWeighted:
         raw = dense_to_coo(rng.integers(0, 25, size=(7, 7, 4)).astype(np.float64))
         sizes = []
 
-        def counting(emb, i, j, k, x, x_max, alpha):
-            sizes.append(len(x))
-            return weighted_gradient(emb, i, j, k, x, x_max, alpha)
+        def counting(a, target, w2):
+            sizes.append(len(target))
+            return gradient_block(a, target, w2)
 
-        monkeypatch.setattr(factorize, "weighted_gradient", counting)
+        gradient_block = factorize._gradient_block
+        monkeypatch.setattr(factorize, "_gradient_block", counting)
         decompose_weighted(raw, TrainingConfig(dim=3, iterations=3, ortho_iterations=0))
         full, last = divmod(raw.nnz, factorize.WD_BATCH)
         assert last
         assert sizes == 3 * ([factorize.WD_BATCH] * full + [last])
+
+    def test_epoch_memory_bounded(self):
+        """One epoch over several blocks of Zipf-drawn rows, as a count
+        tensor's are, allocates about two blocks' worth of factor values
+        (2.0 × 8 · ``_BLOCK_VALUES`` measured at d = 25; hoisting each
+        block's (3, entries, width) bincount cells measured 7.2 ×): a
+        batch's cells are made per batch."""
+        rng = np.random.default_rng(38)
+        n, kp1, nnz, d = 2000, 50, 30000, 25
+        assert nnz > 2 * factorize._BLOCK_VALUES // (d + 1)
+        rows = np.stack([np.minimum(rng.zipf(a, nnz) - 1, size - 1) + offset
+                         for a, size, offset in ((1.3, n, 0), (1.3, n, n),
+                                                 (1.5, kp1, 2 * n))])
+        counts = rng.integers(1, 60, nnz).astype(np.float64)
+        A = np.hstack([rng.standard_normal((2 * n + kp1, d)) * 0.2,
+                       np.zeros((2 * n + kp1, 1))])
+        G = np.ones_like(A)
+        config = TrainingConfig(dim=d, iterations=1, ortho_iterations=0)
+        _, peak = traced_peak(lambda: factorize._wd_epoch(
+            rng.permutation(nnz), rows, counts, A, G, config))
+        assert peak < 2.5 * 8 * factorize._BLOCK_VALUES
 
     @pytest.mark.parametrize("value", [0.0, -2.0])
     def test_non_positive_entry_rejected(self, value):
@@ -846,6 +881,13 @@ class TestTrainingConfig:
         with pytest.raises(ValueError) as exc:
             TrainingConfig(**{field: 0})
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("field", ["x_max", "learning_rate"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError) as exc:
+            TrainingConfig(**{field: value})
+        assert str(exc.value) == f"{field} must be positive, got {value}"
 
     def test_zero_ortho_iterations_valid(self):
         assert TrainingConfig(ortho_iterations=0).ortho_iterations == 0

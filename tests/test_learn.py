@@ -612,6 +612,12 @@ class TestFnnHyper:
             FnnHyper(**{field: value})
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_learning_rate_rejected(self, value):
+        with pytest.raises(ValueError) as exc:
+            FnnHyper(learning_rate=value)
+        assert str(exc.value) == f"learning_rate must be positive, got {value}"
+
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", 5e-324), ("momentum", 0.0), ("momentum", 0.999),
         ("batch_size", 1), ("epochs", 1), ("val_fraction", 0.0), ("val_fraction", 0.999),
