@@ -370,10 +370,15 @@ def cmd_eval_select(args, cfg: dict, produced: list):
                          f"in {models_dir / 'confusion.txt'}")
     store = emb_ops.load_embeddings(args.embeddings)
     models = select_ops.SelectionModels(
-        tree=load_tree(models_dir / "tree.txt"),
+        tree=load_tree(tree_path := models_dir / "tree.txt"),
         fnn=load_fnn(fnn_path := models_dir / "fnn.txt"),
         table=table,
     )
+    # The detector takes detection_features' three features.
+    for i, node in enumerate(models.tree.nodes):
+        if node.feature >= 3:
+            raise ValueError(f"{tree_path}: node {i} splits on feature {node.feature}, "
+                             "but detection rows have 3 features")
     # The embeddings are the trained ones (by digest), so a corrector that
     # does not take correction_features' 3d + 3 wide rows is at fault.
     if (width := 3 * store.dim + 3) != models.fnn.sizes[0]:

@@ -31,7 +31,6 @@ __all__ = [
     "cp_fit",
     "decompose_orth_als",
     "decompose_weighted",
-    "weighted_gradient",
 ]
 
 RIDGE = 1e-8
@@ -371,25 +370,6 @@ def _gradient_block(a: np.ndarray, target: np.ndarray, w2: np.ndarray) -> np.nda
     p[..., -1] = 1.0
     p *= g[:, None]
     return p
-
-
-def weighted_gradient(emb: EmbeddingSet, i, j, k, x, x_max: float, alpha: float):
-    """Analytic gradient of one weighted squared-residual term, or of each
-    when the indices and raw counts are arrays (with a leading entry axis).
-
-    Returns (g_u, g_w, g_q, g_bias) where the shared scalar bias gradient
-    applies to all three biases. The gradients come from
-    ``_gradient_block``, the kernel of a WD epoch.
-    """
-    scalar = np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    u, w, q = (np.column_stack([F[np.atleast_1d(r)], b[np.atleast_1d(r)]])
-               for F, b, r in ((emb.U, emb.b_U, i), (emb.W, emb.b_W, j),
-                               (emb.Q, emb.b_Q, k)))
-    p = _gradient_block(np.stack([w, u, u, q, q, w]), np.log1p(x),
-                        2.0 * weight(x, x_max, alpha))
-    grads, g = p[..., :-1], p[0, :, -1]
-    return (*grads[:, 0], g[0]) if scalar else (*grads, g)
 
 
 def _wd_epoch(order, rows, counts, A, G, config: TrainingConfig) -> None:

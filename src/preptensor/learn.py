@@ -27,7 +27,6 @@ __all__ = [
     "FeedForwardNet",
     "CandidateRows",
     "fnn_forward_batch",
-    "fnn_loss_and_grads",
     "train_fnn",
     "precision_recall_f1",
     "accuracy",
@@ -299,12 +298,11 @@ def _cross_entropy(probs: np.ndarray, y: np.ndarray) -> float:
     return float(-np.mean(np.log(np.clip(probs[np.arange(len(y)), y], floor, None))))
 
 
-def _loss_and_grads(weights, biases, acts, y, w_grads, b_grads) -> float:
-    """Mean cross-entropy of the first ``len(y)`` rows of ``acts[0]``,
-    with its gradients written into ``w_grads`` and ``b_grads``."""
+def _gradients(weights, biases, acts, y, w_grads, b_grads) -> None:
+    """Write the gradients of the mean cross-entropy of the first
+    ``len(y)`` rows of ``acts[0]`` into ``w_grads`` and ``b_grads``."""
     n = len(y)
     delta = _forward(weights, biases, acts, n)
-    loss = _cross_entropy(delta, y)
     delta[np.arange(n), y] -= 1.0
     delta /= n
     for layer in reversed(range(len(weights))):
@@ -316,7 +314,6 @@ def _loss_and_grads(weights, biases, acts, y, w_grads, b_grads) -> float:
             passed = a > 0.0
             delta = np.matmul(delta, weights[layer].T, out=a)
             delta *= passed
-    return loss
 
 
 def fnn_forward_batch(net: FeedForwardNet, X: np.ndarray) -> np.ndarray:
@@ -327,21 +324,6 @@ def fnn_forward_batch(net: FeedForwardNet, X: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         raise ValueError("network input must be finite")
     return _forward(net.weights, net.biases, _blocks(X, net.weights, len(X)), len(X))
-
-
-def fnn_loss_and_grads(net: FeedForwardNet, X: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy and its gradients for a batch.
-
-    Returns (loss, weight_grads, bias_grads); the backward pass is the
-    analytic counterpart of ``fnn_forward_batch``. Runs in the network's
-    dtype, through the kernel that ``train_fnn`` steps with.
-    """
-    X = np.asarray(X, dtype=net.weights[0].dtype)
-    w_grads = [np.empty_like(w) for w in net.weights]
-    b_grads = [np.empty_like(b) for b in net.biases]
-    loss = _loss_and_grads(net.weights, net.biases, _blocks(X, net.weights, len(X)),
-                           np.asarray(y, dtype=np.int64), w_grads, b_grads)
-    return loss, w_grads, b_grads
 
 
 def train_fnn(rows, labels, arch, hyper: FnnHyper) -> FeedForwardNet:
@@ -361,9 +343,10 @@ def train_fnn(rows, labels, arch, hyper: FnnHyper) -> FeedForwardNet:
     views, each batch is gathered into one block, each layer
     writes into its own block, and the momentum update is four
     whole-buffer operations that round as ``m * v - lr * g`` does for
-    one layer at a time. The network's ``trajectory`` is the validation
-    loss of each epoch run, and its ``counters`` the rows, the epochs
-    run and the epoch it keeps.
+    one layer at a time. A step takes no loss, and an epoch that leaves
+    a non-finite parameter is a RuntimeError. The network's
+    ``trajectory`` is the validation loss of each epoch run, and its
+    ``counters`` the rows, the epochs run and the epoch it keeps.
     """
     factored = isinstance(rows, CandidateRows)
     parts = ([rows.sides, rows.cands, rows.scalars] if factored
@@ -401,25 +384,24 @@ def train_fnn(rows, labels, arch, hyper: FnnHyper) -> FeedForwardNet:
     best_epoch = stall = epoch = 0
     for epoch in range(1, hyper.epochs + 1):
         order = train_idx[rng.permutation(len(train_idx))]
-        epoch_loss = 0.0
-        for start in range(0, len(order), hyper.batch_size):
-            batch = order[start:start + hyper.batch_size]
-            gather(batch, out=acts[0][:len(batch)])
-            loss = _loss_and_grads(weights, biases, acts, labels[batch], w_grads, b_grads)
-            epoch_loss += loss * len(batch)
-            vel *= hyper.momentum
-            grads *= hyper.learning_rate
-            vel -= grads
-            theta += vel
-        epoch_loss /= max(len(order), 1)
-        if not np.isfinite(epoch_loss):
+        # A diverging run is reported once, by the parameter check below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(order), hyper.batch_size):
+                batch = order[start:start + hyper.batch_size]
+                gather(batch, out=acts[0][:len(batch)])
+                _gradients(weights, biases, acts, labels[batch], w_grads, b_grads)
+                vel *= hyper.momentum
+                grads *= hyper.learning_rate
+                vel -= grads
+                theta += vel
+        if not np.isfinite(theta).all():
             raise RuntimeError(
-                f"FNN training diverged at epoch {epoch}: loss is not finite"
+                f"FNN training diverged at epoch {epoch}: parameters are not finite"
             )
         if n_val:
             gather(val_idx, out=acts[0][:n_val])
             val_loss = _cross_entropy(_forward(weights, biases, acts, n_val), val_labels)
-            logger.debug("epoch %d train %.6g val %.6g", epoch, epoch_loss, val_loss)
+            logger.debug("epoch %d val %.6g", epoch, val_loss)
             trajectory.append(val_loss)
             if val_loss < best_val - 1e-9:
                 best_val, best_epoch, stall = val_loss, epoch, 0
@@ -429,7 +411,6 @@ def train_fnn(rows, labels, arch, hyper: FnnHyper) -> FeedForwardNet:
                 if stall >= PATIENCE:
                     break
         else:
-            logger.debug("epoch %d train %.6g", epoch, epoch_loss)
             best_epoch = epoch
     kept = theta if best_theta is None else best_theta
     weights, biases = _layer_views(kept.astype(np.float64), sizes)

@@ -73,20 +73,17 @@ def train_fnn(rows, labels, arch, hyper: FnnHyper) -> FeedForwardNet:
     best_epoch = stall = epoch = 0
     for epoch in range(1, hyper.epochs + 1):
         order = train_idx[rng.permutation(len(train_idx))]
-        epoch_loss = 0.0
         for start in range(0, len(order), hyper.batch_size):
             batch = order[start:start + hyper.batch_size]
-            loss, w_grads, b_grads = fnn_loss_and_grads(net, X[batch], labels[batch])
-            epoch_loss += loss * len(batch)
+            _, w_grads, b_grads = fnn_loss_and_grads(net, X[batch], labels[batch])
             for layer in range(len(net.weights)):
                 vel_w[layer] = hyper.momentum * vel_w[layer] - hyper.learning_rate * w_grads[layer]
                 vel_b[layer] = hyper.momentum * vel_b[layer] - hyper.learning_rate * b_grads[layer]
                 net.weights[layer] += vel_w[layer]
                 net.biases[layer] += vel_b[layer]
-        epoch_loss /= max(len(order), 1)
-        if not np.isfinite(epoch_loss):
+        if not all(np.isfinite(p).all() for p in net.weights + net.biases):
             raise RuntimeError(
-                f"FNN training diverged at epoch {epoch}: loss is not finite"
+                f"FNN training diverged at epoch {epoch}: parameters are not finite"
             )
         if n_val:
             val_loss, _, _ = fnn_loss_and_grads(net, X[val_idx], labels[val_idx])

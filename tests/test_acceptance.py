@@ -31,7 +31,6 @@ from preptensor.factorize import (
     cp_fit,
     decompose_orth_als,
     weight,
-    weighted_gradient,
 )
 from preptensor.learn import (
     FeedForwardNet,
@@ -39,7 +38,6 @@ from preptensor.learn import (
     TreeParams,
     accuracy,
     fnn_forward_batch,
-    fnn_loss_and_grads,
     precision_recall_f1,
     train_decision_tree,
     train_fnn,
@@ -48,6 +46,7 @@ from preptensor.learn import (
 from preptensor.select import default_roster
 
 from conftest import brute_force_tensor, make_store, random_corpus
+from step_kernels import fnn_loss_and_grads, weighted_gradient
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -1151,6 +1151,33 @@ class TestAttachPipeline:
         assert [path.read_bytes() for path in outputs] == before
         assert not list(models.glob("*.tmp"))
 
+    def test_diverged_run_prints_one_line(self, tmp_path, embeddings_path):
+        """The one epoch's steps break the parameters, which is reported
+        after that epoch, so no network of non-finite weights is written."""
+        train = tmp_path / "att_train.tsv"
+        write_attachment_dataset(train)
+        models = tmp_path / "att_models"
+        proc = run_main("train-attach", "--train", str(train), "--embeddings",
+                        str(embeddings_path), "--out", str(models), "--hidden1", "4",
+                        "--hidden2", "2", "--epochs", "1", "--fnn-lr", "1e300")
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "ERROR preptensor FNN training diverged at epoch 1: parameters are not finite"]
+        assert not (models / "fnn.txt").exists()
+        assert not list(models.glob("*.tmp"))
+
+    def test_diverged_run_keeps_earlier_outputs(self, tmp_path, embeddings_path):
+        train = tmp_path / "att_train.tsv"
+        write_attachment_dataset(train)
+        models = tmp_path / "att_models"
+        argv = ["train-attach", "--train", str(train), "--embeddings",
+                str(embeddings_path), "--out", str(models), "--hidden1", "4",
+                "--hidden2", "2", "--epochs", "1"]
+        assert cli.run(argv) == 0
+        before = digests(*models.iterdir())
+        assert cli.run(argv + ["--fnn-lr", "1e300"]) == 1
+        assert digests(*models.iterdir()) == before
+
 
 class TestArgumentHandling:
     def test_unknown_command_exits_nonzero(self, capsys):
@@ -1903,6 +1930,20 @@ class TestInputFileErrors:
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [
             f"ERROR preptensor {path}: line 1: a tree has 2 classes, not 1"]
+
+    # tree_predict reads a split's feature from 3 wide detection rows.
+    def test_tree_splitting_on_a_missing_feature_rejected(self, tmp_path, trained):
+        d = tmp_path / "d"
+        shutil.copytree(trained, d)
+        path = d / "sel" / "tree.txt"
+        path.write_text("TREE v1 3 2 8 1\n'correct' 'error'\nsplit 7 0.5 1 2\n"
+                        "leaf 1 0\nleaf 0 1\n")
+        proc = run_main(*_commands(d)["eval-select"])
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"ERROR preptensor {path}: node 0 splits on feature 7, but detection "
+            "rows have 3 features"]
+        assert not (d / "sel" / "errors.csv").exists()
 
     @pytest.mark.parametrize("command", ["eval-select", "eval-attach"])
     def test_embeddings_of_another_dimension_rejected(self, tmp_path, trained, caplog,

@@ -9,8 +9,9 @@ is what the package itself calls, no file field is evaluated as
 Python, a number is read only by ``corpus``'s field rules, one context
 variable holds a command's state, an option's default is the default of
 the setting it sets, an ALS sweep makes the calls the benchmark's
-tracer times by name, and only ``corpus`` reads or writes the one binary
-file, the tensor's columns, whose entries pass the text's value check."""
+tracer times by name, only ``corpus`` reads or writes the one binary
+file, the tensor's columns, whose entries pass the text's value check,
+and a training step kernel has one caller in the package."""
 
 import ast
 import dataclasses
@@ -31,9 +32,10 @@ LAYERS = ("corpus", "factorize", "embeddings", "learn", "select", "attach")
 # why each is public all the same.
 UNCALLED = {
     "factorize.cp_fit": "the benchmark's fit score of an ALS run",
-    "factorize.weighted_gradient": "the gradient checks' entry to the WD kernel",
-    "learn.fnn_loss_and_grads": "the gradient checks' entry to train_fnn's kernel",
 }
+# Each step kernel and the one function of the package that steps with it;
+# the gradient checks reach the kernels through tests/step_kernels.py.
+STEP_KERNELS = {"_gradients": "learn.train_fnn", "_gradient_block": "factorize._wd_epoch"}
 
 
 # Functions that take a whole dataset or block, and so are never called
@@ -331,6 +333,18 @@ def test_every_public_name_is_called_in_the_package():
     extra = sorted(set(uncalled) - set(UNCALLED))
     assert extra == [], f"public, but no code of the package calls {extra}"
     assert set(UNCALLED) <= set(uncalled), "an allow-listed name is called now"
+
+
+def test_each_step_kernel_has_one_caller():
+    """Only the trainer that steps with a kernel reads it, so no test
+    entry to a kernel comes back into the package."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(preptensor.__file__).parent.glob("*.py")}
+    for kernel, caller in STEP_KERNELS.items():
+        readers = {f"{stem}.{getattr(node, 'name', '<module>')}"
+                   for stem, tree in trees.items() for node in tree.body
+                   if kernel in _references(ast.Module(body=[node], type_ignores=[]))}
+        assert readers == {caller}, kernel
 
 
 def _readers(name: str) -> set[str]:

@@ -23,12 +23,12 @@ from preptensor.factorize import (
     log_transform,
     orthogonalize_factors,
     weight,
-    weighted_gradient,
     wd_loss,
 )
 from preptensor.select import default_roster
 
 from conftest import traced_peak
+from step_kernels import weighted_gradient
 
 TOY_CORPUS = Path(__file__).parent / "data" / "toy_corpus.txt"
 

@@ -18,7 +18,6 @@ from preptensor.learn import (
     TreeParams,
     accuracy,
     fnn_forward_batch,
-    fnn_loss_and_grads,
     load_fnn,
     load_tree,
     precision_recall_f1,
@@ -28,6 +27,7 @@ from preptensor.learn import (
     train_fnn,
     tree_predict,
 )
+from step_kernels import fnn_loss_and_grads
 
 
 def separable_1d(n=40):
@@ -403,12 +403,23 @@ class TestFnnTraining:
         assert loss <= 1e-3
 
     def test_divergence_is_an_error(self):
-        # The first epoch's loss is taken before its huge steps.
+        # The first epoch's huge steps leave non-finite parameters, and the
+        # run warns of nothing on the way.
         X = np.array([[1.0, -1.0], [-1.0, 1.0]])
         hyper = FnnHyper(learning_rate=1e300, epochs=5, seed=0, val_fraction=0.0)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(RuntimeError, match="diverged at epoch 2: loss is not finite"):
+        with pytest.raises(RuntimeError,
+                           match="diverged at epoch 1: parameters are not finite"):
             train_fnn(X, [0, 1], (4, 4), hyper)
+
+    @pytest.mark.parametrize("val_fraction", [0.0, 0.25])
+    def test_divergence_in_the_last_epoch_is_an_error(self, val_fraction):
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((40, 3))
+        hyper = FnnHyper(learning_rate=1e300, epochs=1, seed=0,
+                         val_fraction=val_fraction)
+        with pytest.raises(RuntimeError) as exc:
+            train_fnn(X, (X[:, 0] > 0).astype(int), (5, 4), hyper)
+        assert str(exc.value) == "FNN training diverged at epoch 1: parameters are not finite"
 
     @pytest.mark.parametrize("labels", [[0, 1, 2], [-1, 0, 1], [0, 0.5, 1],
                                         ["a", "b", "a"]])
@@ -440,13 +451,13 @@ class TestFnnTraining:
     def test_trains_in_float32_and_returns_float64(self, monkeypatch):
         dtypes = set()
 
-        kernel = learn._loss_and_grads
+        kernel = learn._gradients
 
         def recording(weights, biases, acts, *rest):
             dtypes.update(block.dtype for block in [*weights, *biases, *acts])
             return kernel(weights, biases, acts, *rest)
 
-        monkeypatch.setattr(learn, "_loss_and_grads", recording)
+        monkeypatch.setattr(learn, "_gradients", recording)
         rng = np.random.default_rng(9)
         X = rng.standard_normal((60, 3))
         net = train_fnn(X, (X[:, 0] > 0).astype(int), (5, 4), FnnHyper(epochs=3, seed=1))
