@@ -242,7 +242,8 @@ def cmd_decompose(args, cfg: dict, produced: list):
     store = emb_ops.EmbeddingStore.from_factors(vocab, emb)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    emb_ops.save_embeddings(store, _staged(produced, out))
+    emb_ops.save_embeddings(store, _staged(produced, out),
+                            _staged(produced, emb_ops.binary_copy_path(out)))
     cfg["method"] = args.method
     return str(out) + ".manifest.json", {"trajectory": emb.trajectory,
                                          "trajectory_s": emb.trajectory_s,
@@ -320,7 +321,8 @@ def cmd_train_select(args, cfg: dict, produced: list):
     select_ops.save_confusion_table(models.table, _staged(produced, out / "confusion.txt"))
     return out / "manifest.json", {"trajectory": models.fnn.trajectory,
                                    "counters": {**models.fnn.counters, **models.counters,
-                                                "rejected": rejected}}
+                                                "rejected": rejected,
+                                                "embeddings_source": store.source}}
 
 
 def _training_manifest(models_dir: Path, embeddings) -> dict:
@@ -388,7 +390,7 @@ def cmd_eval_select(args, cfg: dict, produced: list):
     (p, r, f1), errors, counters = select_ops.evaluate_selection(instances, models, store,
                                                                  window=window)
     cfg["window"] = window
-    counters["rejected"] = rejected
+    counters.update(rejected=rejected, embeddings_source=store.source)
     return _report(produced, args.out, models_dir,
                    ["sentence", "observed", "gold", "predicted"], errors,
                    f"P={p:.4f} R={r:.4f} F1={f1:.4f}"), {"counters": counters}
@@ -405,7 +407,7 @@ def cmd_train_attach(args, cfg: dict, produced: list):
     _staged(produced, out / "tags.txt").write_text("\n".join(tagset.tags) + "\n",
                                                    encoding="utf-8")
     counters = {**fnn.counters, "instances": len(instances), "rejected": rejected,
-                "candidates": fnn.counters["fnn_rows"]}
+                "candidates": fnn.counters["fnn_rows"], "embeddings_source": store.source}
     return out / "manifest.json", {"trajectory": fnn.trajectory, "counters": counters}
 
 
@@ -423,7 +425,7 @@ def cmd_eval_attach(args, cfg: dict, produced: list):
                          f"but {models_dir / 'fnn.txt'} takes {fnn.sizes[0]}")
     instances, rejected = attach_ops.load_attachment_dataset(args.test)
     acc, errors, counters = attach_ops.evaluate_attachment(instances, fnn, store, tagset)
-    counters["rejected"] = rejected
+    counters.update(rejected=rejected, embeddings_source=store.source)
     return _report(produced, args.out, models_dir,
                    ["preposition", "child", "predicted_head", "gold_head"], errors,
                    f"accuracy={acc:.4f}"), {"counters": counters}

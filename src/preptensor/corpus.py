@@ -66,13 +66,12 @@ NOPREP_TOKEN = "__NOPREP__"
 # many values per chunk from lines of any width.
 _LOAD_CHUNK_LINES = 1 << 16
 _COLUMNS = ("i", "j", "k", "counts")
-# What reading a damaged columns file raises besides a ValueError:
-# zipfile's BadZipFile (a CRC-32 mismatch among them), a truncated or
-# unreadable file, a missing member, a flag flipped to encryption
-# (RuntimeError), and a compression method flipped to one zipfile lacks
-# or to deflate.
-_COLUMN_FILE_ERRORS = (zipfile.BadZipFile, OSError, EOFError, KeyError, RuntimeError,
-                       NotImplementedError, zlib.error)
+# What reading a damaged binary copy raises: a ValueError, zipfile's
+# BadZipFile (a CRC-32 mismatch among them), a truncated or unreadable
+# file, a missing member, a flag flipped to encryption (RuntimeError),
+# and a compression method flipped to one zipfile lacks or to deflate.
+_COPY_ERRORS = (ValueError, zipfile.BadZipFile, OSError, EOFError, KeyError,
+                RuntimeError, NotImplementedError, zlib.error)
 # Window positions counted per array block: bounds the keys held at once.
 _COUNT_BLOCK = 1 << 13
 
@@ -117,6 +116,57 @@ def input_digest(path) -> str:
     if inputs.get(key := str(path)) is None:
         inputs[key] = _sha256(path)
     return inputs[key]
+
+
+def save_text(path, chunks: Iterable[str], copy_path=None, members=()) -> None:
+    """Write the text ``chunks`` to ``path`` as UTF-8. With ``copy_path``,
+    also write there a binary copy that read_copy takes in place of the
+    text: np.savez's layout, uncompressed, of the (name, array) pairs of
+    ``members``, written a member at a time so that one array is held at
+    once, and ``text_sha256``, the digest of the text bytes as written."""
+    digest = hashlib.sha256()
+
+    # Through map and writelines, so that no chunk is held while the next
+    # one is formatted.
+    def encoded(chunk: str) -> bytes:
+        data = chunk.encode("utf-8")
+        digest.update(data)
+        return data
+
+    with open(path, "wb") as fh:
+        fh.writelines(map(encoded, chunks))
+    if copy_path is not None:
+        with open(copy_path, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
+            for name, array in itertools.chain(
+                    members, [("text_sha256", np.array(digest.hexdigest()))]):
+                with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                    np.lib.format.write_array(member, array)
+
+
+@contextlib.contextmanager
+def read_copy(copy_path, text_path):
+    """Yield the members of the binary copy at ``copy_path`` while it
+    records the digest of the text at ``text_path``, else None. A copy
+    that fails to read, or whose members the block rejects with a
+    ValueError, is ignored with one INFO line, so that the caller parses
+    the text, which decides every error."""
+    entered = False
+    try:
+        with contextlib.ExitStack() as stack:
+            archive = None
+            if os.path.exists(copy_path):
+                # np.load's npz reader: nothing but a zip, no pickled member.
+                archive = stack.enter_context(np.lib.npyio.NpzFile(
+                    stack.enter_context(open_input(copy_path, "rb"))))
+                if str(archive["text_sha256"]) != input_digest(text_path):
+                    raise ValueError(f"written for other text than {text_path}")
+            entered = True
+            yield archive
+    except _COPY_ERRORS as exc:
+        logger.info("%s ignored, parsing the text: %s", copy_path,
+                    str(exc).removeprefix(f"{copy_path}: "))
+        if not entered:
+            yield None
 
 
 def read_records(path, parse, what: str) -> tuple[list, int]:
@@ -591,49 +641,37 @@ def count_tensor(
 def save_tensor(tensor: SparseCountTensor, path, columns_path=None) -> None:
     """Write the text format: a header line then one `i j k count` line
     per nonzero, in ascending (k, i, j) order. With ``columns_path``,
-    also write there the columns file load_tensor reads in place of the
-    body: an uncompressed npz of the four columns, each int32 where its
-    values fit and int64 otherwise, and ``text_sha256``, the digest of
-    the text bytes as they were written."""
+    also write there the binary copy load_tensor reads in place of the
+    body: the four columns, each int32 where its values fit and int64
+    otherwise."""
     columns = [getattr(tensor, name) for name in _COLUMNS]
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        def write(text: str) -> None:
-            data = text.encode("ascii")
-            digest.update(data)
-            fh.write(data)
 
-        write(f"{TENSOR_MAGIC} v1 {tensor.n_words} {tensor.n_prepositions} "
-              f"{tensor.nnz} {tensor.window_t}\n")
+    def text():
+        yield (f"{TENSOR_MAGIC} v1 {tensor.n_words} {tensor.n_prepositions} "
+               f"{tensor.nnz} {tensor.window_t}\n")
         for start in range(0, tensor.nnz, _LOAD_CHUNK_LINES):
             rows = np.stack([col[start:start + _LOAD_CHUNK_LINES] for col in columns],
                             axis=1)
-            write(("%d %d %d %d\n" * len(rows)) % tuple(rows.ravel().tolist()))
-    if columns_path is not None:
-        # np.savez's layout, written a member at a time, so that one
-        # narrowed column is held at once where np.savez takes all four.
-        with open(columns_path, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
-            def put(name: str, array: np.ndarray) -> None:
-                with archive.open(name + ".npy", "w", force_zip64=True) as member:
-                    np.lib.format.write_array(member, array)
+            yield ("%d %d %d %d\n" * len(rows)) % tuple(rows.ravel().tolist())
 
-            for name, col in zip(_COLUMNS, columns):
-                fits = not len(col) or _INT32.min <= col.min() and col.max() <= _INT32.max
-                put(name, col.astype(np.int32) if fits else col)
-            put("text_sha256", np.array(digest.hexdigest()))
+    def narrowed():
+        for name, col in zip(_COLUMNS, columns):
+            fits = not len(col) or _INT32.min <= col.min() and col.max() <= _INT32.max
+            yield name, col.astype(np.int32) if fits else col
+
+    save_text(path, text(), columns_path, narrowed())
 
 
 def load_tensor(path) -> SparseCountTensor:
     """Read a ``save_tensor`` file; its body lines may come in any order,
     each coordinate once.
 
-    The entries come from the columns file ``<stem>.npz`` beside it when
-    that file records the digest of these text bytes and its columns
-    read back whole (see _read_columns); otherwise the body is parsed by
-    parse_rows into columns sized by the header's nnz. Both go through
-    one value check, and a columns file that fails either is ignored
-    with an INFO line, so the text decides every error. The tensor's
-    ``source`` says which was read.
+    The entries come from the binary copy ``<stem>.npz`` beside it when
+    read_copy takes it and its columns read back whole (see
+    _read_columns); otherwise the body is parsed by parse_rows into
+    columns sized by the header's nnz. Both go through one value check,
+    and a copy that fails either is ignored with an INFO line, so the
+    text decides every error. The tensor's ``source`` says which was read.
     """
     with open_input(path) as fh:
         header = fh.readline().split()
@@ -644,13 +682,10 @@ def load_tensor(path) -> SparseCountTensor:
             raise ValueError("line 1: negative size in header")
         if t < 1:
             raise ValueError(f"line 1: window must be >= 1, got {t}")
-        if (columns_path := Path(path).with_suffix(".npz")).exists():
-            try:
-                return _checked_tensor(n, k_preps, nnz, t, "columns",
-                                       *_read_columns(columns_path, path, nnz))
-            except ValueError as exc:
-                logger.info("%s ignored, parsing the text: %s", columns_path,
-                            str(exc).removeprefix(f"{columns_path}: "))
+        with read_copy(columns_path := Path(path).with_suffix(".npz"), path) as archive:
+            if archive is not None:
+                return _checked_tensor(n, k_preps, nnz, t, "columns", *_read_columns(
+                    archive, nnz, os.stat(columns_path).st_size))
         # A body line takes at least 8 bytes ("0 0 0 1\n"), so a header
         # declaring more entries than the file can hold allocates no more.
         cols = np.empty((4, min(nnz, os.fstat(fh.fileno()).st_size // 8 + 1)),
@@ -660,38 +695,27 @@ def load_tensor(path) -> SparseCountTensor:
                                *parse_rows(fh, 4, 2, np.int64, out=cols.T).T)
 
 
-def _read_columns(columns_path, text_path, nnz: int) -> np.ndarray:
-    """The int64 columns i, j, k, counts of the columns file at
-    ``columns_path``, as the rows of one block. The file must record the
-    digest of the text at ``text_path`` and hold ``nnz`` int32 or int64
-    values per column, which read back without a zip CRC-32 or format
-    error; anything else is a ValueError. One column is read and widened
-    at a time."""
-    try:
-        # What np.load opens an npz file as; it takes nothing but a zip,
-        # and no pickled member.
-        with (open_input(columns_path, "rb") as fh,
-              np.lib.npyio.NpzFile(fh) as archive):
-            if str(archive["text_sha256"]) != input_digest(text_path):
-                raise ValueError(f"written for other text than {text_path}")
-            # A value takes at least 4 bytes, so a header declaring more
-            # entries than the file can hold allocates nothing.
-            if 16 * nnz > os.fstat(fh.fileno()).st_size:
-                raise ValueError(f"too small to hold {nnz} entries")
-            # One block, as the text is parsed into: once it is freed,
-            # glibc serves nnz-sized arrays from its heap. Four separate
-            # columns cost each later decompose and spectrum in one
-            # process about 70,000 more page faults (seed-0 1 MB Zipf).
-            columns = np.empty((len(_COLUMNS), nnz), dtype=np.int64)
-            for row, name in zip(columns, _COLUMNS):
-                column = archive[name]
-                if column.shape != (nnz,) or column.dtype not in (np.int32, np.int64):
-                    raise ValueError(f"{name} is not {nnz} int32 or int64 values")
-                row[:] = column
-                del column
-            return columns
-    except _COLUMN_FILE_ERRORS as exc:
-        raise ValueError(f"{columns_path}: {exc}") from None
+def _read_columns(archive, nnz: int, size: int) -> np.ndarray:
+    """The int64 columns i, j, k, counts of the tensor's binary copy,
+    ``size`` bytes long, as the rows of one block: each member must hold
+    ``nnz`` int32 or int64 values, or this is a ValueError. One column is
+    read and widened at a time."""
+    # A value takes at least 4 bytes, so a header declaring more entries
+    # than the file can hold allocates nothing.
+    if 16 * nnz > size:
+        raise ValueError(f"too small to hold {nnz} entries")
+    # One block, as the text is parsed into: once it is freed, glibc
+    # serves nnz-sized arrays from its heap. Four separate columns cost
+    # each later decompose and spectrum in one process about 70,000 more
+    # page faults (seed-0 1 MB Zipf).
+    columns = np.empty((len(_COLUMNS), nnz), dtype=np.int64)
+    for row, name in zip(columns, _COLUMNS):
+        column = archive[name]
+        if column.shape != (nnz,) or column.dtype not in (np.int32, np.int64):
+            raise ValueError(f"{name} is not {nnz} int32 or int64 values")
+        row[:] = column
+        del column
+    return columns
 
 
 def _checked_tensor(n: int, k_preps: int, nnz: int, t: int, source: str,

@@ -11,6 +11,7 @@ import itertools
 import logging
 import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +19,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .corpus import (ASCII_INTEGER, NOPREP_TOKEN, SparseCountTensor, Vocabulary,
-                     open_input, parse_integers, parse_rows)
+                     open_input, parse_integers, parse_rows, read_copy, save_text)
 from .factorize import EmbeddingSet
 
 logger = logging.getLogger(__name__)
@@ -44,6 +45,10 @@ class EmbeddingStore:
     tokens: list[str]
     matrix: np.ndarray
     q_const: np.ndarray
+
+    # "copy" or "text" as load_embeddings read it; not a field, so
+    # equality ignores it.
+    source = None
 
     def __post_init__(self):
         self.index = {tok: row for row, tok in enumerate(self.tokens)}
@@ -233,22 +238,41 @@ def slice_spectrum(tensor: SparseCountTensor, k: int, top_m: int) -> np.ndarray:
     return values
 
 
-def save_embeddings(store: EmbeddingStore, path) -> None:
+def binary_copy_path(path) -> Path:
+    """The binary copy of ``path``: its whole name plus ``.npz``."""
+    return Path(f"{path}.npz")
+
+
+def save_embeddings(store: EmbeddingStore, path, copy_path=None) -> None:
     """Common word-vector text layout: a `count dim` header, then one
     `token f1 ... fd` line per token; the constant vector is stored
-    under the reserved token."""
+    under the reserved token. With ``copy_path``, also write there the
+    binary copy of these rows: ``tokens`` as UTF-8 joined by spaces and
+    ``matrix``, both in file order with the reserved token last."""
+    tokens = [*store.tokens, NOPREP_TOKEN]
+    # C order whatever the factors' order, as the text lists the rows.
+    matrix = np.ascontiguousarray(np.vstack([store.matrix, store.q_const]))
     row = " ".join(["%.17g"] * store.dim)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(store.tokens) + 1} {store.dim}\n")
-        fh.writelines(f"{tok} {row % tuple(vec.tolist())}\n" for tok, vec in
-                      zip([*store.tokens, NOPREP_TOKEN], [*store.matrix, store.q_const]))
+    lines = (f"{tok} {row % tuple(vec.tolist())}\n" for tok, vec in zip(tokens, matrix))
+    save_text(path, itertools.chain([f"{len(tokens)} {store.dim}\n"], lines), copy_path,
+              [("tokens", np.frombuffer(" ".join(tokens).encode("utf-8"), np.uint8)),
+               ("matrix", matrix)])
 
 
 def load_embeddings(path) -> EmbeddingStore:
     """Load the text layout; also accepts externally trained word2vec or
     GloVe style files (with or without the count/dim header). A first
     line of two ASCII integers is that header; any other first line is
-    the first vector row. Blank lines are skipped."""
+    the first vector row. Blank lines are skipped. The rows come from
+    the binary copy when read_copy takes it, else from the text, through
+    one check; the store's ``source`` says which."""
+    with read_copy(binary_copy_path(path), path) as archive:
+        if archive is not None:
+            joined = archive["tokens"]
+            tokens = joined.tobytes().decode("utf-8").split(" ")
+            if joined.dtype != np.uint8 or tokens[-1] != NOPREP_TOKEN:
+                raise ValueError(f"tokens are not UTF-8 bytes ending in {NOPREP_TOKEN}")
+            return _checked_store(path, "copy", tokens, archive["matrix"])
     with open_input(path) as fh:
         first = fh.readline()
         parts = first.split()
@@ -275,16 +299,35 @@ def load_embeddings(path) -> EmbeddingStore:
                             out=np.empty((rows, dim)), skip_blank=True)
         if declared is not None and len(tokens) != declared:
             raise ValueError(f"header declares {declared} rows, found {len(tokens)}")
-    row = tokens.pop(NOPREP_TOKEN, None)
+    return _checked_store(path, "text", list(tokens), matrix)
+
+
+def _checked_store(path, source: str, tokens: list[str], matrix) -> EmbeddingStore:
+    """The store of ``tokens`` and their rows, read from ``path`` or its
+    copy: a ValueError unless they are one C-ordered float64 row per
+    token, one split of the joined tokens gives them back (none empty or
+    holding whitespace), none is repeated and every value is finite. The
+    reserved token's row, if any, is the constant vector."""
+    if not (matrix.dtype == np.float64 and matrix.ndim == 2 and matrix.shape[1] > 0
+            and len(matrix) == len(tokens) and matrix.flags.c_contiguous):
+        raise ValueError("the rows are not one C-ordered float64 row per token")
+    index = dict(zip(tokens, range(len(tokens))))
+    if " ".join(tokens).split() != tokens or len(index) != len(tokens):
+        raise ValueError("a token is empty, holds whitespace or is listed twice")
+    if not np.isfinite(matrix).all():
+        raise ValueError("a value is not finite")
+    row = index.pop(NOPREP_TOKEN, None)
     if row is None:
         logger.warning("%s: no %s row; the extra-slice vector is zero, so "
                        "paraphrase rankings keep candidate order",
                        path, NOPREP_TOKEN)
-        q_const = np.zeros(dim)
+        q_const = np.zeros(matrix.shape[1])
     else:
         q_const = matrix[row].copy()
         matrix = np.delete(matrix, row, axis=0)
-    return EmbeddingStore(tokens=list(tokens), matrix=matrix, q_const=q_const)
+    store = EmbeddingStore(tokens=list(index), matrix=matrix, q_const=q_const)
+    store.source = source
+    return store
 
 
 def _split_tokens(lines, start: int, dim: int, tokens: dict):

@@ -344,9 +344,9 @@ def train_fnn(rows, labels, arch, hyper: FnnHyper) -> FeedForwardNet:
     writes into its own block, and the momentum update is four
     whole-buffer operations that round as ``m * v - lr * g`` does for
     one layer at a time. A step takes no loss, and an epoch that leaves
-    a non-finite parameter is a RuntimeError. The network's
-    ``trajectory`` is the validation loss of each epoch run, and its
-    ``counters`` the rows, the epochs run and the epoch it keeps.
+    a non-finite parameter or validation loss is a RuntimeError. The
+    network's ``trajectory`` is the validation loss of each epoch run,
+    and its ``counters`` the rows, the epochs run and the epoch it keeps.
     """
     factored = isinstance(rows, CandidateRows)
     parts = ([rows.sides, rows.cands, rows.scalars] if factored
@@ -400,7 +400,13 @@ def train_fnn(rows, labels, arch, hyper: FnnHyper) -> FeedForwardNet:
             )
         if n_val:
             gather(val_idx, out=acts[0][:n_val])
-            val_loss = _cross_entropy(_forward(weights, biases, acts, n_val), val_labels)
+            # Finite but huge weights can overflow it into a NaN loss.
+            with np.errstate(over="ignore", invalid="ignore"):
+                val_loss = _cross_entropy(_forward(weights, biases, acts, n_val),
+                                          val_labels)
+            if not np.isfinite(val_loss):
+                raise RuntimeError(f"FNN training diverged at epoch {epoch}: "
+                                   "validation loss is not finite")
             logger.debug("epoch %d val %.6g", epoch, val_loss)
             trajectory.append(val_loss)
             if val_loss < best_val - 1e-9:

@@ -114,17 +114,18 @@ def tiny_vocab():
 
 
 def _rewrite_columns(columns, **changes):
-    """Rewrite the columns file ``columns`` with ``changes`` to its
-    members (None drops one); the others, text_sha256 included, kept."""
+    """Rewrite the binary copy ``columns`` (a tensor's columns or an
+    embeddings copy) with ``changes`` to its members (None drops one);
+    the others, text_sha256 included, kept."""
     with np.load(columns) as archive:
         members = {name: archive[name] for name in archive.files}
     members.update(changes)
     np.savez(columns, **{name: a for name, a in members.items() if a is not None})
 
 
-def _flip_last_counts_byte(columns, text):
-    """Flip the last data byte of the counts member, which its CRC-32
-    covers."""
+def _flip_last_data_byte(columns, text):
+    """Flip the last data byte of the member before text_sha256 (the
+    tensor's counts, the embeddings' matrix), which its CRC-32 covers."""
     with zipfile.ZipFile(columns) as archive:
         offset = archive.getinfo("text_sha256.npy").header_offset - 1
     raw = bytearray(columns.read_bytes())
@@ -180,7 +181,7 @@ COLUMN_SPOILERS = {
     "stale digest": lambda columns, text: _rewrite_columns(
         columns, text_sha256=np.array("0" * 64)),
     "edited text": _raise_last_count,
-    "flipped byte": _flip_last_counts_byte,
+    "flipped byte": _flip_last_data_byte,
     "truncated": lambda columns, text: columns.write_bytes(
         columns.read_bytes()[:columns.stat().st_size // 2]),
     "missing member": lambda columns, text: _rewrite_columns(columns, counts=None),
@@ -191,4 +192,62 @@ COLUMN_SPOILERS = {
     "repeated coordinate": _repeat_first_entry,
     "not an npz": _write_npy,
     "not a zip": lambda columns, text: columns.write_bytes(b"not a zip file"),
+}
+
+
+def _with_tokens(change):
+    """A spoiler rewriting an embeddings copy's token list as ``change``
+    of it, kept as the UTF-8 bytes of the space-joined list."""
+    def spoil(copy, text):
+        with np.load(copy) as archive:
+            tokens = archive["tokens"].tobytes().decode("utf-8").split(" ")
+        _rewrite_columns(copy, tokens=np.frombuffer(
+            " ".join(change(tokens)).encode("utf-8"), np.uint8))
+    return spoil
+
+
+def _edit_first_value(copy, text):
+    """Rewrite emb.txt with its first value changed: valid text of as many
+    rows, which only the digest tells from the copy's."""
+    lines = text.read_text(encoding="utf-8").splitlines(keepends=True)
+    token, _value, rest = lines[1].split(" ", 2)
+    lines[1] = f"{token} 7 {rest}"
+    text.write_text("".join(lines), encoding="utf-8")
+
+
+def _drop_last_row(copy, text):
+    """Drop the copy's last token and row, the reserved token's."""
+    with np.load(copy) as archive:
+        tokens = archive["tokens"].tobytes().decode("utf-8").split(" ")
+        matrix = archive["matrix"]
+    _rewrite_columns(copy, matrix=matrix[:-1], tokens=np.frombuffer(
+        " ".join(tokens[:-1]).encode("utf-8"), np.uint8))
+
+
+# Ways an embeddings copy (emb.txt.npz beside emb.txt, written for at
+# least three rows besides __NOPREP__) fails to vouch for its text, each
+# applied as spoil(copy_path, text_path): the loader must parse the text.
+EMBEDDING_COPY_SPOILERS = {
+    "no copy": lambda copy, text: copy.unlink(),
+    "stale digest": lambda copy, text: _rewrite_columns(
+        copy, text_sha256=np.array("0" * 64)),
+    "edited text": _edit_first_value,
+    "flipped byte": _flip_last_data_byte,
+    "truncated": lambda copy, text: copy.write_bytes(
+        copy.read_bytes()[:copy.stat().st_size // 2]),
+    "missing member": lambda copy, text: _rewrite_columns(copy, matrix=None),
+    "wrong shape": _with_column("matrix", lambda matrix: matrix[:-1]),
+    "wrong dtype": _with_column("matrix", lambda matrix: matrix.view(np.int64)),
+    "byte-swapped": _with_column("matrix", lambda matrix: matrix.astype(">f8")),
+    "Fortran order": _with_column("matrix", np.asfortranarray),
+    "tokens not bytes": _with_column("tokens", lambda tokens: tokens.astype(np.int64)),
+    "bytes not UTF-8": _with_column("tokens", _set(0, 0xFF)),
+    "repeated token": _with_tokens(lambda tokens: [tokens[0], *tokens[1:-2], tokens[0],
+                                                   tokens[-1]]),
+    "empty token": _with_tokens(lambda tokens: ["", *tokens[1:]]),
+    "whitespace token": _with_tokens(lambda tokens: ["a\tb", *tokens[1:]]),
+    "non-finite value": _with_column("matrix", _set(0, np.nan)),
+    "no __NOPREP__ row": _drop_last_row,
+    "not an npz": _write_npy,
+    "not a zip": lambda copy, text: copy.write_bytes(b"not a zip file"),
 }

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import preptensor.attach as attach_ops
@@ -18,7 +19,7 @@ import preptensor.corpus as corpus_ops
 import preptensor.factorize as factorize
 import preptensor.select as select_ops
 import scalar_features
-from conftest import COLUMN_SPOILERS
+from conftest import COLUMN_SPOILERS, EMBEDDING_COPY_SPOILERS
 from preptensor.corpus import (
     build_vocabulary,
     count_tensor,
@@ -27,7 +28,7 @@ from preptensor.corpus import (
     save_vocabulary,
     tokenize_sentences,
 )
-from preptensor.embeddings import load_embeddings
+from preptensor.embeddings import EmbeddingStore, load_embeddings, save_embeddings
 from preptensor.learn import FeedForwardNet, load_fnn, load_tree, save_fnn
 from preptensor.select import (
     SelectionModels,
@@ -350,7 +351,9 @@ class TestDecompose:
         task = (["decidable", "flagged"] if command == "train-select"
                 else ["candidates"])
         assert sorted(counters) == sorted(["best_epoch", "epochs_run", "fnn_rows",
-                                           "instances", "rejected", *task])
+                                           "instances", "rejected", "embeddings_source",
+                                           *task])
+        assert counters["embeddings_source"] == "copy"
         assert counters["fnn_rows"] > 0
         assert len(trajectory) == counters["epochs_run"] <= 15
         assert all(math.isfinite(loss) for loss in trajectory)
@@ -377,14 +380,16 @@ class TestDecompose:
         assert counters["decompose"]["sweeps"] == len(runs[0]["decompose"]["trajectory"])
         selection, _rejected = load_selection_dataset(trained / "sel.tsv", ROSTER)
         select_pass = {key: counters["train-select"][key]
-                       for key in ("instances", "rejected", "decidable", "flagged")}
+                       for key in ("instances", "rejected", "decidable", "flagged",
+                                   "embeddings_source")}
         # Evaluation on the training set sees what training saw.
         assert counters["eval-select"] == select_pass
         assert (select_pass["instances"], select_pass["rejected"]) == (len(selection), 0)
         assert 0 < select_pass["flagged"] <= select_pass["decidable"] <= len(selection)
         attachment, _rejected = attach_ops.load_attachment_dataset(trained / "att.tsv")
         attach_pass = {"instances": len(attachment), "rejected": 0,
-                       "candidates": sum(len(inst.candidates) for inst in attachment)}
+                       "candidates": sum(len(inst.candidates) for inst in attachment),
+                       "embeddings_source": "copy"}
         assert counters["eval-attach"] == attach_pass
         assert counters["train-attach"]["candidates"] == counters["train-attach"]["fnn_rows"]
         assert {key: counters["train-attach"][key] for key in attach_pass} == attach_pass
@@ -450,12 +455,12 @@ class TestDecompose:
         argv = ["decompose", "--tensor", str(tensor_dir), "--method", "wd",
                 "--dim", "4", "--iters", "3", "--out", str(out)]
         assert cli.run(argv) == 0
-        manifest = tmp_path / "emb.txt.manifest.json"
-        before = (out.read_bytes(), manifest.read_bytes())
+        copy, manifest = tmp_path / "emb.txt.npz", tmp_path / "emb.txt.manifest.json"
+        before = (out.read_bytes(), copy.read_bytes(), manifest.read_bytes())
         assert cli.run(argv + ["--lr", "1e6"]) == 1
-        assert (out.read_bytes(), manifest.read_bytes()) == before
+        assert (out.read_bytes(), copy.read_bytes(), manifest.read_bytes()) == before
         assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("emb")) == [
-            "emb.txt", "emb.txt.manifest.json"]
+            "emb.txt", "emb.txt.manifest.json", "emb.txt.npz"]
 
     def test_diverged_run_prints_one_line(self, tmp_path, tensor_dir):
         proc = run_main("decompose", "--tensor", str(tensor_dir), "--method", "wd",
@@ -834,7 +839,7 @@ class TestSelectPipeline:
         assert capsys.readouterr().out.startswith("P=")
         manifest = json.loads((tmp_path / "sel_errors.csv.manifest.json").read_text())
         assert manifest["counters"] == {"instances": 2, "decidable": 0, "flagged": 0,
-                                        "rejected": 0}
+                                        "rejected": 0, "embeddings_source": "copy"}
         assert read_csv(errors)[1:] == [["zzz qqq on xxx", "on", "in", "on"]]
 
     def test_eval_writes_manifest(self, tmp_path, embeddings_path, roster_path):
@@ -853,9 +858,9 @@ class TestSelectPipeline:
         manifest = json.loads((tmp_path / "sel_errors.csv.manifest.json").read_text())
         assert manifest["command"] == "eval-select"
         assert manifest["config"] == {"window": 2}
-        inputs = [train, embeddings_path, models / "tree.txt", models / "fnn.txt",
-                  models / "confusion.txt", models / "manifest.json", roster_path,
-                  STOPLIST]
+        inputs = [train, embeddings_path, Path(f"{embeddings_path}.npz"),
+                  models / "tree.txt", models / "fnn.txt", models / "confusion.txt",
+                  models / "manifest.json", roster_path, STOPLIST]
         assert manifest["inputs"] == {
             str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in inputs}
         assert manifest["outputs"] == [str(errors),
@@ -1054,8 +1059,8 @@ class TestAttachPipeline:
         manifest = json.loads((tmp_path / "att_errors.csv.manifest.json").read_text())
         assert manifest["command"] == "eval-attach"
         assert manifest["config"] == {}
-        inputs = [train, embeddings_path, models / "fnn.txt", models / "tags.txt",
-                  models / "manifest.json"]
+        inputs = [train, embeddings_path, Path(f"{embeddings_path}.npz"),
+                  models / "fnn.txt", models / "tags.txt", models / "manifest.json"]
         assert manifest["inputs"] == {
             str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in inputs}
         assert manifest["outputs"] == [str(tmp_path / "att_errors.csv"),
@@ -1165,6 +1170,29 @@ class TestAttachPipeline:
             "ERROR preptensor FNN training diverged at epoch 1: parameters are not finite"]
         assert not (models / "fnn.txt").exists()
         assert not list(models.glob("*.tmp"))
+
+    def test_overflowing_validation_prints_no_warning(self, tmp_path):
+        """At rate 100 the one epoch leaves the weights finite, but large
+        enough that the validation forward overflows float32; the run
+        warns of nothing."""
+        rng = np.random.default_rng(9)
+        words = [f"w{i}" for i in range(20)]
+        emb, train = tmp_path / "emb.txt", tmp_path / "att_train.tsv"
+        save_embeddings(EmbeddingStore([*words, "on", "in", "at"],
+                                       rng.standard_normal((23, 6)),
+                                       rng.standard_normal(6)), emb)
+        lines = []
+        for i in range(500):
+            cands = [f"w{rng.integers(20)}:{tags}:{dist}" for dist, tags in
+                     enumerate(["VB:NN", "NN:IN", "NN:DT"], 1)]
+            lines.append(f"{['on', 'in', 'at'][i % 3]}\tw{rng.integers(20)}\t{i % 3}\t"
+                         + ";".join(cands))
+        train.write_text("\n".join(lines) + "\n")
+        proc = run_main("train-attach", "--train", str(train), "--embeddings", str(emb),
+                        "--out", str(tmp_path / "att_models"), "--epochs", "1",
+                        "--fnn-lr", "100")
+        assert "RuntimeWarning" not in proc.stderr
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_diverged_run_keeps_earlier_outputs(self, tmp_path, embeddings_path):
         train = tmp_path / "att_train.tsv"
@@ -1549,6 +1577,7 @@ def manifest_runs(d, out):
     config.write_text("seed = 0\n")
     net = ["--hidden1", "4", "--hidden2", "2", "--epochs", "1"]
     emb, sel, att = d / "emb.txt", out / "sel", out / "att"
+    embeddings = [emb, d / "emb.txt.npz"]
     tensor = [d / "tensor" / name for name in ("vocab.txt", "tensor.txt", "tensor.npz")]
     return [
         (["build-tensor", "--corpus", str(d / "corpus.txt"), "--min-count", "1",
@@ -1561,20 +1590,20 @@ def manifest_runs(d, out):
           "--out", str(out / "spec.csv")], out / "spec.csv.manifest.json", tensor),
         (["train-select", "--train", str(d / "sel.tsv"), "--embeddings", str(emb),
           "--roster", str(d / "roster.txt"), "--out", str(sel), *net, "--min-leaf", "1"],
-         sel / "manifest.json", [d / "sel.tsv", emb, d / "roster.txt", STOPLIST]),
+         sel / "manifest.json", [d / "sel.tsv", *embeddings, d / "roster.txt", STOPLIST]),
         (["eval-select", "--test", str(d / "sel.tsv"), "--models", str(sel),
           "--embeddings", str(emb)],
          sel / "errors.csv.manifest.json",
-         [d / "sel.tsv", emb, STOPLIST,
+         [d / "sel.tsv", *embeddings, STOPLIST,
           *(sel / name for name in ("manifest.json", "tree.txt", "fnn.txt",
                                     "confusion.txt"))]),
         (["train-attach", "--train", str(d / "att.tsv"), "--embeddings", str(emb),
-          "--out", str(att), *net], att / "manifest.json", [d / "att.tsv", emb]),
+          "--out", str(att), *net], att / "manifest.json", [d / "att.tsv", *embeddings]),
         (["eval-attach", "--test", str(d / "att.tsv"), "--models", str(att),
           "--embeddings", str(emb)],
          att / "errors.csv.manifest.json",
-         [d / "att.tsv", emb, *(att / name for name in ("manifest.json", "fnn.txt",
-                                                         "tags.txt"))]),
+         [d / "att.tsv", *embeddings, *(att / name for name in (
+             "manifest.json", "fnn.txt", "tags.txt"))]),
     ]
 
 
@@ -1673,6 +1702,72 @@ class TestColumnsFile:
         outputs, sources = self._outputs(tensor, tmp_path / "out")
         assert sources == {"text" if spoil else "columns"}
         assert self._outputs(alone, tmp_path / "out_alone") == (outputs, {"text"})
+
+
+class TestEmbeddingsCopy:
+    """decompose writes emb.txt.npz beside emb.txt; every command that
+    reads embeddings takes them from it only while it vouches for the
+    text. Whichever they read, their outputs are the text's, and the
+    train and eval manifests record which as
+    ``counters.embeddings_source``."""
+
+    def test_decompose_writes_the_copy(self, tmp_path, tensor_dir):
+        out = tmp_path / "emb.txt"
+        argv = ["decompose", "--tensor", str(tensor_dir), "--method", "wd",
+                "--dim", "4", "--iters", "3", "--out", str(out)]
+        assert cli.run(argv) == 0
+        manifest = json.loads((tmp_path / "emb.txt.manifest.json").read_text())
+        assert manifest["outputs"] == [str(out), str(tmp_path / "emb.txt.npz")]
+        store = load_embeddings(out)
+        assert store.source == "copy" and store.dim == 4
+        # A second run writes the same copy, byte for byte.
+        first = (tmp_path / "emb.txt.npz").read_bytes()
+        assert cli.run(argv) == 0
+        assert (tmp_path / "emb.txt.npz").read_bytes() == first
+
+    def test_each_output_name_gets_its_own_copy(self, tmp_path, tensor_dir):
+        for name, dim in (("run.v1", "2"), ("run.v2", "3")):
+            assert cli.run(["decompose", "--tensor", str(tensor_dir), "--method", "als",
+                            "--dim", dim, "--iters", "2",
+                            "--out", str(tmp_path / name)]) == 0
+        for name, dim in (("run.v1", 2), ("run.v2", 3)):
+            store = load_embeddings(tmp_path / name)
+            assert (store.source, store.dim) == ("copy", dim)
+        assert sorted(p.name for p in tmp_path.glob("run.v*.npz")) == [
+            "run.v1.npz", "run.v2.npz"]
+
+    @staticmethod
+    def _outputs(emb, out, trained):
+        """The bytes a train-attach run on ``emb`` writes and a paraphrase
+        prints, and the embeddings source its manifest records."""
+        assert cli.run(["train-attach", "--train", str(trained / "att.tsv"),
+                        "--embeddings", str(emb), "--out", str(out), "--hidden1", "4",
+                        "--hidden2", "2", "--epochs", "2"]) == 0
+        printed = subprocess.run(
+            [sys.executable, "-c", "from preptensor.cli import main; main()",
+             "paraphrase", "--embeddings", str(emb), "--head", "cats", "--prep", "on",
+             "--candidates", str(trained / "verbs.txt")], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}).stdout
+        manifest = json.loads((out / "manifest.json").read_text())
+        return ([(out / name).read_bytes() for name in ("fnn.txt", "tags.txt")],
+                printed, manifest["counters"]["embeddings_source"])
+
+    @pytest.mark.parametrize("spoil", ["intact", "no copy", "stale digest",
+                                       "flipped byte", "repeated token",
+                                       "non-finite value"])
+    def test_outputs_are_those_of_the_text_alone(self, tmp_path, trained, spoil):
+        emb, alone = tmp_path / "emb.txt", tmp_path / "alone" / "emb.txt"
+        shutil.copyfile(trained / "emb.txt", emb)
+        shutil.copyfile(trained / "emb.txt.npz", tmp_path / "emb.txt.npz")
+        if spoil != "intact":
+            EMBEDDING_COPY_SPOILERS[spoil](tmp_path / "emb.txt.npz", emb)
+        alone.parent.mkdir()
+        shutil.copyfile(emb, alone)
+        files, printed, source = self._outputs(emb, tmp_path / "att", trained)
+        assert source == ("copy" if spoil == "intact" else "text")
+        assert printed.count("\n") == 2
+        assert self._outputs(alone, tmp_path / "att_alone", trained) == (
+            files, printed, "text")
 
 
 @pytest.mark.parametrize("failing", [1, 2, 3, 4])

@@ -9,9 +9,11 @@ is what the package itself calls, no file field is evaluated as
 Python, a number is read only by ``corpus``'s field rules, one context
 variable holds a command's state, an option's default is the default of
 the setting it sets, an ALS sweep makes the calls the benchmark's
-tracer times by name, only ``corpus`` reads or writes the one binary
-file, the tensor's columns, whose entries pass the text's value check,
-and a training step kernel has one caller in the package."""
+tracer times by name, only ``corpus`` reads or writes binary files,
+through one helper that writes and reads the binary copy of a text
+file, the tensor's columns and the embeddings' rows each pass one check
+with the text's, and a training step kernel has one caller in the
+package."""
 
 import ast
 import dataclasses
@@ -430,6 +432,39 @@ def test_only_corpus_reads_or_writes_arrays_to_files():
                        node.attr in ("savez", "write_array", "NpzFile")
                        or node.attr == "load" and getattr(node.value, "id", None) == "np"))
     assert found == []
+
+
+def test_only_the_copy_helper_touches_zip_files():
+    """``corpus.save_text`` writes every binary copy and ``corpus.read_copy``
+    opens every one: no other function calls ``NpzFile``, ``write_array``
+    or ``zipfile.ZipFile``."""
+    found = sorted({f"{path.stem}.{function.name}"
+                    for path in Path(preptensor.__file__).parent.glob("*.py")
+                    for function in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(function, ast.FunctionDef)
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.Attribute)
+                    and node.attr in ("NpzFile", "write_array", "ZipFile")})
+    assert found == ["corpus.read_copy", "corpus.save_text"]
+
+
+def test_load_embeddings_checks_both_sources_on_one_path():
+    """Whether the rows come from the binary copy or from parsing
+    emb.txt, ``load_embeddings`` returns what ``_checked_store`` makes of
+    them, and only ``load_embeddings`` calls it."""
+    tree = ast.parse(inspect.getsource(importlib.import_module("preptensor.embeddings")))
+    functions = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+    returned = [getattr(node.value.func, "id", None)
+                if isinstance(node.value, ast.Call) else None
+                for node in ast.walk(functions["load_embeddings"])
+                if isinstance(node, ast.Return)]
+    assert returned == ["_checked_store", "_checked_store"]
+    callers = sorted(name for name, function in functions.items()
+                     for node in ast.walk(function)
+                     if isinstance(node, ast.Call)
+                     and getattr(node.func, "id", None) == "_checked_store")
+    assert callers == ["load_embeddings", "load_embeddings"]
 
 
 def test_load_tensor_checks_both_sources_on_one_path():

@@ -1,3 +1,6 @@
+import logging
+import shutil
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,8 @@ from preptensor.corpus import (
     count_tensor,
     tokenize_sentences,
 )
-from conftest import make_store
+from conftest import EMBEDDING_COPY_SPOILERS, make_store
+from preptensor import corpus
 from scalar_features import (
     UndefinedSimilarityError,
     cosine_similarity,
@@ -20,6 +24,7 @@ from scalar_features import (
 from preptensor.factorize import EmbeddingSet
 from preptensor.embeddings import (
     EmbeddingStore,
+    binary_copy_path,
     load_embeddings,
     paraphrase_phrasal_verb,
     preposition_similarity_table,
@@ -501,6 +506,137 @@ class TestEmbeddingIO:
         with pytest.raises(ValueError) as exc:
             load_embeddings(path)
         assert str(exc.value) == f"{path}: {message}"
+
+
+def _text_only(path, tmp_path):
+    """``path`` loaded from a copy of the text alone."""
+    alone = tmp_path / "text_only" / "emb.txt"
+    alone.parent.mkdir()
+    shutil.copyfile(path, alone)
+    store = load_embeddings(alone)
+    assert store.source == "text"
+    return store
+
+
+def _same_store(a, b):
+    """Equal tokens and bit-equal rows: ``tobytes`` tells -0.0 from 0.0."""
+    return ((a.tokens, a.index, a.matrix.tobytes(), a.q_const.tobytes())
+            == (b.tokens, b.index, b.matrix.tobytes(), b.q_const.tobytes()))
+
+
+class TestBinaryCopy:
+    """``save_embeddings`` writes a binary copy beside the text, and
+    ``load_embeddings`` takes its rows in place of parsing the text only
+    while the copy vouches for the text; otherwise it parses the text."""
+
+    @staticmethod
+    def _store():
+        rng = np.random.default_rng(12)
+        matrix = rng.standard_normal((4, 3)) * 10.0 ** rng.integers(-300, 300, (4, 3))
+        matrix[0] = [-0.0, 0.0, 5e-324]
+        return EmbeddingStore(["caf\u00e9", "on", "x'y", "in"], matrix,
+                              np.array([1.0, -0.0, 2.0 / 3.0]))
+
+    def _saved(self, tmp_path, store=None):
+        text = tmp_path / "emb.txt"
+        save_embeddings(store or self._store(), text, binary_copy_path(text))
+        return text, binary_copy_path(text)
+
+    def test_copy_equals_text(self, tmp_path):
+        store = self._store()
+        text, copy = self._saved(tmp_path, store)
+        assert copy == tmp_path / "emb.txt.npz"
+        save_embeddings(store, tmp_path / "alone.txt")
+        assert text.read_bytes() == (tmp_path / "alone.txt").read_bytes()
+        loaded = load_embeddings(text)
+        assert loaded.source == "copy" and _same_store(loaded, store)
+        assert _same_store(loaded, _text_only(text, tmp_path))
+        assert loaded.matrix.flags.c_contiguous and loaded.q_const.flags.c_contiguous
+        with np.load(copy) as archive:
+            assert sorted(archive.files) == ["matrix", "text_sha256", "tokens"]
+            assert archive["tokens"].tobytes() == (
+                "caf\u00e9 on x'y in __NOPREP__".encode("utf-8"))
+            assert archive["matrix"].tobytes() == np.vstack(
+                [store.matrix, store.q_const]).tobytes()
+            assert str(archive["text_sha256"]) == corpus.input_digest(text)
+        with zipfile.ZipFile(copy) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {
+                zipfile.ZIP_STORED}
+
+    def test_copies_repeat_byte_for_byte(self, tmp_path):
+        _text, copy = self._saved(tmp_path)
+        save_embeddings(self._store(), tmp_path / "again.txt", tmp_path / "again.npz")
+        assert copy.read_bytes() == (tmp_path / "again.npz").read_bytes()
+
+    def test_factors_in_fortran_order_give_a_readable_copy(self, tmp_path):
+        store = self._store()
+        store = EmbeddingStore(store.tokens, np.asfortranarray(store.matrix),
+                               store.q_const)
+        text, _copy = self._saved(tmp_path, store)
+        loaded = load_embeddings(text)
+        assert loaded.source == "copy" and _same_store(loaded, store)
+
+    def test_copy_name_keeps_the_whole_name(self):
+        assert binary_copy_path("run.v1") != binary_copy_path("run.v2")
+        assert binary_copy_path(Path("d") / "emb") == Path("d") / "emb.npz"
+
+    def test_empty_store_round_trip(self, tmp_path):
+        store = EmbeddingStore([], np.empty((0, 2)), np.array([1.0, 2.0]))
+        text, _copy = self._saved(tmp_path, store)
+        loaded = load_embeddings(text)
+        assert loaded.source == "copy" and _same_store(loaded, store)
+
+    @pytest.mark.parametrize("spoil", EMBEDDING_COPY_SPOILERS.values(),
+                             ids=EMBEDDING_COPY_SPOILERS)
+    def test_text_read_when_the_copy_does_not_vouch(self, tmp_path, caplog, spoil):
+        text, copy = self._saved(tmp_path)
+        spoil(copy, text)
+        with caplog.at_level(logging.INFO, logger="preptensor"):
+            loaded = load_embeddings(text)
+        assert loaded.source == "text" and _same_store(loaded, _text_only(text, tmp_path))
+        records = [(r.levelname, r.getMessage()) for r in caplog.records]
+        if copy.exists():
+            [(level, message)] = records
+            assert level == "INFO"
+            assert message.startswith(f"{copy} ignored, parsing the text: ")
+            assert message.count(str(copy)) == 1, message
+        else:
+            assert records == []
+
+    def test_every_flipped_byte_loads_the_text_store(self, tmp_path):
+        """Whichever byte of the copy is flipped, the store loaded is the
+        text's: the digest, the zip's CRC-32 and the checks stand between
+        a damaged copy and the result."""
+        store = EmbeddingStore(["a", "b"], np.array([[1.5, -0.0], [2.0, 3.0]]),
+                               np.array([0.25, 4.0]))
+        text, copy = self._saved(tmp_path, store)
+        raw = copy.read_bytes()
+        sources = set()
+        for offset in range(len(raw)):
+            copy.write_bytes(raw[:offset] + bytes([raw[offset] ^ 0xA5]) + raw[offset + 1:])
+            loaded = load_embeddings(text)
+            assert _same_store(loaded, store), offset
+            sources.add(loaded.source)
+        assert sources == {"copy", "text"}
+
+    def test_text_errors_name_the_text(self, tmp_path):
+        """A copy of the text before it was broken changes no error."""
+        text, _copy = self._saved(tmp_path)
+        lines = text.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = "on nan 0 1\n"
+        text.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_embeddings(text)
+        assert str(exc.value) == f"{text}: line 3: non-finite value 'nan'"
+
+    def test_glove_file_without_a_copy(self, tmp_path, caplog):
+        path = tmp_path / "glove.txt"
+        path.write_text("the 0.5 1\nof -1 2\n")
+        with caplog.at_level(logging.INFO, logger="preptensor"):
+            loaded = load_embeddings(path)
+        assert loaded.source == "text" and loaded.tokens == ["the", "of"]
+        assert loaded.matrix.tolist() == [[0.5, 1.0], [-1.0, 2.0]]
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
 
 
 class TestHadamardGeometry:

@@ -421,6 +421,35 @@ class TestFnnTraining:
             train_fnn(X, (X[:, 0] > 0).astype(int), (5, 4), hyper)
         assert str(exc.value) == "FNN training diverged at epoch 1: parameters are not finite"
 
+    def test_overflowing_validation_is_a_divergence(self):
+        """At rate 100 the one epoch leaves finite weights whose validation
+        forward overflows float32 into a NaN loss: the one error, and no
+        warning on the way (pytest makes a RuntimeWarning an error)."""
+        X = np.random.default_rng(0).standard_normal((1000, 6))
+        hyper = FnnHyper(learning_rate=100, epochs=1, seed=0)
+        with pytest.raises(RuntimeError) as exc:
+            train_fnn(X, (X[:, 0] > 0).astype(int), (64, 16), hyper)
+        assert str(exc.value) == ("FNN training diverged at epoch 1: "
+                                  "validation loss is not finite")
+
+    def test_overflow_under_a_finite_validation_loss_warns_nothing(self):
+        """The validation forward overflows, the rectifier zeroes the
+        -inf activations and the loss stays finite: a network, no warning."""
+        X = np.random.default_rng(0).standard_normal((400, 4))
+        net = train_fnn(X, (X[:, 0] > 0).astype(int), (8, 4),
+                        FnnHyper(learning_rate=1e8, epochs=1, seed=0))
+        assert len(net.trajectory) == 1 and np.isfinite(net.trajectory).all()
+
+    def test_non_finite_validation_loss_is_an_error(self, monkeypatch):
+        """A NaN loss never improves on the best, so it used to count as a
+        stall."""
+        monkeypatch.setattr(learn, "_cross_entropy", lambda probs, y: float("nan"))
+        X, y = separable_1d()
+        with pytest.raises(RuntimeError) as exc:
+            train_fnn(X, y, (4, 4), FnnHyper(epochs=20, seed=0))
+        assert str(exc.value) == ("FNN training diverged at epoch 1: "
+                                  "validation loss is not finite")
+
     @pytest.mark.parametrize("labels", [[0, 1, 2], [-1, 0, 1], [0, 0.5, 1],
                                         ["a", "b", "a"]])
     def test_labels_other_than_zero_and_one_rejected(self, labels):
